@@ -75,6 +75,26 @@ impl ScaleReport {
             .find(|a| a.backend == backend && a.nprocs == nprocs)
     }
 
+    /// How much dearer a simulated event gets on the simulator backend
+    /// from 8 to 256 processors: `wall_ms / sim_events` at 256 over the
+    /// same at 8, for the app where that ratio is worst. `None` unless
+    /// the sweep ran the simulator at both ends (`--smoke` stops at 64).
+    /// Reported, not gated: each cell is one unpinned sample.
+    pub fn sim_ns_per_event_growth_8_to_256(&self) -> Option<f64> {
+        let sim_at = |nprocs: usize| {
+            self.points.iter().filter(move |p| {
+                p.backend == ExecBackend::Sim && p.nprocs == nprocs && p.sim_events > 0
+            })
+        };
+        let ns_per_event = |p: &ScalePoint| p.wall_ms * 1e6 / p.sim_events as f64;
+        sim_at(256)
+            .filter_map(|big| {
+                let base = sim_at(8).find(|p| p.app == big.app)?;
+                Some(ns_per_event(big) / ns_per_event(base))
+            })
+            .reduce(f64::max)
+    }
+
     /// The growth gate: for every measured backend, the 64-proc p50
     /// fan-in must stay under `growth_limit` × the 8-proc p50, and
     /// every 64+-proc point must actually have run (arrivals > 0).
@@ -139,6 +159,9 @@ impl ScaleReport {
                 .join(", ")
         );
         let _ = writeln!(s, "  \"fanin_growth_limit\": {:.1},", self.growth_limit);
+        if let Some(growth) = self.sim_ns_per_event_growth_8_to_256() {
+            let _ = writeln!(s, "  \"sim_ns_per_event_growth_8_to_256\": {growth:.2},");
+        }
         let _ = writeln!(s, "  \"columns\": [");
         for (i, a) in self.aggregates.iter().enumerate() {
             let trail = if i + 1 == self.aggregates.len() {
@@ -231,6 +254,12 @@ pub fn summary_table(r: &ScaleReport) -> String {
                 r.growth_limit
             );
         }
+    }
+    if let Some(growth) = r.sim_ns_per_event_growth_8_to_256() {
+        let _ = writeln!(
+            out,
+            "sim: host ns per simulated event 8 -> 256 procs, worst app: {growth:.2}x"
+        );
     }
     out
 }
@@ -339,6 +368,42 @@ mod tests {
         assert!(json.contains("\"fanin_growth_limit\": 4.0"));
         assert!(json.contains("\"nprocs\": 64"));
         assert!(summary_table(&r).contains("p50 fan-in 8 -> 64 procs"));
+        // No 256-proc column: the 8 -> 256 figure is left out, not faked.
+        assert!(!json.contains("sim_ns_per_event_growth_8_to_256"));
+    }
+
+    #[test]
+    fn ns_per_event_growth_takes_the_worst_app_on_the_simulator() {
+        let point = |app, backend, nprocs, wall_ms, sim_events| ScalePoint {
+            app,
+            backend,
+            nprocs,
+            wall_ms,
+            sim_events,
+            arrivals: 1,
+            fanin_p50_ns: 1,
+            fanin_p90_ns: 1,
+            fanin_p99_ns: 1,
+            fanin_mean_ns: 1.0,
+        };
+        let r = ScaleReport {
+            scale: Scale::Large,
+            proc_counts: vec![8, 256],
+            points: vec![
+                point(App::Sor, ExecBackend::Sim, 8, 10.0, 1_000), // 10 us/event
+                point(App::Sor, ExecBackend::Sim, 256, 120.0, 4_000), // 30 us: 3x
+                point(App::Is, ExecBackend::Sim, 8, 2.0, 1_000),
+                point(App::Is, ExecBackend::Sim, 256, 3.0, 1_000), // 1.5x
+                point(App::Sor, ExecBackend::Threads, 8, 1.0, 1_000),
+                point(App::Sor, ExecBackend::Threads, 256, 90.0, 1_000), // not sim
+            ],
+            aggregates: Vec::new(),
+            growth_limit: GROWTH_LIMIT,
+        };
+        assert_eq!(r.sim_ns_per_event_growth_8_to_256(), Some(3.0));
+        assert!(r
+            .to_json()
+            .contains("\"sim_ns_per_event_growth_8_to_256\": 3.00,"));
     }
 
     #[test]

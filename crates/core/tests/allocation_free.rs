@@ -570,3 +570,53 @@ fn pool_demand_is_served_by_recycling() {
         demand
     );
 }
+
+/// The engine's turn handoff — the simulator's cost per protocol
+/// interaction — touches no heap once every task has waited once (the
+/// first wait records the task's thread handle): a turn point that
+/// switches is a lock, a scan, one `unpark` and one `park`, and a
+/// block/wake pair is no different.
+#[test]
+fn steady_state_turn_handoff_allocates_nothing() {
+    let engine = adsm_engine::Engine::new(NPROCS);
+    let spent: Vec<u64> = std::thread::scope(|s| {
+        let joins: Vec<_> = (0..NPROCS)
+            .map(|id| {
+                let mut task = engine.task(id);
+                s.spawn(move || {
+                    let round_robin = |task: &mut adsm_engine::Task, turns: usize| {
+                        for _ in 0..turns {
+                            task.advance(SimTime::from_us(10));
+                            task.yield_turn();
+                        }
+                    };
+                    task.begin();
+                    round_robin(&mut task, 8);
+                    let before = thread_allocs();
+                    round_robin(&mut task, 500);
+                    // Barrier-shaped: everyone else blocks, task 0 (kept
+                    // furthest ahead) runs last and wakes them all.
+                    for _ in 0..500 {
+                        if id == 0 {
+                            task.advance(SimTime::from_us(20));
+                            task.yield_turn();
+                            let now = task.clock();
+                            (1..NPROCS).for_each(|other| task.unblock(other, now));
+                        } else {
+                            task.advance(SimTime::from_us(10));
+                            task.block();
+                        }
+                    }
+                    let spent = thread_allocs() - before;
+                    task.finish();
+                    spent
+                })
+            })
+            .collect();
+        joins
+            .into_iter()
+            .map(|j| j.join().expect("no task panics"))
+            .collect()
+    });
+    assert_eq!(spent, [0; NPROCS], "heap allocations per task thread");
+}

@@ -6,19 +6,21 @@
 //! order execution: per-task clocks are plain atomics, a turn point is
 //! a `fetch_add`, and cross-task charges are `fetch_add`/`fetch_max`.
 //! Blocking is a binary **permit** per task: `unblock` deposits the
-//! permit and wakes the target; `block` consumes it, parking the thread
-//! (via the `parking_lot` shim's condvar) only when no permit is
-//! pending. Because a waiter enqueues itself under the world lock but
-//! parks *after* releasing it, the matching unblock can race ahead of
-//! the park — the permit makes that harmless, where the simulator
-//! backend could simply assert the target was already blocked.
+//! permit under the target's slot mutex and then unparks the target's
+//! thread; `block` consumes it, parking the thread (`thread::park`,
+//! through the same [`Parkers`] the simulator hands its turn over
+//! with) only when no permit is pending. Because a waiter enqueues
+//! itself under the world lock but parks *after* releasing it, the
+//! matching unblock can race ahead of the park — the permit makes that
+//! harmless, where the simulator backend could simply assert the target
+//! was already blocked.
 //!
 //! Parking state is **sharded per task**: each task owns a
 //! cache-padded slot (clock + permit/parked/done flags under the
-//! slot's own mutex + wake condvar), so `unblock` — the hot path of a
-//! barrier departure, which at 256 processors fans out 255 wakes —
-//! locks only the *target's* slot instead of a cluster-global mutex.
-//! Wakers of distinct targets never contend.
+//! slot's own mutex), so `unblock` — the hot path of a barrier
+//! departure, which at 256 processors fans out 255 wakes — locks only
+//! the *target's* slot instead of a cluster-global mutex and wakes
+//! only the target's thread. Wakers of distinct targets never contend.
 //!
 //! Deadlock is detected positionally, as in the simulator: whenever a
 //! task parks or finishes and every unfinished task is parked without a
@@ -35,8 +37,9 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use adsm_netsim::SimTime;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
+use crate::park::Parkers;
 use crate::sched::{deadlock_message, EngineError, ParkHint};
 
 /// No failure; tasks run freely.
@@ -47,7 +50,7 @@ const POISONED: u8 = 1;
 const DEADLOCKED: u8 = 2;
 
 /// One task's parking state, guarded by its slot's own mutex.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct SlotState {
     /// A deposited wakeup not yet consumed by a `block`.
     permit: bool,
@@ -62,34 +65,18 @@ struct SlotState {
 /// Per-task slot, padded to its own cache line(s) so the clock
 /// `fetch_add` of one task and the permit handoff of another never
 /// false-share.
+#[derive(Default)]
 #[repr(align(128))]
 struct TaskSlot {
     /// Committed virtual time, in ns. Outside the mutex: turn points
     /// are pure atomics and never touch parking state.
     clock: AtomicU64,
     state: Mutex<SlotState>,
-    /// The slot's wake channel; `notify_all` because the shim's parker
-    /// is collision-broadcast anyway.
-    cv: Condvar,
-}
-
-impl TaskSlot {
-    fn new() -> Self {
-        TaskSlot {
-            clock: AtomicU64::new(0),
-            state: Mutex::new(SlotState {
-                permit: false,
-                parked: false,
-                done: false,
-                hint: ParkHint::Unknown,
-            }),
-            cv: Condvar::new(),
-        }
-    }
 }
 
 pub(crate) struct Inner {
     slots: Vec<TaskSlot>,
+    park: Parkers,
     /// [`HEALTHY`], [`POISONED`] or [`DEADLOCKED`]; checked lock-free on
     /// the turn-point fast path so a panicking task stops the cluster
     /// promptly, exactly like the simulator's per-turn poison check.
@@ -115,7 +102,8 @@ pub(crate) struct Inner {
 impl Inner {
     pub(crate) fn new(ntasks: usize) -> Self {
         Inner {
-            slots: (0..ntasks).map(|_| TaskSlot::new()).collect(),
+            slots: (0..ntasks).map(|_| TaskSlot::default()).collect(),
+            park: Parkers::new(ntasks),
             health: AtomicU8::new(HEALTHY),
             parked_count: AtomicUsize::new(0),
             done_count: AtomicUsize::new(0),
@@ -227,14 +215,14 @@ impl Inner {
                 mine.hint = ParkHint::Unknown;
                 drop(mine);
                 self.parked_count.fetch_sub(1, Ordering::SeqCst);
-                self.notify_all_slots();
+                self.wake_all();
                 panic!("{msg}");
             }
             s = slot.state.lock();
         }
-        while !s.permit && self.health.load(Ordering::Acquire) == HEALTHY {
-            slot.cv.wait(&mut s);
-        }
+        let mut s = self.park.wait_until(id, None, &slot.state, s, |s| {
+            s.permit || self.health.load(Ordering::Acquire) != HEALTHY
+        });
         s.parked = false;
         s.hint = ParkHint::Unknown;
         self.parked_count.fetch_sub(1, Ordering::SeqCst);
@@ -252,11 +240,8 @@ impl Inner {
     /// fan-out — never serialise.
     pub(crate) fn unblock(&self, other: usize, wake_at: u64) {
         self.raise(other, wake_at);
-        let slot = &self.slots[other];
-        let mut s = slot.state.lock();
-        s.permit = true;
-        drop(s);
-        slot.cv.notify_all();
+        self.slots[other].state.lock().permit = true;
+        self.park.wake(other);
     }
 
     /// Marks `id` finished. If that strands every remaining task parked
@@ -270,22 +255,24 @@ impl Inner {
         self.done_count.fetch_add(1, Ordering::SeqCst);
         if self.deadlock_candidate() && self.confirm_deadlock().is_some() {
             self.health.store(POISONED, Ordering::Release);
-            self.notify_all_slots();
+            self.wake_all();
         }
     }
 
     pub(crate) fn poison(&self) {
         self.health.store(POISONED, Ordering::Release);
-        self.notify_all_slots();
+        self.wake_all();
     }
 
-    /// Wakes every slot, taking each lock first so a waiter that saw
-    /// `HEALTHY` is guaranteed to be inside `wait` before the notify.
-    fn notify_all_slots(&self) {
+    /// Wakes every task after a change of `health`, which lives outside
+    /// the slot mutexes. Each slot lock is taken first: a waiter tests
+    /// `health` while holding its slot lock, so it either sees the new
+    /// value or registered its thread before this sweep passed its slot.
+    fn wake_all(&self) {
         for slot in &self.slots {
             drop(slot.state.lock());
-            slot.cv.notify_all();
         }
+        self.park.wake_all();
     }
 
     pub(crate) fn is_poisoned(&self) -> bool {

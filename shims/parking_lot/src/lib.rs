@@ -1,27 +1,26 @@
 //! Offline stand-in for the `parking_lot` crate.
 //!
 //! The build environment has no access to a crates.io registry, so this
-//! workspace-local shim provides the (small) slice of the parking_lot API
-//! the simulator uses — `Mutex`, `MutexGuard`, `Condvar`, `RwLock` — with
-//! a parking-lot-style implementation: a one-byte atomic lock word with
+//! workspace-local shim provides the slice of the parking_lot API the
+//! workspace still uses — `Mutex` and `MutexGuard` — with a
+//! parking-lot-style implementation: a one-byte atomic lock word with
 //! an inlinable compare-and-swap fast path, and a global table of
-//! address-hashed **parker buckets** that contended lockers and condvar
-//! waiters sleep in. The threads execution backend leans on this —
-//! a proc blocked on the world mutex or a protocol wait parks its OS
-//! thread here instead of spinning.
+//! address-hashed **parker buckets** that contended lockers sleep in.
+//! The threads execution backend leans on this: a proc that finds the
+//! world mutex held parks its OS thread here instead of spinning.
+//! (Waiting for a *condition* — a turn, a wake permit — is not this
+//! crate's business: the engine parks task threads itself, one
+//! `std::thread` handle per task, see `adsm-engine`'s `park` module.)
 //!
 //! Semantics match parking_lot where they differ from std: locks are not
 //! poisoned by panics (a panicking simulated processor must not wedge
-//! the others; the engine has its own poison protocol), the `Mutex` is
-//! a single byte, and `Condvar::wait` borrows the guard mutably instead
-//! of consuming it.
+//! the others; the engine has its own poison protocol) and the `Mutex`
+//! is a single byte.
 
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{self, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 mod park {
     //! The parker: a static table of buckets, each a `std::sync`
@@ -32,7 +31,6 @@ mod park {
     //! never a lost wakeup.
 
     use std::sync::{Condvar, Mutex};
-    use std::time::Instant;
 
     struct Bucket {
         lock: Mutex<()>,
@@ -64,28 +62,6 @@ mod park {
         while keep_parked() {
             guard = b.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
         }
-    }
-
-    /// As [`park`], giving up at `deadline`. Returns `true` if the wait
-    /// timed out with the predicate still holding.
-    pub(crate) fn park_until(
-        addr: usize,
-        deadline: Instant,
-        mut keep_parked: impl FnMut() -> bool,
-    ) -> bool {
-        let b = bucket(addr);
-        let mut guard = b.lock.lock().unwrap_or_else(|e| e.into_inner());
-        while keep_parked() {
-            let now = Instant::now();
-            if now >= deadline {
-                return true;
-            }
-            let (g, _) =
-                b.cv.wait_timeout(guard, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-            guard = g;
-        }
-        false
     }
 
     /// Wakes every thread parked on `addr`'s bucket. Broadcast (rather
@@ -266,130 +242,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
     }
 }
 
-/// A condition variable usable with [`MutexGuard`].
-///
-/// Notification state is a single epoch counter: `wait` snapshots the
-/// epoch *before* releasing the mutex and parks while it is unchanged,
-/// so a notify landing in the release-to-park window advances the epoch
-/// and the waiter never sleeps through it.
-#[derive(Default)]
-pub struct Condvar {
-    epoch: AtomicUsize,
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            epoch: AtomicUsize::new(0),
-        }
-    }
-
-    fn addr(&self) -> usize {
-        self as *const _ as usize
-    }
-
-    /// Blocks until notified, releasing the guard's lock while waiting.
-    /// Spurious wakeups are possible (callers loop on their predicate,
-    /// as with any condvar).
-    pub fn wait<T: ?Sized>(&self, guard: &mut MutexGuard<'_, T>) {
-        // Epoch read happens while the user mutex is still held: any
-        // notify after this point — even before we park — bumps past it.
-        let seen = self.epoch.load(Ordering::SeqCst);
-        let lock = guard.lock;
-        lock.raw_unlock();
-        park::park(self.addr(), || self.epoch.load(Ordering::SeqCst) == seen);
-        // Re-acquire before returning; the guard's Drop stays balanced.
-        if lock
-            .state
-            .compare_exchange(FREE, LOCKED, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            lock.lock_slow();
-        }
-    }
-
-    /// Blocks until notified or the timeout elapses. Returns `true` if
-    /// the wait timed out.
-    pub fn wait_for<T: ?Sized>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        let seen = self.epoch.load(Ordering::SeqCst);
-        let deadline = Instant::now() + timeout;
-        let lock = guard.lock;
-        lock.raw_unlock();
-        let timed_out = park::park_until(self.addr(), deadline, || {
-            self.epoch.load(Ordering::SeqCst) == seen
-        });
-        if lock
-            .state
-            .compare_exchange(FREE, LOCKED, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            lock.lock_slow();
-        }
-        timed_out
-    }
-
-    /// Wakes one waiter.
-    ///
-    /// Implemented as a broadcast: the parker's buckets are shared by
-    /// address hashing, so a single wakeup could strand the intended
-    /// waiter behind a collision victim. Waking all and letting each
-    /// recheck its predicate is the collision-safe reading of
-    /// `notify_one` (condvar users must tolerate spurious wakeups
-    /// anyway).
-    pub fn notify_one(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        park::unpark_all(self.addr());
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        park::unpark_all(self.addr());
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
-    }
-}
-
-/// Reader-writer lock (no poisoning). Unlike [`Mutex`] this stays
-/// std-backed: no simulator hot path takes it, so the byte-state
-/// machinery would be dead weight.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock.
-    pub fn new(value: T) -> Self {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> sync::RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> sync::RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("RwLock(..)")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,78 +286,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*m.lock(), threads * iters);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let t = thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut done = m.lock();
-            while !*done {
-                cv.wait(&mut done);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_notify_between_unlock_and_park_is_not_lost() {
-        // Hammer the race window: the waiter snapshots the epoch, drops
-        // the lock, and the notifier fires immediately. Every round must
-        // complete — a lost wakeup hangs the test.
-        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
-        let p2 = pair.clone();
-        let rounds = 2_000u32;
-        let t = thread::spawn(move || {
-            let (m, cv) = &*p2;
-            for want in 1..=rounds {
-                let mut v = m.lock();
-                while *v < want {
-                    cv.wait(&mut v);
-                }
-            }
-        });
-        let (m, cv) = &*pair;
-        for _ in 0..rounds {
-            *m.lock() += 1;
-            cv.notify_one();
-        }
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn wait_for_times_out_without_notify() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let timed_out = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(timed_out);
-    }
-
-    #[test]
-    fn wait_for_observes_a_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let t = thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut ready = m.lock();
-            while !*ready {
-                let timed_out = cv.wait_for(&mut ready, Duration::from_secs(30));
-                assert!(!timed_out, "notify arrived, wait_for must not time out");
-            }
-        });
-        thread::sleep(Duration::from_millis(5));
-        let (m, cv) = &*pair;
-        *m.lock() = true;
-        cv.notify_all();
-        t.join().unwrap();
     }
 
     #[test]
