@@ -2,9 +2,12 @@
 //!
 //! The `span_access` section of `bench-hotpaths` pins the guard-span
 //! access path at **zero** steady-state heap allocations; that needs an
-//! exact counter, not a pool proxy. The counter is per-thread (each
-//! simulated processor runs on its own thread), so measurements taken
-//! inside an application closure see only that closure's allocations.
+//! exact counter, not a pool proxy. The counter is per-thread, so a
+//! measurement taken inside an application closure sees the run it is
+//! part of and nothing else: on the simulator that is every processor
+//! of the run (they share the run's carrier thread — the benches count
+//! inside single-processor runs), on the threads backend the one
+//! processor.
 //!
 //! The wrapper defers entirely to [`System`] and bumps a `Cell<u64>` in
 //! TLS — a few nanoseconds per allocation, negligible against the

@@ -89,10 +89,11 @@ impl ProtocolKind {
 /// when* and what blocking means physically.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecBackend {
-    /// The deterministic turn-based simulator: one OS thread per
-    /// processor, exactly one executing at a time, interleaving fixed by
-    /// virtual clocks. Bit-for-bit reproducible; the repository's
-    /// measurement and verification oracle.
+    /// The deterministic turn-based simulator: exactly one processor
+    /// executing at a time (all of them coroutines on one thread of the
+    /// run's), interleaving fixed by virtual clocks. Bit-for-bit
+    /// reproducible; the repository's measurement and verification
+    /// oracle.
     #[default]
     Sim,
     /// Free-running OS threads: processors execute in parallel, lock

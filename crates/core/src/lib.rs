@@ -31,7 +31,7 @@
 //!   home placement policy ([`HomePolicy`]) is configurable.
 //!
 //! The cluster itself is simulated: a deterministic engine
-//! (`adsm-engine`) runs one thread per processor in virtual-time order,
+//! (`adsm-engine`) runs one task per processor in virtual-time order,
 //! and a cost model (`adsm-netsim`) calibrated to the paper's testbed
 //! charges every message, twin, diff and fault. Runs are therefore
 //! reproducible bit-for-bit, and reports contain the paper's entire

@@ -1,11 +1,11 @@
-//! The run driver: builds the cluster, spawns one thread per processor,
-//! runs the application closures under the deterministic engine, and
-//! produces the [`RunReport`] plus the final merged memory image.
+//! The run driver: builds the cluster, has the engine run the
+//! application closure once per processor, and produces the
+//! [`RunReport`] plus the final merged memory image.
 
 use std::fmt;
 use std::sync::Arc;
 
-use adsm_engine::Engine;
+use adsm_engine::{Engine, RunFailure};
 use adsm_mempage::{page_count, PagedMemory, Pod, PAGE_SIZE};
 use adsm_netsim::{CostModel, Delivery, DeliveryJournal, Scenario, SimTime};
 use adsm_vclock::ProcId;
@@ -522,18 +522,15 @@ impl Dsm {
             (crate::ExecBackend::Sim, Some(seed)) => Engine::with_fuzz_seed(nprocs, seed),
             (crate::ExecBackend::Sim, None) => Engine::new(nprocs),
         };
-        let app = Arc::new(app);
-
         let access_cost = world.lock().cfg.cost.shared_access;
         let mem_per_byte_ns = world.lock().cfg.cost.mem_per_byte_ns;
         // The single protocol-selection point: every entry point from
         // here on dispatches through this object.
         let proto = protocol_for(protocol);
-        let mut joins = Vec::with_capacity(nprocs);
-        for id in 0..nprocs {
+        let outcome = engine.run(|task| {
             let mut proc = Proc {
-                task: engine.task(id),
-                id: ProcId::new(id),
+                id: ProcId::new(task.id()),
+                task,
                 nprocs,
                 world: world.clone(),
                 mems: mems.clone(),
@@ -542,44 +539,15 @@ impl Dsm {
                 access_cost,
                 mem_per_byte_ns,
             };
-            let app = app.clone();
-            let eng = engine.clone();
-            joins.push(std::thread::spawn(move || {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    proc.task.begin();
-                    app(&mut proc);
-                    proc.task.finish();
-                }));
-                if let Err(payload) = result {
-                    eng.poison();
-                    std::panic::resume_unwind(payload);
-                }
-            }));
-        }
-
-        let mut failure: Option<String> = None;
-        for j in joins {
-            if let Err(payload) = j.join() {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "unknown panic".into());
-                // Keep the most informative message: prefer real app
-                // panics over the poison echoes.
-                let is_echo = msg.contains("poisoned");
-                match &failure {
-                    None => failure = Some(msg),
-                    Some(prev) if prev.contains("poisoned") && !is_echo => failure = Some(msg),
-                    _ => {}
-                }
+            app(&mut proc);
+            proc.task
+        });
+        match outcome {
+            Ok(()) => {}
+            Err(RunFailure::Deadlock(_)) => return Err(RunError::Deadlock),
+            Err(RunFailure::Panic(payload)) => {
+                return Err(RunError::AppPanic(adsm_engine::panic_message(&*payload)));
             }
-        }
-        if let Some(msg) = failure {
-            if msg.contains("blocked") {
-                return Err(RunError::Deadlock);
-            }
-            return Err(RunError::AppPanic(msg));
         }
 
         let proc_times = engine.clocks();
@@ -587,7 +555,7 @@ impl Dsm {
 
         let mut w = Arc::try_unwrap(world)
             .map_err(|_| ())
-            .expect("all threads joined")
+            .expect("every processor has dropped its handle")
             .into_inner();
         w.proto.pool_pages_created = w.pool.pages_created();
         w.proto.pool_pages_reused = w.pool.pages_reused();
@@ -609,7 +577,7 @@ impl Dsm {
 
         let mems = Arc::try_unwrap(mems)
             .map_err(|_| ())
-            .expect("threads joined");
+            .expect("every processor has dropped its handle");
         let image = finalize_image(&mut w, &mems, protocol, npages);
         // Taken *after* finalize_image so the journal also covers the
         // image-assembly messages — a replayed run repeats them and

@@ -22,10 +22,12 @@ thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// System allocator wrapper counting allocations per thread: each
-/// simulated processor runs on its own thread, so a closure can measure
-/// exactly its own allocation count, immune to concurrently running
-/// tests.
+/// System allocator wrapper counting allocations per thread, immune to
+/// concurrently running tests. A simulator run's processors all execute
+/// on the run's one carrier thread, so a count taken inside an
+/// application closure covers every processor of that run (under the
+/// threads backend, and for tasks driven from the caller's own threads,
+/// it covers the one processor).
 struct CountingAlloc;
 
 // SAFETY: defers entirely to `System`; the counter is a per-thread
@@ -619,4 +621,51 @@ fn steady_state_turn_handoff_allocates_nothing() {
             .collect()
     });
     assert_eq!(spent, [0; NPROCS], "heap allocations per task thread");
+}
+
+/// The same on `Engine::run`'s carrier thread, where a handoff is a
+/// stack switch: the stacks are mapped before the first task starts and
+/// nothing is allocated after. One thread runs every task, so the
+/// counter sees them all: the window from the first task's reading to
+/// the last one's covers every handoff in between.
+#[test]
+fn steady_state_turn_handoff_on_the_carrier_allocates_nothing() {
+    // Room for every reading, so that recording one allocates nothing.
+    let readings = std::sync::Mutex::new(Vec::with_capacity(NPROCS));
+    adsm_engine::Engine::new(NPROCS)
+        .run(|mut task| {
+            let round_robin = |task: &mut adsm_engine::Task, turns: usize| {
+                for _ in 0..turns {
+                    task.advance(SimTime::from_us(10));
+                    task.yield_turn();
+                }
+            };
+            // Everyone has started by the time anyone leaves this.
+            round_robin(&mut task, 8);
+            let before = thread_allocs();
+            round_robin(&mut task, 500);
+            for _ in 0..500 {
+                if task.id() == 0 {
+                    task.advance(SimTime::from_us(20));
+                    task.yield_turn();
+                    let now = task.clock();
+                    (1..NPROCS).for_each(|other| task.unblock(other, now));
+                } else {
+                    task.advance(SimTime::from_us(10));
+                    task.block();
+                }
+            }
+            let after = thread_allocs();
+            readings
+                .lock()
+                .expect("no task panics")
+                .push((before, after));
+            task
+        })
+        .expect("no task panics");
+    let readings = readings.into_inner().expect("no task panics");
+    assert_eq!(readings.len(), NPROCS);
+    let first = readings.iter().map(|r| r.0).min().expect("NPROCS > 0");
+    let last = readings.iter().map(|r| r.1).max().expect("NPROCS > 0");
+    assert_eq!(last - first, 0, "heap allocations on the carrier thread");
 }

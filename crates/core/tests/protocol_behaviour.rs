@@ -365,6 +365,25 @@ fn deadlock_is_reported() {
 }
 
 #[test]
+fn an_app_panic_that_says_blocked_is_not_a_deadlock() {
+    // The engine says which task found a deadlock; what a panic message
+    // happens to contain decides nothing.
+    let dsm = Dsm::builder(ProtocolKind::Mw).nprocs(2).build();
+    let err = dsm
+        .run(|p| {
+            if p.index() == 1 {
+                panic!("blocked on purpose");
+            }
+            p.barrier();
+        })
+        .unwrap_err();
+    assert_eq!(
+        err,
+        adsm_core::RunError::AppPanic("blocked on purpose".into())
+    );
+}
+
+#[test]
 fn app_panics_are_reported() {
     let dsm = Dsm::builder(ProtocolKind::Mw).nprocs(2).build();
     let err = dsm

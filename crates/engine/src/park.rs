@@ -1,5 +1,7 @@
-//! The engine's one wake primitive: a thread handle per task, slept on
-//! with `thread::park` and woken with `unpark`.
+//! The engine's one wake primitive for tasks that have a thread each: a
+//! thread handle per task, slept on with `thread::park` and woken with
+//! `unpark`. (The coroutines of `Engine::run`'s carrier thread never
+//! sleep; they switch — see the `coro` module.)
 //!
 //! Both backends keep a task's wait condition under a mutex (the
 //! simulator's `Sched`, a threads-backend slot), change it only under

@@ -1,33 +1,72 @@
+use std::any::Any;
+use std::cell::RefCell;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread;
 
 use adsm_netsim::SimTime;
 use parking_lot::{Mutex, MutexGuard};
 
+use crate::coro;
 use crate::park::Parkers;
 
 /// Index of a task (simulated processor) within an [`Engine`].
 pub type TaskId = usize;
 
-/// Errors surfaced by the engine.
+/// What a task panics with when the engine, not the task's own program,
+/// ends it: the payload of the panic is a value of this type
+/// (`payload.downcast_ref::<EngineError>()`), so whoever catches it can
+/// tell the task that found a deadlock from the ones that merely
+/// unwound, and both from a panic of the program's own.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
-    /// Every unfinished task is blocked: the simulated program deadlocked.
-    Deadlock,
-    /// The engine was poisoned (a task panicked elsewhere).
+    /// Every unfinished task is blocked: the simulated program
+    /// deadlocked. Carries the report — a headline, then every parked
+    /// task with what it waits on.
+    Deadlock(String),
+    /// The engine was poisoned (a task failed elsewhere).
     Poisoned,
 }
 
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::Deadlock => f.write_str("all simulated processors are blocked"),
+            EngineError::Deadlock(report) => f.write_str(report),
             EngineError::Poisoned => f.write_str("engine poisoned by a failing task"),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
+
+/// Why [`Engine::run`] did not run every task to completion.
+#[derive(Debug)]
+pub enum RunFailure {
+    /// A task blocked, or finished, with nothing left runnable and
+    /// tasks still blocked. Carries the report of
+    /// [`EngineError::Deadlock`].
+    Deadlock(String),
+    /// A task panicked: the payload of the first panic that was not an
+    /// [`EngineError::Poisoned`] echo of another failure — or that echo
+    /// itself when the run was poisoned from outside
+    /// ([`Engine::poison`]) or by a task that finished while others
+    /// were blocked for good.
+    Panic(Box<dyn Any + Send>),
+}
+
+/// What a caught panic said: the text of an [`EngineError`], of a
+/// `panic!` message, or "unknown panic" for any other payload.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(err) = payload.downcast_ref::<EngineError>() {
+        return err.to_string();
+    }
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".into())
+}
 
 /// What a task is about to park on — declared through
 /// [`Task::block_on`] so a deadlock report can say *why* each stuck
@@ -57,9 +96,8 @@ impl fmt::Display for ParkHint {
     }
 }
 
-/// Formats the deadlock panic message: the classic headline (kept
-/// verbatim — `adsm-core` maps panics containing "blocked" to its
-/// `RunError::Deadlock`) followed by one clause per parked task.
+/// Formats the deadlock report: the classic headline followed by one
+/// clause per parked task.
 pub(crate) fn deadlock_message(parked: &[(TaskId, ParkHint)]) -> String {
     use fmt::Write;
     let mut msg = String::from("all simulated processors are blocked");
@@ -202,7 +240,7 @@ impl Sched {
 
     fn check_poison(&self) {
         if self.poisoned {
-            panic!("{}", EngineError::Poisoned);
+            panic::panic_any(EngineError::Poisoned);
         }
     }
 
@@ -224,21 +262,53 @@ struct Inner {
 
 impl Inner {
     /// Waits for `me`'s turn. `next` is the task that has just been made
-    /// Active under `s`, if any: unless that is `me` it gets the turn —
-    /// the lock is released and exactly that task woken — and `me` parks
-    /// until it is Active again or the engine is poisoned.
+    /// Active under `s`, if any: unless that is `me` it gets the turn,
+    /// and `me` waits until it is Active again or the engine is
+    /// poisoned. This is the one place the two carriers differ. A task
+    /// on a thread of its own releases the lock, wakes exactly that
+    /// task's thread and parks. A coroutine of [`Engine::run`]'s carrier
+    /// thread releases the lock and switches to it; it is resumed only
+    /// once the scheduler has picked it again, or to unwind.
     fn await_turn<'a>(
         &'a self,
         s: MutexGuard<'a, Sched>,
         me: TaskId,
         next: Option<TaskId>,
+        on_carrier: bool,
     ) -> MutexGuard<'a, Sched> {
         let next = next.filter(|&next| next != me);
-        let s = self.park.wait_until(me, next, &self.sched, s, |s| {
-            s.status[me] == Status::Active || s.poisoned
-        });
+        let s = if !on_carrier {
+            self.park.wait_until(me, next, &self.sched, s, |s| {
+                s.status[me] == Status::Active || s.poisoned
+            })
+        } else if let Some(next) = next {
+            drop(s);
+            coro::switch(me, next);
+            self.sched.lock()
+        } else {
+            s
+        };
         s.check_poison();
+        debug_assert_eq!(s.status[me], Status::Active, "resumed out of turn");
         s
+    }
+
+    /// Coroutine `me` is over, finished or unwound: the one to resume in
+    /// its place. Normally the scheduler's pick. Once the engine is
+    /// poisoned — by a failure, or by that very pick finding only
+    /// Blocked tasks — it is any task that is not Done, so that each
+    /// unwinds to its own entry frame and drops what it holds; `None`
+    /// when every task is Done.
+    fn after(&self, me: TaskId) -> Option<TaskId> {
+        let mut s = self.sched.lock();
+        // A task that unwound never reached `finish`.
+        s.set_status(me, Status::Done);
+        if !s.poisoned {
+            if let Some(next) = s.pick_next() {
+                return Some(next);
+            }
+        }
+        s.status.iter().position(|&status| status != Status::Done)
     }
 }
 
@@ -252,8 +322,9 @@ enum Backend {
 
 /// The shared scheduler for a cluster of simulated processors.
 ///
-/// Create one engine per run, obtain one [`Task`] per processor with
-/// [`Engine::task`], and move each task onto its own thread. See the
+/// Create one engine per run and hand [`Engine::run`] the program every
+/// processor executes. (Or obtain one [`Task`] per processor with
+/// [`Engine::task`] and drive each from a thread of your own.) See the
 /// crate-level documentation for the execution model.
 #[derive(Clone)]
 pub struct Engine {
@@ -337,20 +408,117 @@ impl Engine {
         matches!(self.backend, Backend::Threads(_))
     }
 
-    /// Creates the handle for task `id`. Each id must be driven by
-    /// exactly one thread.
+    /// Creates the handle for task `id`, to be driven from a thread the
+    /// caller owns: [`Task::begin`], the program, [`Task::finish`]. Each
+    /// id must be driven by exactly one thread, and all of them this
+    /// way — [`Engine::run`] makes its own handles.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     pub fn task(&self, id: TaskId) -> Task {
+        self.task_on(id, false)
+    }
+
+    fn task_on(&self, id: TaskId, on_carrier: bool) -> Task {
         assert!(id < self.ntasks, "task id {id} out of range");
         Task {
             backend: self.backend.clone(),
             id,
             local: 0,
             committed: 0,
+            on_carrier,
         }
+    }
+
+    /// Runs `body` once per task, to completion: the engine calls
+    /// [`Task::begin`], hands `body` the task, and calls
+    /// [`Task::finish`] on the task `body` gives back. Call it once per
+    /// engine.
+    ///
+    /// The simulator runs one task at a time, so its tasks need no
+    /// kernel thread each: they are coroutines on a single carrier
+    /// thread spawned for the run, and a turn handoff is a user-space
+    /// stack switch (see the crate-level documentation). Where there is
+    /// no switch routine for the target, and on the threads backend,
+    /// every task gets a scoped thread of its own instead. Nothing
+    /// selects between the two but the backend and the target; the
+    /// schedule is the same under both.
+    ///
+    /// # Errors
+    ///
+    /// [`RunFailure::Deadlock`] when the program deadlocked,
+    /// [`RunFailure::Panic`] when a task panicked. Either way every
+    /// task has unwound and dropped what `body` had given it by the
+    /// time this returns.
+    pub fn run<F>(&self, body: F) -> Result<(), RunFailure>
+    where
+        F: Fn(Task) -> Task + Sync,
+    {
+        // One task's whole life; a failure poisons the engine so that
+        // the rest of the cluster unwinds instead of waiting for it.
+        let run_task = |id: TaskId, on_carrier: bool| {
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut task = self.task_on(id, on_carrier);
+                task.begin();
+                body(task).finish();
+            }))
+            .inspect_err(|_| self.poison())
+        };
+        let mut payloads: Vec<Box<dyn Any + Send>> = match &self.backend {
+            Backend::Sim(inner) if coro::AVAILABLE => {
+                let carrier = || {
+                    // In the order the tasks failed.
+                    let payloads = RefCell::new(Vec::new());
+                    let first = inner.sched.lock().pick_next();
+                    let first = first.expect("a fresh engine has a Ready task");
+                    // No unwind may leave a coroutine's entry: all of
+                    // them end in `run_task`'s `catch_unwind`.
+                    coro::run(self.ntasks, first, &|id| {
+                        let failed = run_task(id, true).err();
+                        payloads.borrow_mut().extend(failed);
+                        inner.after(id)
+                    });
+                    payloads.into_inner()
+                };
+                // A thread of the run's own, not the caller's: the
+                // run's allocations then come from an arena of their
+                // own instead of piling onto the caller's heap.
+                thread::scope(|s| {
+                    let carrier = thread::Builder::new()
+                        .name("adsm-carrier".into())
+                        .spawn_scoped(s, carrier)
+                        .expect("spawning the carrier thread");
+                    carrier
+                        .join()
+                        .unwrap_or_else(|bug| panic::resume_unwind(bug))
+                })
+            }
+            _ => thread::scope(|s| {
+                let tasks: Vec<_> = (0..self.ntasks)
+                    .map(|id| s.spawn(move || run_task(id, false)))
+                    .collect();
+                // In task order.
+                tasks
+                    .into_iter()
+                    .filter_map(|task| task.join().expect("run_task catches").err())
+                    .collect()
+            }),
+        };
+        if payloads.is_empty() {
+            return Ok(());
+        }
+        let cause = payloads
+            .iter()
+            .position(|p| p.downcast_ref() != Some(&EngineError::Poisoned))
+            .unwrap_or(0);
+        Err(match payloads.swap_remove(cause).downcast() {
+            Ok(err) => match *err {
+                EngineError::Deadlock(report) => RunFailure::Deadlock(report),
+                EngineError::Poisoned => RunFailure::Panic(err),
+            },
+            Err(payload) => RunFailure::Panic(payload),
+        })
     }
 
     /// Committed virtual clock of a task (meaningful once the task has
@@ -400,10 +568,12 @@ impl Engine {
 
 /// Per-processor handle onto the [`Engine`].
 ///
-/// A task must call [`Task::begin`] once before its first turn and
-/// [`Task::finish`] when its program ends. Between those, it advances its
-/// virtual clock with [`Task::advance`] and offers turn points with
-/// [`Task::yield_turn`].
+/// A task advances its virtual clock with [`Task::advance`] and offers
+/// turn points with [`Task::yield_turn`]. Before the first of them comes
+/// one [`Task::begin`] and after the last one [`Task::finish`]:
+/// [`Engine::run`] makes both calls around the body it is given, a
+/// caller driving a handle from [`Engine::task`] on its own thread makes
+/// them itself.
 pub struct Task {
     backend: Backend,
     id: TaskId,
@@ -414,6 +584,10 @@ pub struct Task {
     /// but the task itself can move `clocks[id]` and the copy stays
     /// exact; it is refreshed every time the turn comes back.
     committed: u64,
+    /// Simulator only: this task is a coroutine of [`Engine::run`]'s
+    /// carrier thread, and waits for its turn by switching to the task
+    /// that has it; otherwise it has a thread of its own, and parks.
+    on_carrier: bool,
 }
 
 impl fmt::Debug for Task {
@@ -483,7 +657,7 @@ impl Task {
         } else {
             s.pick_next()
         };
-        let s = inner.await_turn(s, self.id, elected);
+        let s = inner.await_turn(s, self.id, elected, self.on_carrier);
         self.committed = s.clocks[self.id];
     }
 
@@ -512,7 +686,7 @@ impl Task {
         s.clocks[self.id] += self.local;
         self.local = 0;
         let next = s.yield_from(self.id);
-        let s = inner.await_turn(s, self.id, next);
+        let s = inner.await_turn(s, self.id, next, self.on_carrier);
         self.committed = s.clocks[self.id];
     }
 
@@ -556,12 +730,12 @@ impl Task {
             // Nothing runnable: deadlock. pick_next has poisoned the
             // engine, so every waiter wakes and unwinds; this task
             // carries the detailed report out.
-            let msg = deadlock_message(&s.parked_tasks());
+            let report = deadlock_message(&s.parked_tasks());
             drop(s);
             inner.park.wake_all();
-            panic!("{msg}");
+            panic::panic_any(EngineError::Deadlock(report));
         }
-        let mut s = inner.await_turn(s, self.id, next);
+        let mut s = inner.await_turn(s, self.id, next, self.on_carrier);
         s.hints[self.id] = ParkHint::Unknown;
         self.committed = s.clocks[self.id];
     }
@@ -647,6 +821,12 @@ impl Task {
         self.local = 0;
         self.committed = s.clocks[self.id];
         s.set_status(self.id, Status::Done);
+        if self.on_carrier {
+            // The turn is passed on from the coroutine's entry frame
+            // (`Inner::after`), once the program's frames and what they
+            // hold are gone: this stack is never resumed after that.
+            return;
+        }
         let next = s.pick_next();
         drop(s);
         match next {
@@ -716,12 +896,7 @@ mod tests {
         joins
             .into_iter()
             .filter_map(|(_, join)| join.join().err())
-            .map(|e| {
-                e.downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "panic".into())
-            })
+            .map(|payload| panic_message(&*payload))
             .collect()
     }
 

@@ -8,12 +8,12 @@
 //! Blocking is a binary **permit** per task: `unblock` deposits the
 //! permit under the target's slot mutex and then unparks the target's
 //! thread; `block` consumes it, parking the thread (`thread::park`,
-//! through the same [`Parkers`] the simulator hands its turn over
-//! with) only when no permit is pending. Because a waiter enqueues
-//! itself under the world lock but parks *after* releasing it, the
-//! matching unblock can race ahead of the park — the permit makes that
-//! harmless, where the simulator backend could simply assert the target
-//! was already blocked.
+//! through the same [`Parkers`] a simulator task on a thread of its
+//! own waits for its turn with) only when no permit is pending. Because
+//! a waiter enqueues itself under the world lock but parks *after*
+//! releasing it, the matching unblock can race ahead of the park — the
+//! permit makes that harmless, where the simulator backend could simply
+//! assert the target was already blocked.
 //!
 //! Parking state is **sharded per task**: each task owns a
 //! cache-padded slot (clock + permit/parked/done flags under the
@@ -34,6 +34,7 @@
 //! its own `block`/`unblock` protocol, which is where application-level
 //! deadlocks — lost unlocks, missing barrier arrivals — surface.)
 
+use std::panic;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use adsm_netsim::SimTime;
@@ -134,13 +135,10 @@ impl Inner {
         match self.health.load(Ordering::Acquire) {
             HEALTHY => {}
             DEADLOCKED => {
-                let msg = self.deadlock_detail.lock().clone();
-                if msg.is_empty() {
-                    panic!("{}", EngineError::Deadlock);
-                }
-                panic!("{msg}");
+                let report = self.deadlock_detail.lock().clone();
+                panic::panic_any(EngineError::Deadlock(report));
             }
-            _ => panic!("{}", EngineError::Poisoned),
+            _ => panic::panic_any(EngineError::Poisoned),
         }
     }
 
@@ -216,7 +214,7 @@ impl Inner {
                 drop(mine);
                 self.parked_count.fetch_sub(1, Ordering::SeqCst);
                 self.wake_all();
-                panic!("{msg}");
+                panic::panic_any(EngineError::Deadlock(msg));
             }
             s = slot.state.lock();
         }

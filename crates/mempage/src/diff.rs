@@ -15,11 +15,18 @@ const LANE_BYTES: usize = 8;
 
 const BLOCKS_PER_PAGE: usize = PAGE_SIZE / BLOCK_BYTES;
 
+/// Most diffs [`Diff::apply_many`] merges in one pass. The pass is
+/// O(k · segments); 63 diffs of one page (IS under MW at 64 processors)
+/// spent 40 % of that run inside it.
+const MERGE_MAX_FAN_IN: usize = 8;
+
 // The chunked scan assumes pages split evenly into blocks, tracks dirty
 // blocks in a single u64 bitmap, and keeps one 16-bit word mask per
 // block.
 const _: () = assert!(PAGE_SIZE.is_multiple_of(BLOCK_BYTES) && BLOCKS_PER_PAGE <= 64);
 const _: () = assert!(BLOCK_WORDS <= 16 && BLOCK_BYTES.is_multiple_of(WORD_SIZE));
+// Sizing a diff packs four full masks into a `u64`.
+const _: () = assert!(BLOCK_WORDS == 16 && BLOCKS_PER_PAGE.is_multiple_of(4));
 // Both dirty-mask implementations compare 32-bit lanes; the mask layout
 // is wrong for any other word size.
 const _: () = assert!(WORD_SIZE == 4);
@@ -134,12 +141,8 @@ impl Diff {
     ///
     /// Panics unless both slices are exactly one page long.
     pub fn encode(twin: &[u8], current: &[u8]) -> Self {
-        let mut diff = Diff {
-            // One allocation each for typical sparse diffs; both grow
-            // on demand for dense pages.
-            runs: Vec::with_capacity(16),
-            data: Vec::with_capacity(16 * WORD_SIZE),
-        };
+        // `encode_into` sizes both buffers exactly, once.
+        let mut diff = Diff::default();
         Self::encode_into(twin, current, &mut diff);
         diff
     }
@@ -200,6 +203,47 @@ impl Diff {
     fn encode_blocks_into(twin: &[u8], current: &[u8], blo: usize, bhi: usize, out: &mut Diff) {
         out.runs.clear();
         out.data.clear();
+        // Phase 1: one streaming sweep over both pages building the
+        // dirty-block bitmap and every dirty block's per-word mask. With
+        // the wide-mask path the mask falls out of the block compare
+        // itself; portably, the fixed-size array equality compiles to
+        // inline vector compares (no `memcmp` call) and only blocks that
+        // differ pay for a mask.
+        let mut masks = [0u16; BLOCKS_PER_PAGE];
+        let mut dirty_blocks = 0u64;
+        {
+            let blocks = twin[blo * BLOCK_BYTES..bhi * BLOCK_BYTES]
+                .chunks_exact(BLOCK_BYTES)
+                .zip(current[blo * BLOCK_BYTES..bhi * BLOCK_BYTES].chunks_exact(BLOCK_BYTES));
+            for (bi, (tb, cb)) in blocks.enumerate() {
+                let bi = blo + bi;
+                let tb: &Block = tb.try_into().expect("exact chunk");
+                let cb: &Block = cb.try_into().expect("exact chunk");
+                let m = if HAS_WIDE_MASK || tb != cb {
+                    block_dirty_mask(tb, cb) as u16
+                } else {
+                    0
+                };
+                masks[bi] = m;
+                dirty_blocks |= ((m != 0) as u64) << bi;
+            }
+        }
+        // The masks say how many words and runs the diff will have — a
+        // run starts at every set bit whose predecessor is clear — so
+        // both buffers are sized once, not grown by doubling. Four
+        // 16-bit masks side by side are 64 consecutive words of the
+        // page, so the count is two popcounts per 256 bytes scanned,
+        // whatever they look like.
+        let (mut words, mut runs, mut prev_top) = (0u32, 0u32, 0u64);
+        for four in masks[blo / 4 * 4..bhi.next_multiple_of(4)].chunks_exact(4) {
+            let x = four.iter().rev().fold(0u64, |x, &m| x << 16 | m as u64);
+            words += x.count_ones();
+            runs += (x & !(x << 1 | prev_top)).count_ones();
+            prev_top = x >> 63;
+        }
+        out.runs.reserve(runs as usize);
+        out.data.reserve(words as usize * WORD_SIZE);
+
         // The open run, [run_start, run_stop) in words; closed and
         // emitted as soon as a word fails to extend it, so runs crossing
         // block boundaries come out maximal exactly like the word scan.
@@ -212,53 +256,23 @@ impl Diff {
             });
             let bytes = &current[start * WORD_SIZE..stop * WORD_SIZE];
             if bytes.len() <= 2 * LANE_BYTES {
-                // Short runs dominate fine-grained pages; a byte loop
-                // beats a `memcpy` call at these sizes.
-                for &b in bytes {
-                    out.data.push(b);
+                // Short runs dominate fine-grained pages; whole words of
+                // a width the compiler knows beat a `memcpy` call at
+                // these sizes.
+                for word in bytes.chunks_exact(WORD_SIZE) {
+                    let word: [u8; WORD_SIZE] = word.try_into().expect("exact chunk");
+                    out.data.extend_from_slice(&word);
                 }
             } else {
                 out.data.extend_from_slice(bytes);
             }
         };
-        // Phase 1: one streaming sweep over both pages building the
-        // dirty-block bitmap. With the wide-mask path each block's
-        // per-word mask falls out of the same compare; portably, the
-        // fixed-size array equality compiles to inline vector compares
-        // (no `memcmp` call) and masks are derived in phase 2 instead.
-        let mut masks = [0u16; BLOCKS_PER_PAGE];
-        let mut dirty_blocks = 0u64;
-        {
-            let blocks = twin[blo * BLOCK_BYTES..bhi * BLOCK_BYTES]
-                .chunks_exact(BLOCK_BYTES)
-                .zip(current[blo * BLOCK_BYTES..bhi * BLOCK_BYTES].chunks_exact(BLOCK_BYTES));
-            for (bi, (tb, cb)) in blocks.enumerate() {
-                let bi = blo + bi;
-                let tb: &Block = tb.try_into().expect("exact chunk");
-                let cb: &Block = cb.try_into().expect("exact chunk");
-                if HAS_WIDE_MASK {
-                    let m = block_dirty_mask(tb, cb) as u16;
-                    masks[bi] = m;
-                    dirty_blocks |= ((m != 0) as u64) << bi;
-                } else {
-                    dirty_blocks |= ((tb != cb) as u64) << bi;
-                }
-            }
-        }
-
         // Phase 2: visit only the dirty blocks, in ascending order so
         // runs crossing block boundaries merge through the extend logic.
         while dirty_blocks != 0 {
             let bi = dirty_blocks.trailing_zeros() as usize;
             dirty_blocks &= dirty_blocks - 1;
-            let mut mask = if HAS_WIDE_MASK {
-                masks[bi] as u32
-            } else {
-                let o = bi * BLOCK_BYTES;
-                let tb: &Block = twin[o..o + BLOCK_BYTES].try_into().expect("block");
-                let cb: &Block = current[o..o + BLOCK_BYTES].try_into().expect("block");
-                block_dirty_mask(tb, cb)
-            };
+            let mut mask = masks[bi] as u32;
             // Walk the dirty-word groups of the mask (each group is a
             // maximal run of set bits).
             let base = bi * BLOCK_WORDS;
@@ -281,6 +295,11 @@ impl Diff {
         if run_stop != 0 {
             emit(run_start, run_stop);
         }
+        debug_assert_eq!(
+            (out.runs.len(), out.data.len()),
+            (runs as usize, words as usize * WORD_SIZE),
+            "phase 1 miscounted the diff"
+        );
     }
 
     /// Reference encoder: the plain one-word-at-a-time scan. Kept as the
@@ -350,9 +369,13 @@ impl Diff {
         self.apply(out);
     }
 
-    /// Applies several diffs in one k-way merge pass: byte-for-byte
-    /// equivalent to calling [`Diff::apply`] for each diff in slice
-    /// order, but every page word is written **at most once**.
+    /// Applies several diffs: byte-for-byte equivalent to calling
+    /// [`Diff::apply`] for each diff in slice order. Up to
+    /// eight diffs (`MERGE_MAX_FAN_IN`) go through one k-way merge pass that
+    /// writes every page word **at most once**; beyond that the pass —
+    /// which rescans all k cursors for every output segment — costs
+    /// more than the overwrites it saves, and the diffs are simply
+    /// applied in order.
     ///
     /// The slice order is the happened-before order of the merge
     /// procedure (§3.1.1): where two diffs modify the same word, the
@@ -373,10 +396,11 @@ impl Diff {
     /// Panics unless `page` is exactly one page long.
     pub fn apply_many<D: std::borrow::Borrow<Diff>>(diffs: &[D], page: &mut [u8]) {
         assert_eq!(page.len(), PAGE_SIZE, "target must be one page");
-        match diffs {
-            [] => return,
-            [d] => return d.borrow().apply(page),
-            _ => {}
+        if diffs.len() < 2 || diffs.len() > MERGE_MAX_FAN_IN {
+            for d in diffs {
+                d.borrow().apply(page);
+            }
+            return;
         }
         // One cursor per diff: the current run and its data offset.
         struct Cursor<'a> {

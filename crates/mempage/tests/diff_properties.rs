@@ -148,7 +148,9 @@ proptest! {
     /// `apply_many` over a random happened-before chain — each page
     /// derived from the previous by random edits, each diff encoded
     /// against its predecessor — is byte-for-byte the sequential apply,
-    /// and lands on the chain's final page.
+    /// and lands on the chain's final page. Chains are as drawn (up to
+    /// 5 diffs, the one-pass merge) or stretched to 9, 32 or 63 (past
+    /// the merge's fan-in limit) by reusing the edit sets, shifted.
     #[test]
     fn apply_many_matches_sequential_over_chains(
         base in page_strategy(),
@@ -156,13 +158,15 @@ proptest! {
             prop::collection::vec((0usize..PAGE_SIZE, any::<u8>()), 0..48),
             0..6,
         ),
+        fan_in in 0usize..4,
     ) {
+        let k = [edit_sets.len(), 9, 32, 63][fan_in];
         let mut pages = vec![base.clone()];
         let mut diffs = Vec::new();
-        for edits in &edit_sets {
+        for (round, edits) in edit_sets.iter().cycle().take(k).enumerate() {
             let mut next = pages.last().expect("nonempty").clone();
             for &(i, v) in edits {
-                next[i] = v;
+                next[(i + round * 52) % PAGE_SIZE] = v ^ round as u8;
             }
             diffs.push(Diff::encode(pages.last().expect("nonempty"), &next));
             pages.push(next);
@@ -180,7 +184,8 @@ proptest! {
 
     /// `apply_many` equals sequential apply for *arbitrary* diff lists
     /// on an arbitrary canvas: overlapping runs, empty diffs, repeated
-    /// diffs — last writer wins per word either way.
+    /// diffs — last writer wins per word either way, at the drawn fan-in
+    /// and at 9, 32 and 63.
     #[test]
     fn apply_many_matches_sequential_on_any_canvas(
         canvas in page_strategy(),
@@ -189,9 +194,13 @@ proptest! {
             0..5,
         ),
         include_empty in any::<bool>(),
+        fan_in in 0usize..4,
     ) {
+        let k = [sources.len(), 9, 32, 63][fan_in];
         let mut diffs: Vec<Diff> = sources
             .iter()
+            .cycle()
+            .take(k)
             .map(|(twin, cur)| Diff::encode(twin, cur))
             .collect();
         if include_empty {
