@@ -9,9 +9,11 @@
 //! grained, and most body pages end up write-write falsely shared (the
 //! paper measures 61.9%).
 
+use std::sync::Arc;
+
 use adsm_core::{ProtocolKind, SharedVec};
 
-use crate::support::{band, compare_f64, unit_f64, work};
+use crate::support::{band, compare_f64, unit_f64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
 
 /// Doubles per body record: mass, position, velocity, acceleration.
@@ -294,8 +296,14 @@ fn initial_state(params: &BarnesParams) -> (Vec<f64>, Vec<[f64; 3]>) {
     (masses, positions)
 }
 
-/// Sequential reference: flattened final positions.
-pub fn reference(params: &BarnesParams) -> Vec<f64> {
+/// Sequential reference: flattened final positions, computed once per
+/// input.
+pub fn reference(params: &BarnesParams) -> Arc<Vec<f64>> {
+    static ORACLE: Oracle<BarnesParams, Vec<f64>> = Oracle::new();
+    ORACLE.get(params, sequential)
+}
+
+fn sequential(params: &BarnesParams) -> Vec<f64> {
     let n = params.nbodies;
     let (masses, mut pos) = initial_state(params);
     let mut vel = vec![[0.0f64; 3]; n];
@@ -321,6 +329,7 @@ pub fn run(protocol: ProtocolKind, nprocs: usize, scale: Scale) -> AppRun {
 pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &RunOptions) -> AppRun {
     let params = BarnesParams::new(scale);
     let n = params.nbodies;
+    let want = reference(&params);
     let mut dsm = opts.builder(protocol, nprocs).build();
     let bodies: SharedVec<f64> = dsm.alloc_page_aligned::<f64>(n * BODY_WORDS);
 
@@ -397,13 +406,7 @@ pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &Run
             all[b..b + 3].to_vec()
         })
         .collect();
-    let want = reference(&params);
-    let check = compare_f64(&got, &want, 1e-12);
-    AppRun {
-        outcome,
-        ok: check.is_ok(),
-        detail: check.err().unwrap_or_default(),
-    }
+    AppRun::verified(outcome, compare_f64(&got, &want, 1e-12))
 }
 
 #[cfg(test)]

@@ -16,9 +16,11 @@
 //! written concurrently by all processors (28-byte records), producing
 //! the paper's single write-write falsely-shared page out of thousands.
 
+use std::sync::Arc;
+
 use adsm_core::ProtocolKind;
 
-use crate::support::{band, compare_f64, work};
+use crate::support::{band, compare_f64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
 
 /// 3D-FFT input parameters.
@@ -141,8 +143,14 @@ fn xmaj(x: usize, y: usize, z: usize, n: usize) -> usize {
     2 * ((x * n + y) * n + z)
 }
 
-/// Sequential reference: identical arithmetic on plain vectors.
-pub fn reference(params: &FftParams) -> Vec<f64> {
+/// Sequential reference: identical arithmetic on plain vectors,
+/// computed once per input.
+pub fn reference(params: &FftParams) -> Arc<Vec<f64>> {
+    static ORACLE: Oracle<FftParams, Vec<f64>> = Oracle::new();
+    ORACLE.get(params, sequential)
+}
+
+fn sequential(params: &FftParams) -> Vec<f64> {
     let n = params.n;
     let mut data = vec![0.0f64; 2 * n * n * n];
     let mut tdata = vec![0.0f64; 2 * n * n * n];
@@ -271,6 +279,7 @@ fn run_params(
     opts: &RunOptions,
 ) -> AppRun {
     let n = params.n;
+    let want = reference(&params);
     let mut dsm = opts.builder(protocol, nprocs).build();
     let data = dsm.alloc_page_aligned::<f64>(2 * n * n * n);
     let tdata = dsm.alloc_page_aligned::<f64>(2 * n * n * n);
@@ -392,13 +401,7 @@ fn run_params(
         .expect("3D-FFT run failed");
 
     let got = outcome.read_vec(&data);
-    let want = reference(&params);
-    let check = compare_f64(&got, &want, 1e-9);
-    AppRun {
-        outcome,
-        ok: check.is_ok(),
-        detail: check.err().unwrap_or_default(),
-    }
+    AppRun::verified(outcome, compare_f64(&got, &want, 1e-9))
 }
 
 #[cfg(test)]

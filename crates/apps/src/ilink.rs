@@ -16,9 +16,11 @@
 //! span views would erase exactly the fine-grained scatter the paper's
 //! false-sharing numbers come from.
 
+use std::sync::Arc;
+
 use adsm_core::{ProtocolKind, SharedVec};
 
-use crate::support::{compare_f64, mix64, work};
+use crate::support::{compare_f64, mix64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
 
 /// ILINK input parameters.
@@ -107,8 +109,14 @@ fn update_value(v: f64, theta: f64, slot: usize) -> f64 {
     0.9 * v + 0.1 * theta * weight + 0.01
 }
 
-/// Sequential reference: final pool contents and final theta.
-pub fn reference(params: &IlinkParams) -> (Vec<f64>, f64) {
+/// Sequential reference: final pool contents and final theta, computed
+/// once per input.
+pub fn reference(params: &IlinkParams) -> Arc<(Vec<f64>, f64)> {
+    static ORACLE: Oracle<IlinkParams, (Vec<f64>, f64)> = Oracle::new();
+    ORACLE.get(params, sequential)
+}
+
+fn sequential(params: &IlinkParams) -> (Vec<f64>, f64) {
     let nnz = params.nonzeros();
     let mut pool = vec![0.0f64; params.pool()];
     let mut theta = 1.0f64;
@@ -146,6 +154,7 @@ fn run_params(
     params: IlinkParams,
     opts: &RunOptions,
 ) -> AppRun {
+    let want = reference(&params);
     let mut dsm = opts.builder(protocol, nprocs).build();
     let pool: SharedVec<f64> = dsm.alloc_page_aligned::<f64>(params.pool());
     let theta: SharedVec<f64> = dsm.alloc_page_aligned::<f64>(1);
@@ -196,16 +205,12 @@ fn run_params(
 
     let got_pool = outcome.read_vec(&pool);
     let got_theta = outcome.read_elem(&theta, 0);
-    let (want_pool, want_theta) = reference(&params);
-    let mut check = compare_f64(&got_pool, &want_pool, 1e-12);
+    let (want_pool, want_theta) = &*want;
+    let mut check = compare_f64(&got_pool, want_pool, 1e-12);
     if check.is_ok() && (got_theta - want_theta).abs() > 1e-9 {
         check = Err(format!("theta {got_theta}, want {want_theta}"));
     }
-    AppRun {
-        outcome,
-        ok: check.is_ok(),
-        detail: check.err().unwrap_or_default(),
-    }
+    AppRun::verified(outcome, check)
 }
 
 #[cfg(test)]
@@ -224,8 +229,8 @@ mod tests {
 
     #[test]
     fn reference_converges_to_finite_theta() {
-        let (pool, theta) = reference(&IlinkParams::new(Scale::Tiny));
-        assert!(theta.is_finite() && theta > 1.0);
+        let (pool, theta) = &*reference(&IlinkParams::new(Scale::Tiny));
+        assert!(theta.is_finite() && *theta > 1.0);
         assert!(pool.iter().all(|v| v.is_finite()));
     }
 

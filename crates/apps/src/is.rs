@@ -11,9 +11,11 @@
 //! false sharing and the write granularity is large: SW-style whole-page
 //! handling wins, which is what the adaptive protocols discover.
 
+use std::sync::Arc;
+
 use adsm_core::{ProtocolKind, SharedVec};
 
-use crate::support::{band, compare_u64, mix64, work};
+use crate::support::{band, compare_u64, mix64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
 
 /// IS input parameters.
@@ -85,8 +87,14 @@ impl IsParams {
     }
 }
 
-/// Sequential reference: the accumulated histogram over all iterations.
-pub fn reference(params: &IsParams) -> Vec<u64> {
+/// Sequential reference: the accumulated histogram over all iterations,
+/// computed once per input.
+pub fn reference(params: &IsParams) -> Arc<Vec<u64>> {
+    static ORACLE: Oracle<IsParams, Vec<u64>> = Oracle::new();
+    ORACLE.get(params, sequential)
+}
+
+fn sequential(params: &IsParams) -> Vec<u64> {
     let mut buckets = vec![0u64; params.nbuckets()];
     for it in 0..params.iters {
         for i in 0..params.nkeys() {
@@ -104,6 +112,7 @@ pub fn run(protocol: ProtocolKind, nprocs: usize, scale: Scale) -> AppRun {
 /// As [`run`], honouring [`RunOptions`] protocol extensions.
 pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &RunOptions) -> AppRun {
     let params = IsParams::new(scale);
+    let want = reference(&params);
     let mut dsm = opts.builder(protocol, nprocs).build();
     let buckets: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(params.nbuckets());
     let checksum: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(1);
@@ -150,7 +159,6 @@ pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &Run
         .expect("IS run failed");
 
     let got = outcome.read_vec(&buckets);
-    let want = reference(&params);
     let mut check = compare_u64(&got, &want);
     if check.is_ok() {
         let total = outcome.read_elem(&checksum, 0);
@@ -159,11 +167,7 @@ pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &Run
             check = Err(format!("checksum {total}, want {expect}"));
         }
     }
-    AppRun {
-        outcome,
-        ok: check.is_ok(),
-        detail: check.err().unwrap_or_default(),
-    }
+    AppRun::verified(outcome, check)
 }
 
 #[cfg(test)]

@@ -198,6 +198,17 @@ pub struct AppRun {
     pub detail: String,
 }
 
+impl AppRun {
+    /// A run and the verdict of checking its output against the reference.
+    pub(crate) fn verified(outcome: RunOutcome, check: Result<(), String>) -> Self {
+        AppRun {
+            outcome,
+            ok: check.is_ok(),
+            detail: check.err().unwrap_or_default(),
+        }
+    }
+}
+
 /// Optional tuning applied to an application run: the protocol
 /// extensions beyond the paper's four evaluated protocols, and cost-model
 /// overrides for parameter sweeps.

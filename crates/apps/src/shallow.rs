@@ -12,9 +12,11 @@
 //! paper measures 13.9% and shows Shallow as the clearest case for
 //! per-page adaptation.
 
+use std::sync::Arc;
+
 use adsm_core::{ProtocolKind, SharedMatrix};
 
-use crate::support::{band, compare_f64, work};
+use crate::support::{band, compare_f64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
 
 /// Shallow input parameters.
@@ -170,8 +172,13 @@ fn phase2_cell(
     (unew, vnew, pnew)
 }
 
-/// Sequential reference; returns the final `p` field.
-pub fn reference(params: &ShallowParams) -> Vec<f64> {
+/// Sequential reference: the final `p` field, computed once per input.
+pub fn reference(params: &ShallowParams) -> Arc<Vec<f64>> {
+    static ORACLE: Oracle<ShallowParams, Vec<f64>> = Oracle::new();
+    ORACLE.get(params, sequential)
+}
+
+fn sequential(params: &ShallowParams) -> Vec<f64> {
     let (m, n, row) = (params.m, params.n, params.row());
     let (u, v, p) = initial_field(params);
     let mut s = SeqState {
@@ -269,6 +276,7 @@ fn run_params(
     opts: &RunOptions,
 ) -> AppRun {
     let (m, n, row) = (params.m, params.n, params.row());
+    let want = reference(&params);
     let mut dsm = opts.builder(protocol, nprocs).build();
     let fields = Fields {
         u: dsm.alloc_matrix_page_aligned::<f64>(m, row),
@@ -444,13 +452,7 @@ fn run_params(
         .expect("Shallow run failed");
 
     let got = outcome.read_vec(&fields.p.shared_vec());
-    let want = reference(&params);
-    let check = compare_f64(&got, &want, 1e-9);
-    AppRun {
-        outcome,
-        ok: check.is_ok(),
-        detail: check.err().unwrap_or_default(),
-    }
+    AppRun::verified(outcome, compare_f64(&got, &want, 1e-9))
 }
 
 #[cfg(test)]

@@ -1,6 +1,40 @@
 //! Shared helpers for the application suite.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use adsm_core::SimTime;
+
+/// An application's sequential references, memoised per input: runs
+/// sweep protocols, seeds and scenarios over a handful of inputs, and
+/// the reference depends on the input alone. Four slots (one per
+/// [`crate::Scale`] preset), most recently used first; `compute` runs
+/// under the lock, so racing callers of a cold input compute it once.
+/// Fetch before building the cluster: a long-lived block allocated
+/// after it pins the heap top (DESIGN.md, "Verification oracles").
+pub(crate) struct Oracle<P, T>(Mutex<Vec<(P, Arc<T>)>>);
+
+impl<P: Copy + PartialEq, T> Oracle<P, T> {
+    const SLOTS: usize = 4;
+
+    pub(crate) const fn new() -> Self {
+        Oracle(Mutex::new(Vec::new()))
+    }
+
+    /// The reference for `params`, from its slot or from `compute`.
+    pub(crate) fn get(&self, params: &P, compute: impl FnOnce(&P) -> T) -> Arc<T> {
+        // A `compute` that panicked left the slots as they were.
+        let mut slots = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        match slots.iter().position(|(p, _)| p == params) {
+            Some(hit) => slots[..=hit].rotate_right(1),
+            None => {
+                let fresh = Arc::new(compute(params));
+                slots.truncate(Self::SLOTS - 1);
+                slots.insert(0, (*params, fresh));
+            }
+        }
+        Arc::clone(&slots[0].1)
+    }
+}
 
 /// Splits `n` items into `nprocs` contiguous chunks; returns the
 /// `[start, end)` range of chunk `k` (remainders spread over the first

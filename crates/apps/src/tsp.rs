@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use adsm_core::{ExecBackend, ProtocolKind, SharedVec};
 
-use crate::support::{unit_f64, work};
+use crate::support::{unit_f64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
 
 /// TSP input parameters.
@@ -87,7 +87,14 @@ pub fn distance_matrix(params: &TspParams) -> Vec<u64> {
     d
 }
 
-/// Held-Karp exact solution (reference optimum).
+/// Sequential reference: the instance's optimal tour length by
+/// Held-Karp, computed once per input.
+pub fn reference(params: &TspParams) -> Arc<u64> {
+    static ORACLE: Oracle<TspParams, u64> = Oracle::new();
+    ORACLE.get(params, |p| held_karp(&distance_matrix(p), p.ncities))
+}
+
+/// Held-Karp exact solution.
 pub fn held_karp(dist: &[u64], n: usize) -> u64 {
     let full = 1usize << n;
     const INF: u64 = u64::MAX / 4;
@@ -206,7 +213,7 @@ pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &Run
     let params = TspParams::new(scale);
     let n = params.ncities;
     let dist = distance_matrix(&params);
-    let optimum = held_karp(&dist, n);
+    let optimum = *reference(&params);
 
     let mut dsm = opts.builder(protocol, nprocs).build();
     // Queue: [0] = top, [1] = outstanding work items; records follow.
@@ -349,16 +356,12 @@ pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &Run
         .expect("TSP run failed");
 
     let got = outcome.read_elem(&best, 0);
-    let ok = got == optimum;
-    AppRun {
-        outcome,
-        ok,
-        detail: if ok {
-            String::new()
-        } else {
-            format!("best tour {got}, optimum {optimum}")
-        },
-    }
+    let check = if got == optimum {
+        Ok(())
+    } else {
+        Err(format!("best tour {got}, optimum {optimum}"))
+    };
+    AppRun::verified(outcome, check)
 }
 
 #[cfg(test)]

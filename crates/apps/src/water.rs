@@ -10,9 +10,11 @@
 //! fraction of pages (the paper measures 3.5%) is write-write falsely
 //! shared.
 
+use std::sync::Arc;
+
 use adsm_core::{ProtocolKind, SharedVec};
 
-use crate::support::{band, compare_f64, unit_f64, work};
+use crate::support::{band, compare_f64, unit_f64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
 
 /// Doubles per molecule record (positions, velocities, forces, per-
@@ -112,8 +114,14 @@ fn pair_force(pa: &[f64; 3], pb: &[f64; 3]) -> Option<[f64; 3]> {
     Some([d[0] * mag / r, d[1] * mag / r, d[2] * mag / r])
 }
 
-/// Sequential reference; returns the flattened final positions.
-pub fn reference(params: &WaterParams) -> Vec<f64> {
+/// Sequential reference: the flattened final positions, computed once
+/// per input.
+pub fn reference(params: &WaterParams) -> Arc<Vec<f64>> {
+    static ORACLE: Oracle<WaterParams, Vec<f64>> = Oracle::new();
+    ORACLE.get(params, sequential)
+}
+
+fn sequential(params: &WaterParams) -> Vec<f64> {
     let n = params.nmol;
     let mut pos = initial_positions(params);
     let mut vel = vec![[0.0f64; 3]; n];
@@ -170,6 +178,7 @@ fn run_params(
         "Water supports at most {MAX_PROCS} processors"
     );
     let n = params.nmol;
+    let want = reference(&params);
     let mut dsm = opts.builder(protocol, nprocs).build();
     let mol: SharedVec<f64> = dsm.alloc_page_aligned::<f64>(n * MOL_WORDS);
 
@@ -278,16 +287,10 @@ fn run_params(
             all[b..b + 3].to_vec()
         })
         .collect();
-    let want = reference(&params);
     // Force contributions accumulate under per-owner locks, in an order
     // that differs from the sequential sweep; the floating-point
     // differences compound slightly over the timestep feedback.
-    let check = compare_f64(&got, &want, 1e-6);
-    AppRun {
-        outcome,
-        ok: check.is_ok(),
-        detail: check.err().unwrap_or_default(),
-    }
+    AppRun::verified(outcome, compare_f64(&got, &want, 1e-6))
 }
 
 #[cfg(test)]
@@ -312,7 +315,7 @@ mod tests {
         let params = WaterParams::new(Scale::Tiny);
         let pos0: Vec<f64> = initial_positions(&params).into_iter().flatten().collect();
         let pos1 = reference(&params);
-        assert_ne!(pos0, pos1);
+        assert_ne!(pos0, *pos1);
         assert!(pos1.iter().all(|v| v.is_finite()));
     }
 

@@ -350,7 +350,8 @@ impl SpanGuard<'_> {
 }
 
 /// RAII guard for a DSM lock, returned by [`Proc::lock_guard`]: derefs
-/// to the [`Proc`] and releases the lock when dropped.
+/// to the [`Proc`] and releases the lock when dropped — unless a panic
+/// is unwinding through it, which fails the run with the lock held.
 pub struct LockGuard<'a> {
     proc: &'a mut Proc,
     lock_id: u64,
@@ -378,7 +379,13 @@ impl DerefMut for LockGuard<'_> {
 
 impl Drop for LockGuard<'_> {
     fn drop(&mut self) {
-        self.proc.unlock(self.lock_id);
+        // A release is a turn point, and a turn point of a poisoned run
+        // panics: while this task is already unwinding that would be a
+        // second panic, which aborts the process. The run is over; the
+        // lock dies with it.
+        if !std::thread::panicking() {
+            self.proc.unlock(self.lock_id);
+        }
     }
 }
 

@@ -111,14 +111,13 @@ impl Profiler {
 
     /// The most recent write interval of every *other* processor for
     /// `page` (the protocol layer checks these for concurrency against a
-    /// closing interval).
-    pub fn other_writers(&self, page: PageId, me: ProcId) -> Vec<IntervalId> {
+    /// closing interval, once per dirty page: nothing is collected).
+    pub fn other_writers(&self, page: PageId, me: ProcId) -> impl Iterator<Item = IntervalId> + '_ {
         self.last_write[page.index()]
             .iter()
             .enumerate()
-            .filter(|&(q, _)| q != me.index())
+            .filter(move |&(q, _)| q != me.index())
             .filter_map(|(_, iv)| *iv)
-            .collect()
     }
 
     /// Records that `interval` (belonging to `proc`) wrote `page`;
@@ -247,7 +246,7 @@ mod tests {
         let mut p = Profiler::new(3, 1);
         p.note_write(PageId::new(0), pid(0), iv(0, 1), false);
         p.note_write(PageId::new(0), pid(2), iv(2, 5), false);
-        let others = p.other_writers(PageId::new(0), pid(0));
+        let others: Vec<_> = p.other_writers(PageId::new(0), pid(0)).collect();
         assert_eq!(others, vec![iv(2, 5)]);
     }
 

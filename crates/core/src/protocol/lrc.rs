@@ -313,8 +313,8 @@ pub(crate) fn close_interval(
 
         // Profiler: was this write concurrent with another processor's
         // latest write to the page?
-        let others = w.profiler.other_writers(page, p);
-        let concurrent = others.iter().any(|iv| !w.procs[p.index()].vc.covers(*iv));
+        let vc = &w.procs[p.index()].vc;
+        let concurrent = w.profiler.other_writers(page, p).any(|iv| !vc.covers(iv));
         w.profiler.note_write(page, p, id, concurrent);
     }
 
@@ -1108,12 +1108,7 @@ pub(crate) fn fetch_page_from(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: Pag
     // (via a deferred ownership drop) so the granularity gets measured.
     if ctx.w.policy.demote_owner_on_read_copy(page.index())
         && ctx.w.dir[page.index()].owner == Some(q)
-        && ctx
-            .w
-            .profiler
-            .other_writers(page, p)
-            .iter()
-            .any(|iv| iv.proc == q)
+        && ctx.w.profiler.other_writers(page, p).any(|iv| iv.proc == q)
     {
         ctx.w.dir[page.index()].drop_pending = true;
     }

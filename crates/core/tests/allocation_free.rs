@@ -669,3 +669,52 @@ fn steady_state_turn_handoff_on_the_carrier_allocates_nothing() {
     let last = readings.iter().map(|r| r.1).max().expect("NPROCS > 0");
     assert_eq!(last - first, 0, "heap allocations on the carrier thread");
 }
+
+/// Closing an interval on a write-write falsely-shared page allocates
+/// nothing: the profiler's "was this write concurrent with another
+/// processor's latest write to the page?" walks the page's last-write
+/// row in place. Two processors write the same page in one interval;
+/// from then on the page's HLRC home keeps writing it (in place: no
+/// twin, no diff, so the close is the notice, the rights and that
+/// question) against the other's recorded write. Counted exactly, as in
+/// `steady_state_bulk_spans_allocate_nothing`; the window sits between
+/// two doublings of the per-interval logs (intervals 72 to 121 of each
+/// processor), the only allocations a steady-state interval has left.
+#[test]
+fn steady_state_closes_of_a_falsely_shared_page_allocate_nothing() {
+    use adsm_core::HomePolicy;
+    let mut dsm = Dsm::builder(ProtocolKind::Hlrc)
+        .home_policy(HomePolicy::Fixed(0))
+        .nprocs(2)
+        .build();
+    let data = dsm.alloc_page_aligned::<u64>(512);
+    let outcome = dsm
+        .run(move |p| {
+            let me = p.index();
+            data.set(p, me, 1);
+            p.barrier();
+            let interval = |p: &mut adsm_core::Proc, round: u64| {
+                if me == 0 {
+                    data.set(p, 0, round);
+                }
+                p.barrier();
+            };
+            for round in 0..70 {
+                interval(p, round);
+            }
+            let before = thread_allocs();
+            for round in 0..50 {
+                interval(p, round);
+            }
+            if me == 0 {
+                let spent = thread_allocs() - before;
+                assert_eq!(spent, 0, "50 steady-state closes allocated {spent} times");
+            }
+        })
+        .expect("two-writer run completes");
+    assert_eq!(outcome.report.profile.ww_false_shared_pages, 1);
+    assert!(
+        outcome.report.proto.write_faults >= 120,
+        "home kept writing"
+    );
+}

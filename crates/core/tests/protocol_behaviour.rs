@@ -401,6 +401,33 @@ fn app_panics_are_reported() {
 }
 
 #[test]
+fn a_poisoned_task_unwinds_through_its_lock_guard() {
+    // P0 is inside a critical section, waiting at a barrier, when P1
+    // panics: the poison unwinds P0 through its live guard, whose drop
+    // must not reach for the lock again (a second panic there aborts
+    // the process).
+    for backend in [adsm_core::ExecBackend::Sim, adsm_core::ExecBackend::Threads] {
+        let dsm = Dsm::builder(ProtocolKind::Mw)
+            .nprocs(2)
+            .backend(backend)
+            .build();
+        let err = dsm
+            .run(|p| {
+                if p.index() == 1 {
+                    panic!("boom beside a held lock");
+                }
+                p.critical(7, |p| p.barrier());
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            adsm_core::RunError::AppPanic("boom beside a held lock".into()),
+            "{backend:?}"
+        );
+    }
+}
+
+#[test]
 fn gc_triggers_and_empties_diff_stores() {
     // MW with whole-page overwrites each iteration: diff space grows by
     // ~8 pages/iter; a tiny GC threshold forces collections.

@@ -32,6 +32,7 @@
 //! ```
 
 mod diff;
+mod frames;
 mod memory;
 mod page;
 mod pod;

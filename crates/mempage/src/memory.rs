@@ -1,5 +1,6 @@
 use std::fmt;
 
+use crate::frames::Frames;
 use crate::{PageId, PAGE_SIZE};
 
 /// Software page protection, mirroring the rights an `mprotect`-based DSM
@@ -112,7 +113,7 @@ impl std::error::Error for PageFault {}
 /// ```
 #[derive(Clone, Debug)]
 pub struct PagedMemory {
-    bytes: Vec<u8>,
+    bytes: Frames,
     rights: Vec<AccessRights>,
     /// Per-page dirty watermarks `[lo, hi)` (page-relative bytes): the
     /// window every modification since the last
@@ -137,7 +138,7 @@ impl PagedMemory {
     /// Creates a zero-filled space of `npages` pages, all invalid.
     pub fn new(npages: usize) -> Self {
         PagedMemory {
-            bytes: vec![0; npages * PAGE_SIZE],
+            bytes: Frames::zeroed(npages * PAGE_SIZE),
             rights: vec![AccessRights::None; npages],
             dirty: vec![CLEAN; npages],
         }
