@@ -323,14 +323,17 @@ fn run_params(
             pr.barrier();
 
             let mut tdt = DT;
-            // Row-sized scratch buffers.
-            let mut ur = vec![vec![0.0f64; row]; 3];
-            let mut vr = vec![vec![0.0f64; row]; 3];
-            let mut prow = vec![vec![0.0f64; row]; 3];
-            let mut out_cu = vec![0.0f64; row];
-            let mut out_cv = vec![0.0f64; row];
-            let mut out_z = vec![0.0f64; row];
-            let mut out_h = vec![0.0f64; row];
+            // Row-sized scratch buffers, for every phase of every step.
+            // A pair holds a row and its neighbour: `im` and `i` in
+            // phase 1, `i` and `ip` in phase 2.
+            let buf = || vec![0.0f64; row];
+            let pair = || [buf(), buf()];
+            let (mut ur, mut vr, mut prow) = (pair(), pair(), pair());
+            let (mut cur, mut cvr, mut zr, mut hr) = (pair(), pair(), pair(), pair());
+            let (mut out_cu, mut out_cv, mut out_z, mut out_h) = (buf(), buf(), buf(), buf());
+            let (mut uor, mut vor, mut por) = (buf(), buf(), buf());
+            let (mut un, mut vn, mut pn) = (buf(), buf(), buf());
+            let (mut uc, mut vc, mut pc) = (buf(), buf(), buf());
 
             for step in 0..params.steps {
                 // --- Phase 1: cu, cv, z, h over own band.
@@ -368,13 +371,6 @@ fn run_params(
                 pr.barrier();
 
                 // --- Phase 2: unew, vnew, pnew over own band.
-                let mut cur = vec![vec![0.0f64; row]; 2];
-                let mut cvr = vec![vec![0.0f64; row]; 2];
-                let mut zr = vec![vec![0.0f64; row]; 2];
-                let mut hr = vec![vec![0.0f64; row]; 2];
-                let mut uor = vec![0.0f64; row];
-                let mut vor = vec![0.0f64; row];
-                let mut por = vec![0.0f64; row];
                 for i in i0..i1 {
                     let ip = (i + 1) % m;
                     fields.cu.read_row_into(pr, i, &mut cur[0]);
@@ -414,12 +410,6 @@ fn run_params(
                 pr.barrier();
 
                 // --- Phase 3: time smoothing and state rotation.
-                let mut un = vec![0.0f64; row];
-                let mut vn = vec![0.0f64; row];
-                let mut pn = vec![0.0f64; row];
-                let mut uc = vec![0.0f64; row];
-                let mut vc = vec![0.0f64; row];
-                let mut pc = vec![0.0f64; row];
                 for i in i0..i1 {
                     fields.unew.read_row_into(pr, i, &mut un);
                     fields.vnew.read_row_into(pr, i, &mut vn);

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use adsm_core::{ProtocolKind, SharedMatrix};
+use adsm_core::{Proc, ProtocolKind, SharedMatrix};
 
 use crate::support::{band, compare_f64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
@@ -71,44 +71,76 @@ impl SorParams {
     }
 }
 
-/// One red/black half-sweep over the band `[r0, r1)` of the grid held in
-/// `cur`, reading neighbours and writing updated rows. `color` selects
-/// the cells updated in this phase: `(i + j) % 2 == color`.
-///
-/// Each row travels through one span guard: a read view per neighbour
-/// row (one rights check and one access tick per row, elements decoded
-/// straight from the page frames) and one writable row view for the
-/// update. `rows3` is the caller's scratch for the three row copies.
+/// One red/black half-sweep over the band `[r0, r1)` of the grid,
+/// reading neighbours and writing updated rows. `color` selects the
+/// cells updated in this phase: `(i + j) % 2 == color`; the array is the
+/// caller's scratch for three rows.
+type Sweep = fn(&SharedMatrix<f64>, &mut Proc, &SorParams, usize, usize, usize, &mut [Vec<f64>; 3]);
+
+/// The half-sweep every run uses. Each row is visited through one span
+/// guard — a read view per neighbour row, one writable row view for the
+/// update: one rights check, one access tick and one turn point a row —
+/// but only rows not yet held are copied out of the page frames. Below
+/// the band's first row, row `i - 1` is the row this half-sweep has just
+/// relaxed and row `i` was read a step ago as `below`; both are the
+/// band's own, which nobody else writes, so `rows3` rotates and only
+/// `below` is copied.
 fn sweep_rows(
     grid: &SharedMatrix<f64>,
-    p: &mut adsm_core::Proc,
+    p: &mut Proc,
     params: &SorParams,
     r0: usize,
     r1: usize,
     color: usize,
     rows3: &mut [Vec<f64>; 3],
 ) {
-    let cols = params.cols;
     let [above, here, below] = rows3;
     for i in r0..r1 {
-        grid.read_row_into(p, i - 1, above);
-        grid.read_row_into(p, i, here);
-        grid.read_row_into(p, i + 1, below);
-        let mut changed = false;
-        for j in 1..cols - 1 {
-            if (i + j) % 2 == color {
-                let v = 0.25 * (above[j] + below[j] + here[j - 1] + here[j + 1]);
-                if v != here[j] {
-                    changed = true;
-                }
-                here[j] = v;
-            }
+        if i == r0 {
+            grid.read_row_into(p, i - 1, above);
+            grid.read_row_into(p, i, here);
+        } else {
+            std::mem::swap(above, here);
+            std::mem::swap(here, below);
+            revisit_row(grid, p, i - 1);
+            revisit_row(grid, p, i);
         }
-        p.compute(work(cols / 2, params.ns_per_elem));
+        grid.read_row_into(p, i + 1, below);
+        let changed = relax(above, here, below, 1 + (i + 1 + color) % 2);
+        p.compute(work(params.cols / 2, params.ns_per_elem));
         if changed {
             grid.write_row_from(p, i, here);
         }
     }
+}
+
+/// Visits row `r` without copying it, for a caller that already holds
+/// its contents: the read span is opened and dropped, so the rights
+/// check, the access tick and the turn point happen exactly as they
+/// would around a copy.
+fn revisit_row(grid: &SharedMatrix<f64>, p: &mut Proc, r: usize) {
+    drop(grid.row(p, r));
+}
+
+/// Relaxes every other interior cell of `here`, from column `first` (1 or
+/// 2) on, and says whether any of them changed. The three rows are
+/// equally long.
+fn relax(above: &[f64], here: &mut [f64], below: &[f64], first: usize) -> bool {
+    // From `first` on the row is pairs of a cell and its right-hand
+    // neighbour, which is the next cell's left-hand one; a row's last
+    // column is never the first of a pair.
+    let mut left = here[first - 1];
+    let sides = above[first..]
+        .chunks_exact(2)
+        .zip(below[first..].chunks_exact(2));
+    let mut changed = false;
+    for (pair, (a, b)) in here[first..].chunks_exact_mut(2).zip(sides) {
+        let v = 0.25 * (a[0] + b[0] + left + pair[1]);
+        changed |= v != pair[0];
+        pair[0] = v;
+        left = pair[1];
+    }
+    changed
 }
 
 /// Sequential reference: identical arithmetic on a plain vector,
@@ -175,6 +207,16 @@ fn run_params(
     params: SorParams,
     opts: &RunOptions,
 ) -> AppRun {
+    run_sweeping(protocol, nprocs, params, opts, sweep_rows)
+}
+
+fn run_sweeping(
+    protocol: ProtocolKind,
+    nprocs: usize,
+    params: SorParams,
+    opts: &RunOptions,
+    sweep: Sweep,
+) -> AppRun {
     let want = reference(&params);
     let mut dsm = opts.builder(protocol, nprocs).build();
     let grid = dsm.alloc_matrix_page_aligned::<f64>(params.rows, params.cols);
@@ -202,7 +244,7 @@ fn run_params(
             for _ in 0..body_params.iters {
                 for color in [0usize, 1] {
                     if r1 > r0 {
-                        sweep_rows(&grid, p, &body_params, r0, r1, color, &mut rows3);
+                        sweep(&grid, p, &body_params, r0, r1, color, &mut rows3);
                     }
                     p.barrier();
                 }
@@ -217,6 +259,83 @@ fn run_params(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The half-sweep as it was: three rows copied in per row, a colour
+    /// test and four bounds checks per column.
+    fn sweep_rows_copying(
+        grid: &SharedMatrix<f64>,
+        p: &mut Proc,
+        params: &SorParams,
+        r0: usize,
+        r1: usize,
+        color: usize,
+        rows3: &mut [Vec<f64>; 3],
+    ) {
+        let cols = params.cols;
+        let [above, here, below] = rows3;
+        for i in r0..r1 {
+            grid.read_row_into(p, i - 1, above);
+            grid.read_row_into(p, i, here);
+            grid.read_row_into(p, i + 1, below);
+            let mut changed = false;
+            for j in 1..cols - 1 {
+                if (i + j) % 2 == color {
+                    let v = 0.25 * (above[j] + below[j] + here[j - 1] + here[j + 1]);
+                    if v != here[j] {
+                        changed = true;
+                    }
+                    here[j] = v;
+                }
+            }
+            p.compute(work(cols / 2, params.ns_per_elem));
+            if changed {
+                grid.write_row_from(p, i, here);
+            }
+        }
+    }
+
+    /// Reusing the band's rows changes what the host copies and nothing
+    /// the cluster can observe: same spans in the same order, so the
+    /// same image and the same virtual time, traffic and fault counts.
+    #[test]
+    fn row_reuse_is_invisible_to_the_simulated_cluster() {
+        let (tiny, small) = (SorParams::new(Scale::Tiny), SorParams::new(Scale::Small));
+        // Bands that share pages; 8 interior rows are bands of 3/3/2
+        // over 3 processors and one row each over 8.
+        let falsely_shared = SorParams {
+            rows: 10,
+            cols: 701,
+            ..tiny
+        };
+        let protocols = [
+            ProtocolKind::Mw,
+            ProtocolKind::Sw,
+            ProtocolKind::Wfs,
+            ProtocolKind::WfsWg,
+            ProtocolKind::Sc,
+            ProtocolKind::Hlrc,
+        ];
+        for params in [tiny, small, falsely_shared] {
+            for protocol in protocols {
+                for nprocs in [3, 8] {
+                    let opts = RunOptions::default();
+                    let observed = |sweep: Sweep| {
+                        let run = run_sweeping(protocol, nprocs, params, &opts, sweep);
+                        assert!(run.ok, "{protocol} x {nprocs}, {params:?}: {}", run.detail);
+                        (run.outcome.image().to_vec(), run.outcome.report)
+                    };
+                    let (image, report) = observed(sweep_rows);
+                    let (want_image, want) = observed(sweep_rows_copying);
+                    let cell = format!("{protocol} x {nprocs}, {params:?}");
+                    assert_eq!(image, want_image, "{cell}");
+                    assert_eq!(report.time, want.time, "{cell}");
+                    assert_eq!(report.proc_times, want.proc_times, "{cell}");
+                    assert_eq!(report.net, want.net, "{cell}");
+                    assert_eq!(report.proto, want.proto, "{cell}");
+                }
+            }
+        }
+    }
 
     /// The reference as it was before it swept in place: every
     /// half-sweep reads a snapshot of the whole grid.

@@ -79,20 +79,11 @@ fn bench_hotpaths(c: &mut Criterion) {
     g.bench_function("pool_get_copy", |b| b.iter(|| pool.get_copy(&scur)));
     g.bench_function("heap_to_vec", |b| b.iter(|| scur.to_vec()));
 
-    // The merge procedure at 4 pending diffs: the old clone-per-notice
-    // + apply-per-diff pipeline vs the one-pass k-way merge.
+    // The merge procedure at 4 pending diffs: shared handles applied
+    // in order.
     let (chain, merge_base, _) = adsm_bench::hotpaths::pending_diff_chain(4);
     let chain_refs: Vec<&Diff> = chain.iter().collect();
     let mut merge_page = merge_base.clone();
-    g.bench_function("validate_merge4_clone_seq", |b| {
-        b.iter(|| {
-            merge_page.copy_from_slice(&merge_base);
-            for d in &chain {
-                let fetched = d.clone();
-                fetched.apply(&mut merge_page);
-            }
-        })
-    });
     g.bench_function("validate_merge4_apply_many", |b| {
         b.iter(|| {
             merge_page.copy_from_slice(&merge_base);

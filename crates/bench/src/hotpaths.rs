@@ -87,11 +87,9 @@ pub struct HotpathReport {
     pub pick_det_8: f64,
     pub pick_det_64: f64,
     pub pick_fuzz_8: f64,
-    /// Merge cost of a validate_page with 4 pending diffs, old fetch
-    /// pipeline (deep clone per diff + sequential apply) …
-    pub validate_merge4_seq: f64,
-    /// … vs the clone-free k-way merge (`Diff::apply_many`).
-    pub validate_merge4_merge: f64,
+    /// Merge cost of a validate_page with 4 pending diffs: the shared
+    /// handles applied in order (`Diff::apply_many`).
+    pub validate_merge4: f64,
     /// Span-guard read of one page (512 u64) through a zero-copy view …
     pub span_guard_ns: f64,
     /// … vs the same page decoded by the new buffered `read_into` …
@@ -119,12 +117,6 @@ impl HotpathReport {
     /// sparse (8 dirty words) page.
     pub fn sparse_speedup(&self) -> f64 {
         self.encode_sparse_naive / self.encode_sparse_chunked
-    }
-
-    /// Speedup of the one-pass k-way merge over the clone-and-apply
-    /// pipeline at 4 pending diffs.
-    pub fn merge4_speedup(&self) -> f64 {
-        self.validate_merge4_seq / self.validate_merge4_merge
     }
 
     /// Pooled page copy cost relative to a raw heap `to_vec` (the
@@ -182,15 +174,9 @@ impl HotpathReport {
         let _ = writeln!(s, "    \"pending_diffs\": 4,");
         let _ = writeln!(
             s,
-            "    \"merge4_sequential_ns\": {:.1},",
-            self.validate_merge4_seq
-        );
-        let _ = writeln!(
-            s,
             "    \"merge4_apply_many_ns\": {:.1},",
-            self.validate_merge4_merge
+            self.validate_merge4
         );
-        let _ = writeln!(s, "    \"merge4_speedup\": {:.2},", self.merge4_speedup());
         let _ = writeln!(s, "    \"fetch_clones\": {},", self.fetch_clones);
         let _ = writeln!(s, "    \"diffs_fetched\": {}", self.diffs_fetched);
         let _ = writeln!(s, "  }},");
@@ -372,26 +358,16 @@ pub fn measure_hotpaths() -> HotpathReport {
         diff.apply_onto(&stwin, std::hint::black_box(&mut onto));
     });
 
-    // The merge procedure at 4 pending diffs: the old fetch pipeline
-    // paid a deep Diff clone per notice and one apply pass per diff;
-    // the new path fetches shared handles and resolves every word in a
-    // single k-way merge pass.
+    // The merge procedure at 4 pending diffs, fetched as shared handles
+    // and applied in order.
     let (chain, merge_base, merge_expect) = pending_diff_chain(4);
     let mut merge_page = merge_base.clone();
-    let validate_merge4_seq = time_ns(|| {
-        merge_page.copy_from_slice(&merge_base);
-        for d in &chain {
-            let fetched = d.clone(); // the old per-notice deep copy
-            fetched.apply(std::hint::black_box(&mut merge_page));
-        }
-    });
-    assert_eq!(merge_page, merge_expect, "sequential merge reference");
     let chain_refs: Vec<&Diff> = chain.iter().collect();
-    let validate_merge4_merge = time_ns(|| {
+    let validate_merge4 = time_ns(|| {
         merge_page.copy_from_slice(&merge_base);
         Diff::apply_many(&chain_refs, std::hint::black_box(&mut merge_page));
     });
-    assert_eq!(merge_page, merge_expect, "k-way merge result");
+    assert_eq!(merge_page, merge_expect, "apply_many result");
 
     let pool = PagePool::new();
     let pool_get_copy = time_ns(|| {
@@ -452,8 +428,7 @@ pub fn measure_hotpaths() -> HotpathReport {
         pick_det_8,
         pick_det_64,
         pick_fuzz_8,
-        validate_merge4_seq,
-        validate_merge4_merge,
+        validate_merge4,
         span_guard_ns,
         span_read_into_ns,
         span_legacy_read_into_ns,
@@ -511,8 +486,7 @@ mod tests {
             pick_det_8: 1.0,
             pick_det_64: 1.0,
             pick_fuzz_8: 1.0,
-            validate_merge4_seq: 300.0,
-            validate_merge4_merge: 100.0,
+            validate_merge4: 100.0,
             span_guard_ns: 500.0,
             span_read_into_ns: 700.0,
             span_legacy_read_into_ns: 1500.0,
@@ -525,13 +499,12 @@ mod tests {
             steady_reuse_delta: 10,
         };
         assert!((r.sparse_speedup() - 4.0).abs() < 1e-9);
-        assert!((r.merge4_speedup() - 3.0).abs() < 1e-9);
         assert!((r.pool_copy_ratio() - 1.0).abs() < 1e-9);
         assert!((r.span_speedup() - 3.0).abs() < 1e-9);
         let json = r.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"sparse_speedup\": 4.00"));
-        assert!(json.contains("\"merge4_speedup\": 3.00"));
+        assert!(json.contains("\"merge4_apply_many_ns\": 100.0"));
         assert!(json.contains("\"guard_vs_legacy_speedup\": 3.00"));
         assert!(json.contains("\"guard_allocs_per_span\": 0.0000"));
         assert!(json.contains("\"fetch_clones\": 0"));

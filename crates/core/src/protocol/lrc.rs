@@ -989,19 +989,18 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         ctx.charge(fixed + SimTime::from_ns(cost_model.per_byte_ns * bytes) + chaos_extra);
     }
 
-    // 4. Apply in a linear extension of happened-before-1, resolved in
-    //    **one pass** over the page: the k-way merge writes each word
-    //    once however many diffs are pending. The keys were computed at
-    //    fetch time, so the sort compares plain tuples, and the merge
-    //    reads the fetched handles in place (no reference list is
-    //    materialised).
+    // 4. Apply in a linear extension of happened-before-1, one diff
+    //    after another: where two modify a word, the later one's value
+    //    stays. The keys were computed at fetch time, so the sort
+    //    compares plain tuples, and the fetched handles are read in
+    //    place (no reference list is materialised).
     scratch.to_apply.sort_unstable_by_key(|kd| kd.key);
     let mut apply_cost = SimTime::ZERO;
     {
         let mut mem = ctx.mems[pidx].lock();
         if super::trace_word::watched().is_some() {
-            // Watch mode: the sequential reference path, whose per-diff
-            // granularity the change log needs.
+            // Watch mode: the same applies, with the page logged around
+            // each.
             for kd in &scratch.to_apply {
                 let before = mem.page(page).to_vec();
                 kd.diff.apply(mem.page_mut(page));

@@ -499,8 +499,8 @@ pub(crate) struct MergeScratch {
     /// to the surviving (non-dominated) set, then stable-sorted by
     /// writer so the diff fetch walks one contiguous run per writer.
     pub notices: Vec<PendingNotice>,
-    /// Fetched diffs, sorted into happened-before order for the k-way
-    /// merge.
+    /// Fetched diffs, sorted into the happened-before order they are
+    /// applied in.
     pub to_apply: Vec<KeyedDiff>,
 }
 

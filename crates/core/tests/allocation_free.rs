@@ -137,8 +137,8 @@ fn sor_steady_state_intervals_allocate_no_page_buffers() {
 /// A write-write false-sharing microkernel: every processor writes its
 /// own interleaved words of the SAME pages in every interval, so each
 /// barrier leaves `NPROCS` concurrent diffs per page and every
-/// subsequent fault runs the full merge procedure (k-way `apply_many`
-/// over fetched diffs).
+/// subsequent fault runs the full merge procedure (`apply_many` over
+/// fetched diffs).
 fn run_false_sharing(iters: usize) -> RunReport {
     const WORDS: usize = 1024; // two shared pages of u64
     let mut dsm = Dsm::builder(ProtocolKind::Mw).nprocs(NPROCS).build();
@@ -717,4 +717,44 @@ fn steady_state_closes_of_a_falsely_shared_page_allocate_nothing() {
         outcome.report.proto.write_faults >= 120,
         "home kept writing"
     );
+}
+
+/// An eager MW close of a diffed page cannot be allocation-free — the
+/// stored diff and the interval's closing clock are made there by
+/// design — but what it allocates is counted. Two processors write a
+/// word each of one page in every interval; each close encodes a
+/// one-word diff and each write fault merges the other's. A stored diff
+/// is its `Arc` and one buffer: 518 blocks over 64 intervals of both
+/// (intervals 72 to 135 of each, one doubling of the per-interval logs
+/// among them), where masks and words in buffers of their own, or a run
+/// list beside the words, made it 646.
+#[test]
+fn eager_mw_closes_allocate_a_counted_number_of_blocks() {
+    let mut dsm = Dsm::builder(ProtocolKind::Mw).nprocs(2).build();
+    let data = dsm.alloc_page_aligned::<u64>(512);
+    let outcome = dsm
+        .run(move |p| {
+            let me = p.index();
+            let interval = |p: &mut adsm_core::Proc, round: u64| {
+                data.set(p, me, round);
+                p.barrier();
+            };
+            for round in 0..70 {
+                interval(p, round);
+            }
+            let before = thread_allocs();
+            for round in 70..134 {
+                interval(p, round);
+            }
+            if me == 0 {
+                let spent = thread_allocs() - before;
+                assert!(
+                    spent <= 518,
+                    "64 two-writer intervals allocated {spent} times"
+                );
+            }
+        })
+        .expect("two-writer run completes");
+    assert_eq!(outcome.report.profile.ww_false_shared_pages, 1);
+    assert!(outcome.report.proto.diffs_created >= 2 * 64);
 }

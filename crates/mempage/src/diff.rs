@@ -2,77 +2,161 @@ use std::fmt;
 
 use crate::{PAGE_SIZE, WORD_SIZE};
 
-const WORDS_PER_PAGE: usize = PAGE_SIZE / WORD_SIZE;
-
-/// Scan granularity of the chunked encoder: each 64-byte block is
-/// compared with one wide vector compare; identical blocks never reach
-/// per-word work.
+/// Scan granularity of the codec: each 64-byte block is compared with
+/// one wide vector compare; identical blocks never reach per-word work.
 const BLOCK_BYTES: usize = 64;
 const BLOCK_WORDS: usize = BLOCK_BYTES / WORD_SIZE;
-/// Short-run threshold below which `emit` copies bytes inline instead
-/// of calling `memcpy` (two `u64` lanes).
-const LANE_BYTES: usize = 8;
-
 const BLOCKS_PER_PAGE: usize = PAGE_SIZE / BLOCK_BYTES;
+/// A dirty block's word mask as stored: 16 bits, little-endian.
+const MASK_BYTES: usize = 2;
 
-/// Most diffs [`Diff::apply_many`] merges in one pass. The pass is
-/// O(k · segments); 63 diffs of one page (IS under MW at 64 processors)
-/// spent 40 % of that run inside it.
-const MERGE_MAX_FAN_IN: usize = 8;
-
-// The chunked scan assumes pages split evenly into blocks, tracks dirty
-// blocks in a single u64 bitmap, and keeps one 16-bit word mask per
-// block.
-const _: () = assert!(PAGE_SIZE.is_multiple_of(BLOCK_BYTES) && BLOCKS_PER_PAGE <= 64);
-const _: () = assert!(BLOCK_WORDS <= 16 && BLOCK_BYTES.is_multiple_of(WORD_SIZE));
-// Sizing a diff packs four full masks into a `u64`.
+// A page's dirty blocks are one `u64` bitmap and a block's dirty words
+// one `u16` mask; sizing a diff packs four full masks into a `u64`.
+const _: () = assert!(PAGE_SIZE == BLOCKS_PER_PAGE * BLOCK_BYTES && BLOCKS_PER_PAGE == 64);
 const _: () = assert!(BLOCK_WORDS == 16 && BLOCKS_PER_PAGE.is_multiple_of(4));
-// Both dirty-mask implementations compare 32-bit lanes; the mask layout
-// is wrong for any other word size.
+// Every kernel below works on 32-bit lanes.
 const _: () = assert!(WORD_SIZE == 4);
 
 /// One 64-byte block as a fixed-size array (bounds-check free access).
 type Block = [u8; BLOCK_BYTES];
 
-/// Whether the AVX-512 single-instruction word-mask path is compiled in.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-const HAS_WIDE_MASK: bool = true;
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
-const HAS_WIDE_MASK: bool = false;
-
-/// Per-word dirty mask of a block pair: bit `w` is set iff 32-bit word
-/// `w` of the blocks differs. One `vpcmpneqd` on a 64-byte block.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+/// Indices of the set bits of `x`, ascending.
 #[inline(always)]
-fn block_dirty_mask(a: &Block, b: &Block) -> u32 {
-    use std::arch::x86_64::{_mm512_cmpneq_epu32_mask, _mm512_loadu_si512};
-    // SAFETY: both pointers cover exactly 64 readable bytes (`Block`),
-    // the loads are unaligned-tolerant, and `avx512f` is statically
-    // enabled under this cfg.
-    unsafe {
-        let va = _mm512_loadu_si512(a.as_ptr().cast());
-        let vb = _mm512_loadu_si512(b.as_ptr().cast());
-        _mm512_cmpneq_epu32_mask(va, vb) as u32
+fn set_bits(mut x: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (x != 0).then(|| {
+            let i = x.trailing_zeros() as usize;
+            x &= x - 1;
+            i
+        })
+    })
+}
+
+/// The three per-block kernels on AVX-512: one `vpcmpneqd`, one
+/// `vpcompressd`, one `vpexpandd`. Every `unsafe` block of the codec is
+/// here.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod wide {
+    use super::{Block, WORD_SIZE};
+    use std::arch::x86_64::{
+        _mm512_cmpneq_epu32_mask, _mm512_loadu_si512, _mm512_mask_storeu_epi32,
+        _mm512_maskz_compress_epi32, _mm512_maskz_expandloadu_epi32,
+    };
+
+    /// Whether the block compare yields the word mask directly.
+    pub const HAS_WIDE_MASK: bool = true;
+
+    /// Bit `w` is set iff 32-bit word `w` of the blocks differs.
+    #[inline(always)]
+    pub fn dirty_mask(a: &Block, b: &Block) -> u16 {
+        // SAFETY: both pointers cover exactly 64 readable bytes
+        // (`Block`), the loads are unaligned-tolerant, and `avx512f` is
+        // statically enabled under this module's cfg.
+        unsafe {
+            let va = _mm512_loadu_si512(a.as_ptr().cast());
+            let vb = _mm512_loadu_si512(b.as_ptr().cast());
+            _mm512_cmpneq_epu32_mask(va, vb)
+        }
+    }
+
+    /// Appends the words of `block` selected by `mask`, ascending.
+    #[inline(always)]
+    pub fn compress(block: &Block, mask: u16, out: &mut Vec<u8>) {
+        let n = mask.count_ones();
+        let bytes = n as usize * WORD_SIZE;
+        out.reserve(bytes);
+        // SAFETY: the load covers exactly the 64 bytes of `block`. The
+        // selected words are packed into lanes `0..n` of a register and
+        // the store is masked to those lanes, so it writes exactly the
+        // `bytes` bytes after `out.len()`, which `reserve` made part of
+        // the allocation; they are initialised by the time `set_len`
+        // counts them. `avx512f` is statically enabled.
+        unsafe {
+            let words = _mm512_loadu_si512(block.as_ptr().cast());
+            let packed = _mm512_maskz_compress_epi32(mask, words);
+            let low = ((1u32 << n) - 1) as u16;
+            _mm512_mask_storeu_epi32(out.as_mut_ptr().add(out.len()).cast(), low, packed);
+            out.set_len(out.len() + bytes);
+        }
+    }
+
+    /// Overwrites the words of `block` selected by `mask`, ascending,
+    /// with the words of `src`; the other words are left alone.
+    #[inline(always)]
+    pub fn expand(src: &[u8], mask: u16, block: &mut Block) {
+        assert_eq!(src.len(), mask.count_ones() as usize * WORD_SIZE);
+        // SAFETY: an expand-load reads one contiguous word per set bit
+        // of `mask` — exactly `src`, as asserted — and the store is
+        // masked to the same bits, all lanes of the 64-byte `block`.
+        // `avx512f` is statically enabled.
+        unsafe {
+            let spread = _mm512_maskz_expandloadu_epi32(mask, src.as_ptr().cast());
+            _mm512_mask_storeu_epi32(block.as_mut_ptr().cast(), mask, spread);
+        }
     }
 }
 
-/// Portable per-word dirty mask, built from `u64` lane XORs. The
-/// little-endian lane load guarantees the low half of lane `l` is word
-/// `2l` regardless of host endianness.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
-#[inline(always)]
-fn block_dirty_mask(a: &Block, b: &Block) -> u32 {
-    let mut mask = 0u32;
-    for l in 0..BLOCK_BYTES / LANE_BYTES {
-        let o = l * LANE_BYTES;
-        let la = u64::from_le_bytes(a[o..o + LANE_BYTES].try_into().expect("lane"));
-        let lb = u64::from_le_bytes(b[o..o + LANE_BYTES].try_into().expect("lane"));
-        let x = la ^ lb;
-        mask |= (((x & 0xFFFF_FFFF) != 0) as u32) << (2 * l);
-        mask |= (((x >> 32) != 0) as u32) << (2 * l + 1);
+/// The same three kernels without wide vectors: `u64` lane XORs and a
+/// walk over the set bits. Compiled on every host so that a host with
+/// the wide arm can check the two against each other.
+#[cfg_attr(
+    all(target_arch = "x86_64", target_feature = "avx512f"),
+    allow(dead_code)
+)]
+mod portable {
+    use super::{set_bits, Block, BLOCK_BYTES, WORD_SIZE};
+
+    pub const HAS_WIDE_MASK: bool = false;
+
+    /// Bit `w` is set iff 32-bit word `w` of the blocks differs. The
+    /// little-endian lane load makes the low half of lane `l` word `2l`
+    /// whatever the host's endianness.
+    #[inline(always)]
+    pub fn dirty_mask(a: &Block, b: &Block) -> u16 {
+        const LANE_BYTES: usize = 8;
+        let mut mask = 0u16;
+        for l in 0..BLOCK_BYTES / LANE_BYTES {
+            let o = l * LANE_BYTES;
+            let la = u64::from_le_bytes(a[o..o + LANE_BYTES].try_into().expect("lane"));
+            let lb = u64::from_le_bytes(b[o..o + LANE_BYTES].try_into().expect("lane"));
+            let x = la ^ lb;
+            mask |= (((x & 0xFFFF_FFFF) != 0) as u16) << (2 * l);
+            mask |= (((x >> 32) != 0) as u16) << (2 * l + 1);
+        }
+        mask
     }
-    mask
+
+    /// Appends the words of `block` selected by `mask`, ascending.
+    #[inline(always)]
+    pub fn compress(block: &Block, mask: u16, out: &mut Vec<u8>) {
+        if mask == u16::MAX {
+            return out.extend_from_slice(block);
+        }
+        let words = block.as_chunks::<WORD_SIZE>().0;
+        for w in set_bits(mask.into()) {
+            out.extend_from_slice(&words[w]);
+        }
+    }
+
+    /// Overwrites the words of `block` selected by `mask`, ascending,
+    /// with the words of `src`; the other words are left alone.
+    #[inline(always)]
+    pub fn expand(src: &[u8], mask: u16, block: &mut Block) {
+        assert_eq!(src.len(), mask.count_ones() as usize * WORD_SIZE);
+        if mask == u16::MAX {
+            return block.copy_from_slice(src);
+        }
+        let words = block.as_chunks_mut::<WORD_SIZE>().0;
+        for (w, word) in set_bits(mask.into()).zip(src.chunks_exact(WORD_SIZE)) {
+            words[w].copy_from_slice(word);
+        }
+    }
 }
+
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+use portable as arm;
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+use wide as arm;
 
 /// Per-diff wire overhead: page id, interval id, run count (TreadMarks
 /// ships a small header with every diff).
@@ -80,27 +164,14 @@ const DIFF_HEADER_BYTES: usize = 12;
 /// Per-run overhead: 16-bit word offset + 16-bit word count.
 const RUN_HEADER_BYTES: usize = 4;
 
-/// One maximal run of consecutive modified words. The run's bytes live
-/// in the diff's shared `data` buffer (runs in order, back to back), so
-/// a diff costs two allocations however many runs it has.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Run {
-    /// Word offset of the run within the page.
-    word_offset: u16,
-    /// Length of the run in words.
-    len_words: u16,
-}
-
-impl Run {
-    #[inline]
-    fn len_bytes(self) -> usize {
-        self.len_words as usize * WORD_SIZE
-    }
-}
-
-/// A run-length encoded record of the modifications made to one page,
-/// produced by comparing the page against its *twin* word by word —
-/// TreadMarks' diff representation.
+/// A record of the modifications made to one page, produced by comparing
+/// the page against its *twin* word by word. On the wire it is
+/// TreadMarks' run-length encoding and is costed as such
+/// ([`Diff::wire_size`]); in memory it is the set of modified words as a
+/// bitmap — which 64-byte blocks are dirty, and one 16-bit word mask per
+/// dirty block — followed by the modified words, packed in ascending
+/// order, so that encoding is one compress per dirty block and applying
+/// one expand.
 ///
 /// Applying a diff overwrites exactly the words the diff records and
 /// leaves every other word untouched, which is what lets multiple
@@ -121,35 +192,39 @@ impl Run {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Diff {
-    runs: Vec<Run>,
-    /// The modified bytes of every run, concatenated in run order.
-    data: Vec<u8>,
+    /// Bit `b` is set iff block `b` of the page has a modified word.
+    dirty: u64,
+    /// Maximal runs of consecutive modified words: the set bits of the
+    /// page's word bitmap whose predecessor is clear. The masks determine
+    /// it; the encoder counts it while they are at hand.
+    runs: u32,
+    /// The word masks of the dirty blocks, ascending, then the modified
+    /// words, ascending — one allocation, nothing in it beyond `len`.
+    buf: Vec<u8>,
 }
 
 impl Diff {
     /// Compares `current` against `twin` at word granularity and records
-    /// every modified run.
+    /// every modified word.
     ///
-    /// The scan is chunked: each 64-byte block is compared with one wide
-    /// vector comparison (identical blocks are skipped outright) and
-    /// only differing blocks fall back to word granularity, so
-    /// sparsely-written pages cost far less than a word walk. The
-    /// resulting runs — and therefore the wire format — are
-    /// byte-for-byte identical to [`Diff::encode_naive`].
+    /// Each 64-byte block is compared with one wide vector comparison
+    /// and only differing blocks contribute a mask and a compress, so
+    /// sparsely-written pages cost far less than a word walk. The result
+    /// equals [`Diff::encode_naive`]'s.
     ///
     /// # Panics
     ///
     /// Panics unless both slices are exactly one page long.
     pub fn encode(twin: &[u8], current: &[u8]) -> Self {
-        // `encode_into` sizes both buffers exactly, once.
+        // `encode_into` sizes the buffer exactly, once.
         let mut diff = Diff::default();
         Self::encode_into(twin, current, &mut diff);
         diff
     }
 
-    /// Like [`Diff::encode`], but reuses `out`'s run and data buffers:
-    /// in steady state (same caller re-encoding pages of similar write
-    /// density) no heap allocation is performed.
+    /// Like [`Diff::encode`], but reuses `out`'s buffer: in steady state
+    /// (same caller re-encoding pages of similar write density) no heap
+    /// allocation is performed.
     ///
     /// # Panics
     ///
@@ -166,10 +241,8 @@ impl Diff {
     ///
     /// The caller guarantees every byte outside the window is identical
     /// between `twin` and `current` (debug builds assert it); under that
-    /// contract the result is run-for-run identical to a full
-    /// [`Diff::encode`], because a run can only extend through equal
-    /// words inside the scanned window. `lo >= hi` means "nothing was
-    /// written" and produces an empty diff.
+    /// contract the result equals a full [`Diff::encode`]. `lo >= hi`
+    /// means "nothing was written" and produces an empty diff.
     ///
     /// # Panics
     ///
@@ -180,10 +253,8 @@ impl Diff {
         assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
         assert!(hi <= PAGE_SIZE, "window [{lo}, {hi}) beyond the page");
         if lo >= hi {
-            out.runs.clear();
-            out.data.clear();
             debug_assert_eq!(twin, current, "clean window over a modified page");
-            return;
+            return Self::encode_blocks_into(twin, current, 0, 0, out);
         }
         debug_assert!(
             twin[..lo] == current[..lo] && twin[hi..] == current[hi..],
@@ -201,36 +272,27 @@ impl Diff {
     /// Shared body of [`Diff::encode_into`] and
     /// [`Diff::encode_span_into`]: scans blocks `blo..bhi`.
     fn encode_blocks_into(twin: &[u8], current: &[u8], blo: usize, bhi: usize, out: &mut Diff) {
-        out.runs.clear();
-        out.data.clear();
-        // Phase 1: one streaming sweep over both pages building the
-        // dirty-block bitmap and every dirty block's per-word mask. With
-        // the wide-mask path the mask falls out of the block compare
-        // itself; portably, the fixed-size array equality compiles to
-        // inline vector compares (no `memcmp` call) and only blocks that
-        // differ pay for a mask.
+        // One streaming sweep over both pages building the dirty-block
+        // bitmap and every dirty block's per-word mask. On the wide arm
+        // the mask falls out of the block compare itself; portably, the
+        // fixed-size array equality compiles to inline vector compares
+        // (no `memcmp` call) and only blocks that differ pay for a mask.
         let mut masks = [0u16; BLOCKS_PER_PAGE];
-        let mut dirty_blocks = 0u64;
-        {
-            let blocks = twin[blo * BLOCK_BYTES..bhi * BLOCK_BYTES]
-                .chunks_exact(BLOCK_BYTES)
-                .zip(current[blo * BLOCK_BYTES..bhi * BLOCK_BYTES].chunks_exact(BLOCK_BYTES));
-            for (bi, (tb, cb)) in blocks.enumerate() {
-                let bi = blo + bi;
-                let tb: &Block = tb.try_into().expect("exact chunk");
-                let cb: &Block = cb.try_into().expect("exact chunk");
-                let m = if HAS_WIDE_MASK || tb != cb {
-                    block_dirty_mask(tb, cb) as u16
-                } else {
-                    0
-                };
-                masks[bi] = m;
-                dirty_blocks |= ((m != 0) as u64) << bi;
-            }
+        let mut dirty = 0u64;
+        let window = blo * BLOCK_BYTES..bhi * BLOCK_BYTES;
+        let (twin_blocks, _) = twin[window.clone()].as_chunks::<BLOCK_BYTES>();
+        let (cur_blocks, _) = current[window].as_chunks::<BLOCK_BYTES>();
+        for (bi, (tb, cb)) in (blo..bhi).zip(twin_blocks.iter().zip(cur_blocks)) {
+            let m = if arm::HAS_WIDE_MASK || tb != cb {
+                arm::dirty_mask(tb, cb)
+            } else {
+                0
+            };
+            masks[bi] = m;
+            dirty |= ((m != 0) as u64) << bi;
         }
-        // The masks say how many words and runs the diff will have — a
-        // run starts at every set bit whose predecessor is clear — so
-        // both buffers are sized once, not grown by doubling. Four
+        // The masks say how many words and runs the diff has — a run
+        // starts at every set bit whose predecessor is clear. Four
         // 16-bit masks side by side are 64 consecutive words of the
         // page, so the count is two popcounts per 256 bytes scanned,
         // whatever they look like.
@@ -241,70 +303,27 @@ impl Diff {
             runs += (x & !(x << 1 | prev_top)).count_ones();
             prev_top = x >> 63;
         }
-        out.runs.reserve(runs as usize);
-        out.data.reserve(words as usize * WORD_SIZE);
-
-        // The open run, [run_start, run_stop) in words; closed and
-        // emitted as soon as a word fails to extend it, so runs crossing
-        // block boundaries come out maximal exactly like the word scan.
-        let mut run_start = 0usize;
-        let mut run_stop = 0usize; // == 0: no open run (word 0 opens one)
-        let mut emit = |start: usize, stop: usize| {
-            out.runs.push(Run {
-                word_offset: start as u16,
-                len_words: (stop - start) as u16,
-            });
-            let bytes = &current[start * WORD_SIZE..stop * WORD_SIZE];
-            if bytes.len() <= 2 * LANE_BYTES {
-                // Short runs dominate fine-grained pages; whole words of
-                // a width the compiler knows beat a `memcpy` call at
-                // these sizes.
-                for word in bytes.chunks_exact(WORD_SIZE) {
-                    let word: [u8; WORD_SIZE] = word.try_into().expect("exact chunk");
-                    out.data.extend_from_slice(&word);
-                }
-            } else {
-                out.data.extend_from_slice(bytes);
-            }
-        };
-        // Phase 2: visit only the dirty blocks, in ascending order so
-        // runs crossing block boundaries merge through the extend logic.
-        while dirty_blocks != 0 {
-            let bi = dirty_blocks.trailing_zeros() as usize;
-            dirty_blocks &= dirty_blocks - 1;
-            let mut mask = masks[bi] as u32;
-            // Walk the dirty-word groups of the mask (each group is a
-            // maximal run of set bits).
-            let base = bi * BLOCK_WORDS;
-            while mask != 0 {
-                let first = mask.trailing_zeros() as usize;
-                let len = (!(mask >> first)).trailing_zeros() as usize;
-                let w = base + first;
-                if run_stop == w && run_stop != 0 {
-                    run_stop = w + len; // contiguous across blocks: extend
-                } else {
-                    if run_stop != 0 {
-                        emit(run_start, run_stop);
-                    }
-                    run_start = w;
-                    run_stop = w + len;
-                }
-                mask &= !(((1u32 << len) - 1) << first);
-            }
+        out.dirty = dirty;
+        out.runs = runs;
+        out.buf.clear();
+        let head = dirty.count_ones() as usize * MASK_BYTES;
+        out.buf.reserve(head + words as usize * WORD_SIZE);
+        for bi in set_bits(dirty) {
+            out.buf.extend_from_slice(&masks[bi].to_le_bytes());
         }
-        if run_stop != 0 {
-            emit(run_start, run_stop);
+        // Ascending blocks, ascending words within each: the packed
+        // words are in page order.
+        for bi in set_bits(dirty) {
+            arm::compress(&cur_blocks[bi - blo], masks[bi], &mut out.buf);
         }
-        debug_assert_eq!(
-            (out.runs.len(), out.data.len()),
-            (runs as usize, words as usize * WORD_SIZE),
-            "phase 1 miscounted the diff"
-        );
+        debug_assert_eq!(out.modified_bytes(), words as usize * WORD_SIZE);
     }
 
-    /// Reference encoder: the plain one-word-at-a-time scan. Kept as the
-    /// correctness and performance baseline for the chunked
-    /// [`Diff::encode`] (property tests assert run-for-run equality; the
+    /// Reference encoder: the plain one-word-at-a-time scan into a list
+    /// of runs — offset, length, bytes — which is then written down as
+    /// bitmap, masks and words bit by bit; no block compare, no mask
+    /// kernel, no popcount. Kept as the correctness and performance
+    /// baseline for [`Diff::encode`] (property tests assert equality; the
     /// `hotpaths` benches report the speedup against it).
     ///
     /// # Panics
@@ -313,52 +332,77 @@ impl Diff {
     pub fn encode_naive(twin: &[u8], current: &[u8]) -> Self {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
-        let mut diff = Diff::default();
+        const WORDS_PER_PAGE: usize = PAGE_SIZE / WORD_SIZE;
+        let same = |w: usize| {
+            let off = w * WORD_SIZE;
+            twin[off..off + WORD_SIZE] == current[off..off + WORD_SIZE]
+        };
+        let mut runs: Vec<(usize, usize)> = Vec::new();
         let mut w = 0;
         while w < WORDS_PER_PAGE {
-            let off = w * WORD_SIZE;
-            if twin[off..off + WORD_SIZE] == current[off..off + WORD_SIZE] {
+            if same(w) {
                 w += 1;
                 continue;
             }
             // Start of a modified run; extend while words differ.
             let start = w;
-            while w < WORDS_PER_PAGE {
-                let o = w * WORD_SIZE;
-                if twin[o..o + WORD_SIZE] == current[o..o + WORD_SIZE] {
-                    break;
-                }
+            while w < WORDS_PER_PAGE && !same(w) {
                 w += 1;
             }
-            diff.runs.push(Run {
-                word_offset: start as u16,
-                len_words: (w - start) as u16,
-            });
-            diff.data
-                .extend_from_slice(&current[start * WORD_SIZE..w * WORD_SIZE]);
+            runs.push((start, w));
+        }
+
+        let mut masks = [0u16; BLOCKS_PER_PAGE];
+        for &(start, end) in &runs {
+            for w in start..end {
+                masks[w / BLOCK_WORDS] |= 1 << (w % BLOCK_WORDS);
+            }
+        }
+        let mut diff = Diff {
+            runs: runs.len() as u32,
+            ..Diff::default()
+        };
+        for (bi, mask) in masks.iter().enumerate().filter(|(_, &m)| m != 0) {
+            diff.dirty |= 1 << bi;
+            diff.buf.extend_from_slice(&mask.to_le_bytes());
+        }
+        for &(start, end) in &runs {
+            diff.buf
+                .extend_from_slice(&current[start * WORD_SIZE..end * WORD_SIZE]);
         }
         diff
     }
 
-    /// Overwrites the recorded runs in `page`.
+    /// The word masks of the dirty blocks, ascending.
+    fn masks(&self) -> impl Iterator<Item = u16> + '_ {
+        let (masks, _) = self.buf[..self.head_len()].as_chunks::<MASK_BYTES>();
+        masks.iter().map(|&m| u16::from_le_bytes(m))
+    }
+
+    /// Bytes of `buf` taken by the masks.
+    fn head_len(&self) -> usize {
+        self.dirty.count_ones() as usize * MASK_BYTES
+    }
+
+    /// Overwrites the recorded words in `page`.
     ///
     /// # Panics
     ///
     /// Panics unless `page` is exactly one page long.
     pub fn apply(&self, page: &mut [u8]) {
         assert_eq!(page.len(), PAGE_SIZE, "target must be one page");
-        let mut off = 0usize;
-        for run in &self.runs {
-            let start = run.word_offset as usize * WORD_SIZE;
-            let len = run.len_bytes();
-            page[start..start + len].copy_from_slice(&self.data[off..off + len]);
-            off += len;
+        let (blocks, _) = page.as_chunks_mut::<BLOCK_BYTES>();
+        let mut words = &self.buf[self.head_len()..];
+        for (bi, mask) in set_bits(self.dirty).zip(self.masks()) {
+            let (src, rest) = words.split_at(mask.count_ones() as usize * WORD_SIZE);
+            arm::expand(src, mask, &mut blocks[bi]);
+            words = rest;
         }
     }
 
     /// Copies `base` into the caller-provided `out` buffer and applies
-    /// the recorded runs on top — the merge step without an intermediate
-    /// allocation.
+    /// the recorded words on top — the merge step without an
+    /// intermediate allocation.
     ///
     /// # Panics
     ///
@@ -369,22 +413,9 @@ impl Diff {
         self.apply(out);
     }
 
-    /// Applies several diffs: byte-for-byte equivalent to calling
-    /// [`Diff::apply`] for each diff in slice order. Up to
-    /// eight diffs (`MERGE_MAX_FAN_IN`) go through one k-way merge pass that
-    /// writes every page word **at most once**; beyond that the pass —
-    /// which rescans all k cursors for every output segment — costs
-    /// more than the overwrites it saves, and the diffs are simply
-    /// applied in order.
-    ///
-    /// The slice order is the happened-before order of the merge
-    /// procedure (§3.1.1): where two diffs modify the same word, the
-    /// later diff's value is the one that survives a sequential apply,
-    /// so the merge resolves each word to the last covering diff —
-    /// last-writer-wins per word is exactly sequential application.
-    /// Runs within a diff are offset-sorted by construction, which is
-    /// what lets the merge advance one cursor per diff instead of
-    /// re-scanning.
+    /// Applies several diffs in slice order — the happened-before order
+    /// of the merge procedure (§3.1.1): where two diffs modify the same
+    /// word, the later diff's value survives.
     ///
     /// The slice is generic over [`Borrow`](std::borrow::Borrow) so
     /// callers can merge straight from whatever owns their diffs —
@@ -396,104 +427,33 @@ impl Diff {
     /// Panics unless `page` is exactly one page long.
     pub fn apply_many<D: std::borrow::Borrow<Diff>>(diffs: &[D], page: &mut [u8]) {
         assert_eq!(page.len(), PAGE_SIZE, "target must be one page");
-        if diffs.len() < 2 || diffs.len() > MERGE_MAX_FAN_IN {
-            for d in diffs {
-                d.borrow().apply(page);
-            }
-            return;
-        }
-        // One cursor per diff: the current run and its data offset.
-        struct Cursor<'a> {
-            runs: &'a [Run],
-            data: &'a [u8],
-            idx: usize,
-            data_off: usize,
-        }
-        let mut cursors: Vec<Cursor<'_>> = diffs
-            .iter()
-            .map(|d| {
-                let d = d.borrow();
-                Cursor {
-                    runs: &d.runs,
-                    data: &d.data,
-                    idx: 0,
-                    data_off: 0,
-                }
-            })
-            .collect();
-        // Sweep the page in maximal segments over which the set of
-        // covering runs is constant. `pos` is the first unresolved word.
-        let mut pos = 0usize;
-        loop {
-            // Retire runs that end at or before `pos` and find the next
-            // segment start: the smallest not-yet-applied run word.
-            let mut seg_start = usize::MAX;
-            for c in cursors.iter_mut() {
-                while let Some(r) = c.runs.get(c.idx) {
-                    if r.word_offset as usize + r.len_words as usize <= pos {
-                        c.data_off += r.len_bytes();
-                        c.idx += 1;
-                    } else {
-                        break;
-                    }
-                }
-                if let Some(r) = c.runs.get(c.idx) {
-                    seg_start = seg_start.min((r.word_offset as usize).max(pos));
-                }
-            }
-            if seg_start == usize::MAX {
-                break; // every cursor exhausted
-            }
-            // The segment ends where any covering run ends or any later
-            // run begins; among the runs covering `seg_start`, the diff
-            // latest in the slice wins the whole segment.
-            let mut seg_end = WORDS_PER_PAGE;
-            let mut winner = usize::MAX;
-            for (i, c) in cursors.iter().enumerate() {
-                let Some(r) = c.runs.get(c.idx) else { continue };
-                let start = r.word_offset as usize;
-                let end = start + r.len_words as usize;
-                if start <= seg_start {
-                    // Covers the segment (end > seg_start holds: a run
-                    // ending at or before seg_start would have had an
-                    // effective start below the minimum).
-                    seg_end = seg_end.min(end);
-                    winner = i;
-                } else {
-                    seg_end = seg_end.min(start);
-                }
-            }
-            let c = &cursors[winner];
-            let r = c.runs[c.idx];
-            let src = c.data_off + (seg_start - r.word_offset as usize) * WORD_SIZE;
-            let dst = seg_start * WORD_SIZE;
-            let len = (seg_end - seg_start) * WORD_SIZE;
-            page[dst..dst + len].copy_from_slice(&c.data[src..src + len]);
-            pos = seg_end;
+        for d in diffs {
+            d.borrow().apply(page);
         }
     }
 
     /// `true` when the twin and the page were identical.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.dirty == 0
     }
 
-    /// Number of maximal modified runs.
+    /// Number of maximal runs of modified words.
     pub fn run_count(&self) -> usize {
-        self.runs.len()
+        self.runs as usize
     }
 
     /// Total bytes of modified data (a multiple of the word size).
     ///
     /// This is the paper's *write granularity* measure for the page.
     pub fn modified_bytes(&self) -> usize {
-        self.data.len()
+        self.buf.len() - self.head_len()
     }
 
-    /// Bytes this diff occupies on the wire and in the diff store:
-    /// header + per-run headers + data.
+    /// Bytes this diff occupies on the wire and in the diff store, as
+    /// the run-length encoding TreadMarks ships: header + per-run
+    /// headers + data.
     pub fn wire_size(&self) -> usize {
-        DIFF_HEADER_BYTES + self.runs.len() * RUN_HEADER_BYTES + self.modified_bytes()
+        DIFF_HEADER_BYTES + self.run_count() * RUN_HEADER_BYTES + self.modified_bytes()
     }
 
     /// Do `self` and `other` modify at least one common word?
@@ -502,23 +462,11 @@ impl Diff {
     /// the signature of write-write false sharing; overlapping concurrent
     /// diffs would be a data race in the application.
     pub fn overlaps(&self, other: &Diff) -> bool {
-        // Runs are sorted by construction; merge-scan.
-        let mut a = self.runs.iter().peekable();
-        let mut b = other.runs.iter().peekable();
-        while let (Some(ra), Some(rb)) = (a.peek(), b.peek()) {
-            let a_start = ra.word_offset as usize;
-            let a_end = a_start + ra.len_words as usize;
-            let b_start = rb.word_offset as usize;
-            let b_end = b_start + rb.len_words as usize;
-            if a_end <= b_start {
-                a.next();
-            } else if b_end <= a_start {
-                b.next();
-            } else {
-                return true;
-            }
-        }
-        false
+        let mask_of = |d: &Diff, bi: usize| {
+            let at = (d.dirty & ((1 << bi) - 1)).count_ones() as usize * MASK_BYTES;
+            u16::from_le_bytes([d.buf[at], d.buf[at + 1]])
+        };
+        set_bits(self.dirty & other.dirty).any(|bi| mask_of(self, bi) & mask_of(other, bi) != 0)
     }
 }
 
@@ -718,8 +666,7 @@ mod tests {
         assert!(d.is_empty());
     }
 
-    /// Applies `diffs` one by one — the reference semantics apply_many
-    /// must reproduce.
+    /// Applies `diffs` one by one — what `apply_many` is defined as.
     fn apply_seq(diffs: &[&Diff], page: &mut [u8]) {
         for d in diffs {
             d.apply(page);
@@ -808,5 +755,74 @@ mod tests {
         let mut out = vec![0xFFu8; PAGE_SIZE];
         d.apply_onto(&twin, &mut out);
         assert_eq!(out, cur);
+    }
+
+    /// Seeded block pairs of every density from no word to all.
+    fn seeded_blocks() -> impl Iterator<Item = (Block, Block)> {
+        let mix = |z: u64| {
+            let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z ^ (z >> 27)
+        };
+        (0..2_000u64).map(move |seed| {
+            let mut a = [0u8; BLOCK_BYTES];
+            for (i, byte) in a.iter_mut().enumerate() {
+                *byte = mix(seed << 8 | i as u64) as u8;
+            }
+            let mut b = a;
+            // Densities 0/16 to 16/16, single-byte and whole-word edits.
+            let keep = mix(seed ^ 0xd1f7) % 17;
+            for w in 0..BLOCK_WORDS {
+                if mix(seed << 4 | w as u64) % 16 < keep {
+                    b[w * WORD_SIZE + (seed % 4) as usize] ^= 0x5a;
+                }
+            }
+            (a, b)
+        })
+    }
+
+    /// The portable kernels are the specification of the wide ones:
+    /// same masks, same packed words, same expanded blocks. On a host
+    /// without the wide arm this pins the portable arm against a
+    /// word-by-word model instead. Prints which arm this build uses.
+    #[test]
+    fn wide_and_portable_arms_agree() {
+        println!("diff codec: HAS_WIDE_MASK = {}", arm::HAS_WIDE_MASK);
+        for (a, b) in seeded_blocks() {
+            let mut model = 0u16;
+            for w in 0..BLOCK_WORDS {
+                let r = w * WORD_SIZE..(w + 1) * WORD_SIZE;
+                model |= ((a[r.clone()] != b[r]) as u16) << w;
+            }
+            let mask = portable::dirty_mask(&a, &b);
+            assert_eq!(mask, model);
+            assert_eq!(arm::dirty_mask(&a, &b), mask);
+
+            // Appended after what is already there, nothing else touched.
+            let (mut packed, mut packed_arm) = (vec![0xAB; 3], vec![0xAB; 3]);
+            portable::compress(&b, mask, &mut packed);
+            arm::compress(&b, mask, &mut packed_arm);
+            assert_eq!(packed.len(), 3 + mask.count_ones() as usize * WORD_SIZE);
+            assert_eq!(packed, packed_arm);
+
+            let (mut spread, mut spread_arm) = (a, a);
+            portable::expand(&packed[3..], mask, &mut spread);
+            arm::expand(&packed_arm[3..], mask, &mut spread_arm);
+            assert_eq!(spread, b);
+            assert_eq!(spread_arm, b);
+        }
+    }
+
+    /// What a diff costs to keep: the bitmap and the run count inline,
+    /// two bytes a dirty block and four a dirty word in one buffer.
+    #[test]
+    fn a_one_word_diff_is_a_few_bytes_in_one_buffer() {
+        let twin = page_with(&[]);
+        let d = Diff::encode(&twin, &page_with(&[(2000, 1)]));
+        assert_eq!(d.buf.len(), MASK_BYTES + WORD_SIZE);
+        assert!(d.buf.capacity() <= 8, "capacity {}", d.buf.capacity());
+        let dense = Diff::encode(&twin, &vec![1u8; PAGE_SIZE]);
+        assert_eq!(dense.buf.len(), BLOCKS_PER_PAGE * MASK_BYTES + PAGE_SIZE);
+        assert_eq!(dense.buf.capacity(), dense.buf.len());
+        assert!(std::mem::size_of::<Diff>() <= 40);
     }
 }

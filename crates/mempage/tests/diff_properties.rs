@@ -105,9 +105,8 @@ proptest! {
         prop_assert!(diff.run_count() <= diff.modified_bytes() / WORD_SIZE + 1);
     }
 
-    /// The chunked encoder is run-for-run identical to the naive
-    /// word-scan reference: same runs, same offsets, same bytes, same
-    /// wire size.
+    /// The block encoder agrees with the naive word-scan reference:
+    /// same words, same bytes, same run count, same wire size.
     #[test]
     fn chunked_encode_matches_naive_reference(
         twin in page_strategy(),
@@ -132,8 +131,8 @@ proptest! {
         cur_b in page_strategy(),
     ) {
         let mut reused = Diff::default();
-        // First fill leaves runs/data buffers behind for the second
-        // encode to recycle.
+        // First fill leaves a buffer behind for the second encode to
+        // recycle.
         Diff::encode_into(&twin_a, &cur_a, &mut reused);
         prop_assert_eq!(&reused, &Diff::encode(&twin_a, &cur_a));
 
@@ -149,8 +148,8 @@ proptest! {
     /// derived from the previous by random edits, each diff encoded
     /// against its predecessor — is byte-for-byte the sequential apply,
     /// and lands on the chain's final page. Chains are as drawn (up to
-    /// 5 diffs, the one-pass merge) or stretched to 9, 32 or 63 (past
-    /// the merge's fan-in limit) by reusing the edit sets, shifted.
+    /// 5 diffs) or stretched to 9, 32 or 63 by reusing the edit sets,
+    /// shifted.
     #[test]
     fn apply_many_matches_sequential_over_chains(
         base in page_strategy(),
@@ -250,5 +249,156 @@ proptest! {
         db.apply(&mut ba);
         da.apply(&mut ba);
         prop_assert_eq!(ab, ba);
+    }
+}
+
+// ---- the shapes the block codec has edges at ---------------------------
+
+const WORDS: usize = PAGE_SIZE / WORD_SIZE;
+/// Words in one 64-byte block of the codec.
+const BLOCK_WORDS: usize = 16;
+
+/// A zero twin and a page with exactly `words` modified.
+fn pages_with_dirty_words(words: impl IntoIterator<Item = usize>) -> (Vec<u8>, Vec<u8>) {
+    let twin = vec![0u8; PAGE_SIZE];
+    let mut cur = twin.clone();
+    for w in words {
+        cur[w * WORD_SIZE + w % WORD_SIZE] = 1 + (w % 255) as u8;
+    }
+    (twin, cur)
+}
+
+/// Encodes, checks every observable against the word-scan oracle and
+/// the round trip, and hands the diff back.
+fn checked_encode(twin: &[u8], cur: &[u8]) -> Diff {
+    let diff = Diff::encode(twin, cur);
+    let naive = Diff::encode_naive(twin, cur);
+    assert_eq!(diff, naive);
+    assert_eq!(diff.run_count(), naive.run_count());
+    assert_eq!(diff.modified_bytes(), naive.modified_bytes());
+    assert_eq!(diff.wire_size(), naive.wire_size());
+    let mut target = twin.to_vec();
+    diff.apply(&mut target);
+    assert_eq!(target, cur);
+    diff
+}
+
+#[test]
+fn first_and_last_word_of_the_page() {
+    for words in [vec![0], vec![WORDS - 1], vec![0, WORDS - 1]] {
+        let (twin, cur) = pages_with_dirty_words(words.clone());
+        let diff = checked_encode(&twin, &cur);
+        assert_eq!(diff.run_count(), words.len());
+        assert_eq!(diff.modified_bytes(), words.len() * WORD_SIZE);
+    }
+}
+
+#[test]
+fn a_run_across_every_block_boundary() {
+    // One boundary at a time, then all 63 at once.
+    for b in 1..WORDS / BLOCK_WORDS {
+        let (twin, cur) = pages_with_dirty_words([b * BLOCK_WORDS - 1, b * BLOCK_WORDS]);
+        assert_eq!(checked_encode(&twin, &cur).run_count(), 1, "boundary {b}");
+    }
+    let straddling = (1..WORDS / BLOCK_WORDS).flat_map(|b| [b * BLOCK_WORDS - 1, b * BLOCK_WORDS]);
+    let (twin, cur) = pages_with_dirty_words(straddling);
+    let diff = checked_encode(&twin, &cur);
+    assert_eq!(diff.run_count(), 63);
+    assert_eq!(diff.modified_bytes(), 63 * 2 * WORD_SIZE);
+}
+
+#[test]
+fn all_dirty_and_none_dirty() {
+    let (twin, cur) = pages_with_dirty_words(0..WORDS);
+    let all = checked_encode(&twin, &cur);
+    assert_eq!((all.run_count(), all.modified_bytes()), (1, PAGE_SIZE));
+    let none = checked_encode(&twin, &twin);
+    assert!(none.is_empty());
+    assert_eq!((none.run_count(), none.modified_bytes()), (0, 0));
+    assert_eq!(none, Diff::default());
+}
+
+/// A red/black half-sweep over a row of `f64`: every other element, two
+/// words each — the densest a page gets in runs.
+#[test]
+fn every_other_f64() {
+    for colour in [0, 1] {
+        let doubles = (0..WORDS / 2).filter(|d| d % 2 == colour);
+        let (twin, cur) = pages_with_dirty_words(doubles.flat_map(|d| [2 * d, 2 * d + 1]));
+        let diff = checked_encode(&twin, &cur);
+        assert_eq!(diff.run_count(), WORDS / 4);
+        assert_eq!(diff.modified_bytes(), PAGE_SIZE / 2);
+        assert_eq!(diff.wire_size(), 12 + 4 * (WORDS / 4) + PAGE_SIZE / 2);
+    }
+}
+
+#[test]
+fn windowed_encode_into_a_diff_that_held_something_else() {
+    let (twin, dense) = pages_with_dirty_words((0..WORDS).filter(|w| w % 3 != 0));
+    let (_, sparse) = pages_with_dirty_words([300, 301, 340]);
+    let (lo, hi) = (300 * WORD_SIZE, 341 * WORD_SIZE);
+    let mut out = Diff::default();
+    for (cur, window) in [
+        (&sparse, (lo, hi)),
+        (&twin, (0, 0)),
+        (&sparse, (lo - 100, hi + 7)),
+    ] {
+        Diff::encode_into(&twin, &dense, &mut out);
+        assert_eq!(out, checked_encode(&twin, &dense));
+        Diff::encode_span_into(&twin, cur, window.0, window.1, &mut out);
+        assert_eq!(out, checked_encode(&twin, cur), "window {window:?}");
+    }
+}
+
+#[test]
+fn apply_many_over_overlapping_diffs_is_sequential_apply() {
+    for k in [1usize, 2, 8, 63] {
+        // Diff `i` rewrites a band every later diff cuts into, plus a
+        // stripe of its own.
+        let diffs: Vec<Diff> = (0..k)
+            .map(|i| {
+                let twin = vec![0u8; PAGE_SIZE];
+                let mut cur = twin.clone();
+                cur[i * 8..PAGE_SIZE / 2 + i * 20].fill(i as u8 + 1);
+                cur[PAGE_SIZE - 4 * (i + 1)] = 0x80 | i as u8;
+                checked_encode(&twin, &cur)
+            })
+            .collect();
+        let canvas: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 7) as u8).collect();
+        let mut seq = canvas.clone();
+        for d in &diffs {
+            d.apply(&mut seq);
+        }
+        let mut merged = canvas.clone();
+        Diff::apply_many(&diffs, &mut merged);
+        assert_eq!(merged, seq, "k = {k}");
+        if k > 1 {
+            assert!(diffs[0].overlaps(&diffs[k - 1]));
+            assert_ne!(merged[PAGE_SIZE / 4], 1, "the first diff does not survive");
+        }
+    }
+}
+
+#[test]
+fn overlaps_is_about_words() {
+    let diff_of = |words: &[usize]| {
+        let (twin, cur) = pages_with_dirty_words(words.iter().copied());
+        checked_encode(&twin, &cur)
+    };
+    let cases: &[(&[usize], &[usize], bool)] = &[
+        (&[5], &[5], true),
+        (&[5], &[6], false),           // same block, neighbouring words
+        (&[0, 15], &[1, 14], false),   // interleaved within one block
+        (&[15], &[16], false),         // either side of a block boundary
+        (&[3, 700], &[40, 700], true), // the common word is in a later block
+        (&[3, 700], &[3], true),       // ... or in an earlier one
+        (&[1023], &[0, 1023], true),
+        (&[], &[7], false),
+        (&[], &[], false),
+    ];
+    for &(a, b, want) in cases {
+        let (da, db) = (diff_of(a), diff_of(b));
+        assert_eq!(da.overlaps(&db), want, "{a:?} vs {b:?}");
+        assert_eq!(db.overlaps(&da), want, "{b:?} vs {a:?}");
     }
 }
