@@ -246,7 +246,7 @@ pub struct RunOptions {
     pub diff_strategy: adsm_core::DiffStrategy,
     /// Record host wall-clock histograms of the protocol hot paths
     /// (`validate_page`, barrier fan-in) into the run report; used by
-    /// `repro bench-throughput`.
+    /// `repro bench-scale` and `benchmark/`.
     pub measure_host_costs: bool,
     /// Execution backend: the deterministic simulator scheduler
     /// (default) or real OS threads. Mutually exclusive with
@@ -264,6 +264,10 @@ pub struct RunOptions {
     /// flush stream (prerequisite for `HomeFailover` fault events);
     /// other protocols ignore it.
     pub hlrc_backup: bool,
+    /// Sweep the SC comparator's coherence invariants after every fault
+    /// (test facility: it copies every page each time); other protocols
+    /// ignore it.
+    pub sc_invariant_checks: bool,
 }
 
 impl RunOptions {
@@ -292,6 +296,7 @@ impl RunOptions {
             b = b.replay_journal(journal.clone());
         }
         b = b.hlrc_backup(self.hlrc_backup);
+        b = b.sc_invariant_checks(self.sc_invariant_checks);
         b
     }
 }

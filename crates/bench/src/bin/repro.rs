@@ -8,37 +8,29 @@
 //! targets: table1 table2 table3 table4 fig1 fig2 fig3 all  (default: all)
 //!          related ablation-quantum ablation-wg ablation-gc
 //!          ablation-migratory ablation-policies ablations
-//!          bench-hotpaths    (also writes BENCH_hotpaths.json)
-//!          bench-throughput  (also writes BENCH_throughput.json;
-//!                             with --scale large: the 8..256-proc
-//!                             barrier fan-in sweep, BENCH_scale.json)
+//!          bench-scale       (also writes BENCH_scale.json: the
+//!                             8..256-proc barrier fan-in sweep)
 //!          scenarios         (also writes BENCH_scenarios.json)
 //!          crash-matrix      (also writes BENCH_crash.json)
 //!
-//! --backend  execution backend(s) for bench-throughput: the
-//!          deterministic simulator, real OS threads, or both
-//!          (default: both — the JSON carries the sim columns plus the
-//!          `@threads` comparison columns)
-//! --smoke  CI-budget runs: bench-throughput at tiny scale / 4 procs
-//!          (at --scale large: the sweep shrinks to 8/64 procs);
+//! --backend  execution backend(s) for bench-scale: the deterministic
+//!          simulator, real OS threads, or both (default: both)
+//! --smoke  CI-budget runs: bench-scale at 8/64 procs;
 //!          scenarios on a reduced app x scenario grid (2 apps, 3
 //!          corpus scenarios) at tiny scale / 4 procs;
 //!          crash-matrix on 2 apps (SOR, TSP) at tiny scale / 4 procs
-//! --check  fail (exit 1) when a benchmark regresses past the seed
-//!          floors (sparse encode speedup, allocs/interval, fetch-path
-//!          clones, merge cost, pool copy ratio; for
-//!          bench-throughput also the clone/skip invariants, the
-//!          presence of every requested backend's rows and, at smoke
-//!          settings, the sim-row barrier fan-in ceiling; for the
-//!          --scale large sweep the sub-linear fan-in growth gate
-//!          (64-proc p50 < 4x the 8-proc p50, per backend); for
-//!          scenarios the verification, replay-identity and
-//!          fault-free-baseline gates of every cell; for crash-matrix
-//!          those same three gates plus fault-actually-fired per cell)
+//! --check  fail (exit 1) when a sweep's gate is violated: for
+//!          bench-scale the sub-linear fan-in growth gate (64-proc p50
+//!          < 4x the 8-proc p50, per backend); for scenarios the
+//!          verification, replay-identity and fault-free-baseline
+//!          gates of every cell; for crash-matrix those same three
+//!          gates plus fault-actually-fired per cell
 //! ```
 //!
 //! The emitted JSON files are documented field-by-field in
-//! `docs/BENCH_SCHEMA.md`.
+//! `docs/BENCH_SCHEMA.md`. Host-time kernels (diff encode/apply, pool
+//! copy, span views, scheduler pick, turn handoff) are `benchmark/`'s
+//! to time: see `benchmark/README.md`.
 
 use std::process::ExitCode;
 
@@ -114,8 +106,7 @@ fn parse_args() -> Result<Options, String> {
                     "usage: repro [table1 table2 table3 table4 fig1 fig2 fig3 all]\n\
                      \x20      [related ablation-quantum ablation-wg ablation-gc\n\
                      \x20       ablation-migratory ablation-policies ablations\n\
-                     \x20       bench-hotpaths\n\
-                     \x20       bench-throughput scenarios crash-matrix]\n\
+                     \x20       bench-scale scenarios crash-matrix]\n\
                      \x20      [--scale tiny|small|paper|large] [--nprocs N] [--apps SOR,IS,...]\n\
                      \x20      [--backend sim|threads|both] [--smoke] [--check]"
                 );
@@ -124,8 +115,7 @@ fn parse_args() -> Result<Options, String> {
             t if t.starts_with("table")
                 || t.starts_with("fig")
                 || t.starts_with("ablation")
-                || t == "bench-hotpaths"
-                || t == "bench-throughput"
+                || t == "bench-scale"
                 || t == "scenarios"
                 || t == "crash-matrix"
                 || t == "related"
@@ -153,95 +143,6 @@ fn parse_args() -> Result<Options, String> {
     })
 }
 
-/// Seed-derived floors for `--check`: the BENCH_hotpaths.json values
-/// the repo must not regress past. Encoded with slack (CI machines are
-/// noisy and heterogeneous) below the committed seed numbers: sparse
-/// encode ≈9.4×, merge-at-4 ≈240 ns, pool copy ratio ≤1.2,
-/// and the two exact invariants (zero steady-state allocations, zero
-/// fetch-path clones).
-mod seed_floors {
-    /// Seed ≈9.4× with 25% CI slack. (≈4.2× and 3.15 while the naive
-    /// oracle only pushed runs; it now writes the bitmap layout down as
-    /// well and costs twice as much.)
-    pub const SPARSE_SPEEDUP_MIN: f64 = 7.0;
-    /// Ceiling on applying 4 pending half-page diffs in order (ns):
-    /// seed ≈240 with 3× slack for slow CI machines. A deep copy coming
-    /// back to the merge path is `fetch_clones`' to catch, exactly.
-    pub const MERGE4_APPLY_MANY_MAX_NS: f64 = 750.0;
-    /// Pooled copy must stay within this factor of a raw heap to_vec,
-    /// with CI slack over the 1.2 acceptance band.
-    pub const POOL_COPY_RATIO_MAX: f64 = 1.5;
-    /// Exact: steady state allocates nothing.
-    pub const ALLOCS_PER_INTERVAL_MAX: f64 = 0.0;
-    /// Acceptance floor for the span-guard read over the old buffered
-    /// `read_into` on a one-page span.
-    pub const SPAN_SPEEDUP_MIN: f64 = 2.0;
-    /// Exact: a steady-state guard span allocates nothing.
-    pub const SPAN_ALLOCS_MAX: f64 = 0.0;
-    /// Ceiling on the episode-weighted mean barrier fan-in cost (ns)
-    /// of the throughput matrix at the CI smoke settings (tiny scale,
-    /// 4 procs). The batched fan-in measures ≈2.0–2.3 µs there
-    /// (≈3.5 µs before the frontier sweep); the ceiling carries >3×
-    /// slack for slow CI machines while still catching a reversion to
-    /// per-pair integration.
-    pub const BARRIER_FANIN_MEAN_MAX_NS: f64 = 8000.0;
-}
-
-/// Applies the `--check` regression gate to a fresh hotpaths report.
-/// Returns the failures (empty = pass).
-fn check_hotpaths(report: &adsm_bench::HotpathReport) -> Vec<String> {
-    let mut fails = Vec::new();
-    if report.sparse_speedup() < seed_floors::SPARSE_SPEEDUP_MIN {
-        fails.push(format!(
-            "sparse encode speedup {:.2} < seed floor {:.2}",
-            report.sparse_speedup(),
-            seed_floors::SPARSE_SPEEDUP_MIN
-        ));
-    }
-    if report.allocs_per_interval > seed_floors::ALLOCS_PER_INTERVAL_MAX {
-        fails.push(format!(
-            "steady-state allocs/interval {:.4} > {:.1}",
-            report.allocs_per_interval,
-            seed_floors::ALLOCS_PER_INTERVAL_MAX
-        ));
-    }
-    if report.validate_merge4 > seed_floors::MERGE4_APPLY_MANY_MAX_NS {
-        fails.push(format!(
-            "validate merge at 4 diffs {:.0} ns > ceiling {:.0} ns",
-            report.validate_merge4,
-            seed_floors::MERGE4_APPLY_MANY_MAX_NS
-        ));
-    }
-    if report.pool_copy_ratio() > seed_floors::POOL_COPY_RATIO_MAX {
-        fails.push(format!(
-            "pool copy ratio {:.2} > ceiling {:.2}",
-            report.pool_copy_ratio(),
-            seed_floors::POOL_COPY_RATIO_MAX
-        ));
-    }
-    if report.span_speedup() < seed_floors::SPAN_SPEEDUP_MIN {
-        fails.push(format!(
-            "span guard vs legacy read_into speedup {:.2} < floor {:.2}",
-            report.span_speedup(),
-            seed_floors::SPAN_SPEEDUP_MIN
-        ));
-    }
-    if report.span_guard_allocs > seed_floors::SPAN_ALLOCS_MAX {
-        fails.push(format!(
-            "guard-span allocations {:.4}/span > {:.1}",
-            report.span_guard_allocs,
-            seed_floors::SPAN_ALLOCS_MAX
-        ));
-    }
-    if report.fetch_clones > 0 {
-        fails.push(format!(
-            "{} deep diff clones on the fetch path (must be 0)",
-            report.fetch_clones
-        ));
-    }
-    fails
-}
-
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -263,49 +164,12 @@ fn main() -> ExitCode {
         println!("{}", fig1(opts.nprocs));
     }
 
-    // Hot-path microbenchmarks: printed, and written to
-    // BENCH_hotpaths.json so the perf trajectory is tracked across PRs.
-    // Explicit-only (not part of "all"): the baseline file must not be
-    // clobbered by an incidental table regeneration on a loaded box.
-    if opts.targets.iter().any(|t| t == "bench-hotpaths") {
-        eprintln!("measuring hot paths (encode/apply/merge/pool/pick)...");
-        let report = adsm_bench::measure_hotpaths();
-        let json = report.to_json();
-        println!("{json}");
-        println!(
-            "\nsparse encode speedup (chunked vs naive): {:.2}x, \
-             merge@4 (apply_many): {:.0} ns, \
-             span guard vs legacy read_into: {:.2}x ({:.4} allocs/span), \
-             steady-state allocs/interval: {:.4}",
-            report.sparse_speedup(),
-            report.validate_merge4,
-            report.span_speedup(),
-            report.span_guard_allocs,
-            report.allocs_per_interval
-        );
-        match std::fs::write("BENCH_hotpaths.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_hotpaths.json"),
-            Err(e) => eprintln!("could not write BENCH_hotpaths.json: {e}"),
-        }
-        if opts.check {
-            let fails = check_hotpaths(&report);
-            if !fails.is_empty() {
-                for f in &fails {
-                    eprintln!("REGRESSION: {f}");
-                }
-                return ExitCode::FAILURE;
-            }
-            eprintln!("hotpaths regression gate: pass");
-        }
-    }
-
-    // Processor-count scale sweep: `bench-throughput --scale large`
-    // swaps the protocol matrix for the high-P sweep — SOR and IS under
-    // MW at 8/64/128/256 processors (`--smoke`: 8/64) on every
+    // Processor-count scale sweep — SOR and IS under MW at
+    // 8/64/128/256 processors (`--smoke`: 8/64), large inputs, on every
     // requested backend, gating sub-linear growth of the per-arrival
     // barrier fan-in cost (64-proc p50 < 4x the 8-proc p50) under
     // `--check`. Writes BENCH_scale.json.
-    if opts.targets.iter().any(|t| t == "bench-throughput") && opts.scale == Scale::Large {
+    if opts.targets.iter().any(|t| t == "bench-scale") {
         let proc_counts: &[usize] = if opts.smoke {
             &adsm_bench::scale::SCALE_PROCS_SMOKE
         } else {
@@ -341,77 +205,6 @@ fn main() -> ExitCode {
             eprintln!(
                 "scale gate: pass (fan-in p50 growth 8 -> 64 procs sub-linear on every backend)"
             );
-        }
-    }
-
-    // End-to-end throughput matrix: every app under the four evaluated
-    // protocols, in simulated-events-per-wall-second terms, plus
-    // validate_page percentiles and barrier fan-in cost. `--smoke`
-    // shrinks it to the CI budget (tiny inputs, 4 procs).
-    if opts.targets.iter().any(|t| t == "bench-throughput") && opts.scale != Scale::Large {
-        let (scale, nprocs) = if opts.smoke {
-            (Scale::Tiny, 4)
-        } else {
-            (opts.scale, opts.nprocs)
-        };
-        let backend_names: Vec<&str> = opts
-            .backends
-            .iter()
-            .map(|b| match b {
-                ExecBackend::Sim => "sim",
-                ExecBackend::Threads => "threads",
-            })
-            .collect();
-        eprintln!(
-            "measuring end-to-end throughput ({} apps x 5 protocols x [{}], {scale} scale, \
-             {nprocs} procs)...",
-            opts.apps.len(),
-            backend_names.join(", ")
-        );
-        let report = adsm_bench::throughput::measure_throughput_backends(
-            nprocs,
-            scale,
-            &opts.apps,
-            &opts.backends,
-        );
-        println!("{}", adsm_bench::throughput::summary_table(&report));
-        let json = report.to_json();
-        match std::fs::write("BENCH_throughput.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_throughput.json"),
-            Err(e) => eprintln!("could not write BENCH_throughput.json: {e}"),
-        }
-        if opts.check {
-            // Every requested backend must actually have produced rows —
-            // a threads column silently falling out of the JSON is a
-            // regression of the cross-backend bench, not a soft skip.
-            for b in &opts.backends {
-                if !report.has_backend(*b) {
-                    eprintln!("REGRESSION: backend {b:?} requested but absent from the report");
-                    return ExitCode::FAILURE;
-                }
-            }
-            let clones: u64 = report.rows.iter().map(|r| r.diff_fetch_clones).sum();
-            let skips: u64 = report.rows.iter().map(|r| r.missing_diff_skips).sum();
-            let ship_clones: u64 = report.rows.iter().map(|r| r.notice_ship_clones).sum();
-            if clones > 0 || skips > 0 || ship_clones > 0 {
-                eprintln!(
-                    "REGRESSION: fetch-path clones {clones}, missing-diff skips {skips}, \
-                     notice-ship clones {ship_clones} (all must be 0)"
-                );
-                return ExitCode::FAILURE;
-            }
-            // Barrier fan-in floor: only meaningful at the calibrated
-            // smoke settings (absolute ns ceilings do not transfer
-            // across scales).
-            let fanin = report.barrier_fanin_mean_ns();
-            if opts.smoke && fanin > seed_floors::BARRIER_FANIN_MEAN_MAX_NS {
-                eprintln!(
-                    "REGRESSION: barrier fan-in mean {fanin:.0} ns > ceiling {:.0} ns",
-                    seed_floors::BARRIER_FANIN_MEAN_MAX_NS
-                );
-                return ExitCode::FAILURE;
-            }
-            eprintln!("throughput invariant gate: pass (barrier fan-in mean {fanin:.0} ns)");
         }
     }
 

@@ -5,8 +5,7 @@
 //! Writer and Multiple Writer", HPCA 1997*, printing the measured values
 //! next to the paper's published numbers where the scanned text is
 //! legible (see EXPERIMENTS.md for provenance notes). The `repro` binary
-//! wraps these; the Criterion benches in `benches/` time the same
-//! generators.
+//! wraps these.
 //!
 //! Absolute numbers are not expected to match the paper — the substrate
 //! is a calibrated simulator and the inputs are scaled — but the *shape*
@@ -20,22 +19,17 @@ use adsm_apps::{kernels, run_app, App, AppRun, Scale};
 use adsm_core::{ProtocolKind, SimTime};
 
 mod ablation;
-pub mod alloc_count;
 pub mod crash_matrix;
-pub mod hotpaths;
 pub mod scale;
 pub mod scenarios;
-pub mod throughput;
 
 pub use ablation::{
     ablation_diffing, ablation_gc, ablation_migratory, ablation_network, ablation_policies,
     ablation_quantum, ablation_wg, related, scaling, sensitivity,
 };
 pub use crash_matrix::{measure_crash_matrix, CrashCell, CrashReport, FaultShape};
-pub use hotpaths::{measure_hotpaths, HotpathReport};
 pub use scale::{measure_scale, ScaleReport};
 pub use scenarios::{measure_scenarios, ScenarioCell, ScenarioReport};
-pub use throughput::{measure_throughput, ThroughputReport};
 
 /// The four protocols in the paper's presentation order (Fig. 2).
 pub const PROTOCOLS: [ProtocolKind; 4] = ProtocolKind::EVALUATED;
@@ -580,6 +574,121 @@ mod tests {
         let t = traffic(&m, &[App::Is]);
         assert!(t.contains("IS:"));
         assert!(t.contains("lock-req"), "IS uses locks: {t}");
+    }
+
+    /// Every `"key":` an emitter writes, from a report with one row of
+    /// everything.
+    fn emitted_keys(json: &str) -> std::collections::BTreeSet<String> {
+        let mut parts = json.split('"');
+        let mut keys = std::collections::BTreeSet::new();
+        parts.next();
+        while let (Some(quoted), Some(after)) = (parts.next(), parts.next()) {
+            if after.starts_with(':') {
+                keys.insert(quoted.to_string());
+            }
+        }
+        keys
+    }
+
+    /// The backticked names in the first column of every table of one
+    /// `## <file>` section of `docs/BENCH_SCHEMA.md`.
+    fn documented_keys(file: &str) -> std::collections::BTreeSet<String> {
+        let doc = include_str!("../../../docs/BENCH_SCHEMA.md");
+        let section = doc
+            .split("\n## ")
+            .find(|s| s.starts_with(file))
+            .unwrap_or_else(|| panic!("docs/BENCH_SCHEMA.md has no section {file}"));
+        section
+            .lines()
+            .filter(|l| l.starts_with("| `"))
+            .flat_map(|l| l.split('|').nth(1).unwrap().split('`').skip(1).step_by(2))
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn bench_schema_lists_exactly_the_emitted_keys() {
+        use adsm_core::ExecBackend;
+        let point = |nprocs| scale::ScalePoint {
+            app: App::Sor,
+            backend: ExecBackend::Sim,
+            nprocs,
+            wall_ms: 1.0,
+            sim_events: 1,
+            arrivals: 1,
+            fanin_p50_ns: 1,
+            fanin_p90_ns: 1,
+            fanin_p99_ns: 1,
+            fanin_mean_ns: 1.0,
+        };
+        let scale_json = ScaleReport {
+            scale: Scale::Large,
+            proc_counts: vec![8, 256],
+            // Both ends of the sweep, so the optional 8 -> 256 key is there.
+            points: vec![point(8), point(256)],
+            aggregates: vec![scale::ScaleAggregate {
+                backend: ExecBackend::Sim,
+                nprocs: 8,
+                arrivals: 1,
+                fanin_p50_ns: 1,
+                fanin_p90_ns: 1,
+                fanin_p99_ns: 1,
+                fanin_mean_ns: 1.0,
+            }],
+            growth_limit: scale::GROWTH_LIMIT,
+        }
+        .to_json();
+        let scenarios_json = ScenarioReport {
+            nprocs: 4,
+            scale: Scale::Tiny,
+            protocol: ProtocolKind::Wfs,
+            cells: vec![ScenarioCell {
+                app: App::Sor,
+                scenario: "perfect".into(),
+                ok: true,
+                detail: String::new(),
+                time: SimTime::ZERO,
+                retransmissions: 0,
+                dropped_msgs: 0,
+                duplicate_msgs: 0,
+                timeout_waits: 0,
+                journal_events: 0,
+                replay_ok: true,
+                baseline_ok: true,
+            }],
+        }
+        .to_json();
+        let crash_json = CrashReport {
+            nprocs: 4,
+            scale: Scale::Tiny,
+            cells: vec![CrashCell {
+                app: App::Sor,
+                shape: FaultShape::CrashInstant.name(),
+                protocol: ProtocolKind::Wfs,
+                ok: true,
+                detail: String::new(),
+                replay_ok: true,
+                baseline_ok: true,
+                time: SimTime::ZERO,
+                recovery_ns: 0,
+                epoch_drops: 0,
+                proc_crashes: 0,
+                recovery_refetches: 0,
+                failover_promotions: 0,
+            }],
+        }
+        .to_json();
+        for (file, json) in [
+            ("BENCH_scale.json", scale_json),
+            ("BENCH_scenarios.json", scenarios_json),
+            ("BENCH_crash.json", crash_json),
+        ] {
+            assert_eq!(
+                emitted_keys(&json),
+                documented_keys(file),
+                "{file}: emitted keys (left) vs docs/BENCH_SCHEMA.md (right)"
+            );
+        }
     }
 
     #[test]

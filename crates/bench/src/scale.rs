@@ -1,5 +1,5 @@
 //! Processor-count scale sweep: the high-P regression bench behind
-//! `repro bench-throughput --scale large`.
+//! `repro bench-scale`.
 //!
 //! Runs the barrier-structured applications at 8 → 256 processors on
 //! both execution backends and records the **per-arrival barrier

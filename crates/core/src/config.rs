@@ -297,16 +297,16 @@ pub struct DsmConfig {
     pub adapt_policy: Option<AdaptPolicyKind>,
     /// Run the SC comparator's invariant checker after every fault
     /// (single writable copy, coherent read copies, exact copysets).
-    /// Initialised once from the `ADSM_SC_CHECK` environment variable —
-    /// the per-fault `env::var_os` lookup this replaces cost a syscall
-    /// per fault — and overridable through
+    /// Off by default (the sweep copies every page on every fault); set
+    /// through
     /// [`DsmBuilder::sc_invariant_checks`](crate::DsmBuilder::sc_invariant_checks).
     pub sc_check: bool,
     /// Measure host wall-clock costs of the protocol hot paths
     /// (`validate_page`, barrier fan-in) into the run report's
     /// [`NsHistogram`](crate::metrics::NsHistogram)s. Off by default:
     /// the timestamps cost ~50 ns per measured call, which `repro
-    /// bench-throughput` accepts and ordinary runs should not pay.
+    /// bench-scale` and `benchmark/` accept and ordinary runs should
+    /// not pay.
     pub measure_host_costs: bool,
     /// Execution backend: the deterministic simulator (default) or
     /// free-running OS threads. Mutually exclusive with
@@ -341,7 +341,7 @@ impl DsmConfig {
             schedule_fuzz: None,
             diff_strategy: DiffStrategy::default(),
             adapt_policy: None,
-            sc_check: std::env::var_os("ADSM_SC_CHECK").is_some(),
+            sc_check: false,
             measure_host_costs: false,
             backend: ExecBackend::default(),
             scenario: None,

@@ -300,33 +300,6 @@ impl<T: Pod> SharedVec<T> {
         let v = self.get(p, i);
         self.set(p, i, f(v));
     }
-
-    /// The pre-span-guard `read_into`: a per-call temporary byte buffer
-    /// filled through the checked byte path, then decoded element by
-    /// element. Kept (hidden) as the `bench-hotpaths` `span_access`
-    /// baseline the guard path is gated against; applications should
-    /// use [`read_into`](SharedVec::read_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    #[doc(hidden)]
-    pub fn legacy_read_into(&self, p: &mut Proc, start: usize, out: &mut [T]) {
-        assert!(
-            start + out.len() <= self.len,
-            "range [{start}, +{}) out of bounds (len {})",
-            out.len(),
-            self.len
-        );
-        if out.is_empty() {
-            return;
-        }
-        let mut bytes = vec![0u8; out.len() * T::SIZE];
-        p.read_bytes(self.addr(start), &mut bytes);
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = T::load_le(&bytes[i * T::SIZE..]);
-        }
-    }
 }
 
 /// A read-only, typed, zero-copy window over shared memory, returned by

@@ -69,21 +69,6 @@ pub struct ProtocolStats {
     /// `Arc`-backed store never copies, so this stays **zero**; the
     /// counter exists as the regression tripwire for that invariant.
     pub diff_fetch_clones: u64,
-    /// Pending write notices whose diff was absent from the writer's
-    /// store at validation time. A protocol invariant violation
-    /// (`debug_assert`ed in debug builds); release builds skip the
-    /// notice and count it here so fuzzed schedules fail diagnosably
-    /// instead of panicking mid-merge.
-    pub missing_diff_skips: u64,
-    /// Deep copies of interval write-notice lists made while shipping
-    /// notices (`integrate_from`). The shipping path is structurally
-    /// clone-free — records are read in place from the shared interval
-    /// log — so no code increments this today; like
-    /// [`diff_fetch_clones`](ProtocolStats::diff_fetch_clones) it is
-    /// the ledger any future fallback that must copy a write list is
-    /// required to count itself into, which is what the throughput
-    /// bench's `--check` gate and `allocation_free.rs` then catch.
-    pub notice_ship_clones: u64,
     /// Merge scratch sets allocated from the heap (`validate_page` pool
     /// misses). Flat after warm-up: steady-state merges draw their
     /// delta diff and working lists from the world's scratch pool.
@@ -143,7 +128,7 @@ pub struct ProtocolStats {
     /// Host wall-clock cost of `validate_page` calls (the paper's merge
     /// procedure). Only populated when
     /// [`measure_host_costs`](crate::DsmBuilder::measure_host_costs) is
-    /// on; drives the percentiles in `repro bench-throughput`.
+    /// on; `benchmark/` reports its percentiles (`core.validate_*`).
     pub validate_wall: NsHistogram,
     /// Host wall-clock cost of barrier completion (tree
     /// reconciliation, per-processor fan-down, adaptation mechanism 3,
@@ -153,7 +138,7 @@ pub struct ProtocolStats {
     /// combining-tree fan-in: its leaf contribution plus every
     /// pairwise combine the arrival enabled (at most one tree node per
     /// level, so samples grow O(log P) with the processor count — the
-    /// scaling gate of `repro bench-throughput --scale large`). One
+    /// scaling gate of `repro bench-scale`). One
     /// sample per arrival; gated like `validate_wall`.
     pub barrier_fanin_wall: NsHistogram,
 }

@@ -151,9 +151,7 @@ impl CloseVc {
 /// propagation ships slices of the log. The closing clock and the write
 /// list are **shared** (`Arc`), so shipping a record — the hot inner
 /// loop of every lock grant and barrier release — is a refcount bump,
-/// never a deep copy of the notice list
-/// ([`ProtocolStats::notice_ship_clones`](crate::ProtocolStats::notice_ship_clones)
-/// pins that at zero).
+/// never a deep copy of the notice list.
 #[derive(Clone, Debug)]
 pub struct IntervalRecord {
     /// Identity of the interval.

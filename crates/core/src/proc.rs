@@ -11,7 +11,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use adsm_engine::Task;
-use adsm_mempage::{FaultKind, PageFault, PagedMemory};
+use adsm_mempage::{FaultKind, PagedMemory};
 use adsm_netsim::SimTime;
 use adsm_vclock::ProcId;
 use parking_lot::{Mutex, MutexGuard};
@@ -32,8 +32,8 @@ pub struct Proc {
     /// the cluster is built. Raw included: its no-op synchronisation
     /// lives in `RawProtocol`, not in per-call-site checks here.
     pub(crate) proto: &'static dyn Protocol,
-    /// Per-access fast path only (`access_tick` skips the turn point
-    /// under the single-processor Raw baseline).
+    /// Per-access fast path only ([`SpanGuard::finish`] skips the turn
+    /// point under the single-processor Raw baseline).
     pub(crate) raw: bool,
     pub(crate) access_cost: SimTime,
     pub(crate) mem_per_byte_ns: u64,
@@ -133,56 +133,23 @@ impl Proc {
         }
     }
 
-    /// Checked read of `buf.len()` bytes at `addr`, faulting pages in as
-    /// needed. Successful accesses charge memory time and offer a turn
-    /// point, so other processors' protocol actions (ownership grants,
-    /// invalidations) can land *between* accesses, as on real hardware.
-    ///
-    /// This is the pre-span-guard per-call path, retained only as the
-    /// baseline under
-    /// [`SharedVec::legacy_read_into`](crate::SharedVec::legacy_read_into);
-    /// everything else runs on [`span_guard`](Proc::span_guard).
-    pub(crate) fn read_bytes(&mut self, addr: usize, buf: &mut [u8]) {
-        loop {
-            let fault: PageFault = {
-                let mem = self.mems[self.id.index()].lock();
-                match mem.try_read(addr, buf.len()) {
-                    Ok(bytes) => {
-                        buf.copy_from_slice(bytes);
-                        drop(mem);
-                        self.access_tick(buf.len());
-                        return;
-                    }
-                    Err(f) => f,
-                }
-            };
-            self.handle_fault(fault);
-        }
-    }
-
-    fn access_tick(&mut self, bytes: usize) {
-        self.task.advance(
-            self.access_cost
-                .max(SimTime::from_ns(self.mem_per_byte_ns * bytes as u64)),
-        );
-        if !self.raw {
-            self.task.yield_turn();
-        }
-    }
-
     /// Faults the byte span `[addr, addr+len)` in for `kind` accesses
-    /// and pins its rights: resolves page faults one at a time exactly
-    /// like the pre-span per-call byte paths (of which
-    /// [`read_bytes`](Proc::read_bytes) survives as the legacy bench
-    /// baseline) would, then returns with the
-    /// processor's memory mutex **held** — the backbone of the span-guard
-    /// views ([`SharedView`](crate::SharedView) /
+    /// and pins its rights: resolves page faults one at a time, then
+    /// returns with the processor's memory mutex **held** — the backbone
+    /// of the span-guard views ([`SharedView`](crate::SharedView) /
     /// [`SharedViewMut`](crate::SharedViewMut)).
     ///
-    /// While the guard is alive this task never yields, so no other
-    /// processor's protocol action can revoke the span's rights: one
-    /// rights check, one mutex acquisition and (at
-    /// [`SpanGuard::finish`]) one access tick cover the whole span.
+    /// The rights check and the span's accesses share one hold of that
+    /// mutex, and every protocol action that changes this processor's
+    /// rights or reads its frames takes the same mutex: one rights
+    /// check, one acquisition and (at [`SpanGuard::finish`]) one access
+    /// tick cover the whole span. That pins the rights *during* a span
+    /// and nothing more. On the threads backend a span needs no world
+    /// lock, so it can run between any two steps of another processor's
+    /// protocol action: an action that hands out a copy of this
+    /// processor's frame must revoke the write right **before** it
+    /// reads the bytes, inside one hold (`sc::revoke_then_copy`), or a
+    /// span that opens in between writes bytes no copy will ever carry.
     pub(crate) fn span_guard(&mut self, addr: usize, len: usize, kind: FaultKind) -> SpanGuard<'_> {
         let id = self.id;
         let proto = self.proto;
@@ -198,8 +165,8 @@ impl Proc {
         let world: &Mutex<World> = world;
         let mems: &[Mutex<PagedMemory>] = mems;
         let mem_mutex = &mems[id.index()];
+        let mut mem = mem_mutex.lock();
         loop {
-            let mem = mem_mutex.lock();
             let Some(fault) = mem.first_fault(addr, len, kind) else {
                 return SpanGuard {
                     mem: Some(mem),
@@ -210,9 +177,9 @@ impl Proc {
                 };
             };
             drop(mem);
-            // Same sequence as `handle_fault`: faults are protocol
-            // interactions, so a turn point comes first, then the
-            // protocol resolves the fault and the span check retries.
+            // Faults are protocol interactions, so a turn point comes
+            // first, then the protocol resolves the fault and the span
+            // check retries.
             task.yield_turn();
             let mut w = world.lock();
             let mut ctx = Ctx {
@@ -224,6 +191,12 @@ impl Proc {
                 FaultKind::Read => protocol::read_fault(&mut ctx, proto, id, fault.page),
                 FaultKind::Write => protocol::write_fault(&mut ctx, proto, id, fault.page),
             }
+            // The memory lock comes back before the world lock goes
+            // (world, then memory: the order every protocol action
+            // takes them in), so on threads no other processor's action
+            // can take the rights away again between the grant and the
+            // re-check.
+            mem = mem_mutex.lock();
         }
     }
 
@@ -280,21 +253,6 @@ impl Proc {
         LockGuard {
             proc: self,
             lock_id,
-        }
-    }
-
-    fn handle_fault(&mut self, fault: PageFault) {
-        // Faults are protocol interactions: turn point first.
-        self.task.yield_turn();
-        let mut w = self.world.lock();
-        let mut ctx = Ctx {
-            w: &mut w,
-            mems: &self.mems,
-            task: &mut self.task,
-        };
-        match fault.kind {
-            FaultKind::Read => protocol::read_fault(&mut ctx, self.proto, self.id, fault.page),
-            FaultKind::Write => protocol::write_fault(&mut ctx, self.proto, self.id, fault.page),
         }
     }
 

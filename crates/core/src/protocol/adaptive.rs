@@ -196,7 +196,14 @@ fn grant_ownership(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: PageId, c_req:
         // one of our own notices (local writes are in the local copy).
         let pc = &mut ctx.w.procs[p.index()].pages[pgidx];
         debug_assert!(pc.missing.iter().all(|n| n.interval.proc == p));
-        pc.missing.clear();
+        let own = std::mem::take(&mut pc.missing);
+        if !own.is_empty() {
+            ctx.w.procs[p.index()]
+                .applied
+                .entry(pgidx)
+                .or_default()
+                .extend(own);
+        }
     }
 
     // Transfer ownership, bump version.
@@ -338,8 +345,12 @@ fn install_merged_copy(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: PageId) {
 
     // Anything q's copy provably contains can be dropped; after the
     // server-side validation the copy reflects q's entire knowledge.
+    // What p had merged into the copy this one replaces is pending
+    // again unless q knows of it.
     let bound = ctx.w.procs[q.index()].vc.clone();
+    let merged = ctx.w.procs[pidx].applied.remove(&page.index());
     let pc = &mut ctx.w.procs[pidx].pages[page.index()];
+    pc.missing.extend(merged.into_iter().flatten());
     pc.missing.retain(|n| !bound.covers(n.interval));
     pc.has_copy = true;
     ctx.w.dir[page.index()].copyset[pidx] = true;
@@ -347,7 +358,7 @@ fn install_merged_copy(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: PageId) {
     // Apply whatever survives (concurrent diffs), with messages.
     let leftovers = !ctx.w.procs[pidx].pages[page.index()].missing.is_empty();
     if leftovers {
-        lrc::validate_page(ctx, p, page);
+        lrc::validate_page_after(ctx, p, page, true);
     } else {
         ctx.mems[pidx].lock().set_rights(page, AccessRights::Read);
     }

@@ -147,6 +147,8 @@ pub(crate) fn collect(ctx: &mut Ctx<'_>) {
             ctx.w.proto.twin_dropped(adsm_mempage::PAGE_SIZE);
         }
         ctx.w.procs[q].pending_bytes -= dropped * adsm_mempage::PAGE_SIZE as u64;
+        // The diffs are gone and every surviving copy contains them.
+        ctx.w.procs[q].applied.clear();
     }
 
     ctx.w.gc_requested = false;

@@ -416,9 +416,7 @@ pub(crate) fn materialize_pending(
 /// out of the shared [`IntervalLog`](crate::world::IntervalLog) — the
 /// `World` is split into disjoint field borrows so the log is never
 /// copied to satisfy the borrow checker. No write list, clock or batch
-/// is cloned per shipped interval
-/// ([`ProtocolStats::notice_ship_clones`](crate::ProtocolStats::notice_ship_clones)
-/// is the tripwire pinning deep copies at zero).
+/// is cloned per shipped interval.
 pub(crate) fn integrate_from(
     w: &mut World,
     mems: &[Mutex<PagedMemory>],
@@ -691,6 +689,9 @@ fn ship_record_to(
                 // in-place compaction, no index list.
                 pc.missing.retain(|n| !rec.vc.covers(n.interval));
                 pc.missing.push(PendingNotice { interval, kind });
+                if let Some(applied) = procs[p.index()].applied.get_mut(&pg_idx) {
+                    applied.retain(|n| !rec.vc.covers(n.interval));
+                }
             }
             NoticeKind::NonOwner => {
                 let pc = &mut procs[p.index()].pages[pg_idx];
@@ -799,8 +800,15 @@ fn apply_key(w: &World, id: IntervalId) -> (u64, usize, u32) {
 /// modifications. Leaves the page readable (writable if an open write
 /// session was preserved).
 pub(crate) fn validate_page(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
+    validate_page_after(ctx, p, page, false);
+}
+
+/// [`validate_page`], told whether the caller has just put a whole
+/// foreign page into `p`'s frame itself (`installed`): the merge then
+/// re-applies `p`'s own pending diffs too, as after its own installs.
+pub(crate) fn validate_page_after(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, installed: bool) {
     let t0 = ctx.w.cfg.measure_host_costs.then(std::time::Instant::now);
-    validate_page_inner(ctx, p, page);
+    validate_page_inner(ctx, p, page, installed);
     if let Some(t0) = t0 {
         ctx.w
             .proto
@@ -809,7 +817,7 @@ pub(crate) fn validate_page(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     }
 }
 
-fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
+fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled: bool) {
     let cost_model = ctx.w.cfg.cost.clone();
     let pidx = p.index();
     let pgidx = page.index();
@@ -866,7 +874,7 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         .copied();
 
     let mut base_vc: Option<CloseVc> = None;
-    let mut installed = false;
+    let mut installed = preinstalled;
     if let Some(on) = owner_pending {
         let q = on.interval.proc;
         fetch_page_from(ctx, p, q, page);
@@ -877,6 +885,15 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         if source != p {
             fetch_page_from(ctx, p, source, page);
             installed = true;
+        }
+    }
+
+    // The copy the earlier merges went into is gone: whatever they
+    // applied that the new copy does not provably contain (step 2) is
+    // merged again.
+    if installed {
+        if let Some(applied) = ctx.w.procs[pidx].applied.remove(&pgidx) {
+            scratch.notices.extend(applied);
         }
     }
 
@@ -931,29 +948,25 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         while ni < scratch.notices.len() && scratch.notices[ni].interval.proc == q {
             let n = scratch.notices[ni];
             ni += 1;
-            match ctx.w.dir.diff(q, page, n.interval) {
-                Some(diff) => {
-                    let diff = Arc::clone(diff);
-                    ctx.w.proto.diffs_fetched += 1;
-                    reply_bytes += diff.wire_size();
-                    scratch.to_apply.push(KeyedDiff {
-                        key: apply_key(ctx.w, n.interval),
-                        interval: n.interval,
-                        diff,
-                    });
-                }
-                None => {
-                    // Every surviving pending notice must have a stored
-                    // diff at its writer — a violated protocol
-                    // invariant, not a user error. Debug builds stop
-                    // here; release builds skip the notice and count
-                    // it, so fuzzed schedules fail diagnosably (the
-                    // counter reaches the run report) instead of
-                    // panicking mid-merge.
-                    debug_assert!(false, "missing diff for {page} {} at {q}", n.interval);
-                    ctx.w.proto.missing_diff_skips += 1;
-                }
-            }
+            // Every surviving pending notice has a stored diff at its
+            // writer. Skipping one would leave the page silently stale,
+            // so a violation fails the run (`RunError::AppPanic`), in
+            // every build.
+            let Some(diff) = ctx.w.dir.diff(q, page, n.interval) else {
+                panic!(
+                    "protocol invariant violated: {p} validating {page} found no diff \
+                     for interval {} at its writer {q}",
+                    n.interval
+                );
+            };
+            let diff = Arc::clone(diff);
+            ctx.w.proto.diffs_fetched += 1;
+            reply_bytes += diff.wire_size();
+            scratch.to_apply.push(KeyedDiff {
+                key: apply_key(ctx.w, n.interval),
+                interval: n.interval,
+                diff,
+            });
         }
         if q != p {
             let send_at = ctx.now();
@@ -1053,7 +1066,21 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     }
     ctx.charge(apply_cost);
 
-    let pc = &mut ctx.w.procs[pidx].pages[pgidx];
+    let track_applied = ctx.w.policy.adapts();
+    let ProcCtl { pages, applied, .. } = &mut ctx.w.procs[pidx];
+    let pc = &mut pages[pgidx];
+    if track_applied {
+        // Own closed diffs that were not re-applied (no install): the
+        // local copy has had them all along.
+        let own = pc
+            .missing
+            .iter()
+            .filter(|n| !installed && n.interval.proc == p);
+        let mut merged = own.chain(&scratch.notices).peekable();
+        if merged.peek().is_some() {
+            applied.entry(pgidx).or_default().extend(merged);
+        }
+    }
     pc.missing.clear();
     pc.has_copy = true;
     ctx.w.dir[pgidx].copyset[pidx] = true;

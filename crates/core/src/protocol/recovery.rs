@@ -129,6 +129,7 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
         ProtocolKind::Mw | ProtocolKind::Hlrc => PageMode::Mw,
         _ => PageMode::Sw,
     };
+    ctx.w.procs[pidx].applied.clear();
     for pg in 0..npages {
         let page = PageId::new(pg);
         ctx.mems[pidx].lock().set_rights(page, AccessRights::None);

@@ -27,7 +27,7 @@
 //! LRC tolerates silently — ping-pongs pages here, and every write miss
 //! pays an invalidation round.
 
-use adsm_mempage::{AccessRights, PageId, PAGE_SIZE};
+use adsm_mempage::{AccessRights, PageBuf, PageId, PAGE_SIZE};
 use adsm_netsim::{MsgKind, SimTime};
 use adsm_vclock::ProcId;
 
@@ -75,18 +75,12 @@ pub(crate) fn read_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     // triggers the invalidation round. Its retained copy joins the
     // copyset — every readable copy must be tracked, or a later writer's
     // invalidation round would miss it and leave it stale.
-    let bytes = ctx
-        .w
-        .pool
-        .get_copy(ctx.mems[owner.index()].lock().page(page));
+    let bytes = revoke_then_copy(ctx, owner, page, AccessRights::Read);
     {
         let mut mem = ctx.mems[p.index()].lock();
         mem.install_page(page, &bytes);
         mem.set_rights(page, AccessRights::Read);
     }
-    ctx.mems[owner.index()]
-        .lock()
-        .set_rights(page, AccessRights::Read);
     finish_copy(ctx, owner, page);
     ctx.w.proto.pages_transferred += 1;
     finish_copy(ctx, p, page);
@@ -133,10 +127,7 @@ pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         ctx.interrupt(owner);
 
         if needs_page {
-            let bytes = ctx
-                .w
-                .pool
-                .get_copy(ctx.mems[owner.index()].lock().page(page));
+            let bytes = revoke_then_copy(ctx, owner, page, AccessRights::None);
             ctx.mems[p.index()].lock().install_page(page, &bytes);
             ctx.w.proto.pages_transferred += 1;
         }
@@ -192,16 +183,33 @@ fn invalidate_copies(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     }
 }
 
+/// Downgrades `owner`'s copy of `page` to `rights` and only then copies
+/// its frame, in one hold of the owner's memory lock. The order is the
+/// protocol's: on the threads backend the owner opens a write span with
+/// nothing but its own memory lock, so a copy taken while it could still
+/// write would miss whatever it wrote before the downgrade landed.
+fn revoke_then_copy(
+    ctx: &mut Ctx<'_>,
+    owner: ProcId,
+    page: PageId,
+    rights: AccessRights,
+) -> PageBuf {
+    let mut mem = ctx.mems[owner.index()].lock();
+    mem.set_rights(page, rights);
+    ctx.w.pool.get_copy(mem.page(page))
+}
+
 fn finish_copy(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     let pc = &mut ctx.w.procs[p.index()].pages[page.index()];
     pc.has_copy = true;
     ctx.w.dir[page.index()].copyset[p.index()] = true;
 }
 
-/// SC coherence invariants, checked after every fault when the
-/// `ADSM_SC_CHECK` environment variable is set (test/debug facility): a
-/// single writable copy per page; every readable copy byte-identical to
-/// the owner's frame; every readable copy tracked in the copyset.
+/// SC coherence invariants, checked after every fault under
+/// [`DsmBuilder::sc_invariant_checks`](crate::DsmBuilder::sc_invariant_checks)
+/// (test/debug facility): a single writable copy per page; every
+/// readable copy byte-identical to the owner's frame; every readable
+/// copy tracked in the copyset.
 ///
 /// # Panics
 ///
@@ -227,6 +235,11 @@ pub(crate) fn check_invariants(ctx: &Ctx<'_>, label: &str) {
                     ctx.w.dir[pg].copyset[q],
                     "{label}: page {pg} readable at p{q} but not in copyset"
                 );
+                // The owner is not compared with itself: on threads a
+                // writable owner may be mid-span between the two reads.
+                if q == owner.index() {
+                    continue;
+                }
                 let bytes = ctx.mems[q].lock().page(page).to_vec();
                 assert_eq!(
                     bytes,

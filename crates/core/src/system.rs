@@ -228,9 +228,8 @@ impl DsmBuilder {
     }
 
     /// Enables the SC comparator's per-fault invariant checker (single
-    /// writable copy, coherent read copies, exact copysets). Defaults
-    /// to the `ADSM_SC_CHECK` environment variable, read once at
-    /// configuration time; other protocols ignore the flag.
+    /// writable copy, coherent read copies, exact copysets). Off by
+    /// default; other protocols ignore the flag.
     pub fn sc_invariant_checks(mut self, on: bool) -> Self {
         self.cfg.sc_check = on;
         self
@@ -252,7 +251,7 @@ impl DsmBuilder {
     /// (`validate_page`, barrier fan-in) into the run report's
     /// histograms ([`validate_wall`](crate::ProtocolStats::validate_wall)
     /// and [`barrier_wall`](crate::ProtocolStats::barrier_wall)). Off by
-    /// default; `repro bench-throughput` turns it on.
+    /// default; `repro bench-scale` and `benchmark/` turn it on.
     pub fn measure_host_costs(mut self, on: bool) -> Self {
         self.cfg.measure_host_costs = on;
         self

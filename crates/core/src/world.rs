@@ -390,8 +390,7 @@ impl std::ops::IndexMut<usize> for Directory {
 /// shared handles.** A record's closing clock and write list are `Arc`s
 /// ([`IntervalRecord`]), so `integrate_from` — which used to deep-clone
 /// every shipped interval's write list on every notice ship — now pays
-/// a refcount bump per record at most
-/// ([`ProtocolStats::notice_ship_clones`] pins deep copies at zero).
+/// a refcount bump per record at most.
 /// Garbage collection prunes write lists in place by swapping in one
 /// shared empty slice.
 #[derive(Debug, Default)]
@@ -841,6 +840,16 @@ pub(crate) struct ProcCtl {
     pub dirty: Vec<PageId>,
     /// Per-page state.
     pub pages: Vec<PageCtl>,
+    /// By page index: the diff notices (own and foreign) whose
+    /// modifications are in the local copy and that no whole page
+    /// installed here is known to contain. A later whole-page install —
+    /// an owner notice's page, a copy that rides on a grant or a refusal
+    /// — comes from a processor that may never have heard of them, so
+    /// they rejoin the merge then. Pruned by the same domination tests
+    /// as [`PageCtl::missing`], emptied with the diffs at garbage
+    /// collection. Only the adaptive protocols mix whole pages with
+    /// diffs, so only they fill it, and only for pages that merged one.
+    pub applied: BTreeMap<usize, Vec<PendingNotice>>,
     /// Bytes of retained (pending) twins under lazy diffing; counted
     /// toward the garbage-collection trigger alongside the directory's
     /// per-creator stored-diff bytes ([`Directory::diff_bytes`]).
@@ -945,6 +954,7 @@ impl World {
                             ..PageCtl::default()
                         })
                         .collect(),
+                    applied: BTreeMap::new(),
                     pending_bytes: 0,
                 })
                 .collect(),

@@ -1,5 +1,6 @@
-//! SC comparator invariants, checked after every fault via the
-//! `ADSM_SC_CHECK` hook: at most one writable copy per page, readable
+//! SC comparator invariants, checked after every fault via
+//! `DsmBuilder::sc_invariant_checks`: at most one writable copy per
+//! page, readable
 //! copies byte-identical to the owner's frame, and complete copyset
 //! tracking. The IS-like workload below (skewed compute, uneven bands,
 //! three processors) is the exact schedule that exposed an untracked
@@ -7,18 +8,14 @@
 
 use adsm_core::{Dsm, ProtocolKind, SharedVec, SimTime};
 
-fn enable_checks() {
-    // Safe here: set before any simulated processors are spawned, and
-    // this integration binary owns its process.
-    std::env::set_var("ADSM_SC_CHECK", "1");
-}
-
 #[test]
 fn locked_rmw_with_skewed_compute_upholds_invariants() {
-    enable_checks();
     let nb = 1024usize;
     let nprocs = 3;
-    let mut dsm = Dsm::builder(ProtocolKind::Sc).nprocs(nprocs).build();
+    let mut dsm = Dsm::builder(ProtocolKind::Sc)
+        .nprocs(nprocs)
+        .sc_invariant_checks(true)
+        .build();
     let buckets: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(nb);
     let checksum: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(1);
     let probe = buckets;
@@ -55,11 +52,13 @@ fn locked_rmw_with_skewed_compute_upholds_invariants() {
 
 #[test]
 fn served_owner_copies_join_the_copyset() {
-    enable_checks();
     // A reader pulling a page from an owner that never accessed it gives
     // the owner a tracked readable copy; the next writer must invalidate
     // it (this is the precise shape of the regression).
-    let mut dsm = Dsm::builder(ProtocolKind::Sc).nprocs(3).build();
+    let mut dsm = Dsm::builder(ProtocolKind::Sc)
+        .nprocs(3)
+        .sc_invariant_checks(true)
+        .build();
     let data = dsm.alloc_page_aligned::<u64>(512);
     let probe = data;
     let out = dsm

@@ -285,3 +285,127 @@ fn fixed_program_is_schedule_independent_across_seeds() {
         }
     }
 }
+
+/// SC on real threads: a copy of a page may leave its owner only after
+/// the owner's write right is gone. Two processors each increment
+/// their own word of one page, so the page ping-pongs between them and
+/// nearly every access faults; an owner that can still write between
+/// "copy my frame" and "downgrade me" has that increment overwritten
+/// when the stale copy comes back as the next owner's page.
+///
+/// Measured on a 2-core host, unoptimised: with the copy taken before
+/// the revoke (`sc.rs` before PR 16) this failed 20 of 20 runs, each
+/// within its first few hundred increments, at the fault ("stale
+/// readable copy", from the invariant sweep); with revoke-then-copy,
+/// 0 of 200.
+#[test]
+fn sc_on_threads_loses_no_write_between_copy_and_revoke() {
+    const INCREMENTS: u64 = 2_000;
+    let mut dsm = Dsm::builder(ProtocolKind::Sc)
+        .nprocs(2)
+        .backend(adsm::ExecBackend::Threads)
+        .sc_invariant_checks(true)
+        .build();
+    let words = dsm.alloc_page_aligned::<u64>(2);
+    let outcome = dsm
+        .run(move |p| {
+            let mine = p.index();
+            for _ in 0..INCREMENTS {
+                words.update(p, mine, |v| v + 1);
+            }
+            p.barrier();
+        })
+        .unwrap_or_else(|err| panic!("SC/threads: {err}"));
+    assert_eq!(
+        outcome.read_vec(&words),
+        vec![INCREMENTS; 2],
+        "an increment was lost to a stale page copy"
+    );
+}
+
+/// Water's force-deposit pattern with integers, so a lost write is an
+/// exact mismatch: 96 records of 85 words, banded over 8 processors
+/// (12 records = 8 160 bytes, so every band boundary falls inside a
+/// page); each step every processor stores a value in its own slot of
+/// other bands' records under the band owner's lock, and after a
+/// barrier each owner checks and clears the slots of its records.
+/// Returns the number of slots that did not hold what was deposited.
+fn deposit_and_reduce(builder: adsm::DsmBuilder) -> usize {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    const RECORD: usize = 85;
+    const SLOT: usize = 9;
+    const RECORDS: usize = 96;
+    const PROCS: usize = 8;
+    const STEPS: usize = 2;
+    let band = |k: usize| (k * RECORDS / PROCS, (k + 1) * RECORDS / PROCS);
+    let deposits = |step: usize, p: usize, i: usize| !(step * 7 + p * 13 + i * 5).is_multiple_of(3);
+    let value =
+        |step: usize, p: usize, i: usize| ((step as u64 + 1) << 32) | ((p as u64) << 16) | i as u64;
+
+    let mut dsm = builder.nprocs(PROCS).build();
+    let records = dsm.alloc_page_aligned::<u64>(RECORDS * RECORD);
+    let wrong = Arc::new(AtomicUsize::new(0));
+    let seen_wrong = wrong.clone();
+    dsm.run(move |p| {
+        let me = p.index();
+        for step in 0..STEPS {
+            for owner in 0..PROCS {
+                let (lo, hi) = band(owner);
+                p.critical(100 + owner as u64, |p| {
+                    for i in (lo..hi).filter(|&i| deposits(step, me, i)) {
+                        records.write_from(p, i * RECORD + SLOT + 3 * me, &[value(step, me, i); 3]);
+                    }
+                });
+            }
+            p.barrier();
+            let (lo, hi) = band(me);
+            for i in lo..hi {
+                let mut rec = records.read_range(p, i * RECORD, i * RECORD + SLOT + 3 * PROCS);
+                for c in 0..PROCS {
+                    let want = if deposits(step, c, i) {
+                        value(step, c, i)
+                    } else {
+                        0
+                    };
+                    let slot = &mut rec[SLOT + 3 * c..SLOT + 3 * c + 3];
+                    let bad = slot.iter().filter(|&&v| v != want).count();
+                    seen_wrong.fetch_add(bad, Ordering::Relaxed);
+                    slot.fill(0);
+                }
+                records.write_from(p, i * RECORD, &rec);
+            }
+            p.barrier();
+        }
+    })
+    .expect("run completes");
+    wrong.load(Ordering::Relaxed)
+}
+
+/// WFS: a diff that was merged into a copy must survive the copy's
+/// replacement. P merges writer W's diff into its copy of a falsely
+/// shared page, then hears an owner notice from an owner that never
+/// heard of W's interval and installs that owner's whole page over its
+/// copy; W's diff is concurrent with the owner's interval, so the merge
+/// has to apply it again, and it can only do that if P still remembers
+/// it (`ProcCtl::applied`). This is what failed Water × WFS on the
+/// threads backend in 4–16 % of runs (errors up to 2e-4 in the final
+/// positions: a lost force contribution); it is a schedule, not a
+/// threads race, and the simulator reaches it from these seeds (8 of
+/// 80 000 swept did; before PR 16 these two lose 24 and 12 slots).
+#[test]
+fn wfs_reapplies_merged_diffs_after_a_whole_page_install() {
+    for seed in [964u64, 20176] {
+        let lost = deposit_and_reduce(Dsm::builder(ProtocolKind::Wfs).schedule_fuzz(seed));
+        assert_eq!(lost, 0, "fuzz seed {seed}: deposits lost");
+    }
+}
+
+/// The same program on real threads, every protocol that merges diffs
+/// or moves ownership.
+#[test]
+fn deposits_survive_on_threads() {
+    for protocol in ALL_PROTOCOLS {
+        let builder = Dsm::builder(protocol).backend(adsm::ExecBackend::Threads);
+        assert_eq!(deposit_and_reduce(builder), 0, "{protocol}: deposits lost");
+    }
+}
