@@ -29,6 +29,8 @@
 //! assert!(run.outcome.report.time > adsm_core::SimTime::ZERO);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod barnes;
 pub mod fft3d;
 pub mod ilink;

@@ -12,6 +12,8 @@
 //! (which protocol wins, by roughly what factor, where the crossovers
 //! fall) is asserted by [`fig2_shape_checks`].
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 

@@ -3,13 +3,12 @@
 //!
 //! Runs the barrier-structured applications at 8 → 256 processors on
 //! both execution backends and records the **per-arrival barrier
-//! fan-in cost** — the leaf contribution plus pairwise combines of the
-//! O(log P) combining tree, sampled by
-//! `ProtocolStats::barrier_fanin_wall`. The `--check` gate pins the
-//! growth sub-linear: the 64-processor p50 must stay under
-//! [`GROWTH_LIMIT`] × the 8-processor p50 (an 8× processor step costs
-//! log₂ 64 / log₂ 8 = 2× under the tree; a reversion to the flat
-//! per-arrival scan costs ≈8×). Emitted as `BENCH_scale.json`.
+//! fan-in cost** sampled by `ProtocolStats::barrier_fanin_wall`. An
+//! arrival only records itself (integration is the last arriver's
+//! completion), so the figure should not move with the processor
+//! count; the `--check` gate fails when the 64-processor p50 reaches
+//! [`GROWTH_LIMIT`] × the 8-processor p50, which is what per-arrival
+//! O(P) work coming back would do (≈8×). Emitted as `BENCH_scale.json`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -24,10 +23,10 @@ pub const SCALE_PROCS: [usize; 4] = [8, 64, 128, 256];
 /// growth gate.
 pub const SCALE_PROCS_SMOKE: [usize; 2] = [8, 64];
 /// The growth gate: p50 fan-in at 64 procs must stay under this factor
-/// of the 8-proc p50.
+/// of the 8-proc p50 (measured ≈ 0.8×; O(P) work per arrival reads ≈ 8×).
 pub const GROWTH_LIMIT: f64 = 4.0;
 /// The sweep's protocol: MW is the diff- and barrier-heavy extreme,
-/// the one the sharded directory and tree fan-in exist for.
+/// the one the sharded directory exists for.
 pub const SCALE_PROTOCOL: ProtocolKind = ProtocolKind::Mw;
 
 /// One `(app, backend, nprocs)` cell of the sweep.
@@ -424,9 +423,9 @@ mod tests {
             aggregates: vec![mk(8, 1000), mk(64, 7900)],
             growth_limit: GROWTH_LIMIT,
         };
-        // 7.9x growth (the flat fan-in's shape) must fail the 4x gate…
+        // 7.9x growth (O(P) work per arrival) must fail the 4x gate…
         assert!(!r.failures().is_empty());
-        // …while 2x (the tree's shape) passes.
+        // …while 2x passes.
         r.aggregates[1].fanin_p50_ns = 2000;
         assert!(r.failures().is_empty());
     }

@@ -265,17 +265,6 @@ pub struct DsmConfig {
     /// Home assignment for the home-based LRC comparator
     /// ([`ProtocolKind::Hlrc`]); ignored by every other protocol.
     pub home_policy: HomePolicy,
-    /// HLRC comparator: defer the interval-close diff encode until the
-    /// home's copy is actually demanded (a fetch from the home, a
-    /// write notice reaching the home, or the end-of-run image
-    /// assembly). Consecutive closes of the same page coalesce into
-    /// one encode; the
-    /// [`lazy_flush_hits`](crate::ProtocolStats::lazy_flush_hits) /
-    /// [`lazy_flush_encodes`](crate::ProtocolStats::lazy_flush_encodes)
-    /// counter pair measures the saving. Off by default (the eager
-    /// encoding is the committed baseline); ignored by every protocol
-    /// but [`ProtocolKind::Hlrc`].
-    pub hlrc_lazy_flush: bool,
     /// HLRC comparator: replicate every home on a backup processor
     /// (`(home + 1) % nprocs`). Each diff flush is also shipped to and
     /// applied at the backup, so a `HomeFailover` fault can promote the
@@ -336,7 +325,6 @@ impl DsmConfig {
             npages: 0,
             migratory_opt: false,
             home_policy: HomePolicy::default(),
-            hlrc_lazy_flush: false,
             hlrc_backup: false,
             schedule_fuzz: None,
             diff_strategy: DiffStrategy::default(),

@@ -63,6 +63,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod config;
 mod memio;

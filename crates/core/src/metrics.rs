@@ -65,10 +65,6 @@ pub struct ProtocolStats {
     /// Diffs handed to the merge procedure by the per-page diff store
     /// (every one a shared `Arc` handle).
     pub diffs_fetched: u64,
-    /// Deep `Diff` copies made on the validation fetch path. The
-    /// `Arc`-backed store never copies, so this stays **zero**; the
-    /// counter exists as the regression tripwire for that invariant.
-    pub diff_fetch_clones: u64,
     /// Merge scratch sets allocated from the heap (`validate_page` pool
     /// misses). Flat after warm-up: steady-state merges draw their
     /// delta diff and working lists from the world's scratch pool.
@@ -91,20 +87,6 @@ pub struct ProtocolStats {
     /// number, so the close allocates no clock at all. Closes that do
     /// see a changed base pay one fresh `Arc<VectorClock>` clone.
     pub close_vc_shares: u64,
-    /// HLRC lazy flush
-    /// ([`DsmConfig::hlrc_lazy_flush`](crate::DsmConfig::hlrc_lazy_flush)):
-    /// interval closes that *deferred* their diff encode (the twin was
-    /// parked as the flush base instead of being encoded and shipped to
-    /// the home).
-    pub lazy_flush_hits: u64,
-    /// HLRC lazy flush: deferred encodes actually performed later,
-    /// when the home's copy was demanded (a fetch from the home, a
-    /// write notice reaching the home, or the end-of-run image
-    /// assembly). `lazy_flush_hits - lazy_flush_encodes` intervals
-    /// were coalesced into a neighbouring flush and never paid an
-    /// encode of their own; with no reader demand at all this stays at
-    /// **zero** (asserted in `allocation_free.rs`).
-    pub lazy_flush_encodes: u64,
     /// Message copies discarded by the Hermes-style epoch fence: the
     /// destination's incarnation was dead (crashed, not yet restarted)
     /// when the copy arrived. Mirrors the delivery layer's
@@ -130,16 +112,16 @@ pub struct ProtocolStats {
     /// [`measure_host_costs`](crate::DsmBuilder::measure_host_costs) is
     /// on; `benchmark/` reports its percentiles (`core.validate_*`).
     pub validate_wall: NsHistogram,
-    /// Host wall-clock cost of barrier completion (tree
-    /// reconciliation, per-processor fan-down, adaptation mechanism 3,
-    /// GC). Gated like `validate_wall`.
+    /// Host wall-clock cost of barrier completion (global clock,
+    /// per-processor fan-down, adaptation mechanism 3, GC, release
+    /// broadcast). One sample per episode; gated like `validate_wall`.
     pub barrier_wall: NsHistogram,
     /// Host wall-clock cost of one barrier **arrival**'s share of the
-    /// combining-tree fan-in: its leaf contribution plus every
-    /// pairwise combine the arrival enabled (at most one tree node per
-    /// level, so samples grow O(log P) with the processor count — the
-    /// scaling gate of `repro bench-scale`). One
-    /// sample per arrival; gated like `validate_wall`.
+    /// fan-in, which is recording itself: all integration work is the
+    /// completion's ([`barrier_wall`](Self::barrier_wall)), so samples
+    /// must not grow with the processor count — the scaling gate of
+    /// `repro bench-scale`. One sample per arrival; gated like
+    /// `validate_wall`.
     pub barrier_fanin_wall: NsHistogram,
 }
 

@@ -80,14 +80,6 @@ pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
 /// write session survives the install: its uncommitted delta is
 /// re-applied on top and the fetched copy becomes the new twin.
 pub(crate) fn fetch_from_home(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
-    // Lazy flushing defers interval-close encodes until the home's
-    // copy is demanded — and this fetch is that demand. Forcing covers
-    // every writer's parked base, including the faulter's own (whose
-    // base would otherwise go stale against the freshly installed
-    // copy).
-    if ctx.w.cfg.hlrc_lazy_flush {
-        force_flush_page(ctx.w, ctx.mems, page, ctx.now());
-    }
     let pidx = p.index();
     let pgidx = page.index();
     let home = ctx.w.home_of(page, p);
@@ -236,62 +228,4 @@ pub(crate) fn flush_diff_to_home(
         diff.apply(twin);
     }
     send + backup_send
-}
-
-/// Lazy flushing: encodes and ships every *deferred* diff of `page` to
-/// its home — one coalesced diff per writer, against the base image
-/// parked at the writer's first deferred close. Called when the home's
-/// copy is actually demanded: a fetch from the home, a write notice
-/// reaching the home, or the end-of-run image assembly. No engine
-/// handle exists on any of these paths, so the writer-side encode and
-/// send travel the deferred-cost queue like the home-side apply.
-pub(crate) fn force_flush_page(
-    w: &mut crate::world::World,
-    mems: &[parking_lot::Mutex<adsm_mempage::PagedMemory>],
-    page: PageId,
-    now: adsm_netsim::SimTime,
-) {
-    for q in 0..w.nprocs() {
-        let Some(base) = w.procs[q].pages[page.index()].flush_pending.take() else {
-            continue;
-        };
-        // The committed state to diff against is the open session's
-        // twin when one exists (the current frame then carries the
-        // *next* interval's uncommitted writes), else the frame.
-        let diff = match &w.procs[q].pages[page.index()].twin {
-            Some(twin) => Diff::encode(&base, twin),
-            None => {
-                let mem = mems[q].lock();
-                Diff::encode(&base, mem.page(page))
-            }
-        };
-        drop(base);
-        w.proto.twin_dropped(PAGE_SIZE);
-        w.proto.lazy_flush_encodes += 1;
-        let modified = diff.modified_bytes();
-        w.profiler.note_grain(modified);
-        w.dir[page.index()].last_diff_bytes = modified;
-        let writer = ProcId::new(q);
-        let send = flush_diff_to_home(w, mems, writer, page, &diff, now);
-        let encode = w.cfg.cost.diff_create(modified);
-        w.deferred_costs.push((q, encode + send));
-    }
-}
-
-/// Forces every deferred flush in the cluster — the end-of-run path
-/// that makes the homes' frames authoritative before the final image
-/// is assembled. A no-op without parked bases (eager flushing).
-pub(crate) fn force_all(
-    w: &mut crate::world::World,
-    mems: &[parking_lot::Mutex<adsm_mempage::PagedMemory>],
-    now: adsm_netsim::SimTime,
-) {
-    for pg in 0..w.cfg.npages {
-        if w.procs
-            .iter()
-            .any(|pc| pc.pages[pg].flush_pending.is_some())
-        {
-            force_flush_page(w, mems, PageId::new(pg), now);
-        }
-    }
 }

@@ -113,7 +113,6 @@ pub(crate) fn close_interval(
         return SimTime::ZERO;
     }
     let mut cost = SimTime::ZERO;
-    let nprocs = w.nprocs();
     let mut dirty = std::mem::take(&mut w.procs[p.index()].dirty);
     dirty.sort_unstable();
     dirty.dedup();
@@ -171,39 +170,17 @@ pub(crate) fn close_interval(
                 mems[p.index()].lock().set_rights(page, rights);
                 w.procs[p.index()].pages[page.index()].dirty = false;
                 if let Some(twin) = twin {
-                    if w.cfg.hlrc_lazy_flush {
-                        // Lazy flush: defer the encode by parking the
-                        // twin as the page's flush base. A base parked
-                        // by an earlier interval subsumes this one —
-                        // the diff against the *older* image covers
-                        // every interval closed since — so later twins
-                        // are discarded and consecutive closes coalesce
-                        // into one eventual encode
-                        // (`hlrc::force_flush_page`).
-                        w.proto.lazy_flush_hits += 1;
-                        let pc = &mut w.procs[p.index()].pages[page.index()];
-                        if pc.flush_pending.is_none() {
-                            // The parked twin stays in the memory
-                            // accounting: retention between close and
-                            // forced encode *is* the deferral's cost,
-                            // exactly like lazy diffing's.
-                            pc.flush_pending = Some(twin);
-                        } else {
-                            w.proto.twin_dropped(PAGE_SIZE);
-                        }
-                    } else {
-                        let diff = {
-                            let mem = mems[p.index()].lock();
-                            encode_dirty_window(&mem, &twin, page)
-                        };
-                        w.proto.twin_dropped(PAGE_SIZE);
-                        let modified = diff.modified_bytes();
-                        cost += w.cfg.cost.diff_create(modified);
-                        cost += super::hlrc::flush_diff_to_home(w, mems, p, page, &diff, now);
-                        w.profiler.note_grain(modified);
-                        trace_diff = true;
-                        w.dir[page.index()].last_diff_bytes = modified;
-                    }
+                    let diff = {
+                        let mem = mems[p.index()].lock();
+                        encode_dirty_window(&mem, &twin, page)
+                    };
+                    w.proto.twin_dropped(PAGE_SIZE);
+                    let modified = diff.modified_bytes();
+                    cost += w.cfg.cost.diff_create(modified);
+                    cost += super::hlrc::flush_diff_to_home(w, mems, p, page, &diff, now);
+                    w.profiler.note_grain(modified);
+                    trace_diff = true;
+                    w.dir[page.index()].last_diff_bytes = modified;
                 }
                 writes.push(WriteNotice {
                     page,
@@ -265,16 +242,6 @@ pub(crate) fn close_interval(
                 w.procs[p.index()].pages[page.index()].dirty = false;
 
                 let modified = diff.modified_bytes();
-                if super::trace_word::watched().is_some() {
-                    let mut probe = twin.clone();
-                    diff.apply(&mut probe);
-                    super::trace_word::log_change(
-                        &format!("diff-create {p} {id}"),
-                        page,
-                        &twin,
-                        &probe,
-                    );
-                }
                 cost += w.cfg.cost.diff_create(modified);
                 w.proto.diff_created(diff.wire_size());
                 w.dir.insert_diff(p, page, id, diff);
@@ -364,7 +331,6 @@ pub(crate) fn close_interval(
     if w.dir.diff_bytes(p) > w.cfg.cost.gc_threshold_bytes as u64 {
         w.gc_requested = true;
     }
-    let _ = nprocs;
     cost
 }
 
@@ -411,6 +377,11 @@ pub(crate) fn materialize_pending(
 /// pages, maintains HVN / page-mode state (on-the-fly notice GC and
 /// detection mechanism 2 of §3.1.2), and merges the vector clocks.
 /// Returns the payload size of the shipped notices.
+///
+/// The one delivery rule — *p receives `(vc_p[q], src_vc[q]]` of every
+/// writer q, in order* — behind all three ships: a lock grant bounds it
+/// by the grantor's clock, a barrier release and a crash recovery by
+/// the log's own horizon.
 ///
 /// This is the notice-shipping hot path: the records are read straight
 /// out of the shared [`IntervalLog`](crate::world::IntervalLog) — the
@@ -477,169 +448,9 @@ pub(crate) fn integrate_from(
     bytes
 }
 
-/// The flat batched barrier fan-in's per-processor integration: applies
-/// to `p` every record of the barrier's notice frontier that `p` has
-/// not covered, in the same (writer, seq) order the pair-wise
-/// [`integrate_from`] would walk, and merges the global clock. Returns
-/// the payload size of the records shipped to `p` (its
-/// release-broadcast payload).
-///
-/// Retained as the **oracle** for the combining-tree fan-down
-/// ([`integrate_frontier_slices`]): the tree≡flat equivalence tests
-/// pin the slice walk's record sequences and shipped bytes to this
-/// coverage filter over random interval logs.
-#[allow(dead_code)]
-pub(crate) fn integrate_frontier(
-    w: &mut World,
-    mems: &[Mutex<PagedMemory>],
-    p: ProcId,
-    frontier: &[IntervalId],
-    global_vc: &VectorClock,
-) -> usize {
-    let mut owner_pages = std::mem::take(&mut w.bscratch.owner_pages);
-    let mut bytes = 0usize;
-    {
-        let World {
-            log,
-            procs,
-            dir,
-            cfg,
-            policy,
-            proto,
-            ..
-        } = w;
-        let policy: &dyn AdaptPolicy = &**policy;
-        let adaptive = policy.adapts();
-
-        // One lock acquisition for the whole slice of the frontier.
-        let mut mem = mems[p.index()].lock();
-        for &id in frontier {
-            // Covered records (p's own, or shipped to p earlier through
-            // a lock grant) are exactly what the pair-wise walk's
-            // per-writer range excluded.
-            if procs[p.index()].vc.covers(id) {
-                continue;
-            }
-            let rec = log.record(id);
-            bytes += rec.wire_size();
-            ship_record_to(
-                procs,
-                dir,
-                cfg,
-                policy,
-                proto,
-                &mut mem,
-                p,
-                rec,
-                adaptive,
-                &mut owner_pages,
-            );
-        }
-        drop(mem);
-
-        if adaptive {
-            promote_on_owner_notices(procs, dir, policy, proto, p, &mut owner_pages);
-        }
-        procs[p.index()].vc.merge(global_vc);
-    }
-    owner_pages.clear();
-    w.bscratch.owner_pages = owner_pages;
-    bytes
-}
-
-/// The combining-tree fan-down: hands `p` its uncovered suffix of every
-/// writer's frontier segment. The tree's frontier is per-writer
-/// contiguous with consecutive sequence numbers (`seg_ends[q]` bounds
-/// writer q's segment), and `p`'s clock entry for q sits inside that
-/// range — everything below it was shipped to `p` earlier (lock
-/// grants), everything above is new — so the covered prefix is sliced
-/// off with one subtraction instead of a per-record coverage test.
-/// Record order, per-record effects ([`ship_record_to`]) and the final
-/// clock merge are identical to [`integrate_frontier`], which remains
-/// the oracle.
-pub(crate) fn integrate_frontier_slices(
-    w: &mut World,
-    mems: &[Mutex<PagedMemory>],
-    p: ProcId,
-    frontier: &[IntervalId],
-    seg_ends: &[u32],
-    global_vc: &VectorClock,
-) -> usize {
-    let nprocs = w.nprocs();
-    let mut owner_pages = std::mem::take(&mut w.bscratch.owner_pages);
-    let mut bytes = 0usize;
-    {
-        let World {
-            log,
-            procs,
-            dir,
-            cfg,
-            policy,
-            proto,
-            ..
-        } = w;
-        let policy: &dyn AdaptPolicy = &**policy;
-        let adaptive = policy.adapts();
-
-        // One lock acquisition for the whole slice of the frontier.
-        let mut mem = mems[p.index()].lock();
-        let mut start = 0u32;
-        for q in ProcId::all(nprocs) {
-            let end = seg_ends[q.index()];
-            let seg = &frontier[start as usize..end as usize];
-            start = end;
-            if seg.is_empty() {
-                continue;
-            }
-            debug_assert!(seg.iter().all(|id| id.proc == q));
-            debug_assert!(
-                seg.windows(2).all(|pair| pair[1].seq == pair[0].seq + 1),
-                "frontier segments carry consecutive sequence numbers"
-            );
-            // seg spans (base, closed]; p covers exactly the prefix up
-            // to its clock entry for q (own segment: the whole of it).
-            let covered = procs[p.index()].vc.get(q).saturating_sub(seg[0].seq - 1);
-            let skip = (covered as usize).min(seg.len());
-            debug_assert!(seg[skip..]
-                .iter()
-                .all(|&id| !procs[p.index()].vc.covers(id)));
-            for &id in &seg[skip..] {
-                let rec = log.record(id);
-                bytes += rec.wire_size();
-                ship_record_to(
-                    procs,
-                    dir,
-                    cfg,
-                    policy,
-                    proto,
-                    &mut mem,
-                    p,
-                    rec,
-                    adaptive,
-                    &mut owner_pages,
-                );
-            }
-        }
-        drop(mem);
-
-        if adaptive {
-            promote_on_owner_notices(procs, dir, policy, proto, p, &mut owner_pages);
-        }
-        procs[p.index()].vc.merge(global_vc);
-    }
-    owner_pages.clear();
-    w.bscratch.owner_pages = owner_pages;
-    bytes
-}
-
 /// Applies one shipped interval record to `p`: invalidation, pending
 /// notices, HVN bookkeeping, on-the-fly notice GC and the SW→MW
-/// demotion observations of §3.1.1. The single body behind both
-/// notice-shipping paths — the pair-wise lock-grant ship
-/// ([`integrate_from`]) and the batched barrier fan-in
-/// ([`integrate_frontier`]) — so the two stay identical by
-/// construction (`frontier_equivalence` proptests pin the record sets,
-/// this function pins the per-record effects).
+/// demotion observations of §3.1.1.
 #[allow(clippy::too_many_arguments)]
 fn ship_record_to(
     procs: &mut [ProcCtl],
@@ -658,16 +469,8 @@ fn ship_record_to(
         let pg_idx = page.index();
         // The HLRC home's frame already contains every flushed
         // modification, so notices carry no work for it: no
-        // invalidation, no pending entry. Under lazy flushing the
-        // writer may still be sitting on a deferred diff, so the
-        // home's frame access is dropped instead — its next touch (or
-        // a fetch on its behalf) faults into `fetch_from_home`, which
-        // forces the outstanding encodes. The notice itself is not the
-        // demand; the home's actual re-read or a serve is.
+        // invalidation, no pending entry.
         if cfg.protocol == ProtocolKind::Hlrc && dir[pg_idx].home == Some(p) {
-            if cfg.hlrc_lazy_flush {
-                mem.set_rights(page, AccessRights::None);
-            }
             continue;
         }
         // Invalidate the local copy.
@@ -924,8 +727,7 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
     //    Requests are issued in parallel (elapsed time = slowest
     //    writer, messages counted per writer). Every fetched diff is a
     //    shared handle into the writer's per-page store — a refcount
-    //    bump, never a deep copy (`diff_fetch_clones` pins that at
-    //    zero).
+    //    bump, never a deep copy.
     scratch.notices.sort_by_key(|n| n.interval.proc.index());
     let my_mode_sw = ctx.w.procs[pidx].pages[pgidx].mode == PageMode::Sw;
     let mut remote_writers = 0u64;
@@ -964,7 +766,6 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
             reply_bytes += diff.wire_size();
             scratch.to_apply.push(KeyedDiff {
                 key: apply_key(ctx.w, n.interval),
-                interval: n.interval,
                 diff,
             });
         }
@@ -1011,20 +812,7 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
     let mut apply_cost = SimTime::ZERO;
     {
         let mut mem = ctx.mems[pidx].lock();
-        if super::trace_word::watched().is_some() {
-            // Watch mode: the same applies, with the page logged around
-            // each.
-            for kd in &scratch.to_apply {
-                let before = mem.page(page).to_vec();
-                kd.diff.apply(mem.page_mut(page));
-                super::trace_word::log_change(
-                    &format!("apply {} at {p}", kd.interval),
-                    page,
-                    &before,
-                    mem.page(page),
-                );
-            }
-        } else if !scratch.to_apply.is_empty() {
+        if !scratch.to_apply.is_empty() {
             adsm_mempage::Diff::apply_many(&scratch.to_apply, mem.page_mut(page));
         }
         for kd in &scratch.to_apply {
@@ -1111,14 +899,7 @@ pub(crate) fn fetch_page_from(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: Pag
     let cost = c_req + ctx.w.cfg.cost.service_interrupt + c_rep;
     ctx.charge(cost);
     ctx.interrupt(q);
-    {
-        let mut mem = ctx.mems[p.index()].lock();
-        let before = super::trace_word::watched().map(|_| mem.page(page).to_vec());
-        mem.install_page(page, &bytes);
-        if let Some(b) = before {
-            super::trace_word::log_change(&format!("install {p} <- {q}"), page, &b, mem.page(page));
-        }
-    }
+    ctx.mems[p.index()].lock().install_page(page, &bytes);
     ctx.w.proto.pages_transferred += 1;
     // First fetch of a page the crashed incarnation held: the page
     // content is being recovered.

@@ -29,7 +29,6 @@ pub(crate) mod recovery;
 pub(crate) mod sc;
 pub(crate) mod sw;
 pub(crate) mod sync;
-pub(crate) mod trace_word;
 
 use adsm_mempage::PageId;
 use adsm_vclock::ProcId;

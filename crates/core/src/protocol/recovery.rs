@@ -79,18 +79,13 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
 
     // 1. Durable commit. The arriving interval is already in the log
     // (the caller closed it first); what remains deferred is lazy
-    // state whose encodes were parked: TreadMarks-style pending twins
-    // (the diff must reach the replicated store before the twin dies
-    // with the incarnation) and HLRC lazy flush bases (the home's
-    // frame must absorb the diff before the writer forgets it).
+    // diffing's parked encodes: a TreadMarks-style pending twin's diff
+    // must reach the replicated store before the twin dies with the
+    // incarnation.
     for pg in 0..npages {
-        let page = PageId::new(pg);
         if ctx.w.procs[pidx].pages[pg].pending.is_some() {
-            let mcost = lrc::materialize_pending(ctx.w, ctx.mems, p, page);
+            let mcost = lrc::materialize_pending(ctx.w, ctx.mems, p, PageId::new(pg));
             ctx.charge(mcost);
-        }
-        if ctx.w.procs[pidx].pages[pg].flush_pending.is_some() {
-            super::hlrc::force_flush_page(ctx.w, ctx.mems, page, t_crash);
         }
     }
     // The checkpointed image is the *coherent* view at the commit
@@ -136,7 +131,7 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
         let starts_mw = initial_mode == PageMode::Sw && ctx.w.policy.page_starts_mw(pg);
         let pc = &mut ctx.w.procs[pidx].pages[pg];
         debug_assert!(pc.twin.is_none(), "no open write session at a commit point");
-        debug_assert!(pc.pending.is_none() && pc.flush_pending.is_none());
+        debug_assert!(pc.pending.is_none());
         if pc.has_copy {
             pc.refetch_pending = true;
         }
@@ -175,10 +170,9 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
     // record closed past the surviving clock, against the global clock
     // (entry q = q's closed count — no processor ever knows more of
     // q's intervals than q).
-    // This is the same `integrate_from` every lock grant uses, so the
-    // recovery path stays pinned to the flat oracle by the existing
-    // equivalence proptests. The log transfer itself is charged as one
-    // control round trip to the lowest-id live peer.
+    // This is the same `integrate_from` every lock grant and barrier
+    // release uses. The log transfer itself is charged as one control
+    // round trip to the lowest-id live peer.
     let nprocs = ctx.w.nprocs();
     let mut global = VectorClock::new(nprocs);
     for q in ProcId::all(nprocs) {
@@ -219,13 +213,6 @@ pub(crate) fn failover_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
     let nprocs = ctx.w.nprocs();
     let backup = ProcId::new((failed.index() + 1) % nprocs);
     let now = ctx.now();
-
-    // The backup store must reflect every write before it becomes
-    // authoritative: force the lazily parked flushes through first.
-    if ctx.w.cfg.hlrc_lazy_flush {
-        super::hlrc::force_all(ctx.w, ctx.mems, now);
-        ctx.drain_deferred();
-    }
 
     let mut promoted = 0u64;
     for pg in 0..ctx.w.cfg.npages {

@@ -163,23 +163,19 @@ pub(crate) enum BarrierOutcome {
     Completed,
 }
 
-/// Barrier arrival. Fan-in is an **O(log P) combining tree**
-/// ([`crate::world::BarrierTree`]): each arrival contributes its own
-/// new interval records and clock at its leaf, then performs every
-/// pairwise combine its arrival enables on the path toward the root —
-/// vector clocks merged, notice frontiers concatenated in processor
-/// order. By the last arrival the root holds the episode's notice
-/// frontier, global clock and mechanism-3 candidate pages, so the last
-/// arriver's completion work is O(P) bookkeeping — reconcile
-/// proxy-closed intervals, derive the global clock — plus the
-/// per-processor fan-down: each departing processor receives only the
-/// uncovered suffix of every writer's frontier segment
-/// ([`lrc::integrate_frontier_slices`]), sliced by clock arithmetic
-/// instead of a per-record coverage filter. The flat sweep the tree
-/// replaced ([`lrc::integrate_frontier`]) is retained as the oracle
-/// for the tree≡flat equivalence tests, and every transient (tree
-/// nodes, frontier, payloads, page sets) is pooled on the `World`, so
-/// steady-state barriers allocate nothing.
+/// Barrier arrival, centralised at the manager as in the paper (§2.1).
+/// An arrival closes its interval, pays its arrival message and records
+/// itself; all integration work is the last arriver's. Completion needs
+/// no index of its own, because the interval log already is one: the
+/// new global clock's entry for q is `log.closed(q)` (no processor ever
+/// knows more of q's intervals than q), and what a departing processor
+/// p has not seen of q is the log slice `(vc_p[q], closed(q)]` — so the
+/// fan-down is [`lrc::integrate_from`] against the global clock, the
+/// same walk lock grants and crash recovery use. The adaptive
+/// protocols' mechanism-3 candidates come from one sweep of the slices
+/// `(last_release_vc[q], closed(q)]`. The transients (payloads, page
+/// sets) are pooled on the `World`, so steady-state barriers allocate
+/// nothing.
 pub(crate) fn barrier_arrive(
     ctx: &mut Ctx<'_>,
     p: ProcId,
@@ -211,28 +207,16 @@ pub(crate) fn barrier_arrive(
         }
     }
 
-    let arrival = ctx.now();
-    ctx.w.barrier.arrived[p.index()] = Some(arrival);
-
-    // Tree fan-in: this arrival's leaf contribution plus the pairwise
-    // combines it enables (at most one node per level). Host cost only —
-    // the virtual-time arrival message above is unchanged.
-    let adapts = ctx.w.policy.adapts();
+    // The arrival's own share of the fan-in (host cost only — the
+    // virtual-time arrival message above is the model's).
     let fanin0 = ctx.w.cfg.measure_host_costs.then(std::time::Instant::now);
-    {
-        let w = &mut *ctx.w;
-        let crate::world::BarrierState {
-            tree,
-            last_release_vc,
-            ..
-        } = &mut w.barrier;
-        let vc = &w.procs[p.index()].vc;
-        debug_assert!(
-            vc.dominates(last_release_vc),
-            "every processor covers the last barrier release"
-        );
-        tree.arrive(p, vc, &w.log, last_release_vc, adapts);
-    }
+    debug_assert!(
+        ctx.w.procs[p.index()]
+            .vc
+            .dominates(&ctx.w.barrier.last_release_vc),
+        "every processor covers the last barrier release"
+    );
+    ctx.w.barrier.arrived[p.index()] = Some(ctx.now());
     if let Some(t0) = fanin0 {
         ctx.w
             .proto
@@ -266,45 +250,33 @@ pub(crate) fn barrier_arrive(
         }
     }
 
-    // The tree root holds the episode's notice frontier — every
-    // interval closed since the last barrier release, in (writer, seq)
-    // order — and, for the adaptive protocols, the pages those
-    // intervals wrote (the mechanism-3 candidates). `finish` appends
-    // intervals proxy-closed after their writer's arrival (lock grants
-    // closing a blocked grantor's interval). The new global clock's
-    // entry for q is q's own closed-interval count, since no processor
-    // ever knows more of q's intervals than q; the tree's root clock
-    // must agree — every proxy close is merged into a later arriver.
-    let mut frontier = std::mem::take(&mut ctx.w.bscratch.frontier);
+    // The new global clock, read off the log. The last release's clock
+    // is dominated by it, so its allocation is reused — and until an
+    // entry is overwritten it says where the episode's records of that
+    // writer start, which bounds the one sweep that names the
+    // mechanism-3 candidate pages. Intervals proxy-closed after their
+    // writer arrived (a lock grant closing a blocked grantor's
+    // interval) are in the log like any other.
+    let adapts = ctx.w.policy.adapts();
     let mut m3_pages = std::mem::take(&mut ctx.w.bscratch.m3_pages);
     let mut payloads = std::mem::take(&mut ctx.w.bscratch.payloads);
-    let mut seg_ends = std::mem::take(&mut ctx.w.bscratch.seg_ends);
-    debug_assert!(frontier.is_empty() && m3_pages.is_empty() && seg_ends.is_empty());
-    {
-        let w = &mut *ctx.w;
-        w.barrier
-            .tree
-            .finish(&w.log, adapts, &mut frontier, &mut m3_pages, &mut seg_ends);
-    }
-    // The last release's clock is dominated by the new global clock,
-    // so its allocation is reused in place of a fresh merge of clones.
+    debug_assert!(m3_pages.is_empty());
     let mut global_vc = std::mem::take(&mut ctx.w.barrier.last_release_vc);
     for q in ProcId::all(nprocs) {
-        global_vc.set(q, ctx.w.log.closed(q));
-        debug_assert_eq!(
-            ctx.w.barrier.tree.root_vc().get(q),
-            global_vc.get(q),
-            "tree root clock diverged from the log for {q}"
-        );
+        let closed = ctx.w.log.closed(q);
+        if adapts {
+            for rec in ctx.w.log.range(q, global_vc.get(q), closed) {
+                m3_pages.extend(rec.writes.iter().map(|n| n.page));
+            }
+        }
+        global_vc.set(q, closed);
     }
 
-    // Fan-down: hand each processor the frontier suffix slices it has
-    // not covered.
+    // Fan-down: each processor receives, of every writer, the records
+    // between its own clock and the global one.
     payloads.clear();
-    payloads.resize(nprocs, 0);
     for q in ProcId::all(nprocs) {
-        payloads[q.index()] =
-            lrc::integrate_frontier_slices(ctx.w, ctx.mems, q, &frontier, &seg_ends, &global_vc);
+        payloads.push(lrc::integrate_from(ctx.w, ctx.mems, q, &global_vc));
     }
 
     // Adaptive barrier-time detection (mechanism 3), then GC. The
@@ -344,20 +316,13 @@ pub(crate) fn barrier_arrive(
     ctx.w.barrier.arrived.fill(None);
     ctx.w.barrier.episodes += 1;
     ctx.w.barrier.last_release_vc = global_vc;
-    ctx.w.barrier.tree.reset();
-    frontier.clear();
     m3_pages.clear();
-    seg_ends.clear();
-    ctx.w.bscratch.frontier = frontier;
     ctx.w.bscratch.m3_pages = m3_pages;
     ctx.w.bscratch.payloads = payloads;
-    ctx.w.bscratch.seg_ends = seg_ends;
     ctx.w.trace_event(completion, TraceKind::Barrier);
     if let Some(wall0) = wall0 {
-        // Host cost of the completion: tree reconciliation, per-proc
-        // fan-down, mechanism 3, GC and the release broadcast, per
-        // barrier episode. The per-arrival fan-in work (leaf + pairwise
-        // combines) is recorded separately in `barrier_fanin_wall`.
+        // Host cost of the completion, per barrier episode; an
+        // arrival's own share is in `barrier_fanin_wall`.
         ctx.w
             .proto
             .barrier_wall
@@ -385,9 +350,8 @@ fn new_interval_bytes(w: &crate::world::World, p: ProcId) -> usize {
 /// sharing has stopped. The dominating writer becomes the page's owner
 /// (its copy is validated here so it can serve future misses) and every
 /// processor's belief flips to SW. `pages` is the candidate set —
-/// every page a frontier write notice named, sorted and deduplicated —
-/// collected by the completion sweep itself rather than a separately
-/// maintained set.
+/// every page a write notice of the episode named, sorted and
+/// deduplicated.
 fn mechanism3(ctx: &mut Ctx<'_>, pages: &[adsm_mempage::PageId]) {
     for &page in pages {
         let pgidx = page.index();
@@ -461,20 +425,22 @@ fn mechanism3(ctx: &mut Ctx<'_>, pages: &[adsm_mempage::PageId]) {
 
 #[cfg(test)]
 mod tests {
-    //! Equivalence of the batched barrier fan-in with the pair-wise
-    //! integration it replaced: over random interval logs and random
-    //! per-processor knowledge, the frontier sweep filtered by
-    //! coverage must deliver **byte-identical** notice sets — the same
-    //! records, in the same order, totalling the same payload bytes —
-    //! as one `integrate_from`-style range walk per processor. The
-    //! per-record effects are shared code (`lrc::ship_record_to`), so
-    //! this record-set property is exactly what separates the two
-    //! paths.
+    //! The one delivery rule, checked against the log: over random
+    //! interval logs and random per-processor knowledge,
+    //! [`lrc::integrate_from`] against a bound hands `p` exactly the
+    //! records the bound covers and `p`'s clock does not — found here
+    //! by filtering the **whole** log record by record, not by slicing
+    //! it — whether the bound is the log's horizon (barrier release,
+    //! crash recovery), a grantor's clock, or one after the other.
 
-    use adsm_mempage::PageId;
+    use std::collections::BTreeSet;
+
+    use adsm_mempage::{AccessRights, PageId, PagedMemory};
     use adsm_vclock::{IntervalId, ProcId, VectorClock};
+    use parking_lot::Mutex;
     use proptest::prelude::*;
 
+    use super::lrc;
     use crate::notice::{IntervalRecord, NoticeKind, WriteNotice};
     use crate::world::World;
     use crate::{DsmConfig, ProtocolKind};
@@ -594,266 +560,135 @@ mod tests {
         w
     }
 
-    /// The record sequence the pair-wise walk ships to `p`, with wire
-    /// sizes: `integrate_from`'s ranges against the merged global
-    /// clock.
-    fn pairwise_shipment(w: &World, p: usize, global: &VectorClock) -> Vec<(IntervalId, usize)> {
-        let pid = ProcId::new(p);
-        let mut out = Vec::new();
-        for q in ProcId::all(w.nprocs()) {
-            if q == pid {
-                continue;
-            }
-            let from = w.procs[p].vc.get(q);
-            let to = global.get(q);
-            for rec in w.log.range(q, from, to) {
-                out.push((rec.id, rec.wire_size()));
-            }
-        }
-        out
-    }
-
-    /// The record sequence the batched fan-in ships to `p`: the
-    /// frontier (one sweep bounded by the barrier base), filtered by
-    /// `p`'s coverage.
-    fn frontier_shipment(w: &World, p: usize) -> Vec<(IntervalId, usize)> {
-        let mut frontier = Vec::new();
-        for q in ProcId::all(w.nprocs()) {
-            let from = w.barrier.last_release_vc.get(q);
-            for rec in w.log.range(q, from, w.log.closed(q)) {
-                frontier.push(rec.id);
-            }
-        }
-        frontier
-            .into_iter()
-            .filter(|&id| !w.procs[p].vc.covers(id))
-            .map(|id| (id, w.log.record(id).wire_size()))
+    /// One readable memory per processor, so that an invalidation
+    /// shows as a lost right.
+    fn readable_mems(nprocs: usize) -> Vec<Mutex<PagedMemory>> {
+        (0..nprocs)
+            .map(|_| {
+                let mut mem = PagedMemory::new(NPAGES);
+                for pg in 0..NPAGES {
+                    mem.set_rights(PageId::new(pg), AccessRights::Read);
+                }
+                Mutex::new(mem)
+            })
             .collect()
     }
 
-    /// The record sequence crash recovery re-integrates into a
-    /// restarted `p`: `recovery::crash_at_commit`'s phase-4 walk is
-    /// `integrate_from` against a global clock set to the log horizon
-    /// (`closed(q)` per writer), run with `p`'s durable pre-crash
-    /// clock intact.
-    fn recovery_shipment(w: &World, p: usize) -> Vec<(IntervalId, usize)> {
-        let mut horizon = VectorClock::new(w.nprocs());
+    /// The log's horizon: what a barrier completion or a recovery
+    /// reads as the global clock.
+    fn horizon(w: &World) -> VectorClock {
+        let mut vc = VectorClock::new(w.nprocs());
         for q in ProcId::all(w.nprocs()) {
-            horizon.set(q, w.log.closed(q));
+            vc.set(q, w.log.closed(q));
         }
-        pairwise_shipment(w, p, &horizon)
+        vc
     }
 
-    /// Flat oracle for recovery: one `integrate_frontier`-style sweep
-    /// over the FULL replicated log — every writer from sequence zero,
-    /// not from the barrier base — filtered by `p`'s durable clock
-    /// coverage.
-    fn full_log_shipment(w: &World, p: usize) -> Vec<(IntervalId, usize)> {
-        let mut out = Vec::new();
-        for q in ProcId::all(w.nprocs()) {
+    /// Wire bytes and pages of every foreign record in the log that
+    /// `bound` covers and `known` does not.
+    fn uncovered(
+        w: &World,
+        p: usize,
+        known: &VectorClock,
+        bound: &VectorClock,
+    ) -> (usize, BTreeSet<usize>) {
+        let mut bytes = 0;
+        let mut pages = BTreeSet::new();
+        for q in ProcId::all(w.nprocs()).filter(|q| q.index() != p) {
             for rec in w.log.range(q, 0, w.log.closed(q)) {
-                if !w.procs[p].vc.covers(rec.id) {
-                    out.push((rec.id, rec.wire_size()));
+                if bound.covers(rec.id) && !known.covers(rec.id) {
+                    bytes += rec.wire_size();
+                    pages.extend(rec.writes.iter().map(|n| n.page.index()));
                 }
             }
         }
-        out
+        (bytes, pages)
     }
 
-    /// Drives the combining tree over an explicit arrival order.
-    /// `inject_after` positions model lock grants proxy-closing the
-    /// just-arrived processor's next interval on its behalf: the
-    /// grantor's clock ticks, the record lands in the log after its
-    /// leaf snapshot, and the acquirer — the next arriver — merges the
-    /// grantor's clock (as `integrate_from` does on a grant). Returns
-    /// the assembled frontier and per-writer segment ends.
-    fn run_tree(
+    /// Ships to `p` against `bound` and checks the delivery: `shipped`
+    /// bytes (what earlier ships to `p` already carried, plus this one)
+    /// are the wire size of the records `known` — `p`'s clock before
+    /// any of them — left uncovered, `p`'s clock reaches the bound, and
+    /// `p` lost access to exactly the pages those records name.
+    fn ship_and_check(
         w: &mut World,
-        order: &[usize],
-        inject_after: &[usize],
-    ) -> (Vec<IntervalId>, Vec<u32>) {
-        for (k, &qi) in order.iter().enumerate() {
-            let q = ProcId::new(qi);
-            {
-                let crate::world::BarrierState {
-                    tree,
-                    last_release_vc,
-                    ..
-                } = &mut w.barrier;
-                tree.arrive(q, &w.procs[qi].vc, &w.log, last_release_vc, false);
-            }
-            if inject_after.contains(&k) && k + 1 < order.len() {
-                let seq = w.log.closed(q) + 1;
-                w.procs[qi].vc.set(q, seq);
-                w.log.push(
-                    q,
-                    IntervalRecord {
-                        id: IntervalId::new(q, seq),
-                        vc: crate::notice::CloseVc::fresh(w.procs[qi].vc.clone(), q, seq),
-                        writes: Vec::new().into(),
-                    },
-                );
-                let grantor_vc = w.procs[qi].vc.clone();
-                w.procs[order[k + 1]].vc.merge(&grantor_vc);
-            }
-        }
-        let mut frontier = Vec::new();
-        let mut m3 = Vec::new();
-        let mut seg_ends = Vec::new();
-        w.barrier
-            .tree
-            .finish(&w.log, false, &mut frontier, &mut m3, &mut seg_ends);
-        (frontier, seg_ends)
-    }
-
-    /// The record sequence the tree fan-down ships to `p`: per-writer
-    /// suffix slices of the assembled frontier, the covered prefix cut
-    /// off by clock arithmetic — mirrors
-    /// `lrc::integrate_frontier_slices`.
-    fn slices_shipment(
-        w: &World,
+        mems: &[Mutex<PagedMemory>],
         p: usize,
-        frontier: &[IntervalId],
-        seg_ends: &[u32],
-    ) -> Vec<(IntervalId, usize)> {
-        let mut out = Vec::new();
-        let mut start = 0u32;
-        for q in ProcId::all(w.nprocs()) {
-            let end = seg_ends[q.index()];
-            let seg = &frontier[start as usize..end as usize];
-            start = end;
-            if seg.is_empty() {
-                continue;
-            }
-            let covered = w.procs[p].vc.get(q).saturating_sub(seg[0].seq - 1);
-            let skip = (covered as usize).min(seg.len());
-            for &id in &seg[skip..] {
-                out.push((id, w.log.record(id).wire_size()));
-            }
+        known: &VectorClock,
+        bound: &VectorClock,
+        shipped: usize,
+    ) {
+        let (bytes, pages) = uncovered(w, p, known, bound);
+        let shipped = shipped + lrc::integrate_from(w, mems, ProcId::new(p), bound);
+        assert_eq!(shipped, bytes, "proc {p} payload");
+        assert!(
+            w.procs[p].vc.dominates(bound),
+            "proc {p} short of the bound"
+        );
+        let mem = mems[p].lock();
+        for pg in 0..NPAGES {
+            assert_eq!(
+                mem.rights(PageId::new(pg)).readable(),
+                !pages.contains(&pg),
+                "proc {p} page {pg}"
+            );
         }
-        out
-    }
-
-    /// Deterministic permutation of `0..n` from ranking keys.
-    fn order_from_keys(n: usize, keys: &[u64]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (keys.get(i).copied().unwrap_or(0), i));
-        order
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The combining tree assembles — for every arrival order —
-        /// exactly the flat sweep's frontier, and its per-processor
-        /// fan-down slices ship byte-identical record sequences to
-        /// both the flat coverage filter and the pair-wise
-        /// `integrate_from` walk. Mid-schedule proxy closes (lock
-        /// grants closing a blocked arriver's interval) are folded in.
-        #[test]
-        fn tree_equals_flat_fanin(
-            h in history_strategy(),
-            keys in prop::collection::vec(any::<u64>(), 8),
-            inject in prop::collection::vec(0usize..8, 0..3),
-        ) {
-            let mut w = build_world(&h);
-            let order = order_from_keys(h.nprocs, &keys);
-            let inject: Vec<usize> =
-                inject.iter().map(|&i| i % h.nprocs).collect();
-            let (frontier, seg_ends) = run_tree(&mut w, &order, &inject);
-
-            // The assembled frontier equals the flat sweep's, in
-            // (writer, seq) order over the final log.
-            let mut flat = Vec::new();
-            for q in ProcId::all(h.nprocs) {
-                let from = w.barrier.last_release_vc.get(q);
-                for rec in w.log.range(q, from, w.log.closed(q)) {
-                    flat.push(rec.id);
-                }
-            }
-            prop_assert_eq!(&frontier, &flat);
-            prop_assert_eq!(seg_ends.len(), h.nprocs);
-
-            // The root clock equals the per-writer closed counts (the
-            // completion's global clock).
-            for q in ProcId::all(h.nprocs) {
-                prop_assert_eq!(w.barrier.tree.root_vc().get(q), w.log.closed(q));
-            }
-
-            // Per-processor fan-down slices == flat coverage filter ==
-            // pair-wise walk.
-            let mut global = VectorClock::new(h.nprocs);
-            for p in 0..h.nprocs {
-                global.merge(&w.procs[p].vc);
-            }
-            for p in 0..h.nprocs {
-                let tree_ship = slices_shipment(&w, p, &frontier, &seg_ends);
-                let front = frontier_shipment(&w, p);
-                let pair = pairwise_shipment(&w, p, &global);
-                prop_assert_eq!(&tree_ship, &front, "proc {} tree vs flat", p);
-                prop_assert_eq!(&tree_ship, &pair, "proc {} tree vs pairwise", p);
-            }
-        }
-
-        /// The batched fan-in delivers a byte-identical notice set —
-        /// same records, same order, same payload bytes — to one
-        /// pair-wise `integrate_from` range walk per departing
-        /// processor, over random interval logs.
-        #[test]
-        fn frontier_equals_pairwise_integration(h in history_strategy()) {
-            let w = build_world(&h);
-            // The global clock the completion derives from the log
-            // equals the merge of every processor's clock.
-            let mut global = VectorClock::new(h.nprocs);
-            for p in 0..h.nprocs {
-                global.merge(&w.procs[p].vc);
-            }
-            for q in ProcId::all(h.nprocs) {
-                prop_assert_eq!(global.get(q), w.log.closed(q));
-            }
-            for p in 0..h.nprocs {
-                let pair = pairwise_shipment(&w, p, &global);
-                let front = frontier_shipment(&w, p);
-                prop_assert_eq!(&pair, &front, "proc {} shipment diverged", p);
-                let pair_bytes: usize = pair.iter().map(|&(_, b)| b).sum();
-                let front_bytes: usize = front.iter().map(|&(_, b)| b).sum();
-                prop_assert_eq!(pair_bytes, front_bytes);
-            }
-        }
-
-        /// Crash recovery's re-integration walk ships — for every
-        /// processor and random history — exactly the full-log flat
-        /// frontier filtered by the victim's durable clock: the same
-        /// records, in the same order, totalling the same bytes. Every
-        /// shipped record is strictly above the durable clock (nothing
-        /// the victim already integrated is replayed), and the durable
-        /// clock plus the shipment together reach the log horizon for
-        /// every writer (no gaps in the rebuilt view).
+        /// Crash recovery's re-integration — `integrate_from` against
+        /// the log horizon, run with the victim's durable clock — ships
+        /// exactly the full-log frontier that clock leaves uncovered:
+        /// nothing the victim already integrated is replayed, and
+        /// nothing short of the horizon is left out.
         #[test]
         fn recovery_reintegration_equals_full_log_frontier(h in history_strategy()) {
-            let w = build_world(&h);
+            let mut w = build_world(&h);
+            let mems = readable_mems(h.nprocs);
+            let bound = horizon(&w);
             for p in 0..h.nprocs {
-                let ship = recovery_shipment(&w, p);
-                let flat = full_log_shipment(&w, p);
-                prop_assert_eq!(&ship, &flat, "proc {} recovery shipment diverged", p);
+                let known = w.procs[p].vc.clone();
+                ship_and_check(&mut w, &mems, p, &known, &bound, 0);
+                prop_assert_eq!(&w.procs[p].vc, &bound);
+            }
+        }
 
-                let mut reached = w.procs[p].vc.clone();
-                for &(id, _) in &ship {
-                    // Never re-deliver what the durable clock covers,
-                    // and never skip: per-writer delivery is dense.
-                    prop_assert!(id.seq > w.procs[p].vc.get(id.proc));
-                    prop_assert_eq!(reached.get(id.proc) + 1, id.seq);
-                    reached.set(id.proc, id.seq);
-                }
-                for q in ProcId::all(h.nprocs) {
-                    prop_assert_eq!(
-                        reached.get(q),
-                        w.log.closed(q),
-                        "proc {} writer {} short of the horizon",
-                        p,
-                        q.index()
-                    );
-                }
+        /// A barrier episode with lock grants inside it: a grantor's
+        /// interval is closed on its behalf (the record lands in the
+        /// log after everyone's knowledge was drawn) and the acquirer
+        /// is shipped the grantor's knowledge; at completion the bound
+        /// is read from the log. Grant and release together deliver
+        /// each processor what one ship against the horizon would have
+        /// — the late record included, and to the acquirer only once.
+        #[test]
+        fn grants_then_release_deliver_each_record_once(
+            h in history_strategy(),
+            grants in prop::collection::vec(0usize..8, 0..3),
+        ) {
+            let mut w = build_world(&h);
+            let mems = readable_mems(h.nprocs);
+            let known: Vec<VectorClock> = w.procs.iter().map(|pc| pc.vc.clone()).collect();
+            let mut shipped = vec![0usize; h.nprocs];
+            for g in grants {
+                let grantor = ProcId::new(g % h.nprocs);
+                let acquirer = (g + 1) % h.nprocs;
+                let seq = w.procs[grantor.index()].vc.tick(grantor);
+                let vc = w.procs[grantor.index()].vc.clone();
+                w.log.push(
+                    grantor,
+                    IntervalRecord {
+                        id: IntervalId::new(grantor, seq),
+                        vc: crate::notice::CloseVc::fresh(vc.clone(), grantor, seq),
+                        writes: h.writes[grantor.index()][(seq - 1) as usize].clone().into(),
+                    },
+                );
+                shipped[acquirer] += lrc::integrate_from(&mut w, &mems, ProcId::new(acquirer), &vc);
+            }
+            let bound = horizon(&w);
+            for p in 0..h.nprocs {
+                ship_and_check(&mut w, &mems, p, &known[p], &bound, shipped[p]);
             }
         }
     }
@@ -882,9 +717,18 @@ mod tests {
                 vec![],
             ],
         };
-        let w = build_world(&h);
-        let shipped = frontier_shipment(&w, 1);
-        assert_eq!(shipped.len(), 1, "only the uncovered record ships");
-        assert_eq!(shipped[0].0, IntervalId::new(ProcId::new(0), 2));
+        let mut w = build_world(&h);
+        let mems = readable_mems(2);
+        let bound = horizon(&w);
+        let second = w.log.record(IntervalId::new(ProcId::new(0), 2)).wire_size();
+        let bytes = lrc::integrate_from(&mut w, &mems, ProcId::new(1), &bound);
+        assert_eq!(bytes, second, "only the uncovered record ships");
+        let mem = mems[1].lock();
+        assert!(
+            mem.rights(PageId::new(0)).readable(),
+            "(0,1) was not re-sent"
+        );
+        assert!(!mem.rights(PageId::new(1)).readable());
+        assert_eq!(w.procs[1].vc, bound);
     }
 }

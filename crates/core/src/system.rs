@@ -127,31 +127,6 @@ impl DsmBuilder {
         self
     }
 
-    /// Defers the HLRC comparator's interval-close diff encodes until
-    /// the home's copy is actually demanded, coalescing consecutive
-    /// closes of a page into one encode
-    /// ([`ProtocolStats::lazy_flush_hits`](crate::ProtocolStats::lazy_flush_hits)
-    /// vs
-    /// [`lazy_flush_encodes`](crate::ProtocolStats::lazy_flush_encodes)
-    /// measure the saving). Off by default; every protocol but
-    /// [`ProtocolKind::Hlrc`] ignores it.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use adsm_core::{Dsm, ProtocolKind};
-    ///
-    /// let dsm = Dsm::builder(ProtocolKind::Hlrc)
-    ///     .nprocs(4)
-    ///     .hlrc_lazy_flush(true)
-    ///     .build();
-    /// assert_eq!(dsm.protocol(), ProtocolKind::Hlrc);
-    /// ```
-    pub fn hlrc_lazy_flush(mut self, on: bool) -> Self {
-        self.cfg.hlrc_lazy_flush = on;
-        self
-    }
-
     /// Replicates every HLRC home: the interval-close flush stream also
     /// feeds a backup node (`(home + 1) % nprocs`), whose stored copy
     /// stays bit-identical to the home frame — the replicated stable
@@ -611,11 +586,6 @@ fn finalize_image(
     // owner notices (under HLRC, so they are flushed to their homes).
     for p in ProcId::all(w.nprocs()) {
         let _ = lrc::close_interval(w, mems, p, SimTime::ZERO);
-    }
-    if protocol == ProtocolKind::Hlrc {
-        // Lazy flushing: ship every still-deferred diff home so the
-        // homes' frames are authoritative for the image below.
-        crate::protocol::hlrc::force_all(w, mems, SimTime::ZERO);
     }
     w.deferred_costs.clear();
     // The comparators keep one authoritative frame per page: the owner's

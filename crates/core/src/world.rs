@@ -69,13 +69,6 @@ pub(crate) struct PageCtl {
     pub hvn: Option<Hvn>,
     /// Lazy diffing: the last closed interval's twin, not yet encoded.
     pub pending: Option<PendingDiff>,
-    /// HLRC lazy flush
-    /// ([`DsmConfig::hlrc_lazy_flush`](crate::DsmConfig::hlrc_lazy_flush)):
-    /// the page image at the start of the *oldest* unflushed interval.
-    /// The diff against it — covering every interval closed since — is
-    /// encoded and shipped to the home only when the home's copy is
-    /// actually demanded (`hlrc::force_flush_page`).
-    pub flush_pending: Option<PageBuf>,
     /// This processor held a copy of the page when it crashed; the copy
     /// was wiped with the incarnation. The first post-restart fetch of
     /// the page clears the flag and counts one
@@ -160,8 +153,7 @@ struct PageDiffs {
 /// `PageId` rather than one global map keyed by `(page, interval)`.
 /// Diffs are stored behind `Arc`, which is what makes the validation
 /// fetch path clone-free: handing a diff to the merge is a refcount
-/// bump, never a copy of runs and data
-/// (`ProtocolStats::diff_fetch_clones` pins this at zero).
+/// bump, never a copy of the diff.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DiffStore {
     /// Per-page entries, grown on demand to the highest inserted page.
@@ -465,15 +457,13 @@ impl IntervalLog {
 }
 
 /// A diff queued for application by the merge procedure: precomputed
-/// happened-before sort key, source interval, and a shared handle into
-/// the writer's store.
+/// happened-before sort key and a shared handle into the writer's
+/// store.
 #[derive(Clone, Debug)]
 pub(crate) struct KeyedDiff {
     /// Linear-extension sort key (clock-component sum, proc, seq),
     /// computed once at fetch time.
     pub key: (u64, usize, u32),
-    /// The interval that created the diff.
-    pub interval: IntervalId,
     /// Shared handle into the writer's per-page store.
     pub diff: Arc<Diff>,
 }
@@ -503,7 +493,7 @@ pub(crate) struct MergeScratch {
     pub to_apply: Vec<KeyedDiff>,
 }
 
-/// Pooled transient state of the batched barrier fan-in and of notice
+/// Pooled transient state of barrier completion and of notice
 /// shipping, persistent on the [`World`] so steady-state barriers and
 /// lock grants allocate nothing.
 ///
@@ -512,264 +502,15 @@ pub(crate) struct MergeScratch {
 /// back — cleared, capacity intact — when it completes.
 #[derive(Debug, Default)]
 pub(crate) struct BarrierScratch {
-    /// The notice frontier of one barrier episode: every interval
-    /// closed since the last barrier release, ordered by (writer, seq)
-    /// — collected in **one** sweep of the interval log and shared by
-    /// all departing processors.
-    pub frontier: Vec<IntervalId>,
     /// Per-processor release-broadcast payload bytes.
     pub payloads: Vec<usize>,
-    /// Pages named by frontier write notices (sorted, deduplicated):
-    /// the candidate set of the barrier-time detection mechanism 3,
-    /// fed from the same sweep instead of a second pass.
+    /// Pages named by the write notices of the intervals closed since
+    /// the last barrier release: the candidate set of the barrier-time
+    /// detection mechanism 3.
     pub m3_pages: Vec<PageId>,
     /// Pages that received an owner notice during one processor's
     /// integration (detection mechanism 2); reused across processors.
     pub owner_pages: Vec<PageId>,
-    /// Per-writer segment ends into `frontier` (entry q = end offset of
-    /// q's records; its start is entry q-1, or 0): the index the tree
-    /// fan-down uses to hand each departing processor its uncovered
-    /// suffix of every writer's segment without re-filtering.
-    pub seg_ends: Vec<u32>,
-}
-
-/// One node of the barrier combining tree: a contiguous processor span
-/// `[lo, hi)` whose arrivals have been merged — vector clocks pairwise,
-/// notice frontiers concatenated in processor order.
-#[derive(Clone, Debug)]
-pub(crate) struct TreeNode {
-    lo: usize,
-    hi: usize,
-    parent: usize,
-    children: Option<(usize, usize)>,
-    /// Both children (or, for a leaf, the processor) have arrived and
-    /// been merged in.
-    complete: bool,
-    /// Merge of the span's arrival clocks.
-    vc: VectorClock,
-    /// The span's frontier records, ordered by (writer, seq) with
-    /// writers ascending — the same order for every arrival schedule.
-    frontier: Vec<IntervalId>,
-    /// Per-writer segment ends into `frontier`, one entry per processor
-    /// in `[lo, hi)`.
-    seg_ends: Vec<u32>,
-    /// Pages named by the span's frontier write notices (mechanism-3
-    /// candidates), unordered.
-    m3: Vec<PageId>,
-}
-
-/// The O(log P) combining tree of the barrier fan-in. Arrivals do the
-/// frontier work incrementally: each arriving processor contributes its
-/// own new interval records at its leaf and then performs every
-/// pairwise combine its arrival enables on the path toward the root —
-/// at most one node per level. By the last arrival the root already
-/// holds the episode's notice frontier, global clock and mechanism-3
-/// candidates, so completion is O(P) bookkeeping instead of the flat
-/// O(P + log-sweep) rebuild. All node storage is pooled: `reset`
-/// clears completion flags but keeps every vector's capacity.
-///
-/// The flat sweep (`lrc::integrate_frontier` and the test-side
-/// mirrors in `protocol::sync`) is retained as the oracle: a proptest
-/// pins the tree's record sequences byte-identical to it over random
-/// interval logs and arrival orders.
-#[derive(Clone, Debug)]
-pub(crate) struct BarrierTree {
-    nodes: Vec<TreeNode>,
-    /// Processor → leaf node index.
-    leaf_of: Vec<usize>,
-    /// `log.closed(q)` snapshot taken at q's arrival: the leaf
-    /// collection bound. Records q closed *after* arriving — lock
-    /// grants close a blocked grantor's interval on its behalf — are
-    /// reconciled at `finish`.
-    leaf_to: Vec<u32>,
-    nprocs: usize,
-}
-
-impl BarrierTree {
-    pub fn new(nprocs: usize) -> Self {
-        fn build(
-            nodes: &mut Vec<TreeNode>,
-            leaf_of: &mut [usize],
-            nprocs: usize,
-            lo: usize,
-            hi: usize,
-            parent: usize,
-        ) -> usize {
-            let idx = nodes.len();
-            nodes.push(TreeNode {
-                lo,
-                hi,
-                parent,
-                children: None,
-                complete: false,
-                vc: VectorClock::new(nprocs),
-                frontier: Vec::new(),
-                seg_ends: Vec::new(),
-                m3: Vec::new(),
-            });
-            if hi - lo == 1 {
-                leaf_of[lo] = idx;
-            } else {
-                let mid = lo + (hi - lo) / 2;
-                let l = build(nodes, leaf_of, nprocs, lo, mid, idx);
-                let r = build(nodes, leaf_of, nprocs, mid, hi, idx);
-                nodes[idx].children = Some((l, r));
-            }
-            idx
-        }
-        let mut nodes = Vec::with_capacity(2 * nprocs.max(1) - 1);
-        let mut leaf_of = vec![0; nprocs];
-        build(
-            &mut nodes,
-            &mut leaf_of,
-            nprocs,
-            0,
-            nprocs.max(1),
-            usize::MAX,
-        );
-        BarrierTree {
-            nodes,
-            leaf_of,
-            leaf_to: vec![0; nprocs],
-            nprocs,
-        }
-    }
-
-    /// Processor `q`'s arrival: fills its leaf — `q`'s records above the
-    /// barrier base, plus its clock — then combines upward while the
-    /// sibling subtree is already complete. Returns the number of tree
-    /// nodes this arrival completed (≥ 1, ≤ one per level).
-    pub fn arrive(
-        &mut self,
-        q: ProcId,
-        vc: &VectorClock,
-        log: &IntervalLog,
-        base: &VectorClock,
-        collect_m3: bool,
-    ) -> usize {
-        let qi = q.index();
-        let to = log.closed(q);
-        self.leaf_to[qi] = to;
-        let leaf = self.leaf_of[qi];
-        {
-            let node = &mut self.nodes[leaf];
-            debug_assert!(!node.complete, "double arrival of {q}");
-            node.frontier.clear();
-            node.seg_ends.clear();
-            node.m3.clear();
-            for p in ProcId::all(self.nprocs) {
-                node.vc.set(p, vc.get(p));
-            }
-            for rec in log.range(q, base.get(q), to) {
-                node.frontier.push(rec.id);
-                if collect_m3 {
-                    for n in rec.writes.iter() {
-                        node.m3.push(n.page);
-                    }
-                }
-            }
-            node.seg_ends.push(node.frontier.len() as u32);
-            node.complete = true;
-        }
-        let mut completed = 1;
-        let mut cur = leaf;
-        loop {
-            let parent = self.nodes[cur].parent;
-            if parent == usize::MAX {
-                break;
-            }
-            let (l, r) = self.nodes[parent].children.expect("interior node");
-            if !(self.nodes[l].complete && self.nodes[r].complete) {
-                break;
-            }
-            self.combine(parent, l, r);
-            completed += 1;
-            cur = parent;
-        }
-        completed
-    }
-
-    /// Merges two complete children into `parent`: clocks pairwise,
-    /// frontiers concatenated left-then-right (processor spans are
-    /// contiguous, so the result is in global processor order whatever
-    /// the arrival schedule was).
-    fn combine(&mut self, parent: usize, l: usize, r: usize) {
-        debug_assert!(parent < l && parent < r, "preorder layout");
-        let (head, tail) = self.nodes.split_at_mut(parent + 1);
-        let node = &mut head[parent];
-        let (ln, rn) = (&tail[l - parent - 1], &tail[r - parent - 1]);
-        debug_assert!(ln.lo == node.lo && ln.hi == rn.lo && rn.hi == node.hi);
-        for p in ProcId::all(self.nprocs) {
-            node.vc.set(p, ln.vc.get(p));
-        }
-        node.vc.merge(&rn.vc);
-        node.frontier.clear();
-        node.frontier.extend_from_slice(&ln.frontier);
-        node.frontier.extend_from_slice(&rn.frontier);
-        node.seg_ends.clear();
-        node.seg_ends.extend_from_slice(&ln.seg_ends);
-        let off = ln.frontier.len() as u32;
-        node.seg_ends.extend(rn.seg_ends.iter().map(|&e| e + off));
-        node.m3.clear();
-        node.m3.extend_from_slice(&ln.m3);
-        node.m3.extend_from_slice(&rn.m3);
-        node.complete = true;
-    }
-
-    /// Merge of every arrival clock (valid once the root is complete).
-    pub fn root_vc(&self) -> &VectorClock {
-        debug_assert!(self.nodes[0].complete);
-        &self.nodes[0].vc
-    }
-
-    /// Assembles the completed tree into `frontier` / `m3` / `seg_ends`
-    /// in flat-sweep order — writer-ascending, seq-ascending within a
-    /// writer. Records proxy-closed after their writer's arrival (a
-    /// lock grant closing a blocked grantor's interval) are appended at
-    /// the end of that writer's segment, which is exactly where the
-    /// flat sweep would have placed them: segments are per-writer
-    /// contiguous and sequence numbers consecutive.
-    pub fn finish(
-        &self,
-        log: &IntervalLog,
-        collect_m3: bool,
-        frontier: &mut Vec<IntervalId>,
-        m3: &mut Vec<PageId>,
-        seg_ends: &mut Vec<u32>,
-    ) {
-        let root = &self.nodes[0];
-        debug_assert!(root.complete, "finish before all arrivals");
-        m3.extend_from_slice(&root.m3);
-        let any_tail = (0..self.nprocs).any(|qi| self.leaf_to[qi] < log.closed(ProcId::new(qi)));
-        if !any_tail {
-            frontier.extend_from_slice(&root.frontier);
-            seg_ends.extend_from_slice(&root.seg_ends);
-            return;
-        }
-        let mut prev = 0u32;
-        for qi in 0..self.nprocs {
-            let q = ProcId::new(qi);
-            let end = root.seg_ends[qi];
-            frontier.extend_from_slice(&root.frontier[prev as usize..end as usize]);
-            prev = end;
-            for rec in log.range(q, self.leaf_to[qi], log.closed(q)) {
-                frontier.push(rec.id);
-                if collect_m3 {
-                    for n in rec.writes.iter() {
-                        m3.push(n.page);
-                    }
-                }
-            }
-            seg_ends.push(frontier.len() as u32);
-        }
-    }
-
-    /// Ends the episode: clears completion flags, keeps capacity.
-    pub fn reset(&mut self) {
-        for node in &mut self.nodes {
-            node.complete = false;
-        }
-    }
 }
 
 /// One scheduled processor crash, resolved from the scenario's (or the
@@ -825,8 +566,6 @@ pub(crate) struct BarrierState {
     /// Global knowledge at the last barrier release (everything everyone
     /// knew); arrivals only need to ship intervals beyond this.
     pub last_release_vc: VectorClock,
-    /// The fan-in combining tree of the current episode.
-    pub tree: BarrierTree,
 }
 
 /// Per-processor protocol state.
@@ -874,7 +613,7 @@ pub(crate) struct World {
     /// A processor's diff space crossed the GC threshold; collect at the
     /// next barrier.
     pub gc_requested: bool,
-    /// Pooled scratch of the batched barrier fan-in and notice shipping.
+    /// Pooled scratch of barrier completion and notice shipping.
     pub bscratch: BarrierScratch,
     /// Pooled build list for interval closing's write notices; the
     /// closing path fills it, then shares the previous record's `Arc`
@@ -972,7 +711,6 @@ impl World {
                 arrived: vec![None; nprocs],
                 episodes: 0,
                 last_release_vc: VectorClock::new(nprocs),
-                tree: BarrierTree::new(nprocs),
             },
             gc_requested: false,
             bscratch: BarrierScratch::default(),
@@ -1233,19 +971,6 @@ mod tests {
         assert_eq!((n, b), (3, total));
         assert_eq!(w.dir.diff_bytes(q), 0);
         assert_eq!(w.dir.diff_pages(q).next(), None);
-    }
-
-    #[test]
-    fn barrier_tree_shape_covers_all_procs() {
-        for nprocs in 1..=9usize {
-            let tree = BarrierTree::new(nprocs);
-            assert_eq!(tree.nodes.len(), 2 * nprocs - 1);
-            assert_eq!(tree.nodes[0].lo, 0);
-            assert_eq!(tree.nodes[0].hi, nprocs);
-            for (qi, &leaf) in tree.leaf_of.iter().enumerate() {
-                assert_eq!((tree.nodes[leaf].lo, tree.nodes[leaf].hi), (qi, qi + 1));
-            }
-        }
     }
 
     #[test]

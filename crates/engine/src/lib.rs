@@ -120,6 +120,9 @@
 //! assert_eq!(order.into_inner().unwrap(), [0, 1, 0, 1, 0, 1]);
 //! ```
 
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)] // the context switch
 mod coro;
 mod park;
 mod sched;

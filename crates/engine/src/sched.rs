@@ -843,9 +843,8 @@ impl Task {
 /// `ntasks` tasks (seeded-random pick when `fuzz` is set). Returns a
 /// checksum of the picked ids so the work cannot be optimised away.
 ///
-/// This is a benchmark hook (used by `adsm-bench`'s `hotpaths` suite to
-/// measure ns/pick without spawning threads), not part of the public
-/// execution model.
+/// A benchmark hook (`benchmark/src/micro.rs` times it as
+/// `engine.pick*`), not part of the public execution model.
 #[doc(hidden)]
 pub fn sched_pick_rounds(ntasks: usize, fuzz: Option<u64>, rounds: usize) -> u64 {
     let mut s = Sched::new(ntasks, fuzz);

@@ -31,7 +31,11 @@
 //! assert_eq!(other, page);
 //! ```
 
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)] // SIMD intrinsics of the diff codec
 mod diff;
+#[allow(unsafe_code)] // `mmap`/`munmap` of large page-frame stores
 mod frames;
 mod memory;
 mod page;

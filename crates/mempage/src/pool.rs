@@ -11,27 +11,23 @@
 //! `pages_created` counter stops moving; see the `allocation_free`
 //! integration test in `adsm-core`).
 //!
-//! The free list is **sharded per thread**: every thread keeps a small
-//! local cache of buffers per pool (plain `Vec` behind a `thread_local`,
-//! no lock, no atomics on the hit path), with a mutex-guarded global
-//! spill list behind it. Drops beyond the local cap spill to the global
-//! list; local misses refill from it in batches. This removes the
-//! mutex round-trip that made a pooled copy ~2× the cost of a raw
-//! `to_vec` when the free list was a single locked `Vec`, while still
-//! letting buffers migrate between threads (a twin created by one
-//! simulated processor's thread is routinely dropped by another's
-//! during validation).
+//! The free list is one mutex-guarded `Vec`. Every draw site in
+//! `adsm-core` already runs under the world mutex (and the simulator
+//! serves all of them from one carrier thread), so the list's own lock
+//! is never contended; it is there because [`PageBuf`]s are dropped
+//! wherever their owner dies, and it is the innermost lock of the
+//! order world → memory → pool.
 //!
 //! [`PageBuf`] is the RAII handle: it derefs to `[u8]`, and dropping it
 //! returns the buffer to the pool it came from. Clones draw a fresh
 //! buffer from the same pool, so `Clone`-able protocol state (twins,
-//! pending diffs) keeps working unchanged.
+//! pending diffs) keeps working unchanged. A handle keeps its pool's
+//! free list alive, so it may outlive every [`PagePool`] handle.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -39,77 +35,19 @@ use crate::PAGE_SIZE;
 
 type PageBox = Box<[u8; PAGE_SIZE]>;
 
-/// Buffers a thread parks locally per pool before drops spill to the
-/// shared list. Sized to the per-processor working set of the protocol
-/// hot paths (twin + fetch + merge scratch per in-flight page) with
-/// headroom; beyond this recycling through the global list is cheap
-/// relative to the burst that produced it.
-const LOCAL_CAP: usize = 64;
-/// Buffers moved from the global spill list into a thread's cache per
-/// refill, so a miss burst pays the spill mutex once, not per buffer.
-const REFILL_BATCH: usize = 16;
-/// Distinct pools one thread tracks before the oldest cache is evicted
-/// (its buffers fall back to the heap). Bounds the memory a long-lived
-/// thread can pin across many short-lived worlds.
-const LOCAL_POOLS: usize = 8;
-
-thread_local! {
-    /// This thread's buffer caches, keyed by pool id (pool count per
-    /// thread is tiny, so a linear scan beats any map).
-    static LOCAL_CACHES: RefCell<Vec<(u64, Vec<PageBox>)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-/// Pool identities are process-unique so a stale thread-local cache can
-/// never serve a new pool that reuses a dead pool's address.
-static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Process-wide id → pool directory. [`PageBuf`] carries only its pool's
-/// id (no `Arc`, so the per-buffer hot path pays no refcount traffic);
-/// the rare paths that need the pool itself — local-cache overflow on
-/// drop, cloning a buffer — resolve it here. Entries are weak: a dead
-/// pool resolves to `None` and its stragglers return to the heap.
-fn registry() -> &'static Mutex<PoolRegistry> {
-    static REGISTRY: OnceLock<Mutex<PoolRegistry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-type PoolRegistry = Vec<(u64, Weak<PoolInner>)>;
-
-fn pool_by_id(id: u64) -> Option<PagePool> {
-    let reg = registry().lock();
-    reg.iter()
-        .find(|(pid, _)| *pid == id)
-        .and_then(|(_, weak)| weak.upgrade())
-        .map(|inner| PagePool { inner })
-}
-
+#[derive(Default)]
 struct PoolInner {
-    /// Process-unique identity, the thread-local cache key.
-    id: u64,
-    /// Shared overflow list: drops beyond [`LOCAL_CAP`] land here and
-    /// local misses refill from here before touching the heap.
-    spill: Mutex<Vec<PageBox>>,
+    /// Returned buffers, handed back out last in, first out.
+    free: Mutex<Vec<PageBox>>,
     /// Buffers ever allocated from the heap (pool misses).
     created: AtomicU64,
-    /// Buffers handed out from a free list (pool hits).
+    /// Buffers handed out from the free list (pool hits).
     reused: AtomicU64,
-}
-
-impl Default for PoolInner {
-    fn default() -> Self {
-        PoolInner {
-            id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
-            spill: Mutex::new(Vec::new()),
-            created: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-        }
-    }
 }
 
 /// A shared pool of recycled [`PAGE_SIZE`] buffers.
 ///
-/// Cloning the pool is cheap and yields a handle to the same free lists.
+/// Cloning the pool is cheap and yields a handle to the same free list.
 ///
 /// # Examples
 ///
@@ -126,23 +64,9 @@ impl Default for PoolInner {
 /// assert_eq!(pool.pages_reused(), 1);
 /// drop(b);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct PagePool {
     inner: Arc<PoolInner>,
-}
-
-impl Default for PagePool {
-    fn default() -> Self {
-        let inner = Arc::new(PoolInner::default());
-        registry().lock().push((inner.id, Arc::downgrade(&inner)));
-        PagePool { inner }
-    }
-}
-
-impl Drop for PoolInner {
-    fn drop(&mut self) {
-        registry().lock().retain(|(pid, _)| *pid != self.id);
-    }
 }
 
 impl PagePool {
@@ -154,7 +78,10 @@ impl PagePool {
     /// Draws a buffer with unspecified contents (recycled bytes or
     /// zeros). Use when the caller overwrites the whole page anyway.
     pub fn get(&self) -> PageBuf {
-        let buf = match self.take_recycled() {
+        // A statement of its own, so the lock is released before a
+        // miss goes to the heap.
+        let recycled = self.inner.free.lock().pop();
+        let buf = match recycled {
             Some(b) => {
                 self.inner.reused.fetch_add(1, Ordering::Relaxed);
                 b
@@ -166,54 +93,8 @@ impl PagePool {
         };
         PageBuf {
             buf: Some(buf),
-            pool_id: self.inner.id,
+            pool: self.clone(),
         }
-    }
-
-    /// Pops from this thread's cache, refilling from the global spill
-    /// list on a local miss. `None` means the heap must serve the get.
-    fn take_recycled(&self) -> Option<PageBox> {
-        let id = self.inner.id;
-        let local = LOCAL_CACHES
-            .try_with(|caches| {
-                let mut caches = caches.borrow_mut();
-                caches
-                    .iter_mut()
-                    .find(|(pid, _)| *pid == id)
-                    .and_then(|(_, bufs)| bufs.pop())
-            })
-            .ok()
-            .flatten();
-        if local.is_some() {
-            return local;
-        }
-        // Local miss: pay the spill mutex once and carry a batch home.
-        let mut spill = self.inner.spill.lock();
-        let buf = spill.pop()?;
-        let keep = spill.len() - spill.len().min(REFILL_BATCH);
-        let batch: Vec<PageBox> = spill.drain(keep..).collect();
-        drop(spill);
-        if !batch.is_empty() {
-            // On thread teardown (no TLS) the batch drops with the
-            // unexecuted closure: the buffers return to the heap.
-            let _ = LOCAL_CACHES.try_with(|caches| {
-                Self::local_entry(&mut caches.borrow_mut(), id).extend(batch);
-            });
-        }
-        Some(buf)
-    }
-
-    /// The cache entry for pool `id`, created (with bounded eviction of
-    /// the least-recently-created entry) if absent.
-    fn local_entry(caches: &mut Vec<(u64, Vec<PageBox>)>, id: u64) -> &mut Vec<PageBox> {
-        if let Some(i) = caches.iter().position(|(pid, _)| *pid == id) {
-            return &mut caches[i].1;
-        }
-        if caches.len() >= LOCAL_POOLS {
-            caches.remove(0); // oldest pool's buffers return to the heap
-        }
-        caches.push((id, Vec::new()));
-        &mut caches.last_mut().expect("just pushed").1
     }
 
     /// Draws a zero-filled buffer.
@@ -241,26 +122,14 @@ impl PagePool {
         self.inner.created.load(Ordering::Relaxed)
     }
 
-    /// Buffers served from a free list (pool hits).
+    /// Buffers served from the free list (pool hits).
     pub fn pages_reused(&self) -> u64 {
         self.inner.reused.load(Ordering::Relaxed)
     }
 
-    /// Buffers currently parked for this pool that the calling thread
-    /// can see: its own local cache plus the global spill list. (Other
-    /// threads' local caches are invisible by design.)
+    /// Buffers currently parked on the free list.
     pub fn free_buffers(&self) -> usize {
-        let id = self.inner.id;
-        let local = LOCAL_CACHES
-            .try_with(|caches| {
-                caches
-                    .borrow()
-                    .iter()
-                    .find(|(pid, _)| *pid == id)
-                    .map_or(0, |(_, bufs)| bufs.len())
-            })
-            .unwrap_or(0);
-        local + self.inner.spill.lock().len()
+        self.inner.free.lock().len()
     }
 }
 
@@ -277,15 +146,13 @@ impl fmt::Debug for PagePool {
 /// An owned page buffer on loan from a [`PagePool`].
 ///
 /// Dereferences to a `[u8]` of exactly [`PAGE_SIZE`] bytes; dropping the
-/// handle returns the buffer to its pool (the dropping thread's local
-/// cache, or the shared spill list once that cache is full). Cloning
-/// draws a new buffer from the same pool and copies the contents.
+/// handle returns the buffer to its pool's free list. Cloning draws a
+/// new buffer from the same pool and copies the contents.
 pub struct PageBuf {
     /// `Some` for the handle's whole life; taken only in `Drop`.
     buf: Option<PageBox>,
-    /// Identity of the owning pool (see [`registry`]); an id instead of
-    /// an `Arc` keeps refcount traffic off the per-buffer hot path.
-    pool_id: u64,
+    /// The pool the buffer returns to.
+    pool: PagePool,
 }
 
 impl PageBuf {
@@ -324,45 +191,14 @@ impl AsRef<[u8]> for PageBuf {
 
 impl Clone for PageBuf {
     fn clone(&self) -> Self {
-        match pool_by_id(self.pool_id) {
-            Some(pool) => pool.get_copy(self),
-            // The pool is gone: keep the contents alive off-pool (the
-            // clone recycles nowhere and frees on drop).
-            None => PageBuf {
-                buf: Some(Box::new(*self.bytes())),
-                pool_id: self.pool_id,
-            },
-        }
+        self.pool.get_copy(self)
     }
 }
 
 impl Drop for PageBuf {
     fn drop(&mut self) {
-        let Some(buf) = self.buf.take() else { return };
-        let id = self.pool_id;
-        let overflow = LOCAL_CACHES.try_with(|caches| {
-            let mut caches = caches.borrow_mut();
-            let entry = PagePool::local_entry(&mut caches, id);
-            if entry.len() < LOCAL_CAP {
-                entry.push(buf);
-                None
-            } else {
-                Some(buf)
-            }
-        });
-        match overflow {
-            Ok(None) => {}
-            // Local cache full: spill to the pool's shared list (heap
-            // if the pool has meanwhile died).
-            Ok(Some(buf)) => {
-                if let Some(pool) = pool_by_id(id) {
-                    pool.inner.spill.lock().push(buf);
-                }
-            }
-            // Thread teardown: TLS is gone and `buf` was dropped with
-            // the unexecuted closure — the buffer returns to the heap,
-            // which is the right end state for a dying thread.
-            Err(_) => {}
+        if let Some(buf) = self.buf.take() {
+            self.pool.inner.free.lock().push(buf);
         }
     }
 }
@@ -435,48 +271,32 @@ mod tests {
     }
 
     #[test]
-    fn distinct_pools_never_share_thread_caches() {
-        let a = PagePool::new();
-        let b = PagePool::new();
-        drop(a.get()); // lands in this thread's cache for pool a
-        let _ = b.get();
-        assert_eq!(
-            b.pages_created(),
-            1,
-            "pool b must not be served from pool a's cache"
-        );
-        assert_eq!(b.pages_reused(), 0);
-        assert_eq!(a.free_buffers(), 1);
+    fn buffers_dropped_on_another_thread_come_back_without_allocation() {
+        let pool = PagePool::new();
+        let bufs: Vec<_> = (0..8).map(|_| pool.get()).collect();
+        let created = pool.pages_created();
+        std::thread::spawn(move || drop(bufs))
+            .join()
+            .expect("worker thread");
+        assert_eq!(pool.free_buffers(), 8);
+        let again: Vec<_> = (0..8).map(|_| pool.get()).collect();
+        assert_eq!(pool.pages_created(), created, "recycled, not reallocated");
+        assert_eq!(pool.pages_reused(), 8);
+        drop(again);
     }
 
     #[test]
-    fn buffers_dropped_on_another_thread_recycle_via_the_spill() {
+    fn a_buffer_outlives_every_pool_handle() {
         let pool = PagePool::new();
-        // Fill one thread's cache past LOCAL_CAP so drops demonstrably
-        // spill, then recycle from a different thread.
-        let bufs: Vec<_> = (0..LOCAL_CAP + 8).map(|_| pool.get()).collect();
-        let created = pool.pages_created();
-        let handle = {
-            let pool = pool.clone();
-            std::thread::spawn(move || {
-                drop(bufs); // all land in *this* thread's cache + spill
-                pool.free_buffers() // visible: own cache + spill
-            })
-        };
-        let seen_on_worker = handle.join().expect("worker thread");
-        assert_eq!(seen_on_worker, LOCAL_CAP + 8);
-        // The worker's local cache died with it un-recycled; the spilled
-        // overflow is still reachable from here.
-        let spilled = pool.free_buffers();
-        assert_eq!(spilled, 8);
-        for _ in 0..spilled {
-            let _ = pool.get();
-        }
-        assert_eq!(
-            pool.pages_created(),
-            created,
-            "spilled buffers must be recycled, not reallocated"
-        );
-        assert_eq!(pool.pages_reused(), spilled as u64);
+        let mut a = pool.get_zeroed();
+        drop(pool);
+        a[3] = 5;
+        let b = a.clone();
+        assert_eq!(b[3], 5);
+        // The free list is still there to take the first buffer, and
+        // goes away with the last.
+        drop(a);
+        let c = b.clone();
+        assert_eq!(c, b);
     }
 }

@@ -16,6 +16,8 @@
 //! clocks; speedups, traffic tables and the Fig. 3 time series are all
 //! derived from virtual time, which makes every run deterministic.
 
+#![forbid(unsafe_code)]
+
 mod cost;
 mod delivery;
 mod replay;

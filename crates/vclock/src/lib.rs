@@ -29,6 +29,8 @@
 //! assert_eq!(a.causal_cmp(&b), CausalOrder::Before);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod clock;
 mod interval;
 mod proc_id;

@@ -37,6 +37,8 @@
 //! assert!(outcome.report.time > SimTime::ZERO);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use adsm_apps as apps;
 pub use adsm_core::*;
 pub use adsm_engine as engine;

@@ -204,10 +204,10 @@ fn threads_backend_stat_totals_match_the_simulator() {
 /// reproduce the simulator's memory image bit-for-bit AND its exact
 /// non-time stat totals, for the barrier-only apps under the
 /// single-writer, multiple-writer and home-based protocols. This is
-/// the end-to-end witness for the combining-tree barrier and the
-/// sharded directory at high P: a tree combine that merged a clock
-/// wrong, a fan-down slice that skipped or double-shipped a record, or
-/// a mis-sharded diff would each shift a counter or a page byte.
+/// the end-to-end witness for the barrier fan-down and the sharded
+/// directory at high P: a global clock read wrong off the log, a
+/// fan-down that skipped or double-shipped a record, or a mis-sharded
+/// diff would each shift a counter or a page byte.
 #[test]
 fn threads_backend_matches_simulator_at_64_procs() {
     const NPROCS: usize = 64;

@@ -1,12 +1,12 @@
 //! Regression: a `ProcStall` window that spans a barrier must not
-//! deadlock the barrier — the tree has to tolerate a stalled-but-alive
-//! leaf (and a stalled root/manager), holding its messages until the
+//! deadlock the barrier — it has to tolerate a stalled-but-alive
+//! arriver (and a stalled manager), holding its messages until the
 //! window closes and charging the wait as delivery delay.
 //!
 //! The chaos engine's original fault corpus never exercised this shape;
-//! these cells pin it across the barrier roles a stall can hit (leaf,
-//! manager/root), sync styles (barriers, locks+barriers, locks-only),
-//! the 64-processor combining tree, and both execution backends.
+//! these cells pin it across the barrier roles a stall can hit
+//! (arriver, manager), sync styles (barriers, locks+barriers,
+//! locks-only), 64 processors, and both execution backends.
 
 use adsm::netsim::{Fault, FaultKind, Scenario, SimTime};
 use adsm::{run_app_tuned, App, ExecBackend, ProtocolKind, RunOptions, Scale};
@@ -51,7 +51,7 @@ fn stall_cell(app: App, proto: ProtocolKind, nprocs: usize, scale: Scale, victim
     );
 }
 
-/// A stalled leaf and a stalled manager both cross the barrier without
+/// A stalled arriver and a stalled manager both cross the barrier without
 /// deadlocking, across the sync styles of the app set.
 #[test]
 fn stall_spanning_barrier_completes() {
@@ -64,10 +64,10 @@ fn stall_spanning_barrier_completes() {
     stall_cell(App::Tsp, ProtocolKind::Wfs, 4, Scale::Tiny, 3);
 }
 
-/// The combining tree at 64 processors tolerates a stalled leaf, a
-/// stalled interior node and a stalled root.
+/// A 64-processor barrier tolerates a stalled manager (processor 0)
+/// and a stalled arriver in the middle and at the end of the range.
 #[test]
-fn stall_spanning_barrier_in_combining_tree() {
+fn stall_spanning_barrier_at_64_procs() {
     for victim in [0u32, 17, 63] {
         stall_cell(App::Sor, ProtocolKind::Wfs, 64, Scale::Large, victim);
     }
