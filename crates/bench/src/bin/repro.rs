@@ -164,7 +164,7 @@ fn main() -> ExitCode {
         println!("{}", fig1(opts.nprocs));
     }
 
-    // Processor-count scale sweep — SOR and IS under MW at
+    // Processor-count scale sweep — SOR, IS and Barnes under MW at
     // 8/64/128/256 processors (`--smoke`: 8/64), large inputs, on every
     // requested backend, gating sub-linear growth of the per-arrival
     // barrier fan-in cost (64-proc p50 < 4x the 8-proc p50) under
@@ -175,7 +175,7 @@ fn main() -> ExitCode {
         } else {
             &adsm_bench::scale::SCALE_PROCS
         };
-        let apps = [App::Sor, App::Is];
+        let apps = adsm_bench::scale::SCALE_APPS;
         eprintln!(
             "measuring barrier fan-in scaling ({} apps x [{}] procs x {} backends, large \
              scale)...",

@@ -625,9 +625,10 @@ mod tests {
         };
         let scale_json = ScaleReport {
             scale: Scale::Large,
-            proc_counts: vec![8, 256],
-            // Both ends of the sweep, so the optional 8 -> 256 key is there.
-            points: vec![point(8), point(256)],
+            proc_counts: vec![8, 64, 256],
+            // The base, the smoke sweep's top and the full sweep's, so
+            // both optional growth keys are there.
+            points: vec![point(8), point(64), point(256)],
             aggregates: vec![scale::ScaleAggregate {
                 backend: ExecBackend::Sim,
                 nprocs: 8,

@@ -62,15 +62,22 @@ pub struct WriteNotice {
 /// stores a shared `base` snapshot plus the closing interval's own
 /// `(proc, seq)`, whose entry *overrides* the base's. A close whose base
 /// is unchanged reuses the previous record's `Arc` — zero clock
-/// allocation — while every read (`get`, `covers`, `iter`) still sees
+/// allocation — while every read (`get`, `covers`, `sum`) still sees
 /// the exact closing clock, entry for entry, that a full clone would
 /// have produced. The override is never approximate: the happened-before
 /// sort keys and domination tests built on these values are
 /// order-critical (a stale own entry would mis-sort diff application).
+///
+/// The component sum those sort keys start with is fixed at close too:
+/// the base's non-own entries are summed once per base allocation and
+/// the figure travels with every record sharing that base, so
+/// [`CloseVc::sum`] is one addition however wide the cluster.
 #[derive(Clone, Debug)]
 pub struct CloseVc {
     /// Shared snapshot; its entry for `own` is ignored (possibly stale).
     base: Arc<VectorClock>,
+    /// Sum of `base`'s entries other than `own`'s.
+    foreign_sum: u64,
     /// The closing interval's own coordinates; `own`'s entry is exactly
     /// `own_seq`.
     own: adsm_vclock::ProcId,
@@ -82,8 +89,14 @@ impl CloseVc {
     /// base drifted — some other processor's entry changed since the
     /// previous close).
     pub(crate) fn fresh(base: VectorClock, own: adsm_vclock::ProcId, own_seq: u32) -> Self {
+        let foreign_sum = base
+            .iter()
+            .filter(|&(q, _)| q != own)
+            .map(|(_, s)| u64::from(s))
+            .sum();
         CloseVc {
             base: Arc::new(base),
+            foreign_sum,
             own,
             own_seq,
         }
@@ -95,6 +108,7 @@ impl CloseVc {
     pub(crate) fn shared(prev: &CloseVc, own_seq: u32) -> Self {
         CloseVc {
             base: Arc::clone(&prev.base),
+            foreign_sum: prev.foreign_sum,
             own: prev.own,
             own_seq,
         }
@@ -122,11 +136,20 @@ impl CloseVc {
         id.seq <= self.get(id.proc)
     }
 
-    /// Entries of the exact closing clock, in processor order.
+    /// Entries of the exact closing clock, in processor order. (Test
+    /// hook: what [`CloseVc::sum`] and [`CloseVc::get`] must agree with.)
+    #[cfg(test)]
     pub fn iter(&self) -> impl Iterator<Item = (adsm_vclock::ProcId, u32)> + '_ {
         self.base
             .iter()
             .map(|(q, s)| (q, if q == self.own { self.own_seq } else { s }))
+    }
+
+    /// Sum of the exact closing clock's entries, in O(1): the first
+    /// component of the happened-before sort key (domination implies a
+    /// strictly larger sum).
+    pub fn sum(&self) -> u64 {
+        self.foreign_sum + u64::from(self.own_seq)
     }
 
     /// Wire size of the clock (same as a full clone: the override does
@@ -198,6 +221,7 @@ impl fmt::Display for PendingNotice {
 mod tests {
     use super::*;
     use adsm_vclock::ProcId;
+    use proptest::prelude::*;
 
     #[test]
     fn kind_accessors() {
@@ -271,5 +295,66 @@ mod tests {
         // A foreign merge defeats the share admission test.
         working.set(ProcId::new(2), 9);
         assert!(!second.base_matches(&working));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over a valid execution closed the way `close_interval` closes
+        /// — share the previous record's base while no foreign entry
+        /// moved, else allocate — every record's cached `sum()` is the
+        /// sum of the entries `iter()` yields, although from the second
+        /// close on a shared base the base's own entry is stale; and
+        /// the sort key built on it is a linear extension of
+        /// happened-before: an interval another's closing clock covers
+        /// has a strictly smaller `(sum, proc, seq)`.
+        #[test]
+        fn sum_is_the_component_sum_and_orders_happened_before(
+            np in prop_oneof![Just(1usize), Just(2usize), Just(8usize), Just(64usize)],
+            steps in prop::collection::vec((0u8..3, 0usize..64, 0usize..64), 1..96),
+        ) {
+            let mut working: Vec<VectorClock> = (0..np).map(|_| VectorClock::new(np)).collect();
+            let mut last: Vec<Option<CloseVc>> = vec![None; np];
+            let mut closed: Vec<(IntervalId, CloseVc)> = Vec::new();
+            let mut shares = 0usize;
+            for (kind, p, from) in steps {
+                let (p, from) = (p % np, from % np);
+                if kind == 0 && p != from {
+                    // Acquire: p learns what `from` knows.
+                    let src = working[from].clone();
+                    working[p].merge(&src);
+                    continue;
+                }
+                let me = ProcId::new(p);
+                let seq = working[p].tick(me);
+                let vc = match &last[p] {
+                    Some(prev) if prev.base_matches(&working[p]) => {
+                        shares += 1;
+                        let vc = CloseVc::shared(prev, seq);
+                        prop_assert!(vc.base.get(me) < seq, "base's own entry is stale");
+                        vc
+                    }
+                    _ => CloseVc::fresh(working[p].clone(), me, seq),
+                };
+                let exact: u64 = vc.iter().map(|(_, s)| s as u64).sum();
+                prop_assert_eq!(vc.sum(), exact);
+                let plain: u64 = working[p].iter().map(|(_, s)| s as u64).sum();
+                prop_assert_eq!(vc.sum(), plain);
+                last[p] = Some(vc.clone());
+                closed.push((IntervalId::new(me, seq), vc));
+            }
+            let key = |id: IntervalId, vc: &CloseVc| (vc.sum(), id.proc.index(), id.seq);
+            for (a, avc) in &closed {
+                for (b, bvc) in &closed {
+                    if a != b && bvc.covers(*a) {
+                        prop_assert!(key(*a, avc) < key(*b, bvc), "{a} before {b}");
+                    }
+                }
+            }
+            // Two closes in a row with no acquire between share a base.
+            if np == 1 {
+                prop_assert_eq!(shares, closed.len() - 1);
+            }
+        }
     }
 }

@@ -168,10 +168,7 @@ fn choose_last_owner(ctx: &Ctx<'_>, page: PageId, writers: &[ProcId]) -> ProcId 
     let pick = last_writes
         .iter()
         .copied()
-        .max_by_key(|iv| {
-            let sum: u64 = ctx.w.vc_of(*iv).iter().map(|(_, s)| s as u64).sum();
-            (sum, iv.proc.index())
-        })
+        .max_by_key(|iv| (ctx.w.vc_of(*iv).sum(), iv.proc.index()))
         .map(|iv| iv.proc);
     pick.unwrap_or_else(|| *writers.first().expect("GC page has writers"))
 }

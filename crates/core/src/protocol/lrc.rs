@@ -498,6 +498,12 @@ fn ship_record_to(
             }
             NoticeKind::NonOwner => {
                 let pc = &mut procs[p.index()].pages[pg_idx];
+                // Live for re-integration only: a recovering processor
+                // is shipped, against its durable clock, records whose
+                // notices it may still hold. A first delivery never
+                // finds a duplicate, yet pays the scan — linear in the
+                // page's pending list, ≈7 % of `scale64_sim`'s host
+                // time (ROADMAP, parked micro-candidates).
                 if !pc.missing.iter().any(|n| n.interval == interval) {
                     pc.missing.push(PendingNotice { interval, kind });
                 }
@@ -586,13 +592,11 @@ pub(crate) fn serve_page_bytes(
 
 /// Sort key yielding a linear extension of happened-before-1 (proved
 /// valid for clocks arising from real executions: domination implies a
-/// strictly larger component sum). Computed **once per fetched diff**
-/// and carried next to it — the clock-component sum must never be paid
-/// per sort comparison.
+/// strictly larger component sum). The sum is fixed when the interval
+/// closes and carried with its record ([`CloseVc::sum`]), so the key
+/// costs a fetching processor the same at 64 processors as at 8.
 fn apply_key(w: &World, id: IntervalId) -> (u64, usize, u32) {
-    let vc = w.vc_of(id);
-    let sum: u64 = vc.iter().map(|(_, s)| s as u64).sum();
-    (sum, id.proc.index(), id.seq)
+    (w.vc_of(id).sum(), id.proc.index(), id.seq)
 }
 
 /// Validates `p`'s copy of `page`: the general merge procedure of

@@ -601,6 +601,7 @@ impl fmt::Debug for Task {
 
 impl Task {
     /// This task's id.
+    #[inline]
     pub fn id(&self) -> TaskId {
         self.id
     }
@@ -608,6 +609,7 @@ impl Task {
     /// Accumulates `dt` of local virtual time (application compute or
     /// protocol handling cost). Cheap: no locking; committed at the next
     /// turn point.
+    #[inline]
     pub fn advance(&mut self, dt: SimTime) {
         self.local += dt.as_ns();
     }

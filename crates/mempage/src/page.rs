@@ -27,17 +27,20 @@ impl PageId {
     /// # Panics
     ///
     /// Panics if `index` exceeds the 32-bit id space.
+    #[inline]
     pub fn new(index: usize) -> Self {
         assert!(index <= u32::MAX as usize, "page index {index} too large");
         PageId(index as u32)
     }
 
     /// Dense index of the page, usable for table lookups.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
 
     /// Byte address of the first byte of this page.
+    #[inline]
     pub fn base_addr(self) -> usize {
         self.index() * PAGE_SIZE
     }

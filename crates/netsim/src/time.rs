@@ -25,56 +25,67 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Creates a time from nanoseconds.
+    #[inline]
     pub const fn from_ns(ns: u64) -> Self {
         SimTime(ns)
     }
 
     /// Creates a time from microseconds.
+    #[inline]
     pub const fn from_us(us: u64) -> Self {
         SimTime(us * 1_000)
     }
 
     /// Creates a time from milliseconds.
+    #[inline]
     pub const fn from_ms(ms: u64) -> Self {
         SimTime(ms * 1_000_000)
     }
 
     /// Creates a time from seconds.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000_000_000)
     }
 
     /// Value in nanoseconds.
+    #[inline]
     pub const fn as_ns(self) -> u64 {
         self.0
     }
 
     /// Value in microseconds (floating point, for reports).
+    #[inline]
     pub fn as_us(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// Value in milliseconds (floating point, for reports).
+    #[inline]
     pub fn as_ms(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
     /// Value in seconds (floating point, for reports).
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
 
     /// Saturating difference (`self - earlier`, or zero).
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(earlier.0))
     }
 
     /// The later of two times.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// Multiplies a span by an integer count (e.g. per-byte costs).
+    #[inline]
     pub fn times(self, n: u64) -> SimTime {
         SimTime(self.0 * n)
     }
@@ -82,12 +93,14 @@ impl SimTime {
 
 impl Add for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimTime) {
         self.0 += rhs.0;
     }
@@ -95,6 +108,7 @@ impl AddAssign for SimTime {
 
 impl Sub for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime(
             self.0
@@ -105,6 +119,7 @@ impl Sub for SimTime {
 }
 
 impl Sum for SimTime {
+    #[inline]
     fn sum<I: Iterator<Item = SimTime>>(iter: I) -> SimTime {
         iter.fold(SimTime::ZERO, Add::add)
     }

@@ -59,6 +59,7 @@ impl VectorClock {
     }
 
     /// Number of processors this clock covers.
+    #[inline]
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -73,6 +74,7 @@ impl VectorClock {
     /// # Panics
     ///
     /// Panics if `p` is out of range for this clock.
+    #[inline]
     pub fn get(&self, p: ProcId) -> u32 {
         self.slots[p.index()]
     }
@@ -82,6 +84,7 @@ impl VectorClock {
     /// # Panics
     ///
     /// Panics if `p` is out of range for this clock.
+    #[inline]
     pub fn set(&mut self, p: ProcId, seq: u32) {
         self.slots[p.index()] = seq;
     }
@@ -92,6 +95,7 @@ impl VectorClock {
     /// # Panics
     ///
     /// Panics if `p` is out of range for this clock.
+    #[inline]
     pub fn tick(&mut self, p: ProcId) -> u32 {
         let slot = &mut self.slots[p.index()];
         *slot += 1;
@@ -118,6 +122,7 @@ impl VectorClock {
 
     /// Does this clock cover interval `id` (i.e. has that interval
     /// happened before the state this clock describes)?
+    #[inline]
     pub fn covers(&self, id: IntervalId) -> bool {
         self.get(id.proc) >= id.seq
     }
@@ -155,6 +160,7 @@ impl VectorClock {
     }
 
     /// Iterates over `(proc, seq)` entries.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (ProcId, u32)> + '_ {
         self.slots
             .iter()
@@ -164,6 +170,7 @@ impl VectorClock {
 
     /// Size in bytes of this clock when shipped in a message
     /// (one 32-bit word per processor).
+    #[inline]
     pub fn wire_size(&self) -> usize {
         self.slots.len() * 4
     }

@@ -27,6 +27,7 @@ impl IntervalId {
     ///
     /// Panics if `seq` is zero; interval sequence numbers are 1-based so
     /// that a vector-clock entry of zero means "no interval seen".
+    #[inline]
     pub fn new(proc: ProcId, seq: u32) -> Self {
         assert!(seq > 0, "interval sequence numbers are 1-based");
         IntervalId { proc, seq }

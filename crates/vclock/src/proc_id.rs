@@ -25,6 +25,7 @@ impl ProcId {
     ///
     /// Panics if `index` does not fit in the id space (more than
     /// `u16::MAX` processors).
+    #[inline]
     pub fn new(index: usize) -> Self {
         assert!(
             index <= u16::MAX as usize,
@@ -34,6 +35,7 @@ impl ProcId {
     }
 
     /// Returns the dense index of this processor, usable as a table index.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -47,6 +49,7 @@ impl ProcId {
     /// let ids: Vec<_> = ProcId::all(3).collect();
     /// assert_eq!(ids, vec![ProcId::new(0), ProcId::new(1), ProcId::new(2)]);
     /// ```
+    #[inline]
     pub fn all(nprocs: usize) -> impl Iterator<Item = ProcId> {
         (0..nprocs).map(ProcId::new)
     }
