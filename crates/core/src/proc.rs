@@ -270,6 +270,14 @@ impl Proc {
 /// *after* the lock is released), so other processors — which only run
 /// at turn points — can neither deadlock on this memory nor revoke the
 /// span's page rights mid-span.
+///
+/// What the lock costs a span: on the simulator the carrier thread
+/// holds every processor's memory for the run (`Dsm::run`), so opening
+/// and closing a span is a flag set and cleared (≈ 1 ns), and a span
+/// left open across a turn point fails the run with the shim's
+/// re-entry panic; on the threads backend it is std's futex mutex, two
+/// atomic read-modify-writes (≈ 17 ns uncontended). Either way it is
+/// the span's only lock, with nothing taken under it.
 pub(crate) struct SpanGuard<'a> {
     /// The held memory lock; `None` once finished.
     mem: Option<MutexGuard<'a, PagedMemory>>,

@@ -127,6 +127,13 @@ pub(crate) fn close_interval(
     debug_assert!(writes.is_empty());
     let mut trace_diff = false;
 
+    // One hold of `p`'s memory for every page re-protected and encoded
+    // below, not one per dirty page. The HLRC arm (every HLRC page is
+    // MW-mode) takes its own: it also takes the home's memory
+    // (`flush_diff_to_home`), and no two memories are ever held at once.
+    let hlrc = w.cfg.protocol == ProtocolKind::Hlrc;
+    let mut held = (!hlrc).then(|| mems[p.index()].lock());
+
     for &page in &dirty {
         let mode = w.procs[p.index()].pages[page.index()].mode;
         match mode {
@@ -144,7 +151,8 @@ pub(crate) fn close_interval(
                 });
                 // Re-protect for write detection in the next interval.
                 let rights = close_rights(&w.procs[p.index()].pages[page.index()], p);
-                mems[p.index()].lock().set_rights(page, rights);
+                let mem = held.as_mut().expect("held outside HLRC");
+                mem.set_rights(page, rights);
                 w.procs[p.index()].pages[page.index()].dirty = false;
 
                 // A refused requester or a concurrent writer was seen:
@@ -161,7 +169,7 @@ pub(crate) fn close_interval(
                     }
                 }
             }
-            PageMode::Mw if w.cfg.protocol == ProtocolKind::Hlrc => {
+            PageMode::Mw if hlrc => {
                 // HLRC: diffs are flushed to the home and never stored;
                 // the home itself wrote in place (no twin, nothing to
                 // flush). Both cases re-protect for the next interval.
@@ -203,7 +211,8 @@ pub(crate) fn close_interval(
                     "previous pending diff must be materialised before a new session"
                 );
                 let rights = close_rights(&w.procs[p.index()].pages[page.index()], p);
-                mems[p.index()].lock().set_rights(page, rights);
+                let mem = held.as_mut().expect("held outside HLRC");
+                mem.set_rights(page, rights);
                 w.procs[p.index()].pages[page.index()].dirty = false;
                 w.procs[p.index()].pages[page.index()].pending =
                     Some(crate::world::PendingDiff { interval: id, twin });
@@ -234,10 +243,9 @@ pub(crate) fn close_interval(
                     .take()
                     .expect("MW-dirty page must have a twin");
                 let rights = close_rights(&w.procs[p.index()].pages[page.index()], p);
-                let mut mem = mems[p.index()].lock();
-                let diff = encode_dirty_window(&mem, &twin, page);
+                let mem = held.as_mut().expect("held outside HLRC");
+                let diff = encode_dirty_window(mem, &twin, page);
                 mem.set_rights(page, rights);
-                drop(mem);
                 w.proto.twin_dropped(PAGE_SIZE);
                 w.procs[p.index()].pages[page.index()].dirty = false;
 
@@ -284,6 +292,7 @@ pub(crate) fn close_interval(
         let concurrent = w.profiler.other_writers(page, p).any(|iv| !vc.covers(iv));
         w.profiler.note_write(page, p, id, concurrent);
     }
+    drop(held);
 
     // Steady-state closes allocate no notice list: when the fresh list
     // equals the previous interval's (the common case for iterative

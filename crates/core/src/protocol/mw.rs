@@ -29,26 +29,28 @@ pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
 pub(crate) fn ensure_twin_and_write(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     let pidx = p.index();
     let pgidx = page.index();
-    if ctx.w.procs[pidx].pages[pgidx].twin.is_none() {
+    let needs_twin = ctx.w.procs[pidx].pages[pgidx].twin.is_none();
+    if needs_twin {
         // Lazy diffing: the page is about to change, so the previous
         // interval's retained twin must be encoded now ("forced diff").
+        // It reads this memory itself, so the hold below starts after.
         let mcost = lrc::materialize_pending(ctx.w, ctx.mems, p, page);
         ctx.charge(mcost);
-        let twin = {
-            let mut mem = ctx.mems[pidx].lock();
-            // The twin is an exact snapshot of the frame: reset the
-            // dirty watermark so it bounds precisely the bytes that can
-            // differ from this twin — the window the interval-close
-            // diff encode scans.
-            mem.clear_dirty_span(page);
-            ctx.w.pool.get_copy(mem.page(page))
-        };
+    }
+    // One hold for the snapshot and the grant.
+    let mut mem = ctx.mems[pidx].lock();
+    if needs_twin {
+        // The twin is an exact snapshot of the frame: reset the
+        // dirty watermark so it bounds precisely the bytes that can
+        // differ from this twin — the window the interval-close
+        // diff encode scans.
+        mem.clear_dirty_span(page);
+        let twin = ctx.w.pool.get_copy(mem.page(page));
         ctx.w.procs[pidx].pages[pgidx].twin = Some(twin);
         let cost = ctx.w.cfg.cost.twin;
         ctx.charge(cost);
         ctx.w.proto.twin_created(PAGE_SIZE);
     }
-    let mut mem = ctx.mems[pidx].lock();
     mem.set_rights(page, AccessRights::Write);
     drop(mem);
     let pc = &mut ctx.w.procs[pidx].pages[pgidx];

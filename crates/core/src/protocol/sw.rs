@@ -114,17 +114,20 @@ pub(crate) fn soft_write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     debug_assert_eq!(ctx.w.dir[page.index()].owner, Some(p));
     // The owner's copy can be invalid if concurrent writers appeared
     // (adaptive protocols); merge their modifications first.
-    let readable = ctx.mems[p.index()].lock().rights(page).readable();
-    if !readable
+    // Check and grant under one hold of the memory — unless the merge
+    // has to run in between, which takes memories itself.
+    let mut mem = ctx.mems[p.index()].lock();
+    if !mem.rights(page).readable()
         || !ctx.w.procs[p.index()].pages[page.index()]
             .missing
             .is_empty()
     {
+        drop(mem);
         lrc::validate_page(ctx, p, page);
+        mem = ctx.mems[p.index()].lock();
     }
-    ctx.mems[p.index()]
-        .lock()
-        .set_rights(page, AccessRights::Write);
+    mem.set_rights(page, AccessRights::Write);
+    drop(mem);
     let pc = &mut ctx.w.procs[p.index()].pages[page.index()];
     pc.has_copy = true;
     ctx.w.dir[page.index()].copyset[p.index()] = true;

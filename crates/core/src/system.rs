@@ -501,7 +501,19 @@ impl Dsm {
         // The single protocol-selection point: every entry point from
         // here on dispatches through this object.
         let proto = protocol_for(protocol);
-        let outcome = engine.run(|task| {
+        let pool = world.lock().pool.clone();
+        // On the simulator every processor is a coroutine of one carrier
+        // thread, so the run's locks cannot be contended: the carrier
+        // holds them all, in lock order, for as long as the processors
+        // live, and each `lock()` under it is a flag. (The threads
+        // backend never calls this; its locks stay std's.)
+        let holds = |go: &mut dyn FnMut()| {
+            let _world = world.hold();
+            let _mems: Vec<_> = mems.iter().map(Mutex::hold).collect();
+            let _pool = pool.hold();
+            go();
+        };
+        let outcome = engine.run_within(holds, |task| {
             let mut proc = Proc {
                 id: ProcId::new(task.id()),
                 task,

@@ -613,6 +613,55 @@ fn steady_state_turn_handoff_on_the_carrier_allocates_nothing() {
     assert_eq!(last - first, 0, "heap allocations on the carrier thread");
 }
 
+/// What `Dsm::run` sets up on the carrier thread around its processors
+/// — the holds of the world, of every processor's memory and of the page
+/// pool's free list, under which each of the run's `lock()`s is a flag —
+/// costs one heap block, the `Vec` of memory holds, whatever the cluster
+/// size; a hold itself allocates nothing, and neither does a span under
+/// it (`steady_state_bulk_spans_allocate_nothing` runs leased). The
+/// carrier is a fresh thread, so the first processor's first reading of
+/// the per-thread counter is everything that came before it: compared
+/// with a bare `Engine::run` of as many tasks, which maps the same
+/// stacks and holds only the scheduler.
+#[test]
+fn the_carriers_holds_cost_one_allocation_at_any_cluster_size() {
+    for nprocs in [1, NPROCS, 16] {
+        let bare = std::sync::Mutex::new(Vec::with_capacity(nprocs));
+        adsm_engine::Engine::new(nprocs)
+            .run(|task| {
+                let so_far = thread_allocs();
+                bare.lock().expect("no task panics").push(so_far);
+                task
+            })
+            .expect("no task panics");
+        let held = std::sync::Arc::new(std::sync::Mutex::new(Vec::with_capacity(nprocs)));
+        let protocol = if nprocs == 1 {
+            ProtocolKind::Raw
+        } else {
+            ProtocolKind::Wfs
+        };
+        let mut dsm = Dsm::builder(protocol).nprocs(nprocs).build();
+        let _data = dsm.alloc_page_aligned::<u64>(512 * nprocs);
+        let readings = held.clone();
+        dsm.run(move |_p| {
+            let so_far = thread_allocs();
+            readings.lock().expect("no processor panics").push(so_far);
+        })
+        .expect("run completes");
+        let first = |readings: &std::sync::Mutex<Vec<u64>>| {
+            let readings = readings.lock().expect("no task panics");
+            assert_eq!(readings.len(), nprocs);
+            *readings.iter().min().expect("nprocs > 0")
+        };
+        let (bare, held) = (first(&bare), first(&held));
+        assert!(
+            held <= bare + 1,
+            "{nprocs} processors: {held} allocations before the first processor ran, \
+             {bare} before a bare engine's first task"
+        );
+    }
+}
+
 /// Closing an interval on a write-write falsely-shared page allocates
 /// nothing: the profiler's "was this write concurrent with another
 /// processor's latest write to the page?" walks the page's last-write

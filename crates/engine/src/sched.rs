@@ -455,6 +455,32 @@ impl Engine {
     where
         F: Fn(Task) -> Task + Sync,
     {
+        self.run_within(|go| go(), body)
+    }
+
+    /// [`Engine::run`] with the carrier thread's part of it bracketed by
+    /// the caller: where the tasks are coroutines of one carrier thread,
+    /// `scope` is called once, on that thread, with `go` — which runs
+    /// every task to completion — and what `scope` sets up around its
+    /// call of `go` lasts exactly as long as the tasks do, on the one
+    /// thread they all run on. That is where a caller takes
+    /// [`Mutex::hold`]s of the locks its tasks share, as the engine does
+    /// with its own scheduler lock: under them a `lock()` is a flag, and
+    /// a task that reaches a turn point with a guard alive fails the run
+    /// with the shim's re-entry panic instead of hanging the carrier.
+    /// Where every task has a thread of its own (the threads backend,
+    /// targets without a switch routine) `scope` is never called.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::run`]; a panic of `scope` itself is a
+    /// [`RunFailure::Panic`] too, and so is a `scope` that returns
+    /// without having called `go` exactly once.
+    pub fn run_within<S, F>(&self, scope: S, body: F) -> Result<(), RunFailure>
+    where
+        S: FnOnce(&mut dyn FnMut()) + Send,
+        F: Fn(Task) -> Task + Sync,
+    {
         // One task's whole life; a failure poisons the engine so that
         // the rest of the cluster unwinds instead of waiting for it.
         let run_task = |id: TaskId, on_carrier: bool| {
@@ -470,15 +496,23 @@ impl Engine {
                 let carrier = || {
                     // In the order the tasks failed.
                     let payloads = RefCell::new(Vec::new());
-                    let first = inner.sched.lock().pick_next();
-                    let first = first.expect("a fresh engine has a Ready task");
-                    // No unwind may leave a coroutine's entry: all of
-                    // them end in `run_task`'s `catch_unwind`.
-                    coro::run(self.ntasks, first, &|id| {
-                        let failed = run_task(id, true).err();
-                        payloads.borrow_mut().extend(failed);
-                        inner.after(id)
+                    // Every task's every `sched.lock()` happens on this
+                    // thread from here on: a lease, not a futex.
+                    let _sched = inner.sched.hold();
+                    let mut runs = 0;
+                    scope(&mut || {
+                        runs += 1;
+                        let first = inner.sched.lock().pick_next();
+                        let first = first.expect("a fresh engine has a Ready task");
+                        // No unwind may leave a coroutine's entry: all of
+                        // them end in `run_task`'s `catch_unwind`.
+                        coro::run(self.ntasks, first, &|id| {
+                            let failed = run_task(id, true).err();
+                            payloads.borrow_mut().extend(failed);
+                            inner.after(id)
+                        });
                     });
+                    assert_eq!(runs, 1, "run_within's scope calls `go` exactly once");
                     payloads.into_inner()
                 };
                 // A thread of the run's own, not the caller's: the
@@ -489,9 +523,8 @@ impl Engine {
                         .name("adsm-carrier".into())
                         .spawn_scoped(s, carrier)
                         .expect("spawning the carrier thread");
-                    carrier
-                        .join()
-                        .unwrap_or_else(|bug| panic::resume_unwind(bug))
+                    // Only `scope` can have unwound the carrier.
+                    carrier.join().unwrap_or_else(|payload| vec![payload])
                 })
             }
             _ => thread::scope(|s| {

@@ -276,3 +276,128 @@ fn the_threads_backend_runs_a_thread_per_task() {
     let failure = on_carrier(&Engine::threaded(2), |t| t.block()).unwrap_err();
     assert!(matches!(failure, RunFailure::Deadlock(_)), "{failure:?}");
 }
+
+/// Whether `Engine::run` has a carrier thread on this target (the
+/// condition of `coro::AVAILABLE`); elsewhere every task has a thread
+/// of its own and `run_within`'s scope is never called.
+const HAS_CARRIER: bool = cfg!(all(target_os = "linux", target_arch = "x86_64"));
+
+#[test]
+fn the_scope_runs_once_on_the_thread_every_task_runs_on() {
+    for engine in [Engine::new(8), Engine::with_fuzz_seed(8, 7)] {
+        let scoped_on = Mutex::new(Vec::new());
+        let tasks_on = Mutex::new(Vec::new());
+        engine
+            .run_within(
+                |go| {
+                    scoped_on.lock().unwrap().push(thread::current().id());
+                    go();
+                    // Every task is over when `go` returns.
+                    assert_eq!(tasks_on.lock().unwrap().len(), 8);
+                },
+                |mut t| {
+                    t.advance(SimTime::from_us(1 + t.id() as u64));
+                    t.yield_turn();
+                    tasks_on.lock().unwrap().push(thread::current().id());
+                    t
+                },
+            )
+            .unwrap();
+        let scoped_on = scoped_on.into_inner().unwrap();
+        let tasks_on = tasks_on.into_inner().unwrap();
+        assert_eq!(tasks_on.len(), 8);
+        if HAS_CARRIER {
+            assert_eq!(scoped_on.len(), 1, "once");
+            assert!(tasks_on.iter().all(|&id| id == scoped_on[0]));
+            assert_ne!(
+                scoped_on[0],
+                thread::current().id(),
+                "a thread of the run's own"
+            );
+        } else {
+            assert!(scoped_on.is_empty());
+        }
+    }
+}
+
+#[test]
+fn the_threads_backend_never_calls_the_scope() {
+    let scoped = AtomicUsize::new(0);
+    Engine::threaded(4)
+        .run_within(
+            |go| {
+                scoped.fetch_add(1, Ordering::Relaxed);
+                go();
+            },
+            |mut t| {
+                t.yield_turn();
+                t
+            },
+        )
+        .unwrap();
+    assert_eq!(scoped.into_inner(), 0);
+}
+
+#[test]
+fn a_scope_that_fails_fails_the_run() {
+    if !HAS_CARRIER {
+        return;
+    }
+    let ran = AtomicUsize::new(0);
+    let body = |t: Task| {
+        ran.fetch_add(1, Ordering::Relaxed);
+        t
+    };
+    // Before `go`: no task ever starts, and nobody waits for one.
+    let failure = Engine::new(4)
+        .run_within(|_go| panic!("the scope's set-up failed"), body)
+        .unwrap_err();
+    let RunFailure::Panic(payload) = failure else {
+        panic!("{failure:?}");
+    };
+    assert_eq!(panic_message(&*payload), "the scope's set-up failed");
+    // Without `go` at all.
+    let failure = Engine::new(4).run_within(|_go| {}, body).unwrap_err();
+    let RunFailure::Panic(payload) = failure else {
+        panic!("{failure:?}");
+    };
+    assert!(panic_message(&*payload).contains("exactly once"));
+    assert_eq!(ran.into_inner(), 0);
+}
+
+#[test]
+fn a_guard_alive_at_a_turn_point_is_a_reported_reentry_not_a_hang() {
+    if !HAS_CARRIER {
+        return;
+    }
+    // Task 0 offers a turn point with the guard of a mutex the carrier
+    // holds still alive; task 1, whose clock is smaller, gets the turn
+    // and locks the same mutex. On one thread nobody could ever unlock
+    // it: unheld this is a futex wait with no waker.
+    let shared = parking_lot::Mutex::new(0u32);
+    let failure = Engine::new(2)
+        .run_within(
+            |go| {
+                let _hold = shared.hold();
+                go();
+            },
+            |mut t| {
+                let mut guard = shared.lock();
+                *guard += 1;
+                if t.id() == 0 {
+                    t.advance(SimTime::from_us(5));
+                    t.yield_turn();
+                }
+                drop(guard);
+                t
+            },
+        )
+        .unwrap_err();
+    let RunFailure::Panic(payload) = failure else {
+        panic!("{failure:?}");
+    };
+    let said = panic_message(&*payload);
+    assert!(said.contains("re-entry"), "{said}");
+    // Task 0 unwound and dropped its guard; the hold ended cleanly.
+    assert_eq!(shared.into_inner(), 1);
+}

@@ -46,4 +46,4 @@ pub use diff::Diff;
 pub use memory::{AccessRights, FaultKind, PageFault, PagedMemory};
 pub use page::{page_count, page_of, page_span, PageId, PAGE_SIZE, WORD_SIZE};
 pub use pod::Pod;
-pub use pool::{PageBuf, PagePool};
+pub use pool::{PageBuf, PagePool, PoolHold};

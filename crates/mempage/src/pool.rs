@@ -16,7 +16,9 @@
 //! serves all of them from one carrier thread), so the list's own lock
 //! is never contended; it is there because [`PageBuf`]s are dropped
 //! wherever their owner dies, and it is the innermost lock of the
-//! order world → memory → pool.
+//! order world → memory → pool. The simulator's carrier thread holds it
+//! for a whole run ([`PagePool::hold`]), which makes each draw and
+//! return a flag.
 //!
 //! [`PageBuf`] is the RAII handle: it derefs to `[u8]`, and dropping it
 //! returns the buffer to the pool it came from. Clones draw a fresh
@@ -29,7 +31,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Hold, Mutex};
 
 use crate::PAGE_SIZE;
 
@@ -116,6 +118,17 @@ impl PagePool {
         b
     }
 
+    /// Holds the free list for the calling thread ([`Mutex::hold`])
+    /// until the returned value drops: its draws and returns are then a
+    /// flag each, and every other thread's wait for the drop. For the
+    /// simulator's carrier thread, the only one that touches the pool
+    /// during a run.
+    pub fn hold(&self) -> PoolHold<'_> {
+        PoolHold {
+            _free: self.inner.free.hold(),
+        }
+    }
+
     /// Buffers ever allocated from the heap (pool misses). Flat in
     /// steady state: the working set is served entirely by recycling.
     pub fn pages_created(&self) -> u64 {
@@ -131,6 +144,12 @@ impl PagePool {
     pub fn free_buffers(&self) -> usize {
         self.inner.free.lock().len()
     }
+}
+
+/// A thread's hold of a pool's free list ([`PagePool::hold`]).
+#[must_use = "the hold ends when this is dropped"]
+pub struct PoolHold<'a> {
+    _free: Hold<'a, Vec<PageBox>>,
 }
 
 impl fmt::Debug for PagePool {
