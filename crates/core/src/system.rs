@@ -20,8 +20,10 @@ use crate::{DsmConfig, Proc, ProtocolKind, SharedVec};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunError {
     /// Every processor ended up blocked (application synchronisation
-    /// bug).
-    Deadlock,
+    /// bug). Carries the engine's report: the headline, then every
+    /// blocked processor with what it waits on — the same text on both
+    /// backends.
+    Deadlock(String),
     /// An application closure panicked; the payload message is included.
     AppPanic(String),
     /// The configuration is invalid (e.g. the Raw protocol with more
@@ -32,7 +34,7 @@ pub enum RunError {
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RunError::Deadlock => f.write_str("all simulated processors are blocked"),
+            RunError::Deadlock(report) => f.write_str(report),
             RunError::AppPanic(m) => write!(f, "application panicked: {m}"),
             RunError::BadConfig(m) => write!(f, "invalid configuration: {m}"),
         }
@@ -530,7 +532,7 @@ impl Dsm {
         });
         match outcome {
             Ok(()) => {}
-            Err(RunFailure::Deadlock(_)) => return Err(RunError::Deadlock),
+            Err(RunFailure::Deadlock(report)) => return Err(RunError::Deadlock(report)),
             Err(RunFailure::Panic(payload)) => {
                 return Err(RunError::AppPanic(adsm_engine::panic_message(&*payload)));
             }

@@ -517,53 +517,63 @@ fn pool_demand_is_served_by_recycling() {
 }
 
 /// The engine's turn handoff — the simulator's cost per protocol
-/// interaction — touches no heap once every task has waited once (the
-/// first wait records the task's thread handle): a turn point that
-/// switches is a lock, a scan, one `unpark` and one `park`, and a
-/// block/wake pair is no different.
+/// interaction — and a block/wake pair under either policy touch no heap
+/// once every task has waited once (the first wait records the task's
+/// thread handle): a turn point that switches is a lock, a scan, one
+/// `unpark` and one `park`; a block and its wake-up are a lock each and
+/// the same `park` and `unpark`, whether the woken task then waits for a
+/// turn or has a thread to itself.
 #[test]
 fn steady_state_turn_handoff_allocates_nothing() {
-    let engine = adsm_engine::Engine::new(NPROCS);
-    let spent: Vec<u64> = std::thread::scope(|s| {
-        let joins: Vec<_> = (0..NPROCS)
-            .map(|id| {
-                let mut task = engine.task(id);
-                s.spawn(move || {
-                    let round_robin = |task: &mut adsm_engine::Task, turns: usize| {
-                        for _ in 0..turns {
-                            task.advance(SimTime::from_us(10));
-                            task.yield_turn();
-                        }
-                    };
-                    task.begin();
-                    round_robin(&mut task, 8);
-                    let before = thread_allocs();
-                    round_robin(&mut task, 500);
-                    // Barrier-shaped: everyone else blocks, task 0 (kept
-                    // furthest ahead) runs last and wakes them all.
-                    for _ in 0..500 {
-                        if id == 0 {
-                            task.advance(SimTime::from_us(20));
-                            task.yield_turn();
-                            let now = task.clock();
-                            (1..NPROCS).for_each(|other| task.unblock(other, now));
-                        } else {
-                            task.advance(SimTime::from_us(10));
-                            task.block();
-                        }
-                    }
-                    let spent = thread_allocs() - before;
-                    task.finish();
-                    spent
+    // A turn point each, then a baton round the ring: task 0 — kept
+    // furthest ahead, so that on the simulator it runs once the others
+    // have blocked — wakes task 1 and blocks, each task woken wakes the
+    // next, the last one wakes task 0.
+    fn rounds(task: &mut adsm_engine::Task, n: usize) {
+        let next = (task.id() + 1) % NPROCS;
+        for _ in 0..n {
+            task.advance(SimTime::from_us(10));
+            task.yield_turn();
+            if task.id() == 0 {
+                task.advance(SimTime::from_us(20));
+                task.yield_turn();
+                task.unblock(next, task.clock());
+                task.block();
+            } else {
+                task.block();
+                task.unblock(next, task.clock());
+            }
+        }
+    }
+    for make in [adsm_engine::Engine::new, adsm_engine::Engine::threaded] {
+        let engine = make(NPROCS);
+        let spent: Vec<u64> = std::thread::scope(|s| {
+            let joins: Vec<_> = (0..NPROCS)
+                .map(|id| {
+                    let mut task = engine.task(id);
+                    s.spawn(move || {
+                        task.begin();
+                        rounds(&mut task, 8);
+                        let before = thread_allocs();
+                        rounds(&mut task, 500);
+                        let spent = thread_allocs() - before;
+                        task.finish();
+                        spent
+                    })
                 })
-            })
-            .collect();
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("no task panics"))
-            .collect()
-    });
-    assert_eq!(spent, [0; NPROCS], "heap allocations per task thread");
+                .collect();
+            joins
+                .into_iter()
+                .map(|j| j.join().expect("no task panics"))
+                .collect()
+        });
+        assert_eq!(
+            spent,
+            [0; NPROCS],
+            "heap allocations per task thread, threads backend: {}",
+            engine.is_threaded()
+        );
+    }
 }
 
 /// The same on `Engine::run`'s carrier thread, where a handoff is a

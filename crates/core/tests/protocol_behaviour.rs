@@ -2,7 +2,7 @@
 //! of the paper's Figure 1 (producer-consumer, migratory, write-write
 //! false sharing) plus coherence and adaptation checks.
 
-use adsm_core::{Dsm, ProtocolKind, RunOutcome, SimTime};
+use adsm_core::{Dsm, ExecBackend, ProtocolKind, RunOutcome, SimTime};
 
 const KINDS: [ProtocolKind; 4] = [
     ProtocolKind::Mw,
@@ -348,20 +348,37 @@ fn raw_rejects_multiple_processors() {
 
 #[test]
 fn deadlock_is_reported() {
-    let dsm = Dsm::builder(ProtocolKind::Mw).nprocs(2).build();
-    let err = dsm
-        .run(|p| {
-            // P0 takes lock 0 and never releases; P1 waits forever; then
-            // P0 waits on a barrier P1 can never reach.
-            if p.index() == 0 {
-                p.lock(0);
-                p.barrier();
-            } else {
-                p.lock(0);
-            }
-        })
-        .unwrap_err();
-    assert_eq!(err, adsm_core::RunError::Deadlock);
+    // One scheduler finds the deadlock under both backends, so both say
+    // the same thing, word for word.
+    for backend in [ExecBackend::Sim, ExecBackend::Threads] {
+        let dsm = Dsm::builder(ProtocolKind::Mw)
+            .nprocs(2)
+            .backend(backend)
+            .build();
+        let err = dsm
+            .run(|p| {
+                // P0 takes lock 0 and never releases it. The barrier
+                // tells P1 so; P1 then waits for the lock for ever, and
+                // P0 at a second barrier P1 can never reach.
+                if p.index() == 0 {
+                    p.lock(0);
+                    p.barrier();
+                    p.barrier();
+                } else {
+                    p.barrier();
+                    p.lock(0);
+                }
+            })
+            .unwrap_err();
+        let report = "all simulated processors are blocked: \
+                      task 0 waiting on the barrier; task 1 waiting on lock 0";
+        assert_eq!(
+            err,
+            adsm_core::RunError::Deadlock(report.into()),
+            "{backend:?}"
+        );
+        assert_eq!(err.to_string(), report);
+    }
 }
 
 #[test]
@@ -406,7 +423,7 @@ fn a_poisoned_task_unwinds_through_its_lock_guard() {
     // panics: the poison unwinds P0 through its live guard, whose drop
     // must not reach for the lock again (a second panic there aborts
     // the process).
-    for backend in [adsm_core::ExecBackend::Sim, adsm_core::ExecBackend::Threads] {
+    for backend in [ExecBackend::Sim, ExecBackend::Threads] {
         let dsm = Dsm::builder(ProtocolKind::Mw)
             .nprocs(2)
             .backend(backend)

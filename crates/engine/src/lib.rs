@@ -60,16 +60,26 @@
 //! [`Engine::with_fuzz_seed`]): deterministic, serialised at turn
 //! points, the repository's measurement oracle. [`Engine::threaded`]
 //! selects the **threads** backend, which drops the serialisation: every
-//! task runs freely on its own OS thread, turn points are a single
-//! atomic clock commit, and blocking parks the thread — on the same
-//! per-task park/unpark primitive caller-owned simulator threads hand
-//! their turn over with — until a permit from [`Task::unblock`]
-//! arrives. Virtual clocks and wake-up latencies
-//! are still honoured, but the interleaving is the host scheduler's, so
-//! runs are *not* reproducible — the simulator stays the oracle, the
-//! threads backend is for host-parallel throughput (see the `threads`
-//! module documentation for the blocking and deadlock-detection
-//! details).
+//! task runs freely on its own OS thread and a turn point is an atomic
+//! clock commit and a look at the poison flag. It is the same scheduler
+//! under a second policy, not a second mechanism: every task starts out
+//! running instead of waiting to be picked, and [`Task::unblock`] makes
+//! its target run at once instead of making it eligible. Blocking — on
+//! the per-task park/unpark primitive caller-owned simulator threads
+//! hand their turn over with — the deadlock test (nothing runnable,
+//! nothing running, something blocked, found by whichever task blocks
+//! or finishes last), its report and the poisoning that unwinds everyone
+//! else are shared, so a deadlocked program fails with the same words
+//! under both. One thing only the threads backend needs: its tasks do not
+//! wait for each other, so an `unblock` can arrive before the `block` it
+//! answers, and is then kept as a permit which that `block` consumes.
+//! Virtual clocks and wake-up latencies are still honoured, but the
+//! interleaving is the host scheduler's, so runs are *not* reproducible —
+//! the simulator stays the oracle, the threads backend is for
+//! host-parallel throughput. (Threads asleep on a mutex of the caller's
+//! are invisible to the deadlock test; it sees `block`/`unblock`, which
+//! is where application-level deadlocks — lost unlocks, missing barrier
+//! arrivals — surface.)
 //!
 //! # Examples
 //!
@@ -126,7 +136,6 @@
 mod coro;
 mod park;
 mod sched;
-mod threads;
 
 #[doc(hidden)]
 pub use sched::sched_pick_rounds;

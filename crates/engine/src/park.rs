@@ -3,9 +3,8 @@
 //! `unpark`. (The coroutines of `Engine::run`'s carrier thread never
 //! sleep; they switch — see the `coro` module.)
 //!
-//! Both backends keep a task's wait condition under a mutex (the
-//! simulator's `Sched`, a threads-backend slot), change it only under
-//! that mutex, and then [`Parkers::wake`] the one task concerned. A
+//! A task's wait condition lives under the scheduler's mutex, is changed
+//! only under it, and the one task concerned is then [`Parkers::wake`]d. A
 //! waiter records its thread while it still holds the mutex, so a waker
 //! that changed the condition either ran before the waiter's test (which
 //! then sees the change) or after the handle was recorded (and finds

@@ -2,6 +2,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -108,11 +109,36 @@ pub(crate) fn deadlock_message(parked: &[(TaskId, ParkHint)]) -> String {
     msg
 }
 
+/// How the one scheduler hands out the processor. Everything else —
+/// statuses, clocks, blocking, poisoning, the deadlock test — is shared.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Policy {
+    /// One Active task at a time, least (clock, id) or a seeded draw: the
+    /// simulator, on either carrier.
+    Turns,
+    /// Every task is Active from the start and never Ready; an unblocked
+    /// task goes straight back to Active: one OS thread per task.
+    Free,
+}
+
+impl Policy {
+    /// Cells of [`Clocks`] from one task's clock to the next one's. Under
+    /// `Free` any thread may charge any clock at any time, so they sit a
+    /// cache-line pair apart; under `Turns` they are dense, for
+    /// [`Sched::least_ready`]'s scan.
+    const fn clock_stride(self) -> usize {
+        match self {
+            Policy::Turns => 1,
+            Policy::Free => 128 / size_of::<AtomicU64>(),
+        }
+    }
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Status {
     /// Wants to run; will be picked when its clock is minimal.
     Ready,
-    /// The single currently-executing task.
+    /// Executing: the single such task under [`Policy::Turns`].
     Active,
     /// Waiting for another task to unblock it.
     Blocked,
@@ -120,20 +146,82 @@ enum Status {
     Done,
 }
 
+/// Committed virtual clocks, in ns: one atomic cell per task, outside
+/// the scheduler's mutex, so that a clock is read and charged without
+/// it. A handle is a pointer to the cells and the engine's policy, which
+/// says how they are laid out and written; every [`Task`] carries one.
+#[derive(Clone)]
+struct Clocks {
+    cells: Arc<[AtomicU64]>,
+    policy: Policy,
+}
+
+impl Clocks {
+    fn new(ntasks: usize, policy: Policy) -> Self {
+        let cells = ntasks * policy.clock_stride();
+        Clocks {
+            cells: (0..cells).map(|_| AtomicU64::new(0)).collect(),
+            policy,
+        }
+    }
+
+    #[inline]
+    fn cell(&self, id: TaskId) -> &AtomicU64 {
+        &self.cells[id * self.policy.clock_stride()]
+    }
+
+    #[inline]
+    fn get(&self, id: TaskId) -> u64 {
+        self.cell(id).load(Ordering::Acquire)
+    }
+
+    /// Adds `dt` to `id`'s clock. Under [`Policy::Turns`] only the Active
+    /// task writes clocks, and the turn — with every write made during
+    /// it — is handed on through the scheduler's mutex: a plain load and
+    /// store. Under [`Policy::Free`] writers race: a read-modify-write,
+    /// `AcqRel` against [`Clocks::get`]'s `Acquire`.
+    #[inline]
+    fn add(&self, id: TaskId, dt: u64) {
+        let cell = self.cell(id);
+        match self.policy {
+            Policy::Turns => cell.store(cell.load(Ordering::Relaxed) + dt, Ordering::Relaxed),
+            Policy::Free if dt > 0 => drop(cell.fetch_add(dt, Ordering::AcqRel)),
+            Policy::Free => {}
+        }
+    }
+
+    /// Raises `id`'s clock to at least `t`; as [`Clocks::add`].
+    #[inline]
+    fn raise(&self, id: TaskId, t: u64) {
+        let cell = self.cell(id);
+        match self.policy {
+            Policy::Turns => cell.store(cell.load(Ordering::Relaxed).max(t), Ordering::Relaxed),
+            Policy::Free => drop(cell.fetch_max(t, Ordering::AcqRel)),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Sched {
-    clocks: Vec<u64>,
     status: Vec<Status>,
     /// Why each Blocked task parked; only read on deadlock.
     hints: Vec<ParkHint>,
-    /// Number of `Status::Ready` entries, maintained on every status
-    /// transition so the pick path never rebuilds a ready list.
+    /// [`Policy::Free`] only: an [`Task::unblock`] that found its target
+    /// not Blocked yet; the target's next [`Task::block`] consumes it
+    /// instead of parking.
+    permit: Vec<bool>,
+    /// Numbers of `Status::Ready` and `Status::Active` entries,
+    /// maintained on every status transition so that neither the pick
+    /// path nor the deadlock test rebuilds a list.
     ready: usize,
-    poisoned: bool,
+    active: usize,
     /// `None`: deterministic least-(clock, id) scheduling (the calibrated
     /// virtual-time mode). `Some(state)`: seeded pseudo-random choice
     /// among Ready tasks — schedule-fuzzing mode for robustness tests.
     fuzz: Option<u64>,
+    /// [`Engine::run`] has been called: statuses only move forward, so
+    /// there is no second run.
+    ran: bool,
 }
 
 /// splitmix64 step, the engine's only randomness source (fuzz mode).
@@ -146,32 +234,39 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl Sched {
-    fn new(ntasks: usize, fuzz: Option<u64>) -> Self {
+    fn new(ntasks: usize, fuzz: Option<u64>, policy: Policy) -> Self {
+        let (first, ready, active) = match policy {
+            Policy::Turns => (Status::Ready, ntasks, 0),
+            Policy::Free => (Status::Active, 0, ntasks),
+        };
         Sched {
-            clocks: vec![0; ntasks],
-            status: vec![Status::Ready; ntasks],
+            status: vec![first; ntasks],
             hints: vec![ParkHint::Unknown; ntasks],
-            ready: ntasks,
-            poisoned: false,
+            permit: vec![false; ntasks],
+            ready,
+            active,
             fuzz,
+            ran: false,
         }
     }
 
-    /// Sets task `i`'s status, keeping the cached ready count exact.
+    /// Sets task `i`'s status, keeping the cached counts exact.
     #[inline]
     fn set_status(&mut self, i: usize, s: Status) {
         self.ready -= (self.status[i] == Status::Ready) as usize;
         self.ready += (s == Status::Ready) as usize;
+        self.active -= (self.status[i] == Status::Active) as usize;
+        self.active += (s == Status::Active) as usize;
         self.status[i] = s;
     }
 
     /// Least (clock, id) among the Ready tasks: the deterministic pick.
-    /// One allocation-free scan over `status`/`clocks`.
-    fn least_ready(&self) -> Option<(u64, TaskId)> {
+    /// One allocation-free scan over `status` and the clocks.
+    fn least_ready(&self, clocks: &Clocks) -> Option<(u64, TaskId)> {
         let mut best: Option<(u64, TaskId)> = None;
         for (i, &s) in self.status.iter().enumerate() {
             if s == Status::Ready {
-                let key = (self.clocks[i], i);
+                let key = (clocks.get(i), i);
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
                 }
@@ -183,19 +278,17 @@ impl Sched {
     /// Picks the next Ready task — least (clock, id) normally, seeded
     /// random in fuzz mode (a scan to the k-th Ready entry in index
     /// order) — makes it Active and returns it: the one task the caller
-    /// must wake. `None` when nothing is Ready; if some task is Blocked
-    /// then, that is a deadlock and the engine is poisoned.
-    fn pick_next(&mut self) -> Option<TaskId> {
-        debug_assert!(self.status.iter().all(|&s| s != Status::Active));
+    /// must wake. `None` when nothing is Ready, which under
+    /// [`Policy::Free`] is always.
+    fn pick_next(&mut self, clocks: &Clocks) -> Option<TaskId> {
+        debug_assert!(self.ready == 0 || self.active == 0, "pick during a turn");
+        let count = |s| self.status.iter().filter(|&&t| t == s).count();
         debug_assert_eq!(
-            self.ready,
-            self.status.iter().filter(|&&s| s == Status::Ready).count(),
-            "cached ready count out of sync"
+            (self.ready, self.active),
+            (count(Status::Ready), count(Status::Active)),
+            "cached status counts out of sync"
         );
         if self.ready == 0 {
-            if self.status.contains(&Status::Blocked) {
-                self.poisoned = true;
-            }
             return None;
         }
         let next = match &mut self.fuzz {
@@ -209,7 +302,11 @@ impl Sched {
                     .map(|(i, _)| i)
                     .expect("k-th ready task exists")
             }
-            None => self.least_ready().expect("ready > 0 implies a minimum").1,
+            None => {
+                self.least_ready(clocks)
+                    .expect("ready > 0 implies a minimum")
+                    .1
+            }
         };
         self.set_status(next, Status::Active);
         Some(next)
@@ -221,16 +318,16 @@ impl Sched {
     /// Ready task has a smaller (clock, id). In fuzz mode every turn
     /// point is a draw among `me` and the Ready tasks, which may well
     /// return `me`.
-    fn yield_from(&mut self, me: TaskId) -> Option<TaskId> {
+    fn yield_from(&mut self, me: TaskId, clocks: &Clocks) -> Option<TaskId> {
         if self.ready == 0 {
             return None;
         }
         if self.fuzz.is_some() {
             self.set_status(me, Status::Ready);
-            return self.pick_next();
+            return self.pick_next(clocks);
         }
-        let (clock, next) = self.least_ready()?;
-        if (clock, next) >= (self.clocks[me], me) {
+        let (clock, next) = self.least_ready(clocks)?;
+        if (clock, next) >= (clocks.get(me), me) {
             return None;
         }
         self.set_status(me, Status::Ready);
@@ -238,10 +335,11 @@ impl Sched {
         Some(next)
     }
 
-    fn check_poison(&self) {
-        if self.poisoned {
-            panic::panic_any(EngineError::Poisoned);
-        }
+    /// Nothing Ready, nothing Active, something Blocked: no task will
+    /// ever run again. The one deadlock test, made under either policy by
+    /// the task that blocks or finishes last.
+    fn stuck(&self) -> bool {
+        self.ready == 0 && self.active == 0 && self.status.contains(&Status::Blocked)
     }
 
     /// Every Blocked task with its park hint — the deadlock report.
@@ -258,9 +356,33 @@ impl Sched {
 struct Inner {
     sched: Mutex<Sched>,
     park: Parkers,
+    clocks: Clocks,
+    /// Set under `sched`, and tested under it by every task that is
+    /// about to sleep, so that [`Inner::poison`]'s broadcast after the
+    /// unlock finds the thread of each one that missed the flag. The
+    /// `Release` store pairs with the `Acquire` load of a task that
+    /// tests it without the mutex ([`Policy::Free`]'s turn point).
+    poisoned: AtomicBool,
 }
 
 impl Inner {
+    fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
+    }
+
+    fn check_poison(&self) {
+        if self.is_poisoned() {
+            panic::panic_any(EngineError::Poisoned);
+        }
+    }
+
+    /// Poisons the engine and wakes every sleeper to unwind.
+    fn poison(&self, s: MutexGuard<'_, Sched>) {
+        self.poisoned.store(true, Ordering::Release);
+        drop(s);
+        self.park.wake_all();
+    }
+
     /// Waits for `me`'s turn. `next` is the task that has just been made
     /// Active under `s`, if any: unless that is `me` it gets the turn,
     /// and `me` waits until it is Active again or the engine is
@@ -269,55 +391,50 @@ impl Inner {
     /// task's thread and parks. A coroutine of [`Engine::run`]'s carrier
     /// thread releases the lock and switches to it; it is resumed only
     /// once the scheduler has picked it again, or to unwind.
-    fn await_turn<'a>(
-        &'a self,
-        s: MutexGuard<'a, Sched>,
+    fn await_turn(
+        &self,
+        s: MutexGuard<'_, Sched>,
         me: TaskId,
         next: Option<TaskId>,
         on_carrier: bool,
-    ) -> MutexGuard<'a, Sched> {
+    ) {
         let next = next.filter(|&next| next != me);
-        let s = if !on_carrier {
-            self.park.wait_until(me, next, &self.sched, s, |s| {
-                s.status[me] == Status::Active || s.poisoned
-            })
-        } else if let Some(next) = next {
-            drop(s);
-            coro::switch(me, next);
-            self.sched.lock()
+        if !on_carrier {
+            drop(self.park.wait_until(me, next, &self.sched, s, |s| {
+                s.status[me] == Status::Active || self.is_poisoned()
+            }));
         } else {
-            s
-        };
-        s.check_poison();
-        debug_assert_eq!(s.status[me], Status::Active, "resumed out of turn");
-        s
+            drop(s);
+            if let Some(next) = next {
+                coro::switch(me, next);
+            }
+            debug_assert!(
+                self.is_poisoned() || self.sched.lock().status[me] == Status::Active,
+                "resumed out of turn"
+            );
+        }
+        self.check_poison();
     }
 
     /// Coroutine `me` is over, finished or unwound: the one to resume in
     /// its place. Normally the scheduler's pick. Once the engine is
-    /// poisoned — by a failure, or by that very pick finding only
-    /// Blocked tasks — it is any task that is not Done, so that each
-    /// unwinds to its own entry frame and drops what it holds; `None`
-    /// when every task is Done.
+    /// poisoned — by a failure, or here, because `me` was the last that
+    /// could have woken the Blocked ones — it is any task that is not
+    /// Done, so that each unwinds to its own entry frame and drops what
+    /// it holds; `None` when every task is Done.
     fn after(&self, me: TaskId) -> Option<TaskId> {
         let mut s = self.sched.lock();
         // A task that unwound never reached `finish`.
         s.set_status(me, Status::Done);
-        if !s.poisoned {
-            if let Some(next) = s.pick_next() {
-                return Some(next);
-            }
+        if s.stuck() {
+            // Nobody sleeps on the carrier: the flag is all there is to it.
+            self.poisoned.store(true, Ordering::Release);
+        }
+        if !self.is_poisoned() {
+            return s.pick_next(&self.clocks);
         }
         s.status.iter().position(|&status| status != Status::Done)
     }
-}
-
-/// The execution backend behind an [`Engine`]: the deterministic
-/// turn-based simulator, or free-running OS threads.
-#[derive(Clone)]
-enum Backend {
-    Sim(Arc<Inner>),
-    Threads(Arc<crate::threads::Inner>),
 }
 
 /// The shared scheduler for a cluster of simulated processors.
@@ -328,7 +445,7 @@ enum Backend {
 /// crate-level documentation for the execution model.
 #[derive(Clone)]
 pub struct Engine {
-    backend: Backend,
+    inner: Arc<Inner>,
     ntasks: usize,
 }
 
@@ -347,7 +464,7 @@ impl Engine {
     ///
     /// Panics if `ntasks` is zero.
     pub fn new(ntasks: usize) -> Self {
-        Self::build(ntasks, None)
+        Self::build(ntasks, None, Policy::Turns)
     }
 
     /// Creates a **schedule-fuzzing** engine: at every turn point the
@@ -363,36 +480,34 @@ impl Engine {
     ///
     /// Panics if `ntasks` is zero.
     pub fn with_fuzz_seed(ntasks: usize, seed: u64) -> Self {
-        Self::build(ntasks, Some(seed))
+        Self::build(ntasks, Some(seed), Policy::Turns)
     }
 
     /// Creates a **threads-backend** engine: every task runs freely on
-    /// its own OS thread. Virtual clocks are still maintained (atomic
-    /// per-task counters) and blocking still parks the thread until a
-    /// matching [`Task::unblock`], but turn points no longer serialise
-    /// execution and the schedule is whatever the OS delivers —
-    /// measurements are host-parallel, reproducibility is gone. The
-    /// simulator backends above remain the oracle; see the
-    /// `threads` module documentation for the parking protocol.
+    /// its own OS thread. Virtual clocks are still maintained and
+    /// blocking still parks the thread until a matching
+    /// [`Task::unblock`], but turn points no longer serialise execution
+    /// and the schedule is whatever the OS delivers — measurements are
+    /// host-parallel, reproducibility is gone. The simulator backends
+    /// above remain the oracle; see the crate-level documentation for
+    /// what the two share.
     ///
     /// # Panics
     ///
     /// Panics if `ntasks` is zero.
     pub fn threaded(ntasks: usize) -> Self {
-        assert!(ntasks > 0, "an engine needs at least one task");
-        Engine {
-            backend: Backend::Threads(Arc::new(crate::threads::Inner::new(ntasks))),
-            ntasks,
-        }
+        Self::build(ntasks, None, Policy::Free)
     }
 
-    fn build(ntasks: usize, fuzz: Option<u64>) -> Self {
+    fn build(ntasks: usize, fuzz: Option<u64>, policy: Policy) -> Self {
         assert!(ntasks > 0, "an engine needs at least one task");
         Engine {
-            backend: Backend::Sim(Arc::new(Inner {
-                sched: Mutex::new(Sched::new(ntasks, fuzz)),
+            inner: Arc::new(Inner {
+                sched: Mutex::new(Sched::new(ntasks, fuzz, policy)),
                 park: Parkers::new(ntasks),
-            })),
+                clocks: Clocks::new(ntasks, policy),
+                poisoned: AtomicBool::new(false),
+            }),
             ntasks,
         }
     }
@@ -405,7 +520,7 @@ impl Engine {
     /// Is this the free-running threads backend (as opposed to the
     /// deterministic simulator)?
     pub fn is_threaded(&self) -> bool {
-        matches!(self.backend, Backend::Threads(_))
+        self.inner.clocks.policy == Policy::Free
     }
 
     /// Creates the handle for task `id`, to be driven from a thread the
@@ -423,18 +538,18 @@ impl Engine {
     fn task_on(&self, id: TaskId, on_carrier: bool) -> Task {
         assert!(id < self.ntasks, "task id {id} out of range");
         Task {
-            backend: self.backend.clone(),
+            inner: self.inner.clone(),
+            clocks: self.inner.clocks.clone(),
             id,
             local: 0,
-            committed: 0,
             on_carrier,
         }
     }
 
     /// Runs `body` once per task, to completion: the engine calls
     /// [`Task::begin`], hands `body` the task, and calls
-    /// [`Task::finish`] on the task `body` gives back. Call it once per
-    /// engine.
+    /// [`Task::finish`] on the task `body` gives back. An engine runs
+    /// once.
     ///
     /// The simulator runs one task at a time, so its tasks need no
     /// kernel thread each: they are coroutines on a single carrier
@@ -450,7 +565,8 @@ impl Engine {
     /// [`RunFailure::Deadlock`] when the program deadlocked,
     /// [`RunFailure::Panic`] when a task panicked. Either way every
     /// task has unwound and dropped what `body` had given it by the
-    /// time this returns.
+    /// time this returns. A second run of one engine is a
+    /// [`RunFailure::Panic`] that starts no task.
     pub fn run<F>(&self, body: F) -> Result<(), RunFailure>
     where
         F: Fn(Task) -> Task + Sync,
@@ -481,6 +597,14 @@ impl Engine {
         S: FnOnce(&mut dyn FnMut()) + Send,
         F: Fn(Task) -> Task + Sync,
     {
+        let inner = &*self.inner;
+        // Statuses only move forward: the tasks of a second run would
+        // wait for a turn that Done tasks are never given.
+        if std::mem::replace(&mut inner.sched.lock().ran, true) {
+            return Err(RunFailure::Panic(Box::new(
+                "an Engine runs once: make a new one for another run",
+            )));
+        }
         // One task's whole life; a failure poisons the engine so that
         // the rest of the cluster unwinds instead of waiting for it.
         let run_task = |id: TaskId, on_carrier: bool| {
@@ -491,43 +615,43 @@ impl Engine {
             }))
             .inspect_err(|_| self.poison())
         };
-        let mut payloads: Vec<Box<dyn Any + Send>> = match &self.backend {
-            Backend::Sim(inner) if coro::AVAILABLE => {
-                let carrier = || {
-                    // In the order the tasks failed.
-                    let payloads = RefCell::new(Vec::new());
-                    // Every task's every `sched.lock()` happens on this
-                    // thread from here on: a lease, not a futex.
-                    let _sched = inner.sched.hold();
-                    let mut runs = 0;
-                    scope(&mut || {
-                        runs += 1;
-                        let first = inner.sched.lock().pick_next();
-                        let first = first.expect("a fresh engine has a Ready task");
-                        // No unwind may leave a coroutine's entry: all of
-                        // them end in `run_task`'s `catch_unwind`.
-                        coro::run(self.ntasks, first, &|id| {
-                            let failed = run_task(id, true).err();
-                            payloads.borrow_mut().extend(failed);
-                            inner.after(id)
-                        });
+        let coroutines = inner.clocks.policy == Policy::Turns && coro::AVAILABLE;
+        let mut payloads: Vec<Box<dyn Any + Send>> = if coroutines {
+            let carrier = || {
+                // In the order the tasks failed.
+                let payloads = RefCell::new(Vec::new());
+                // Every task's every `sched.lock()` happens on this
+                // thread from here on: a lease, not a futex.
+                let _sched = inner.sched.hold();
+                let mut runs = 0;
+                scope(&mut || {
+                    runs += 1;
+                    let first = inner.sched.lock().pick_next(&inner.clocks);
+                    let first = first.expect("an engine that has not run has a Ready task");
+                    // No unwind may leave a coroutine's entry: all of
+                    // them end in `run_task`'s `catch_unwind`.
+                    coro::run(self.ntasks, first, &|id| {
+                        let failed = run_task(id, true).err();
+                        payloads.borrow_mut().extend(failed);
+                        inner.after(id)
                     });
-                    assert_eq!(runs, 1, "run_within's scope calls `go` exactly once");
-                    payloads.into_inner()
-                };
-                // A thread of the run's own, not the caller's: the
-                // run's allocations then come from an arena of their
-                // own instead of piling onto the caller's heap.
-                thread::scope(|s| {
-                    let carrier = thread::Builder::new()
-                        .name("adsm-carrier".into())
-                        .spawn_scoped(s, carrier)
-                        .expect("spawning the carrier thread");
-                    // Only `scope` can have unwound the carrier.
-                    carrier.join().unwrap_or_else(|payload| vec![payload])
-                })
-            }
-            _ => thread::scope(|s| {
+                });
+                assert_eq!(runs, 1, "run_within's scope calls `go` exactly once");
+                payloads.into_inner()
+            };
+            // A thread of the run's own, not the caller's: the
+            // run's allocations then come from an arena of their
+            // own instead of piling onto the caller's heap.
+            thread::scope(|s| {
+                let carrier = thread::Builder::new()
+                    .name("adsm-carrier".into())
+                    .spawn_scoped(s, carrier)
+                    .expect("spawning the carrier thread");
+                // Only `scope` can have unwound the carrier.
+                carrier.join().unwrap_or_else(|payload| vec![payload])
+            })
+        } else {
+            thread::scope(|s| {
                 let tasks: Vec<_> = (0..self.ntasks)
                     .map(|id| s.spawn(move || run_task(id, false)))
                     .collect();
@@ -536,7 +660,7 @@ impl Engine {
                     .into_iter()
                     .filter_map(|task| task.join().expect("run_task catches").err())
                     .collect()
-            }),
+            })
         };
         if payloads.is_empty() {
             return Ok(());
@@ -557,45 +681,24 @@ impl Engine {
     /// Committed virtual clock of a task (meaningful once the task has
     /// finished or is parked at a turn point).
     pub fn clock(&self, id: TaskId) -> SimTime {
-        match &self.backend {
-            Backend::Sim(inner) => SimTime::from_ns(inner.sched.lock().clocks[id]),
-            Backend::Threads(t) => SimTime::from_ns(t.clock_ns(id)),
-        }
+        SimTime::from_ns(self.inner.clocks.get(id))
     }
 
     /// Committed clocks of all tasks.
     pub fn clocks(&self) -> Vec<SimTime> {
-        match &self.backend {
-            Backend::Sim(inner) => inner
-                .sched
-                .lock()
-                .clocks
-                .iter()
-                .map(|&c| SimTime::from_ns(c))
-                .collect(),
-            Backend::Threads(t) => t.clocks(),
-        }
+        (0..self.ntasks).map(|id| self.clock(id)).collect()
     }
 
     /// Poisons the engine: every parked or blocked task will panic with
     /// [`EngineError::Poisoned`]. Called when a task thread panics so the
     /// rest of the cluster does not hang.
     pub fn poison(&self) {
-        match &self.backend {
-            Backend::Sim(inner) => {
-                inner.sched.lock().poisoned = true;
-                inner.park.wake_all();
-            }
-            Backend::Threads(t) => t.poison(),
-        }
+        self.inner.poison(self.inner.sched.lock());
     }
 
     /// Has the engine been poisoned (deadlock or task panic)?
     pub fn is_poisoned(&self) -> bool {
-        match &self.backend {
-            Backend::Sim(inner) => inner.sched.lock().poisoned,
-            Backend::Threads(t) => t.is_poisoned(),
-        }
+        self.inner.is_poisoned()
     }
 }
 
@@ -608,18 +711,16 @@ impl Engine {
 /// caller driving a handle from [`Engine::task`] on its own thread makes
 /// them itself.
 pub struct Task {
-    backend: Backend,
+    inner: Arc<Inner>,
+    /// The engine's clocks again: this task's own cell is read at every
+    /// [`Task::clock`], one pointer away from here.
+    clocks: Clocks,
     id: TaskId,
     /// Locally accumulated (uncommitted) virtual time.
     local: u64,
-    /// Simulator only: this task's committed clock as of its last turn
-    /// point. While the task is Active no other task runs, so nothing
-    /// but the task itself can move `clocks[id]` and the copy stays
-    /// exact; it is refreshed every time the turn comes back.
-    committed: u64,
-    /// Simulator only: this task is a coroutine of [`Engine::run`]'s
-    /// carrier thread, and waits for its turn by switching to the task
-    /// that has it; otherwise it has a thread of its own, and parks.
+    /// This task is a coroutine of [`Engine::run`]'s carrier thread, and
+    /// waits for its turn by switching to the task that has it;
+    /// otherwise it has a thread of its own, and parks.
     on_carrier: bool,
 }
 
@@ -647,18 +748,16 @@ impl Task {
         self.local += dt.as_ns();
     }
 
-    /// This task's committed clock, in ns.
-    fn committed_ns(&self) -> u64 {
-        match &self.backend {
-            Backend::Sim(_) => self.committed,
-            Backend::Threads(th) => th.clock_ns(self.id),
-        }
+    /// Commits the local time to this task's clock.
+    #[inline]
+    fn commit(&mut self) {
+        self.clocks.add(self.id, std::mem::take(&mut self.local));
     }
 
     /// Raises this task's clock to at least `t` (used when an operation
     /// completes at an absolute virtual time, e.g. a message arrival).
     pub fn advance_to(&mut self, t: SimTime) {
-        let committed = self.committed_ns();
+        let committed = self.clocks.get(self.id);
         let target = t.as_ns();
         if committed + self.local < target {
             self.local = target - committed;
@@ -667,62 +766,50 @@ impl Task {
 
     /// Current virtual clock (committed + local).
     pub fn clock(&self) -> SimTime {
-        SimTime::from_ns(self.committed_ns() + self.local)
+        SimTime::from_ns(self.clocks.get(self.id) + self.local)
     }
 
     /// First turn acquisition; blocks until this task is scheduled.
-    /// (Threads backend: an immediate poison check — there is no turn
-    /// to wait for.)
+    /// (Threads backend: every task is, from the start.)
     ///
     /// # Panics
     ///
     /// Panics with [`EngineError`] if the engine is poisoned.
     pub fn begin(&mut self) {
-        let inner = match &self.backend {
-            Backend::Sim(inner) => inner,
-            Backend::Threads(th) => return th.check_health(),
-        };
+        let inner = &*self.inner;
         let mut s = inner.sched.lock();
         // A poison that came before this thread was known to the parker
         // woke nobody on its behalf; any later one will.
-        s.check_poison();
+        inner.check_poison();
         // If nothing is active yet, elect a first task.
-        let elected = if s.status.contains(&Status::Active) {
+        let elected = if s.active > 0 {
             None
         } else {
-            s.pick_next()
+            s.pick_next(&self.clocks)
         };
-        let s = inner.await_turn(s, self.id, elected, self.on_carrier);
-        self.committed = s.clocks[self.id];
+        inner.await_turn(s, self.id, elected, self.on_carrier);
     }
 
     /// Turn point: commits local time and, if another runnable task has a
     /// smaller virtual clock, parks this task and runs that one. Returns
-    /// once this task is scheduled again.
+    /// once this task is scheduled again. (Threads backend: nobody waits
+    /// for a turn, so that is the commit and a look at the poison flag,
+    /// without the scheduler's lock.)
     ///
     /// # Panics
     ///
     /// Panics with [`EngineError`] if the engine is poisoned while
     /// waiting.
     pub fn yield_turn(&mut self) {
-        let inner = match &self.backend {
-            Backend::Sim(inner) => inner,
-            Backend::Threads(th) => {
-                // Threads mode: a turn point only commits local time (one
-                // atomic add) and checks for poison — no handover, the
-                // thread keeps running.
-                th.commit(self.id, self.local);
-                self.local = 0;
-                return th.check_health();
-            }
-        };
+        self.commit();
+        let inner = &*self.inner;
+        if self.clocks.policy == Policy::Free {
+            return inner.check_poison();
+        }
         let mut s = inner.sched.lock();
         debug_assert_eq!(s.status[self.id], Status::Active, "yield outside turn");
-        s.clocks[self.id] += self.local;
-        self.local = 0;
-        let next = s.yield_from(self.id);
-        let s = inner.await_turn(s, self.id, next, self.on_carrier);
-        self.committed = s.clocks[self.id];
+        let next = s.yield_from(self.id, &self.clocks);
+        inner.await_turn(s, self.id, next, self.on_carrier);
     }
 
     /// Blocks this task until another task calls [`Task::unblock`] for
@@ -746,42 +833,36 @@ impl Task {
     ///
     /// As [`Task::block`].
     pub fn block_on(&mut self, hint: ParkHint) {
-        let inner = match &self.backend {
-            Backend::Sim(inner) => inner,
-            Backend::Threads(th) => {
-                th.commit(self.id, self.local);
-                self.local = 0;
-                return th.block(self.id, hint);
-            }
-        };
+        self.commit();
+        let inner = &*self.inner;
         let mut s = inner.sched.lock();
         debug_assert_eq!(s.status[self.id], Status::Active, "block outside turn");
-        s.clocks[self.id] += self.local;
-        self.local = 0;
+        inner.check_poison();
+        if std::mem::take(&mut s.permit[self.id]) {
+            // The wake-up came first.
+            return;
+        }
         s.hints[self.id] = hint;
         s.set_status(self.id, Status::Blocked);
-        let next = s.pick_next();
-        if next.is_none() {
-            // Nothing runnable: deadlock. pick_next has poisoned the
-            // engine, so every waiter wakes and unwinds; this task
-            // carries the detailed report out.
+        if s.stuck() {
+            // This task found the deadlock and carries the report out;
+            // every other one wakes to the poison and unwinds.
             let report = deadlock_message(&s.parked_tasks());
-            drop(s);
-            inner.park.wake_all();
+            inner.poison(s);
             panic::panic_any(EngineError::Deadlock(report));
         }
-        let mut s = inner.await_turn(s, self.id, next, self.on_carrier);
-        s.hints[self.id] = ParkHint::Unknown;
-        self.committed = s.clocks[self.id];
+        let next = s.pick_next(&self.clocks);
+        inner.await_turn(s, self.id, next, self.on_carrier);
     }
 
     /// Makes a blocked task runnable again, with its clock raised to at
     /// least `wake_at`. Simulator backends: may only be called by the
     /// active task (i.e. during a turn), and the unblocked task runs
-    /// when its clock is minimal. Threads backend: deposits the target's
-    /// wake permit — the call may legitimately race ahead of the
-    /// target's own [`Task::block`], which then consumes the permit
-    /// without parking.
+    /// when its clock is minimal. Threads backend: the target runs at
+    /// once — and since a waiter enqueues itself under its caller's lock
+    /// but blocks after releasing it, the call may legitimately come
+    /// before the target's own [`Task::block`]: it then leaves a permit,
+    /// which that `block` consumes without parking.
     ///
     /// # Panics
     ///
@@ -789,72 +870,49 @@ impl Task {
     /// threads backend cannot distinguish not-yet-blocked from
     /// never-blocking).
     pub fn unblock(&self, other: TaskId, wake_at: SimTime) {
-        let inner = match &self.backend {
-            Backend::Sim(inner) => inner,
-            Backend::Threads(th) => return th.unblock(other, wake_at.as_ns()),
-        };
+        self.clocks.raise(other, wake_at.as_ns());
+        let inner = &*self.inner;
         let mut s = inner.sched.lock();
-        assert_eq!(
-            s.status[other],
-            Status::Blocked,
-            "unblock of a task that is not blocked"
-        );
-        s.clocks[other] = s.clocks[other].max(wake_at.as_ns());
-        s.set_status(other, Status::Ready);
+        let blocked = s.status[other] == Status::Blocked;
+        match self.clocks.policy {
+            Policy::Turns => {
+                assert!(blocked, "unblock of a task that is not blocked");
+                s.set_status(other, Status::Ready);
+            }
+            Policy::Free if blocked => {
+                s.set_status(other, Status::Active);
+                drop(s);
+                inner.park.wake(other);
+            }
+            Policy::Free => s.permit[other] = true,
+        }
     }
 
     /// Raises another task's committed clock to at least `t` (e.g. a
     /// service interrupt consumed its CPU). No effect on Done tasks'
     /// scheduling.
     pub fn raise_clock(&mut self, other: TaskId, t: SimTime) {
-        match &self.backend {
-            Backend::Sim(inner) => {
-                let mut s = inner.sched.lock();
-                s.clocks[other] = s.clocks[other].max(t.as_ns());
-                // `other` may be this task itself.
-                self.committed = s.clocks[self.id];
-            }
-            Backend::Threads(th) => th.raise(other, t.as_ns()),
-        }
+        self.clocks.raise(other, t.as_ns());
     }
 
     /// Adds `dt` to another task's committed clock.
     pub fn bump_clock(&mut self, other: TaskId, dt: SimTime) {
-        match &self.backend {
-            Backend::Sim(inner) => {
-                let mut s = inner.sched.lock();
-                s.clocks[other] += dt.as_ns();
-                self.committed = s.clocks[self.id];
-            }
-            Backend::Threads(th) => th.commit(other, dt.as_ns()),
-        }
+        self.clocks.add(other, dt.as_ns());
     }
 
     /// Committed clock of any task (for protocol decisions such as
     /// ownership quanta). Threads backend: a racy snapshot — another
     /// task may be holding uncommitted local time.
     pub fn clock_of(&self, other: TaskId) -> SimTime {
-        match &self.backend {
-            Backend::Sim(inner) => SimTime::from_ns(inner.sched.lock().clocks[other]),
-            Backend::Threads(th) => SimTime::from_ns(th.clock_ns(other)),
-        }
+        SimTime::from_ns(self.clocks.get(other))
     }
 
     /// Marks this task finished and schedules the next one.
     pub fn finish(&mut self) {
-        let inner = match &self.backend {
-            Backend::Sim(inner) => inner,
-            Backend::Threads(th) => {
-                th.commit(self.id, self.local);
-                self.local = 0;
-                return th.finish(self.id);
-            }
-        };
+        self.commit();
+        let inner = &*self.inner;
         let mut s = inner.sched.lock();
         debug_assert_eq!(s.status[self.id], Status::Active, "finish outside turn");
-        s.clocks[self.id] += self.local;
-        self.local = 0;
-        self.committed = s.clocks[self.id];
         s.set_status(self.id, Status::Done);
         if self.on_carrier {
             // The turn is passed on from the coroutine's entry frame
@@ -862,13 +920,14 @@ impl Task {
             // hold are gone: this stack is never resumed after that.
             return;
         }
-        let next = s.pick_next();
+        if s.stuck() {
+            // The rest are Blocked for good: they must all unwind.
+            return inner.poison(s);
+        }
+        let next = s.pick_next(&self.clocks);
         drop(s);
-        match next {
-            Some(next) => inner.park.wake(next),
-            // Every task is Done, or the rest are Blocked for good and
-            // pick_next has poisoned the engine: they must all unwind.
-            None => inner.park.wake_all(),
+        if let Some(next) = next {
+            inner.park.wake(next);
         }
     }
 }
@@ -882,11 +941,14 @@ impl Task {
 /// `engine.pick*`), not part of the public execution model.
 #[doc(hidden)]
 pub fn sched_pick_rounds(ntasks: usize, fuzz: Option<u64>, rounds: usize) -> u64 {
-    let mut s = Sched::new(ntasks, fuzz);
+    let clocks = Clocks::new(ntasks, Policy::Turns);
+    let mut s = Sched::new(ntasks, fuzz, Policy::Turns);
     let mut sum = 0u64;
     for r in 0..rounds {
-        let Some(picked) = s.pick_next() else { break };
-        s.clocks[picked] += 1 + (r as u64 % 7);
+        let Some(picked) = s.pick_next(&clocks) else {
+            break;
+        };
+        clocks.add(picked, 1 + (r as u64 % 7));
         sum = sum.wrapping_add(picked as u64);
         s.set_status(picked, Status::Ready);
     }
@@ -896,7 +958,6 @@ pub fn sched_pick_rounds(ntasks: usize, fuzz: Option<u64>, rounds: usize) -> u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::Ordering;
     use std::sync::mpsc;
     use std::thread;
 
@@ -966,16 +1027,19 @@ mod tests {
         run_on(&engine, body).map(|()| engine)
     }
 
-    /// `(wakes_issued, wakeups_not_active)` of a simulator engine.
+    /// `(wakes_issued, wakeups_not_active)` of an engine.
     fn wake_counts(engine: &Engine) -> (usize, usize) {
-        let Backend::Sim(inner) = &engine.backend else {
-            panic!("simulator engines only");
-        };
+        let park = &engine.inner.park;
         (
-            inner.park.wakes_issued.load(Ordering::Relaxed),
-            inner.park.wakeups_not_active.load(Ordering::Relaxed),
+            park.wakes_issued.load(Ordering::Relaxed),
+            park.wakeups_not_active.load(Ordering::Relaxed),
         )
     }
+
+    /// The engines whose tasks block, wake, finish, deadlock and unwind
+    /// by one mechanism: a test that does not assert a schedule takes
+    /// the policy as one more input.
+    const BOTH: [fn(usize) -> Engine; 2] = [Engine::new, Engine::threaded];
 
     #[test]
     fn single_task_runs_to_completion() {
@@ -1025,31 +1089,42 @@ mod tests {
     #[test]
     fn block_and_unblock() {
         // Task 1 blocks; task 0 unblocks it at 500us.
-        let engine = run_tasks(2, |t| {
-            if t.id() == 1 {
-                t.block();
-                // Woken at >= 500us.
-                assert!(t.clock() >= SimTime::from_us(500));
-            } else {
-                t.advance(SimTime::from_us(100));
-                t.yield_turn();
-                t.unblock(1, SimTime::from_us(500));
-            }
-        })
-        .unwrap();
-        assert!(engine.clock(1) >= SimTime::from_us(500));
+        for make in BOTH {
+            let engine = make(2);
+            run_on(&engine, |t| {
+                if t.id() == 1 {
+                    t.block();
+                    // Woken at >= 500us.
+                    assert!(t.clock() >= SimTime::from_us(500));
+                } else {
+                    t.advance(SimTime::from_us(100));
+                    t.yield_turn();
+                    t.unblock(1, SimTime::from_us(500));
+                }
+            })
+            .unwrap();
+            assert!(engine.clock(1) >= SimTime::from_us(500));
+        }
+    }
+
+    /// A deadlock is one task's to report: the rest unwind poisoned.
+    fn assert_one_report(failed: &[String], parked: &[(TaskId, ParkHint)]) {
+        let report = deadlock_message(parked);
+        assert_eq!(failed.len(), parked.len(), "{failed:?}");
+        assert_eq!(
+            failed.iter().filter(|m| **m == report).count(),
+            1,
+            "{failed:?}"
+        );
+        assert_eq!(poisoned_count(failed), parked.len() - 1, "{failed:?}");
     }
 
     #[test]
     fn deadlock_is_detected() {
-        let err = run_tasks(2, |t| {
+        let failed = run_all(&Engine::new(2), |t| {
             t.block(); // nobody will ever unblock anyone
-        })
-        .unwrap_err();
-        assert!(
-            err.contains("blocked") || err.contains("poisoned"),
-            "unexpected panic message: {err}"
-        );
+        });
+        assert_one_report(&failed, &[(0, ParkHint::Unknown), (1, ParkHint::Unknown)]);
     }
 
     #[test]
@@ -1079,24 +1154,19 @@ mod tests {
 
     #[test]
     fn deadlock_report_carries_park_hints() {
-        let err = run_tasks(2, |t| {
-            if t.id() == 0 {
-                t.block_on(ParkHint::Lock(9));
-            } else {
-                t.advance(SimTime::from_us(10));
-                t.yield_turn();
-                t.block_on(ParkHint::Barrier);
-            }
-        })
-        .unwrap_err();
-        // The task that detects the deadlock reports both parked tasks;
-        // the other unwinds with the poison echo.
-        assert!(
-            err.contains("task 0 waiting on lock 9") || err.contains("poisoned"),
-            "unexpected panic message: {err}"
-        );
-        if err.contains("task 0") {
-            assert!(err.contains("task 1 waiting on the barrier"), "{err}");
+        for make in BOTH {
+            let failed = run_all(&make(2), |t| {
+                if t.id() == 0 {
+                    t.block_on(ParkHint::Lock(9));
+                } else {
+                    t.advance(SimTime::from_us(10));
+                    t.yield_turn();
+                    t.block_on(ParkHint::Barrier);
+                }
+            });
+            // The task that detects the deadlock reports both parked
+            // tasks; the other unwinds with the poison echo.
+            assert_one_report(&failed, &[(0, ParkHint::Lock(9)), (1, ParkHint::Barrier)]);
         }
     }
 
@@ -1239,79 +1309,83 @@ mod tests {
     }
 
     #[test]
-    fn threaded_block_and_unblock() {
+    fn threaded_wakeups_racing_their_blocks_are_never_lost() {
+        // Two tasks pass one wake-up back and forth, each firing as soon
+        // as it has been woken: an unblock finds its target parked,
+        // about to park, or not in block() yet. No round may hang or
+        // lose the wake-up.
         let engine = Engine::threaded(2);
         run_on(&engine, |t| {
-            if t.id() == 1 {
-                t.block();
-                assert!(t.clock() >= SimTime::from_us(500));
-            } else {
-                t.advance(SimTime::from_us(100));
-                t.yield_turn();
-                t.unblock(1, SimTime::from_us(500));
-            }
-        })
-        .unwrap();
-        assert!(engine.clock(1) >= SimTime::from_us(500));
-    }
-
-    #[test]
-    fn threaded_unblock_may_race_ahead_of_block() {
-        // The permit handshake: the unblocker fires immediately, often
-        // before the target even reaches block(). No round may hang or
-        // lose the wakeup.
-        let engine = Engine::threaded(2);
-        run_on(&engine, |t| {
+            let peer = 1 - t.id();
             for round in 0..500u64 {
-                if t.id() == 1 {
+                if t.id() == 0 {
+                    t.unblock(peer, SimTime::from_ns(round));
                     t.block();
                 } else {
-                    t.unblock(1, SimTime::from_ns(round));
-                    // Permits are binary: two deposits before a consume
-                    // coalesce, stranding the later block — which the
-                    // deadlock detector must then catch at finish (in
-                    // real use the world lock serialises enqueue/grant
-                    // pairs, so a waiter is never granted twice). Either
-                    // a clean run or a detected unwind is correct here;
-                    // only a hang is a failure.
-                    if round % 64 == 0 {
-                        std::thread::yield_now();
-                    }
+                    t.block();
+                    t.unblock(peer, SimTime::from_ns(round));
                 }
             }
         })
-        .unwrap_err_or_ok();
+        .unwrap();
+    }
+
+    #[test]
+    fn an_unblock_ahead_of_its_block_is_a_permit_when_free_and_a_panic_in_turns() {
+        // A waiter enqueues itself under its caller's lock and blocks
+        // after releasing it; with every task running, the wake-up can
+        // come in between. It is kept, and the block never parks.
+        let engine = Engine::threaded(2);
+        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+        run_on(&engine, move |t| {
+            if t.id() == 0 {
+                t.unblock(1, SimTime::from_us(500));
+                tx.lock().send(()).expect("task 1 is listening");
+            } else {
+                rx.lock().recv().expect("task 0 has unblocked");
+                t.block();
+                assert!(t.clock() >= SimTime::from_us(500));
+            }
+        })
+        .unwrap();
+        assert_eq!(wake_counts(&engine), (0, 0), "nobody slept");
+        // With one task running at a time the target of a wake-up has
+        // always blocked already: anything else is a protocol bug.
+        let failed = run_all(&Engine::new(2), |t| {
+            if t.id() == 0 {
+                t.unblock(1, SimTime::from_us(500));
+            }
+        });
+        assert_eq!(failed.len(), 2, "{failed:?}");
+        assert!(failed[0].contains("unblock of a task that is not blocked"));
+        assert_eq!(poisoned_count(&failed), 1, "{failed:?}");
     }
 
     #[test]
     fn threaded_deadlock_is_detected() {
-        let engine = Engine::threaded(2);
-        let err = run_on(&engine, |t| {
+        let failed = run_all(&Engine::threaded(2), |t| {
             t.block(); // nobody will ever unblock anyone
-        })
-        .unwrap_err();
-        assert!(
-            err.contains("blocked") || err.contains("poisoned"),
-            "unexpected panic message: {err}"
-        );
+        });
+        assert_one_report(&failed, &[(0, ParkHint::Unknown), (1, ParkHint::Unknown)]);
     }
 
     #[test]
     fn threaded_finish_with_parked_peer_poisons() {
-        // Task 0 finishes; task 1 is parked forever: the cluster must
-        // unwind rather than hang (simulator parity: finish's failed
-        // pick poisons the blocked waiters).
+        // Task 0 finishes once task 1 is parked for good: nobody found a
+        // deadlock by blocking, so the cluster unwinds poisoned, as it
+        // does when a simulator task finishes past blocked peers.
         let engine = Engine::threaded(2);
-        let err = run_on(&engine, |t| {
+        let inner = engine.inner.clone();
+        let failed = run_all(&engine, move |t| {
             if t.id() == 1 {
                 t.block();
             }
-        })
-        .unwrap_err();
-        assert!(
-            err.contains("blocked") || err.contains("poisoned"),
-            "unexpected panic message: {err}"
-        );
+            while inner.sched.lock().status[1] != Status::Blocked {
+                thread::yield_now();
+            }
+        });
+        assert_eq!(failed, [EngineError::Poisoned.to_string()]);
     }
 
     #[test]
@@ -1335,62 +1409,31 @@ mod tests {
     }
 
     #[test]
-    fn threaded_poison_unwinds_parked_tasks() {
-        let engine = Engine::threaded(2);
-        let err = run_on(&engine, |t| {
-            if t.id() == 1 {
-                t.block(); // parked forever; must be woken by the poison
-            } else {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                panic!("app failure");
-            }
-        })
-        .unwrap_err();
-        assert!(
-            err.contains("app failure") || err.contains("poisoned"),
-            "unexpected panic message: {err}"
-        );
-    }
-
-    /// Helper for tests whose outcome may be either clean or a benign
-    /// engine unwind (racy handshakes without an ack channel).
-    trait ErrOrOk {
-        fn unwrap_err_or_ok(self);
-    }
-    impl ErrOrOk for Result<(), String> {
-        fn unwrap_err_or_ok(self) {
-            if let Err(e) = self {
-                assert!(
-                    e.contains("blocked") || e.contains("poisoned"),
-                    "unexpected panic message: {e}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn finished_tasks_release_the_cluster() {
-        // Even tasks finish at once; the odd ones keep running, handing
-        // the turn among themselves.
-        let engine = run_tasks(64, |t| {
-            if t.id() % 2 == 1 {
-                for _ in 0..5 {
-                    t.advance(SimTime::from_us(10));
-                    t.yield_turn();
+        // Even tasks finish at once; the odd ones keep running (handing
+        // the turn among themselves, where there is one).
+        for make in BOTH {
+            let engine = make(64);
+            run_on(&engine, |t| {
+                if t.id() % 2 == 1 {
+                    for _ in 0..5 {
+                        t.advance(SimTime::from_us(10));
+                        t.yield_turn();
+                    }
                 }
+            })
+            .unwrap();
+            for id in 0..64 {
+                let want = if id % 2 == 1 { 50 } else { 0 };
+                assert_eq!(engine.clock(id), SimTime::from_us(want), "task {id}");
             }
-        })
-        .unwrap();
-        for id in 0..64 {
-            let want = if id % 2 == 1 { 50 } else { 0 };
-            assert_eq!(engine.clock(id), SimTime::from_us(want), "task {id}");
         }
     }
 
-    /// Tasks `1..n` block; task 0, parked at a turn point until they
-    /// have, then runs `last_act`.
-    fn strand_peers(n: usize, last_act: fn(&mut Task)) -> Vec<String> {
-        run_all(&Engine::new(n), move |t| {
+    /// Tasks `1..` block; task 0 — on the simulator parked at a turn
+    /// point until they have — then runs `last_act`.
+    fn strand_peers(engine: &Engine, last_act: fn(&mut Task)) -> Vec<String> {
+        run_all(engine, move |t| {
             if t.id() == 0 {
                 t.advance(SimTime::from_us(100));
                 t.yield_turn();
@@ -1410,30 +1453,36 @@ mod tests {
     fn finish_that_strands_blocked_peers_unwinds_them_all() {
         // Task 0 returns without unblocking anyone: its finish finds
         // nothing Ready, poisons, and must wake all 63 sleepers.
-        let failed = strand_peers(64, |_| {});
+        let failed = strand_peers(&Engine::new(64), |_| {});
         assert_eq!(failed.len(), 63, "{failed:?}");
         assert_eq!(poisoned_count(&failed), 63, "{failed:?}");
     }
 
     #[test]
     fn poison_unwinds_every_parked_task() {
-        let failed = strand_peers(64, |_| panic!("app failure"));
-        assert_eq!(failed.len(), 64, "{failed:?}");
-        assert_eq!(failed[0], "app failure");
-        assert_eq!(poisoned_count(&failed), 63, "{failed:?}");
+        // Parked, or on their way there: 63 tasks, 63 echoes.
+        for make in BOTH {
+            let failed = strand_peers(&make(64), |_| panic!("app failure"));
+            assert_eq!(failed.len(), 64, "{failed:?}");
+            assert_eq!(failed[0], "app failure");
+            assert_eq!(poisoned_count(&failed), 63, "{failed:?}");
+        }
     }
 
     #[test]
     fn wide_deadlock_reports_once_and_poisons_the_rest() {
-        let failed = run_all(&Engine::new(64), |t| {
-            t.block_on(ParkHint::Lock(t.id() as u64));
-        });
-        assert_eq!(failed.len(), 64, "{failed:?}");
-        assert_eq!(poisoned_count(&failed), 63, "{failed:?}");
-        // Equal clocks run in id order, so task 63 blocks last, detects
-        // the deadlock and carries the full report.
+        // Whichever task blocks last detects the deadlock and carries
+        // the full report (on the simulator equal clocks run in id order,
+        // so that is task 63).
         let hints: Vec<_> = (0..64).map(|i| (i, ParkHint::Lock(i as u64))).collect();
-        assert_eq!(failed[63], deadlock_message(&hints));
+        for make in BOTH {
+            let engine = make(64);
+            let failed = run_all(&engine, |t| {
+                t.block_on(ParkHint::Lock(t.id() as u64));
+            });
+            assert_one_report(&failed, &hints);
+            assert!(engine.is_threaded() || failed[63] == deadlock_message(&hints));
+        }
     }
 
     #[test]
@@ -1500,11 +1549,12 @@ mod tests {
     /// point, if any other task is Ready, the yielding task goes Ready
     /// and the next is drawn among all Ready ones.
     fn fuzz_model(n: usize, seed: u64, iters: usize) -> Vec<usize> {
-        let mut s = Sched::new(n, Some(seed));
+        let clocks = Clocks::new(n, Policy::Turns);
+        let mut s = Sched::new(n, Some(seed), Policy::Turns);
         let mut left = vec![iters; n];
         let mut in_yield = vec![false; n];
         let mut order = Vec::new();
-        let mut cur = s.pick_next().expect("begin elects a task");
+        let mut cur = s.pick_next(&clocks).expect("begin elects a task");
         loop {
             if std::mem::take(&mut in_yield[cur]) {
                 order.push(cur);
@@ -1512,17 +1562,17 @@ mod tests {
             }
             if left[cur] == 0 {
                 s.set_status(cur, Status::Done);
-                match s.pick_next() {
+                match s.pick_next(&clocks) {
                     Some(next) => cur = next,
                     None => return order,
                 }
                 continue;
             }
-            s.clocks[cur] += 10_000;
+            clocks.add(cur, 10_000);
             in_yield[cur] = true;
             if s.ready > 0 {
                 s.set_status(cur, Status::Ready);
-                cur = s.pick_next().expect("the yielding task is Ready");
+                cur = s.pick_next(&clocks).expect("the yielding task is Ready");
             }
         }
     }
@@ -1539,9 +1589,7 @@ mod tests {
         const ITERS: usize = 250;
         for seed in [1, 42, 1997] {
             let engine = Engine::with_fuzz_seed(N, seed);
-            let Backend::Sim(inner) = engine.backend.clone() else {
-                unreachable!()
-            };
+            let inner = engine.inner.clone();
             let order = Arc::new(Mutex::new(Vec::new()));
             let o = order.clone();
             run_on(&engine, move |t| {

@@ -277,6 +277,33 @@ fn the_threads_backend_runs_a_thread_per_task() {
     assert!(matches!(failure, RunFailure::Deadlock(_)), "{failure:?}");
 }
 
+#[test]
+fn an_engine_runs_once() {
+    // Statuses only move forward: a second run has no task left to give
+    // a turn to (and clocks to keep apart from the first run's), so it is
+    // refused before any task starts.
+    for engine in [Engine::new(4), Engine::threaded(4)] {
+        let ran = AtomicUsize::new(0);
+        let body = |mut t: Task| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            t.advance(SimTime::from_us(10));
+            t
+        };
+        engine.run(body).unwrap();
+        let failure = engine.run(body).unwrap_err();
+        let RunFailure::Panic(payload) = failure else {
+            panic!("{failure:?}");
+        };
+        assert!(panic_message(&*payload).starts_with("an Engine runs once"));
+        assert_eq!(
+            ran.load(Ordering::Relaxed),
+            4,
+            "no task of the second run started"
+        );
+        assert!((0..4).all(|id| engine.clock(id) == SimTime::from_us(10)));
+    }
+}
+
 /// Whether `Engine::run` has a carrier thread on this target (the
 /// condition of `coro::AVAILABLE`); elsewhere every task has a thread
 /// of its own and `run_within`'s scope is never called.
