@@ -507,15 +507,16 @@ fn ship_record_to(
             }
             NoticeKind::NonOwner => {
                 let pc = &mut procs[p.index()].pages[pg_idx];
-                // Live for re-integration only: a recovering processor
-                // is shipped, against its durable clock, records whose
-                // notices it may still hold. A first delivery never
-                // finds a duplicate, yet pays the scan — linear in the
-                // page's pending list, ≈7 % of `scale64_sim`'s host
-                // time (ROADMAP, parked micro-candidates).
-                if !pc.missing.iter().any(|n| n.interval == interval) {
-                    pc.missing.push(PendingNotice { interval, kind });
-                }
+                // New by construction: `p` is shipped each interval once
+                // (the delivery rule above; recovery empties the lists
+                // before it re-integrates) and a record names each page
+                // once (`IntervalLog::push`), so the notice is appended
+                // without a search — O(1) however long the list is.
+                debug_assert!(
+                    !pc.missing.iter().any(|n| n.interval == interval),
+                    "{p} was shipped interval {interval}'s notice for {page} twice"
+                );
+                pc.missing.push(PendingNotice { interval, kind });
                 if adaptive {
                     // A non-owner notice is evidence of concurrent
                     // (MW) writing: this processor perceives write
@@ -674,8 +675,10 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
 
     // Lazy diffing: foreign modifications are about to reach this copy,
     // so the locally retained twin must be encoded first — afterwards its
-    // diff would claim the foreign words as local writes.
-    if !scratch.notices.is_empty() {
+    // diff would claim the foreign words as local writes. Eager diffing
+    // retains no twin, so there is nothing to encode, here or below.
+    let lazy = ctx.w.cfg.diff_strategy == crate::DiffStrategy::Lazy;
+    if lazy && !scratch.notices.is_empty() {
         let mcost = materialize_pending(ctx.w, ctx.mems, p, page);
         ctx.charge(mcost);
     }
@@ -732,16 +735,17 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
     );
 
     // 3. Fetch the remaining diffs, grouped per writer: the surviving
-    //    notice list is stable-sorted by writer (writers ascending,
-    //    original notice order within each), so one materialise +
-    //    request round covers all of that writer's intervals as a
-    //    contiguous run — the heavily-concurrent MW pages that used to
-    //    rescan the whole list once per writer now walk it once.
-    //    Requests are issued in parallel (elapsed time = slowest
-    //    writer, messages counted per writer). Every fetched diff is a
-    //    shared handle into the writer's per-page store — a refcount
-    //    bump, never a deep copy.
-    scratch.notices.sort_by_key(|n| n.interval.proc.index());
+    //    notice list is sorted by writer, so one materialise + request
+    //    round covers all of that writer's intervals as a contiguous
+    //    run. The order inside a run does not matter — step 4 re-sorts
+    //    the fetched diffs by their unique happened-before key — so the
+    //    sort is unstable and allocates nothing. Requests are issued in
+    //    parallel (elapsed time = slowest writer, messages counted per
+    //    writer). Every fetched diff is a shared handle into the
+    //    writer's per-page store — a refcount bump, never a deep copy.
+    scratch
+        .notices
+        .sort_unstable_by_key(|n| n.interval.proc.index());
     let my_mode_sw = ctx.w.procs[pidx].pages[pgidx].mode == PageMode::Sw;
     let mut remote_writers = 0u64;
     let mut total_reply_bytes = 0usize;
@@ -751,12 +755,14 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
         let q = scratch.notices[ni].interval.proc;
         // Lazy diffing: the writer encodes its retained twin on demand —
         // once, ahead of the whole run of its intervals.
-        let mcost = materialize_pending(ctx.w, ctx.mems, q, page);
-        if mcost > SimTime::ZERO {
-            if q == p {
-                ctx.charge(mcost);
-            } else {
-                ctx.charge_other(q, mcost);
+        if lazy {
+            let mcost = materialize_pending(ctx.w, ctx.mems, q, page);
+            if mcost > SimTime::ZERO {
+                if q == p {
+                    ctx.charge(mcost);
+                } else {
+                    ctx.charge_other(q, mcost);
+                }
             }
         }
         let mut reply_bytes = 0usize;

@@ -449,7 +449,8 @@ mod tests {
 
     /// A random cluster history: per-proc interval counts at the last
     /// barrier release (`base`) and now (`total`), each proc's
-    /// knowledge in between, and a random write list per interval.
+    /// knowledge in between, and a random write list per interval
+    /// (distinct pages, ascending, as a close builds it).
     #[derive(Clone, Debug)]
     struct History {
         nprocs: usize,
@@ -502,7 +503,12 @@ mod tests {
                     .map(|per_interval| {
                         per_interval
                             .into_iter()
-                            .map(|list| {
+                            .map(|mut list| {
+                                // Distinct pages, ascending: the only
+                                // write list a close builds, and the
+                                // only one `IntervalLog::push` takes.
+                                list.sort_unstable_by_key(|&(pg, _, _)| pg);
+                                list.dedup_by_key(|&mut (pg, _, _)| pg);
                                 list.into_iter()
                                     .map(|(pg, owner, v)| WriteNotice {
                                         page: PageId::new(pg),

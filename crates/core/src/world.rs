@@ -402,7 +402,22 @@ impl IntervalLog {
     }
 
     /// Appends `p`'s next closed interval.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build, if the record's write list is not
+    /// strictly ascending by page. A receiver appends each shipped
+    /// notice to the page's pending list without looking for it there,
+    /// so a page named twice would be merged twice; `close_interval`
+    /// builds the list from a sorted, deduplicated dirty set.
     pub fn push(&mut self, p: ProcId, record: IntervalRecord) {
+        if let Some(w) = record.writes.windows(2).find(|w| w[0].page >= w[1].page) {
+            panic!(
+                "protocol invariant violated: interval {} names {} then {} \
+                 (a write list names each page once, ascending)",
+                record.id, w[0].page, w[1].page
+            );
+        }
         self.per_proc[p.index()].push(record);
     }
 
@@ -485,8 +500,10 @@ pub(crate) struct MergeScratch {
     /// Uncommitted local delta of an open write session.
     pub delta: Diff,
     /// Snapshot of the page's pending notices, filtered in place down
-    /// to the surviving (non-dominated) set, then stable-sorted by
-    /// writer so the diff fetch walks one contiguous run per writer.
+    /// to the surviving (non-dominated) set, then sorted by writer so
+    /// the diff fetch walks one contiguous run per writer. The order
+    /// inside a run is arbitrary: the fetched diffs are re-sorted by
+    /// their happened-before key before any is applied.
     pub notices: Vec<PendingNotice>,
     /// Fetched diffs, sorted into the happened-before order they are
     /// applied in.
@@ -971,6 +988,29 @@ mod tests {
         assert_eq!((n, b), (3, total));
         assert_eq!(w.dir.diff_bytes(q), 0);
         assert_eq!(w.dir.diff_pages(q).next(), None);
+    }
+
+    fn record(q: ProcId, seq: u32, pages: &[usize]) -> IntervalRecord {
+        IntervalRecord {
+            id: IntervalId::new(q, seq),
+            vc: crate::notice::CloseVc::fresh(VectorClock::new(4), q, seq),
+            writes: pages
+                .iter()
+                .map(|&pg| WriteNotice {
+                    page: PageId::new(pg),
+                    kind: crate::notice::NoticeKind::NonOwner,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "interval P1:2 names pg3 then pg3")]
+    fn log_refuses_a_record_naming_a_page_twice() {
+        let q = ProcId::new(1);
+        let mut log = IntervalLog::new(4);
+        log.push(q, record(q, 1, &[0, 2, 7]));
+        log.push(q, record(q, 2, &[1, 3, 3]));
     }
 
     #[test]

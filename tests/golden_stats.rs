@@ -10,7 +10,7 @@
 //! cargo test --release --test golden_stats -- --ignored --nocapture print_golden
 //! ```
 //!
-//! and paste the printed table over `GOLDEN`.
+//! and paste the printed tables over `GOLDEN` and `GOLDEN64`.
 
 use adsm::{run_app, run_app_tuned, App, ProtocolKind, RunOptions, RunReport, Scale, Scenario};
 
@@ -441,13 +441,99 @@ fn perfect_scenario_reproduces_golden_digests() {
     }
 }
 
-/// Generator: prints the golden table for pasting into `GOLDEN`.
+/// The apps and protocols of the 64-processor table: `benchmark/`'s
+/// `scale64_sim` cells.
+const APPS64: [App; 3] = [App::Sor, App::Is, App::Barnes];
+const PROTOCOLS64: [ProtocolKind; 2] = [ProtocolKind::Mw, ProtocolKind::WfsWg];
+
+fn run_digest64(app: App, proto: ProtocolKind) -> [u64; 15] {
+    let run = run_app(app, proto, 64, Scale::Large);
+    assert!(run.ok, "{app} under {proto} at 64 procs: {}", run.detail);
+    digest(&run.outcome.report)
+}
+
+/// The same digest at 64 processors and `Large` scale, where a page's
+/// pending-notice list holds a notice per writer (up to 64 long) rather
+/// than the 1–3 of the 4-processor table; captured before write-notice
+/// delivery stopped searching that list.
+const GOLDEN64: &[(App, ProtocolKind, [u64; 15])] = &[
+    (
+        App::Sor,
+        ProtocolKind::Mw,
+        [
+            216038736, 4410, 11826356, 1260, 2306, 2306, 2306, 1260, 0, 0, 0, 0, 378, 0, 0,
+        ],
+    ),
+    (
+        App::Sor,
+        ProtocolKind::WfsWg,
+        [
+            147825712, 4158, 11807704, 1260, 2306, 2023, 2023, 881, 0, 252, 16192, 0, 379, 0, 5,
+        ],
+    ),
+    (
+        App::Is,
+        ProtocolKind::Mw,
+        [
+            6586111716, 41962, 26393882, 386, 387, 387, 387, 20286, 0, 0, 0, 0, 126, 0, 0,
+        ],
+    ),
+    (
+        App::Is,
+        ProtocolKind::WfsWg,
+        [
+            6552963620, 41714, 26268106, 386, 387, 382, 382, 20160, 0, 2, 128, 0, 126, 0, 1,
+        ],
+    ),
+    (
+        App::Barnes,
+        ProtocolKind::Mw,
+        [
+            576984774, 198738, 30728266, 3992, 2913, 2913, 2913, 117616, 0, 0, 0, 0, 1260, 0, 0,
+        ],
+    ),
+    (
+        App::Barnes,
+        ProtocolKind::WfsWg,
+        [
+            545066726, 198196, 30919666, 3985, 2913, 2883, 2883, 116068, 0, 705, 1280, 0, 1890, 0,
+            0,
+        ],
+    ),
+];
+
+#[test]
+fn sixty_four_processor_outcomes_exactly() {
+    assert_eq!(
+        GOLDEN64.len(),
+        APPS64.len() * PROTOCOLS64.len(),
+        "64-processor golden table incomplete — regenerate with print_golden"
+    );
+    for &(app, proto, expect) in GOLDEN64 {
+        assert_eq!(
+            run_digest64(app, proto),
+            expect,
+            "{app} under {proto} at 64 procs: outcome digest diverged from the golden capture"
+        );
+    }
+}
+
+/// Generator: prints the golden tables for pasting into `GOLDEN` and
+/// `GOLDEN64`.
 #[test]
 #[ignore = "generator, run manually with --ignored"]
 fn print_golden() {
+    println!("GOLDEN:");
     for app in App::ALL {
         for proto in PROTOCOLS {
             let d = run_digest(app, proto);
+            println!("    (App::{app:?}, ProtocolKind::{proto:?}, {d:?}),");
+        }
+    }
+    println!("GOLDEN64:");
+    for app in APPS64 {
+        for proto in PROTOCOLS64 {
+            let d = run_digest64(app, proto);
             println!("    (App::{app:?}, ProtocolKind::{proto:?}, {d:?}),");
         }
     }
