@@ -256,16 +256,10 @@ pub struct RunOptions {
     pub backend: adsm_core::ExecBackend,
     /// Chaos scenario: routes every cross-processor message through the
     /// seeded delivery layer (loss, duplication, reorder, jitter, fault
-    /// windows) and records a replayable journal; drives
-    /// `repro scenarios`.
+    /// windows, scheduled crashes and HLRC home failovers) and records a
+    /// journal of every deviation; drives `repro scenarios` and `repro
+    /// crash-matrix`.
     pub scenario: Option<adsm_core::Scenario>,
-    /// Replay a recorded delivery journal instead of drawing from a
-    /// scenario (simulator backend only; exclusive with `scenario`).
-    pub replay: Option<adsm_core::DeliveryJournal>,
-    /// Replicate every HLRC home onto a backup node fed by the same
-    /// flush stream (prerequisite for `HomeFailover` fault events);
-    /// other protocols ignore it.
-    pub hlrc_backup: bool,
     /// Sweep the SC comparator's coherence invariants after every fault
     /// (test facility: it copies every page each time); other protocols
     /// ignore it.
@@ -294,10 +288,6 @@ impl RunOptions {
         if let Some(scenario) = &self.scenario {
             b = b.scenario(scenario.clone());
         }
-        if let Some(journal) = &self.replay {
-            b = b.replay_journal(journal.clone());
-        }
-        b = b.hlrc_backup(self.hlrc_backup);
         b = b.sc_invariant_checks(self.sc_invariant_checks);
         b
     }

@@ -22,7 +22,7 @@
 //! --check  fail (exit 1) when a sweep's gate is violated: for
 //!          bench-scale the sub-linear fan-in growth gate (64-proc p50
 //!          < 4x the 8-proc p50, per backend); for scenarios the
-//!          verification, replay-identity and fault-free-baseline
+//!          verification, re-run-identity and fault-free-baseline
 //!          gates of every cell; for crash-matrix those same three
 //!          gates plus fault-actually-fired per cell
 //! ```
@@ -210,8 +210,9 @@ fn main() -> ExitCode {
 
     // Chaos-scenario sweep: the applications under the scenario corpus
     // (lossy, reordering, bursty, jittery delivery), gating sequential
-    // correctness, journal-replay bit-identity and the fault-free
-    // no-op property. `--smoke` shrinks to 2 apps x 3 scenarios.
+    // correctness, re-run bit-identity (with the journal summing to
+    // the chaos counters) and the fault-free no-op property. `--smoke`
+    // shrinks to 2 apps x 3 scenarios.
     if opts.targets.iter().any(|t| t == "scenarios") {
         let (scale, nprocs) = if opts.smoke {
             (Scale::Tiny, 4)
@@ -264,7 +265,7 @@ fn main() -> ExitCode {
     // Crash-recovery matrix: the applications under the three
     // scheduled fault shapes (instant-restart crash, crash with a down
     // window, HLRC home failover), gating sequential correctness,
-    // journal-replay bit-identity, the fault-free no-op property and
+    // re-run bit-identity, the fault-free no-op property and
     // that every scheduled fault actually fired. `--smoke` shrinks to
     // 2 apps (one barrier-structured, one locks-only).
     if opts.targets.iter().any(|t| t == "crash-matrix") {

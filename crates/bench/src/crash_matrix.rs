@@ -11,9 +11,10 @@
 //!
 //! 1. **Correctness** — the recovered run still verifies against the
 //!    app's sequential reference (`AppRun::ok`).
-//! 2. **Replay** — the journal recorded through the crash replays
-//!    bit-identically (crash events and recovery traffic are
-//!    deterministic, journaled state).
+//! 2. **Re-run** — the scenario, re-read from its text form, reproduces
+//!    the run bit-identically (crash events and recovery traffic are
+//!    deterministic), and the journal's sums equal the run's chaos
+//!    counters, epoch-fence drops included.
 //! 3. **Fault-free no-op** — the same scenario with its fault schedule
 //!    emptied equals a plain run exactly: recovery machinery costs
 //!    nothing until a fault fires.
@@ -25,6 +26,8 @@ use std::fmt::Write as _;
 
 use adsm_apps::{run_app_tuned, App, AppRun, RunOptions, Scale};
 use adsm_core::{Fault, FaultKind, ProtocolKind, Scenario, SimTime};
+
+use crate::scenarios::{reproduces, REPRODUCE_FAILURE};
 
 /// The three fault shapes of the sweep.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -65,11 +68,6 @@ impl FaultShape {
             FaultShape::CrashWindow => ProtocolKind::Mw,
             FaultShape::HomeFailover => ProtocolKind::Hlrc,
         }
-    }
-
-    /// Does the shape need a replicated backup home?
-    fn needs_backup(self) -> bool {
-        self == FaultShape::HomeFailover
     }
 
     /// The fault schedule, placed against the fault-free run time `t`.
@@ -114,7 +112,8 @@ pub struct CrashCell {
     pub ok: bool,
     /// Verification detail when `ok` is false.
     pub detail: String,
-    /// Did replaying the recorded journal reproduce the run?
+    /// Did the scenario, re-read from its text form, reproduce the run,
+    /// and does its journal sum to the chaos counters?
     pub replay_ok: bool,
     /// Did the emptied-schedule run equal the plain run exactly?
     pub baseline_ok: bool,
@@ -165,74 +164,35 @@ pub fn measure_crash_matrix(nprocs: usize, scale: Scale, apps: &[App]) -> CrashR
     }
 }
 
-fn base_opts(shape: FaultShape) -> RunOptions {
-    RunOptions {
-        hlrc_backup: shape.needs_backup(),
-        ..RunOptions::default()
-    }
-}
-
 fn run_cell(nprocs: usize, scale: Scale, app: App, shape: FaultShape) -> CrashCell {
     let protocol = shape.protocol();
-    let base = base_opts(shape);
+    let run_under = |scenario: Option<Scenario>| {
+        let opts = RunOptions {
+            scenario,
+            ..RunOptions::default()
+        };
+        run_app_tuned(app, protocol, nprocs, scale, &opts)
+    };
 
-    // The fault-free yardstick (and gate-3 baseline): same options,
-    // no scenario attached at all.
-    let plain = run_app_tuned(app, protocol, nprocs, scale, &base);
+    // The fault-free yardstick (and gate-3 baseline): no scenario
+    // attached at all.
+    let plain = run_under(None);
     let victim = nprocs as u32 - 1;
 
     let mut scenario = Scenario::perfect();
     scenario.name = format!("{}-{}", shape.name(), app.name());
     scenario.faults = shape.faults(plain.outcome.report.time, victim);
 
-    let run = run_app_tuned(
-        app,
-        protocol,
-        nprocs,
-        scale,
-        &RunOptions {
-            scenario: Some(scenario.clone()),
-            ..base.clone()
-        },
-    );
+    let run = run_under(Some(scenario.clone()));
     let r = &run.outcome.report;
 
-    // Gate 2: journal replay, through the text form.
-    let journal = run
-        .outcome
-        .journal()
-        .expect("scenario runs record a journal");
-    let reparsed = adsm_core::DeliveryJournal::parse(&journal.to_text())
-        .expect("recorded journal round-trips");
-    let replayed = run_app_tuned(
-        app,
-        protocol,
-        nprocs,
-        scale,
-        &RunOptions {
-            replay: Some(reparsed),
-            ..base.clone()
-        },
-    );
-    let replay_ok = replayed.ok
-        && replayed.outcome.report.net == r.net
-        && replayed.outcome.report.time == r.time
-        && replayed.outcome.image() == run.outcome.image();
+    // Gate 2: the scenario, through its text form, reproduces the run.
+    let replay_ok = reproduces(&run, &scenario, |s| run_under(Some(s)));
 
     // Gate 3: emptying the fault schedule makes the scenario a no-op.
     let mut benign = scenario;
     benign.faults.clear();
-    let benign_run = run_app_tuned(
-        app,
-        protocol,
-        nprocs,
-        scale,
-        &RunOptions {
-            scenario: Some(benign),
-            ..base
-        },
-    );
-    let baseline_ok = eq_plain(&benign_run, &plain);
+    let baseline_ok = eq_plain(&run_under(Some(benign)), &plain);
 
     CrashCell {
         app,
@@ -271,10 +231,7 @@ impl CrashReport {
                 ));
             }
             if !c.replay_ok {
-                fails.push(format!(
-                    "{} under {}: journal replay did not reproduce the run",
-                    c.app, c.shape
-                ));
+                fails.push(format!("{} under {}: {REPRODUCE_FAILURE}", c.app, c.shape));
             }
             if !c.baseline_ok {
                 fails.push(format!(

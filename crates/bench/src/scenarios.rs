@@ -8,10 +8,12 @@
 //! 1. **Correctness** — the run's final image must still match the
 //!    app's sequential reference (`AppRun::ok`): retransmission and
 //!    duplicate suppression may cost virtual time but never answers.
-//! 2. **Replay** — the journal recorded by the run, replayed through
-//!    [`RunOptions::replay`], must reproduce the run bit-identically:
-//!    same [`NetStats`](adsm_core::NetStats) totals (including the
-//!    chaos counters), same virtual time, same final image.
+//! 2. **Re-run** — the scenario is the record: re-read from its text
+//!    form and run again, it must reproduce the run bit-identically
+//!    (same [`NetStats`](adsm_core::NetStats) totals, virtual time,
+//!    per-processor clocks, final image and journal), and the journal's
+//!    sums must equal the run's chaos counters
+//!    ([`DeliveryJournal::check_counters`](adsm_core::DeliveryJournal::check_counters)).
 //! 3. **Fault-free no-op** — under the perfect scenario the delivery
 //!    layer must be invisible: the report and image must equal a plain
 //!    run with no scenario attached at all.
@@ -21,7 +23,7 @@
 
 use std::fmt::Write as _;
 
-use adsm_apps::{run_app_tuned, App, RunOptions, Scale};
+use adsm_apps::{run_app_tuned, App, AppRun, RunOptions, Scale};
 use adsm_core::{ProtocolKind, Scenario, SimTime};
 
 /// One app x scenario cell of the sweep.
@@ -46,7 +48,8 @@ pub struct ScenarioCell {
     pub timeout_waits: u64,
     /// Deviation events in the recorded journal.
     pub journal_events: usize,
-    /// Did replaying the journal reproduce the run bit-identically?
+    /// Did the scenario, re-read from its text form, reproduce the run
+    /// bit-identically, and does its journal sum to the chaos counters?
     pub replay_ok: bool,
     /// Perfect scenario only: did the run equal a plain (no-scenario)
     /// run exactly? `true` (vacuously) for chaotic scenarios.
@@ -104,34 +107,24 @@ fn run_cell(
     app: App,
     protocol: ProtocolKind,
     scenario: &Scenario,
-    plain: &adsm_apps::AppRun,
+    plain: &AppRun,
 ) -> ScenarioCell {
-    let opts = RunOptions {
-        scenario: Some(scenario.clone()),
-        ..RunOptions::default()
+    let run_under = |scenario: Scenario| {
+        let opts = RunOptions {
+            scenario: Some(scenario),
+            ..RunOptions::default()
+        };
+        run_app_tuned(app, protocol, nprocs, scale, &opts)
     };
-    let run = run_app_tuned(app, protocol, nprocs, scale, &opts);
+    let run = run_under(scenario.clone());
     let net = &run.outcome.report.net;
     let journal = run
         .outcome
         .journal()
-        .expect("scenario runs record a journal")
-        .clone();
+        .expect("scenario runs record a journal");
 
-    // Gate 2: replay the journal (with no scenario attached) and demand
-    // a bit-identical run. The journal travels through its text form so
-    // the serialisation is part of what is being replayed.
-    let reparsed = adsm_core::DeliveryJournal::parse(&journal.to_text())
-        .expect("recorded journal round-trips");
-    let replay_opts = RunOptions {
-        replay: Some(reparsed),
-        ..RunOptions::default()
-    };
-    let replayed = run_app_tuned(app, protocol, nprocs, scale, &replay_opts);
-    let replay_ok = replayed.ok
-        && replayed.outcome.report.net == run.outcome.report.net
-        && replayed.outcome.report.time == run.outcome.report.time
-        && replayed.outcome.image() == run.outcome.image();
+    // Gate 2: the scenario, through its text form, reproduces the run.
+    let replay_ok = reproduces(&run, scenario, run_under);
 
     // Gate 3: a perfect scenario must be a no-op against the plain run.
     let baseline_ok = if scenario.is_chaotic() {
@@ -158,6 +151,31 @@ fn run_cell(
     }
 }
 
+/// The re-run gate's failure, as `--check` reports it.
+pub(crate) const REPRODUCE_FAILURE: &str = "re-running the scenario from its text form did not \
+     reproduce the run, or its journal does not sum to the chaos counters";
+
+/// The re-run gate of the chaos sweeps: `scenario`, re-read from its
+/// text form and handed to `rerun`, reproduces `run` exactly — same
+/// `NetStats`, virtual time, per-processor clocks, image and journal —
+/// and the journal's sums are the run's chaos counters.
+pub(crate) fn reproduces(
+    run: &AppRun,
+    scenario: &Scenario,
+    rerun: impl FnOnce(Scenario) -> AppRun,
+) -> bool {
+    let (report, journal) = (&run.outcome.report, run.outcome.journal());
+    let reread = Scenario::parse(&scenario.to_text()).expect("canonical scenario text parses");
+    let again = rerun(reread);
+    again.ok
+        && again.outcome.report.net == report.net
+        && again.outcome.report.time == report.time
+        && again.outcome.report.proc_times == report.proc_times
+        && again.outcome.image() == run.outcome.image()
+        && again.outcome.journal() == journal
+        && journal.is_some_and(|j| j.check_counters(&report.net).is_ok())
+}
+
 impl ScenarioReport {
     /// Cells failing any gate (empty = sweep passed).
     pub fn failures(&self) -> Vec<String> {
@@ -171,7 +189,7 @@ impl ScenarioReport {
             }
             if !c.replay_ok {
                 fails.push(format!(
-                    "{} under {}: journal replay did not reproduce the run",
+                    "{} under {}: {REPRODUCE_FAILURE}",
                     c.app, c.scenario
                 ));
             }

@@ -1,7 +1,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use adsm_netsim::{CostModel, DeliveryJournal, Scenario};
+use adsm_netsim::{CostModel, Fault, Scenario};
 
 /// Which coherence protocol a run uses.
 ///
@@ -265,14 +265,6 @@ pub struct DsmConfig {
     /// Home assignment for the home-based LRC comparator
     /// ([`ProtocolKind::Hlrc`]); ignored by every other protocol.
     pub home_policy: HomePolicy,
-    /// HLRC comparator: replicate every home on a backup processor
-    /// (`(home + 1) % nprocs`). Each diff flush is also shipped to and
-    /// applied at the backup, so a `HomeFailover` fault can promote the
-    /// backup to serving home with no state transfer at failover time
-    /// (SC-ABD-style replicated stable storage). Off by default;
-    /// required for `HomeFailover` faults under
-    /// [`ProtocolKind::Hlrc`]; ignored by every other protocol.
-    pub hlrc_backup: bool,
     /// Schedule-fuzzing seed: when set, the engine picks the next
     /// processor pseudo-randomly at every turn point instead of by least
     /// virtual clock. Results of data-race-free programs must not change;
@@ -308,11 +300,10 @@ pub struct DsmConfig {
     /// is bit-identical to the cost model alone. While a scenario is
     /// active every delivery deviation is journaled; the journal comes
     /// back on [`RunOutcome::journal`](crate::RunOutcome::journal).
+    /// Under [`ProtocolKind::Hlrc`] a scheduled
+    /// [`HomeFailover`](adsm_netsim::FaultKind::HomeFailover) also
+    /// replicates every home onto a backup processor for the whole run.
     pub scenario: Option<Arc<Scenario>>,
-    /// Replay a recorded delivery journal instead of drawing fates from
-    /// a scenario PRNG. Simulator backend only; mutually exclusive with
-    /// [`scenario`](Self::scenario).
-    pub replay: Option<Arc<DeliveryJournal>>,
 }
 
 impl DsmConfig {
@@ -325,7 +316,6 @@ impl DsmConfig {
             npages: 0,
             migratory_opt: false,
             home_policy: HomePolicy::default(),
-            hlrc_backup: false,
             schedule_fuzz: None,
             diff_strategy: DiffStrategy::default(),
             adapt_policy: None,
@@ -333,8 +323,12 @@ impl DsmConfig {
             measure_host_costs: false,
             backend: ExecBackend::default(),
             scenario: None,
-            replay: None,
         }
+    }
+
+    /// The scenario's fault schedule (empty without a scenario).
+    pub(crate) fn faults(&self) -> &[Fault] {
+        self.scenario.as_deref().map_or(&[], |s| &s.faults)
     }
 }
 

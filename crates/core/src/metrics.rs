@@ -112,16 +112,11 @@ pub struct ProtocolStats {
     /// [`measure_host_costs`](crate::DsmBuilder::measure_host_costs) is
     /// on; `benchmark/` reports its percentiles (`core.validate_*`).
     pub validate_wall: NsHistogram,
-    /// Host wall-clock cost of barrier completion (global clock,
-    /// per-processor fan-down, adaptation mechanism 3, GC, release
-    /// broadcast). One sample per episode; gated like `validate_wall`.
-    pub barrier_wall: NsHistogram,
     /// Host wall-clock cost of one barrier **arrival**'s share of the
     /// fan-in, which is recording itself: all integration work is the
-    /// completion's ([`barrier_wall`](Self::barrier_wall)), so samples
-    /// must not grow with the processor count — the scaling gate of
-    /// `repro bench-scale`. One sample per arrival; gated like
-    /// `validate_wall`.
+    /// barrier completion's, so samples must not grow with the
+    /// processor count — the scaling gate of `repro bench-scale`. One
+    /// sample per arrival; gated like `validate_wall`.
     pub barrier_fanin_wall: NsHistogram,
 }
 

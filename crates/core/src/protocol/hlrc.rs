@@ -52,12 +52,13 @@ pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         fetch_from_home(ctx, p, page);
     }
     let home = ctx.w.home_of(page, p);
-    if p == home && !ctx.w.cfg.hlrc_backup {
+    if p == home && ctx.w.failovers.is_empty() {
         // The home writes in place: its frame *is* the canonical copy,
         // so no twin is needed and the interval close flushes nothing.
-        // With home replication the in-place shortcut is off: the
-        // home's writes must travel the same twin-and-flush stream so
-        // the backup store stays bit-identical to the home frame.
+        // With a failover scheduled, homes are replicated and the
+        // in-place shortcut is off: the home's writes must travel the
+        // same twin-and-flush stream so the backup store stays
+        // bit-identical to the home frame.
         ctx.mems[p.index()]
             .lock()
             .set_rights(page, AccessRights::Write);
@@ -173,12 +174,12 @@ pub(crate) fn flush_diff_to_home(
     w.proto.diffs_dropped(1, wire as u64);
     w.proto.home_flushes += 1;
 
-    // Home replication: the same flush stream feeds the backup, so its
-    // store stays bit-identical to the home frame (every home write is
-    // twinned under `hlrc_backup`, so no modification bypasses this
-    // path). The writer pays the extra send; the backup-side apply is
-    // deferred like the home's.
-    let backup_send = if w.cfg.hlrc_backup {
+    // Home replication, on exactly when a failover is scheduled: the
+    // same flush stream feeds the backup, so its store stays
+    // bit-identical to the home frame (every home write is twinned
+    // then, so no modification bypasses this path). The writer pays
+    // the extra send; the backup-side apply is deferred like the home's.
+    let backup_send = if !w.failovers.is_empty() {
         let backup = ProcId::new((home.index() + 1) % w.cfg.nprocs);
         if w.backup_store.len() < w.cfg.npages {
             w.backup_store.resize_with(w.cfg.npages, || None);
@@ -204,7 +205,7 @@ pub(crate) fn flush_diff_to_home(
     if home == p {
         // Cannot happen for twinned pages (the home writes in place),
         // except when a page's home was resolved lazily *after* this
-        // processor already twinned it — or under `hlrc_backup`, where
+        // processor already twinned it — or with homes replicated, where
         // the home twins like everyone else. Applying locally is free;
         // only the backup send (if any) hits the wire.
         diff.apply(mems[p.index()].lock().page_mut(page));

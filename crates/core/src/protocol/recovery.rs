@@ -2,9 +2,8 @@
 //!
 //! The fault model (see DESIGN.md, "Crash recovery and home
 //! replication"): the interval log, the directory — including its
-//! per-creator diff stores — and, under HLRC home replication
-//! ([`DsmConfig::hlrc_backup`](crate::DsmConfig::hlrc_backup)), the
-//! backup copy of every home frame model **replicated stable storage**
+//! per-creator diff stores — and, under HLRC with a failover scheduled,
+//! the backup copy of every home frame model **replicated stable storage**
 //! (SC-ABD style). A [`FaultKind::ProcCrash`](adsm_netsim::FaultKind)
 //! kills one processor's *incarnation*: everything it cached — page
 //! access rights, protocol metadata, pending notice lists, its vector
@@ -200,15 +199,12 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
 
 /// Applies failover event `k` at a commit point (barrier completion or
 /// lock release): promote every page homed at the failed node to its
-/// replicated backup and redirect
-/// readers through the directory. A no-op (but still consumed) outside
-/// HLRC-with-backup — [`Dsm::run`](crate::Dsm::run) rejects the
-/// configurations where that would silently lose the fault.
+/// replicated backup and redirect readers through the directory.
+/// [`Dsm::run`](crate::Dsm::run) admits failovers under HLRC only, and
+/// a scheduled failover is what replicates the homes.
 pub(crate) fn failover_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
+    debug_assert_eq!(ctx.w.cfg.protocol, ProtocolKind::Hlrc);
     ctx.w.failovers[k].fired = true;
-    if ctx.w.cfg.protocol != ProtocolKind::Hlrc || !ctx.w.cfg.hlrc_backup {
-        return;
-    }
     let failed = ctx.w.failovers[k].home;
     let nprocs = ctx.w.nprocs();
     let backup = ProcId::new((failed.index() + 1) % nprocs);

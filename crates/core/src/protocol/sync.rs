@@ -229,7 +229,6 @@ pub(crate) fn barrier_arrive(
     }
 
     // --- Completion (this processor arrived last) ---
-    let wall0 = ctx.w.cfg.measure_host_costs.then(std::time::Instant::now);
     let t0 = ctx
         .w
         .barrier
@@ -320,14 +319,6 @@ pub(crate) fn barrier_arrive(
     ctx.w.bscratch.m3_pages = m3_pages;
     ctx.w.bscratch.payloads = payloads;
     ctx.w.trace_event(completion, TraceKind::Barrier);
-    if let Some(wall0) = wall0 {
-        // Host cost of the completion, per barrier episode; an
-        // arrival's own share is in `barrier_fanin_wall`.
-        ctx.w
-            .proto
-            .barrier_wall
-            .record(wall0.elapsed().as_nanos() as u64);
-    }
     BarrierOutcome::Completed
 }
 

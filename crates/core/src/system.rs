@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use adsm_engine::{Engine, RunFailure};
 use adsm_mempage::{page_count, PagedMemory, Pod, PAGE_SIZE};
-use adsm_netsim::{CostModel, Delivery, DeliveryJournal, Scenario, SimTime};
+use adsm_netsim::{CostModel, Delivery, DeliveryJournal, FaultKind, Scenario, SimTime};
 use adsm_vclock::ProcId;
 use parking_lot::Mutex;
 
@@ -129,32 +129,6 @@ impl DsmBuilder {
         self
     }
 
-    /// Replicates every HLRC home: the interval-close flush stream also
-    /// feeds a backup node (`(home + 1) % nprocs`), whose stored copy
-    /// stays bit-identical to the home frame — the replicated stable
-    /// storage a [`FaultKind::HomeFailover`](adsm_netsim::FaultKind)
-    /// event promotes. The home's own writes lose their write-in-place
-    /// shortcut (they must travel the flush stream too), so replication
-    /// costs twinning at the home plus one extra flush send per diff.
-    /// Off by default; every protocol but [`ProtocolKind::Hlrc`]
-    /// ignores it.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use adsm_core::{Dsm, ProtocolKind};
-    ///
-    /// let dsm = Dsm::builder(ProtocolKind::Hlrc)
-    ///     .nprocs(4)
-    ///     .hlrc_backup(true)
-    ///     .build();
-    /// assert_eq!(dsm.protocol(), ProtocolKind::Hlrc);
-    /// ```
-    pub fn hlrc_backup(mut self, on: bool) -> Self {
-        self.cfg.hlrc_backup = on;
-        self
-    }
-
     /// Selects when multiple-writer diffs are encoded:
     /// [`DiffStrategy::Eager`](crate::DiffStrategy::Eager) (default)
     /// encodes at interval close; `Lazy` retains the twin and encodes on
@@ -227,8 +201,8 @@ impl DsmBuilder {
     /// Measures host wall-clock costs of the protocol hot paths
     /// (`validate_page`, barrier fan-in) into the run report's
     /// histograms ([`validate_wall`](crate::ProtocolStats::validate_wall)
-    /// and [`barrier_wall`](crate::ProtocolStats::barrier_wall)). Off by
-    /// default; `repro bench-scale` and `benchmark/` turn it on.
+    /// and [`barrier_fanin_wall`](crate::ProtocolStats::barrier_fanin_wall)).
+    /// Off by default; `repro bench-scale` and `benchmark/` turn it on.
     pub fn measure_host_costs(mut self, on: bool) -> Self {
         self.cfg.measure_host_costs = on;
         self
@@ -265,10 +239,20 @@ impl DsmBuilder {
     /// drop it (the sender times out and retransmits with exponential
     /// backoff), duplicate it (the receiver suppresses the copy but
     /// pays a service interrupt), reorder it, or stretch its latency —
-    /// all deterministically from the scenario seed. Every deviation is
-    /// journaled; the completed run's [`RunOutcome::journal`] replays
-    /// it bit-identically. A scenario with all-zero rates and no faults
-    /// is exactly a plain run.
+    /// all deterministically from the scenario seed, so running the same
+    /// scenario again reproduces the run bit for bit. Every deviation is
+    /// journaled in the completed run's [`RunOutcome::journal`]. A
+    /// scenario with all-zero rates and no faults is exactly a plain
+    /// run.
+    ///
+    /// Scheduled crashes need an LRC-family protocol, and a scheduled
+    /// [`FaultKind::HomeFailover`] needs [`ProtocolKind::Hlrc`]: it
+    /// replicates every home onto a backup node (`(home + 1) % nprocs`)
+    /// for the whole run — the flush stream feeds the backup too, and
+    /// the home's own writes lose their write-in-place shortcut — so
+    /// the failover promotes the backup with no state transfer.
+    /// [`Dsm::run`] rejects other combinations with
+    /// [`RunError::BadConfig`].
     ///
     /// # Examples
     ///
@@ -284,18 +268,6 @@ impl DsmBuilder {
     /// ```
     pub fn scenario(mut self, scenario: Scenario) -> Self {
         self.cfg.scenario = Some(scenario.into_arc());
-        self
-    }
-
-    /// Replays a recorded chaos journal: the delivery layer takes every
-    /// drop/duplicate/delay decision from the journal instead of the
-    /// PRNG, reproducing a recorded run bit-identically (same
-    /// [`NetStats`](adsm_netsim::NetStats), same final image).
-    /// Simulator backend only; mutually exclusive with
-    /// [`scenario`](Self::scenario) — both are rejected by [`Dsm::run`]
-    /// with [`RunError::BadConfig`].
-    pub fn replay_journal(mut self, journal: DeliveryJournal) -> Self {
-        self.cfg.replay = Some(Arc::new(journal));
         self
     }
 
@@ -409,73 +381,45 @@ impl Dsm {
                     .into(),
             ));
         }
-        if let Some(journal) = &cfg.replay {
-            if cfg.scenario.is_some() {
-                return Err(RunError::BadConfig(
-                    "a run either records under a scenario or replays a journal, not both".into(),
-                ));
-            }
-            if cfg.backend == crate::ExecBackend::Threads {
-                return Err(RunError::BadConfig(
-                    "journal replay matches per-link message sequences, which only the \
-                     deterministic simulator reproduces; the threads backend cannot replay"
-                        .into(),
-                ));
-            }
-            // Dry-run the cursor build so World::new cannot be reached
-            // with a journal that does not fit this cluster.
-            if let Err(e) = Delivery::replay((**journal).clone(), cfg.nprocs) {
-                return Err(RunError::BadConfig(format!("replay journal rejected: {e}")));
-            }
-        }
-        {
-            // Crash/failover events need protocol machinery to recover
-            // with: the replicated interval log (any LRC-family
-            // protocol) for a restart, the replicated home store for a
-            // failover. Reject configurations that would silently
-            // swallow a scheduled fault.
-            let faults: &[adsm_netsim::Fault] = match (&cfg.replay, &cfg.scenario) {
-                (Some(journal), _) => &journal.faults,
-                (None, Some(scenario)) => &scenario.faults,
-                (None, None) => &[],
-            };
-            for f in faults {
-                match f.kind {
-                    adsm_netsim::FaultKind::ProcCrash { proc }
-                    | adsm_netsim::FaultKind::ProcRestart { proc } => {
-                        if !cfg.protocol.is_lrc() {
-                            return Err(RunError::BadConfig(
-                                "crash recovery replays the replicated interval log, which \
-                                 only the LRC-family protocols keep"
-                                    .into(),
-                            ));
-                        }
-                        if proc as usize >= cfg.nprocs {
-                            return Err(RunError::BadConfig(format!(
-                                "crash/restart fault names processor {proc}, but the cluster \
-                                 has {} processors",
-                                cfg.nprocs
-                            )));
-                        }
+        // Crash/failover events need protocol machinery to recover with:
+        // the replicated interval log (any LRC-family protocol) for a
+        // restart, HLRC's replicated homes for a failover. Reject
+        // configurations that would silently swallow a scheduled fault.
+        for f in cfg.faults() {
+            match f.kind {
+                FaultKind::ProcCrash { proc } | FaultKind::ProcRestart { proc } => {
+                    if !cfg.protocol.is_lrc() {
+                        return Err(RunError::BadConfig(
+                            "crash recovery replays the replicated interval log, which \
+                             only the LRC-family protocols keep"
+                                .into(),
+                        ));
                     }
-                    adsm_netsim::FaultKind::HomeFailover { home } => {
-                        if cfg.protocol != ProtocolKind::Hlrc || !cfg.hlrc_backup {
-                            return Err(RunError::BadConfig(
-                                "home failover promotes the replicated backup home; enable \
-                                 it with ProtocolKind::Hlrc and .hlrc_backup(true)"
-                                    .into(),
-                            ));
-                        }
-                        if home as usize >= cfg.nprocs {
-                            return Err(RunError::BadConfig(format!(
-                                "home failover names processor {home}, but the cluster has \
-                                 {} processors",
-                                cfg.nprocs
-                            )));
-                        }
+                    if proc as usize >= cfg.nprocs {
+                        return Err(RunError::BadConfig(format!(
+                            "crash/restart fault names processor {proc}, but the cluster \
+                             has {} processors",
+                            cfg.nprocs
+                        )));
                     }
-                    _ => {}
                 }
+                FaultKind::HomeFailover { home } => {
+                    if cfg.protocol != ProtocolKind::Hlrc {
+                        return Err(RunError::BadConfig(
+                            "home failover promotes HLRC's replicated backup home; it \
+                             needs ProtocolKind::Hlrc"
+                                .into(),
+                        ));
+                    }
+                    if home as usize >= cfg.nprocs {
+                        return Err(RunError::BadConfig(format!(
+                            "home failover names processor {home}, but the cluster has \
+                             {} processors",
+                            cfg.nprocs
+                        )));
+                    }
+                }
+                _ => {}
             }
         }
         cfg.npages = page_count(self.cursor).max(1);
@@ -548,6 +492,10 @@ impl Dsm {
         w.proto.pool_pages_created = w.pool.pages_created();
         w.proto.pool_pages_reused = w.pool.pages_reused();
         let sw_page_map = w.sw_page_map();
+        // The journal covers the messages the report counts, so its sums
+        // are the report's chaos counters; image assembly below is off
+        // the clock and its traffic is delivered clean, unjournaled.
+        let journal = w.delivery.take().map(Delivery::into_journal);
         let report = RunReport {
             protocol,
             backend,
@@ -567,10 +515,6 @@ impl Dsm {
             .map_err(|_| ())
             .expect("every processor has dropped its handle");
         let image = finalize_image(&mut w, &mems, protocol, npages);
-        // Taken *after* finalize_image so the journal also covers the
-        // image-assembly messages — a replayed run repeats them and
-        // lands on the same journal and the same NetStats totals.
-        let journal = w.delivery.take().and_then(|d| d.into_journal());
 
         Ok(RunOutcome {
             report,
@@ -698,8 +642,8 @@ impl RunOutcome {
     /// [`scenario`](DsmBuilder::scenario). It holds one event per
     /// delivery *deviation* (drop, duplicate, reorder, jitter) — a
     /// fault-free run under a perfect scenario records an empty
-    /// journal. Feed it to [`DsmBuilder::replay_journal`] to reproduce
-    /// the run bit-identically without the scenario.
+    /// journal. Its sums are the report's chaos counters
+    /// ([`DeliveryJournal::check_counters`]).
     pub fn journal(&self) -> Option<&DeliveryJournal> {
         self.journal.as_ref()
     }

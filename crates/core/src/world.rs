@@ -530,14 +530,14 @@ pub(crate) struct BarrierScratch {
     pub owner_pages: Vec<PageId>,
 }
 
-/// One scheduled processor crash, resolved from the scenario's (or the
-/// replayed journal's) fault schedule. The crash *takes effect* at the
-/// processor's first barrier arrival at or after `at`: the arriving
-/// interval is committed to the replicated interval log first (SC-ABD
-/// style — the log and the directory's diff stores model replicated
-/// stable storage), then the incarnation's cached state is wiped, its
-/// epoch bumped, and its clock advanced to `restart`, where the new
-/// incarnation rebuilds its view from the log.
+/// One scheduled processor crash, resolved from the scenario's fault
+/// schedule. The crash *takes effect* at the processor's first barrier
+/// arrival at or after `at`: the arriving interval is committed to the
+/// replicated interval log first (SC-ABD style — the log and the
+/// directory's diff stores model replicated stable storage), then the
+/// incarnation's cached state is wiped, its epoch bumped, and its clock
+/// advanced to `restart`, where the new incarnation rebuilds its view
+/// from the log.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CrashEvent {
     /// The crashing processor.
@@ -650,14 +650,15 @@ pub(crate) struct World {
     /// Recycled [`MergeScratch`] sets for `validate_page`; depth equals
     /// the validation recursion depth, flat after warm-up.
     pub merge_scratch: Vec<MergeScratch>,
-    /// Chaos delivery engine (recording or replaying), present when the
-    /// run has a scenario or a replay journal configured. `None` means
-    /// perfect delivery at zero overhead.
+    /// Chaos delivery engine, present when the run has a scenario
+    /// configured. `None` means perfect delivery at zero overhead.
     pub delivery: Option<Delivery>,
-    /// Scheduled processor crashes (scenario or replayed journal), in
-    /// schedule order. Empty on crash-free runs.
+    /// Scheduled processor crashes, in schedule order. Empty on
+    /// crash-free runs.
     pub crashes: Vec<CrashEvent>,
-    /// Scheduled HLRC home failovers. Empty unless the scenario asks.
+    /// Scheduled HLRC home failovers. Empty unless the scenario asks;
+    /// non-empty turns on home replication ([`World::backup_store`]) for
+    /// the whole run.
     pub failovers: Vec<FailoverEvent>,
     /// Per-processor incarnation numbers (Hermes-style epochs). Start at
     /// 0; each applied crash bumps the victim's entry. Mirrored into the
@@ -668,9 +669,10 @@ pub(crate) struct World {
     /// redirects pages that would resolve there to the backup
     /// `(h + 1) % nprocs`.
     pub failed_homes: Vec<bool>,
-    /// HLRC home replication ([`DsmConfig::hlrc_backup`]): the backup
-    /// copy of every home's frame, maintained by the replicated flush
-    /// stream. Indexed by page; `None` until the page's first flush.
+    /// HLRC home replication, on exactly when a failover is scheduled:
+    /// the backup copy of every home's frame, maintained by the
+    /// replicated flush stream. Indexed by page; `None` until the page's
+    /// first flush.
     pub backup_store: Vec<Option<PageBuf>>,
 }
 
@@ -699,6 +701,7 @@ impl World {
                 initial_mode
             }
         };
+        let faults = cfg.faults();
         World {
             procs: (0..nprocs)
                 .map(|_| ProcCtl {
@@ -739,51 +742,30 @@ impl World {
             profiler: Profiler::new(nprocs, npages),
             pool: PagePool::new(),
             merge_scratch: Vec::new(),
-            delivery: match (&cfg.replay, &cfg.scenario) {
-                (Some(journal), _) => Some(
-                    Delivery::replay((**journal).clone(), nprocs)
-                        .expect("replay journal validated by Dsm::run"),
-                ),
-                (None, Some(scenario)) => Some(Delivery::record(scenario.clone(), nprocs)),
-                (None, None) => None,
-            },
-            crashes: {
-                // A recorded scenario and a replayed journal carry the
-                // same fault schedule; either source yields the same
-                // protocol-level crash events.
-                let faults: &[adsm_netsim::Fault] = match (&cfg.replay, &cfg.scenario) {
-                    (Some(journal), _) => &journal.faults,
-                    (None, Some(scenario)) => &scenario.faults,
-                    (None, None) => &[],
-                };
-                adsm_netsim::crash_windows(faults)
-                    .iter()
-                    .map(|w| CrashEvent {
-                        proc: ProcId::new(w.proc as usize),
-                        at: w.start,
-                        restart: w.end,
+            delivery: cfg
+                .scenario
+                .as_ref()
+                .map(|scenario| Delivery::record(scenario.clone(), nprocs)),
+            crashes: adsm_netsim::crash_windows(faults)
+                .iter()
+                .map(|w| CrashEvent {
+                    proc: ProcId::new(w.proc as usize),
+                    at: w.start,
+                    restart: w.end,
+                    fired: false,
+                })
+                .collect(),
+            failovers: faults
+                .iter()
+                .filter_map(|f| match f.kind {
+                    adsm_netsim::FaultKind::HomeFailover { home } => Some(FailoverEvent {
+                        home: ProcId::new(home as usize),
+                        at: f.at,
                         fired: false,
-                    })
-                    .collect()
-            },
-            failovers: {
-                let faults: &[adsm_netsim::Fault] = match (&cfg.replay, &cfg.scenario) {
-                    (Some(journal), _) => &journal.faults,
-                    (None, Some(scenario)) => &scenario.faults,
-                    (None, None) => &[],
-                };
-                faults
-                    .iter()
-                    .filter_map(|f| match f.kind {
-                        adsm_netsim::FaultKind::HomeFailover { home } => Some(FailoverEvent {
-                            home: ProcId::new(home as usize),
-                            at: f.at,
-                            fired: false,
-                        }),
-                        _ => None,
-                    })
-                    .collect()
-            },
+                    }),
+                    _ => None,
+                })
+                .collect(),
             epochs: vec![0; nprocs],
             failed_homes: vec![false; nprocs],
             backup_store: Vec::new(),

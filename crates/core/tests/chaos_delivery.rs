@@ -1,9 +1,9 @@
 //! End-to-end tests of the chaos delivery layer: lossy runs stay
-//! correct and count their deviations, recorded journals replay
-//! bit-identically, perfect scenarios are invisible, and the builder
-//! rejects invalid scenario/replay combinations.
+//! correct and count their deviations, a scenario re-read from its text
+//! form reproduces its run bit-identically, journals sum to the chaos
+//! counters, and perfect scenarios are invisible.
 
-use adsm_core::{DeliveryJournal, Dsm, ProtocolKind, RunError, RunOutcome, Scenario, SimTime};
+use adsm_core::{Dsm, ProtocolKind, RunOutcome, Scenario, SimTime};
 
 /// The workload: false sharing plus a migratory lock counter — enough
 /// cross-processor traffic (page fetches, diffs, lock grants, barrier
@@ -40,15 +40,6 @@ fn run_with(protocol: ProtocolKind, scenario: Option<Scenario>) -> RunOutcome {
     dsm.run(app).unwrap()
 }
 
-fn run_replay(protocol: ProtocolKind, journal: DeliveryJournal) -> RunOutcome {
-    let mut dsm = Dsm::builder(protocol)
-        .nprocs(4)
-        .replay_journal(journal)
-        .build();
-    let app = chatty_app(&mut dsm);
-    dsm.run(app).unwrap()
-}
-
 #[test]
 fn lossy_run_is_correct_and_counts_deviations() {
     for protocol in [ProtocolKind::Wfs, ProtocolKind::Mw] {
@@ -77,30 +68,30 @@ fn lossy_run_is_correct_and_counts_deviations() {
         );
         let journal = chaotic.journal().expect("scenario run records");
         assert!(!journal.is_empty());
+        assert_eq!(journal.check_counters(net), Ok(()));
         assert!(plain.journal().is_none(), "plain runs must not journal");
     }
 }
 
 #[test]
-fn recorded_journal_replays_bit_identically() {
-    let mut scenario = Scenario::lossy("replay-test", 1997, 30_000);
+fn a_scenario_reread_from_text_reproduces_its_run() {
+    let mut scenario = Scenario::lossy("rerun-test", 1997, 30_000);
     scenario.default_link.dup_ppm = 15_000;
     scenario.default_link.reorder_ppm = 50_000;
+    let reread = Scenario::parse(&scenario.to_text()).expect("scenario text parses");
     let recorded = run_with(ProtocolKind::Wfs, Some(scenario));
-    let journal = recorded.journal().expect("recorded").clone();
-
-    // Through the text form: the archived artifact is what replays.
-    let text = journal.to_text();
-    let parsed = DeliveryJournal::parse(&text).expect("journal parses");
-    assert_eq!(parsed, journal);
-
-    let replayed = run_replay(ProtocolKind::Wfs, parsed);
-    assert_eq!(replayed.report.net, recorded.report.net);
-    assert_eq!(replayed.report.time, recorded.report.time);
-    assert_eq!(replayed.report.proc_times, recorded.report.proc_times);
-    assert_eq!(replayed.image(), recorded.image());
-    // A replay run consumes the journal; it does not re-record.
-    assert!(replayed.journal().is_none());
+    let again = run_with(ProtocolKind::Wfs, Some(reread));
+    assert_eq!(again.report.net, recorded.report.net);
+    assert_eq!(again.report.time, recorded.report.time);
+    assert_eq!(again.report.proc_times, recorded.report.proc_times);
+    assert_eq!(again.image(), recorded.image());
+    let journal = recorded.journal().expect("recorded");
+    assert_eq!(again.journal(), Some(journal));
+    assert!(
+        journal.events.iter().any(|e| e.dup),
+        "corpus exercised duplicates"
+    );
+    assert_eq!(journal.check_counters(&recorded.report.net), Ok(()));
 }
 
 #[test]
@@ -115,53 +106,6 @@ fn perfect_scenario_is_invisible() {
     assert_eq!(perfect.report.net.dropped_msgs(), 0);
     assert_eq!(perfect.report.net.duplicate_msgs(), 0);
     assert_eq!(perfect.report.net.timeout_waits(), 0);
-}
-
-#[test]
-fn scenario_and_replay_are_mutually_exclusive() {
-    let mut dsm = Dsm::builder(ProtocolKind::Wfs)
-        .nprocs(2)
-        .scenario(Scenario::perfect())
-        .replay_journal(DeliveryJournal::new("x", 1))
-        .build();
-    let v = dsm.alloc::<u64>(8);
-    let err = dsm.run(move |p| v.set(p, 0, 1)).unwrap_err();
-    assert!(matches!(err, RunError::BadConfig(_)), "{err}");
-}
-
-#[test]
-fn replay_rejects_threads_backend() {
-    let mut dsm = Dsm::builder(ProtocolKind::Wfs)
-        .nprocs(2)
-        .backend(adsm_core::ExecBackend::Threads)
-        .replay_journal(DeliveryJournal::new("x", 1))
-        .build();
-    let v = dsm.alloc::<u64>(8);
-    let err = dsm.run(move |p| v.set(p, 0, 1)).unwrap_err();
-    assert!(matches!(err, RunError::BadConfig(_)), "{err}");
-}
-
-#[test]
-fn replay_rejects_journal_outside_cluster() {
-    let mut journal = DeliveryJournal::new("x", 1);
-    journal.events.push(adsm_core::JournalEvent {
-        src: 7, // cluster only has 2 processors
-        dst: 0,
-        seq: 1,
-        kind: adsm_core::MsgKind::PageRequest,
-        drops: 1,
-        edrops: 0,
-        wait: SimTime::from_us(1),
-        delay: SimTime::ZERO,
-        dup: false,
-    });
-    let mut dsm = Dsm::builder(ProtocolKind::Wfs)
-        .nprocs(2)
-        .replay_journal(journal)
-        .build();
-    let v = dsm.alloc::<u64>(8);
-    let err = dsm.run(move |p| v.set(p, 0, 1)).unwrap_err();
-    assert!(matches!(err, RunError::BadConfig(_)), "{err}");
 }
 
 /// A scenario survives the threads backend: draws are keyed on

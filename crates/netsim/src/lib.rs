@@ -20,7 +20,7 @@
 
 mod cost;
 mod delivery;
-mod replay;
+mod journal;
 pub mod scenario;
 mod stats;
 mod time;
@@ -28,7 +28,7 @@ mod trace;
 
 pub use cost::CostModel;
 pub use delivery::{Delivery, DeliveryOutcome};
-pub use replay::{DeliveryJournal, JournalEvent};
+pub use journal::{DeliveryJournal, JournalEvent};
 pub use scenario::{
     crash_windows, CrashWindow, Fault, FaultKind, LinkProfile, RetryPolicy, Scenario,
     ScenarioParseError,

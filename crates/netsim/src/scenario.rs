@@ -16,8 +16,7 @@ use crate::SimTime;
 use std::fmt;
 use std::sync::Arc;
 
-/// Error from [`Scenario::parse`] (and journal parsing): line number and
-/// reason.
+/// Error from [`Scenario::parse`]: line number and reason.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScenarioParseError {
     /// 1-based line the error was found on (0 for whole-file errors).
@@ -162,8 +161,8 @@ pub enum FaultKind {
     /// Planned failover of an HLRC home node: at the first barrier
     /// completion at or after `at`, every page homed at `home` is
     /// promoted to its replicated backup home and readers are redirected
-    /// through the directory. Requires the backup flush stream
-    /// (HLRC home replication) to be enabled.
+    /// through the directory. HLRC only: scheduling one is what makes
+    /// the flush stream replicate every home onto its backup.
     HomeFailover {
         /// The home processor being decommissioned.
         home: u32,
@@ -192,10 +191,9 @@ impl Fault {
         self.at + self.duration
     }
 
-    /// One canonical text line (`fault at_ns=… dur_ns=… <kind> …`),
-    /// shared by the scenario format and the journal's crash-schedule
-    /// section.
-    pub fn to_line(&self) -> String {
+    /// One canonical text line (`fault at_ns=… dur_ns=… <kind> …`) of
+    /// the scenario format.
+    fn to_line(self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = write!(
@@ -233,7 +231,7 @@ impl Fault {
 
     /// Parses the `key=value` tail of a fault line (everything after the
     /// `fault ` directive). `line_no` seeds error positions.
-    pub fn parse_tail(line_no: usize, rest: &str) -> Result<Fault, ScenarioParseError> {
+    fn parse_tail(line_no: usize, rest: &str) -> Result<Fault, ScenarioParseError> {
         let kv = KvLine::new(line_no, rest);
         let at = SimTime::from_ns(kv.get("at_ns")?);
         let duration = SimTime::from_ns(kv.get("dur_ns")?);

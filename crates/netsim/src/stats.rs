@@ -78,11 +78,6 @@ impl MsgKind {
             .expect("kind in ALL")
     }
 
-    /// Inverse of [`MsgKind::label`], for parsing journals.
-    pub fn from_label(label: &str) -> Option<MsgKind> {
-        MsgKind::ALL.iter().copied().find(|k| k.label() == label)
-    }
-
     /// Short label used in reports.
     pub fn label(self) -> &'static str {
         match self {

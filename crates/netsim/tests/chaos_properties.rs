@@ -1,10 +1,11 @@
-//! Property tests for the chaos scenario engine: text round-trips for
-//! scenarios and journals, and record/replay equivalence of the
-//! delivery layer.
+//! Property tests for the chaos scenario engine: the scenario text form
+//! round-trips, a scenario re-read from its text decides the same fates
+//! and records the same journal, the journal's sums are the delivery
+//! counters, and the epoch fence never delivers into a dead window.
 
 use adsm_netsim::{
-    crash_windows, Delivery, DeliveryJournal, Fault, FaultKind, LinkProfile, MsgKind, NetStats,
-    RetryPolicy, Scenario, SimTime,
+    crash_windows, Delivery, DeliveryJournal, DeliveryOutcome, Fault, FaultKind, LinkProfile,
+    MsgKind, NetStats, RetryPolicy, Scenario, SimTime,
 };
 use proptest::prelude::*;
 
@@ -106,6 +107,49 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         })
 }
 
+/// A random message stream: (src, dst, send time in ns, payload bytes).
+fn msgs_strategy(
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<(u32, u32, u64, usize)>> {
+    prop::collection::vec(
+        (0u32..NPROCS, 0u32..NPROCS, 0u64..200_000_000, 0usize..5000),
+        len,
+    )
+}
+
+/// Sends `msgs` through a fresh delivery engine for `s` (self-sends
+/// skipped, as `World::msg` does) and returns every outcome, the
+/// counters and the journal.
+fn record(
+    s: Scenario,
+    msgs: &[(u32, u32, u64, usize)],
+) -> (Vec<DeliveryOutcome>, NetStats, DeliveryJournal) {
+    let kinds = [
+        MsgKind::PageRequest,
+        MsgKind::PageReply,
+        MsgKind::DiffRequest,
+        MsgKind::LockGrant,
+    ];
+    let mut d = Delivery::record(s.into_arc(), NPROCS as usize);
+    let mut net = NetStats::new();
+    let outs = msgs
+        .iter()
+        .filter(|&&(src, dst, _, _)| src != dst)
+        .map(|&(src, dst, now, payload)| {
+            d.transmit(
+                kinds[payload % kinds.len()],
+                payload,
+                src as usize,
+                dst as usize,
+                SimTime::from_ns(now),
+                SimTime::from_us(100),
+                &mut net,
+            )
+        })
+        .collect();
+    (outs, net, d.into_journal())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -119,69 +163,38 @@ proptest! {
         prop_assert_eq!(parsed.to_text(), text);
     }
 
-    /// Recording a message stream and replaying its journal produces
-    /// identical outcomes, identical chaos counters and an identical
-    /// re-recorded journal — from the journal alone, no scenario.
+    /// The scenario is the record: one message stream recorded under a
+    /// scenario and again under that scenario re-read from its text
+    /// form gives identical outcomes, counters and journals.
     #[test]
-    fn record_replay_equivalence(
+    fn a_scenario_reread_from_text_records_the_same_run(
         s in scenario_strategy(),
-        msgs in prop::collection::vec(
-            (0u32..NPROCS, 0u32..NPROCS, 0u64..200_000_000, 0usize..5000),
-            1..60,
-        ),
+        msgs in msgs_strategy(1..60),
     ) {
-        let kinds = [
-            MsgKind::PageRequest,
-            MsgKind::PageReply,
-            MsgKind::DiffRequest,
-            MsgKind::LockGrant,
-        ];
-        let base = SimTime::from_us(100);
+        let reread = Scenario::parse(&s.to_text()).expect("canonical text parses");
+        let (outs, net, journal) = record(s, &msgs);
+        let (outs2, net2, journal2) = record(reread, &msgs);
+        prop_assert_eq!(outs2, outs);
+        prop_assert_eq!(net2, net);
+        prop_assert_eq!(journal2, journal);
+    }
 
-        let mut rec = Delivery::record(s.into_arc(), NPROCS as usize);
-        let mut rec_net = NetStats::new();
-        let mut rec_out = Vec::new();
-        for &(src, dst, now, payload) in &msgs {
-            if src == dst {
-                continue;
-            }
-            let kind = kinds[payload % kinds.len()];
-            rec_out.push(rec.transmit(
-                kind,
-                payload,
-                src as usize,
-                dst as usize,
-                SimTime::from_ns(now),
-                base,
-                &mut rec_net,
-            ));
-        }
-        let journal = rec.into_journal().expect("record mode yields a journal");
-
-        // Through the serialized form: the text is what gets archived.
-        let parsed = DeliveryJournal::parse(&journal.to_text()).expect("journal parses");
-        prop_assert_eq!(&parsed, &journal);
-
-        let mut rep = Delivery::replay(parsed, NPROCS as usize).expect("journal fits cluster");
-        let mut rep_net = NetStats::new();
-        let mut rep_out = Vec::new();
-        for &(src, dst, now, payload) in &msgs {
-            if src == dst {
-                continue;
-            }
-            let kind = kinds[payload % kinds.len()];
-            rep_out.push(rep.transmit(
-                kind,
-                payload,
-                src as usize,
-                dst as usize,
-                SimTime::from_ns(now),
-                base,
-                &mut rep_net,
-            ));
-        }
-        prop_assert_eq!(rep_out, rec_out);
-        prop_assert_eq!(rep_net, rec_net);
+    /// The journal's sums are the delivery counters — drops, epoch-fence
+    /// drops and duplicates — under random link profiles and fault
+    /// schedules, with and without a crash schedule on top.
+    #[test]
+    fn journal_sums_equal_the_chaos_counters(
+        mut s in scenario_strategy(),
+        crashes in crash_faults_strategy(),
+        msgs in msgs_strategy(1..60),
+    ) {
+        s.faults.extend(crashes);
+        let (outs, net, journal) = record(s, &msgs);
+        prop_assert_eq!(journal.check_counters(&net), Ok(()));
+        let fenced: u64 = outs.iter().map(|o| u64::from(o.epoch_drops)).sum();
+        prop_assert_eq!(fenced, net.epoch_drops());
+        let dups = outs.iter().filter(|o| o.duplicated).count() as u64;
+        prop_assert_eq!(dups, net.duplicate_msgs());
     }
 
     /// The epoch fence is airtight: over random crash/restart schedules
@@ -249,67 +262,5 @@ proptest! {
         prop_assert_eq!(net.timeout_waits(), total_edrops);
         prop_assert_eq!(net.dropped_msgs(), 0);
         prop_assert_eq!(net.duplicate_msgs(), 0);
-    }
-
-    /// Fence drops survive record/replay: a journal recorded under a
-    /// crash schedule replays with identical outcomes and identical
-    /// epoch-drop counters even though the replay engine never sees the
-    /// scenario — the crash faults travel inside the journal.
-    #[test]
-    fn epoch_fence_record_replay_equivalence(
-        seed in any::<u64>(),
-        faults in crash_faults_strategy(),
-        msgs in prop::collection::vec(
-            (0u32..NPROCS, 0u32..NPROCS, 0u64..100_000_000),
-            1..40,
-        ),
-    ) {
-        let mut s = Scenario::perfect();
-        s.name = "epoch-fence-replay".to_string();
-        s.seed = seed;
-        s.faults = faults;
-        let base = SimTime::from_us(10);
-
-        let mut rec = Delivery::record(s.into_arc(), NPROCS as usize);
-        let mut rec_net = NetStats::new();
-        let mut rec_out = Vec::new();
-        for &(src, dst, now) in &msgs {
-            if src == dst {
-                continue;
-            }
-            rec_out.push(rec.transmit(
-                MsgKind::DiffRequest,
-                128,
-                src as usize,
-                dst as usize,
-                SimTime::from_ns(now),
-                base,
-                &mut rec_net,
-            ));
-        }
-        let journal = rec.into_journal().expect("record mode yields a journal");
-        let parsed = DeliveryJournal::parse(&journal.to_text()).expect("journal parses");
-        prop_assert_eq!(&parsed, &journal);
-
-        let mut rep = Delivery::replay(parsed, NPROCS as usize).expect("journal fits cluster");
-        let mut rep_net = NetStats::new();
-        let mut rep_out = Vec::new();
-        for &(src, dst, now) in &msgs {
-            if src == dst {
-                continue;
-            }
-            rep_out.push(rep.transmit(
-                MsgKind::DiffRequest,
-                128,
-                src as usize,
-                dst as usize,
-                SimTime::from_ns(now),
-                base,
-                &mut rep_net,
-            ));
-        }
-        prop_assert_eq!(rep_out, rec_out);
-        prop_assert_eq!(rep_net.epoch_drops(), rec_net.epoch_drops());
-        prop_assert_eq!(rep_net, rec_net);
     }
 }

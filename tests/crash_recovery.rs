@@ -14,10 +14,11 @@
 //!    emptied must be *bit-identical* to a plain run (image and counter
 //!    digest): the recovery machinery costs nothing until a fault
 //!    actually fires.
-//! 3. **record → replay** — the chaos journal recorded through the
-//!    crash must replay bit-identically (same image, same digest):
-//!    crash events, epoch fencing and recovery traffic are all
-//!    deterministic, journaled state.
+//! 3. **the scenario is the record** — the scenario, re-read from its
+//!    text form and run again, must reproduce the run bit-identically
+//!    (same `NetStats`, virtual time, per-processor clocks, image and
+//!    journal): crash events, epoch fencing and recovery traffic are all
+//!    deterministic. The journal's sums must equal the chaos counters.
 
 use adsm::netsim::{Fault, FaultKind, Scenario, SimTime};
 use adsm::{run_app_tuned, App, ProtocolKind, RunOptions, Scale};
@@ -86,34 +87,32 @@ fn faults_only(name: &str, faults: Vec<Fault>) -> Scenario {
     s
 }
 
+/// Runs the combo at `Tiny`, under `scenario` if one is given.
+fn run(app: App, proto: ProtocolKind, scenario: Option<Scenario>) -> adsm::AppRun {
+    let opts = RunOptions {
+        scenario,
+        ..RunOptions::default()
+    };
+    run_app_tuned(app, proto, procs_for(app), Scale::Tiny, &opts)
+}
+
 /// Fault-free run time of the combo — the yardstick crash instants are
 /// placed against.
-fn probe_time(app: App, proto: ProtocolKind, opts: &RunOptions) -> SimTime {
-    let run = run_app_tuned(app, proto, procs_for(app), Scale::Tiny, opts);
+fn probe_time(app: App, proto: ProtocolKind) -> SimTime {
+    let run = run(app, proto, None);
     assert!(run.ok, "{app}/{proto} probe: {}", run.detail);
     run.outcome.report.time
 }
 
 /// Runs one faulted cell and applies the three oracles. Returns the
 /// faulted run for extra per-shape assertions.
-fn run_cell(app: App, proto: ProtocolKind, base: &RunOptions, scenario: Scenario) -> adsm::AppRun {
-    let nprocs = procs_for(app);
-
+fn run_cell(app: App, proto: ProtocolKind, scenario: Scenario) -> adsm::AppRun {
     // Oracle 2: emptied fault schedule == plain run, bit for bit.
-    let plain = run_app_tuned(app, proto, nprocs, Scale::Tiny, base);
+    let plain = run(app, proto, None);
     assert!(plain.ok, "{app}/{proto} plain: {}", plain.detail);
     let mut benign = scenario.clone();
     benign.faults.clear();
-    let benign_run = run_app_tuned(
-        app,
-        proto,
-        nprocs,
-        Scale::Tiny,
-        &RunOptions {
-            scenario: Some(benign),
-            ..base.clone()
-        },
-    );
+    let benign_run = run(app, proto, Some(benign));
     assert!(benign_run.ok, "{app}/{proto} benign: {}", benign_run.detail);
     assert_eq!(
         image_hash(plain.outcome.image()),
@@ -128,59 +127,44 @@ fn run_cell(app: App, proto: ProtocolKind, base: &RunOptions, scenario: Scenario
 
     // Oracle 1: the faulted run still verifies against the sequential
     // reference.
-    let faulted = run_app_tuned(
-        app,
-        proto,
-        nprocs,
-        Scale::Tiny,
-        &RunOptions {
-            scenario: Some(scenario),
-            ..base.clone()
-        },
-    );
+    let faulted = run(app, proto, Some(scenario.clone()));
     assert!(faulted.ok, "{app}/{proto} faulted: {}", faulted.detail);
 
-    // Oracle 3: the recorded journal replays bit-identically.
-    let journal = faulted
-        .outcome
-        .journal()
-        .expect("chaotic run records a journal")
-        .clone();
-    let replayed = run_app_tuned(
-        app,
-        proto,
-        nprocs,
-        Scale::Tiny,
-        &RunOptions {
-            replay: Some(journal),
-            ..base.clone()
-        },
-    );
-    assert!(replayed.ok, "{app}/{proto} replay: {}", replayed.detail);
+    // Oracle 3: the scenario, through its text form, reproduces the run.
+    let reread = Scenario::parse(&scenario.to_text()).expect("canonical scenario text parses");
+    let again = run(app, proto, Some(reread));
+    assert!(again.ok, "{app}/{proto} re-run: {}", again.detail);
+    let (f, a) = (&faulted.outcome, &again.outcome);
+    assert_eq!(a.report.net, f.report.net, "{app}/{proto}: re-run NetStats");
+    assert_eq!(a.report.time, f.report.time, "{app}/{proto}: re-run time");
     assert_eq!(
-        image_hash(faulted.outcome.image()),
-        image_hash(replayed.outcome.image()),
-        "{app}/{proto}: journal replay diverged from the recorded image"
+        a.report.proc_times, f.report.proc_times,
+        "{app}/{proto}: re-run clocks"
     );
     assert_eq!(
-        digest(&faulted.outcome.report),
-        digest(&replayed.outcome.report),
-        "{app}/{proto}: journal replay diverged from the recorded digest"
+        digest(&a.report),
+        digest(&f.report),
+        "{app}/{proto}: re-run digest"
     );
+    assert!(a.image() == f.image(), "{app}/{proto}: re-run image");
+    let journal = f.journal().expect("scenario runs record a journal");
+    assert_eq!(a.journal(), Some(journal), "{app}/{proto}: re-run journal");
+    if let Err(e) = journal.check_counters(&f.report.net) {
+        panic!("{app}/{proto}: {e}");
+    }
 
     faulted
 }
 
 /// Crash one processor mid-run with an instant reboot (empty down
 /// window: no message ever lands in it, but the incarnation's state is
-/// lost and its epoch bumped). The recovered run must verify, replay,
-/// and account exactly one crash.
+/// lost and its epoch bumped). The recovered run must verify, re-run
+/// identically, and account exactly one crash.
 #[test]
 fn crash_with_instant_restart_recovers_every_app() {
     for app in APPS {
         for proto in PROTOCOLS {
-            let base = RunOptions::default();
-            let t = probe_time(app, proto, &base);
+            let t = probe_time(app, proto);
             let victim = (procs_for(app) - 1) as u32;
             let scenario = faults_only(
                 "crash-instant",
@@ -190,7 +174,7 @@ fn crash_with_instant_restart_recovers_every_app() {
                     kind: FaultKind::ProcCrash { proc: victim },
                 }],
             );
-            let run = run_cell(app, proto, &base, scenario);
+            let run = run_cell(app, proto, scenario);
             let stats = &run.outcome.report.proto;
             assert_eq!(
                 stats.proc_crashes, 1,
@@ -206,14 +190,13 @@ fn crash_with_instant_restart_recovers_every_app() {
 
 /// Crash one processor with a real down window and an explicit restart:
 /// peers that message the dead incarnation hit the epoch fence and
-/// retry. The recovered run must verify and replay, including the
-/// journaled epoch drops.
+/// retry. The recovered run must verify and re-run identically, and its
+/// journal must account for every epoch drop.
 #[test]
 fn crash_with_down_window_recovers_every_app() {
     for app in APPS {
         for proto in PROTOCOLS {
-            let base = RunOptions::default();
-            let t = probe_time(app, proto, &base);
+            let t = probe_time(app, proto);
             let victim = (procs_for(app) - 1) as u32;
             let crash_at = t.as_ns() / 2;
             let window = (t.as_ns() / 4).max(1);
@@ -232,7 +215,7 @@ fn crash_with_down_window_recovers_every_app() {
                     },
                 ],
             );
-            let run = run_cell(app, proto, &base, scenario);
+            let run = run_cell(app, proto, scenario);
             let stats = &run.outcome.report.proto;
             assert_eq!(
                 stats.proc_crashes, 1,
@@ -248,16 +231,14 @@ fn crash_with_down_window_recovers_every_app() {
 
 /// Decommission an HLRC home mid-run: every page homed there is
 /// promoted to its replicated backup, readers are redirected, and the
-/// run still verifies and replays.
+/// run still verifies and re-runs identically. Scheduling the failover
+/// is what replicates the homes: oracle 2's emptied schedule pins that
+/// HLRC without one pays no replication.
 #[test]
 fn home_failover_recovers_every_app() {
     for app in APPS {
         let proto = ProtocolKind::Hlrc;
-        let base = RunOptions {
-            hlrc_backup: true,
-            ..RunOptions::default()
-        };
-        let t = probe_time(app, proto, &base);
+        let t = probe_time(app, proto);
         let scenario = faults_only(
             "home-failover",
             vec![Fault {
@@ -266,7 +247,7 @@ fn home_failover_recovers_every_app() {
                 kind: FaultKind::HomeFailover { home: 0 },
             }],
         );
-        let run = run_cell(app, proto, &base, scenario);
+        let run = run_cell(app, proto, scenario);
         let stats = &run.outcome.report.proto;
         assert!(
             stats.failover_promotions > 0,
@@ -299,7 +280,7 @@ fn fault_schedules_without_recovery_machinery_are_rejected() {
         .run(|_| {});
     assert!(matches!(r, Err(adsm::RunError::BadConfig(_))));
 
-    // Failover without the replicated backup home.
+    // Failover under a protocol without replicated homes.
     let failover = faults_only(
         "bad-failover",
         vec![Fault {
@@ -308,9 +289,9 @@ fn fault_schedules_without_recovery_machinery_are_rejected() {
             kind: FaultKind::HomeFailover { home: 0 },
         }],
     );
-    let r = adsm::Dsm::builder(ProtocolKind::Hlrc)
+    let r = adsm::Dsm::builder(ProtocolKind::Wfs)
         .nprocs(2)
-        .scenario(failover.clone())
+        .scenario(failover)
         .build()
         .run(|_| {});
     assert!(matches!(r, Err(adsm::RunError::BadConfig(_))));
