@@ -233,10 +233,6 @@ pub struct RunOptions {
     /// Enable the §7 migratory ownership optimisation (adaptive
     /// protocols only).
     pub migratory_opt: bool,
-    /// Adaptation-policy override for the adaptive protocols (`None`
-    /// uses the protocol's namesake policy); drives `repro
-    /// ablation-policies`.
-    pub adapt_policy: Option<adsm_core::AdaptPolicyKind>,
     /// Home placement for the HLRC comparator; other protocols ignore it.
     pub home_policy: HomePolicy,
     /// Cost-model override (defaults to the paper's SPARC/ATM model).
@@ -278,9 +274,6 @@ impl RunOptions {
         }
         if let Some(seed) = self.schedule_fuzz {
             b = b.schedule_fuzz(seed);
-        }
-        if let Some(policy) = &self.adapt_policy {
-            b = b.adapt_policy(policy.clone());
         }
         b = b.diff_strategy(self.diff_strategy);
         b = b.measure_host_costs(self.measure_host_costs);

@@ -5,14 +5,12 @@
 //! transfer).
 //!
 //! Each generator returns its report as a string; the `repro` binary
-//! prints them (`repro related ablation-quantum ablation-wg ablation-gc
-//! ablation-migratory`), and `benches/ablations.rs` times the same
-//! generators under Criterion.
+//! prints them (`repro related ablations sensitivity scaling`).
 
 use std::fmt::Write as _;
 
 use adsm_apps::{run_app_tuned, sequential_time, App, RunOptions, Scale};
-use adsm_core::{AdaptPolicyKind, CostModel, HomePolicy, ProtocolKind, SimTime};
+use adsm_core::{CostModel, HomePolicy, ProtocolKind, SimTime};
 
 /// One measured cell of a comparison table.
 struct Cell {
@@ -37,113 +35,6 @@ fn run_cell(
         msgs: r.net.total_messages() as f64 / 1e3,
         data_mb: r.net.total_bytes() as f64 / 1e6,
     }
-}
-
-/// Adaptation-policy ablation: the same dispatch machinery under every
-/// provided mode-decision policy — the paper's two (WFS, WFS+WG) plus
-/// the layered stack's new drop-ins: promotion hysteresis (return to SW
-/// only after N refusal-free barriers) and per-page static hints
-/// (profiled pages pinned to MW handling, no discovery cost).
-///
-/// The static hints are seeded from the WFS run itself: pages that did
-/// *not* end that run SW-on-a-majority (`RunReport::sw_page_map`) are
-/// pinned to MW, so the hint column answers "what would WFS be worth if
-/// the sharing pattern were known up front?".
-pub fn ablation_policies(nprocs: usize, scale: Scale, apps: &[App]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Ablation — adaptation policies ({} procs, {} scale): \
-         speedup / refusals / mode switches / final SW pages",
-        nprocs, scale
-    );
-    let labels = ["WFS", "WFS+WG", "hyst(2)", "hyst(8)", "hint"];
-    let mut header = format!("{:<8}", "App");
-    for l in labels {
-        let _ = write!(header, " {:>21}", l);
-    }
-    let _ = writeln!(out, "{header}");
-
-    let mut speedup_product = [1.0f64; 5];
-    for &app in apps {
-        let seq = sequential_time(app, scale);
-        let mut row = format!("{:<8}", app.name());
-        let mut cell = |run: &adsm_apps::AppRun, col: usize, row: &mut String| {
-            let r = &run.outcome.report;
-            speedup_product[col] *= r.speedup(seq);
-            let _ = write!(
-                row,
-                " {:>6.2}/{:>5}/{:>4}/{:>3}",
-                r.speedup(seq),
-                r.proto.ownership_refusals,
-                r.proto.switches_to_mw + r.proto.switches_to_sw,
-                r.final_sw_pages,
-            );
-        };
-
-        // The WFS baseline doubles as the profiling run for the hints.
-        let wfs = run_app_tuned(
-            app,
-            ProtocolKind::Wfs,
-            nprocs,
-            scale,
-            &RunOptions::default(),
-        );
-        assert!(wfs.ok, "{app} under WFS: {}", wfs.detail);
-        cell(&wfs, 0, &mut row);
-
-        let wg = run_app_tuned(
-            app,
-            ProtocolKind::WfsWg,
-            nprocs,
-            scale,
-            &RunOptions::default(),
-        );
-        assert!(wg.ok, "{app} under WFS+WG: {}", wg.detail);
-        cell(&wg, 1, &mut row);
-
-        for (col, barriers) in [(2usize, 2u32), (3, 8)] {
-            let opts = RunOptions {
-                adapt_policy: Some(AdaptPolicyKind::Hysteresis { barriers }),
-                ..RunOptions::default()
-            };
-            let run = run_app_tuned(app, ProtocolKind::Wfs, nprocs, scale, &opts);
-            assert!(run.ok, "{app} under hyst({barriers}): {}", run.detail);
-            cell(&run, col, &mut row);
-        }
-
-        // Static hints: pin every page that did not finish the WFS run
-        // under majority-SW handling.
-        let mw_pages: std::sync::Arc<[bool]> = wfs
-            .outcome
-            .report
-            .sw_page_map
-            .iter()
-            .map(|&sw| !sw)
-            .collect();
-        let opts = RunOptions {
-            adapt_policy: Some(AdaptPolicyKind::StaticHint { mw_pages }),
-            ..RunOptions::default()
-        };
-        let run = run_app_tuned(app, ProtocolKind::Wfs, nprocs, scale, &opts);
-        assert!(run.ok, "{app} under static hints: {}", run.detail);
-        cell(&run, 4, &mut row);
-
-        let _ = writeln!(out, "{row}");
-    }
-
-    let n = apps.len().max(1) as f64;
-    let mut summary = format!("{:<8}", "geomean");
-    for p in speedup_product {
-        let _ = write!(summary, " {:>21.2}", p.powf(1.0 / n));
-    }
-    let _ = writeln!(out, "{summary}");
-    let _ = writeln!(
-        out,
-        "(hyst(N): promotion to SW gated on N refusal-free barriers; hint: \
-pages profiled MW under WFS are pinned to MW from the start.)"
-    );
-    out
 }
 
 /// §7 related-work comparison: the paper's SW/MW/WFS against the

@@ -7,7 +7,7 @@
 //!
 //! targets: table1 table2 table3 table4 fig1 fig2 fig3 all  (default: all)
 //!          related ablation-quantum ablation-wg ablation-gc
-//!          ablation-migratory ablation-policies ablations
+//!          ablation-migratory ablation-network ablation-diffing ablations
 //!          bench-scale       (also writes BENCH_scale.json: the
 //!                             8..256-proc barrier fan-in sweep)
 //!          scenarios         (also writes BENCH_scenarios.json)
@@ -36,9 +36,9 @@ use std::process::ExitCode;
 
 use adsm_apps::{App, Scale};
 use adsm_bench::{
-    ablation_diffing, ablation_gc, ablation_migratory, ablation_network, ablation_policies,
-    ablation_quantum, ablation_wg, fig1, fig2, fig2_shape_checks, fig3, related, scaling,
-    sensitivity, table1, table2, table3, table4, Matrix,
+    ablation_diffing, ablation_gc, ablation_migratory, ablation_network, ablation_quantum,
+    ablation_wg, fig1, fig2, fig2_shape_checks, fig3, related, scaling, sensitivity, table1,
+    table2, table3, table4, Matrix,
 };
 use adsm_core::ExecBackend;
 
@@ -105,7 +105,7 @@ fn parse_args() -> Result<Options, String> {
                 println!(
                     "usage: repro [table1 table2 table3 table4 fig1 fig2 fig3 all]\n\
                      \x20      [related ablation-quantum ablation-wg ablation-gc\n\
-                     \x20       ablation-migratory ablation-policies ablations\n\
+                     \x20       ablation-migratory ablation-network ablation-diffing ablations\n\
                      \x20       bench-scale scenarios crash-matrix]\n\
                      \x20      [--scale tiny|small|paper|large] [--nprocs N] [--apps SOR,IS,...]\n\
                      \x20      [--backend sim|threads|both] [--smoke] [--check]"
@@ -153,7 +153,7 @@ fn main() -> ExitCode {
     };
     // "all" covers the paper's tables and figures; the beyond-the-paper
     // targets ("related", the ablations) are requested explicitly, with
-    // "ablations" as the umbrella for the four sweeps.
+    // "ablations" as the umbrella for the six sweeps.
     let all = opts.targets.iter().any(|t| t == "all");
     let sweeps = opts.targets.iter().any(|t| t == "ablations");
     let wants = |t: &str| all || opts.targets.iter().any(|x| x == t);
@@ -320,10 +320,6 @@ fn main() -> ExitCode {
             "{}",
             ablation_migratory(opts.nprocs, opts.scale, &opts.apps)
         );
-    }
-    if wants_sweep("ablation-policies") {
-        eprintln!("running adaptation-policy sweep...");
-        println!("{}", ablation_policies(opts.nprocs, opts.scale, &opts.apps));
     }
     if wants_sweep("ablation-network") {
         eprintln!("running network-bandwidth sweep...");

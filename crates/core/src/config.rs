@@ -120,60 +120,6 @@ impl fmt::Display for ExecBackend {
     }
 }
 
-/// Which adaptation policy drives the per-page SW/MW mode decisions of
-/// the adaptive protocols.
-///
-/// The protocol stack separates *mechanism* from *policy*: the
-/// [`ProtocolKind`] selects the coherence machinery (fault handlers,
-/// ownership exchange, merge procedure), while the policy owns every
-/// mode decision — when a page is demoted to multiple-writer handling,
-/// when it may return to single-writer handling, and whether ownership
-/// is granted at all. `None` (the default) uses the policy the protocol
-/// implies: WFS for [`ProtocolKind::Wfs`], WFS+WG for
-/// [`ProtocolKind::WfsWg`]. Overrides are only meaningful — and only
-/// accepted by [`Dsm::run`](crate::Dsm::run) — for the adaptive
-/// protocols.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AdaptPolicyKind {
-    /// The paper's WFS (§3.1): adapt on write-write false sharing
-    /// alone.
-    Wfs,
-    /// The paper's WFS+WG (§3.2): WFS plus the write-granularity test —
-    /// pages with small diffs stay in MW mode.
-    WfsWg,
-    /// WFS with promotion hysteresis: a page returns to SW handling
-    /// only after `barriers` consecutive refusal-free barriers, damping
-    /// mode ping-pong under phase-changing sharing patterns.
-    Hysteresis {
-        /// Consecutive refusal-free barriers required before a page may
-        /// be promoted back to SW handling.
-        barriers: u32,
-    },
-    /// Per-page static hints: pages flagged `true` are pinned to MW
-    /// handling for the whole run (they start twinning immediately, no
-    /// refusal round); all others adapt like WFS. Hints typically come
-    /// from a profiling run's final page modes
-    /// ([`RunReport::sw_page_map`](crate::RunReport::sw_page_map)).
-    StaticHint {
-        /// `mw_pages[p]` pins page `p` to MW handling; pages beyond the
-        /// slice adapt like WFS.
-        mw_pages: std::sync::Arc<[bool]>,
-    },
-}
-
-impl fmt::Display for AdaptPolicyKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AdaptPolicyKind::Wfs => f.write_str("WFS"),
-            AdaptPolicyKind::WfsWg => f.write_str("WFS+WG"),
-            AdaptPolicyKind::Hysteresis { barriers } => write!(f, "hyst({barriers})"),
-            AdaptPolicyKind::StaticHint { mw_pages } => {
-                write!(f, "hint({} mw)", mw_pages.iter().filter(|&&mw| mw).count())
-            }
-        }
-    }
-}
-
 /// When multiple-writer diffs are encoded.
 ///
 /// The paper's TreadMarks substrate creates diffs **lazily**: at interval
@@ -273,9 +219,6 @@ pub struct DsmConfig {
     pub schedule_fuzz: Option<u64>,
     /// Diff creation strategy ([`DiffStrategy::Lazy`] is MW-only).
     pub diff_strategy: DiffStrategy,
-    /// Adaptation-policy override for the adaptive protocols; `None`
-    /// uses the protocol's namesake policy.
-    pub adapt_policy: Option<AdaptPolicyKind>,
     /// Run the SC comparator's invariant checker after every fault
     /// (single writable copy, coherent read copies, exact copysets).
     /// Off by default (the sweep copies every page on every fault); set
@@ -318,7 +261,6 @@ impl DsmConfig {
             home_policy: HomePolicy::default(),
             schedule_fuzz: None,
             diff_strategy: DiffStrategy::default(),
-            adapt_policy: None,
             sc_check: false,
             measure_host_costs: false,
             backend: ExecBackend::default(),

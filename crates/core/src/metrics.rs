@@ -36,8 +36,6 @@ pub struct ProtocolStats {
     pub read_faults: u64,
     /// Write faults taken (remote or local).
     pub write_faults: u64,
-    /// Write faults resolved locally by the page's owner (no messages).
-    pub soft_write_faults: u64,
     /// Ownership requests granted.
     pub ownership_grants: u64,
     /// Ownership requests refused (adaptive protocols: write-write false
@@ -313,12 +311,6 @@ pub struct RunReport {
     /// Pages in SW mode on a majority of processors when the run ended
     /// (adaptive protocols; equals all touched pages for SW, none for MW).
     pub final_sw_pages: usize,
-    /// Per-page final adaptation outcome (`true` = touched and SW on a
-    /// majority of processors). `final_sw_pages` is its popcount; the
-    /// static-hint adaptation policy
-    /// ([`AdaptPolicyKind::StaticHint`](crate::AdaptPolicyKind::StaticHint))
-    /// is seeded from a profiling run's map.
-    pub sw_page_map: Vec<bool>,
     /// Pages ever touched by any processor.
     pub touched_pages: usize,
 }

@@ -14,6 +14,10 @@
 //!
 //! WFS+WG additionally refuses ownership while a page's write granularity
 //! is unmeasured or small, keeping such pages in MW mode (§3.2, §3.3).
+//!
+//! The two protocols share every mechanism; they differ only in the
+//! three answers of the adaptation rule at the top of this file
+//! ([`sw_ok`], [`wants_sw_after_diff`], [`probes_read_sharing`]).
 
 use adsm_mempage::{AccessRights, PageId, PAGE_SIZE};
 use adsm_netsim::{MsgKind, SimTime, TraceKind};
@@ -22,6 +26,42 @@ use adsm_vclock::ProcId;
 use super::lrc::{self, Ctx, CTRL_BYTES};
 use super::{mw, sw};
 use crate::world::{Hvn, PageMode};
+use crate::ProtocolKind;
+
+/// May a page return to single-writer handling, or be granted
+/// ownership on the adaptive SW path? Under WFS whenever asked; under
+/// WFS+WG only while its last measured diff was large (`wants_sw`,
+/// §3.3). Gates the three cessation mechanisms of §3.1.2 and the
+/// adaptive ownership grant; every caller is on a path only the
+/// adaptive protocols take.
+pub(crate) fn sw_ok(protocol: ProtocolKind, wants_sw: bool) -> bool {
+    protocol != ProtocolKind::WfsWg || wants_sw
+}
+
+/// A page's `wants_sw` after one of its intervals closed with a diff of
+/// `modified` bytes. WFS+WG's write-granularity test (§3.2): a diff
+/// larger than `threshold` makes the page a candidate for SW handling,
+/// any other keeps it MW. Every other protocol leaves the flag as it
+/// was.
+pub(crate) fn wants_sw_after_diff(
+    protocol: ProtocolKind,
+    wants_sw: bool,
+    modified: usize,
+    threshold: usize,
+) -> bool {
+    if protocol == ProtocolKind::WfsWg {
+        modified > threshold
+    } else {
+        wants_sw
+    }
+}
+
+/// WFS+WG's read-sharing probe (§3.3): is a writing owner demoted as
+/// soon as another processor fetches its page, so that the page's write
+/// granularity gets measured?
+pub(crate) fn probes_read_sharing(protocol: ProtocolKind) -> bool {
+    protocol == ProtocolKind::WfsWg
+}
 
 /// Adaptive write fault: dispatch on the page's local mode.
 pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
@@ -46,18 +86,16 @@ pub(crate) fn read_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     ctx.w.dir[pgidx].last_read_faulter = Some(p);
 }
 
-/// A migratory read-grant applies when the policy judges the pattern
-/// established (enabled + score, see `AdaptPolicy::migratory_grant_ok`),
-/// the requester's perceived owner matches the authoritative directory
-/// (otherwise the exchange would be refused), and both sides handle the
-/// page in SW mode.
+/// A migratory read-grant applies when the optimisation is on and the
+/// pattern established (a score of at least 2), the requester's
+/// perceived owner matches the authoritative directory (otherwise the
+/// exchange would be refused), and both sides handle the page in SW
+/// mode.
 fn migratory_grant_eligible(ctx: &Ctx<'_>, p: ProcId, page: PageId) -> bool {
     let pg = &ctx.w.dir[page.index()];
     let pc = &ctx.w.procs[p.index()].pages[page.index()];
-    if !ctx
-        .w
-        .policy
-        .migratory_grant_ok(ctx.w.cfg.migratory_opt, pg.migratory_score)
+    if !ctx.w.cfg.migratory_opt
+        || pg.migratory_score < 2
         || pc.mode != PageMode::Sw
         || pg.drop_pending
     {
@@ -131,7 +169,6 @@ fn sw_mode_write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         // have heard nothing newer — the local version check fails, which
         // is the ownership-refusal signal without any messages.
         ctx.w.proto.ownership_refusals += 1;
-        ctx.w.policy.note_refusal(pgidx);
         switch_to_mw_after_refusal(ctx, p, page, None);
         return;
     }
@@ -152,10 +189,10 @@ fn sw_mode_write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         && ctx.w.procs[q.index()].pages[pgidx].has_copy
         && ctx.w.procs[q.index()].pages[pgidx].missing.is_empty()
         && ctx.w.procs[q.index()].pages[pgidx].twin.is_none();
-    // Policy gate (WFS+WG's write-granularity test, §3.3): ownership is
-    // only granted while the policy judges the page worth SW handling;
-    // otherwise refuse so the page is handled (and measured) in MW mode.
-    let wg_ok = ctx.w.policy.grant_sw_ok(pgidx, ctx.w.dir[pgidx].wants_sw);
+    // WFS+WG's write-granularity gate (§3.3): ownership is only granted
+    // while the page's last diff was large; otherwise refuse so the page
+    // is handled (and measured) in MW mode.
+    let wg_ok = sw_ok(ctx.w.cfg.protocol, pg.wants_sw);
 
     let granted = version_ok && wg_ok && (target_is_owner || can_bootstrap);
 
@@ -266,7 +303,6 @@ fn refuse_ownership(
     ctx.charge(c_req + cost_model.service_interrupt + c_reply);
     ctx.interrupt(q);
     ctx.w.proto.ownership_refusals += 1;
-    ctx.w.policy.note_refusal(page.index());
 
     if target_still_owner {
         // A refusal invalidates any migratory prediction for the page.
@@ -361,5 +397,45 @@ fn install_merged_copy(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: PageId) {
         lrc::validate_page_after(ctx, p, page, true);
     } else {
         ctx.mems[pidx].lock().set_rights(page, AccessRights::Read);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_adaptation_rule_by_protocol() {
+        use ProtocolKind::{Mw, Sw, Wfs, WfsWg};
+        // (protocol, wants_sw) -> (sw_ok, probes_read_sharing). Only
+        // the adaptive protocols ask `sw_ok`; MW and SW rows pin the
+        // expression, not a decision either protocol takes.
+        let table = [
+            (Mw, false, true, false),
+            (Mw, true, true, false),
+            (Sw, false, true, false),
+            (Sw, true, true, false),
+            (Wfs, false, true, false),
+            (Wfs, true, true, false),
+            (WfsWg, false, false, true),
+            (WfsWg, true, true, true),
+        ];
+        for (proto, wants_sw, ok, probes) in table {
+            assert_eq!(sw_ok(proto, wants_sw), ok, "{proto} wants_sw={wants_sw}");
+            assert_eq!(probes_read_sharing(proto), probes, "{proto}");
+        }
+
+        // WFS+WG's granularity update: a diff equal to the threshold
+        // stays MW; only a larger one makes the page an SW candidate.
+        let t = 3 * 1024;
+        for (modified, wants) in [(t - 1, false), (t, false), (t + 1, true)] {
+            for before in [false, true] {
+                assert_eq!(wants_sw_after_diff(WfsWg, before, modified, t), wants);
+                // No other protocol touches the flag.
+                for proto in [Mw, Sw, Wfs] {
+                    assert_eq!(wants_sw_after_diff(proto, before, modified, t), before);
+                }
+            }
+        }
     }
 }

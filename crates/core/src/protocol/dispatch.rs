@@ -1,21 +1,19 @@
 //! The dispatch layer: one [`Protocol`] object per coherence protocol,
 //! selected once when the run is built.
 //!
-//! The protocol stack has three layers. **Dispatch** (this module)
+//! The protocol stack has two layers. **Dispatch** (this module)
 //! routes the five protocol entry points — read fault, write fault,
 //! lock acquire/release, barrier — plus the barrier-time garbage
 //! collection to the run's protocol object; the `match ProtocolKind`
 //! ladders that used to sit at every entry point are gone, so adding a
 //! protocol means adding one impl here, not editing every dispatch
 //! site. **Mechanism** (`lrc`, `sync`, `gc`, and the per-protocol
-//! modules) is the shared machinery the impls compose. **Policy**
-//! (`policy`) owns every SW/MW mode decision and is queried by the
-//! mechanism code through `World::policy`.
+//! modules) is the shared machinery the impls compose. Every SW/MW mode
+//! decision that tells WFS from WFS+WG is one rule in `adaptive`.
 //!
 //! Every impl is a stateless unit struct — per-run protocol state lives
-//! in the `World`, per-run policy state in its policy object — so
-//! [`protocol_for`] hands out `&'static` objects and selection is one
-//! pointer stored in the [`Proc`](crate::Proc) handle.
+//! in the `World` — so [`protocol_for`] hands out `&'static` objects and
+//! selection is one pointer stored in the [`Proc`](crate::Proc) handle.
 
 use adsm_mempage::{AccessRights, PageId};
 use adsm_vclock::ProcId;
@@ -63,7 +61,8 @@ pub(crate) trait Protocol: Send + Sync {
     }
 
     /// Barrier-time diff garbage collection. Default: the shared
-    /// collector (policy-driven validator choice and exit modes).
+    /// collector (last-owner validation and SW exit under the adaptive
+    /// protocols, every writer validating under MW).
     fn gc(&self, ctx: &mut Ctx<'_>) {
         gc::collect(ctx)
     }
@@ -131,7 +130,8 @@ impl Protocol for SwProtocol {
 
 /// The paper's adaptive protocols (§3): per-page dynamic choice between
 /// SW and MW handling. WFS and WFS+WG share this dispatch — they differ
-/// only in the adaptation policy installed in the `World`.
+/// only in the answers of the adaptation rule (`adaptive::sw_ok` and its
+/// two siblings).
 pub(crate) struct AdaptiveProtocol;
 
 impl Protocol for AdaptiveProtocol {

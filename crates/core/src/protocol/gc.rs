@@ -25,7 +25,7 @@ use crate::world::{Hvn, PageMode};
 /// intervals are closed and every processor is up to date on notices.
 pub(crate) fn collect(ctx: &mut Ctx<'_>) {
     let nprocs = ctx.w.nprocs();
-    let adaptive = ctx.w.policy.adapts();
+    let adaptive = ctx.w.cfg.protocol.is_adaptive();
     ctx.w.proto.gc_runs += 1;
 
     // Coordination traffic: manager tells everyone to collect, everyone
@@ -55,12 +55,10 @@ pub(crate) fn collect(ctx: &mut Ctx<'_>) {
             .filter(|&q| ctx.w.dir.has_diffs(q, page))
             .collect();
 
-        // Per-page exit mode: the policy decides whether the page
-        // leaves GC under SW handling (the adaptive default) or takes
-        // the pure-MW treatment (fixed-mode runs, MW-pinned hints,
-        // pages inside a hysteresis window).
-        let exit_sw = adaptive && ctx.w.policy.gc_exit_to_sw(pgidx);
-        let validators: Vec<ProcId> = if exit_sw {
+        // Exit mode: under the adaptive protocols the page leaves GC
+        // under SW handling, validated by its last owner alone; under
+        // MW every writer validates.
+        let validators: Vec<ProcId> = if adaptive {
             vec![choose_last_owner(ctx, page, &writers)]
         } else {
             writers.clone()
@@ -87,15 +85,13 @@ pub(crate) fn collect(ctx: &mut Ctx<'_>) {
             ctx.mems[q].lock().set_rights(page, AccessRights::None);
         }
 
-        if !exit_sw {
+        if !adaptive {
             // Pure-MW treatment: ownership is vestigial (only ever used
             // to locate an initial copy). The nominal owner's copy may
             // just have been deleted, so future initial fetches must
             // locate an actual copy holder.
             ctx.w.dir[pgidx].owner = None;
-        }
-
-        if exit_sw {
+        } else {
             // The page leaves GC under SW handling: the validator is the
             // last owner; future misses fetch its copy (§3.1.1).
             let owner = validators[0];

@@ -69,7 +69,6 @@ pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
             ctx.w.procs[p.index()].dirty.push(page);
         }
         ctx.w.dir[page.index()].copyset[p.index()] = true;
-        ctx.w.proto.soft_write_faults += 1;
     } else {
         mw::ensure_twin_and_write(ctx, p, page);
     }

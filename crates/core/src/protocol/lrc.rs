@@ -9,9 +9,9 @@ use adsm_netsim::{MsgKind, SimTime, TraceKind};
 use adsm_vclock::{IntervalId, ProcId, VectorClock};
 use parking_lot::Mutex;
 
+use super::adaptive;
 use crate::metrics::ProtocolStats;
 use crate::notice::{CloseVc, IntervalRecord, NoticeKind, PendingNotice, WriteNotice};
-use crate::protocol::policy::AdaptPolicy;
 use crate::world::{Directory, KeyedDiff, PageMode, ProcCtl, World};
 use crate::{DsmConfig, ProtocolKind};
 
@@ -256,17 +256,16 @@ pub(crate) fn close_interval(
                 w.profiler.note_grain(modified);
                 trace_diff = true;
 
-                w.dir[page.index()].last_diff_bytes = modified;
-                // Write-granularity test (§3.2): the policy judges the
-                // diff size — under WFS+WG large diffs make the page a
-                // candidate for SW mode while small diffs keep it in MW
-                // mode; other policies leave the flag untouched.
-                let wants = w.dir[page.index()].wants_sw;
-                w.dir[page.index()].wants_sw = w.policy.wants_sw_after_close(
-                    page.index(),
+                // Write-granularity test (§3.2): under WFS+WG large
+                // diffs make the page a candidate for SW mode while small
+                // diffs keep it in MW mode.
+                let pg = &mut w.dir[page.index()];
+                pg.last_diff_bytes = modified;
+                pg.wants_sw = adaptive::wants_sw_after_diff(
+                    w.cfg.protocol,
+                    pg.wants_sw,
                     modified,
                     w.cfg.cost.wg_threshold_bytes,
-                    wants,
                 );
 
                 writes.push(WriteNotice {
@@ -413,12 +412,10 @@ pub(crate) fn integrate_from(
             procs,
             dir,
             cfg,
-            policy,
             proto,
             ..
         } = w;
-        let policy: &dyn AdaptPolicy = &**policy;
-        let adaptive = policy.adapts();
+        let adaptive = cfg.protocol.is_adaptive();
 
         // One lock acquisition for the whole ship: every invalidation
         // the records carry targets `p`'s memory.
@@ -435,7 +432,6 @@ pub(crate) fn integrate_from(
                     procs,
                     dir,
                     cfg,
-                    policy,
                     proto,
                     &mut mem,
                     p,
@@ -448,7 +444,7 @@ pub(crate) fn integrate_from(
         drop(mem);
 
         if adaptive {
-            promote_on_owner_notices(procs, dir, policy, proto, p, &mut owner_pages);
+            promote_on_owner_notices(procs, dir, cfg.protocol, proto, p, &mut owner_pages);
         }
         procs[p.index()].vc.merge(src_vc);
     }
@@ -465,7 +461,6 @@ fn ship_record_to(
     procs: &mut [ProcCtl],
     dir: &mut Directory,
     cfg: &DsmConfig,
-    policy: &dyn AdaptPolicy,
     proto: &mut ProtocolStats,
     mem: &mut PagedMemory,
     p: ProcId,
@@ -526,18 +521,14 @@ fn ship_record_to(
                     // next interval close (§3.1.1), which performs
                     // the flip.
                     let sw_dirty = pc.dirty && pc.twin.is_none();
-                    // One decision for both transitions below: the
-                    // mode flip and the ownership drop must never
-                    // diverge for the same notice.
-                    let demote = policy.demote_on_concurrent_notice(pg_idx);
-                    if pc.mode != PageMode::Mw && !sw_dirty && demote {
+                    if pc.mode != PageMode::Mw && !sw_dirty {
                         pc.mode = PageMode::Mw;
                         proto.switches_to_mw += 1;
                     }
                     // FS onset seen by the page's current owner:
                     // drop ownership — immediately if it has no
                     // uncommitted writes, else at its next close.
-                    if dir[pg_idx].owner == Some(p) && demote {
+                    if dir[pg_idx].owner == Some(p) {
                         if sw_dirty {
                             dir[pg_idx].drop_pending = true;
                         } else {
@@ -552,15 +543,15 @@ fn ship_record_to(
 
 /// Detection mechanism 2 (§3.1.2), run after a ship: a new owner
 /// notice with no surviving concurrent non-owner notices means
-/// write-write false sharing has stopped — if the policy agrees the
-/// page is worth SW handling (WFS+WG gives priority to the
+/// write-write false sharing has stopped — if the page is worth SW
+/// handling ([`adaptive::sw_ok`]: WFS+WG gives priority to the
 /// false-sharing test but then decides on diff size: small diffs keep
 /// MW). `owner_pages` is the ship's owner-notice pages; left sorted
 /// and deduplicated (the caller clears it).
 fn promote_on_owner_notices(
     procs: &mut [ProcCtl],
     dir: &mut Directory,
-    policy: &dyn AdaptPolicy,
+    protocol: ProtocolKind,
     proto: &mut ProtocolStats,
     p: ProcId,
     owner_pages: &mut Vec<PageId>,
@@ -573,7 +564,7 @@ fn promote_on_owner_notices(
         let has_concurrent = pc.missing.iter().any(|n| !n.kind.is_owner());
         if !has_concurrent
             && pc.mode == PageMode::Mw
-            && policy.promote_to_sw_ok(page.index(), wants)
+            && adaptive::sw_ok(protocol, wants)
             && pc.twin.is_none()
         {
             pc.mode = PageMode::Sw;
@@ -804,7 +795,7 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
             ctx.interrupt(q);
             // Mechanism 1 (§3.1.2): diff requests piggyback the
             // requester's perception of the page.
-            if ctx.w.policy.adapts() {
+            if ctx.w.cfg.protocol.is_adaptive() {
                 ctx.w.dir[pgidx].reports_sw[pidx] = my_mode_sw;
                 mechanism1_consensus(ctx.w, page);
             }
@@ -873,7 +864,7 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
     }
     ctx.charge(apply_cost);
 
-    let track_applied = ctx.w.policy.adapts();
+    let track_applied = ctx.w.cfg.protocol.is_adaptive();
     let ProcCtl { pages, applied, .. } = &mut ctx.w.procs[pidx];
     let pc = &mut pages[pgidx];
     if track_applied {
@@ -930,9 +921,9 @@ pub(crate) fn fetch_page_from(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: Pag
 
     // Read-sharing probe (WFS+WG, §3.3): a page becomes read-write
     // shared as soon as another processor fetches it from its writing
-    // owner — policies measuring write granularity switch it to MW mode
-    // (via a deferred ownership drop) so the granularity gets measured.
-    if ctx.w.policy.demote_owner_on_read_copy(page.index())
+    // owner — WFS+WG switches it to MW mode (via a deferred ownership
+    // drop) so the granularity gets measured.
+    if adaptive::probes_read_sharing(ctx.w.cfg.protocol)
         && ctx.w.dir[page.index()].owner == Some(q)
         && ctx.w.profiler.other_writers(page, p).any(|iv| iv.proc == q)
     {
@@ -978,7 +969,7 @@ pub(crate) fn mechanism1_consensus(w: &mut World, page: PageId) {
     if !all_sw {
         return;
     }
-    if !w.policy.promote_to_sw_ok(pgidx, w.dir[pgidx].wants_sw) {
+    if !adaptive::sw_ok(w.cfg.protocol, w.dir[pgidx].wants_sw) {
         return;
     }
     for q in 0..w.nprocs() {

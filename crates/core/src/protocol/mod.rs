@@ -1,16 +1,15 @@
-//! The coherence protocols, structured as a three-layer stack (see
-//! DESIGN.md, "The layered protocol stack"):
+//! The coherence protocols, structured as dispatch over shared
+//! mechanism (see DESIGN.md, "The layered protocol stack"):
 //!
 //! * [`dispatch`] — the `Protocol` trait: one object per protocol,
 //!   selected once per run; routes faults, locks, barriers and GC.
-//! * [`policy`] — the `AdaptPolicy` trait: owns every SW/MW mode
-//!   decision (WFS, WFS+WG, hysteresis, static hints).
-//! * Mechanism — the machinery the other two layers compose:
+//! * Mechanism — the machinery the dispatch impls compose:
 //!   * [`lrc`] — shared LRC machinery: intervals, write-notice
 //!     propagation, the merge procedure of §3.1.1.
 //!   * [`mw`] — TreadMarks-style multiple-writer (twins + diffs).
 //!   * [`sw`] — CVM-style single-writer (ownership + versions + quantum).
-//!   * [`adaptive`] — the paper's adaptive fault paths (§3).
+//!   * [`adaptive`] — the paper's adaptive fault paths (§3), and the
+//!     one adaptation rule telling WFS from WFS+WG.
 //!   * [`sync`] — locks and barriers (write-notice propagation).
 //!   * [`gc`] — diff garbage collection at barriers (§2.2, §3.1.1).
 //!   * [`recovery`] — crash recovery from the replicated interval log
@@ -24,7 +23,6 @@ pub(crate) mod gc;
 pub(crate) mod hlrc;
 pub(crate) mod lrc;
 pub(crate) mod mw;
-pub(crate) mod policy;
 pub(crate) mod recovery;
 pub(crate) mod sc;
 pub(crate) mod sw;

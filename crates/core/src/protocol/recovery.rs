@@ -119,15 +119,11 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
     // recovery refetch. Mode beliefs reset to the protocol's initial
     // mode; post-restart consensus traffic re-derives any demotions
     // and promotions, exactly as it would for a late-joining sharer.
-    let initial_mode = match ctx.w.cfg.protocol {
-        ProtocolKind::Mw | ProtocolKind::Hlrc => PageMode::Mw,
-        _ => PageMode::Sw,
-    };
+    let initial_mode = PageMode::initial(ctx.w.cfg.protocol);
     ctx.w.procs[pidx].applied.clear();
     for pg in 0..npages {
         let page = PageId::new(pg);
         ctx.mems[pidx].lock().set_rights(page, AccessRights::None);
-        let starts_mw = initial_mode == PageMode::Sw && ctx.w.policy.page_starts_mw(pg);
         let pc = &mut ctx.w.procs[pidx].pages[pg];
         debug_assert!(pc.twin.is_none(), "no open write session at a commit point");
         debug_assert!(pc.pending.is_none());
@@ -137,11 +133,7 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
         pc.has_copy = false;
         pc.missing.clear();
         pc.hvn = None;
-        pc.mode = if starts_mw {
-            PageMode::Mw
-        } else {
-            initial_mode
-        };
+        pc.mode = initial_mode;
         // Defensive in release builds: a leaked twin would double-count
         // in the memory accounting once dropped.
         if pc.twin.take().is_some() {

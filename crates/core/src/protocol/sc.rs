@@ -142,9 +142,6 @@ pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         .lock()
         .set_rights(page, AccessRights::Write);
     finish_copy(ctx, p, page);
-    if owner == p {
-        ctx.w.proto.soft_write_faults += 1;
-    }
 }
 
 /// Invalidates every copy except the new owner's: one

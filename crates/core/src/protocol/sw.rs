@@ -131,7 +131,6 @@ pub(crate) fn soft_write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     let pc = &mut ctx.w.procs[p.index()].pages[page.index()];
     pc.has_copy = true;
     ctx.w.dir[page.index()].copyset[p.index()] = true;
-    ctx.w.proto.soft_write_faults += 1;
     // §7 migratory detection: a read-granted owner writing confirms the
     // prediction.
     let pg = &mut ctx.w.dir[page.index()];

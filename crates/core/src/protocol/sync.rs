@@ -256,7 +256,7 @@ pub(crate) fn barrier_arrive(
     // mechanism-3 candidate pages. Intervals proxy-closed after their
     // writer arrived (a lock grant closing a blocked grantor's
     // interval) are in the log like any other.
-    let adapts = ctx.w.policy.adapts();
+    let adapts = ctx.w.cfg.protocol.is_adaptive();
     let mut m3_pages = std::mem::take(&mut ctx.w.bscratch.m3_pages);
     let mut payloads = std::mem::take(&mut ctx.w.bscratch.payloads);
     debug_assert!(m3_pages.is_empty());
@@ -278,12 +278,8 @@ pub(crate) fn barrier_arrive(
         payloads.push(lrc::integrate_from(ctx.w, ctx.mems, q, &global_vc));
     }
 
-    // Adaptive barrier-time detection (mechanism 3), then GC. The
-    // policy observes the barrier first (hysteresis streaks advance on
-    // barrier episodes), so its promotion answers below reflect the
-    // refusal window that just closed.
+    // Adaptive barrier-time detection (mechanism 3), then GC.
     if adapts {
-        ctx.w.policy.note_barrier();
         m3_pages.sort_unstable();
         m3_pages.dedup();
         mechanism3(ctx, &m3_pages);
@@ -349,14 +345,9 @@ fn mechanism3(ctx: &mut Ctx<'_>, pages: &[adsm_mempage::PageId]) {
         if ctx.w.dir[pgidx].owner.is_some() {
             continue; // still under SW handling somewhere
         }
-        if !ctx
-            .w
-            .policy
-            .promote_to_sw_ok(pgidx, ctx.w.dir[pgidx].wants_sw)
-        {
-            // The policy keeps the page in MW mode — small diffs under
-            // WFS+WG (§3.3 priority rule), an open hysteresis window, a
-            // static MW hint.
+        if !super::adaptive::sw_ok(ctx.w.cfg.protocol, ctx.w.dir[pgidx].wants_sw) {
+            // Small diffs keep the page in MW mode under WFS+WG (§3.3
+            // priority rule).
             continue;
         }
         let cands = ctx.w.profiler.last_writes(page);

@@ -154,30 +154,6 @@ impl DsmBuilder {
         self
     }
 
-    /// Overrides the adaptation policy of an adaptive protocol
-    /// ([`ProtocolKind::Wfs`] / [`ProtocolKind::WfsWg`]): the dispatch
-    /// machinery stays the protocol's, but every SW/MW mode decision is
-    /// taken by the given policy — hysteresis, static per-page hints,
-    /// or one of the paper's two policies. [`Dsm::run`] rejects an
-    /// override on a non-adaptive protocol with
-    /// [`RunError::BadConfig`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use adsm_core::{AdaptPolicyKind, Dsm, ProtocolKind};
-    ///
-    /// let dsm = Dsm::builder(ProtocolKind::Wfs)
-    ///     .nprocs(4)
-    ///     .adapt_policy(AdaptPolicyKind::Hysteresis { barriers: 2 })
-    ///     .build();
-    /// assert_eq!(dsm.protocol(), ProtocolKind::Wfs);
-    /// ```
-    pub fn adapt_policy(mut self, policy: crate::AdaptPolicyKind) -> Self {
-        self.cfg.adapt_policy = Some(policy);
-        self
-    }
-
     /// Enables the SC comparator's per-fault invariant checker (single
     /// writable copy, coherent read copies, exact copysets). Off by
     /// default; other protocols ignore the flag.
@@ -369,11 +345,6 @@ impl Dsm {
                 "lazy diffing is only supported by the MW protocol".into(),
             ));
         }
-        if cfg.adapt_policy.is_some() && !cfg.protocol.is_adaptive() {
-            return Err(RunError::BadConfig(
-                "adaptation policies apply to the adaptive protocols (WFS, WFS+WG) only".into(),
-            ));
-        }
         if cfg.backend == crate::ExecBackend::Threads && cfg.schedule_fuzz.is_some() {
             return Err(RunError::BadConfig(
                 "schedule fuzzing is a simulator-scheduler property; \
@@ -491,7 +462,6 @@ impl Dsm {
             .into_inner();
         w.proto.pool_pages_created = w.pool.pages_created();
         w.proto.pool_pages_reused = w.pool.pages_reused();
-        let sw_page_map = w.sw_page_map();
         // The journal covers the messages the report counts, so its sums
         // are the report's chaos counters; image assembly below is off
         // the clock and its traffic is delivered clean, unjournaled.
@@ -507,8 +477,7 @@ impl Dsm {
             trace: w.trace.clone(),
             profile: w.profiler.summary(),
             touched_pages: w.touched_pages(),
-            final_sw_pages: sw_page_map.iter().filter(|&&sw| sw).count(),
-            sw_page_map,
+            final_sw_pages: w.final_sw_pages(),
         };
 
         let mems = Arc::try_unwrap(mems)

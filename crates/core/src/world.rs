@@ -18,8 +18,7 @@ use adsm_vclock::{IntervalId, ProcId, VectorClock};
 use crate::metrics::ProtocolStats;
 use crate::notice::{IntervalRecord, PendingNotice, WriteNotice};
 use crate::profile::Profiler;
-use crate::protocol::policy::{self, AdaptPolicy};
-use crate::DsmConfig;
+use crate::{DsmConfig, ProtocolKind};
 
 /// Per-page, per-processor protocol mode (the paper's "state variable",
 /// §3.1).
@@ -30,6 +29,20 @@ pub(crate) enum PageMode {
     Sw,
     /// Multiple-writer handling: twins and diffs.
     Mw,
+}
+
+impl PageMode {
+    /// Every page's mode at the start of a run, and a restarted
+    /// processor's after a crash: MW under the pure MW protocol and under
+    /// HLRC (which never holds page ownership: every page is twinned and
+    /// diffed), SW under every other (§3.3: "all pages start in SW
+    /// mode").
+    pub fn initial(protocol: ProtocolKind) -> PageMode {
+        match protocol {
+            ProtocolKind::Mw | ProtocolKind::Hlrc => PageMode::Mw,
+            _ => PageMode::Sw,
+        }
+    }
 }
 
 /// Highest-version owner write notice a processor has received for a
@@ -268,7 +281,9 @@ pub(crate) struct Directory {
 }
 
 impl Directory {
-    pub fn new(npages: usize, nprocs: usize, mut init: impl FnMut(usize) -> PageGlobal) -> Self {
+    /// A directory of `npages` pages, each starting owned by
+    /// `initial_owner` at version 0.
+    pub fn new(npages: usize, nprocs: usize, initial_owner: ProcId) -> Self {
         let nshards = nprocs.max(1);
         let mut shards: Vec<DirShard> = (0..nshards)
             .map(|_| DirShard {
@@ -277,7 +292,9 @@ impl Directory {
             })
             .collect();
         for pg in 0..npages {
-            shards[pg % nshards].pages.push(init(pg));
+            shards[pg % nshards]
+                .pages
+                .push(PageGlobal::new(nprocs, initial_owner));
         }
         Directory {
             shards,
@@ -622,9 +639,6 @@ pub(crate) struct World {
     pub dir: Directory,
     /// The shared interval log (happened-before-1 history).
     pub log: IntervalLog,
-    /// The run's adaptation policy: every SW/MW mode decision is a
-    /// query against this object (see `protocol::policy`).
-    pub policy: Box<dyn AdaptPolicy>,
     pub locks: BTreeMap<u64, LockState>,
     pub barrier: BarrierState,
     /// A processor's diff space crossed the GC threshold; collect at the
@@ -680,27 +694,7 @@ impl World {
     pub fn new(cfg: DsmConfig) -> Self {
         let nprocs = cfg.nprocs;
         let npages = cfg.npages;
-        let initial_owner = ProcId::new(0);
-        let mut adapt = policy::build_policy(&cfg);
-        adapt.on_run_start(npages);
-        // Under the pure MW protocol every page is handled MW from the
-        // start; under SW and the adaptive protocols all pages start in
-        // SW mode (§3.3: "all pages start in SW mode") — except pages
-        // the policy pins to MW (static hints), which start twinning
-        // immediately with no initial owner.
-        let initial_mode = match cfg.protocol {
-            // HLRC never holds page ownership: every page is handled with
-            // twins and diffs (flushed to the home), i.e. MW mode.
-            crate::ProtocolKind::Mw | crate::ProtocolKind::Hlrc => PageMode::Mw,
-            _ => PageMode::Sw,
-        };
-        let mode_of = |pg: usize| {
-            if initial_mode == PageMode::Sw && adapt.page_starts_mw(pg) {
-                PageMode::Mw
-            } else {
-                initial_mode
-            }
-        };
+        let mode = PageMode::initial(cfg.protocol);
         let faults = cfg.faults();
         World {
             procs: (0..nprocs)
@@ -708,8 +702,8 @@ impl World {
                     vc: VectorClock::new(nprocs),
                     dirty: Vec::new(),
                     pages: (0..npages)
-                        .map(|pg| PageCtl {
-                            mode: mode_of(pg),
+                        .map(|_| PageCtl {
+                            mode,
                             ..PageCtl::default()
                         })
                         .collect(),
@@ -717,15 +711,8 @@ impl World {
                     pending_bytes: 0,
                 })
                 .collect(),
-            dir: Directory::new(npages, nprocs, |pg| {
-                let mut g = PageGlobal::new(nprocs, initial_owner);
-                if initial_mode == PageMode::Sw && adapt.page_starts_mw(pg) {
-                    g.owner = None;
-                }
-                g
-            }),
+            dir: Directory::new(npages, nprocs, ProcId::new(0)),
             log: IntervalLog::new(nprocs),
-            policy: adapt,
             locks: BTreeMap::new(),
             barrier: BarrierState {
                 arrived: vec![None; nprocs],
@@ -895,14 +882,12 @@ impl World {
         self.dir.iter().filter(|p| p.touched).count()
     }
 
-    /// Per-page final adaptation outcome: is the page touched and in SW
-    /// mode on a majority of processors? The basis of
-    /// [`RunReport::sw_page_map`](crate::RunReport::sw_page_map), which
-    /// static-hint policies feed from profiling runs.
-    pub fn sw_page_map(&self) -> Vec<bool> {
+    /// Pages touched during the run and in SW mode on a majority of
+    /// processors ([`RunReport::final_sw_pages`](crate::RunReport::final_sw_pages)).
+    pub fn final_sw_pages(&self) -> usize {
         let half = self.nprocs() / 2;
         (0..self.cfg.npages)
-            .map(|pg| {
+            .filter(|&pg| {
                 self.dir[pg].touched
                     && self
                         .procs
@@ -911,14 +896,13 @@ impl World {
                         .count()
                         > half
             })
-            .collect()
+            .count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProtocolKind;
 
     fn world(npages: usize) -> World {
         let mut cfg = DsmConfig::new(ProtocolKind::Wfs);
@@ -1072,17 +1056,21 @@ mod tests {
     }
 
     #[test]
-    fn sw_page_map_counts_touched_pages_only() {
+    fn final_sw_pages_counts_touched_pages_only() {
         let mut w = world(2);
-        // Nothing touched: all false.
-        assert_eq!(w.sw_page_map(), vec![false, false]);
+        // Nothing touched: no page counts.
+        assert_eq!(w.final_sw_pages(), 0);
         w.touch(PageId::new(0));
-        // All procs default to SW mode.
-        assert_eq!(w.sw_page_map(), vec![true, false]);
-        // Flip 3 of 4 procs to MW for page 0.
-        for p in 0..3 {
+        // All procs start in SW mode; the untouched page still does not
+        // count.
+        assert_eq!(w.final_sw_pages(), 1);
+        // Two of four procs in MW is not a majority either way: SW needs
+        // more than half.
+        for p in 0..2 {
             w.procs[p].pages[0].mode = PageMode::Mw;
         }
-        assert_eq!(w.sw_page_map(), vec![false, false]);
+        assert_eq!(w.final_sw_pages(), 0);
+        w.procs[1].pages[0].mode = PageMode::Sw;
+        assert_eq!(w.final_sw_pages(), 1);
     }
 }

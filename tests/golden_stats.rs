@@ -1,6 +1,6 @@
-//! Golden-stats equivalence: the layered protocol-stack refactor
-//! (trait dispatch + pluggable adaptation policies + shared interval
-//! log) must leave run behaviour **bit-identical**. The simulator is
+//! Golden-stats equivalence: refactors of the protocol stack (trait
+//! dispatch, the adaptation rule, the shared interval log) must leave
+//! run behaviour **bit-identical**. The simulator is
 //! deterministic, so every per-app, per-protocol outcome digest below —
 //! captured on the pre-refactor tree — must reproduce exactly.
 //!
