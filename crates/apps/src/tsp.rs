@@ -139,67 +139,72 @@ const QUEUE_CAP: usize = 4096;
 const LOCK_QUEUE: u64 = 0;
 const LOCK_BEST: u64 = 1;
 
+/// The instance as the search reads it, built once per run: the distance
+/// matrix and, for every city, the other cities nearest first.
+struct Cities {
+    n: usize,
+    dist: Vec<u64>,
+    /// Row `c`, `n - 1` entries long: every city but `c`, ordered by
+    /// (distance from `c`, index).
+    near: Vec<u8>,
+}
+
+impl Cities {
+    fn new(params: &TspParams) -> Self {
+        let n = params.ncities;
+        let dist = distance_matrix(params);
+        let mut near = Vec::with_capacity(n * (n - 1));
+        for c in 0..n {
+            let row = near.len();
+            near.extend((0..n as u8).filter(|&d| d as usize != c));
+            near[row..].sort_unstable_by_key(|&d| (dist[c * n + d as usize], d));
+        }
+        Cities { n, dist, near }
+    }
+}
+
 /// Cheap admissible lower bound: current length + the minimum outgoing
-/// edge of every unvisited city (and of the last city).
-fn lower_bound(dist: &[u64], n: usize, mask: u64, last: usize, len: u64) -> u64 {
+/// edge of every unvisited city (and of the last city), where an edge
+/// may lead to an unvisited city or back to city 0. That edge is the
+/// first qualifying entry of the city's nearest-first row, so the bound
+/// costs a few probes per city instead of a scan of the matrix.
+fn lower_bound(cities: &Cities, mask: u64, last: usize, len: u64) -> u64 {
+    let n = cities.n;
+    let to = !mask | 1;
+    let mut from = (!mask & ((1 << n) - 1)) | (1 << last);
     let mut bound = len;
-    for c in 0..n {
-        if c != last && mask & (1 << c) != 0 {
-            continue;
-        }
-        let mut best = u64::MAX;
-        for d in 0..n {
-            if d != c && (mask & (1 << d) == 0 || d == 0) {
-                best = best.min(dist[c * n + d]);
-            }
-        }
-        if best != u64::MAX {
-            bound += best;
+    while from != 0 {
+        let c = from.trailing_zeros() as usize;
+        from &= from - 1;
+        let row = &cities.near[c * (n - 1)..(c + 1) * (n - 1)];
+        if let Some(&d) = row.iter().find(|&&d| to & (1 << d) != 0) {
+            bound += cities.dist[c * n + d as usize];
         }
     }
     bound
 }
 
 /// Sequential depth-first solver used for subtrees below the split
-/// depth; returns the number of nodes expanded.
-#[allow(clippy::too_many_arguments)]
-fn solve_local(
-    dist: &[u64],
-    n: usize,
-    mask: u64,
-    last: usize,
-    len: u64,
-    path: &mut Vec<u8>,
-    best: &mut u64,
-    nodes: &mut u64,
-) {
+/// depth; counts the nodes it expands into `nodes`.
+fn solve_local(cities: &Cities, mask: u64, last: usize, len: u64, best: &mut u64, nodes: &mut u64) {
+    let n = cities.n;
     *nodes += 1;
-    if path.len() == n {
-        let tour = len + dist[last * n];
+    if mask == (1 << n) - 1 {
+        let tour = len + cities.dist[last * n];
         if tour < *best {
             *best = tour;
         }
         return;
     }
-    if lower_bound(dist, n, mask, last, len) >= *best {
+    if lower_bound(cities, mask, last, len) >= *best {
         return;
     }
     for next in 1..n {
         if mask & (1 << next) != 0 {
             continue;
         }
-        path.push(next as u8);
-        solve_local(
-            dist,
-            n,
-            mask | (1 << next),
-            next,
-            len + dist[last * n + next],
-            path,
-            best,
-            nodes,
-        );
-        path.pop();
+        let nlen = len + cities.dist[last * n + next];
+        solve_local(cities, mask | (1 << next), next, nlen, best, nodes);
     }
 }
 
@@ -212,7 +217,7 @@ pub fn run(protocol: ProtocolKind, nprocs: usize, scale: Scale) -> AppRun {
 pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &RunOptions) -> AppRun {
     let params = TspParams::new(scale);
     let n = params.ncities;
-    let dist = distance_matrix(&params);
+    let cities = Cities::new(&params);
     let optimum = *reference(&params);
 
     let mut dsm = opts.builder(protocol, nprocs).build();
@@ -233,10 +238,9 @@ pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &Run
     let bound_mirror: Option<Arc<AtomicU64>> =
         (opts.backend == ExecBackend::Threads).then(|| Arc::new(AtomicU64::new(u64::MAX / 4)));
 
-    let dist_for_body = dist.clone();
     let outcome = dsm
         .run(move |p| {
-            let dist = &dist_for_body;
+            let cities = &cities;
             if p.index() == 0 {
                 best.set(p, 0, u64::MAX / 4);
                 // Seed: the root tour at city 0.
@@ -291,15 +295,15 @@ pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &Run
                 let mut pushed = 0u64;
                 let mut local_best = cur_best;
                 let mut nodes = 0u64;
-                if lower_bound(dist, n, mask, last, len) < cur_best {
+                if lower_bound(cities, mask, last, len) < cur_best {
                     if depth < params.split_depth && depth < n {
                         // Expand children back into the shared queue.
                         for next in 1..n {
                             if mask & (1 << next) != 0 {
                                 continue;
                             }
-                            let nlen = len + dist[last * n + next];
-                            if lower_bound(dist, n, mask | (1 << next), next, nlen) >= cur_best {
+                            let nlen = len + cities.dist[last * n + next];
+                            if lower_bound(cities, mask | (1 << next), next, nlen) >= cur_best {
                                 continue;
                             }
                             p.critical(LOCK_QUEUE, |p| {
@@ -321,16 +325,7 @@ pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &Run
                         nodes += 1;
                     } else {
                         // Solve the subtree locally.
-                        solve_local(
-                            dist,
-                            n,
-                            mask,
-                            last,
-                            len,
-                            &mut path.clone(),
-                            &mut local_best,
-                            &mut nodes,
-                        );
+                        solve_local(cities, mask, last, len, &mut local_best, &mut nodes);
                     }
                 }
                 p.compute(work(nodes as usize, params.ns_per_node));
@@ -382,14 +377,53 @@ mod tests {
         assert_eq!(hk, d[1] + d[3 + 2] + d[3 * 2]);
     }
 
+    /// The bound as a scan of the whole distance matrix: the minimum the
+    /// nearest-first rows must find.
+    fn lower_bound_scan(dist: &[u64], n: usize, mask: u64, last: usize, len: u64) -> u64 {
+        let mut bound = len;
+        for c in 0..n {
+            if c != last && mask & (1 << c) != 0 {
+                continue;
+            }
+            let mut best = u64::MAX;
+            for d in 0..n {
+                if d != c && (mask & (1 << d) == 0 || d == 0) {
+                    best = best.min(dist[c * n + d]);
+                }
+            }
+            if best != u64::MAX {
+                bound += best;
+            }
+        }
+        bound
+    }
+
     #[test]
     fn lower_bound_is_admissible() {
         let params = TspParams::new(Scale::Tiny);
-        let d = distance_matrix(&params);
-        let n = params.ncities;
-        let opt = held_karp(&d, n);
+        let cities = Cities::new(&params);
+        let opt = held_karp(&cities.dist, params.ncities);
         // Bound at the root must not exceed the optimum.
-        assert!(lower_bound(&d, n, 1, 0, 0) <= opt);
+        assert!(lower_bound(&cities, 1, 0, 0) <= opt);
+    }
+
+    #[test]
+    fn nearest_first_bound_equals_the_scan() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Paper, Scale::Large] {
+            let params = TspParams::new(scale);
+            let cities = Cities::new(&params);
+            let n = params.ncities;
+            // Every mask that contains city 0, and every `last` in it.
+            for mask in (1..1u64 << n).step_by(2) {
+                for last in (0..n).filter(|&c| mask & (1 << c) != 0) {
+                    assert_eq!(
+                        lower_bound(&cities, mask, last, 0),
+                        lower_bound_scan(&cities.dist, n, mask, last, 0),
+                        "{scale:?}: mask {mask:#b}, last {last}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

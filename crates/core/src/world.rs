@@ -182,29 +182,33 @@ pub(crate) struct DiffStore {
 }
 
 impl DiffStore {
+    /// Stores the diff `interval`'s writer made of `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build, if the store already holds a diff for
+    /// `(page, interval)`: a writer diffs a page once per interval, and
+    /// a second diff would replace the one a merge may already have
+    /// applied.
     pub fn insert(&mut self, page: PageId, interval: IntervalId, diff: Diff) {
-        self.bytes += diff.wire_size() as u64;
-        self.count += 1;
         if self.by_page.len() <= page.index() {
             self.by_page
                 .resize_with(page.index() + 1, PageDiffs::default);
         }
         let pd = &mut self.by_page[page.index()];
+        let Err(pos) = pd.entries.binary_search_by_key(&interval, |(iv, _)| *iv) else {
+            panic!(
+                "protocol invariant violated: writer {} made a second diff of {page} \
+                 for interval {interval} (a writer diffs a page once per interval)",
+                interval.proc
+            );
+        };
         if pd.entries.is_empty() {
             self.pages.push(page);
         }
-        match pd.entries.binary_search_by_key(&interval, |(iv, _)| *iv) {
-            Ok(pos) => {
-                debug_assert!(false, "diff created twice for {page} {interval}");
-                // Violated invariant in a release build: keep the
-                // replace semantics with exact accounting rather than
-                // silently dropping the new diff and its bytes.
-                self.bytes -= pd.entries[pos].1.wire_size() as u64;
-                self.count -= 1;
-                pd.entries[pos].1 = Arc::new(diff);
-            }
-            Err(pos) => pd.entries.insert(pos, (interval, Arc::new(diff))),
-        }
+        self.bytes += diff.wire_size() as u64;
+        self.count += 1;
+        pd.entries.insert(pos, (interval, Arc::new(diff)));
     }
 
     /// The stored diff for `(page, interval)`, as a shared handle the
@@ -324,11 +328,9 @@ impl Directory {
     /// Stores a diff created by `q`, in the page's home shard.
     pub fn insert_diff(&mut self, q: ProcId, page: PageId, interval: IntervalId, diff: Diff) {
         let (s, _) = self.locate(page.index());
-        let store = &mut self.shards[s].diffs[q.index()];
-        let before = store.bytes as i64;
-        store.insert(page, interval, diff);
-        let delta = store.bytes as i64 - before;
-        self.diff_bytes[q.index()] = (self.diff_bytes[q.index()] as i64 + delta) as u64;
+        let bytes = diff.wire_size() as u64;
+        self.shards[s].diffs[q.index()].insert(page, interval, diff);
+        self.diff_bytes[q.index()] += bytes;
     }
 
     /// The stored diff `q` created for `(page, interval)`, as a shared
@@ -1011,6 +1013,19 @@ mod tests {
         assert_eq!((n, b), (1, wire));
         assert_eq!(store.pages().next(), None);
         assert!(!store.has_page(PageId::new(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "writer P1 made a second diff of pg3 for interval P1:2")]
+    fn diff_store_refuses_a_second_diff_for_one_interval() {
+        let mut store = DiffStore::default();
+        let twin = vec![0u8; adsm_mempage::PAGE_SIZE];
+        let mut cur = twin.clone();
+        cur[0] = 1;
+        let page = PageId::new(3);
+        let id = IntervalId::new(ProcId::new(1), 2);
+        store.insert(page, id, Diff::encode(&twin, &cur));
+        store.insert(page, id, Diff::encode(&twin, &cur));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! cargo test --release --test golden_stats -- --ignored --nocapture print_golden
 //! ```
 //!
-//! and paste the printed tables over `GOLDEN` and `GOLDEN64`.
+//! and paste the printed tables over `GOLDEN`, `GOLDEN64` and
+//! `GOLDEN_TSP_SMALL`.
 
 use adsm::{run_app, run_app_tuned, App, ProtocolKind, RunOptions, RunReport, Scale, Scenario};
 
@@ -518,8 +519,71 @@ fn sixty_four_processor_outcomes_exactly() {
     }
 }
 
-/// Generator: prints the golden tables for pasting into `GOLDEN` and
-/// `GOLDEN64`.
+/// The protocols of the TSP `Small` table: `benchmark/`'s `paper8_sim`
+/// TSP cells.
+const PROTOCOLS_TSP: [ProtocolKind; 4] = [
+    ProtocolKind::Mw,
+    ProtocolKind::Sw,
+    ProtocolKind::Wfs,
+    ProtocolKind::WfsWg,
+];
+
+fn run_digest_tsp_small(proto: ProtocolKind) -> [u64; 15] {
+    let run = run_app(App::Tsp, proto, 8, Scale::Small);
+    assert!(run.ok, "TSP under {proto} at Small: {}", run.detail);
+    digest(&run.outcome.report)
+}
+
+/// TSP at `Small` with 8 processors. TSP is the one application whose
+/// amount of work follows its bound: a search that prunes differently
+/// expands other nodes and sends other messages, and above `Tiny` only
+/// this table would see it. Captured before the bound stopped rescanning
+/// the distance matrix.
+const GOLDEN_TSP_SMALL: &[(ProtocolKind, [u64; 15])] = &[
+    (
+        ProtocolKind::Mw,
+        [
+            830458356, 2106, 289454, 238, 195, 195, 195, 1355, 0, 0, 0, 0, 16, 0, 0,
+        ],
+    ),
+    (
+        ProtocolKind::Sw,
+        [
+            1439922596, 2479, 2503272, 306, 260, 0, 0, 0, 252, 0, 0, 0, 558, 0, 3,
+        ],
+    ),
+    (
+        ProtocolKind::Wfs,
+        [
+            1006844448, 1855, 1254294, 264, 213, 0, 0, 0, 205, 0, 0, 0, 265, 0, 3,
+        ],
+    ),
+    (
+        ProtocolKind::WfsWg,
+        [
+            789121956, 2073, 322612, 226, 180, 175, 175, 1225, 0, 2, 16, 0, 28, 0, 0,
+        ],
+    ),
+];
+
+#[test]
+fn tsp_small_outcomes_exactly() {
+    assert_eq!(
+        GOLDEN_TSP_SMALL.len(),
+        PROTOCOLS_TSP.len(),
+        "TSP Small golden table incomplete — regenerate with print_golden"
+    );
+    for &(proto, expect) in GOLDEN_TSP_SMALL {
+        assert_eq!(
+            run_digest_tsp_small(proto),
+            expect,
+            "TSP under {proto} at Small: outcome digest diverged from the golden capture"
+        );
+    }
+}
+
+/// Generator: prints the golden tables for pasting into `GOLDEN`,
+/// `GOLDEN64` and `GOLDEN_TSP_SMALL`.
 #[test]
 #[ignore = "generator, run manually with --ignored"]
 fn print_golden() {
@@ -536,5 +600,10 @@ fn print_golden() {
             let d = run_digest64(app, proto);
             println!("    (App::{app:?}, ProtocolKind::{proto:?}, {d:?}),");
         }
+    }
+    println!("GOLDEN_TSP_SMALL:");
+    for proto in PROTOCOLS_TSP {
+        let d = run_digest_tsp_small(proto);
+        println!("    (ProtocolKind::{proto:?}, {d:?}),");
     }
 }

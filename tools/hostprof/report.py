@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Turns a hostprof sample file ($PROF_OUT.<pid>, written by prof.c) into a
 profile: flat by innermost inline frame, flat by physical function,
-inclusive, and optionally the callees of one function.
+inclusive, libc's leaves by their first non-libc caller, and optionally the
+callees of one function.
 
     report.py /tmp/prof.1234 [--top 20] [--callees FN]
 
@@ -140,11 +141,18 @@ def main():
         lib = "" if path == main_exe else f" [{os.path.basename(path)}]"
         return [fn + lib for fn in tables[path].get(v) or ["??"]]
 
+    def in_libc(key):
+        r = resolved[key]
+        path = r if isinstance(r, str) else r[0]
+        return os.path.basename(path).startswith("libc.so")
+
     flat_inline = collections.Counter()
     flat_phys = collections.Counter()
     inclusive = collections.Counter()
     callees = collections.Counter()
+    libc_callers = collections.Counter()
     under = 0
+    in_libc_leaf = 0
     for stack in stacks:
         # Leaf first; every physical frame expanded into its inline frames.
         expanded = []
@@ -161,6 +169,11 @@ def main():
             if hits:
                 under += 1
                 callees[expanded[hits[0] - 1] if hits[0] > 0 else "(self)"] += 1
+        if in_libc((stack[0], False)):
+            in_libc_leaf += 1
+            keys = [(addr, depth > 0) for depth, addr in enumerate(stack)]
+            owner = next((k for k in keys if not in_libc(k)), None)
+            libc_callers[frames_of(owner)[-1] if owner else "(the walk ended in libc)"] += 1
 
     total = len(stacks)
     print(f"{total} samples from {args.samples}" + (f" ({dropped} dropped: buffer full)" if dropped else ""))
@@ -173,6 +186,11 @@ def main():
     table("flat, by innermost inline frame", flat_inline)
     table("flat, by physical function", flat_phys)
     table("inclusive (samples with the function anywhere on the stack)", inclusive)
+    table(
+        f"libc leaves, by first non-libc frame ({in_libc_leaf} samples, "
+        f"{100.0 * in_libc_leaf / total:.1f}% of all)",
+        libc_callers,
+    )
     if args.callees:
         print(f"\ncallees of *{args.callees}* ({under} samples, {100.0 * under / total:.1f}% of all)")
         for fn, n in callees.most_common(args.top):
