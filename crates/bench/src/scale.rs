@@ -35,7 +35,7 @@ pub const GROWTH_REPORTED_AT: [usize; 2] = [64, 256];
 /// its ns per event before it shows anywhere else.
 pub const SCALE_APPS: [App; 3] = [App::Sor, App::Is, App::Barnes];
 /// The sweep's protocol: MW is the diff- and barrier-heavy extreme,
-/// the one the sharded directory exists for.
+/// the one whose per-creator diff stores grow fastest with P.
 pub const SCALE_PROTOCOL: ProtocolKind = ProtocolKind::Mw;
 
 /// One `(app, backend, nprocs)` cell of the sweep.

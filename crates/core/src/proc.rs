@@ -16,9 +16,8 @@ use adsm_netsim::SimTime;
 use adsm_vclock::ProcId;
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::protocol::{self, sync, Ctx, Protocol};
+use crate::protocol::{self, sync, Ctx};
 use crate::world::World;
-use crate::ProtocolKind;
 
 /// Handle through which an application closure drives one simulated
 /// processor.
@@ -28,12 +27,8 @@ pub struct Proc {
     pub(crate) nprocs: usize,
     pub(crate) world: Arc<Mutex<World>>,
     pub(crate) mems: Arc<Vec<Mutex<PagedMemory>>>,
-    /// The run's protocol object (dispatch layer), selected once when
-    /// the cluster is built. Raw included: its no-op synchronisation
-    /// lives in `RawProtocol`, not in per-call-site checks here.
-    pub(crate) proto: &'static dyn Protocol,
-    /// Per-access fast path only ([`SpanGuard::finish`] skips the turn
-    /// point under the single-processor Raw baseline).
+    /// The run is the Raw baseline: [`SpanGuard::finish`] skips the
+    /// turn point (the protocol entry points handle everything else).
     pub(crate) raw: bool,
     pub(crate) access_cost: SimTime,
     pub(crate) mem_per_byte_ns: u64,
@@ -88,7 +83,7 @@ impl Proc {
                 mems: &self.mems,
                 task: &mut self.task,
             };
-            self.proto.acquire(&mut ctx, self.id, lock_id) == sync::AcquireOutcome::MustBlock
+            protocol::acquire(&mut ctx, self.id, lock_id) == sync::AcquireOutcome::MustBlock
         };
         if must_block {
             // The releaser completes the handshake (notices,
@@ -110,7 +105,7 @@ impl Proc {
             mems: &self.mems,
             task: &mut self.task,
         };
-        self.proto.release(&mut ctx, self.id, lock_id);
+        protocol::release(&mut ctx, self.id, lock_id);
     }
 
     /// Waits until every processor reaches the barrier. Barrier
@@ -126,7 +121,7 @@ impl Proc {
                 mems: &self.mems,
                 task: &mut self.task,
             };
-            self.proto.barrier(&mut ctx, self.id) == sync::BarrierOutcome::MustBlock
+            protocol::barrier(&mut ctx, self.id) == sync::BarrierOutcome::MustBlock
         };
         if must_block {
             self.task.block_on(adsm_engine::ParkHint::Barrier);
@@ -152,7 +147,6 @@ impl Proc {
     /// span that opens in between writes bytes no copy will ever carry.
     pub(crate) fn span_guard(&mut self, addr: usize, len: usize, kind: FaultKind) -> SpanGuard<'_> {
         let id = self.id;
-        let proto = self.proto;
         let access_cost = self.access_cost;
         let mem_per_byte_ns = self.mem_per_byte_ns;
         let raw = self.raw;
@@ -188,8 +182,8 @@ impl Proc {
                 task: &mut *task,
             };
             match fault.kind {
-                FaultKind::Read => protocol::read_fault(&mut ctx, proto, id, fault.page),
-                FaultKind::Write => protocol::write_fault(&mut ctx, proto, id, fault.page),
+                FaultKind::Read => protocol::read_fault(&mut ctx, id, fault.page),
+                FaultKind::Write => protocol::write_fault(&mut ctx, id, fault.page),
             }
             // The memory lock comes back before the world lock goes
             // (world, then memory: the order every protocol action
@@ -254,10 +248,6 @@ impl Proc {
             proc: self,
             lock_id,
         }
-    }
-
-    pub(crate) fn is_raw(cfg: ProtocolKind) -> bool {
-        cfg == ProtocolKind::Raw
     }
 }
 

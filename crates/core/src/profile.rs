@@ -142,12 +142,6 @@ impl Profiler {
         self.grain_samples.push(modified_bytes as u32);
     }
 
-    /// Is `page` known to be write-write falsely shared?
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn is_ww_false_shared(&self, page: PageId) -> bool {
-        self.ww_false[page.index()]
-    }
-
     /// Produces the Table 2 summary.
     pub fn summary(&self) -> ProfileSummary {
         let written = self.written.iter().filter(|&&w| w).count();
@@ -233,8 +227,7 @@ mod tests {
         p.note_write(PageId::new(0), pid(0), iv(0, 1), false);
         p.note_write(PageId::new(0), pid(1), iv(1, 1), true);
         p.note_write(PageId::new(1), pid(0), iv(0, 2), false);
-        assert!(p.is_ww_false_shared(PageId::new(0)));
-        assert!(!p.is_ww_false_shared(PageId::new(1)));
+        assert_eq!(p.ww_false, vec![true, false]);
         let s = p.summary();
         assert_eq!(s.written_pages, 2);
         assert_eq!(s.ww_false_shared_pages, 1);

@@ -42,7 +42,7 @@ pub(crate) fn collect(ctx: &mut Ctx<'_>) {
     // Pages that have outstanding diffs anywhere.
     let mut pages: Vec<PageId> = Vec::new();
     for q in 0..nprocs {
-        pages.extend(ctx.w.dir.diff_pages(ProcId::new(q)));
+        pages.extend(ctx.w.dir.diffs[q].pages());
     }
     pages.sort_unstable();
     pages.dedup();
@@ -52,7 +52,7 @@ pub(crate) fn collect(ctx: &mut Ctx<'_>) {
         // Writers: processors holding diffs for the page.
         let writers: Vec<ProcId> = (0..nprocs)
             .map(ProcId::new)
-            .filter(|&q| ctx.w.dir.has_diffs(q, page))
+            .filter(|&q| ctx.w.dir.diffs[q.index()].has_page(page))
             .collect();
 
         // Exit mode: under the adaptive protocols the page leaves GC
@@ -124,7 +124,7 @@ pub(crate) fn collect(ctx: &mut Ctx<'_>) {
     // are kept — they still order future merges).
     ctx.w.log.prune_writes();
     for q in 0..nprocs {
-        let (n, b) = ctx.w.dir.clear_proc_diffs(ProcId::new(q));
+        let (n, b) = ctx.w.dir.diffs[q].clear();
         ctx.w.proto.diffs_dropped(n, b);
         // Lazy diffing: retained twins whose diffs were never requested
         // are obsolete after validation (their writes live in the

@@ -229,7 +229,7 @@ pub(crate) fn close_interval(
                         interval: id,
                         kind: NoticeKind::NonOwner,
                     });
-                if w.procs[p.index()].pending_bytes + w.dir.diff_bytes(p)
+                if w.procs[p.index()].pending_bytes + w.dir.diffs[p.index()].bytes
                     > w.cfg.cost.gc_threshold_bytes as u64
                 {
                     w.gc_requested = true;
@@ -252,7 +252,7 @@ pub(crate) fn close_interval(
                 let modified = diff.modified_bytes();
                 cost += w.cfg.cost.diff_create(modified);
                 w.proto.diff_created(diff.wire_size());
-                w.dir.insert_diff(p, page, id, diff);
+                w.dir.diffs[p.index()].insert(page, id, diff);
                 w.profiler.note_grain(modified);
                 trace_diff = true;
 
@@ -336,7 +336,7 @@ pub(crate) fn close_interval(
     if trace_diff {
         w.trace_event(now, TraceKind::DiffCreate);
     }
-    if w.dir.diff_bytes(p) > w.cfg.cost.gc_threshold_bytes as u64 {
+    if w.dir.diffs[p.index()].bytes > w.cfg.cost.gc_threshold_bytes as u64 {
         w.gc_requested = true;
     }
     cost
@@ -373,8 +373,8 @@ pub(crate) fn materialize_pending(
     w.profiler.note_grain(modified);
     w.dir[pgidx].last_diff_bytes = modified;
     w.proto.diff_created(diff.wire_size());
-    w.dir.insert_diff(q, page, pend.interval, diff);
-    if w.dir.diff_bytes(q) > w.cfg.cost.gc_threshold_bytes as u64 {
+    w.dir.diffs[q.index()].insert(page, pend.interval, diff);
+    if w.dir.diffs[q.index()].bytes > w.cfg.cost.gc_threshold_bytes as u64 {
         w.gc_requested = true;
     }
     w.cfg.cost.diff_create(modified)
@@ -764,7 +764,7 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
             // writer. Skipping one would leave the page silently stale,
             // so a violation fails the run (`RunError::AppPanic`), in
             // every build.
-            let Some(diff) = ctx.w.dir.diff(q, page, n.interval) else {
+            let Some(diff) = ctx.w.dir.diffs[q.index()].get(page, n.interval) else {
                 panic!(
                     "protocol invariant violated: {p} validating {page} found no diff \
                      for interval {} at its writer {q}",

@@ -1,24 +1,31 @@
-//! The coherence protocols, structured as dispatch over shared
-//! mechanism (see DESIGN.md, "The layered protocol stack"):
+//! The coherence protocols: five entry points over shared mechanism
+//! (see DESIGN.md, "The layered protocol stack").
 //!
-//! * [`dispatch`] — the `Protocol` trait: one object per protocol,
-//!   selected once per run; routes faults, locks, barriers and GC.
-//! * Mechanism — the machinery the dispatch impls compose:
-//!   * [`lrc`] — shared LRC machinery: intervals, write-notice
-//!     propagation, the merge procedure of §3.1.1.
-//!   * [`mw`] — TreadMarks-style multiple-writer (twins + diffs).
-//!   * [`sw`] — CVM-style single-writer (ownership + versions + quantum).
-//!   * [`adaptive`] — the paper's adaptive fault paths (§3), and the
-//!     one adaptation rule telling WFS from WFS+WG.
-//!   * [`sync`] — locks and barriers (write-notice propagation).
-//!   * [`gc`] — diff garbage collection at barriers (§2.2, §3.1.1).
-//!   * [`recovery`] — crash recovery from the replicated interval log
-//!     and HLRC home failover (SC-ABD / Hermes-style extensions).
-//!   * [`sc`] — the sequentially-consistent comparator (IVY-style; §7).
-//!   * [`hlrc`] — the home-based LRC comparator (Zhou et al.; §7).
+//! The paper's protocols share one LRC substrate — intervals, write
+//! notices, lock and barrier exchange, diff GC — and differ in what a
+//! read or write fault does (§2–3). So the entry points are the five
+//! functions of this module, [`read_fault`], [`write_fault`],
+//! [`acquire`], [`release`] and [`barrier`], each one `match` on the
+//! run's [`ProtocolKind`]; the mechanism modules they call are:
+//!
+//! * [`lrc`] — shared LRC machinery: intervals, write-notice
+//!   propagation, the merge procedure of §3.1.1.
+//! * [`mw`] — TreadMarks-style multiple-writer (twins + diffs).
+//! * [`sw`] — CVM-style single-writer (ownership + versions + quantum).
+//! * [`adaptive`] — the paper's adaptive fault paths (§3), and the one
+//!   adaptation rule telling WFS from WFS+WG.
+//! * [`sync`] — locks and barriers (write-notice propagation).
+//! * [`gc`] — diff garbage collection at barriers (§2.2, §3.1.1).
+//! * [`recovery`] — crash recovery from the replicated interval log and
+//!   HLRC home failover (SC-ABD / Hermes-style extensions).
+//! * [`sc`] — the sequentially-consistent comparator (IVY-style; §7).
+//! * [`hlrc`] — the home-based LRC comparator (Zhou et al.; §7).
+//!
+//! Raw, the paper's sequential baseline with coherence removed, is the
+//! one arm that touches none of them: its faults are free bookkeeping
+//! and its synchronisation does nothing.
 
 pub(crate) mod adaptive;
-pub(crate) mod dispatch;
 pub(crate) mod gc;
 pub(crate) mod hlrc;
 pub(crate) mod lrc;
@@ -28,32 +35,103 @@ pub(crate) mod sc;
 pub(crate) mod sw;
 pub(crate) mod sync;
 
-use adsm_mempage::PageId;
+use adsm_mempage::{AccessRights, PageId};
 use adsm_vclock::ProcId;
 
-pub(crate) use dispatch::{protocol_for, Protocol};
 pub(crate) use lrc::Ctx;
+use sync::{AcquireOutcome, BarrierOutcome};
+
+use crate::ProtocolKind;
 
 /// Handles a read access violation on `page` by processor `p`.
-pub(crate) fn read_fault(ctx: &mut Ctx<'_>, proto: &dyn Protocol, p: ProcId, page: PageId) {
-    ctx.drain_deferred();
-    ctx.w.touch(page);
+pub(crate) fn read_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     ctx.w.proto.read_faults += 1;
-    if proto.charges_fault_trap() {
-        let trap = ctx.w.cfg.cost.fault_trap;
-        ctx.charge(trap);
+    enter_fault(ctx, page);
+    match ctx.w.cfg.protocol {
+        ProtocolKind::Raw => raw_fault(ctx, p, page),
+        ProtocolKind::Mw | ProtocolKind::Sw => lrc::validate_page(ctx, p, page),
+        ProtocolKind::Wfs | ProtocolKind::WfsWg => adaptive::read_fault(ctx, p, page),
+        ProtocolKind::Sc => sc_fault(ctx, "read_fault", |ctx| sc::read_fault(ctx, p, page)),
+        ProtocolKind::Hlrc => hlrc::read_fault(ctx, p, page),
     }
-    proto.read_fault(ctx, p, page);
 }
 
 /// Handles a write access violation on `page` by processor `p`.
-pub(crate) fn write_fault(ctx: &mut Ctx<'_>, proto: &dyn Protocol, p: ProcId, page: PageId) {
+pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
+    ctx.w.proto.write_faults += 1;
+    enter_fault(ctx, page);
+    match ctx.w.cfg.protocol {
+        ProtocolKind::Raw => raw_fault(ctx, p, page),
+        ProtocolKind::Mw => mw::write_fault(ctx, p, page),
+        ProtocolKind::Sw => sw::write_fault(ctx, p, page),
+        ProtocolKind::Wfs | ProtocolKind::WfsWg => adaptive::write_fault(ctx, p, page),
+        ProtocolKind::Sc => sc_fault(ctx, "write_fault", |ctx| sc::write_fault(ctx, p, page)),
+        ProtocolKind::Hlrc => hlrc::write_fault(ctx, p, page),
+    }
+}
+
+/// First half of a lock acquire: the shared LRC lock machinery
+/// (TreadMarks-style manager + last-releaser grants) under every
+/// protocol but Raw, whose locks are always granted.
+pub(crate) fn acquire(ctx: &mut Ctx<'_>, p: ProcId, lock_id: u64) -> AcquireOutcome {
+    match ctx.w.cfg.protocol {
+        ProtocolKind::Raw => AcquireOutcome::Granted,
+        _ => sync::acquire(ctx, p, lock_id),
+    }
+}
+
+/// Lock release: the shared LRC release (local, services queued
+/// waiters); nothing under Raw.
+pub(crate) fn release(ctx: &mut Ctx<'_>, p: ProcId, lock_id: u64) {
+    match ctx.w.cfg.protocol {
+        ProtocolKind::Raw => {}
+        _ => sync::release(ctx, p, lock_id),
+    }
+}
+
+/// Barrier arrival: the shared centralised barrier with write-notice
+/// exchange and barrier-time GC; under Raw every arrival completes.
+pub(crate) fn barrier(ctx: &mut Ctx<'_>, p: ProcId) -> BarrierOutcome {
+    match ctx.w.cfg.protocol {
+        ProtocolKind::Raw => BarrierOutcome::Completed,
+        _ => sync::barrier_arrive(ctx, p),
+    }
+}
+
+/// The bookkeeping every fault starts with: deferred charges drained,
+/// the page marked touched, and the trap paid — by every protocol but
+/// Raw, the paper's sequential runs.
+fn enter_fault(ctx: &mut Ctx<'_>, page: PageId) {
     ctx.drain_deferred();
     ctx.w.touch(page);
-    ctx.w.proto.write_faults += 1;
-    if proto.charges_fault_trap() {
+    if ctx.w.cfg.protocol != ProtocolKind::Raw {
         let trap = ctx.w.cfg.cost.fault_trap;
         ctx.charge(trap);
     }
-    proto.write_fault(ctx, p, page);
+}
+
+/// A Raw fault: the page becomes writable here, nothing is charged.
+fn raw_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
+    ctx.mems[p.index()]
+        .lock()
+        .set_rights(page, AccessRights::Write);
+    ctx.w.procs[p.index()].pages[page.index()].has_copy = true;
+}
+
+/// Runs one SC fault handler. SC's fault handling doubles as its
+/// validation procedure, so it is timed into `validate_wall` like the
+/// LRC merge path when `measure_host_costs` is on; with `sc_check` set,
+/// the invariant sweep runs after it.
+fn sc_fault(ctx: &mut Ctx<'_>, label: &'static str, fault: impl FnOnce(&mut Ctx<'_>)) {
+    let t0 = ctx.w.cfg.measure_host_costs.then(std::time::Instant::now);
+    fault(ctx);
+    if let Some(t0) = t0 {
+        ctx.w
+            .proto
+            .validate_wall
+            .record(t0.elapsed().as_nanos() as u64);
+    }
+    if ctx.w.cfg.sc_check {
+        sc::check_invariants(ctx, label);
+    }
 }

@@ -176,11 +176,7 @@ pub(crate) enum BarrierOutcome {
 /// `(last_release_vc[q], closed(q)]`. The transients (payloads, page
 /// sets) are pooled on the `World`, so steady-state barriers allocate
 /// nothing.
-pub(crate) fn barrier_arrive(
-    ctx: &mut Ctx<'_>,
-    p: ProcId,
-    gc: impl FnOnce(&mut Ctx<'_>),
-) -> BarrierOutcome {
+pub(crate) fn barrier_arrive(ctx: &mut Ctx<'_>, p: ProcId) -> BarrierOutcome {
     ctx.drain_deferred();
     let nprocs = ctx.w.nprocs();
     let manager = ProcId::new(0);
@@ -285,7 +281,7 @@ pub(crate) fn barrier_arrive(
         mechanism3(ctx, &m3_pages);
     }
     if ctx.w.gc_requested {
-        gc(ctx);
+        super::gc::collect(ctx);
     }
 
     // Release broadcast.

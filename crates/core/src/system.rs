@@ -12,7 +12,7 @@ use adsm_vclock::ProcId;
 use parking_lot::Mutex;
 
 use crate::metrics::RunReport;
-use crate::protocol::{lrc, protocol_for, Ctx};
+use crate::protocol::{lrc, Ctx};
 use crate::world::World;
 use crate::{DsmConfig, Proc, ProtocolKind, SharedVec};
 
@@ -415,9 +415,6 @@ impl Dsm {
         };
         let access_cost = world.lock().cfg.cost.shared_access;
         let mem_per_byte_ns = world.lock().cfg.cost.mem_per_byte_ns;
-        // The single protocol-selection point: every entry point from
-        // here on dispatches through this object.
-        let proto = protocol_for(protocol);
         let pool = world.lock().pool.clone();
         // On the simulator every processor is a coroutine of one carrier
         // thread, so the run's locks cannot be contended: the carrier
@@ -437,8 +434,7 @@ impl Dsm {
                 nprocs,
                 world: world.clone(),
                 mems: mems.clone(),
-                proto,
-                raw: Proc::is_raw(protocol),
+                raw: protocol == ProtocolKind::Raw,
                 access_cost,
                 mem_per_byte_ns,
             };

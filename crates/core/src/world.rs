@@ -248,130 +248,29 @@ impl DiffStore {
     }
 }
 
-/// One home's shard of the page directory: the authoritative
-/// [`PageGlobal`] entries for every page homed at this shard, plus a
-/// per-creator [`DiffStore`] restricted to those pages. Shards are the
-/// unit of locality: a validation fetch, a notice-domination check or a
-/// GC sweep for page `pg` touches only shard `pg % nshards`.
-#[derive(Debug)]
-pub(crate) struct DirShard {
-    /// Directory entries of the pages homed here, at slot
-    /// `pg / nshards`.
-    pages: Vec<PageGlobal>,
-    /// Diffs created for pages homed here, indexed by the creating
-    /// processor.
-    diffs: Vec<DiffStore>,
-}
-
-/// The page directory, sharded by home processor: shard `pg % nshards`
-/// (with `nshards == nprocs`) holds page `pg` at slot `pg / nshards`.
-/// The modulo assignment coincides with the round-robin home policy —
-/// the HLRC default — so under HLRC a shard is exactly the metadata the
-/// home node owns in a real home-based system; the other home policies
-/// keep the same physical sharding and record the resolved home in
-/// [`PageGlobal::home`].
-///
-/// Diff storage moved here from the per-processor state: diffs are
-/// keyed by (creator, page) and physically grouped by the page's home
-/// shard, so the merge procedure's fetches and the GC sweep for one
-/// page stay within one shard. Per-creator byte totals are maintained
-/// directory-wide so the GC-threshold test stays O(1).
+/// The page directory: the authoritative [`PageGlobal`] entry of every
+/// page, indexable by page number, and the diffs every processor has
+/// created, one [`DiffStore`] per creator. A diff is looked up by
+/// (creator, page), the way the merge procedure asks for it; a
+/// creator's [`DiffStore::bytes`] is the GC-threshold test's input.
 #[derive(Debug)]
 pub(crate) struct Directory {
-    shards: Vec<DirShard>,
-    npages: usize,
-    /// Per-creator totals of stored diff bytes across all shards.
-    diff_bytes: Vec<u64>,
+    /// Directory entries, in page order.
+    pub pages: Vec<PageGlobal>,
+    /// Stored diffs, indexed by the creating processor.
+    pub diffs: Vec<DiffStore>,
 }
 
 impl Directory {
     /// A directory of `npages` pages, each starting owned by
     /// `initial_owner` at version 0.
     pub fn new(npages: usize, nprocs: usize, initial_owner: ProcId) -> Self {
-        let nshards = nprocs.max(1);
-        let mut shards: Vec<DirShard> = (0..nshards)
-            .map(|_| DirShard {
-                pages: Vec::with_capacity(npages.div_ceil(nshards)),
-                diffs: (0..nprocs).map(|_| DiffStore::default()).collect(),
-            })
-            .collect();
-        for pg in 0..npages {
-            shards[pg % nshards]
-                .pages
-                .push(PageGlobal::new(nprocs, initial_owner));
-        }
         Directory {
-            shards,
-            npages,
-            diff_bytes: vec![0; nprocs],
+            pages: (0..npages)
+                .map(|_| PageGlobal::new(nprocs, initial_owner))
+                .collect(),
+            diffs: (0..nprocs).map(|_| DiffStore::default()).collect(),
         }
-    }
-
-    #[inline]
-    fn locate(&self, pg: usize) -> (usize, usize) {
-        debug_assert!(pg < self.npages);
-        let nshards = self.shards.len();
-        (pg % nshards, pg / nshards)
-    }
-
-    /// Number of pages in the directory.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn len(&self) -> usize {
-        self.npages
-    }
-
-    /// Directory entries in page order.
-    pub fn iter(&self) -> impl Iterator<Item = &PageGlobal> + '_ {
-        (0..self.npages).map(|pg| &self[pg])
-    }
-
-    /// Stores a diff created by `q`, in the page's home shard.
-    pub fn insert_diff(&mut self, q: ProcId, page: PageId, interval: IntervalId, diff: Diff) {
-        let (s, _) = self.locate(page.index());
-        let bytes = diff.wire_size() as u64;
-        self.shards[s].diffs[q.index()].insert(page, interval, diff);
-        self.diff_bytes[q.index()] += bytes;
-    }
-
-    /// The stored diff `q` created for `(page, interval)`, as a shared
-    /// handle (see [`DiffStore::get`]).
-    pub fn diff(&self, q: ProcId, page: PageId, interval: IntervalId) -> Option<&Arc<Diff>> {
-        let (s, _) = self.locate(page.index());
-        self.shards[s].diffs[q.index()].get(page, interval)
-    }
-
-    /// Does `q` hold at least one stored diff for `page`?
-    pub fn has_diffs(&self, q: ProcId, page: PageId) -> bool {
-        let (s, _) = self.locate(page.index());
-        self.shards[s].diffs[q.index()].has_page(page)
-    }
-
-    /// Total stored diff bytes created by `q`, across all shards (the
-    /// GC-trigger threshold input; O(1)).
-    pub fn diff_bytes(&self, q: ProcId) -> u64 {
-        self.diff_bytes[q.index()]
-    }
-
-    /// Pages for which `q` holds at least one stored diff (unordered
-    /// across shards; each page appears exactly once).
-    pub fn diff_pages(&self, q: ProcId) -> impl Iterator<Item = PageId> + '_ {
-        self.shards
-            .iter()
-            .flat_map(move |shard| shard.diffs[q.index()].pages())
-    }
-
-    /// Discards every diff `q` created; returns (count, bytes) removed.
-    pub fn clear_proc_diffs(&mut self, q: ProcId) -> (u64, u64) {
-        let mut count = 0;
-        let mut bytes = 0;
-        for shard in &mut self.shards {
-            let (n, b) = shard.diffs[q.index()].clear();
-            count += n;
-            bytes += b;
-        }
-        debug_assert_eq!(bytes, self.diff_bytes[q.index()]);
-        self.diff_bytes[q.index()] = 0;
-        (count, bytes)
     }
 }
 
@@ -379,16 +278,14 @@ impl std::ops::Index<usize> for Directory {
     type Output = PageGlobal;
     #[inline]
     fn index(&self, pg: usize) -> &PageGlobal {
-        let (s, slot) = self.locate(pg);
-        &self.shards[s].pages[slot]
+        &self.pages[pg]
     }
 }
 
 impl std::ops::IndexMut<usize> for Directory {
     #[inline]
     fn index_mut(&mut self, pg: usize) -> &mut PageGlobal {
-        let (s, slot) = self.locate(pg);
-        &mut self.shards[s].pages[slot]
+        &mut self.pages[pg]
     }
 }
 
@@ -626,8 +523,8 @@ pub(crate) struct ProcCtl {
     /// diffs, so only they fill it, and only for pages that merged one.
     pub applied: BTreeMap<usize, Vec<PendingNotice>>,
     /// Bytes of retained (pending) twins under lazy diffing; counted
-    /// toward the garbage-collection trigger alongside the directory's
-    /// per-creator stored-diff bytes ([`Directory::diff_bytes`]).
+    /// toward the garbage-collection trigger alongside the processor's
+    /// stored-diff bytes ([`DiffStore::bytes`]) in the [`Directory`].
     pub pending_bytes: u64,
 }
 
@@ -636,8 +533,8 @@ pub(crate) struct ProcCtl {
 pub(crate) struct World {
     pub cfg: DsmConfig,
     pub procs: Vec<ProcCtl>,
-    /// Authoritative per-page state and stored diffs, sharded by home
-    /// (shard = `page % nprocs`); indexable by page index.
+    /// Authoritative per-page state and stored diffs; indexable by page
+    /// index.
     pub dir: Directory,
     /// The shared interval log (happened-before-1 history).
     pub log: IntervalLog,
@@ -881,7 +778,7 @@ impl World {
 
     /// Pages touched during the run.
     pub fn touched_pages(&self) -> usize {
-        self.dir.iter().filter(|p| p.touched).count()
+        self.dir.pages.iter().filter(|p| p.touched).count()
     }
 
     /// Pages touched during the run and in SW mode on a majority of
@@ -916,8 +813,8 @@ mod tests {
     #[test]
     fn fresh_world_has_proc0_owner_everywhere() {
         let w = world(3);
-        assert_eq!(w.dir.len(), 3);
-        for pg in w.dir.iter() {
+        assert_eq!(w.dir.pages.len(), 3);
+        for pg in &w.dir.pages {
             assert_eq!(pg.owner, Some(ProcId::new(0)));
             assert_eq!(pg.version, 0);
             assert!(!pg.touched);
@@ -926,36 +823,34 @@ mod tests {
     }
 
     #[test]
-    fn directory_shards_by_page_modulo_and_routes_diffs() {
-        // 4 procs, 9 pages: shard s holds pages {s, s+4, s+8}.
+    fn directory_keeps_diffs_per_creator() {
         let mut w = world(9);
         let q = ProcId::new(1);
         let twin = vec![0u8; adsm_mempage::PAGE_SIZE];
         let id = IntervalId::new(q, 1);
-        // Pages 2 and 6 share shard 2; page 5 lives in shard 1.
         for pg in [2usize, 6, 5] {
             let mut c = twin.clone();
             c[pg] = 1;
-            w.dir
-                .insert_diff(q, PageId::new(pg), id, Diff::encode(&twin, &c));
+            w.dir.diffs[q.index()].insert(PageId::new(pg), id, Diff::encode(&twin, &c));
         }
-        assert!(w.dir.diff(q, PageId::new(2), id).is_some());
-        assert!(w.dir.diff(q, PageId::new(6), id).is_some());
-        assert!(w.dir.diff(q, PageId::new(5), id).is_some());
-        assert!(w.dir.diff(q, PageId::new(3), id).is_none());
-        assert!(!w.dir.has_diffs(ProcId::new(0), PageId::new(2)));
-        let mut pages: Vec<usize> = w.dir.diff_pages(q).map(|p| p.index()).collect();
+        let store = &w.dir.diffs[q.index()];
+        for pg in [2, 6, 5] {
+            assert!(store.get(PageId::new(pg), id).is_some());
+        }
+        assert!(store.get(PageId::new(3), id).is_none());
+        assert!(!w.dir.diffs[0].has_page(PageId::new(2)));
+        let mut pages: Vec<usize> = store.pages().map(|p| p.index()).collect();
         pages.sort_unstable();
         assert_eq!(pages, vec![2, 5, 6]);
-        let total = w.dir.diff_bytes(q);
+        let total = store.bytes;
         assert!(total > 0);
         // Mutating one page's entry leaves the others addressable.
         w.dir[6].touched = true;
         assert!(w.dir[6].touched && !w.dir[2].touched);
-        let (n, b) = w.dir.clear_proc_diffs(q);
+        let (n, b) = w.dir.diffs[q.index()].clear();
         assert_eq!((n, b), (3, total));
-        assert_eq!(w.dir.diff_bytes(q), 0);
-        assert_eq!(w.dir.diff_pages(q).next(), None);
+        assert_eq!(w.dir.diffs[q.index()].bytes, 0);
+        assert_eq!(w.dir.diffs[q.index()].pages().next(), None);
     }
 
     fn record(q: ProcId, seq: u32, pages: &[usize]) -> IntervalRecord {

@@ -2,7 +2,7 @@
 //! of the paper's Figure 1 (producer-consumer, migratory, write-write
 //! false sharing) plus coherence and adaptation checks.
 
-use adsm_core::{Dsm, ExecBackend, ProtocolKind, RunOutcome, SimTime};
+use adsm_core::{Dsm, ExecBackend, ProtocolKind, RunOutcome, SharedVec, SimTime};
 
 const KINDS: [ProtocolKind; 4] = [
     ProtocolKind::Mw,
@@ -320,23 +320,44 @@ fn profiler_sees_false_sharing_only_where_it_exists() {
     );
 }
 
-#[test]
-fn raw_runs_without_any_traffic() {
+/// The Raw baseline's program: one processor fills 4096 words, then
+/// computes 2 ms — with a lock/unlock pair and a barrier around the
+/// fill when `sync` is set.
+fn raw_fill(sync: bool) -> (RunOutcome, SharedVec<u64>) {
     let mut dsm = Dsm::builder(ProtocolKind::Raw).nprocs(1).build();
     let data = dsm.alloc::<u64>(4096);
     let out = dsm
         .run(move |p| {
+            if sync {
+                p.lock(3);
+            }
             for i in 0..data.len() {
                 data.set(p, i, i as u64);
+            }
+            if sync {
+                p.unlock(3);
+                p.barrier();
             }
             p.compute(SimTime::from_ms(2));
         })
         .unwrap();
+    (out, data)
+}
+
+#[test]
+fn raw_runs_without_any_traffic() {
+    let (out, data) = raw_fill(false);
     assert_eq!(out.report.net.total_messages(), 0);
     // 2 ms of compute plus the charged memory-access time.
     assert!(out.report.time >= SimTime::from_ms(2));
     assert!(out.report.time < SimTime::from_ms(3));
     assert_eq!(out.read_vec(&data)[4095], 4095);
+    // Raw's synchronisation is free: a lock/unlock pair and a barrier
+    // change neither the run's virtual time nor its traffic.
+    let (synced, data) = raw_fill(true);
+    assert_eq!(synced.report.time, out.report.time);
+    assert_eq!(synced.report.net, out.report.net);
+    assert_eq!(synced.read_vec(&data)[4095], 4095);
 }
 
 #[test]
@@ -591,4 +612,39 @@ fn migratory_optimization_is_coherent_under_false_sharing() {
         })
         .unwrap();
     assert!(out.report.proto.ownership_refusals > 0);
+}
+
+#[test]
+fn host_cost_histograms_sample_sc_faults_and_barrier_arrivals() {
+    // Producer-consumer under SC: 3 iterations of two barriers each on
+    // 4 processors. SC's fault handler is its validation procedure, so
+    // `validate_wall` takes one sample per fault; `barrier_fanin_wall`
+    // one per arrival.
+    let run = |measure: bool| {
+        let mut dsm = Dsm::builder(ProtocolKind::Sc)
+            .nprocs(4)
+            .measure_host_costs(measure)
+            .build();
+        let data = dsm.alloc_page_aligned::<u64>(512);
+        dsm.run(move |p| {
+            for it in 0..3u64 {
+                if p.index() == 0 {
+                    data.set(p, 0, it + 1);
+                }
+                p.barrier();
+                assert_eq!(data.get(p, 0), it + 1);
+                p.barrier();
+            }
+        })
+        .unwrap()
+        .report
+        .proto
+    };
+    let on = run(true);
+    assert!(on.read_faults + on.write_faults > 0);
+    assert_eq!(on.validate_wall.count(), on.read_faults + on.write_faults);
+    assert_eq!(on.barrier_fanin_wall.count(), 4 * 6);
+    let off = run(false);
+    assert_eq!(off.validate_wall.count(), 0);
+    assert_eq!(off.barrier_fanin_wall.count(), 0);
 }

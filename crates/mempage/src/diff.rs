@@ -322,9 +322,8 @@ impl Diff {
     /// Reference encoder: the plain one-word-at-a-time scan into a list
     /// of runs — offset, length, bytes — which is then written down as
     /// bitmap, masks and words bit by bit; no block compare, no mask
-    /// kernel, no popcount. Kept as the correctness and performance
-    /// baseline for [`Diff::encode`] (property tests assert equality; the
-    /// `hotpaths` benches report the speedup against it).
+    /// kernel, no popcount. Kept as the correctness baseline for
+    /// [`Diff::encode`]: property tests assert the two agree.
     ///
     /// # Panics
     ///

@@ -204,9 +204,9 @@ fn threads_backend_stat_totals_match_the_simulator() {
 /// reproduce the simulator's memory image bit-for-bit AND its exact
 /// non-time stat totals, for the barrier-only apps under the
 /// single-writer, multiple-writer and home-based protocols. This is
-/// the end-to-end witness for the barrier fan-down and the sharded
+/// the end-to-end witness for the barrier fan-down and the page
 /// directory at high P: a global clock read wrong off the log, a
-/// fan-down that skipped or double-shipped a record, or a mis-sharded
+/// fan-down that skipped or double-shipped a record, or a misfiled
 /// diff would each shift a counter or a page byte.
 #[test]
 fn threads_backend_matches_simulator_at_64_procs() {

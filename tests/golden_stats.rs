@@ -1,5 +1,5 @@
-//! Golden-stats equivalence: refactors of the protocol stack (trait
-//! dispatch, the adaptation rule, the shared interval log) must leave
+//! Golden-stats equivalence: refactors of the protocol stack (the
+//! entry points, the adaptation rule, the shared interval log) must leave
 //! run behaviour **bit-identical**. The simulator is
 //! deterministic, so every per-app, per-protocol outcome digest below —
 //! captured on the pre-refactor tree — must reproduce exactly.
@@ -36,7 +36,7 @@ fn procs_for(app: App) -> usize {
 }
 
 /// The digest of one run: every deterministic counter that the
-/// dispatch, policy and interval-log layers can influence.
+/// entry-point, policy and interval-log layers can influence.
 fn digest(r: &RunReport) -> [u64; 15] {
     [
         r.time.as_ns(),
