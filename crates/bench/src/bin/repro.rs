@@ -8,8 +8,10 @@
 //! targets: table1 table2 table3 table4 fig1 fig2 fig3 all  (default: all)
 //!          related ablation-quantum ablation-wg ablation-gc
 //!          ablation-migratory ablation-network ablation-diffing ablations
+//!          sensitivity scaling traffic
 //!          bench-scale       (also writes BENCH_scale.json: the
-//!                             8..256-proc barrier fan-in sweep)
+//!                             8..256-proc barrier fan-in sweep and
+//!                             the engine's 8- and 64-task turn cost)
 //!          scenarios         (also writes BENCH_scenarios.json)
 //!          crash-matrix      (also writes BENCH_crash.json)
 //!
@@ -21,7 +23,8 @@
 //!          crash-matrix on 2 apps (SOR, TSP) at tiny scale / 4 procs
 //! --check  fail (exit 1) when a sweep's gate is violated: for
 //!          bench-scale the sub-linear fan-in growth gate (64-proc p50
-//!          < 4x the 8-proc p50, per backend); for scenarios the
+//!          < 4x the 8-proc p50, per backend) and the turn gate (a turn
+//!          at 64 tasks < 3x one at 8); for scenarios the
 //!          verification, re-run-identity and fault-free-baseline
 //!          gates of every cell; for crash-matrix those same three
 //!          gates plus fault-actually-fired per cell
@@ -42,6 +45,51 @@ use adsm_bench::{
 };
 use adsm_core::ExecBackend;
 
+/// Every target: all that `parse_args` accepts, and what `--help` lists.
+const TARGETS: [&str; 22] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "fig1",
+    "fig2",
+    "fig3",
+    "all",
+    "related",
+    "ablation-quantum",
+    "ablation-wg",
+    "ablation-gc",
+    "ablation-migratory",
+    "ablation-network",
+    "ablation-diffing",
+    "ablations",
+    "sensitivity",
+    "scaling",
+    "traffic",
+    "bench-scale",
+    "scenarios",
+    "crash-matrix",
+];
+
+fn usage() -> String {
+    let mut targets = String::new();
+    let mut width = 72;
+    for target in TARGETS {
+        if width + 1 + target.len() > 72 {
+            targets += "\n ";
+            width = 1;
+        }
+        targets += " ";
+        targets += target;
+        width += 1 + target.len();
+    }
+    format!(
+        "usage: repro [TARGET ...] [--scale tiny|small|paper|large] [--nprocs N]\n\
+         \x20      [--apps SOR,IS,...] [--backend sim|threads|both] [--smoke] [--check]\n\
+         targets (default: all):{targets}"
+    )
+}
+
 struct Options {
     targets: Vec<String>,
     scale: Scale,
@@ -52,7 +100,9 @@ struct Options {
     check: bool,
 }
 
-fn parse_args() -> Result<Options, String> {
+/// The options `args` (the command line after the program name) ask
+/// for; `None` for `--help`.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Options>, String> {
     let mut targets = Vec::new();
     let mut scale = Scale::Small;
     let mut nprocs = 8usize;
@@ -60,7 +110,7 @@ fn parse_args() -> Result<Options, String> {
     let mut backends = vec![ExecBackend::Sim, ExecBackend::Threads];
     let mut smoke = false;
     let mut check = false;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
@@ -75,10 +125,15 @@ fn parse_args() -> Result<Options, String> {
                 };
             }
             "--nprocs" => {
-                nprocs = args
-                    .next()
+                let value = args.next();
+                nprocs = value
+                    .as_deref()
                     .and_then(|v| v.parse().ok())
-                    .ok_or("bad --nprocs")?;
+                    .filter(|&n: &usize| n > 0)
+                    .ok_or_else(|| {
+                        let value = value.as_deref().unwrap_or("(missing)");
+                        format!("bad --nprocs {value}: need a count of at least 1")
+                    })?;
             }
             "--backend" => {
                 backends = match args.next().as_deref() {
@@ -101,38 +156,15 @@ fn parse_args() -> Result<Options, String> {
                     })
                     .collect::<Result<_, _>>()?;
             }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [table1 table2 table3 table4 fig1 fig2 fig3 all]\n\
-                     \x20      [related ablation-quantum ablation-wg ablation-gc\n\
-                     \x20       ablation-migratory ablation-network ablation-diffing ablations\n\
-                     \x20       bench-scale scenarios crash-matrix]\n\
-                     \x20      [--scale tiny|small|paper|large] [--nprocs N] [--apps SOR,IS,...]\n\
-                     \x20      [--backend sim|threads|both] [--smoke] [--check]"
-                );
-                std::process::exit(0);
-            }
-            t if t.starts_with("table")
-                || t.starts_with("fig")
-                || t.starts_with("ablation")
-                || t == "bench-scale"
-                || t == "scenarios"
-                || t == "crash-matrix"
-                || t == "related"
-                || t == "sensitivity"
-                || t == "scaling"
-                || t == "traffic"
-                || t == "all" =>
-            {
-                targets.push(t.to_string());
-            }
+            "--help" | "-h" => return Ok(None),
+            t if TARGETS.contains(&t) => targets.push(a),
             other => return Err(format!("unknown argument {other}")),
         }
     }
     if targets.is_empty() {
         targets.push("all".into());
     }
-    Ok(Options {
+    Ok(Some(Options {
         targets,
         scale,
         nprocs,
@@ -140,12 +172,16 @@ fn parse_args() -> Result<Options, String> {
         backends,
         smoke,
         check,
-    })
+    }))
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
@@ -203,7 +239,9 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             eprintln!(
-                "scale gate: pass (fan-in p50 growth 8 -> 64 procs sub-linear on every backend)"
+                "scale gate: pass (fan-in p50 growth 8 -> 64 procs sub-linear on every backend, \
+                 engine turn 8 -> 64 tasks under {:.1}x)",
+                adsm_bench::scale::TURN_GROWTH_LIMIT
             );
         }
     }
@@ -385,4 +423,51 @@ fn main() -> ExitCode {
         println!("{}", adsm_bench::traffic(&m, &opts.apps));
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Options>, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn a_target_is_one_of_the_listed_ones_exactly() {
+        let help = usage();
+        for target in TARGETS {
+            let opts = parse(&[target]).unwrap().expect("not --help");
+            assert_eq!(opts.targets, [target]);
+            assert!(help.split_whitespace().any(|w| w == target), "{target}");
+        }
+        for wrong in [
+            "table9",
+            "fig7",
+            "ablation-nope",
+            "tables",
+            "ablation",
+            "crash",
+        ] {
+            let err = parse(&["fig1", wrong]).err().expect("rejected");
+            assert!(err.contains(wrong), "{err}");
+        }
+        assert!(parse(&["--help"]).unwrap().is_none());
+        assert_eq!(parse(&[]).unwrap().expect("not --help").targets, ["all"]);
+    }
+
+    #[test]
+    fn nprocs_is_a_count_of_at_least_one() {
+        for wrong in [
+            &["--nprocs", "0"][..],
+            &["--nprocs", "-2"],
+            &["--nprocs", "x"],
+            &["--nprocs"],
+        ] {
+            let err = parse(wrong).err().expect("rejected");
+            assert!(err.starts_with("bad --nprocs"), "{err}");
+        }
+        let opts = parse(&["--nprocs", "1"]).unwrap().expect("not --help");
+        assert_eq!(opts.nprocs, 1);
+    }
 }

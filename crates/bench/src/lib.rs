@@ -639,6 +639,7 @@ mod tests {
                 fanin_mean_ns: 1.0,
             }],
             growth_limit: scale::GROWTH_LIMIT,
+            turn_ns: [1.0, 1.0],
         }
         .to_json();
         let scenarios_json = ScenarioReport {

@@ -8,14 +8,20 @@
 //! completion), so the figure should not move with the processor
 //! count; the `--check` gate fails when the 64-processor p50 reaches
 //! [`GROWTH_LIMIT`] × the 8-processor p50, which is what per-arrival
-//! O(P) work coming back would do (≈8×). Emitted as `BENCH_scale.json`.
+//! O(P) work coming back would do (≈8×).
+//!
+//! Beside the sweep it times the engine's turn handoff at 8 and at 64
+//! coroutine tasks ([`engine_turn_ns`]), and the gate fails when the
+//! 64-task figure reaches [`TURN_GROWTH_LIMIT`] × the 8-task one: a turn
+//! pick that scans every task again. Emitted as `BENCH_scale.json`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use adsm_apps::{run_app_tuned, App, RunOptions, Scale};
-use adsm_core::{ExecBackend, NsHistogram, ProtocolKind};
+use adsm_core::{ExecBackend, NsHistogram, ProtocolKind, SimTime};
+use adsm_engine::Engine;
 
 /// Processor counts of the full sweep.
 pub const SCALE_PROCS: [usize; 4] = [8, 64, 128, 256];
@@ -34,6 +40,12 @@ pub const GROWTH_REPORTED_AT: [usize; 2] = [64, 256];
 /// shared array each step, so host work replicated per processor shows in
 /// its ns per event before it shows anywhere else.
 pub const SCALE_APPS: [App; 3] = [App::Sor, App::Is, App::Barnes];
+/// Coroutine task counts [`engine_turn_ns`] is measured at.
+pub const TURN_TASKS: [usize; 2] = [8, 64];
+/// The turn gate: host ns per turn at 64 tasks must stay under this
+/// factor of the 8-task figure (measured 1.3–2.1×; a pick that scans
+/// every task's status and clock read 4.3–7.6×).
+pub const TURN_GROWTH_LIMIT: f64 = 3.0;
 /// The sweep's protocol: MW is the diff- and barrier-heavy extreme,
 /// the one whose per-creator diff stores grow fastest with P.
 pub const SCALE_PROTOCOL: ProtocolKind = ProtocolKind::Mw;
@@ -74,6 +86,8 @@ pub struct ScaleReport {
     /// The gate factor the report was collected under (recorded in the
     /// JSON so the artifact is self-describing).
     pub growth_limit: f64,
+    /// [`engine_turn_ns`] at each of [`TURN_TASKS`].
+    pub turn_ns: [f64; 2],
 }
 
 impl ScaleReport {
@@ -148,6 +162,16 @@ impl ScaleReport {
                 ));
             }
         }
+        let [few, many] = self.turn_ns;
+        let ratio = many / few;
+        if ratio.is_nan() || ratio >= TURN_GROWTH_LIMIT {
+            fails.push(format!(
+                "engine: host ns per turn grew {ratio:.2}x from {} to {} tasks (gate \
+                 {TURN_GROWTH_LIMIT:.1}x; {few:.1} ns -> {many:.1} ns) — a pick that scans \
+                 every task",
+                TURN_TASKS[0], TURN_TASKS[1]
+            ));
+        }
         fails
     }
 
@@ -168,6 +192,10 @@ impl ScaleReport {
                 .join(", ")
         );
         let _ = writeln!(s, "  \"fanin_growth_limit\": {:.1},", self.growth_limit);
+        let _ = writeln!(s, "  \"engine_turn_growth_limit\": {TURN_GROWTH_LIMIT:.1},");
+        for (tasks, ns) in TURN_TASKS.iter().zip(self.turn_ns) {
+            let _ = writeln!(s, "  \"engine_turn{tasks}_ns\": {ns:.1},");
+        }
         for to in GROWTH_REPORTED_AT {
             if let Some(growth) = self.sim_ns_per_event_growth_from_8(to) {
                 let _ = writeln!(s, "  \"sim_ns_per_event_growth_8_to_{to}\": {growth:.2},");
@@ -274,7 +302,42 @@ pub fn summary_table(r: &ScaleReport) -> String {
             );
         }
     }
+    let [few, many] = r.turn_ns;
+    let _ = writeln!(
+        out,
+        "engine: host ns per turn {} -> {} tasks: {few:.1} ns -> {many:.1} ns ({:.2}x, gate < \
+         {TURN_GROWTH_LIMIT:.1}x)",
+        TURN_TASKS[0],
+        TURN_TASKS[1],
+        many / few
+    );
     out
+}
+
+/// Host ns per turn of the simulator's engine with `ntasks` coroutine
+/// tasks: each task loops `advance` + `yield_turn` at equal charges, so
+/// every turn point hands the turn to the next task in id order, and a
+/// turn is one pick and one switch. Timed around `Engine::run`, 2^18
+/// turns per run; the least of five runs, so that the stacks the first
+/// one maps and the host's noise fall out.
+pub fn engine_turn_ns(ntasks: usize) -> f64 {
+    let per_task = (1 << 18) / ntasks;
+    let turns = (per_task * ntasks) as f64;
+    (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            Engine::new(ntasks)
+                .run(|mut task| {
+                    for _ in 0..per_task {
+                        task.advance(SimTime::from_ns(100));
+                        task.yield_turn();
+                    }
+                    task
+                })
+                .expect("tasks that only yield neither panic nor deadlock");
+            t0.elapsed().as_nanos() as f64 / turns
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Runs the sweep: each app × backend × processor count under
@@ -349,12 +412,14 @@ pub fn measure_scale(proc_counts: &[usize], apps: &[App], backends: &[ExecBacken
             fanin_mean_ns: h.mean_ns(),
         })
         .collect();
+    eprintln!("  [scale] engine turn handoff at {TURN_TASKS:?} tasks...");
     ScaleReport {
         scale,
         proc_counts: proc_counts.to_vec(),
         points,
         aggregates,
         growth_limit: GROWTH_LIMIT,
+        turn_ns: TURN_TASKS.map(engine_turn_ns),
     }
 }
 
@@ -379,8 +444,12 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"bench\": \"scale\""));
         assert!(json.contains("\"fanin_growth_limit\": 4.0"));
+        assert!(json.contains("\"engine_turn_growth_limit\": 3.0,"));
+        assert!(json.contains("\"engine_turn8_ns\": "));
+        assert!(json.contains("\"engine_turn64_ns\": "));
         assert!(json.contains("\"nprocs\": 64"));
         assert!(summary_table(&r).contains("p50 fan-in 8 -> 64 procs"));
+        assert!(summary_table(&r).contains("host ns per turn 8 -> 64 tasks"));
         // What `--smoke` emits: the 8 -> 64 figure; with no 256-proc
         // column the 8 -> 256 one is left out, not faked.
         assert!(json.contains("\"sim_ns_per_event_growth_8_to_64\": "));
@@ -414,6 +483,7 @@ mod tests {
             ],
             aggregates: Vec::new(),
             growth_limit: GROWTH_LIMIT,
+            turn_ns: [40.0, 50.0],
         };
         assert_eq!(r.sim_ns_per_event_growth_from_8(256), Some(3.0));
         assert_eq!(r.sim_ns_per_event_growth_from_8(64), None);
@@ -439,11 +509,20 @@ mod tests {
             points: Vec::new(),
             aggregates: vec![mk(8, 1000), mk(64, 7900)],
             growth_limit: GROWTH_LIMIT,
+            turn_ns: [40.0, 50.0],
         };
         // 7.9x growth (O(P) work per arrival) must fail the 4x gate…
         assert!(!r.failures().is_empty());
         // …while 2x passes.
         r.aggregates[1].fanin_p50_ns = 2000;
+        assert!(r.failures().is_empty());
+        // A turn 4.5x dearer at 64 tasks (a pick that scans them all)
+        // fails the 3x turn gate; 2.9x passes.
+        r.turn_ns = [40.0, 180.0];
+        let fails = r.failures();
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].starts_with("engine: host ns per turn grew 4.50x"));
+        r.turn_ns = [40.0, 116.0];
         assert!(r.failures().is_empty());
     }
 }

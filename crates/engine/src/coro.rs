@@ -7,12 +7,19 @@
 //! swap the callee-saved registers and the stack pointer — instead of an
 //! `unpark`, a `park` and the kernel context switch between them.
 //!
-//! [`run`] maps a stack per coroutine (2 MiB, lazily committed, with a
+//! [`run`] gives every coroutine a stack (2 MiB, lazily committed, with a
 //! `PROT_NONE` guard below it so an overflow faults instead of
 //! scribbling over a neighbour), resumes the first one and returns when
 //! a coroutine's `entry` says there is nothing left to resume. Which
 //! coroutine runs next is never decided here: `entry` and [`switch`]
 //! are told by the engine's one scheduler.
+//!
+//! A stack is mapped once per process, not once per run: a coroutine
+//! that has finished leaves no frame on its stack, and gives it back to
+//! a process-wide pool that the next coroutines, of this run's thread
+//! or any other, take theirs from. The pool keeps at most as many
+//! stacks as the largest set run so far; a stack with live frames — a
+//! coroutine abandoned in mid-body — is never pooled, and stays leaked.
 //!
 //! All `unsafe` of the engine lives in this file. The functions it
 //! exports are safe to call with any arguments, from any thread: a
@@ -44,6 +51,7 @@ mod imp {
     use std::cell::Cell;
     use std::ffi::{c_int, c_void};
     use std::ptr;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     /// Usable bytes of a coroutine's stack: what a Rust thread gets by
     /// default, committed only as far as it is touched.
@@ -78,6 +86,30 @@ mod imp {
     /// readable and writable.
     struct Stack {
         base: *mut c_void,
+    }
+
+    // SAFETY: a `Stack` is the sole owner of its mapping, which no other
+    // value refers to; `Coro::drop` pools only the stacks no frame is
+    // live on, so a pooled one may be handed to a set on any thread.
+    unsafe impl Send for Stack {}
+
+    /// The stacks of finished coroutines, waiting for the next ones.
+    struct Pool {
+        stacks: Vec<Stack>,
+        /// Coroutines in the largest set run so far: the most stacks
+        /// the pool keeps.
+        largest: usize,
+    }
+
+    static POOL: Mutex<Pool> = Mutex::new(Pool {
+        stacks: Vec::new(),
+        largest: 0,
+    });
+
+    /// The pool; nothing can panic while it is locked, so a poisoned lock
+    /// is still a consistent pool.
+    fn pool() -> MutexGuard<'static, Pool> {
+        POOL.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     impl Stack {
@@ -134,8 +166,11 @@ mod imp {
     }
 
     impl Coro {
+        /// A fresh coroutine on a pooled stack, or on a newly mapped one
+        /// when the pool is empty.
         fn new() -> Coro {
-            let stack = Stack::map();
+            let pooled = pool().stacks.pop();
+            let stack = pooled.unwrap_or_else(Stack::map);
             // What `switch_context` unwinds when it first resumes this
             // coroutine: six zeroed callee-saved registers, then the
             // address its `ret` jumps to. That address sits on a
@@ -147,7 +182,8 @@ mod imp {
             let sp = stack.top() - size_of_val(&frame);
             // SAFETY: the 64 bytes below `top` are inside the writable
             // part of the mapping, aligned for `usize` (`top` is
-            // page-aligned), and nothing else refers to them.
+            // page-aligned), and nothing else refers to them: a pooled
+            // stack's last coroutine has finished.
             unsafe { ptr::write(sp as *mut [usize; 8], frame) };
             Coro {
                 stack: Some(stack),
@@ -159,13 +195,22 @@ mod imp {
 
     impl Drop for Coro {
         fn drop(&mut self) {
+            let Some(stack) = self.stack.take() else {
+                return;
+            };
             // A coroutine abandoned in mid-body still has live frames:
             // values whose destructors never ran, possibly pointed to
-            // from elsewhere. Its stack is leaked, not unmapped. (The
-            // engine never gets here: it resumes every coroutine until
-            // its `entry` has returned.)
+            // from elsewhere. Its stack is leaked, neither unmapped nor
+            // reused. (The engine never gets here: it resumes every
+            // coroutine until its `entry` has returned.)
             if !self.finished.get() {
-                std::mem::forget(self.stack.take());
+                return std::mem::forget(stack);
+            }
+            // Beyond what the largest set needs, it is unmapped (after
+            // the guard is gone: locals drop in reverse order).
+            let mut pool = pool();
+            if pool.stacks.len() < pool.largest {
+                pool.stacks.push(stack);
             }
         }
     }
@@ -289,6 +334,10 @@ mod imp {
             ACTIVE.get().is_null(),
             "coroutine sets do not nest on one thread"
         );
+        {
+            let mut pool = pool();
+            pool.largest = pool.largest.max(n);
+        }
         let set = Set {
             coros: (0..n).map(|_| Coro::new()).collect(),
             main_sp: Cell::new(0),

@@ -32,14 +32,16 @@
 //! Since only one simulator task runs at a time, `run` does not give
 //! them a kernel thread each. It spawns one *carrier* thread for the run
 //! and runs the tasks on it as stackful coroutines, each on a 2 MiB
-//! stack of its own with a guard page below it; handing the turn over
-//! is a user-space switch of stack pointer and callee-saved registers
-//! (the `coro` module, ≈10 ns) where it would otherwise be an `unpark`,
-//! a `park` and a kernel context switch (≈2 µs, and a cross-CPU wake
-//! whenever the two threads sit on different cores). The scheduler —
-//! the pick rule, clocks, blocking, schedule fuzzing, poisoning, the
-//! deadlock report — is the same code either way, so the schedule and
-//! every virtual-time figure are identical.
+//! stack of its own with a guard page below it. The stacks are mapped
+//! once per process, not per run: a coroutine that has finished gives
+//! its stack to a pool that later runs take theirs from. Handing the
+//! turn over is a user-space switch of stack pointer and callee-saved
+//! registers (the `coro` module, ≈10 ns) where it would otherwise be an
+//! `unpark`, a `park` and a kernel context switch (≈2 µs, and a
+//! cross-CPU wake whenever the two threads sit on different cores). The
+//! scheduler — the pick rule, clocks, blocking, schedule fuzzing,
+//! poisoning, the deadlock report — is the same code either way, so the
+//! schedule and every virtual-time figure are identical.
 //!
 //! The other form is **caller-owned threads**: take a handle per task
 //! with [`Engine::task`], and on a thread of your own call

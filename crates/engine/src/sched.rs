@@ -124,8 +124,8 @@ enum Policy {
 impl Policy {
     /// Cells of [`Clocks`] from one task's clock to the next one's. Under
     /// `Free` any thread may charge any clock at any time, so they sit a
-    /// cache-line pair apart; under `Turns` they are dense, for
-    /// [`Sched::least_ready`]'s scan.
+    /// cache-line pair apart; under `Turns` only the Active task writes
+    /// them, and they are dense.
     const fn clock_stride(self) -> usize {
         match self {
             Policy::Turns => 1,
@@ -150,7 +150,7 @@ enum Status {
 /// the scheduler's mutex, so that a clock is read and charged without
 /// it. A handle is a pointer to the cells and the engine's policy, which
 /// says how they are laid out and written; every [`Task`] carries one.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 struct Clocks {
     cells: Arc<[AtomicU64]>,
     policy: Policy,
@@ -201,9 +201,21 @@ impl Clocks {
     }
 }
 
+/// `Sched::keys` is padded to a multiple of this many keys, so that
+/// [`Sched::least_ready`]'s passes over it are whole vectors, with no
+/// scalar tail.
+const LANES: usize = 8;
+
 #[derive(Debug)]
 struct Sched {
     status: Vec<Status>,
+    /// The pick's key of each task: its clock while it is Ready,
+    /// `u64::MAX` otherwise, then `u64::MAX` up to a multiple of
+    /// [`LANES`]. [`Sched::set_status`] writes it on every transition,
+    /// and [`Sched::refresh_key`] when another task moves a clock.
+    keys: Vec<u64>,
+    /// The engine's clocks, which the keys copy.
+    clocks: Clocks,
     /// Why each Blocked task parked; only read on deadlock.
     hints: Vec<ParkHint>,
     /// [`Policy::Free`] only: an [`Task::unblock`] that found its target
@@ -234,13 +246,20 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl Sched {
-    fn new(ntasks: usize, fuzz: Option<u64>, policy: Policy) -> Self {
-        let (first, ready, active) = match policy {
+    fn new(ntasks: usize, fuzz: Option<u64>, clocks: Clocks) -> Self {
+        let (first, ready, active) = match clocks.policy {
             Policy::Turns => (Status::Ready, ntasks, 0),
             Policy::Free => (Status::Active, 0, ntasks),
         };
+        let mut keys = vec![u64::MAX; ntasks.next_multiple_of(LANES)];
+        if first == Status::Ready {
+            // Every clock starts at 0.
+            keys[..ntasks].fill(0);
+        }
         Sched {
             status: vec![first; ntasks],
+            keys,
+            clocks,
             hints: vec![ParkHint::Unknown; ntasks],
             permit: vec![false; ntasks],
             ready,
@@ -250,7 +269,8 @@ impl Sched {
         }
     }
 
-    /// Sets task `i`'s status, keeping the cached counts exact.
+    /// Sets task `i`'s status, keeping the cached counts and its key
+    /// exact.
     #[inline]
     fn set_status(&mut self, i: usize, s: Status) {
         self.ready -= (self.status[i] == Status::Ready) as usize;
@@ -258,21 +278,51 @@ impl Sched {
         self.active -= (self.status[i] == Status::Active) as usize;
         self.active += (s == Status::Active) as usize;
         self.status[i] = s;
+        self.refresh_key(i);
+    }
+
+    /// Task `i`'s status or clock has changed: its key follows.
+    #[inline]
+    fn refresh_key(&mut self, i: usize) {
+        self.keys[i] = self.key(i);
+    }
+
+    /// What task `i`'s key is: its clock while it is Ready, `u64::MAX`
+    /// otherwise.
+    #[inline]
+    fn key(&self, i: usize) -> u64 {
+        if self.status[i] == Status::Ready {
+            self.clocks.get(i)
+        } else {
+            u64::MAX
+        }
     }
 
     /// Least (clock, id) among the Ready tasks: the deterministic pick.
-    /// One allocation-free scan over `status` and the clocks.
-    fn least_ready(&self, clocks: &Clocks) -> Option<(u64, TaskId)> {
-        let mut best: Option<(u64, TaskId)> = None;
-        for (i, &s) in self.status.iter().enumerate() {
-            if s == Status::Ready {
-                let key = (clocks.get(i), i);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
+    /// A vector minimum over the keys, then the first task that holds
+    /// it, a chunk of [`LANES`] at a time; `status` is read only when no
+    /// key is below `u64::MAX`.
+    fn least_ready(&self) -> Option<(u64, TaskId)> {
+        debug_assert!(
+            (0..self.status.len()).all(|i| self.keys[i] == self.key(i)),
+            "a pick key out of step with its task"
+        );
+        let least = self
+            .keys
+            .iter()
+            .fold(u64::MAX, |least, &key| least.min(key));
+        if least == u64::MAX {
+            // Nothing Ready, or only tasks whose clock is `u64::MAX`.
+            let id = self.status.iter().position(|&s| s == Status::Ready)?;
+            return Some((least, id));
         }
-        best
+        // The first chunk that holds it, then the first key there.
+        let (chunks, _) = self.keys.as_chunks::<LANES>();
+        let c = chunks
+            .iter()
+            .position(|chunk| chunk.iter().fold(false, |hit, &key| hit | (key == least)))?;
+        let j = chunks[c].iter().position(|&key| key == least)?;
+        Some((least, c * LANES + j))
     }
 
     /// Picks the next Ready task — least (clock, id) normally, seeded
@@ -280,7 +330,7 @@ impl Sched {
     /// order) — makes it Active and returns it: the one task the caller
     /// must wake. `None` when nothing is Ready, which under
     /// [`Policy::Free`] is always.
-    fn pick_next(&mut self, clocks: &Clocks) -> Option<TaskId> {
+    fn pick_next(&mut self) -> Option<TaskId> {
         debug_assert!(self.ready == 0 || self.active == 0, "pick during a turn");
         let count = |s| self.status.iter().filter(|&&t| t == s).count();
         debug_assert_eq!(
@@ -302,11 +352,7 @@ impl Sched {
                     .map(|(i, _)| i)
                     .expect("k-th ready task exists")
             }
-            None => {
-                self.least_ready(clocks)
-                    .expect("ready > 0 implies a minimum")
-                    .1
-            }
+            None => self.least_ready().expect("ready > 0 implies a minimum").1,
         };
         self.set_status(next, Status::Active);
         Some(next)
@@ -318,16 +364,16 @@ impl Sched {
     /// Ready task has a smaller (clock, id). In fuzz mode every turn
     /// point is a draw among `me` and the Ready tasks, which may well
     /// return `me`.
-    fn yield_from(&mut self, me: TaskId, clocks: &Clocks) -> Option<TaskId> {
+    fn yield_from(&mut self, me: TaskId) -> Option<TaskId> {
         if self.ready == 0 {
             return None;
         }
         if self.fuzz.is_some() {
             self.set_status(me, Status::Ready);
-            return self.pick_next(clocks);
+            return self.pick_next();
         }
-        let (clock, next) = self.least_ready(clocks)?;
-        if (clock, next) >= (clocks.get(me), me) {
+        let (clock, next) = self.least_ready()?;
+        if (clock, next) >= (self.clocks.get(me), me) {
             return None;
         }
         self.set_status(me, Status::Ready);
@@ -431,7 +477,7 @@ impl Inner {
             self.poisoned.store(true, Ordering::Release);
         }
         if !self.is_poisoned() {
-            return s.pick_next(&self.clocks);
+            return s.pick_next();
         }
         s.status.iter().position(|&status| status != Status::Done)
     }
@@ -501,11 +547,12 @@ impl Engine {
 
     fn build(ntasks: usize, fuzz: Option<u64>, policy: Policy) -> Self {
         assert!(ntasks > 0, "an engine needs at least one task");
+        let clocks = Clocks::new(ntasks, policy);
         Engine {
             inner: Arc::new(Inner {
-                sched: Mutex::new(Sched::new(ntasks, fuzz, policy)),
+                sched: Mutex::new(Sched::new(ntasks, fuzz, clocks.clone())),
                 park: Parkers::new(ntasks),
-                clocks: Clocks::new(ntasks, policy),
+                clocks,
                 poisoned: AtomicBool::new(false),
             }),
             ntasks,
@@ -626,7 +673,7 @@ impl Engine {
                 let mut runs = 0;
                 scope(&mut || {
                     runs += 1;
-                    let first = inner.sched.lock().pick_next(&inner.clocks);
+                    let first = inner.sched.lock().pick_next();
                     let first = first.expect("an engine that has not run has a Ready task");
                     // No unwind may leave a coroutine's entry: all of
                     // them end in `run_task`'s `catch_unwind`.
@@ -782,11 +829,7 @@ impl Task {
         // woke nobody on its behalf; any later one will.
         inner.check_poison();
         // If nothing is active yet, elect a first task.
-        let elected = if s.active > 0 {
-            None
-        } else {
-            s.pick_next(&self.clocks)
-        };
+        let elected = if s.active > 0 { None } else { s.pick_next() };
         inner.await_turn(s, self.id, elected, self.on_carrier);
     }
 
@@ -808,7 +851,7 @@ impl Task {
         }
         let mut s = inner.sched.lock();
         debug_assert_eq!(s.status[self.id], Status::Active, "yield outside turn");
-        let next = s.yield_from(self.id, &self.clocks);
+        let next = s.yield_from(self.id);
         inner.await_turn(s, self.id, next, self.on_carrier);
     }
 
@@ -851,7 +894,7 @@ impl Task {
             inner.poison(s);
             panic::panic_any(EngineError::Deadlock(report));
         }
-        let next = s.pick_next(&self.clocks);
+        let next = s.pick_next();
         inner.await_turn(s, self.id, next, self.on_carrier);
     }
 
@@ -893,11 +936,21 @@ impl Task {
     /// scheduling.
     pub fn raise_clock(&mut self, other: TaskId, t: SimTime) {
         self.clocks.raise(other, t.as_ns());
+        self.refresh_key(other);
     }
 
     /// Adds `dt` to another task's committed clock.
     pub fn bump_clock(&mut self, other: TaskId, dt: SimTime) {
         self.clocks.add(other, dt.as_ns());
+        self.refresh_key(other);
+    }
+
+    /// `other`'s clock has moved: if it is Ready, its pick key moves with
+    /// it. [`Policy::Free`] never has a Ready task, and takes no lock.
+    fn refresh_key(&self, other: TaskId) {
+        if self.clocks.policy == Policy::Turns {
+            self.inner.sched.lock().refresh_key(other);
+        }
     }
 
     /// Committed clock of any task (for protocol decisions such as
@@ -924,7 +977,7 @@ impl Task {
             // The rest are Blocked for good: they must all unwind.
             return inner.poison(s);
         }
-        let next = s.pick_next(&self.clocks);
+        let next = s.pick_next();
         drop(s);
         if let Some(next) = next {
             inner.park.wake(next);
@@ -941,14 +994,13 @@ impl Task {
 /// `engine.pick*`), not part of the public execution model.
 #[doc(hidden)]
 pub fn sched_pick_rounds(ntasks: usize, fuzz: Option<u64>, rounds: usize) -> u64 {
-    let clocks = Clocks::new(ntasks, Policy::Turns);
-    let mut s = Sched::new(ntasks, fuzz, Policy::Turns);
+    let mut s = Sched::new(ntasks, fuzz, Clocks::new(ntasks, Policy::Turns));
     let mut sum = 0u64;
     for r in 0..rounds {
-        let Some(picked) = s.pick_next(&clocks) else {
+        let Some(picked) = s.pick_next() else {
             break;
         };
-        clocks.add(picked, 1 + (r as u64 % 7));
+        s.clocks.add(picked, 1 + (r as u64 % 7));
         sum = sum.wrapping_add(picked as u64);
         s.set_status(picked, Status::Ready);
     }
@@ -1543,18 +1595,105 @@ mod tests {
         assert!(not_active <= 4, "{not_active} wakeups found no turn");
     }
 
+    /// The deterministic pick the slow way: least (clock, id) over the
+    /// Ready tasks' clock cells.
+    fn naive_least(s: &Sched) -> Option<(u64, TaskId)> {
+        (0..s.status.len())
+            .filter(|&i| s.status[i] == Status::Ready)
+            .map(|i| (s.clocks.get(i), i))
+            .min()
+    }
+
+    #[test]
+    fn every_pick_is_the_least_ready_clock_and_id() {
+        // Random turn points, blocks, wake-ups, raises and bumps of Ready
+        // and Blocked tasks' clocks, and finishes, with charges drawn from
+        // three values so that ties are common. After every step the
+        // pick, and every `pick_next`/`yield_from` on the way, must be
+        // the one the statuses and clock cells say. It ends once every
+        // task has finished.
+        for n in [1, 8, 64, 256] {
+            for seed in [1, 42, 1997] {
+                let engine = Engine::new(n);
+                let inner = &*engine.inner;
+                let mut tasks: Vec<Task> = (0..n).map(|id| engine.task(id)).collect();
+                let mut rng = seed;
+                let mut draw = |k: usize| (splitmix64(&mut rng) % k as u64) as usize;
+                let picked = |s: &mut Sched| {
+                    let want = naive_least(s).map(|(_, id)| id);
+                    let got = s.pick_next();
+                    assert_eq!(got, want, "{n} tasks, seed {seed}: pick_next");
+                    got
+                };
+                let mut cur = picked(&mut inner.sched.lock());
+                let mut step = 0;
+                while let Some(me) = cur {
+                    let charge = draw(3) as u64 * 500;
+                    let other = draw(n);
+                    match draw(16) {
+                        0..=5 => {
+                            inner.clocks.add(me, charge);
+                            let mut s = inner.sched.lock();
+                            let mine = (inner.clocks.get(me), me);
+                            let want = naive_least(&s).filter(|&least| least < mine);
+                            let got = s.yield_from(me);
+                            assert_eq!(got, want.map(|(_, id)| id), "{n} tasks, seed {seed}");
+                            cur = got.or(cur);
+                        }
+                        6 | 7 => {
+                            let mut s = inner.sched.lock();
+                            if s.ready > 0 {
+                                s.set_status(me, Status::Blocked);
+                                cur = picked(&mut s);
+                            }
+                        }
+                        8 | 9 => {
+                            let blocked = inner.sched.lock().status[other] == Status::Blocked;
+                            if blocked {
+                                let at = inner.clocks.get(me) + charge;
+                                tasks[me].unblock(other, SimTime::from_ns(at));
+                            }
+                        }
+                        10..=12 => {
+                            let at = inner.clocks.get(me) + charge;
+                            tasks[me].raise_clock(other, SimTime::from_ns(at));
+                        }
+                        13 | 14 => tasks[me].bump_clock(other, SimTime::from_ns(charge)),
+                        // Nobody finishes in the first 40 steps per task.
+                        _ if step >= 40 * n => {
+                            let mut s = inner.sched.lock();
+                            if s.ready > 0 || !s.status.contains(&Status::Blocked) {
+                                s.set_status(me, Status::Done);
+                                cur = picked(&mut s);
+                            }
+                        }
+                        _ => {}
+                    }
+                    let s = inner.sched.lock();
+                    assert_eq!(
+                        s.least_ready(),
+                        naive_least(&s),
+                        "{n} tasks, seed {seed}, step {step}"
+                    );
+                    step += 1;
+                }
+                let s = inner.sched.lock();
+                assert!(s.status.iter().all(|&st| st == Status::Done));
+            }
+        }
+    }
+
     /// The schedule a fuzz engine must produce for `n` tasks that each
     /// do `iters` x (advance 10us; yield_turn; record own id), computed
     /// on one thread from the rule the engine has always had: at a turn
     /// point, if any other task is Ready, the yielding task goes Ready
     /// and the next is drawn among all Ready ones.
     fn fuzz_model(n: usize, seed: u64, iters: usize) -> Vec<usize> {
-        let clocks = Clocks::new(n, Policy::Turns);
-        let mut s = Sched::new(n, Some(seed), Policy::Turns);
+        let mut s = Sched::new(n, Some(seed), Clocks::new(n, Policy::Turns));
         let mut left = vec![iters; n];
         let mut in_yield = vec![false; n];
         let mut order = Vec::new();
-        let mut cur = s.pick_next(&clocks).expect("begin elects a task");
+        let mut cur = s.pick_next().expect("begin elects a task");
         loop {
             if std::mem::take(&mut in_yield[cur]) {
                 order.push(cur);
@@ -1562,17 +1701,17 @@ mod tests {
             }
             if left[cur] == 0 {
                 s.set_status(cur, Status::Done);
-                match s.pick_next(&clocks) {
+                match s.pick_next() {
                     Some(next) => cur = next,
                     None => return order,
                 }
                 continue;
             }
-            clocks.add(cur, 10_000);
+            s.clocks.add(cur, 10_000);
             in_yield[cur] = true;
             if s.ready > 0 {
                 s.set_status(cur, Status::Ready);
-                cur = s.pick_next(&clocks).expect("the yielding task is Ready");
+                cur = s.pick_next().expect("the yielding task is Ready");
             }
         }
     }

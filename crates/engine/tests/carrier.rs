@@ -53,11 +53,14 @@ fn both_carriers_produce_one_schedule() {
     // About 1 000 turn points of uneven charges. Every fourth one an
     // odd task blocks instead of yielding — unless it is the last one
     // that could still wake the others — and whoever gets a turn wakes
-    // all who wait. The (task, clock) sequence is the scheduler's, so
-    // it may not depend on what the tasks run on.
+    // all who wait. With `raises`, every third turn also raises the
+    // next task's clock and bumps the one after it, Ready or Blocked.
+    // The (task, clock) sequence is the scheduler's, so it may not
+    // depend on what the tasks run on; unfuzzed, it is in virtual-time
+    // order, which a pick that missed a raise would break.
     for n in [8, 64] {
         let turns = 1_000 / n + 1;
-        let program = |shared: &Mutex<Shared>, t: &mut Task| {
+        let program = |shared: &Mutex<Shared>, raises: bool, t: &mut Task| {
             let wake_all = |t: &mut Task| {
                 let waiters = std::mem::take(&mut shared.lock().unwrap().waiters);
                 waiters.into_iter().for_each(|w| t.unblock(w, t.clock()));
@@ -82,6 +85,11 @@ fn both_carriers_produce_one_schedule() {
                     t.yield_turn();
                 }
                 wake_all(t);
+                if raises && turn % 3 == 1 {
+                    let (id, now) = (t.id(), t.clock());
+                    t.raise_clock((id + 1) % n, now + SimTime::from_ns(x >> 52));
+                    t.bump_clock((id + 2) % n, SimTime::from_ns(x >> 54));
+                }
                 let at = (t.id(), t.clock().as_ns());
                 shared.lock().unwrap().order.push(at);
             }
@@ -100,19 +108,26 @@ fn both_carriers_produce_one_schedule() {
             |n, _| Engine::new(n),
             |n, seed| Engine::with_fuzz_seed(n, seed),
         ];
-        for (make, seed) in [(0, 0), (1, 1), (1, 42), (1, 1997)] {
+        for (make, seed, raises) in [
+            (0, 0, false),
+            (0, 0, true),
+            (1, 1, false),
+            (1, 42, true),
+            (1, 1997, false),
+        ] {
             let carrier = shared();
-            on_carrier(&engines[make](n, seed), |t| program(&carrier, t)).unwrap();
+            on_carrier(&engines[make](n, seed), |t| program(&carrier, raises, t)).unwrap();
             let threads = shared();
-            on_own_threads(&engines[make](n, seed), |t| program(&threads, t));
+            on_own_threads(&engines[make](n, seed), |t| program(&threads, raises, t));
             let carrier = carrier.into_inner().unwrap();
             assert_eq!(carrier.order.len(), n * turns);
             assert!(carrier.blocks >= n, "{} blocks", carrier.blocks);
-            assert_eq!(
-                carrier.order,
-                threads.into_inner().unwrap().order,
-                "{n} tasks, fuzz {make}, seed {seed}"
-            );
+            let what = format!("{n} tasks, fuzz {make}, seed {seed}, raises {raises}");
+            if make == 0 {
+                let late = carrier.order.windows(2).position(|w| w[1].1 < w[0].1);
+                assert_eq!(late, None, "{what}: out of virtual-time order");
+            }
+            assert_eq!(carrier.order, threads.into_inner().unwrap().order, "{what}");
         }
     }
 }
@@ -242,17 +257,21 @@ fn dive(t: &mut Task, top: usize, depth_bytes: usize) -> usize {
 fn a_body_may_use_a_megabyte_and_a_half_of_stack() {
     // Tier-1 runs this unoptimised, where frames are at their largest;
     // the depth is measured in bytes, so it is the same 1.5 MiB of the
-    // 2 MiB stack either way. All eight are that deep at once.
+    // 2 MiB stack either way. All eight are that deep at once. Twice:
+    // the second run's coroutines get the stacks the first one's
+    // finished with, written to that deep.
     const DEPTH: usize = 3 << 19;
-    let frames = AtomicUsize::new(0);
-    on_carrier(&Engine::new(8), |t| {
-        let top = 0u8;
-        let top = black_box(&top) as *const u8 as usize;
-        frames.fetch_add(dive(t, top, DEPTH), Ordering::Relaxed);
-    })
-    .unwrap();
-    // A frame holds the 1 KiB pad and little else.
-    assert!(frames.into_inner() >= 8 * DEPTH / 4096);
+    for run in 0..2 {
+        let frames = AtomicUsize::new(0);
+        on_carrier(&Engine::new(8), |t| {
+            let top = 0u8;
+            let top = black_box(&top) as *const u8 as usize;
+            frames.fetch_add(dive(t, top, DEPTH), Ordering::Relaxed);
+        })
+        .unwrap();
+        // A frame holds the 1 KiB pad and little else.
+        assert!(frames.into_inner() >= 8 * DEPTH / 4096, "run {run}");
+    }
 }
 
 #[test]
