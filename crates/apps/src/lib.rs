@@ -240,8 +240,6 @@ pub struct RunOptions {
     /// Schedule-fuzzing seed (robustness testing; timing reports from
     /// fuzzed runs are not meaningful).
     pub schedule_fuzz: Option<u64>,
-    /// Diff creation strategy (lazy is MW-only, as in TreadMarks).
-    pub diff_strategy: adsm_core::DiffStrategy,
     /// Record host wall-clock histograms of the protocol hot paths
     /// (`validate_page`, barrier fan-in) into the run report; used by
     /// `repro bench-scale` and `benchmark/`.
@@ -275,7 +273,6 @@ impl RunOptions {
         if let Some(seed) = self.schedule_fuzz {
             b = b.schedule_fuzz(seed);
         }
-        b = b.diff_strategy(self.diff_strategy);
         b = b.measure_host_costs(self.measure_host_costs);
         b = b.backend(self.backend);
         if let Some(scenario) = &self.scenario {

@@ -296,57 +296,6 @@ pub fn ablation_migratory(nprocs: usize, scale: Scale, apps: &[App]) -> String {
     out
 }
 
-/// Eager-vs-lazy diffing ablation. This reproduction defaults to eager
-/// per-interval diffing (a documented substitution — DESIGN.md §2);
-/// TreadMarks itself encodes diffs lazily, retaining twins until the
-/// first request. The sweep measures what the substitution costs: lazy
-/// never creates *more* diffs (unrequested intervals never encode), at
-/// the price of retained-twin memory.
-pub fn ablation_diffing(nprocs: usize, scale: Scale, apps: &[App]) -> String {
-    use adsm_core::DiffStrategy;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Ablation — eager vs lazy diff creation, MW protocol ({} procs, {} scale)",
-        nprocs, scale
-    );
-    let _ = writeln!(
-        out,
-        "{:<8} {:<6} {:>8} {:>11} {:>11} {:>10} {:>9}",
-        "App", "Mode", "Diffs", "DiffMB", "PeakMB", "TwinsLeft", "Speedup"
-    );
-    for &app in apps {
-        let seq = sequential_time(app, scale);
-        for strategy in [DiffStrategy::Eager, DiffStrategy::Lazy] {
-            let opts = RunOptions {
-                diff_strategy: strategy,
-                ..RunOptions::default()
-            };
-            let run = run_app_tuned(app, ProtocolKind::Mw, nprocs, scale, &opts);
-            assert!(run.ok, "{app} under {strategy} MW: {}", run.detail);
-            let r = &run.outcome.report;
-            let _ = writeln!(
-                out,
-                "{:<8} {:<6} {:>8} {:>11.2} {:>11.2} {:>10} {:>9.2}",
-                app.name(),
-                strategy.to_string(),
-                r.proto.diffs_created,
-                r.proto.diff_bytes_created as f64 / 1e6,
-                r.proto.peak_storage_bytes as f64 / 1e6,
-                r.proto.twins_alive,
-                r.speedup(seq),
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "\n(Lazy == TreadMarks; eager is this reproduction's default because the\n\
-         adaptive protocols' write-granularity test needs close-time diff sizes.\n\
-         TwinsLeft counts twins still retained at run end — lazy's memory cost.)"
-    );
-    out
-}
-
 /// Network-bandwidth ablation (§3.2: *"Besides the write granularity of
 /// the application, this tradeoff is highly dependent on the network
 /// bandwidth"*). Reruns the protocol comparison on a 10x faster
@@ -577,13 +526,6 @@ mod tests {
         let s = ablation_network(2, Scale::Tiny, &[App::Tsp]);
         assert!(s.contains("fast-10x"));
         assert!(s.contains("ATM-155"));
-    }
-
-    #[test]
-    fn diffing_sweep_renders() {
-        let s = ablation_diffing(2, Scale::Tiny, &[App::Is]);
-        assert!(s.contains("eager"));
-        assert!(s.contains("lazy"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! targets: table1 table2 table3 table4 fig1 fig2 fig3 all  (default: all)
 //!          related ablation-quantum ablation-wg ablation-gc
-//!          ablation-migratory ablation-network ablation-diffing ablations
+//!          ablation-migratory ablation-network ablations
 //!          sensitivity scaling traffic
 //!          bench-scale       (also writes BENCH_scale.json: the
 //!                             8..256-proc barrier fan-in sweep and
@@ -39,14 +39,13 @@ use std::process::ExitCode;
 
 use adsm_apps::{App, Scale};
 use adsm_bench::{
-    ablation_diffing, ablation_gc, ablation_migratory, ablation_network, ablation_quantum,
-    ablation_wg, fig1, fig2, fig2_shape_checks, fig3, related, scaling, sensitivity, table1,
-    table2, table3, table4, Matrix,
+    ablation_gc, ablation_migratory, ablation_network, ablation_quantum, ablation_wg, fig1, fig2,
+    fig2_shape_checks, fig3, related, scaling, sensitivity, table1, table2, table3, table4, Matrix,
 };
 use adsm_core::ExecBackend;
 
 /// Every target: all that `parse_args` accepts, and what `--help` lists.
-const TARGETS: [&str; 22] = [
+const TARGETS: [&str; 21] = [
     "table1",
     "table2",
     "table3",
@@ -61,7 +60,6 @@ const TARGETS: [&str; 22] = [
     "ablation-gc",
     "ablation-migratory",
     "ablation-network",
-    "ablation-diffing",
     "ablations",
     "sensitivity",
     "scaling",
@@ -363,10 +361,6 @@ fn main() -> ExitCode {
         eprintln!("running network-bandwidth sweep...");
         println!("{}", ablation_network(opts.nprocs, opts.scale, &opts.apps));
     }
-    if wants_sweep("ablation-diffing") {
-        eprintln!("running eager-vs-lazy diffing sweep...");
-        println!("{}", ablation_diffing(opts.nprocs, opts.scale, &opts.apps));
-    }
     if opts.targets.iter().any(|t| t == "sensitivity") {
         eprintln!("running input-set sensitivity study...");
         println!("{}", sensitivity(opts.nprocs));
@@ -445,6 +439,7 @@ mod tests {
             "table9",
             "fig7",
             "ablation-nope",
+            "ablation-diffing",
             "tables",
             "ablation",
             "crash",

@@ -120,36 +120,6 @@ impl fmt::Display for ExecBackend {
     }
 }
 
-/// When multiple-writer diffs are encoded.
-///
-/// The paper's TreadMarks substrate creates diffs **lazily**: at interval
-/// close only the twin is retained, and the diff is computed when first
-/// requested (or when the page is written again). This reproduction's
-/// default is **eager** per-interval diffing — every diff is attributable
-/// to exactly one interval at close time, which the adaptive protocols'
-/// write-granularity test needs — with lazy diffing available for the
-/// pure MW protocol to measure the trade-off the substitution makes
-/// (`repro ablation-diffing`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum DiffStrategy {
-    /// Encode the diff at interval close and drop the twin (default).
-    #[default]
-    Eager,
-    /// Retain the twin at interval close; encode the diff at the first
-    /// request or at the next local write to the page. Unrequested
-    /// intervals never pay diff creation. MW protocol only.
-    Lazy,
-}
-
-impl fmt::Display for DiffStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DiffStrategy::Eager => f.write_str("eager"),
-            DiffStrategy::Lazy => f.write_str("lazy"),
-        }
-    }
-}
-
 /// How the home-based LRC comparator assigns pages to home nodes.
 ///
 /// Home placement is the knob the paper's §7 points at: *"our adaptive
@@ -192,7 +162,10 @@ impl fmt::Display for ProtocolKind {
 ///
 /// Build with [`DsmBuilder`](crate::DsmBuilder); the defaults reproduce
 /// the paper's testbed (8 processors, SPARC-20 + 155 Mbps ATM cost
-/// model).
+/// model). Diff creation is not configurable: every multiple-writer
+/// diff is encoded when its interval closes, because the adaptive
+/// protocols' write-granularity test reads each interval's diff size
+/// then (DESIGN.md §Eager diffing).
 #[derive(Clone, Debug)]
 pub struct DsmConfig {
     /// Number of simulated processors.
@@ -217,8 +190,6 @@ pub struct DsmConfig {
     /// timing reports from fuzzed runs are not meaningful. Robustness
     /// testing only.
     pub schedule_fuzz: Option<u64>,
-    /// Diff creation strategy ([`DiffStrategy::Lazy`] is MW-only).
-    pub diff_strategy: DiffStrategy,
     /// Run the SC comparator's invariant checker after every fault
     /// (single writable copy, coherent read copies, exact copysets).
     /// Off by default (the sweep copies every page on every fault); set
@@ -260,7 +231,6 @@ impl DsmConfig {
             migratory_opt: false,
             home_policy: HomePolicy::default(),
             schedule_fuzz: None,
-            diff_strategy: DiffStrategy::default(),
             sc_check: false,
             measure_host_costs: false,
             backend: ExecBackend::default(),
@@ -315,14 +285,15 @@ mod tests {
     }
 
     #[test]
-    fn diff_strategy_defaults_to_eager() {
-        assert_eq!(DiffStrategy::default(), DiffStrategy::Eager);
-        assert_eq!(DiffStrategy::Eager.to_string(), "eager");
-        assert_eq!(DiffStrategy::Lazy.to_string(), "lazy");
+    fn defaults_match_the_paper() {
         let cfg = DsmConfig::new(ProtocolKind::Mw);
-        assert_eq!(cfg.diff_strategy, DiffStrategy::Eager);
         assert_eq!(cfg.schedule_fuzz, None);
         assert!(!cfg.migratory_opt);
+        assert_eq!(cfg.home_policy, HomePolicy::RoundRobin);
+        assert_eq!(cfg.backend, ExecBackend::Sim);
+        assert!(!cfg.sc_check);
+        assert!(!cfg.measure_host_costs);
+        assert!(cfg.scenario.is_none());
     }
 
     #[test]

@@ -75,7 +75,7 @@ mod protocol;
 mod system;
 mod world;
 
-pub use config::{DiffStrategy, DsmConfig, ExecBackend, HomePolicy, ProtocolKind};
+pub use config::{DsmConfig, ExecBackend, HomePolicy, ProtocolKind};
 pub use memio::{SharedMatrix, SharedVec, SharedView, SharedViewMut};
 pub use metrics::{NsHistogram, ProtocolStats, RunReport};
 pub use proc::{LockGuard, Proc};

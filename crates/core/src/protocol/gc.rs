@@ -126,23 +126,12 @@ pub(crate) fn collect(ctx: &mut Ctx<'_>) {
     for q in 0..nprocs {
         let (n, b) = ctx.w.dir.diffs[q].clear();
         ctx.w.proto.diffs_dropped(n, b);
-        // Lazy diffing: retained twins whose diffs were never requested
-        // are obsolete after validation (their writes live in the
-        // writer's own validated copy) — discard without encoding.
-        let mut dropped = 0u64;
         for pc in &mut ctx.w.procs[q].pages {
-            if pc.pending.take().is_some() {
-                dropped += 1;
-            }
             // Any surviving pending notice whose diff was just discarded
             // is subsumed by a validator's copy; drop the stale
             // references.
             pc.missing.retain(|n| n.kind.is_owner());
         }
-        for _ in 0..dropped {
-            ctx.w.proto.twin_dropped(adsm_mempage::PAGE_SIZE);
-        }
-        ctx.w.procs[q].pending_bytes -= dropped * adsm_mempage::PAGE_SIZE as u64;
         // The diffs are gone and every surviving copy contains them.
         ctx.w.procs[q].applied.clear();
     }

@@ -36,7 +36,7 @@ use adsm_mempage::{AccessRights, Diff, PageId, PAGE_SIZE};
 use adsm_netsim::MsgKind;
 use adsm_vclock::ProcId;
 
-use super::lrc::{Ctx, CTRL_BYTES};
+use super::lrc::{self, Ctx, CTRL_BYTES};
 use super::mw;
 
 /// HLRC read fault: fetch the page from its home.
@@ -103,10 +103,8 @@ pub(crate) fn fetch_from_home(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
                 // Dirty-window bound: the open session's delta lives in
                 // the bytes written since the twin was taken (a
                 // fetch-installed twin starts with a full-page window).
-                let mem = ctx.mems[pidx].lock();
                 let mut delta = Diff::default();
-                let (lo, hi) = mem.dirty_span(page).unwrap_or((0, 0));
-                Diff::encode_span_into(twin, mem.page(page), lo, hi, &mut delta);
+                lrc::encode_dirty_window(&ctx.mems[pidx].lock(), twin, page, &mut delta);
                 delta
             })
         };

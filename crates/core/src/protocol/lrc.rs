@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use adsm_mempage::{AccessRights, PageId, PagedMemory, PAGE_SIZE};
+use adsm_mempage::{AccessRights, Diff, PageId, PagedMemory, PAGE_SIZE};
 use adsm_netsim::{MsgKind, SimTime, TraceKind};
 use adsm_vclock::{IntervalId, ProcId, VectorClock};
 use parking_lot::Mutex;
@@ -72,12 +72,14 @@ pub(crate) const CTRL_BYTES: usize = 16;
 /// 64-byte scan, not a page walk; unchecked protocol-side mutations
 /// widen the window to the whole page, keeping the bound conservative.
 /// Run-for-run identical to a full [`Diff::encode`] (debug builds
-/// assert the outside-window bytes are untouched).
-fn encode_dirty_window(mem: &PagedMemory, twin: &[u8], page: PageId) -> adsm_mempage::Diff {
-    let mut diff = adsm_mempage::Diff::default();
+/// assert the outside-window bytes are untouched). The only place the
+/// protocols encode a diff: an interval close's stored or flushed diff
+/// and an open session's delta preserved across a merge or a home
+/// fetch all come from here. `out` is overwritten, so a pooled buffer
+/// keeps its capacity.
+pub(crate) fn encode_dirty_window(mem: &PagedMemory, twin: &[u8], page: PageId, out: &mut Diff) {
     let (lo, hi) = mem.dirty_span(page).unwrap_or((0, 0));
-    adsm_mempage::Diff::encode_span_into(twin, mem.page(page), lo, hi, &mut diff);
-    diff
+    Diff::encode_span_into(twin, mem.page(page), lo, hi, out);
 }
 
 /// Rights a dirty page is re-protected with at interval close. A page
@@ -98,8 +100,8 @@ fn close_rights(pc: &crate::world::PageCtl, p: ProcId) -> AccessRights {
 
 /// Closes `p`'s open interval if it wrote anything: creates write
 /// notices, and — for MW-mode pages — encodes the interval's diffs
-/// against their twins and re-protects the pages (eager per-interval
-/// diffing; see DESIGN.md for the substitution note). Returns the
+/// against their twins and re-protects the pages (every diff is encoded
+/// when its interval closes; DESIGN.md §Eager diffing). Returns the
 /// processing cost, which the caller charges to whichever clock is
 /// appropriate (own turn, or a granting processor's clock). `now` is the
 /// virtual time used for trace points.
@@ -178,10 +180,8 @@ pub(crate) fn close_interval(
                 mems[p.index()].lock().set_rights(page, rights);
                 w.procs[p.index()].pages[page.index()].dirty = false;
                 if let Some(twin) = twin {
-                    let diff = {
-                        let mem = mems[p.index()].lock();
-                        encode_dirty_window(&mem, &twin, page)
-                    };
+                    let mut diff = Diff::default();
+                    encode_dirty_window(&mems[p.index()].lock(), &twin, page, &mut diff);
                     w.proto.twin_dropped(PAGE_SIZE);
                     let modified = diff.modified_bytes();
                     cost += w.cfg.cost.diff_create(modified);
@@ -197,44 +197,6 @@ pub(crate) fn close_interval(
                 // No local pending notice: a home fetch re-installs the
                 // whole page, local writes included.
             }
-            PageMode::Mw if w.cfg.diff_strategy == crate::DiffStrategy::Lazy => {
-                // Lazy (TreadMarks-style) diffing: retain the twin; the
-                // diff is encoded at the first request or at the next
-                // local write (`materialize_pending`). Never-requested
-                // intervals never pay diff creation.
-                let twin = w.procs[p.index()].pages[page.index()]
-                    .twin
-                    .take()
-                    .expect("MW-dirty page must have a twin");
-                debug_assert!(
-                    w.procs[p.index()].pages[page.index()].pending.is_none(),
-                    "previous pending diff must be materialised before a new session"
-                );
-                let rights = close_rights(&w.procs[p.index()].pages[page.index()], p);
-                let mem = held.as_mut().expect("held outside HLRC");
-                mem.set_rights(page, rights);
-                w.procs[p.index()].pages[page.index()].dirty = false;
-                w.procs[p.index()].pages[page.index()].pending =
-                    Some(crate::world::PendingDiff { interval: id, twin });
-                w.procs[p.index()].pending_bytes += PAGE_SIZE as u64;
-                // The twin stays alive in the memory accounting — the
-                // retained twin *is* lazy diffing's memory cost.
-                writes.push(WriteNotice {
-                    page,
-                    kind: NoticeKind::NonOwner,
-                });
-                w.procs[p.index()].pages[page.index()]
-                    .missing
-                    .push(PendingNotice {
-                        interval: id,
-                        kind: NoticeKind::NonOwner,
-                    });
-                if w.procs[p.index()].pending_bytes + w.dir.diffs[p.index()].bytes
-                    > w.cfg.cost.gc_threshold_bytes as u64
-                {
-                    w.gc_requested = true;
-                }
-            }
             PageMode::Mw => {
                 // Eager per-interval diffing: encode against the twin,
                 // store, refresh protection.
@@ -244,7 +206,8 @@ pub(crate) fn close_interval(
                     .expect("MW-dirty page must have a twin");
                 let rights = close_rights(&w.procs[p.index()].pages[page.index()], p);
                 let mem = held.as_mut().expect("held outside HLRC");
-                let diff = encode_dirty_window(mem, &twin, page);
+                let mut diff = Diff::default();
+                encode_dirty_window(mem, &twin, page, &mut diff);
                 mem.set_rights(page, rights);
                 w.proto.twin_dropped(PAGE_SIZE);
                 w.procs[p.index()].pages[page.index()].dirty = false;
@@ -340,44 +303,6 @@ pub(crate) fn close_interval(
         w.gc_requested = true;
     }
     cost
-}
-
-/// Lazy diffing: encodes and stores the retained twin's diff for `q`'s
-/// pending interval on `page`, if one exists. The base image is the open
-/// write session's twin when one exists (the current page then contains
-/// the *next* interval's uncommitted writes), otherwise the current
-/// page. Returns the diff-creation cost, which the caller charges to
-/// `q`'s clock. A no-op under eager diffing.
-pub(crate) fn materialize_pending(
-    w: &mut World,
-    mems: &[Mutex<PagedMemory>],
-    q: ProcId,
-    page: PageId,
-) -> SimTime {
-    let pgidx = page.index();
-    let Some(pend) = w.procs[q.index()].pages[pgidx].pending.take() else {
-        return SimTime::ZERO;
-    };
-    // Encode straight against the base image — the open session's twin
-    // if one exists, else the current page — without copying it.
-    let diff = match &w.procs[q.index()].pages[pgidx].twin {
-        Some(t) => adsm_mempage::Diff::encode(&pend.twin, t),
-        None => {
-            let mem = mems[q.index()].lock();
-            adsm_mempage::Diff::encode(&pend.twin, mem.page(page))
-        }
-    };
-    w.procs[q.index()].pending_bytes -= PAGE_SIZE as u64;
-    w.proto.twin_dropped(PAGE_SIZE);
-    let modified = diff.modified_bytes();
-    w.profiler.note_grain(modified);
-    w.dir[pgidx].last_diff_bytes = modified;
-    w.proto.diff_created(diff.wire_size());
-    w.dir.diffs[q.index()].insert(page, pend.interval, diff);
-    if w.dir.diffs[q.index()].bytes > w.cfg.cost.gc_threshold_bytes as u64 {
-        w.gc_requested = true;
-    }
-    w.cfg.cost.diff_create(modified)
 }
 
 /// Ships to `p` every interval it has not seen, bounded by the sender's
@@ -645,15 +570,7 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
                 // Same dirty-window bound as the close-time encode: the
                 // open session's delta can only live inside the bytes
                 // written since the twin was taken.
-                let mem = ctx.mems[pidx].lock();
-                let (lo, hi) = mem.dirty_span(page).unwrap_or((0, 0));
-                adsm_mempage::Diff::encode_span_into(
-                    twin,
-                    mem.page(page),
-                    lo,
-                    hi,
-                    &mut scratch.delta,
-                );
+                encode_dirty_window(&ctx.mems[pidx].lock(), twin, page, &mut scratch.delta);
                 true
             }
             None => false,
@@ -663,16 +580,6 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
     scratch
         .notices
         .extend_from_slice(&ctx.w.procs[pidx].pages[pgidx].missing);
-
-    // Lazy diffing: foreign modifications are about to reach this copy,
-    // so the locally retained twin must be encoded first — afterwards its
-    // diff would claim the foreign words as local writes. Eager diffing
-    // retains no twin, so there is nothing to encode, here or below.
-    let lazy = ctx.w.cfg.diff_strategy == crate::DiffStrategy::Lazy;
-    if lazy && !scratch.notices.is_empty() {
-        let mcost = materialize_pending(ctx.w, ctx.mems, p, page);
-        ctx.charge(mcost);
-    }
 
     // 1. Whole-page install: from the highest-version pending owner
     //    notice, or an initial copy if we never had one.
@@ -726,14 +633,14 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
     );
 
     // 3. Fetch the remaining diffs, grouped per writer: the surviving
-    //    notice list is sorted by writer, so one materialise + request
-    //    round covers all of that writer's intervals as a contiguous
-    //    run. The order inside a run does not matter — step 4 re-sorts
-    //    the fetched diffs by their unique happened-before key — so the
-    //    sort is unstable and allocates nothing. Requests are issued in
-    //    parallel (elapsed time = slowest writer, messages counted per
-    //    writer). Every fetched diff is a shared handle into the
-    //    writer's per-page store — a refcount bump, never a deep copy.
+    //    notice list is sorted by writer, so one request round covers
+    //    all of that writer's intervals as a contiguous run. The order
+    //    inside a run does not matter — step 4 re-sorts the fetched
+    //    diffs by their unique happened-before key — so the sort is
+    //    unstable and allocates nothing. Requests are issued in parallel
+    //    (elapsed time = slowest writer, messages counted per writer).
+    //    Every fetched diff is a shared handle into the writer's
+    //    per-page store — a refcount bump, never a deep copy.
     scratch
         .notices
         .sort_unstable_by_key(|n| n.interval.proc.index());
@@ -744,18 +651,6 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
     let mut ni = 0usize;
     while ni < scratch.notices.len() {
         let q = scratch.notices[ni].interval.proc;
-        // Lazy diffing: the writer encodes its retained twin on demand —
-        // once, ahead of the whole run of its intervals.
-        if lazy {
-            let mcost = materialize_pending(ctx.w, ctx.mems, q, page);
-            if mcost > SimTime::ZERO {
-                if q == p {
-                    ctx.charge(mcost);
-                } else {
-                    ctx.charge_other(q, mcost);
-                }
-            }
-        }
         let mut reply_bytes = 0usize;
         while ni < scratch.notices.len() && scratch.notices[ni].interval.proc == q {
             let n = scratch.notices[ni];
@@ -823,7 +718,7 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
     {
         let mut mem = ctx.mems[pidx].lock();
         if !scratch.to_apply.is_empty() {
-            adsm_mempage::Diff::apply_many(&scratch.to_apply, mem.page_mut(page));
+            Diff::apply_many(&scratch.to_apply, mem.page_mut(page));
         }
         for kd in &scratch.to_apply {
             apply_cost += cost_model.diff_apply(kd.diff.modified_bytes());
@@ -850,7 +745,7 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
                     .take()
                     .expect("delta implies twin");
                 if !scratch.to_apply.is_empty() {
-                    adsm_mempage::Diff::apply_many(&scratch.to_apply, &mut twin);
+                    Diff::apply_many(&scratch.to_apply, &mut twin);
                 }
                 ctx.w.procs[pidx].pages[pgidx].twin = Some(twin);
             }

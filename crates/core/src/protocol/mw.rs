@@ -30,13 +30,6 @@ pub(crate) fn ensure_twin_and_write(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) 
     let pidx = p.index();
     let pgidx = page.index();
     let needs_twin = ctx.w.procs[pidx].pages[pgidx].twin.is_none();
-    if needs_twin {
-        // Lazy diffing: the page is about to change, so the previous
-        // interval's retained twin must be encoded now ("forced diff").
-        // It reads this memory itself, so the hold below starts after.
-        let mcost = lrc::materialize_pending(ctx.w, ctx.mems, p, page);
-        ctx.charge(mcost);
-    }
     // One hold for the snapshot and the grant.
     let mut mem = ctx.mems[pidx].lock();
     if needs_twin {

@@ -77,16 +77,7 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
     let npages = ctx.w.cfg.npages;
 
     // 1. Durable commit. The arriving interval is already in the log
-    // (the caller closed it first); what remains deferred is lazy
-    // diffing's parked encodes: a TreadMarks-style pending twin's diff
-    // must reach the replicated store before the twin dies with the
-    // incarnation.
-    for pg in 0..npages {
-        if ctx.w.procs[pidx].pages[pg].pending.is_some() {
-            let mcost = lrc::materialize_pending(ctx.w, ctx.mems, p, PageId::new(pg));
-            ctx.charge(mcost);
-        }
-    }
+    // (the caller closed it first).
     // The checkpointed image is the *coherent* view at the commit
     // horizon: every write notice the incarnation has been told about
     // (its clock covers it) but not yet applied is pulled from the
@@ -126,7 +117,6 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
         ctx.mems[pidx].lock().set_rights(page, AccessRights::None);
         let pc = &mut ctx.w.procs[pidx].pages[pg];
         debug_assert!(pc.twin.is_none(), "no open write session at a commit point");
-        debug_assert!(pc.pending.is_none());
         if pc.has_copy {
             pc.refetch_pending = true;
         }

@@ -129,31 +129,6 @@ impl DsmBuilder {
         self
     }
 
-    /// Selects when multiple-writer diffs are encoded:
-    /// [`DiffStrategy::Eager`](crate::DiffStrategy::Eager) (default)
-    /// encodes at interval close; `Lazy` retains the twin and encodes on
-    /// first request or at the next local write, as TreadMarks does.
-    /// Lazy diffing is only supported by the pure MW protocol (the
-    /// adaptive protocols need close-time diff sizes for the
-    /// write-granularity test); [`Dsm::run`] rejects other combinations
-    /// with [`RunError::BadConfig`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use adsm_core::{DiffStrategy, Dsm, ProtocolKind};
-    ///
-    /// let dsm = Dsm::builder(ProtocolKind::Mw)
-    ///     .nprocs(2)
-    ///     .diff_strategy(DiffStrategy::Lazy)
-    ///     .build();
-    /// assert_eq!(dsm.protocol(), ProtocolKind::Mw);
-    /// ```
-    pub fn diff_strategy(mut self, strategy: crate::DiffStrategy) -> Self {
-        self.cfg.diff_strategy = strategy;
-        self
-    }
-
     /// Enables the SC comparator's per-fault invariant checker (single
     /// writable copy, coherent read copies, exact copysets). Off by
     /// default; other protocols ignore the flag.
@@ -338,11 +313,6 @@ impl Dsm {
         if cfg.protocol == ProtocolKind::Raw && cfg.nprocs != 1 {
             return Err(RunError::BadConfig(
                 "the Raw baseline only supports a single processor".into(),
-            ));
-        }
-        if cfg.diff_strategy == crate::DiffStrategy::Lazy && cfg.protocol != ProtocolKind::Mw {
-            return Err(RunError::BadConfig(
-                "lazy diffing is only supported by the MW protocol".into(),
             ));
         }
         if cfg.backend == crate::ExecBackend::Threads && cfg.schedule_fuzz.is_some() {

@@ -53,17 +53,6 @@ pub(crate) struct Hvn {
     pub proc: ProcId,
 }
 
-/// A closed interval's retained twin under lazy diffing: the diff is
-/// encoded from it on first request or at the next local write.
-#[derive(Clone, Debug)]
-pub(crate) struct PendingDiff {
-    /// The interval whose modifications the twin captures the base of.
-    pub interval: IntervalId,
-    /// The page image at the start of that interval (pool-backed;
-    /// returns to the [`PagePool`] when dropped or materialised).
-    pub twin: PageBuf,
-}
-
 /// Per-processor, per-page protocol state.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PageCtl {
@@ -80,8 +69,6 @@ pub(crate) struct PageCtl {
     pub missing: Vec<PendingNotice>,
     /// Highest-version owner notice received.
     pub hvn: Option<Hvn>,
-    /// Lazy diffing: the last closed interval's twin, not yet encoded.
-    pub pending: Option<PendingDiff>,
     /// This processor held a copy of the page when it crashed; the copy
     /// was wiped with the incarnation. The first post-restart fetch of
     /// the page clears the flag and counts one
@@ -406,7 +393,7 @@ impl std::borrow::Borrow<Diff> for KeyedDiff {
 }
 
 /// Reusable scratch for one `validate_page` invocation: the open
-/// session's delta diff (encoded in place with [`Diff::encode_into`])
+/// session's delta diff (encoded in place by `encode_dirty_window`)
 /// and the working lists of the merge procedure. Held in a pool
 /// on the [`World`] so steady-state merges allocate nothing; the pool
 /// depth follows the validation recursion depth (a server validating
@@ -522,10 +509,6 @@ pub(crate) struct ProcCtl {
     /// collection. Only the adaptive protocols mix whole pages with
     /// diffs, so only they fill it, and only for pages that merged one.
     pub applied: BTreeMap<usize, Vec<PendingNotice>>,
-    /// Bytes of retained (pending) twins under lazy diffing; counted
-    /// toward the garbage-collection trigger alongside the processor's
-    /// stored-diff bytes ([`DiffStore::bytes`]) in the [`Directory`].
-    pub pending_bytes: u64,
 }
 
 /// The complete protocol state of one run. Crate-internal; accessed only
@@ -607,7 +590,6 @@ impl World {
                         })
                         .collect(),
                     applied: BTreeMap::new(),
-                    pending_bytes: 0,
                 })
                 .collect(),
             dir: Directory::new(npages, nprocs, ProcId::new(0)),

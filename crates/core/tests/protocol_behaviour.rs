@@ -144,6 +144,32 @@ fn mw_never_sends_ownership_requests() {
 }
 
 #[test]
+fn mw_page_rewritten_over_many_intervals_reaches_a_later_reader() {
+    // One writer rewrites a whole page in six successive intervals, each
+    // closing with its own diff; the reader's merge applies them in
+    // order and sees the last interval's values.
+    let mut dsm = Dsm::builder(ProtocolKind::Mw).nprocs(2).build();
+    let data = dsm.alloc_page_aligned::<u64>(512);
+    let out = dsm
+        .run(move |p| {
+            for it in 0..6u64 {
+                if p.index() == 0 {
+                    for i in 0..data.len() {
+                        data.set(p, i, (it + 1) * 100 + i as u64);
+                    }
+                }
+                p.barrier();
+            }
+            if p.index() == 1 {
+                assert_eq!(data.get(p, 3), 603);
+            }
+            p.barrier();
+        })
+        .unwrap();
+    assert_eq!(out.read_vec(&data)[3], 603);
+}
+
+#[test]
 fn wfs_refuses_ownership_under_false_sharing() {
     let out = false_sharing(ProtocolKind::Wfs, 4);
     assert!(

@@ -1,7 +1,7 @@
 //! Recycling pool for page-sized byte buffers.
 //!
 //! The protocol layer's hot paths — twin creation at the first write of
-//! an interval, whole-page fetches, lazy-diff materialisation, merge —
+//! an interval, whole-page fetches, served page copies, merge bases —
 //! all need a scratch or retained buffer of exactly [`PAGE_SIZE`] bytes.
 //! Allocating those from the global heap puts one `malloc`/`free` pair
 //! on every fault and every interval close, which dominates the

@@ -156,46 +156,6 @@ proptest! {
         }
     }
 
-    /// Lazy (TreadMarks-style) diff creation under MW computes the same
-    /// memory image as eager per-interval diffing.
-    #[test]
-    fn random_drf_programs_are_coherent_under_lazy_diffing(
-        epochs in prop::collection::vec(epoch_strategy(), 2..5)
-    ) {
-        let (want_mem, want_counter) = expected(&epochs);
-        let epochs = Arc::new(epochs);
-        let mut dsm = Dsm::builder(ProtocolKind::Mw)
-            .nprocs(NPROCS)
-            .diff_strategy(adsm::DiffStrategy::Lazy)
-            .build();
-        let data = dsm.alloc_page_aligned::<u64>(WORDS);
-        let counter = dsm.alloc_page_aligned::<u64>(1);
-        let eps = epochs.clone();
-        let outcome = dsm
-            .run(move |p| {
-                for e in eps.iter() {
-                    let start = e.starts[p.index()];
-                    let vals: Vec<u64> = (0..e.len)
-                        .map(|i| e.base.wrapping_add((start + i) as u64))
-                        .collect();
-                    data.write_from(p, start, &vals);
-                    if e.counter {
-                        p.lock(7);
-                        counter.update(p, 0, |c| c + 1);
-                        p.unlock(7);
-                    }
-                    p.compute(SimTime::from_us(100));
-                    p.barrier();
-                    let other = e.starts[(p.index() + 1) % NPROCS];
-                    assert_eq!(data.get(p, other), e.base.wrapping_add(other as u64));
-                    p.barrier();
-                }
-            })
-            .unwrap();
-        prop_assert_eq!(outcome.read_vec(&data), want_mem, "lazy MW memory differs");
-        prop_assert_eq!(outcome.read_elem(&counter, 0), want_counter);
-    }
-
     /// Schedule independence: under arbitrary (seeded) turn orders, the
     /// result of a data-race-free program must not change for any
     /// protocol.

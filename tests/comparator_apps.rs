@@ -65,26 +65,6 @@ fn comparators_degenerate_cleanly_on_one_processor() {
 }
 
 #[test]
-fn every_app_is_correct_under_lazy_mw_diffing() {
-    let opts = RunOptions {
-        diff_strategy: adsm::DiffStrategy::Lazy,
-        ..RunOptions::default()
-    };
-    for app in App::ALL {
-        let nprocs = if app == App::Fft3d { 2 } else { 3 };
-        let lazy = run_app_tuned(app, ProtocolKind::Mw, nprocs, Scale::Tiny, &opts);
-        assert!(lazy.ok, "{app} under lazy MW: {}", lazy.detail);
-        let eager = run_app(app, ProtocolKind::Mw, nprocs, Scale::Tiny);
-        assert!(
-            lazy.outcome.report.proto.diffs_created <= eager.outcome.report.proto.diffs_created,
-            "{app}: lazy must never create more diffs than eager ({} vs {})",
-            lazy.outcome.report.proto.diffs_created,
-            eager.outcome.report.proto.diffs_created
-        );
-    }
-}
-
-#[test]
 fn migratory_optimisation_keeps_apps_correct_and_helps_is() {
     // IS is the paper's migratory application (bucket pages passed under
     // locks): the §7 optimisation should remove ownership exchanges.
