@@ -219,20 +219,17 @@ impl AppRun {
 ///
 /// ```
 /// use adsm_apps::{run_app_tuned, App, RunOptions, Scale};
-/// use adsm_core::ProtocolKind;
+/// use adsm_core::{HomePolicy, ProtocolKind};
 ///
 /// let opts = RunOptions {
-///     migratory_opt: true,
+///     home_policy: HomePolicy::FirstTouch,
 ///     ..RunOptions::default()
 /// };
-/// let run = run_app_tuned(App::Is, ProtocolKind::Wfs, 2, Scale::Tiny, &opts);
+/// let run = run_app_tuned(App::Is, ProtocolKind::Hlrc, 2, Scale::Tiny, &opts);
 /// assert!(run.ok, "{}", run.detail);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
-    /// Enable the §7 migratory ownership optimisation (adaptive
-    /// protocols only).
-    pub migratory_opt: bool,
     /// Home placement for the HLRC comparator; other protocols ignore it.
     pub home_policy: HomePolicy,
     /// Cost-model override (defaults to the paper's SPARC/ATM model).
@@ -265,7 +262,6 @@ impl RunOptions {
     pub(crate) fn builder(&self, protocol: ProtocolKind, nprocs: usize) -> adsm_core::DsmBuilder {
         let mut b = adsm_core::Dsm::builder(protocol)
             .nprocs(nprocs)
-            .migratory_optimization(self.migratory_opt)
             .home_policy(self.home_policy);
         if let Some(cost) = &self.cost {
             b = b.cost_model(cost.clone());

@@ -1,8 +1,7 @@
 //! Beyond-the-paper harnesses: the §7 related-work comparison (SC and
 //! home-based LRC) and ablations of the design constants the paper fixes
 //! by measurement (ownership quantum, write-granularity threshold, diff
-//! GC threshold) or sketches as future work (migratory ownership
-//! transfer).
+//! GC threshold) or argues from (network bandwidth).
 //!
 //! Each generator returns its report as a string; the `repro` binary
 //! prints them (`repro related ablations sensitivity scaling`).
@@ -252,46 +251,6 @@ pub fn ablation_gc(nprocs: usize, scale: Scale) -> String {
             );
         }
         let _ = writeln!(out, "{row}");
-    }
-    out
-}
-
-/// Migratory-ownership ablation (§7 future work): WFS with and without
-/// read-miss ownership transfer on the migratory applications. Reports
-/// ownership requests, total messages and speedup.
-pub fn ablation_migratory(nprocs: usize, scale: Scale, apps: &[App]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Ablation — §7 migratory ownership transfer under WFS ({} procs, {} scale)",
-        nprocs, scale
-    );
-    let _ = writeln!(
-        out,
-        "{:<8} {:<5} {:>10} {:>10} {:>10} {:>10}",
-        "App", "Opt", "OwnReq", "MigGrants", "Msgs(10^3)", "Speedup"
-    );
-    for &app in apps {
-        let seq = sequential_time(app, scale);
-        for migratory_opt in [false, true] {
-            let opts = RunOptions {
-                migratory_opt,
-                ..RunOptions::default()
-            };
-            let run = run_app_tuned(app, ProtocolKind::Wfs, nprocs, scale, &opts);
-            assert!(run.ok, "{app}: {}", run.detail);
-            let r = &run.outcome.report;
-            let _ = writeln!(
-                out,
-                "{:<8} {:<5} {:>10} {:>10} {:>10.2} {:>10.2}",
-                app.name(),
-                if migratory_opt { "on" } else { "off" },
-                r.net.ownership_requests(),
-                r.proto.migratory_grants,
-                r.net.total_messages() as f64 / 1e3,
-                r.speedup(seq),
-            );
-        }
     }
     out
 }
@@ -553,11 +512,5 @@ mod tests {
     fn gc_sweep_renders() {
         let s = ablation_gc(2, Scale::Tiny);
         assert!(s.contains("64KB"));
-    }
-
-    #[test]
-    fn migratory_sweep_renders() {
-        let s = ablation_migratory(2, Scale::Tiny, &[App::Is]);
-        assert!(s.contains("MigGrants"));
     }
 }

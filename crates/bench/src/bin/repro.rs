@@ -7,7 +7,7 @@
 //!
 //! targets: table1 table2 table3 table4 fig1 fig2 fig3 all  (default: all)
 //!          related ablation-quantum ablation-wg ablation-gc
-//!          ablation-migratory ablation-network ablations
+//!          ablation-network ablations
 //!          sensitivity scaling traffic
 //!          bench-scale       (also writes BENCH_scale.json: the
 //!                             8..256-proc barrier fan-in sweep and
@@ -39,13 +39,13 @@ use std::process::ExitCode;
 
 use adsm_apps::{App, Scale};
 use adsm_bench::{
-    ablation_gc, ablation_migratory, ablation_network, ablation_quantum, ablation_wg, fig1, fig2,
-    fig2_shape_checks, fig3, related, scaling, sensitivity, table1, table2, table3, table4, Matrix,
+    ablation_gc, ablation_network, ablation_quantum, ablation_wg, fig1, fig2, fig2_shape_checks,
+    fig3, related, scaling, sensitivity, table1, table2, table3, table4, Matrix,
 };
 use adsm_core::ExecBackend;
 
 /// Every target: all that `parse_args` accepts, and what `--help` lists.
-const TARGETS: [&str; 21] = [
+const TARGETS: [&str; 20] = [
     "table1",
     "table2",
     "table3",
@@ -58,7 +58,6 @@ const TARGETS: [&str; 21] = [
     "ablation-quantum",
     "ablation-wg",
     "ablation-gc",
-    "ablation-migratory",
     "ablation-network",
     "ablations",
     "sensitivity",
@@ -187,7 +186,7 @@ fn main() -> ExitCode {
     };
     // "all" covers the paper's tables and figures; the beyond-the-paper
     // targets ("related", the ablations) are requested explicitly, with
-    // "ablations" as the umbrella for the six sweeps.
+    // "ablations" as the umbrella for the four sweeps.
     let all = opts.targets.iter().any(|t| t == "all");
     let sweeps = opts.targets.iter().any(|t| t == "ablations");
     let wants = |t: &str| all || opts.targets.iter().any(|x| x == t);
@@ -350,13 +349,6 @@ fn main() -> ExitCode {
         eprintln!("running GC-threshold sweep...");
         println!("{}", ablation_gc(opts.nprocs, opts.scale));
     }
-    if wants_sweep("ablation-migratory") {
-        eprintln!("running migratory-optimisation sweep...");
-        println!(
-            "{}",
-            ablation_migratory(opts.nprocs, opts.scale, &opts.apps)
-        );
-    }
     if wants_sweep("ablation-network") {
         eprintln!("running network-bandwidth sweep...");
         println!("{}", ablation_network(opts.nprocs, opts.scale, &opts.apps));
@@ -440,6 +432,7 @@ mod tests {
             "fig7",
             "ablation-nope",
             "ablation-diffing",
+            "ablation-migratory",
             "tables",
             "ablation",
             "crash",

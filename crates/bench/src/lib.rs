@@ -26,8 +26,7 @@ pub mod scale;
 pub mod scenarios;
 
 pub use ablation::{
-    ablation_gc, ablation_migratory, ablation_network, ablation_quantum, ablation_wg, related,
-    scaling, sensitivity,
+    ablation_gc, ablation_network, ablation_quantum, ablation_wg, related, scaling, sensitivity,
 };
 pub use crash_matrix::{measure_crash_matrix, CrashCell, CrashReport, FaultShape};
 pub use scale::{measure_scale, ScaleReport};

@@ -176,11 +176,6 @@ pub struct DsmConfig {
     pub cost: CostModel,
     /// Shared address space size in pages (set by allocation).
     pub npages: usize,
-    /// Enable the migratory-data optimisation the paper sketches as
-    /// future work (§7, after Cox & Fowler): pages detected as migratory
-    /// transfer ownership on the *read* miss, so the subsequent write
-    /// needs no second exchange. Adaptive protocols only.
-    pub migratory_opt: bool,
     /// Home assignment for the home-based LRC comparator
     /// ([`ProtocolKind::Hlrc`]); ignored by every other protocol.
     pub home_policy: HomePolicy,
@@ -228,7 +223,6 @@ impl DsmConfig {
             protocol,
             cost: CostModel::sparc_atm(),
             npages: 0,
-            migratory_opt: false,
             home_policy: HomePolicy::default(),
             schedule_fuzz: None,
             sc_check: false,
@@ -288,7 +282,6 @@ mod tests {
     fn defaults_match_the_paper() {
         let cfg = DsmConfig::new(ProtocolKind::Mw);
         assert_eq!(cfg.schedule_fuzz, None);
-        assert!(!cfg.migratory_opt);
         assert_eq!(cfg.home_policy, HomePolicy::RoundRobin);
         assert_eq!(cfg.backend, ExecBackend::Sim);
         assert!(!cfg.sc_check);

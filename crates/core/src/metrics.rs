@@ -48,9 +48,6 @@ pub struct ProtocolStats {
     /// Full pages transferred (page replies + ownership grants carrying
     /// pages).
     pub pages_transferred: u64,
-    /// Ownership migrations performed on read misses (the §7 migratory
-    /// optimisation, when enabled).
-    pub migratory_grants: u64,
     /// SC comparator: read copies invalidated before writes proceeded.
     pub invalidations: u64,
     /// HLRC comparator: diffs flushed to page homes at interval close.

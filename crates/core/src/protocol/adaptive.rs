@@ -18,6 +18,10 @@
 //! The two protocols share every mechanism; they differ only in the
 //! three answers of the adaptation rule at the top of this file
 //! ([`sw_ok`], [`wants_sw_after_diff`], [`probes_read_sharing`]).
+//!
+//! Only write faults come here. A read miss never moves ownership: under
+//! both protocols it is the §3.1.1 merge procedure,
+//! [`lrc::validate_page`], the same as under MW and SW.
 
 use adsm_mempage::{AccessRights, PageId, PAGE_SIZE};
 use adsm_netsim::{MsgKind, SimTime, TraceKind};
@@ -69,85 +73,6 @@ pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         PageMode::Mw => mw::write_fault(ctx, p, page),
         PageMode::Sw => sw_mode_write_fault(ctx, p, page),
     }
-}
-
-/// Adaptive read fault: normally the §3.1.1 merge procedure; with the
-/// migratory optimisation enabled (§7 future work, after Cox & Fowler),
-/// a page with an established migratory pattern transfers ownership on
-/// the read miss itself — the page request doubles as the ownership
-/// request, and the subsequent write is a free local fault.
-pub(crate) fn read_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
-    let pgidx = page.index();
-    if migratory_grant_eligible(ctx, p, page) {
-        migrate_on_read(ctx, p, page);
-    } else {
-        lrc::validate_page(ctx, p, page);
-    }
-    ctx.w.dir[pgidx].last_read_faulter = Some(p);
-}
-
-/// A migratory read-grant applies when the optimisation is on and the
-/// pattern established (a score of at least 2), the requester's
-/// perceived owner matches the authoritative directory (otherwise the
-/// exchange would be refused), and both sides handle the page in SW
-/// mode.
-fn migratory_grant_eligible(ctx: &Ctx<'_>, p: ProcId, page: PageId) -> bool {
-    let pg = &ctx.w.dir[page.index()];
-    let pc = &ctx.w.procs[p.index()].pages[page.index()];
-    if !ctx.w.cfg.migratory_opt
-        || pg.migratory_score < 2
-        || pc.mode != PageMode::Sw
-        || pg.drop_pending
-    {
-        return false;
-    }
-    match (pg.owner, pc.hvn) {
-        (Some(q), Some(Hvn { version, proc })) => q != p && proc == q && version == pg.version,
-        _ => false,
-    }
-}
-
-/// Transfers ownership during the page fetch: same two messages as a
-/// plain SW read miss, but the reply carries ownership, so the write
-/// that follows (this is what "migratory" means) needs no messages.
-fn migrate_on_read(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
-    let pgidx = page.index();
-    let q = ctx.w.dir[pgidx].owner.expect("eligibility checked");
-    let cost_model = ctx.w.cfg.cost.clone();
-
-    let now = ctx.now();
-    let c_req = ctx.w.msg(MsgKind::PageRequest, CTRL_BYTES, p, q, now);
-    let arrival = now + c_req;
-    let close_cost = lrc::close_interval(ctx.w, ctx.mems, q, arrival);
-    ctx.charge_other(q, close_cost);
-    ctx.interrupt(q);
-
-    let q_vc = ctx.w.procs[q.index()].vc.clone();
-    let notice_bytes = lrc::integrate_from(ctx.w, ctx.mems, p, &q_vc);
-    let c_reply = ctx
-        .w
-        .msg(MsgKind::PageReply, notice_bytes + PAGE_SIZE, q, p, arrival);
-    ctx.charge(cost_model.service_interrupt + close_cost + c_reply);
-
-    install_merged_copy(ctx, p, q, page);
-
-    let version = ctx.w.dir[pgidx].version + 1;
-    ctx.w.dir[pgidx].version = version;
-    ctx.w.dir[pgidx].owner = Some(p);
-    ctx.w.dir[pgidx].owner_since = ctx.now();
-    ctx.w.dir[pgidx].read_owned = true;
-    ctx.w.proto.migratory_grants += 1;
-
-    ctx.mems[q.index()]
-        .lock()
-        .set_rights(page, AccessRights::Read);
-    // The new owner's copy stays read-only: the anticipated write will
-    // soft-fault locally, which is the optimisation's entire point.
-    ctx.mems[p.index()]
-        .lock()
-        .set_rights(page, AccessRights::Read);
-    let pc = &mut ctx.w.procs[p.index()].pages[pgidx];
-    pc.hvn = Some(Hvn { version, proc: p });
 }
 
 fn sw_mode_write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
@@ -264,20 +189,6 @@ fn grant_ownership(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: PageId, c_req:
     let pc = &mut ctx.w.procs[p.index()].pages[pgidx];
     pc.has_copy = true;
     pc.hvn = Some(Hvn { version, proc: p });
-
-    // §7 migratory detection: a read miss followed by the same
-    // processor's ownership acquisition is the migratory signature; an
-    // owner that acquired on a read but never wrote was a misprediction.
-    let pg = &mut ctx.w.dir[pgidx];
-    if pg.read_owned {
-        pg.migratory_score = 0;
-    }
-    pg.read_owned = false;
-    if pg.last_read_faulter == Some(p) {
-        pg.migratory_score = (pg.migratory_score + 1).min(3);
-    } else {
-        pg.migratory_score /= 2;
-    }
     sw::mark_dirty(ctx, p, page);
 }
 
@@ -305,9 +216,6 @@ fn refuse_ownership(
     ctx.w.proto.ownership_refusals += 1;
 
     if target_still_owner {
-        // A refusal invalidates any migratory prediction for the page.
-        ctx.w.dir[page.index()].migratory_score = 0;
-        ctx.w.dir[page.index()].read_owned = false;
         // The owner has seen sharing: it must fall to MW mode. If it has
         // uncommitted writes it keeps ownership until its next release
         // (it has no twin, so it cannot diff yet — §3.1.1) and drops

@@ -3,7 +3,8 @@
 //!
 //! The paper's protocols share one LRC substrate — intervals, write
 //! notices, lock and barrier exchange, diff GC — and differ in what a
-//! read or write fault does (§2–3). So the entry points are the five
+//! write fault does (§2–3); a read miss is the §3.1.1 merge procedure
+//! under all four of them. So the entry points are the five
 //! functions of this module, [`read_fault`], [`write_fault`],
 //! [`acquire`], [`release`] and [`barrier`], each one `match` on the
 //! run's [`ProtocolKind`]; the mechanism modules they call are:
@@ -12,8 +13,9 @@
 //!   propagation, the merge procedure of §3.1.1.
 //! * [`mw`] — TreadMarks-style multiple-writer (twins + diffs).
 //! * [`sw`] — CVM-style single-writer (ownership + versions + quantum).
-//! * [`adaptive`] — the paper's adaptive fault paths (§3), and the one
-//!   adaptation rule telling WFS from WFS+WG.
+//! * [`adaptive`] — the paper's adaptive write-fault path (§3): ownership
+//!   request, grant and refusal, and the one adaptation rule telling WFS
+//!   from WFS+WG.
 //! * [`sync`] — locks and barriers (write-notice propagation).
 //! * [`gc`] — diff garbage collection at barriers (§2.2, §3.1.1).
 //! * [`recovery`] — crash recovery from the replicated interval log and
@@ -49,8 +51,9 @@ pub(crate) fn read_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     enter_fault(ctx, page);
     match ctx.w.cfg.protocol {
         ProtocolKind::Raw => raw_fault(ctx, p, page),
-        ProtocolKind::Mw | ProtocolKind::Sw => lrc::validate_page(ctx, p, page),
-        ProtocolKind::Wfs | ProtocolKind::WfsWg => adaptive::read_fault(ctx, p, page),
+        ProtocolKind::Mw | ProtocolKind::Sw | ProtocolKind::Wfs | ProtocolKind::WfsWg => {
+            lrc::validate_page(ctx, p, page)
+        }
         ProtocolKind::Sc => sc_fault(ctx, "read_fault", |ctx| sc::read_fault(ctx, p, page)),
         ProtocolKind::Hlrc => hlrc::read_fault(ctx, p, page),
     }

@@ -131,13 +131,6 @@ pub(crate) fn soft_write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     let pc = &mut ctx.w.procs[p.index()].pages[page.index()];
     pc.has_copy = true;
     ctx.w.dir[page.index()].copyset[p.index()] = true;
-    // §7 migratory detection: a read-granted owner writing confirms the
-    // prediction.
-    let pg = &mut ctx.w.dir[page.index()];
-    if pg.read_owned && pg.owner == Some(p) {
-        pg.read_owned = false;
-        pg.migratory_score = (pg.migratory_score + 1).min(3);
-    }
     mark_dirty(ctx, p, page);
 }
 

@@ -88,28 +88,6 @@ impl DsmBuilder {
         self
     }
 
-    /// Enables the migratory-data ownership optimisation (§7 future
-    /// work): once a page is observed to migrate (read miss followed by
-    /// a write from the same processor, repeatedly), ownership moves on
-    /// the read miss, eliminating the separate ownership exchange.
-    /// Adaptive protocols only; ignored by MW/SW.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use adsm_core::{Dsm, ProtocolKind};
-    ///
-    /// let dsm = Dsm::builder(ProtocolKind::Wfs)
-    ///     .nprocs(4)
-    ///     .migratory_optimization(true)
-    ///     .build();
-    /// assert_eq!(dsm.nprocs(), 4);
-    /// ```
-    pub fn migratory_optimization(mut self, on: bool) -> Self {
-        self.cfg.migratory_opt = on;
-        self
-    }
-
     /// Sets the home placement policy of the home-based LRC comparator
     /// ([`ProtocolKind::Hlrc`]); every other protocol ignores it.
     ///

@@ -104,15 +104,6 @@ pub(crate) struct PageGlobal {
     pub wants_sw: bool,
     /// Any processor ever accessed the page.
     pub touched: bool,
-    /// Migratory-pattern detector (§7 extension): the last processor
-    /// that read-faulted the page.
-    pub last_read_faulter: Option<ProcId>,
-    /// Confidence that the page is migratory (saturating; >= 2 enables
-    /// ownership migration on read miss).
-    pub migratory_score: u8,
-    /// Ownership was acquired on a read miss and the owner has not
-    /// written yet (used to detect mispredictions).
-    pub read_owned: bool,
     /// HLRC comparator: the page's home node, resolved on first fault
     /// according to the configured [`HomePolicy`](crate::HomePolicy).
     pub home: Option<ProcId>,
@@ -130,9 +121,6 @@ impl PageGlobal {
             last_diff_bytes: 0,
             wants_sw: false,
             touched: false,
-            last_read_faulter: None,
-            migratory_score: 0,
-            read_owned: false,
             home: None,
         }
     }

@@ -527,119 +527,6 @@ fn gc_triggers_and_empties_diff_stores() {
     assert!(out.report.proto.diffs_created > out.report.proto.diffs_alive);
 }
 
-/// The §7 future-work extension: with the migratory optimisation on,
-/// ownership of a detected-migratory page moves with the read miss, so
-/// the separate ownership exchange disappears.
-fn migratory_with_opt(opt: bool) -> RunOutcome {
-    let mut dsm = Dsm::builder(ProtocolKind::Wfs)
-        .nprocs(4)
-        .migratory_optimization(opt)
-        .build();
-    let data = dsm.alloc_page_aligned::<u64>(512);
-    let out = dsm
-        .run(move |p| {
-            for _ in 0..8 {
-                p.lock(0);
-                let mut vals = data.read_range(p, 0, 512);
-                for v in vals.iter_mut() {
-                    *v = v.wrapping_add(0x0101_0101_0101_0101);
-                }
-                data.write_from(p, 0, &vals);
-                p.compute(SimTime::from_us(400));
-                p.unlock(0);
-            }
-            p.barrier();
-        })
-        .unwrap();
-    let vals = out.read_vec(&data);
-    assert!(
-        vals.iter()
-            .all(|&v| v == 0x0101_0101_0101_0101u64.wrapping_mul(32)),
-        "migratory loop corrupted data (opt={opt})"
-    );
-    out
-}
-
-#[test]
-fn migratory_optimization_moves_ownership_on_read_miss() {
-    let off = migratory_with_opt(false);
-    let on = migratory_with_opt(true);
-    assert_eq!(off.report.proto.migratory_grants, 0);
-    assert!(
-        on.report.proto.migratory_grants > 0,
-        "the migratory pattern must be detected"
-    );
-    assert!(
-        on.report.net.ownership_requests() < off.report.net.ownership_requests(),
-        "read-miss grants must replace ownership requests ({} vs {})",
-        on.report.net.ownership_requests(),
-        off.report.net.ownership_requests()
-    );
-    assert!(
-        on.report.net.total_messages() < off.report.net.total_messages(),
-        "two messages per hop instead of four"
-    );
-    assert!(on.report.time < off.report.time, "and it must be faster");
-}
-
-#[test]
-fn migratory_optimization_leaves_producer_consumer_alone() {
-    // Readers that never write must not steal ownership.
-    let run = |opt: bool| {
-        let mut dsm = Dsm::builder(ProtocolKind::Wfs)
-            .nprocs(4)
-            .migratory_optimization(opt)
-            .build();
-        let data = dsm.alloc_page_aligned::<u64>(512);
-        dsm.run(move |p| {
-            for it in 0..6u64 {
-                if p.index() == 0 {
-                    let vals: Vec<u64> = (0..512).map(|i| it * 512 + i as u64).collect();
-                    data.write_from(p, 0, &vals);
-                }
-                p.barrier();
-                assert_eq!(data.get(p, 99), it * 512 + 99);
-                p.barrier();
-            }
-        })
-        .unwrap()
-    };
-    let on = run(true);
-    assert_eq!(
-        on.report.proto.migratory_grants, 0,
-        "read-only consumers must never trigger migration"
-    );
-    assert_eq!(on.report.proto.twins_created, 0);
-}
-
-#[test]
-fn migratory_optimization_is_coherent_under_false_sharing() {
-    // Mispredictions must reset cleanly: run the false-sharing pattern
-    // with the optimisation enabled and check coherence + refusals.
-    let mut dsm = Dsm::builder(ProtocolKind::Wfs)
-        .nprocs(4)
-        .migratory_optimization(true)
-        .build();
-    let data = dsm.alloc_page_aligned::<u64>(512);
-    let out = dsm
-        .run(move |p| {
-            let chunk = 512 / p.nprocs();
-            let base = p.index() * chunk;
-            for it in 0..5u64 {
-                for i in 0..chunk {
-                    data.set(p, base + i, (it + 1) * (base + i + 1) as u64);
-                    p.compute(SimTime::from_us(4));
-                }
-                p.barrier();
-                let nb = ((p.index() + 1) % p.nprocs()) * chunk;
-                assert_eq!(data.get(p, nb), (it + 1) * (nb + 1) as u64);
-                p.barrier();
-            }
-        })
-        .unwrap();
-    assert!(out.report.proto.ownership_refusals > 0);
-}
-
 #[test]
 fn host_cost_histograms_sample_sc_faults_and_barrier_arrivals() {
     // Producer-consumer under SC: 3 iterations of two barriers each on

@@ -209,8 +209,7 @@ impl Diff {
     ///
     /// Each 64-byte block is compared with one wide vector comparison
     /// and only differing blocks contribute a mask and a compress, so
-    /// sparsely-written pages cost far less than a word walk. The result
-    /// equals [`Diff::encode_naive`]'s.
+    /// sparsely-written pages cost far less than a word walk.
     ///
     /// # Panics
     ///
@@ -317,59 +316,6 @@ impl Diff {
             arm::compress(&cur_blocks[bi - blo], masks[bi], &mut out.buf);
         }
         debug_assert_eq!(out.modified_bytes(), words as usize * WORD_SIZE);
-    }
-
-    /// Reference encoder: the plain one-word-at-a-time scan into a list
-    /// of runs — offset, length, bytes — which is then written down as
-    /// bitmap, masks and words bit by bit; no block compare, no mask
-    /// kernel, no popcount. Kept as the correctness baseline for
-    /// [`Diff::encode`]: property tests assert the two agree.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both slices are exactly one page long.
-    pub fn encode_naive(twin: &[u8], current: &[u8]) -> Self {
-        assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
-        assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
-        const WORDS_PER_PAGE: usize = PAGE_SIZE / WORD_SIZE;
-        let same = |w: usize| {
-            let off = w * WORD_SIZE;
-            twin[off..off + WORD_SIZE] == current[off..off + WORD_SIZE]
-        };
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        let mut w = 0;
-        while w < WORDS_PER_PAGE {
-            if same(w) {
-                w += 1;
-                continue;
-            }
-            // Start of a modified run; extend while words differ.
-            let start = w;
-            while w < WORDS_PER_PAGE && !same(w) {
-                w += 1;
-            }
-            runs.push((start, w));
-        }
-
-        let mut masks = [0u16; BLOCKS_PER_PAGE];
-        for &(start, end) in &runs {
-            for w in start..end {
-                masks[w / BLOCK_WORDS] |= 1 << (w % BLOCK_WORDS);
-            }
-        }
-        let mut diff = Diff {
-            runs: runs.len() as u32,
-            ..Diff::default()
-        };
-        for (bi, mask) in masks.iter().enumerate().filter(|(_, &m)| m != 0) {
-            diff.dirty |= 1 << bi;
-            diff.buf.extend_from_slice(&mask.to_le_bytes());
-        }
-        for &(start, end) in &runs {
-            diff.buf
-                .extend_from_slice(&current[start * WORD_SIZE..end * WORD_SIZE]);
-        }
-        diff
     }
 
     /// The word masks of the dirty blocks, ascending.
@@ -575,39 +521,6 @@ mod tests {
     #[should_panic(expected = "twin must be one page")]
     fn encode_rejects_short_twin() {
         let _ = Diff::encode(&[0u8; 8], &[0u8; PAGE_SIZE]);
-    }
-
-    /// Edge cases of the chunked scan: changes at block boundaries, in
-    /// the second word of a lane, and runs crossing block edges must
-    /// reproduce the naive reference exactly.
-    #[test]
-    fn chunked_scan_matches_naive_at_boundaries() {
-        let cases: &[&[usize]] = &[
-            &[],                       // identical pages
-            &[0],                      // first byte
-            &[PAGE_SIZE - 1],          // last byte
-            &[63, 64],                 // run across a block edge
-            &[4, 5, 6, 7],             // second word of the first lane
-            &[60, 61, 62, 63, 64, 65], // straddles blocks mid-run
-            &[127, 128, 191, 192],     // multiple block edges
-            &[8, 72, 136],             // same lane offset, many blocks
-        ];
-        for bytes in cases {
-            let twin = vec![0u8; PAGE_SIZE];
-            let mut cur = twin.clone();
-            for &b in *bytes {
-                cur[b] = 0xEE;
-            }
-            assert_eq!(
-                Diff::encode(&twin, &cur),
-                Diff::encode_naive(&twin, &cur),
-                "mismatch for dirty bytes {bytes:?}"
-            );
-        }
-        // Whole-page change: one maximal run under both encoders.
-        let twin = vec![1u8; PAGE_SIZE];
-        let cur = vec![2u8; PAGE_SIZE];
-        assert_eq!(Diff::encode(&twin, &cur), Diff::encode_naive(&twin, &cur));
     }
 
     /// The windowed encoder must reproduce the full scan exactly when

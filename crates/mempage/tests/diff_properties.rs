@@ -18,6 +18,56 @@ fn page_strategy() -> impl Strategy<Value = Vec<u8>> {
         })
 }
 
+/// The reference encoder: a plain one-word-at-a-time scan into the
+/// maximal runs of modified words, `[start, end)` in word indices — no
+/// block compare, no mask kernel, no popcount. The correctness baseline
+/// [`Diff::encode`] is checked against.
+fn naive_runs(twin: &[u8], cur: &[u8]) -> Vec<(usize, usize)> {
+    assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
+    assert_eq!(cur.len(), PAGE_SIZE, "page must be one page");
+    let same = |w: usize| {
+        let off = w * WORD_SIZE;
+        twin[off..off + WORD_SIZE] == cur[off..off + WORD_SIZE]
+    };
+    let mut runs = Vec::new();
+    let mut w = 0;
+    while w < WORDS {
+        if same(w) {
+            w += 1;
+            continue;
+        }
+        // Start of a modified run; extend while words differ.
+        let start = w;
+        while w < WORDS && !same(w) {
+            w += 1;
+        }
+        runs.push((start, w));
+    }
+    runs
+}
+
+/// Asserts that `diff` records exactly the words the naive scan finds
+/// modified between `twin` and `cur`, with `cur`'s values, in as many
+/// runs. Applied onto the complement of `cur`, where every word differs
+/// from `cur`'s, a recorded word shows as `cur`'s and any other as the
+/// complement's.
+fn assert_matches_naive(diff: &Diff, twin: &[u8], cur: &[u8]) {
+    let runs = naive_runs(twin, cur);
+    let words: usize = runs.iter().map(|&(start, end)| end - start).sum();
+    let complement: Vec<u8> = cur.iter().map(|b| !b).collect();
+    let mut expected = complement.clone();
+    for &(start, end) in &runs {
+        expected[start * WORD_SIZE..end * WORD_SIZE]
+            .copy_from_slice(&cur[start * WORD_SIZE..end * WORD_SIZE]);
+    }
+    let mut applied = complement;
+    diff.apply(&mut applied);
+    assert!(applied == expected, "recorded words differ from the scan's");
+    assert_eq!(diff.is_empty(), runs.is_empty());
+    assert_eq!(diff.run_count(), runs.len());
+    assert_eq!(diff.modified_bytes(), words * WORD_SIZE);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -106,18 +156,13 @@ proptest! {
     }
 
     /// The block encoder agrees with the naive word-scan reference:
-    /// same words, same bytes, same run count, same wire size.
+    /// same words, same bytes, same run count.
     #[test]
     fn chunked_encode_matches_naive_reference(
         twin in page_strategy(),
         cur in page_strategy(),
     ) {
-        let chunked = Diff::encode(&twin, &cur);
-        let naive = Diff::encode_naive(&twin, &cur);
-        prop_assert_eq!(&chunked, &naive);
-        prop_assert_eq!(chunked.run_count(), naive.run_count());
-        prop_assert_eq!(chunked.modified_bytes(), naive.modified_bytes());
-        prop_assert_eq!(chunked.wire_size(), naive.wire_size());
+        assert_matches_naive(&Diff::encode(&twin, &cur), &twin, &cur);
     }
 
     /// Buffer-reusing `encode_into` produces the same diff as the
@@ -272,15 +317,40 @@ fn pages_with_dirty_words(words: impl IntoIterator<Item = usize>) -> (Vec<u8>, V
 /// the round trip, and hands the diff back.
 fn checked_encode(twin: &[u8], cur: &[u8]) -> Diff {
     let diff = Diff::encode(twin, cur);
-    let naive = Diff::encode_naive(twin, cur);
-    assert_eq!(diff, naive);
-    assert_eq!(diff.run_count(), naive.run_count());
-    assert_eq!(diff.modified_bytes(), naive.modified_bytes());
-    assert_eq!(diff.wire_size(), naive.wire_size());
+    assert_matches_naive(&diff, twin, cur);
     let mut target = twin.to_vec();
     diff.apply(&mut target);
     assert_eq!(target, cur);
     diff
+}
+
+/// Edge cases of the chunked scan: changes at block boundaries, in
+/// the second word of a lane, and runs crossing block edges must
+/// reproduce the naive reference exactly.
+#[test]
+fn chunked_scan_matches_naive_at_boundaries() {
+    let cases: &[&[usize]] = &[
+        &[],                       // identical pages
+        &[0],                      // first byte
+        &[PAGE_SIZE - 1],          // last byte
+        &[63, 64],                 // run across a block edge
+        &[4, 5, 6, 7],             // second word of the first lane
+        &[60, 61, 62, 63, 64, 65], // straddles blocks mid-run
+        &[127, 128, 191, 192],     // multiple block edges
+        &[8, 72, 136],             // same lane offset, many blocks
+    ];
+    for bytes in cases {
+        let twin = vec![0u8; PAGE_SIZE];
+        let mut cur = twin.clone();
+        for &b in *bytes {
+            cur[b] = 0xEE;
+        }
+        assert_matches_naive(&Diff::encode(&twin, &cur), &twin, &cur);
+    }
+    // Whole-page change: one maximal run under both encoders.
+    let twin = vec![1u8; PAGE_SIZE];
+    let cur = vec![2u8; PAGE_SIZE];
+    assert_matches_naive(&Diff::encode(&twin, &cur), &twin, &cur);
 }
 
 #[test]

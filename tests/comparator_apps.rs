@@ -63,33 +63,3 @@ fn comparators_degenerate_cleanly_on_one_processor() {
         }
     }
 }
-
-#[test]
-fn migratory_optimisation_keeps_apps_correct_and_helps_is() {
-    // IS is the paper's migratory application (bucket pages passed under
-    // locks): the §7 optimisation should remove ownership exchanges.
-    let base = run_app(App::Is, ProtocolKind::Wfs, 4, Scale::Tiny);
-    let opts = RunOptions {
-        migratory_opt: true,
-        ..RunOptions::default()
-    };
-    let tuned = run_app_tuned(App::Is, ProtocolKind::Wfs, 4, Scale::Tiny, &opts);
-    assert!(base.ok, "{}", base.detail);
-    assert!(tuned.ok, "{}", tuned.detail);
-    assert!(
-        tuned.outcome.report.proto.migratory_grants > 0,
-        "IS should trigger migratory grants"
-    );
-    assert!(
-        tuned.outcome.report.net.ownership_requests()
-            <= base.outcome.report.net.ownership_requests(),
-        "migration on read miss must not add ownership requests ({} vs {})",
-        tuned.outcome.report.net.ownership_requests(),
-        base.outcome.report.net.ownership_requests()
-    );
-    // The other apps stay correct with the optimisation enabled.
-    for app in [App::Sor, App::Water, App::Barnes] {
-        let run = run_app_tuned(app, ProtocolKind::Wfs, 3, Scale::Tiny, &opts);
-        assert!(run.ok, "{app} with migratory opt: {}", run.detail);
-    }
-}
