@@ -11,8 +11,8 @@
 //!
 //! 1. **Correctness** — the recovered run still verifies against the
 //!    app's sequential reference (`AppRun::ok`).
-//! 2. **Re-run** — the scenario, re-read from its text form, reproduces
-//!    the run bit-identically (crash events and recovery traffic are
+//! 2. **Re-run** — a re-run of the same scenario reproduces the run
+//!    bit-identically (crash events and recovery traffic are
 //!    deterministic), and the journal's sums equal the run's chaos
 //!    counters, epoch-fence drops included.
 //! 3. **Fault-free no-op** — the same scenario with its fault schedule
@@ -112,8 +112,8 @@ pub struct CrashCell {
     pub ok: bool,
     /// Verification detail when `ok` is false.
     pub detail: String,
-    /// Did the scenario, re-read from its text form, reproduce the run,
-    /// and does its journal sum to the chaos counters?
+    /// Did a re-run of the scenario reproduce the run, and does its
+    /// journal sum to the chaos counters?
     pub replay_ok: bool,
     /// Did the emptied-schedule run equal the plain run exactly?
     pub baseline_ok: bool,
@@ -186,7 +186,7 @@ fn run_cell(nprocs: usize, scale: Scale, app: App, shape: FaultShape) -> CrashCe
     let run = run_under(Some(scenario.clone()));
     let r = &run.outcome.report;
 
-    // Gate 2: the scenario, through its text form, reproduces the run.
+    // Gate 2: a re-run of the scenario reproduces the run.
     let replay_ok = reproduces(&run, &scenario, |s| run_under(Some(s)));
 
     // Gate 3: emptying the fault schedule makes the scenario a no-op.

@@ -8,8 +8,8 @@
 //! 1. **Correctness** — the run's final image must still match the
 //!    app's sequential reference (`AppRun::ok`): retransmission and
 //!    duplicate suppression may cost virtual time but never answers.
-//! 2. **Re-run** — the scenario is the record: re-read from its text
-//!    form and run again, it must reproduce the run bit-identically
+//! 2. **Re-run** — the scenario is the record: run again, the same
+//!    scenario value must reproduce the run bit-identically
 //!    (same [`NetStats`](adsm_core::NetStats) totals, virtual time,
 //!    per-processor clocks, final image and journal), and the journal's
 //!    sums must equal the run's chaos counters
@@ -48,8 +48,8 @@ pub struct ScenarioCell {
     pub timeout_waits: u64,
     /// Deviation events in the recorded journal.
     pub journal_events: usize,
-    /// Did the scenario, re-read from its text form, reproduce the run
-    /// bit-identically, and does its journal sum to the chaos counters?
+    /// Did a re-run of the scenario reproduce the run bit-identically,
+    /// and does its journal sum to the chaos counters?
     pub replay_ok: bool,
     /// Perfect scenario only: did the run equal a plain (no-scenario)
     /// run exactly? `true` (vacuously) for chaotic scenarios.
@@ -123,7 +123,7 @@ fn run_cell(
         .journal()
         .expect("scenario runs record a journal");
 
-    // Gate 2: the scenario, through its text form, reproduces the run.
+    // Gate 2: a re-run of the scenario reproduces the run.
     let replay_ok = reproduces(&run, scenario, run_under);
 
     // Gate 3: a perfect scenario must be a no-op against the plain run.
@@ -152,21 +152,20 @@ fn run_cell(
 }
 
 /// The re-run gate's failure, as `--check` reports it.
-pub(crate) const REPRODUCE_FAILURE: &str = "re-running the scenario from its text form did not \
-     reproduce the run, or its journal does not sum to the chaos counters";
+pub(crate) const REPRODUCE_FAILURE: &str = "re-running the scenario did not reproduce the \
+     run, or its journal does not sum to the chaos counters";
 
-/// The re-run gate of the chaos sweeps: `scenario`, re-read from its
-/// text form and handed to `rerun`, reproduces `run` exactly — same
-/// `NetStats`, virtual time, per-processor clocks, image and journal —
-/// and the journal's sums are the run's chaos counters.
+/// The re-run gate of the chaos sweeps: a copy of `scenario` handed to
+/// `rerun` reproduces `run` exactly — same `NetStats`, virtual time,
+/// per-processor clocks, image and journal — and the journal's sums are
+/// the run's chaos counters.
 pub(crate) fn reproduces(
     run: &AppRun,
     scenario: &Scenario,
     rerun: impl FnOnce(Scenario) -> AppRun,
 ) -> bool {
     let (report, journal) = (&run.outcome.report, run.outcome.journal());
-    let reread = Scenario::parse(&scenario.to_text()).expect("canonical scenario text parses");
-    let again = rerun(reread);
+    let again = rerun(scenario.clone());
     again.ok
         && again.outcome.report.net == report.net
         && again.outcome.report.time == report.time

@@ -86,6 +86,6 @@ pub use system::{Dsm, DsmBuilder, RunError, RunOutcome};
 pub use adsm_mempage::{PageId, Pod, PAGE_SIZE};
 pub use adsm_netsim::{
     CostModel, Delivery, DeliveryJournal, Fault, FaultKind, JournalEvent, LinkProfile, MsgKind,
-    NetStats, RetryPolicy, Scenario, ScenarioParseError, SimTime, Trace, TraceKind,
+    NetStats, Scenario, SimTime, Trace, TraceKind,
 };
 pub use adsm_vclock::ProcId;

@@ -188,7 +188,6 @@ pub(crate) fn close_interval(
                     cost += super::hlrc::flush_diff_to_home(w, mems, p, page, &diff, now);
                     w.profiler.note_grain(modified);
                     trace_diff = true;
-                    w.dir[page.index()].last_diff_bytes = modified;
                 }
                 writes.push(WriteNotice {
                     page,
@@ -223,7 +222,6 @@ pub(crate) fn close_interval(
                 // diffs make the page a candidate for SW mode while small
                 // diffs keep it in MW mode.
                 let pg = &mut w.dir[page.index()];
-                pg.last_diff_bytes = modified;
                 pg.wants_sw = adaptive::wants_sw_after_diff(
                     w.cfg.protocol,
                     pg.wants_sw,

@@ -96,9 +96,6 @@ pub(crate) struct PageGlobal {
     /// Mechanism-1 state (§3.1.2): per-processor "I perceive this page as
     /// SW" reports, piggybacked on diff requests.
     pub reports_sw: Vec<bool>,
-    /// Most recent diff size for the page (bytes of modified data), for
-    /// the write-granularity test of WFS+WG.
-    pub last_diff_bytes: usize,
     /// WFS+WG: a writer observed a large diff with no false sharing and
     /// wants the page back in SW mode.
     pub wants_sw: bool,
@@ -118,7 +115,6 @@ impl PageGlobal {
             drop_pending: false,
             copyset: vec![false; nprocs],
             reports_sw: vec![true; nprocs],
-            last_diff_bytes: 0,
             wants_sw: false,
             touched: false,
             home: None,
@@ -671,9 +667,9 @@ impl World {
     /// and unrecorded, like local calls in the real system.
     ///
     /// With a chaos scenario active the delivery layer may add timeout
-    /// waits (drops + retransmission), extra latency (jitter, reorder,
-    /// fault stalls), and suppressed duplicates — whose discard is
-    /// charged to the receiver through [`World::deferred_costs`].
+    /// waits (drops + retransmission), extra latency (jitter, reorder),
+    /// and suppressed duplicates — whose discard is charged to the
+    /// receiver through [`World::deferred_costs`].
     pub fn msg(
         &mut self,
         kind: MsgKind,
@@ -712,9 +708,7 @@ impl World {
     /// Emits a Figure-3 trace point with the current cluster-wide diff
     /// population.
     pub fn trace_event(&mut self, time: SimTime, kind: adsm_netsim::TraceKind) {
-        let diffs = self.proto.diffs_alive;
-        let bytes = self.proto.diff_bytes_alive + self.proto.twin_bytes_alive;
-        self.trace.push(time, kind, diffs, bytes);
+        self.trace.push(time, kind, self.proto.diffs_alive);
     }
 
     /// Marks a page as touched by any processor (for Table 2's shared

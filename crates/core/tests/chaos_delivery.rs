@@ -1,7 +1,7 @@
 //! End-to-end tests of the chaos delivery layer: lossy runs stay
-//! correct and count their deviations, a scenario re-read from its text
-//! form reproduces its run bit-identically, journals sum to the chaos
-//! counters, and perfect scenarios are invisible.
+//! correct and count their deviations, a scenario run again reproduces
+//! its run bit-identically, journals sum to the chaos counters, and
+//! perfect scenarios are invisible.
 
 use adsm_core::{Dsm, ProtocolKind, RunOutcome, Scenario, SimTime};
 
@@ -47,7 +47,7 @@ fn lossy_run_is_correct_and_counts_deviations() {
         // 2% loss + 1% duplication: deviations are certain at this
         // traffic volume, correctness must be untouched.
         let mut scenario = Scenario::lossy("lossy-test", 9, 20_000);
-        scenario.default_link.dup_ppm = 10_000;
+        scenario.link.dup_ppm = 10_000;
         let chaotic = run_with(protocol, Some(scenario));
 
         let net = &chaotic.report.net;
@@ -74,13 +74,12 @@ fn lossy_run_is_correct_and_counts_deviations() {
 }
 
 #[test]
-fn a_scenario_reread_from_text_reproduces_its_run() {
+fn a_scenario_run_again_reproduces_its_run() {
     let mut scenario = Scenario::lossy("rerun-test", 1997, 30_000);
-    scenario.default_link.dup_ppm = 15_000;
-    scenario.default_link.reorder_ppm = 50_000;
-    let reread = Scenario::parse(&scenario.to_text()).expect("scenario text parses");
-    let recorded = run_with(ProtocolKind::Wfs, Some(scenario));
-    let again = run_with(ProtocolKind::Wfs, Some(reread));
+    scenario.link.dup_ppm = 15_000;
+    scenario.link.reorder_ppm = 50_000;
+    let recorded = run_with(ProtocolKind::Wfs, Some(scenario.clone()));
+    let again = run_with(ProtocolKind::Wfs, Some(scenario));
     assert_eq!(again.report.net, recorded.report.net);
     assert_eq!(again.report.time, recorded.report.time);
     assert_eq!(again.report.proc_times, recorded.report.proc_times);

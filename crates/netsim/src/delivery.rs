@@ -3,9 +3,9 @@
 //! Protocol sends funnel through [`Delivery::transmit`]. A deterministic
 //! PRNG (seeded by the scenario, keyed per link and per-link sequence
 //! number) decides drops, duplicates, reordering and jitter, the fault
-//! schedule adds stalls, link-down windows and epoch-fence drops, and
-//! every deviation is journaled. The draws are stateless, so the same
-//! scenario over the same message stream decides the same fates.
+//! schedule adds loss bursts and epoch-fence drops, and every deviation
+//! is journaled. The draws are stateless, so the same scenario over the
+//! same message stream decides the same fates.
 //!
 //! The cost-model semantics: a dropped transmission costs the *sender* a
 //! retransmission timeout (bounded exponential backoff) plus the resend
@@ -23,7 +23,7 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeliveryOutcome {
     /// Extra virtual time on top of the base message cost: timeout waits
-    /// from drops plus delivery delay from jitter/reorder/stalls.
+    /// from drops plus delivery delay from jitter/reorder.
     pub extra: SimTime,
     /// The receiver saw a suppressed duplicate copy (the caller should
     /// charge it a service interrupt for the discard).
@@ -51,6 +51,21 @@ const SALT_REORDER_DELAY: u64 = 0x40;
 const SALT_JITTER: u64 = 0x50;
 
 const PPM: u64 = 1_000_000;
+
+/// First retransmission timeout; each retry doubles it up to
+/// [`MAX_TIMEOUT`].
+const FIRST_TIMEOUT: SimTime = SimTime::from_ms(2);
+/// Ceiling on any single retransmission timeout.
+const MAX_TIMEOUT: SimTime = SimTime::from_ms(16);
+/// After this many consecutive losses the message is forced through.
+const MAX_RETRIES: u32 = 12;
+
+/// Timeout before the `attempt`-th retransmission (0-based): 2 ms,
+/// doubling, capped at 16 ms.
+fn timeout_for(attempt: u32) -> SimTime {
+    // Three doublings reach the cap; clamping the shift keeps it in range.
+    SimTime::from_ns((FIRST_TIMEOUT.as_ns() << attempt.min(8)).min(MAX_TIMEOUT.as_ns()))
+}
 
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -118,8 +133,7 @@ impl Delivery {
         let link = src * self.nprocs + dst;
         let seq = self.link_seq[link];
         self.link_seq[link] += 1;
-        let profile = self.scenario.link(src as u32, dst as u32);
-        let retry = self.scenario.retry;
+        let profile = self.scenario.link;
         let mut wait = SimTime::ZERO;
         let mut delay = SimTime::ZERO;
         let mut drops = 0u32;
@@ -127,19 +141,13 @@ impl Delivery {
         let mut t = now;
         let dup;
         loop {
-            // A stalled endpoint holds the message until its window ends
-            // (windows are finite, so this always advances).
-            while let Some(end) = self.stall_end(src, dst, t) {
-                delay += end - t;
-                t = end;
-            }
             // Epoch fence: a copy landing while an endpoint's incarnation
             // is dead is discarded by the receiver; the sender backs off
             // and retries. Fence drops are deterministic schedule
-            // effects, so they never count against `max_retries` (the
+            // effects, so they never count against `MAX_RETRIES` (the
             // down window is finite, so the retry loop always escapes).
             if self.epoch_fenced(src, dst, t) {
-                let timeout = retry.timeout_for(drops + edrops);
+                let timeout = timeout_for(drops + edrops);
                 net.note_epoch_drop();
                 net.note_timeout_wait();
                 wait += timeout;
@@ -152,10 +160,9 @@ impl Delivery {
             }
             let burst = self.burst_loss(t);
             let loss_ppm = profile.loss_ppm.max(burst);
-            let lost = self.link_down(src, dst, t)
-                || self.ppm_hit(src, dst, seq, SALT_LOSS ^ (drops as u64) << 8, loss_ppm);
-            if lost && drops < retry.max_retries {
-                let timeout = retry.timeout_for(drops + edrops);
+            let lost = self.ppm_hit(src, dst, seq, SALT_LOSS ^ (drops as u64) << 8, loss_ppm);
+            if lost && drops < MAX_RETRIES {
+                let timeout = timeout_for(drops + edrops);
                 net.note_drop();
                 net.note_timeout_wait();
                 wait += timeout;
@@ -166,7 +173,7 @@ impl Delivery {
                 net.note_retransmission();
                 continue;
             }
-            // Delivered (possibly forced through after max_retries — the
+            // Delivered (possibly forced through after MAX_RETRIES — the
             // scenario engine models loss, not partition).
             dup = self.ppm_hit(src, dst, seq, SALT_DUP, profile.dup_ppm);
             if dup {
@@ -219,21 +226,6 @@ impl Delivery {
         ppm > 0 && self.draw(src, dst, seq, salt) % PPM < ppm as u64
     }
 
-    /// End of the latest stall window covering `src` or `dst` at `t`.
-    fn stall_end(&self, src: usize, dst: usize, t: SimTime) -> Option<SimTime> {
-        self.scenario
-            .faults
-            .iter()
-            .filter(|f| f.active_at(t))
-            .filter_map(|f| match f.kind {
-                FaultKind::ProcStall { proc } => {
-                    (proc as usize == src || proc as usize == dst).then(|| f.end())
-                }
-                _ => None,
-            })
-            .fold(None, |acc, e| Some(acc.map_or(e, |a: SimTime| a.max(e))))
-    }
-
     /// Whether either endpoint's incarnation is dead at `t` (crashed and
     /// not yet restarted): the copy is from, or addressed to, a dead
     /// epoch, so the receiver's epoch fence discards it.
@@ -241,16 +233,6 @@ impl Delivery {
         self.crash_spans
             .iter()
             .any(|w| w.covers(src as u32, t) || w.covers(dst as u32, t))
-    }
-
-    /// Whether a link-down window covers `src -> dst` at `t`.
-    fn link_down(&self, src: usize, dst: usize, t: SimTime) -> bool {
-        self.scenario.faults.iter().any(|f| {
-            f.active_at(t)
-                && matches!(f.kind, FaultKind::LinkDown { src: s, dst: d }
-                    if s.is_none_or(|v| v as usize == src)
-                        && d.is_none_or(|v| v as usize == dst))
-        })
     }
 
     /// Loss floor from active congestion bursts at `t`.
@@ -271,7 +253,7 @@ impl Delivery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Fault, LinkProfile, RetryPolicy};
+    use crate::scenario::Fault;
 
     fn lossy(seed: u64, loss_ppm: u32) -> Arc<Scenario> {
         Scenario::lossy("t", seed, loss_ppm).into_arc()
@@ -328,16 +310,17 @@ mod tests {
     }
 
     #[test]
+    fn timeout_backoff_is_bounded() {
+        assert_eq!(timeout_for(0), SimTime::from_ms(2));
+        assert_eq!(timeout_for(1), SimTime::from_ms(4));
+        assert_eq!(timeout_for(2), SimTime::from_ms(8));
+        assert_eq!(timeout_for(3), SimTime::from_ms(16));
+        assert_eq!(timeout_for(60), SimTime::from_ms(16), "cap holds");
+    }
+
+    #[test]
     fn max_retries_forces_delivery_through_total_loss() {
-        let sc = {
-            let mut s = Scenario::lossy("dead", 3, 1_000_000);
-            s.retry = RetryPolicy {
-                max_retries: 4,
-                ..RetryPolicy::default()
-            };
-            s.into_arc()
-        };
-        let mut d = Delivery::record(sc, 2);
+        let mut d = Delivery::record(lossy(3, 1_000_000), 2);
         let mut net = NetStats::new();
         let o = d.transmit(
             MsgKind::PageRequest,
@@ -348,79 +331,9 @@ mod tests {
             SimTime::from_us(500),
             &mut net,
         );
-        assert_eq!(net.dropped_msgs(), 4);
-        // 2ms + 4ms + 8ms + 16ms of backoff.
-        assert_eq!(o.extra, SimTime::from_ms(30));
-    }
-
-    #[test]
-    fn link_down_window_forces_drops_then_recovers() {
-        let sc = {
-            let mut s = Scenario::perfect();
-            s.name = "down".to_string();
-            s.faults.push(Fault {
-                at: SimTime::ZERO,
-                duration: SimTime::from_ms(3),
-                kind: FaultKind::LinkDown {
-                    src: Some(0),
-                    dst: None,
-                },
-            });
-            s.into_arc()
-        };
-        let mut d = Delivery::record(sc, 2);
-        let mut net = NetStats::new();
-        let o = d.transmit(
-            MsgKind::PageRequest,
-            16,
-            0,
-            1,
-            SimTime::ZERO,
-            SimTime::from_us(500),
-            &mut net,
-        );
-        // Dropped at t=0 (down), retried at t=2ms (down), delivered at
-        // t=2ms+4ms=6ms which is past the window.
-        assert_eq!(net.dropped_msgs(), 2);
-        assert_eq!(o.extra, SimTime::from_ms(6));
-        // The reverse link never matched the filter.
-        let o2 = d.transmit(
-            MsgKind::PageReply,
-            16,
-            1,
-            0,
-            SimTime::ZERO,
-            SimTime::from_us(500),
-            &mut net,
-        );
-        assert_eq!(o2, DeliveryOutcome::CLEAN);
-    }
-
-    #[test]
-    fn stall_window_delays_without_dropping() {
-        let sc = {
-            let mut s = Scenario::perfect();
-            s.name = "stall".to_string();
-            s.faults.push(Fault {
-                at: SimTime::ZERO,
-                duration: SimTime::from_ms(5),
-                kind: FaultKind::ProcStall { proc: 1 },
-            });
-            s.into_arc()
-        };
-        let mut d = Delivery::record(sc, 2);
-        let mut net = NetStats::new();
-        let o = d.transmit(
-            MsgKind::PageRequest,
-            16,
-            0,
-            1,
-            SimTime::from_ms(1),
-            SimTime::from_us(500),
-            &mut net,
-        );
-        assert_eq!(o.extra, SimTime::from_ms(4), "held until the window ends");
-        assert_eq!(net.dropped_msgs(), 0);
+        assert_eq!(net.dropped_msgs(), u64::from(MAX_RETRIES));
+        // 2 + 4 + 8 ms, then nine timeouts at the 16 ms cap.
+        assert_eq!(o.extra, SimTime::from_ms(2 + 4 + 8 + 16 * 9));
     }
 
     #[test]
@@ -493,44 +406,5 @@ mod tests {
         assert!(outs.iter().all(|o| *o == DeliveryOutcome::CLEAN));
         assert_eq!(net.epoch_drops(), 0);
         assert!(d.into_journal().events.is_empty());
-    }
-
-    #[test]
-    fn link_profile_overrides_apply_per_direction() {
-        let sc = {
-            let mut s = Scenario::perfect();
-            s.name = "odd-link".to_string();
-            s.links.push((
-                0,
-                1,
-                LinkProfile {
-                    loss_ppm: 1_000_000,
-                    ..LinkProfile::PERFECT
-                },
-            ));
-            s.into_arc()
-        };
-        let mut d = Delivery::record(sc, 2);
-        let mut net = NetStats::new();
-        let o = d.transmit(
-            MsgKind::PageRequest,
-            16,
-            0,
-            1,
-            SimTime::ZERO,
-            SimTime::from_us(500),
-            &mut net,
-        );
-        assert!(o.extra > SimTime::ZERO);
-        let o2 = d.transmit(
-            MsgKind::PageReply,
-            16,
-            1,
-            0,
-            SimTime::ZERO,
-            SimTime::from_us(500),
-            &mut net,
-        );
-        assert_eq!(o2, DeliveryOutcome::CLEAN);
     }
 }

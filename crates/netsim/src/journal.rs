@@ -1,8 +1,8 @@
 //! The delivery journal of a chaos run.
 //!
 //! While a chaotic scenario is active, every message whose fate deviates
-//! from clean delivery (a drop, a duplicate, extra delay, a fault stall)
-//! is appended to a [`DeliveryJournal`]. Messages delivered cleanly are
+//! from clean delivery (a drop, a duplicate, extra delay, an epoch-fence
+//! drop) is appended to a [`DeliveryJournal`]. Messages delivered cleanly are
 //! implicit — they are identified by their per-link sequence number, so
 //! the journal stays proportional to the number of *deviations*, not the
 //! number of messages.
@@ -33,7 +33,7 @@ pub struct JournalEvent {
     /// Total timeout time the sender spent waiting across those drops.
     pub wait: SimTime,
     /// Extra delivery latency beyond the base message cost (jitter,
-    /// reorder overtaking, fault stalls).
+    /// reorder overtaking).
     pub delay: SimTime,
     /// Whether the receiver saw a second (suppressed) copy.
     pub dup: bool,

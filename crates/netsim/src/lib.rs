@@ -15,6 +15,12 @@
 //! Protocol executions charge these costs to per-processor virtual
 //! clocks; speedups, traffic tables and the Fig. 3 time series are all
 //! derived from virtual time, which makes every run deterministic.
+//!
+//! Beyond the paper's reliable network, a [`Scenario`] describes an
+//! imperfect one — one [`LinkProfile`] for every link and a schedule of
+//! loss bursts, processor crashes and restarts, and HLRC home failovers
+//! — and [`Delivery`] decides each message's fate under it, retrying
+//! lost copies with a fixed timeout-and-backoff policy.
 
 #![forbid(unsafe_code)]
 
@@ -29,10 +35,7 @@ mod trace;
 pub use cost::CostModel;
 pub use delivery::{Delivery, DeliveryOutcome};
 pub use journal::{DeliveryJournal, JournalEvent};
-pub use scenario::{
-    crash_windows, CrashWindow, Fault, FaultKind, LinkProfile, RetryPolicy, Scenario,
-    ScenarioParseError,
-};
+pub use scenario::{crash_windows, CrashWindow, Fault, FaultKind, LinkProfile, Scenario};
 pub use stats::{MsgKind, NetStats, MSG_HEADER_BYTES};
 pub use time::SimTime;
 pub use trace::{Trace, TraceKind, TracePoint};

@@ -1,51 +1,18 @@
 //! Chaos scenarios: declarative descriptions of an imperfect network.
 //!
-//! A [`Scenario`] names a seed, per-link loss/duplication/reorder rates
-//! and latency jitter, a fault schedule keyed on **virtual time**, and a
-//! retransmission policy. The [`crate::Delivery`] layer draws every
-//! message's fate from a deterministic PRNG seeded by the scenario, so
-//! the same scenario always produces the same run under the simulator
-//! backend.
-//!
-//! Scenarios serialize to a line-based text format (`to_text` /
-//! [`Scenario::parse`]) whose round trip is exact — rates are integer
-//! parts-per-million and times are integer nanoseconds, so no float ever
-//! enters the format.
+//! A [`Scenario`] names a seed, one loss/duplication/reorder/jitter
+//! profile shared by every link, and a fault schedule keyed on **virtual
+//! time**. The [`crate::Delivery`] layer draws every message's fate from
+//! a deterministic PRNG seeded by the scenario, so the same scenario
+//! value always produces the same run under the simulator backend.
 
 use crate::SimTime;
-use std::fmt;
 use std::sync::Arc;
 
-/// Error from [`Scenario::parse`]: line number and reason.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScenarioParseError {
-    /// 1-based line the error was found on (0 for whole-file errors).
-    pub line: usize,
-    /// What went wrong.
-    pub reason: String,
-}
-
-impl fmt::Display for ScenarioParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for ScenarioParseError {}
-
-fn err(line: usize, reason: impl Into<String>) -> ScenarioParseError {
-    ScenarioParseError {
-        line,
-        reason: reason.into(),
-    }
-}
-
-/// Loss/duplication/reorder rates and latency jitter for one link (or
-/// the scenario-wide default).
+/// Loss/duplication/reorder rates and latency jitter of every link.
 ///
-/// Rates are integer **parts per million** so the text format round-trips
-/// exactly; `jitter_ns` is the maximum extra one-way latency, drawn
-/// uniformly in `[0, jitter_ns]`.
+/// Rates are integer **parts per million**; `jitter_ns` is the maximum
+/// extra one-way latency, drawn uniformly in `[0, jitter_ns]`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkProfile {
     /// Probability (ppm) that a transmission is lost in flight.
@@ -74,65 +41,9 @@ impl LinkProfile {
     }
 }
 
-/// Timeout and bounded exponential backoff governing retransmission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// First retransmission timeout.
-    pub timeout: SimTime,
-    /// Backoff multiplier applied per retry (2 doubles each time).
-    pub backoff: u32,
-    /// Ceiling on any single timeout.
-    pub max_timeout: SimTime,
-    /// After this many consecutive losses the delivery layer forces the
-    /// message through (the scenario engine models a lossy network, not
-    /// a partitioned one — protocols here have no partition story yet).
-    pub max_retries: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            timeout: SimTime::from_ms(2),
-            backoff: 2,
-            max_timeout: SimTime::from_ms(16),
-            max_retries: 12,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Timeout for the `attempt`-th retransmission (0-based), with
-    /// exponential backoff capped at `max_timeout`.
-    pub fn timeout_for(&self, attempt: u32) -> SimTime {
-        let mut t = self.timeout.as_ns();
-        let cap = self.max_timeout.as_ns().max(self.timeout.as_ns());
-        for _ in 0..attempt {
-            t = t.saturating_mul(self.backoff.max(1) as u64);
-            if t >= cap {
-                return SimTime::from_ns(cap);
-            }
-        }
-        SimTime::from_ns(t.min(cap))
-    }
-}
-
 /// What a scheduled fault does while its window is active.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Every transmission on matching links is lost (`None` matches any
-    /// endpoint).
-    LinkDown {
-        /// Source filter (`None` = any source).
-        src: Option<u32>,
-        /// Destination filter (`None` = any destination).
-        dst: Option<u32>,
-    },
-    /// A processor stops servicing the network; messages to or from it
-    /// stall until the window closes.
-    ProcStall {
-        /// The stalled processor.
-        proc: u32,
-    },
     /// A congestion burst: all links lose at least this rate.
     LossBurst {
         /// Loss floor (ppm) while the burst is active.
@@ -190,81 +101,6 @@ impl Fault {
     pub fn end(&self) -> SimTime {
         self.at + self.duration
     }
-
-    /// One canonical text line (`fault at_ns=… dur_ns=… <kind> …`) of
-    /// the scenario format.
-    fn to_line(self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "fault at_ns={} dur_ns={} ",
-            self.at.as_ns(),
-            self.duration.as_ns()
-        );
-        match self.kind {
-            FaultKind::LinkDown { src, dst } => {
-                let fmt_end = |e: Option<u32>| match e {
-                    Some(v) => v.to_string(),
-                    None => "*".to_string(),
-                };
-                let _ = write!(out, "down src={} dst={}", fmt_end(src), fmt_end(dst));
-            }
-            FaultKind::ProcStall { proc } => {
-                let _ = write!(out, "stall proc={proc}");
-            }
-            FaultKind::LossBurst { loss_ppm } => {
-                let _ = write!(out, "burst loss_ppm={loss_ppm}");
-            }
-            FaultKind::ProcCrash { proc } => {
-                let _ = write!(out, "crash proc={proc}");
-            }
-            FaultKind::ProcRestart { proc } => {
-                let _ = write!(out, "restart proc={proc}");
-            }
-            FaultKind::HomeFailover { home } => {
-                let _ = write!(out, "failover home={home}");
-            }
-        }
-        out
-    }
-
-    /// Parses the `key=value` tail of a fault line (everything after the
-    /// `fault ` directive). `line_no` seeds error positions.
-    fn parse_tail(line_no: usize, rest: &str) -> Result<Fault, ScenarioParseError> {
-        let kv = KvLine::new(line_no, rest);
-        let at = SimTime::from_ns(kv.get("at_ns")?);
-        let duration = SimTime::from_ns(kv.get("dur_ns")?);
-        let kind = if kv.has_word("down") {
-            FaultKind::LinkDown {
-                src: kv.get_opt_endpoint("src")?,
-                dst: kv.get_opt_endpoint("dst")?,
-            }
-        } else if kv.has_word("stall") {
-            FaultKind::ProcStall {
-                proc: kv.get("proc")? as u32,
-            }
-        } else if kv.has_word("burst") {
-            FaultKind::LossBurst {
-                loss_ppm: kv.get("loss_ppm")? as u32,
-            }
-        } else if kv.has_word("crash") {
-            FaultKind::ProcCrash {
-                proc: kv.get("proc")? as u32,
-            }
-        } else if kv.has_word("restart") {
-            FaultKind::ProcRestart {
-                proc: kv.get("proc")? as u32,
-            }
-        } else if kv.has_word("failover") {
-            FaultKind::HomeFailover {
-                home: kv.get("home")? as u32,
-            }
-        } else {
-            return Err(err(line_no, format!("unknown fault kind in '{rest}'")));
-        };
-        Ok(Fault { at, duration, kind })
-    }
 }
 
 /// A resolved processor down-time span: `proc` is dead over
@@ -316,8 +152,10 @@ pub fn crash_windows(faults: &[Fault]) -> Vec<CrashWindow> {
     out
 }
 
-/// A complete chaos scenario: seed, link profiles, fault schedule, and
-/// retry policy.
+/// A complete chaos scenario: seed, link profile and fault schedule.
+///
+/// The value is the record of a run: the same scenario over the same
+/// program decides the same fates.
 ///
 /// # Examples
 ///
@@ -325,23 +163,19 @@ pub fn crash_windows(faults: &[Fault]) -> Vec<CrashWindow> {
 /// use adsm_netsim::Scenario;
 ///
 /// let s = Scenario::lossy("flaky", 42, 10_000); // 1% loss
-/// let text = s.to_text();
-/// assert_eq!(Scenario::parse(&text).unwrap(), s);
+/// assert!(s.is_chaotic());
+/// assert_eq!(s.link.loss_ppm, 10_000);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Scenario {
-    /// Scenario name (`[A-Za-z0-9._-]+`), used in reports and journals.
+    /// Scenario name, used in reports and journals.
     pub name: String,
     /// PRNG seed; all fate draws derive from it.
     pub seed: u64,
-    /// Profile for links without an explicit override.
-    pub default_link: LinkProfile,
-    /// Per-link overrides `(src, dst, profile)`.
-    pub links: Vec<(u32, u32, LinkProfile)>,
+    /// Profile of every link.
+    pub link: LinkProfile,
     /// Scheduled fault windows.
     pub faults: Vec<Fault>,
-    /// Retransmission policy.
-    pub retry: RetryPolicy,
 }
 
 impl Scenario {
@@ -352,10 +186,8 @@ impl Scenario {
         Scenario {
             name: "perfect".to_string(),
             seed: 1,
-            default_link: LinkProfile::PERFECT,
-            links: Vec::new(),
+            link: LinkProfile::PERFECT,
             faults: Vec::new(),
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -365,7 +197,7 @@ impl Scenario {
         Scenario {
             name: name.to_string(),
             seed,
-            default_link: LinkProfile {
+            link: LinkProfile {
                 loss_ppm,
                 ..LinkProfile::PERFECT
             },
@@ -378,10 +210,10 @@ impl Scenario {
     /// jittery-latency.
     pub fn corpus() -> Vec<Scenario> {
         let mut lossy1 = Scenario::lossy("lossy-1pct", 42, 10_000);
-        lossy1.default_link.dup_ppm = 5_000;
+        lossy1.link.dup_ppm = 5_000;
 
         let mut lossy10 = Scenario::lossy("lossy-10pct-reorder", 1997, 100_000);
-        lossy10.default_link.reorder_ppm = 200_000;
+        lossy10.link.reorder_ppm = 200_000;
 
         let mut bursty = Scenario {
             name: "bursty-loss".to_string(),
@@ -399,7 +231,7 @@ impl Scenario {
         let jittery = Scenario {
             name: "jittery-latency".to_string(),
             seed: 77,
-            default_link: LinkProfile {
+            link: LinkProfile {
                 dup_ppm: 10_000,
                 jitter_ns: 600_000,
                 ..LinkProfile::PERFECT
@@ -415,199 +247,22 @@ impl Scenario {
         Scenario::corpus().into_iter().find(|s| s.name == name)
     }
 
-    /// Profile of the `src -> dst` link (override or default).
-    pub fn link(&self, src: u32, dst: u32) -> LinkProfile {
-        self.links
-            .iter()
-            .find(|(s, d, _)| *s == src && *d == dst)
-            .map(|(_, _, p)| *p)
-            .unwrap_or(self.default_link)
-    }
-
-    /// True when any link can deviate from perfect delivery or any
+    /// True when the links can deviate from perfect delivery or any
     /// fault is scheduled. A non-chaotic scenario takes the zero-cost
     /// fast path: no draws, no journal entries, no allocations.
     pub fn is_chaotic(&self) -> bool {
-        !self.default_link.is_perfect()
-            || self.links.iter().any(|(_, _, p)| !p.is_perfect())
-            || !self.faults.is_empty()
+        !self.link.is_perfect() || !self.faults.is_empty()
     }
 
     /// Convenience: wraps the scenario for sharing with a run.
     pub fn into_arc(self) -> Arc<Scenario> {
         Arc::new(self)
     }
-
-    /// Serializes to the canonical line-based text format. The output of
-    /// `to_text` always parses back to an equal scenario.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("scenario v1\n");
-        let _ = writeln!(out, "name {}", self.name);
-        let _ = writeln!(out, "seed {}", self.seed);
-        let r = &self.retry;
-        let _ = writeln!(
-            out,
-            "retry timeout_ns={} backoff={} max_timeout_ns={} max_retries={}",
-            r.timeout.as_ns(),
-            r.backoff,
-            r.max_timeout.as_ns(),
-            r.max_retries
-        );
-        let link_line = |label: &str, p: &LinkProfile, out: &mut String| {
-            let _ = writeln!(
-                out,
-                "link {label} loss_ppm={} dup_ppm={} reorder_ppm={} jitter_ns={}",
-                p.loss_ppm, p.dup_ppm, p.reorder_ppm, p.jitter_ns
-            );
-        };
-        link_line("*", &self.default_link, &mut out);
-        for (s, d, p) in &self.links {
-            link_line(&format!("{s}->{d}"), p, &mut out);
-        }
-        for f in &self.faults {
-            let _ = writeln!(out, "{}", f.to_line());
-        }
-        out
-    }
-
-    /// Parses the text format produced by [`Scenario::to_text`]. Blank
-    /// lines and `#` comments are allowed.
-    pub fn parse(text: &str) -> Result<Scenario, ScenarioParseError> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-        match lines.next() {
-            Some((_, "scenario v1")) => {}
-            Some((n, l)) => return Err(err(n, format!("expected 'scenario v1', got '{l}'"))),
-            None => return Err(err(0, "empty scenario file")),
-        }
-        let mut sc = Scenario::perfect();
-        sc.name = String::new();
-        let mut saw_default_link = false;
-        for (n, line) in lines {
-            let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
-            match key {
-                "name" => {
-                    if rest.is_empty()
-                        || !rest
-                            .chars()
-                            .all(|c| c.is_ascii_alphanumeric() || "._-".contains(c))
-                    {
-                        return Err(err(n, format!("invalid scenario name '{rest}'")));
-                    }
-                    sc.name = rest.to_string();
-                }
-                "seed" => sc.seed = parse_u64(n, rest, "seed")?,
-                "retry" => {
-                    let kv = KvLine::new(n, rest);
-                    sc.retry = RetryPolicy {
-                        timeout: SimTime::from_ns(kv.get("timeout_ns")?),
-                        backoff: kv.get("backoff")? as u32,
-                        max_timeout: SimTime::from_ns(kv.get("max_timeout_ns")?),
-                        max_retries: kv.get("max_retries")? as u32,
-                    };
-                }
-                "link" => {
-                    let (label, kvs) = rest
-                        .split_once(' ')
-                        .ok_or_else(|| err(n, "link line needs a target and rates"))?;
-                    let kv = KvLine::new(n, kvs);
-                    let p = LinkProfile {
-                        loss_ppm: kv.get("loss_ppm")? as u32,
-                        dup_ppm: kv.get("dup_ppm")? as u32,
-                        reorder_ppm: kv.get("reorder_ppm")? as u32,
-                        jitter_ns: kv.get("jitter_ns")?,
-                    };
-                    if label == "*" {
-                        sc.default_link = p;
-                        saw_default_link = true;
-                    } else {
-                        let (s, d) = label
-                            .split_once("->")
-                            .ok_or_else(|| err(n, format!("bad link target '{label}'")))?;
-                        sc.links.push((
-                            parse_u64(n, s, "link src")? as u32,
-                            parse_u64(n, d, "link dst")? as u32,
-                            p,
-                        ));
-                    }
-                }
-                "fault" => sc.faults.push(Fault::parse_tail(n, rest)?),
-                other => return Err(err(n, format!("unknown directive '{other}'"))),
-            }
-        }
-        if sc.name.is_empty() {
-            return Err(err(0, "scenario has no name line"));
-        }
-        if !saw_default_link {
-            return Err(err(0, "scenario has no 'link *' default line"));
-        }
-        Ok(sc)
-    }
-}
-
-fn parse_u64(line: usize, s: &str, what: &str) -> Result<u64, ScenarioParseError> {
-    s.parse::<u64>()
-        .map_err(|_| err(line, format!("bad {what} value '{s}'")))
-}
-
-/// Helper over `key=value` tokens on one line.
-struct KvLine<'a> {
-    line: usize,
-    rest: &'a str,
-}
-
-impl<'a> KvLine<'a> {
-    fn new(line: usize, rest: &'a str) -> Self {
-        KvLine { line, rest }
-    }
-
-    fn find(&self, key: &str) -> Option<&'a str> {
-        self.rest.split_ascii_whitespace().find_map(|tok| {
-            let (k, v) = tok.split_once('=')?;
-            (k == key).then_some(v)
-        })
-    }
-
-    fn get(&self, key: &str) -> Result<u64, ScenarioParseError> {
-        let v = self
-            .find(key)
-            .ok_or_else(|| err(self.line, format!("missing {key}=")))?;
-        parse_u64(self.line, v, key)
-    }
-
-    /// An endpoint value: a processor id or `*` for "any".
-    fn get_opt_endpoint(&self, key: &str) -> Result<Option<u32>, ScenarioParseError> {
-        match self.find(key) {
-            None => Err(err(self.line, format!("missing {key}="))),
-            Some("*") => Ok(None),
-            Some(v) => Ok(Some(parse_u64(self.line, v, key)? as u32)),
-        }
-    }
-
-    /// Whether a bare (non `key=value`) word appears on the line.
-    fn has_word(&self, word: &str) -> bool {
-        self.rest.split_ascii_whitespace().any(|tok| tok == word)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn corpus_round_trips() {
-        for sc in Scenario::corpus() {
-            let text = sc.to_text();
-            let back = Scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", sc.name));
-            assert_eq!(back, sc, "{} round trip", sc.name);
-            assert_eq!(back.to_text(), text, "{} canonical form", sc.name);
-        }
-    }
 
     #[test]
     fn corpus_names_are_unique_and_perfect_is_first() {
@@ -618,92 +273,6 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), corpus.len());
-    }
-
-    #[test]
-    fn link_overrides_and_faults_round_trip() {
-        let sc = Scenario {
-            name: "mixed.faults-1".to_string(),
-            seed: 99,
-            default_link: LinkProfile {
-                loss_ppm: 1,
-                dup_ppm: 2,
-                reorder_ppm: 3,
-                jitter_ns: 4,
-            },
-            links: vec![(
-                0,
-                3,
-                LinkProfile {
-                    loss_ppm: 900_000,
-                    ..LinkProfile::PERFECT
-                },
-            )],
-            faults: vec![
-                Fault {
-                    at: SimTime::from_ms(5),
-                    duration: SimTime::from_ms(2),
-                    kind: FaultKind::LinkDown {
-                        src: None,
-                        dst: Some(3),
-                    },
-                },
-                Fault {
-                    at: SimTime::from_ms(9),
-                    duration: SimTime::from_us(700),
-                    kind: FaultKind::ProcStall { proc: 2 },
-                },
-                Fault {
-                    at: SimTime::from_ms(11),
-                    duration: SimTime::from_ms(1),
-                    kind: FaultKind::LossBurst { loss_ppm: 400_000 },
-                },
-                Fault {
-                    at: SimTime::from_ms(13),
-                    duration: SimTime::ZERO,
-                    kind: FaultKind::ProcCrash { proc: 1 },
-                },
-                Fault {
-                    at: SimTime::from_ms(14),
-                    duration: SimTime::ZERO,
-                    kind: FaultKind::ProcRestart { proc: 1 },
-                },
-                Fault {
-                    at: SimTime::from_ms(15),
-                    duration: SimTime::ZERO,
-                    kind: FaultKind::HomeFailover { home: 0 },
-                },
-            ],
-            retry: RetryPolicy {
-                timeout: SimTime::from_us(500),
-                backoff: 3,
-                max_timeout: SimTime::from_ms(8),
-                max_retries: 7,
-            },
-        };
-        assert!(sc.is_chaotic());
-        assert_eq!(Scenario::parse(&sc.to_text()).unwrap(), sc);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(Scenario::parse("").is_err());
-        assert!(Scenario::parse("scenario v2\nname x\nseed 1").is_err());
-        let e = Scenario::parse("scenario v1\nname bad name\nseed 1").unwrap_err();
-        assert!(e.to_string().contains("line 2"), "{e}");
-        assert!(Scenario::parse("scenario v1\nname ok\nfrobnicate 3").is_err());
-        // Missing default link.
-        assert!(Scenario::parse("scenario v1\nname ok\nseed 1").is_err());
-    }
-
-    #[test]
-    fn timeout_backoff_is_bounded() {
-        let r = RetryPolicy::default();
-        assert_eq!(r.timeout_for(0), SimTime::from_ms(2));
-        assert_eq!(r.timeout_for(1), SimTime::from_ms(4));
-        assert_eq!(r.timeout_for(2), SimTime::from_ms(8));
-        assert_eq!(r.timeout_for(3), SimTime::from_ms(16));
-        assert_eq!(r.timeout_for(60), SimTime::from_ms(16), "cap holds");
     }
 
     #[test]
@@ -773,14 +342,5 @@ mod tests {
             kind: FaultKind::ProcCrash { proc: 1 },
         });
         assert!(sc.is_chaotic());
-        assert_eq!(Scenario::parse(&sc.to_text()).unwrap(), sc);
-    }
-
-    #[test]
-    fn link_lookup_prefers_override() {
-        let mut sc = Scenario::lossy("x", 1, 5);
-        sc.links.push((1, 2, LinkProfile::PERFECT));
-        assert_eq!(sc.link(0, 1).loss_ppm, 5);
-        assert!(sc.link(1, 2).is_perfect());
     }
 }

@@ -40,8 +40,6 @@ pub struct TracePoint {
     pub kind: TraceKind,
     /// Diffs alive on all processors after the event.
     pub diffs_alive: u64,
-    /// Bytes of twin + diff storage alive on all processors.
-    pub storage_bytes: u64,
 }
 
 /// An append-only event trace recorded during a run.
@@ -52,8 +50,8 @@ pub struct TracePoint {
 /// use adsm_netsim::{SimTime, Trace, TraceKind};
 ///
 /// let mut t = Trace::new();
-/// t.push(SimTime::from_us(10), TraceKind::DiffCreate, 1, 200);
-/// t.push(SimTime::from_us(20), TraceKind::GarbageCollect, 0, 0);
+/// t.push(SimTime::from_us(10), TraceKind::DiffCreate, 1);
+/// t.push(SimTime::from_us(20), TraceKind::GarbageCollect, 0);
 /// assert_eq!(t.points().len(), 2);
 /// assert_eq!(t.peak_diffs(), 1);
 /// ```
@@ -69,12 +67,11 @@ impl Trace {
     }
 
     /// Appends an event.
-    pub fn push(&mut self, time: SimTime, kind: TraceKind, diffs_alive: u64, storage_bytes: u64) {
+    pub fn push(&mut self, time: SimTime, kind: TraceKind, diffs_alive: u64) {
         self.points.push(TracePoint {
             time,
             kind,
             diffs_alive,
-            storage_bytes,
         });
     }
 
@@ -86,15 +83,6 @@ impl Trace {
     /// Highest number of simultaneously alive diffs seen.
     pub fn peak_diffs(&self) -> u64 {
         self.points.iter().map(|p| p.diffs_alive).max().unwrap_or(0)
-    }
-
-    /// Highest twin+diff storage (bytes) seen.
-    pub fn peak_storage(&self) -> u64 {
-        self.points
-            .iter()
-            .map(|p| p.storage_bytes)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Number of garbage collections recorded.
@@ -128,19 +116,17 @@ mod tests {
     fn peaks_over_empty_trace_are_zero() {
         let t = Trace::new();
         assert_eq!(t.peak_diffs(), 0);
-        assert_eq!(t.peak_storage(), 0);
         assert_eq!(t.gc_count(), 0);
     }
 
     #[test]
     fn tracks_peaks_and_gcs() {
         let mut t = Trace::new();
-        t.push(SimTime::from_us(1), TraceKind::DiffCreate, 5, 100);
-        t.push(SimTime::from_us(2), TraceKind::DiffCreate, 9, 300);
-        t.push(SimTime::from_us(3), TraceKind::GarbageCollect, 0, 0);
-        t.push(SimTime::from_us(4), TraceKind::DiffCreate, 2, 50);
+        t.push(SimTime::from_us(1), TraceKind::DiffCreate, 5);
+        t.push(SimTime::from_us(2), TraceKind::DiffCreate, 9);
+        t.push(SimTime::from_us(3), TraceKind::GarbageCollect, 0);
+        t.push(SimTime::from_us(4), TraceKind::DiffCreate, 2);
         assert_eq!(t.peak_diffs(), 9);
-        assert_eq!(t.peak_storage(), 300);
         assert_eq!(t.gc_count(), 1);
     }
 
@@ -148,7 +134,7 @@ mod tests {
     fn downsample_keeps_endpoints() {
         let mut t = Trace::new();
         for i in 0..100 {
-            t.push(SimTime::from_us(i), TraceKind::DiffCreate, i, i);
+            t.push(SimTime::from_us(i), TraceKind::DiffCreate, i);
         }
         let d = t.downsample(10);
         assert_eq!(d.len(), 10);
@@ -159,7 +145,7 @@ mod tests {
     #[test]
     fn downsample_noop_when_small() {
         let mut t = Trace::new();
-        t.push(SimTime::ZERO, TraceKind::Barrier, 0, 0);
+        t.push(SimTime::ZERO, TraceKind::Barrier, 0);
         assert_eq!(t.downsample(10).len(), 1);
     }
 }

@@ -1,11 +1,11 @@
-//! Property tests for the chaos scenario engine: the scenario text form
-//! round-trips, a scenario re-read from its text decides the same fates
-//! and records the same journal, the journal's sums are the delivery
-//! counters, and the epoch fence never delivers into a dead window.
+//! Property tests for the chaos scenario engine: the same scenario over
+//! the same message stream decides the same fates and records the same
+//! journal, the journal's sums are the delivery counters, and the epoch
+//! fence never delivers into a dead window.
 
 use adsm_netsim::{
     crash_windows, Delivery, DeliveryJournal, DeliveryOutcome, Fault, FaultKind, LinkProfile,
-    MsgKind, NetStats, RetryPolicy, Scenario, SimTime,
+    MsgKind, NetStats, Scenario, SimTime,
 };
 use proptest::prelude::*;
 
@@ -28,12 +28,6 @@ fn profile_strategy() -> impl Strategy<Value = LinkProfile> {
 
 fn fault_strategy() -> impl Strategy<Value = Fault> {
     let kind = prop_oneof![
-        (0u32..=NPROCS, 0u32..=NPROCS).prop_map(|(s, d)| FaultKind::LinkDown {
-            // Index NPROCS encodes the wildcard endpoint.
-            src: (s < NPROCS).then_some(s),
-            dst: (d < NPROCS).then_some(d),
-        }),
-        (0u32..NPROCS).prop_map(|proc| FaultKind::ProcStall { proc }),
         (1u32..=1_000_000).prop_map(|loss_ppm| FaultKind::LossBurst { loss_ppm }),
         (0u32..NPROCS).prop_map(|proc| FaultKind::ProcCrash { proc }),
         (0u32..NPROCS).prop_map(|proc| FaultKind::ProcRestart { proc }),
@@ -72,38 +66,16 @@ fn crash_faults_strategy() -> impl Strategy<Value = Vec<Fault>> {
 }
 
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
-    let name = (0usize..6)
-        .prop_map(|i| ["perfect", "lossy.A", "net-split", "x_9", "Jitter", "b0"][i].to_string());
-    let retry = (1u64..10_000_000, 1u32..5, 0u64..100_000_000, 0u32..32).prop_map(
-        |(timeout, backoff, max_timeout, max_retries)| RetryPolicy {
-            timeout: SimTime::from_ns(timeout),
-            backoff,
-            max_timeout: SimTime::from_ns(max_timeout),
-            max_retries,
-        },
-    );
-    let links = prop::collection::vec((0u32..NPROCS, 0u32..NPROCS, profile_strategy()), 0..4);
     (
-        name,
         any::<u64>(),
         profile_strategy(),
-        links,
         prop::collection::vec(fault_strategy(), 0..4),
-        retry,
     )
-        .prop_map(|(name, seed, default_link, mut links, faults, retry)| {
-            // The canonical text form keys overrides by (src, dst);
-            // duplicates would not survive a round-trip, so dedup.
-            links.sort_by_key(|&(s, d, _)| (s, d));
-            links.dedup_by_key(|&mut (s, d, _)| (s, d));
-            Scenario {
-                name,
-                seed,
-                default_link,
-                links,
-                faults,
-                retry,
-            }
+        .prop_map(|(seed, link, faults)| Scenario {
+            name: "prop".to_string(),
+            seed,
+            link,
+            faults,
         })
 }
 
@@ -153,27 +125,16 @@ fn record(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// serialize -> parse is the identity on scenarios.
+    /// The scenario is the record: one message stream recorded twice
+    /// under the same scenario gives identical outcomes, counters and
+    /// journals.
     #[test]
-    fn scenario_text_roundtrip(s in scenario_strategy()) {
-        let text = s.to_text();
-        let parsed = Scenario::parse(&text).expect("canonical text parses");
-        prop_assert_eq!(&parsed, &s);
-        // And the text form itself is a fixpoint.
-        prop_assert_eq!(parsed.to_text(), text);
-    }
-
-    /// The scenario is the record: one message stream recorded under a
-    /// scenario and again under that scenario re-read from its text
-    /// form gives identical outcomes, counters and journals.
-    #[test]
-    fn a_scenario_reread_from_text_records_the_same_run(
+    fn a_scenario_records_the_same_run_twice(
         s in scenario_strategy(),
         msgs in msgs_strategy(1..60),
     ) {
-        let reread = Scenario::parse(&s.to_text()).expect("canonical text parses");
-        let (outs, net, journal) = record(s, &msgs);
-        let (outs2, net2, journal2) = record(reread, &msgs);
+        let (outs, net, journal) = record(s.clone(), &msgs);
+        let (outs2, net2, journal2) = record(s, &msgs);
         prop_assert_eq!(outs2, outs);
         prop_assert_eq!(net2, net);
         prop_assert_eq!(journal2, journal);

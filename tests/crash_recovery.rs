@@ -14,8 +14,8 @@
 //!    emptied must be *bit-identical* to a plain run (image and counter
 //!    digest): the recovery machinery costs nothing until a fault
 //!    actually fires.
-//! 3. **the scenario is the record** — the scenario, re-read from its
-//!    text form and run again, must reproduce the run bit-identically
+//! 3. **the scenario is the record** — the same scenario, run again,
+//!    must reproduce the run bit-identically
 //!    (same `NetStats`, virtual time, per-processor clocks, image and
 //!    journal): crash events, epoch fencing and recovery traffic are all
 //!    deterministic. The journal's sums must equal the chaos counters.
@@ -130,9 +130,8 @@ fn run_cell(app: App, proto: ProtocolKind, scenario: Scenario) -> adsm::AppRun {
     let faulted = run(app, proto, Some(scenario.clone()));
     assert!(faulted.ok, "{app}/{proto} faulted: {}", faulted.detail);
 
-    // Oracle 3: the scenario, through its text form, reproduces the run.
-    let reread = Scenario::parse(&scenario.to_text()).expect("canonical scenario text parses");
-    let again = run(app, proto, Some(reread));
+    // Oracle 3: a re-run of the scenario reproduces the run.
+    let again = run(app, proto, Some(scenario));
     assert!(again.ok, "{app}/{proto} re-run: {}", again.detail);
     let (f, a) = (&faulted.outcome, &again.outcome);
     assert_eq!(a.report.net, f.report.net, "{app}/{proto}: re-run NetStats");
