@@ -17,7 +17,7 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use adsm_core::{ProtocolKind, SharedVec};
+use adsm_core::{Dsm, ProtocolKind, SharedVec};
 
 use crate::support::{band, compare_f64, unit_f64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
@@ -408,17 +408,20 @@ fn sequential(params: &BarnesParams) -> Vec<f64> {
     pos.into_iter().flatten().collect()
 }
 
-/// Runs Barnes-Hut under `protocol` and verifies final positions.
-pub fn run(protocol: ProtocolKind, nprocs: usize, scale: Scale) -> AppRun {
-    run_tuned(protocol, nprocs, scale, &RunOptions::default())
-}
-
-/// As [`run`], honouring [`RunOptions`] protocol extensions.
-pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &RunOptions) -> AppRun {
-    let params = BarnesParams::new(scale);
+/// Runs Barnes-Hut under `protocol` and `opts` and verifies final
+/// positions.
+pub fn run(
+    protocol: ProtocolKind,
+    nprocs: usize,
+    params: BarnesParams,
+    opts: &RunOptions,
+) -> AppRun {
     let n = params.nbodies;
     let want = reference(&params);
-    let mut dsm = opts.builder(protocol, nprocs).build();
+    let mut dsm = Dsm::builder(protocol)
+        .nprocs(nprocs)
+        .options(opts.clone())
+        .build();
     let bodies: SharedVec<f64> = dsm.alloc_page_aligned::<f64>(n * BODY_WORDS);
     let slot = StepSlot::default();
 
@@ -500,6 +503,8 @@ mod tests {
     use std::sync::Barrier;
 
     use adsm_core::ExecBackend;
+
+    use crate::{run_app, App};
 
     use super::*;
 
@@ -682,7 +687,7 @@ mod tests {
                 (64, &[Mw, WfsWg][..]),
             ] {
                 for &protocol in protocols {
-                    let run = run_tuned(protocol, np, Scale::Tiny, &opts);
+                    let run = run(protocol, np, BarnesParams::new(Scale::Tiny), &opts);
                     assert!(run.ok, "{protocol} x{np} on {backend:?}: {}", run.detail);
                 }
             }
@@ -691,7 +696,7 @@ mod tests {
 
     #[test]
     fn barnes_is_heavily_falsely_shared() {
-        let run = run(ProtocolKind::Mw, 4, Scale::Small);
+        let run = run_app(App::Barnes, ProtocolKind::Mw, 4, Scale::Small);
         let prof = &run.outcome.report.profile;
         assert!(
             prof.pct_ww_false_shared > 40.0,

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use adsm_core::ProtocolKind;
+use adsm_core::{Dsm, ProtocolKind};
 
 use crate::support::{band, compare_f64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
@@ -240,47 +240,15 @@ fn sequential(params: &FftParams) -> Vec<f64> {
     data
 }
 
-/// Runs 3D-FFT under `protocol` and verifies against the reference.
-pub fn run(protocol: ProtocolKind, nprocs: usize, scale: Scale) -> AppRun {
-    run_with(protocol, nprocs, FftParams::new(scale))
-}
-
-/// As [`run`], honouring [`RunOptions`] protocol extensions.
-pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &RunOptions) -> AppRun {
-    run_params(protocol, nprocs, FftParams::new(scale), opts)
-}
-
-/// Runs 3D-FFT with explicit parameters (parameter sweeps, debugging).
-pub fn run_with(protocol: ProtocolKind, nprocs: usize, params: FftParams) -> AppRun {
-    run_params(protocol, nprocs, params, &RunOptions::default())
-}
-
-/// Runs 3D-FFT with an explicit cost model (used by the Figure 3
-/// reproduction, which scales the paper's 1 MB GC threshold to the
-/// scaled-down grid so the MW saw-tooth appears at the same number of
-/// iterations).
-pub fn run_custom(
-    protocol: ProtocolKind,
-    nprocs: usize,
-    params: FftParams,
-    cost: adsm_core::CostModel,
-) -> AppRun {
-    let opts = RunOptions {
-        cost: Some(cost),
-        ..RunOptions::default()
-    };
-    run_params(protocol, nprocs, params, &opts)
-}
-
-fn run_params(
-    protocol: ProtocolKind,
-    nprocs: usize,
-    params: FftParams,
-    opts: &RunOptions,
-) -> AppRun {
+/// Runs 3D-FFT under `protocol` and `opts` and verifies against the
+/// reference.
+pub fn run(protocol: ProtocolKind, nprocs: usize, params: FftParams, opts: &RunOptions) -> AppRun {
     let n = params.n;
     let want = reference(&params);
-    let mut dsm = opts.builder(protocol, nprocs).build();
+    let mut dsm = Dsm::builder(protocol)
+        .nprocs(nprocs)
+        .options(opts.clone())
+        .build();
     let data = dsm.alloc_page_aligned::<f64>(2 * n * n * n);
     let tdata = dsm.alloc_page_aligned::<f64>(2 * n * n * n);
     // Per-processor 28-byte statistics records on one shared page — the
@@ -407,6 +375,7 @@ fn run_params(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_app, App};
 
     #[test]
     fn fft1d_round_trips() {
@@ -440,7 +409,7 @@ mod tests {
             ProtocolKind::Wfs,
             ProtocolKind::WfsWg,
         ] {
-            let run = run(protocol, 4, Scale::Tiny);
+            let run = run_app(App::Fft3d, protocol, 4, Scale::Tiny);
             assert!(run.ok, "{protocol}: {}", run.detail);
         }
     }
@@ -450,7 +419,7 @@ mod tests {
         // At Small scale a z-plane is exactly one page (16x16 complex =
         // 4096 B), so bands are page-aligned — as with the paper's 64^3
         // input — and only the statistics page is falsely shared.
-        let run = run(ProtocolKind::Mw, 4, Scale::Small);
+        let run = run_app(App::Fft3d, ProtocolKind::Mw, 4, Scale::Small);
         let profile = &run.outcome.report.profile;
         assert!(
             profile.ww_false_shared_pages <= 1,

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use adsm_core::{ProtocolKind, SharedVec};
+use adsm_core::{Dsm, ProtocolKind, SharedVec};
 
 use crate::support::{compare_f64, mix64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
@@ -133,29 +133,18 @@ fn sequential(params: &IlinkParams) -> (Vec<f64>, f64) {
     (pool, theta)
 }
 
-/// Runs ILINK under `protocol` and verifies pool and theta.
-pub fn run(protocol: ProtocolKind, nprocs: usize, scale: Scale) -> AppRun {
-    run_with(protocol, nprocs, IlinkParams::new(scale))
-}
-
-/// As [`run`], honouring [`RunOptions`] protocol extensions.
-pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &RunOptions) -> AppRun {
-    run_params(protocol, nprocs, IlinkParams::new(scale), opts)
-}
-
-/// Runs ILINK with explicit parameters (parameter sweeps, debugging).
-pub fn run_with(protocol: ProtocolKind, nprocs: usize, params: IlinkParams) -> AppRun {
-    run_params(protocol, nprocs, params, &RunOptions::default())
-}
-
-fn run_params(
+/// Runs ILINK under `protocol` and `opts` and verifies pool and theta.
+pub fn run(
     protocol: ProtocolKind,
     nprocs: usize,
     params: IlinkParams,
     opts: &RunOptions,
 ) -> AppRun {
     let want = reference(&params);
-    let mut dsm = opts.builder(protocol, nprocs).build();
+    let mut dsm = Dsm::builder(protocol)
+        .nprocs(nprocs)
+        .options(opts.clone())
+        .build();
     let pool: SharedVec<f64> = dsm.alloc_page_aligned::<f64>(params.pool());
     let theta: SharedVec<f64> = dsm.alloc_page_aligned::<f64>(1);
 
@@ -216,6 +205,7 @@ fn run_params(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_app, App};
 
     #[test]
     fn nonzero_pattern_is_sparse_and_deterministic() {
@@ -242,14 +232,14 @@ mod tests {
             ProtocolKind::Wfs,
             ProtocolKind::WfsWg,
         ] {
-            let run = run(protocol, 4, Scale::Tiny);
+            let run = run_app(App::Ilink, protocol, 4, Scale::Tiny);
             assert!(run.ok, "{protocol}: {}", run.detail);
         }
     }
 
     #[test]
     fn ilink_is_dominated_by_false_sharing() {
-        let run = run(ProtocolKind::Mw, 4, Scale::Small);
+        let run = run_app(App::Ilink, ProtocolKind::Mw, 4, Scale::Small);
         let prof = &run.outcome.report.profile;
         assert!(
             prof.pct_ww_false_shared > 35.0,

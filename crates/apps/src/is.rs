@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use adsm_core::{ProtocolKind, SharedVec};
+use adsm_core::{Dsm, ProtocolKind, SharedVec};
 
 use crate::support::{band, compare_u64, mix64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
@@ -104,16 +104,13 @@ fn sequential(params: &IsParams) -> Vec<u64> {
     buckets
 }
 
-/// Runs IS under `protocol` and verifies the final histogram.
-pub fn run(protocol: ProtocolKind, nprocs: usize, scale: Scale) -> AppRun {
-    run_tuned(protocol, nprocs, scale, &RunOptions::default())
-}
-
-/// As [`run`], honouring [`RunOptions`] protocol extensions.
-pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &RunOptions) -> AppRun {
-    let params = IsParams::new(scale);
+/// Runs IS under `protocol` and `opts` and verifies the final histogram.
+pub fn run(protocol: ProtocolKind, nprocs: usize, params: IsParams, opts: &RunOptions) -> AppRun {
     let want = reference(&params);
-    let mut dsm = opts.builder(protocol, nprocs).build();
+    let mut dsm = Dsm::builder(protocol)
+        .nprocs(nprocs)
+        .options(opts.clone())
+        .build();
     let buckets: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(params.nbuckets());
     let checksum: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(1);
 
@@ -173,6 +170,7 @@ pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &Run
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_app, App};
 
     #[test]
     fn reference_counts_every_key() {
@@ -190,14 +188,14 @@ mod tests {
             ProtocolKind::Wfs,
             ProtocolKind::WfsWg,
         ] {
-            let run = run(protocol, 4, Scale::Tiny);
+            let run = run_app(App::Is, protocol, 4, Scale::Tiny);
             assert!(run.ok, "{protocol}: {}", run.detail);
         }
     }
 
     #[test]
     fn is_has_no_write_write_false_sharing() {
-        let run = run(ProtocolKind::Mw, 4, Scale::Tiny);
+        let run = run_app(App::Is, ProtocolKind::Mw, 4, Scale::Tiny);
         assert_eq!(run.outcome.report.profile.ww_false_shared_pages, 0);
     }
 
@@ -205,7 +203,7 @@ mod tests {
     fn wfs_keeps_is_buckets_in_sw_mode() {
         // Migratory data with whole-page writes: WFS should never need
         // twins for the bucket pages.
-        let run = run(ProtocolKind::Wfs, 4, Scale::Tiny);
+        let run = run_app(App::Is, ProtocolKind::Wfs, 4, Scale::Tiny);
         assert!(run.ok, "{}", run.detail);
         assert_eq!(
             run.outcome.report.proto.ownership_refusals, 0,

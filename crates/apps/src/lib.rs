@@ -18,6 +18,12 @@
 //! order-independent, with a tolerance where floating-point reduction
 //! order differs).
 //!
+//! Each application module has one entry point, `run(protocol, nprocs,
+//! params, &opts)`, taking the app's input parameters and the run's
+//! [`RunOptions`] (re-exported from `adsm-core`). [`run_app`] and
+//! [`run_app_tuned`] dispatch on [`App`] with the preset inputs of a
+//! [`Scale`]; sweeps over other inputs call the module's `run`.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,7 +50,8 @@ pub mod water;
 
 use std::fmt;
 
-use adsm_core::{CostModel, HomePolicy, ProtocolKind, RunOutcome, SimTime};
+pub use adsm_core::RunOptions;
+use adsm_core::{ProtocolKind, RunOutcome, SimTime};
 
 /// The eight evaluation applications.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -211,9 +218,14 @@ impl AppRun {
     }
 }
 
-/// Optional tuning applied to an application run: the protocol
-/// extensions beyond the paper's four evaluated protocols, and cost-model
-/// overrides for parameter sweeps.
+/// Runs `app` under `protocol` on `nprocs` processors and verifies the
+/// result against the app's sequential reference.
+pub fn run_app(app: App, protocol: ProtocolKind, nprocs: usize, scale: Scale) -> AppRun {
+    run_app_tuned(app, protocol, nprocs, scale, &RunOptions::default())
+}
+
+/// As [`run_app`], under the given [`RunOptions`], on the app's preset
+/// inputs for `scale`.
 ///
 /// # Examples
 ///
@@ -228,65 +240,6 @@ impl AppRun {
 /// let run = run_app_tuned(App::Is, ProtocolKind::Hlrc, 2, Scale::Tiny, &opts);
 /// assert!(run.ok, "{}", run.detail);
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct RunOptions {
-    /// Home placement for the HLRC comparator; other protocols ignore it.
-    pub home_policy: HomePolicy,
-    /// Cost-model override (defaults to the paper's SPARC/ATM model).
-    pub cost: Option<CostModel>,
-    /// Schedule-fuzzing seed (robustness testing; timing reports from
-    /// fuzzed runs are not meaningful).
-    pub schedule_fuzz: Option<u64>,
-    /// Record host wall-clock histograms of the protocol hot paths
-    /// (`validate_page`, barrier fan-in) into the run report; used by
-    /// `repro bench-scale` and `benchmark/`.
-    pub measure_host_costs: bool,
-    /// Execution backend: the deterministic simulator scheduler
-    /// (default) or real OS threads. Mutually exclusive with
-    /// `schedule_fuzz`.
-    pub backend: adsm_core::ExecBackend,
-    /// Chaos scenario: routes every cross-processor message through the
-    /// seeded delivery layer (loss, duplication, reorder, jitter, fault
-    /// windows, scheduled crashes and HLRC home failovers) and records a
-    /// journal of every deviation; drives `repro scenarios` and `repro
-    /// crash-matrix`.
-    pub scenario: Option<adsm_core::Scenario>,
-    /// Sweep the SC comparator's coherence invariants after every fault
-    /// (test facility: it copies every page each time); other protocols
-    /// ignore it.
-    pub sc_invariant_checks: bool,
-}
-
-impl RunOptions {
-    /// A DSM builder honouring these options.
-    pub(crate) fn builder(&self, protocol: ProtocolKind, nprocs: usize) -> adsm_core::DsmBuilder {
-        let mut b = adsm_core::Dsm::builder(protocol)
-            .nprocs(nprocs)
-            .home_policy(self.home_policy);
-        if let Some(cost) = &self.cost {
-            b = b.cost_model(cost.clone());
-        }
-        if let Some(seed) = self.schedule_fuzz {
-            b = b.schedule_fuzz(seed);
-        }
-        b = b.measure_host_costs(self.measure_host_costs);
-        b = b.backend(self.backend);
-        if let Some(scenario) = &self.scenario {
-            b = b.scenario(scenario.clone());
-        }
-        b = b.sc_invariant_checks(self.sc_invariant_checks);
-        b
-    }
-}
-
-/// Runs `app` under `protocol` on `nprocs` processors and verifies the
-/// result against the app's sequential reference.
-pub fn run_app(app: App, protocol: ProtocolKind, nprocs: usize, scale: Scale) -> AppRun {
-    run_app_tuned(app, protocol, nprocs, scale, &RunOptions::default())
-}
-
-/// As [`run_app`], with [`RunOptions`] tuning for protocol extensions
-/// and cost-model sweeps.
 pub fn run_app_tuned(
     app: App,
     protocol: ProtocolKind,
@@ -295,14 +248,14 @@ pub fn run_app_tuned(
     opts: &RunOptions,
 ) -> AppRun {
     match app {
-        App::Sor => sor::run_tuned(protocol, nprocs, scale, opts),
-        App::Is => is::run_tuned(protocol, nprocs, scale, opts),
-        App::Fft3d => fft3d::run_tuned(protocol, nprocs, scale, opts),
-        App::Tsp => tsp::run_tuned(protocol, nprocs, scale, opts),
-        App::Water => water::run_tuned(protocol, nprocs, scale, opts),
-        App::Shallow => shallow::run_tuned(protocol, nprocs, scale, opts),
-        App::Barnes => barnes::run_tuned(protocol, nprocs, scale, opts),
-        App::Ilink => ilink::run_tuned(protocol, nprocs, scale, opts),
+        App::Sor => sor::run(protocol, nprocs, sor::SorParams::new(scale), opts),
+        App::Is => is::run(protocol, nprocs, is::IsParams::new(scale), opts),
+        App::Fft3d => fft3d::run(protocol, nprocs, fft3d::FftParams::new(scale), opts),
+        App::Tsp => tsp::run(protocol, nprocs, tsp::TspParams::new(scale), opts),
+        App::Water => water::run(protocol, nprocs, water::WaterParams::new(scale), opts),
+        App::Shallow => shallow::run(protocol, nprocs, shallow::ShallowParams::new(scale), opts),
+        App::Barnes => barnes::run(protocol, nprocs, barnes::BarnesParams::new(scale), opts),
+        App::Ilink => ilink::run(protocol, nprocs, ilink::IlinkParams::new(scale), opts),
     }
 }
 

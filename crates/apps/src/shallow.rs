@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use adsm_core::{ProtocolKind, SharedMatrix};
+use adsm_core::{Dsm, ProtocolKind, SharedMatrix};
 
 use crate::support::{band, compare_f64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
@@ -252,24 +252,12 @@ struct Fields {
     pnew: SharedMatrix<f64>,
 }
 
-/// Runs Shallow under `protocol` and verifies the final pressure field.
-pub fn run(protocol: ProtocolKind, nprocs: usize, scale: Scale) -> AppRun {
-    run_tuned(protocol, nprocs, scale, &RunOptions::default())
-}
-
-/// As [`run`], honouring [`RunOptions`] protocol extensions.
-pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &RunOptions) -> AppRun {
-    run_params(protocol, nprocs, ShallowParams::new(scale), opts)
-}
-
-/// Runs Shallow with explicit parameters (input-sensitivity sweeps: the
-/// grid shape decides how many band boundaries fall inside shared pages,
-/// i.e. the fraction of write-write falsely shared pages).
-pub fn run_with(protocol: ProtocolKind, nprocs: usize, params: ShallowParams) -> AppRun {
-    run_params(protocol, nprocs, params, &RunOptions::default())
-}
-
-fn run_params(
+/// Runs Shallow under `protocol` and `opts` and verifies the final
+/// pressure field. Input-sensitivity sweeps pass other grid shapes than
+/// [`ShallowParams::new`]'s: the shape decides how many band boundaries
+/// fall inside shared pages, i.e. the fraction of write-write falsely
+/// shared pages.
+pub fn run(
     protocol: ProtocolKind,
     nprocs: usize,
     params: ShallowParams,
@@ -277,7 +265,10 @@ fn run_params(
 ) -> AppRun {
     let (m, n, row) = (params.m, params.n, params.row());
     let want = reference(&params);
-    let mut dsm = opts.builder(protocol, nprocs).build();
+    let mut dsm = Dsm::builder(protocol)
+        .nprocs(nprocs)
+        .options(opts.clone())
+        .build();
     let fields = Fields {
         u: dsm.alloc_matrix_page_aligned::<f64>(m, row),
         v: dsm.alloc_matrix_page_aligned::<f64>(m, row),
@@ -448,6 +439,7 @@ fn run_params(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_app, App};
 
     #[test]
     fn reference_stays_finite() {
@@ -464,7 +456,7 @@ mod tests {
             ProtocolKind::Wfs,
             ProtocolKind::WfsWg,
         ] {
-            let run = run(protocol, 4, Scale::Tiny);
+            let run = run_app(App::Shallow, protocol, 4, Scale::Tiny);
             assert!(run.ok, "{protocol}: {}", run.detail);
         }
     }
@@ -473,7 +465,7 @@ mod tests {
     fn shallow_exhibits_partial_false_sharing() {
         // Band boundaries fall inside pages (rows are not page
         // multiples), so some — but not all — pages are falsely shared.
-        let run = run(ProtocolKind::Mw, 4, Scale::Small);
+        let run = run_app(App::Shallow, ProtocolKind::Mw, 4, Scale::Small);
         let prof = &run.outcome.report.profile;
         assert!(prof.ww_false_shared_pages > 0, "expected boundary sharing");
         assert!(

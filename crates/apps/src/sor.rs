@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use adsm_core::{Proc, ProtocolKind, SharedMatrix};
+use adsm_core::{Dsm, Proc, ProtocolKind, SharedMatrix};
 
 use crate::support::{band, compare_f64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
@@ -183,30 +183,12 @@ fn init_boundary(g: &mut [f64], rows: usize, cols: usize) {
     }
 }
 
-/// Runs SOR under `protocol` and verifies against the reference.
-pub fn run(protocol: ProtocolKind, nprocs: usize, scale: Scale) -> AppRun {
-    run_tuned(protocol, nprocs, scale, &RunOptions::default())
-}
-
-/// As [`run`], honouring [`RunOptions`] protocol extensions.
-pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &RunOptions) -> AppRun {
-    run_params(protocol, nprocs, SorParams::new(scale), opts)
-}
-
-/// Runs SOR with explicit parameters (input-sensitivity sweeps: a column
-/// count that is not a multiple of 512 breaks the page alignment of the
-/// bands and introduces the write-write false sharing the paper notes
-/// for other SOR inputs).
-pub fn run_with(protocol: ProtocolKind, nprocs: usize, params: SorParams) -> AppRun {
-    run_params(protocol, nprocs, params, &RunOptions::default())
-}
-
-fn run_params(
-    protocol: ProtocolKind,
-    nprocs: usize,
-    params: SorParams,
-    opts: &RunOptions,
-) -> AppRun {
+/// Runs SOR under `protocol` and `opts` and verifies against the
+/// reference. Input-sensitivity sweeps pass other inputs than
+/// [`SorParams::new`]'s: a column count that is not a multiple of 512
+/// breaks the page alignment of the bands and introduces the
+/// write-write false sharing the paper notes for other SOR inputs.
+pub fn run(protocol: ProtocolKind, nprocs: usize, params: SorParams, opts: &RunOptions) -> AppRun {
     run_sweeping(protocol, nprocs, params, opts, sweep_rows)
 }
 
@@ -218,7 +200,10 @@ fn run_sweeping(
     sweep: Sweep,
 ) -> AppRun {
     let want = reference(&params);
-    let mut dsm = opts.builder(protocol, nprocs).build();
+    let mut dsm = Dsm::builder(protocol)
+        .nprocs(nprocs)
+        .options(opts.clone())
+        .build();
     let grid = dsm.alloc_matrix_page_aligned::<f64>(params.rows, params.cols);
 
     let body_params = params;
@@ -259,6 +244,7 @@ fn run_sweeping(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_app, App};
 
     /// The half-sweep as it was: three rows copied in per row, a colour
     /// test and four bounds checks per column.
@@ -419,14 +405,14 @@ mod tests {
             ProtocolKind::Wfs,
             ProtocolKind::WfsWg,
         ] {
-            let run = run(protocol, 4, Scale::Tiny);
+            let run = run_app(App::Sor, protocol, 4, Scale::Tiny);
             assert!(run.ok, "{protocol}: {}", run.detail);
         }
     }
 
     #[test]
     fn sor_has_no_write_write_false_sharing() {
-        let run = run(ProtocolKind::Mw, 4, Scale::Tiny);
+        let run = run_app(App::Sor, ProtocolKind::Mw, 4, Scale::Tiny);
         assert_eq!(
             run.outcome.report.profile.ww_false_shared_pages, 0,
             "page-aligned bands must not falsely share"
@@ -436,7 +422,7 @@ mod tests {
     #[test]
     fn uneven_band_split_works() {
         // 3 procs over 16 interior rows: bands of 6/5/5.
-        let run = run(ProtocolKind::Wfs, 3, Scale::Tiny);
+        let run = run_app(App::Sor, ProtocolKind::Wfs, 3, Scale::Tiny);
         assert!(run.ok, "{}", run.detail);
     }
 }

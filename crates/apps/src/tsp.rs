@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use adsm_core::{ExecBackend, ProtocolKind, SharedVec};
+use adsm_core::{Dsm, ExecBackend, ProtocolKind, SharedVec};
 
 use crate::support::{unit_f64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
@@ -208,19 +208,17 @@ fn solve_local(cities: &Cities, mask: u64, last: usize, len: u64, best: &mut u64
     }
 }
 
-/// Runs TSP under `protocol` and verifies the optimum against Held-Karp.
-pub fn run(protocol: ProtocolKind, nprocs: usize, scale: Scale) -> AppRun {
-    run_tuned(protocol, nprocs, scale, &RunOptions::default())
-}
-
-/// As [`run`], honouring [`RunOptions`] protocol extensions.
-pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &RunOptions) -> AppRun {
-    let params = TspParams::new(scale);
+/// Runs TSP under `protocol` and `opts` and verifies the optimum
+/// against Held-Karp.
+pub fn run(protocol: ProtocolKind, nprocs: usize, params: TspParams, opts: &RunOptions) -> AppRun {
     let n = params.ncities;
     let cities = Cities::new(&params);
     let optimum = *reference(&params);
 
-    let mut dsm = opts.builder(protocol, nprocs).build();
+    let mut dsm = Dsm::builder(protocol)
+        .nprocs(nprocs)
+        .options(opts.clone())
+        .build();
     // Queue: [0] = top, [1] = outstanding work items; records follow.
     let queue: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(2 + QUEUE_CAP * REC_WORDS);
     let best: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(1);
@@ -362,6 +360,7 @@ pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &Run
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_app, App};
 
     #[test]
     fn held_karp_solves_a_triangle() {
@@ -434,14 +433,14 @@ mod tests {
             ProtocolKind::Wfs,
             ProtocolKind::WfsWg,
         ] {
-            let run = run(protocol, 4, Scale::Tiny);
+            let run = run_app(App::Tsp, protocol, 4, Scale::Tiny);
             assert!(run.ok, "{protocol}: {}", run.detail);
         }
     }
 
     #[test]
     fn single_proc_run_matches_optimum() {
-        let run = run(ProtocolKind::Mw, 1, Scale::Tiny);
+        let run = run_app(App::Tsp, ProtocolKind::Mw, 1, Scale::Tiny);
         assert!(run.ok, "{}", run.detail);
     }
 }

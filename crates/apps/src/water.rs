@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use adsm_core::{ProtocolKind, SharedVec};
+use adsm_core::{Dsm, ProtocolKind, SharedVec};
 
 use crate::support::{band, compare_f64, unit_f64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
@@ -147,27 +147,13 @@ fn sequential(params: &WaterParams) -> Vec<f64> {
     pos.into_iter().flatten().collect()
 }
 
-/// Runs Water under `protocol` and verifies final positions.
-pub fn run(protocol: ProtocolKind, nprocs: usize, scale: Scale) -> AppRun {
-    run_with(protocol, nprocs, WaterParams::new(scale))
-}
-
-/// As [`run`], honouring [`RunOptions`] protocol extensions.
-pub fn run_tuned(protocol: ProtocolKind, nprocs: usize, scale: Scale, opts: &RunOptions) -> AppRun {
-    run_params(protocol, nprocs, WaterParams::new(scale), opts)
-}
-
-/// Runs Water with explicit parameters (parameter sweeps, debugging).
+/// Runs Water under `protocol` and `opts` and verifies final positions.
 ///
 /// # Panics
 ///
 /// Panics if `nprocs` exceeds [`MAX_PROCS`] (the contributor-slot space
 /// in the molecule record).
-pub fn run_with(protocol: ProtocolKind, nprocs: usize, params: WaterParams) -> AppRun {
-    run_params(protocol, nprocs, params, &RunOptions::default())
-}
-
-fn run_params(
+pub fn run(
     protocol: ProtocolKind,
     nprocs: usize,
     params: WaterParams,
@@ -179,7 +165,10 @@ fn run_params(
     );
     let n = params.nmol;
     let want = reference(&params);
-    let mut dsm = opts.builder(protocol, nprocs).build();
+    let mut dsm = Dsm::builder(protocol)
+        .nprocs(nprocs)
+        .options(opts.clone())
+        .build();
     let mol: SharedVec<f64> = dsm.alloc_page_aligned::<f64>(n * MOL_WORDS);
 
     let outcome = dsm
@@ -296,6 +285,7 @@ fn run_params(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_app, App};
 
     #[test]
     fn pair_force_is_antisymmetric_and_cut() {
@@ -327,7 +317,7 @@ mod tests {
             ProtocolKind::Wfs,
             ProtocolKind::WfsWg,
         ] {
-            let run = run(protocol, 4, Scale::Tiny);
+            let run = run_app(App::Water, protocol, 4, Scale::Tiny);
             assert!(run.ok, "{protocol}: {}", run.detail);
         }
     }
@@ -336,7 +326,7 @@ mod tests {
     fn water_has_modest_false_sharing() {
         // Boundary pages between molecule bands are falsely shared; the
         // bulk of pages has a single writer.
-        let run = run(ProtocolKind::Mw, 4, Scale::Small);
+        let run = run_app(App::Water, ProtocolKind::Mw, 4, Scale::Small);
         let prof = &run.outcome.report.profile;
         assert!(prof.ww_false_shared_pages > 0);
         assert!(

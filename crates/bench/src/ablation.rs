@@ -169,7 +169,7 @@ pub fn ablation_quantum(nprocs: usize, scale: Scale, apps: &[App]) -> String {
                 let mut cost = CostModel::sparc_atm();
                 cost.ownership_quantum = SimTime::from_us(q);
                 let opts = RunOptions {
-                    cost: Some(cost),
+                    cost,
                     ..RunOptions::default()
                 };
                 let cell = run_cell(app, protocol, nprocs, scale, seq, &opts);
@@ -205,7 +205,7 @@ pub fn ablation_wg(nprocs: usize, scale: Scale, apps: &[App]) -> String {
             let mut cost = CostModel::sparc_atm();
             cost.wg_threshold_bytes = t;
             let opts = RunOptions {
-                cost: Some(cost),
+                cost,
                 ..RunOptions::default()
             };
             let cell = run_cell(app, ProtocolKind::WfsWg, nprocs, scale, seq, &opts);
@@ -234,7 +234,7 @@ pub fn ablation_gc(nprocs: usize, scale: Scale) -> String {
         let mut cost = CostModel::sparc_atm();
         cost.gc_threshold_bytes = t;
         let opts = RunOptions {
-            cost: Some(cost),
+            cost,
             ..RunOptions::default()
         };
         let mut row = format!("{:<10}", format!("{}KB", t >> 10));
@@ -282,7 +282,7 @@ pub fn ablation_network(nprocs: usize, scale: Scale, apps: &[App]) -> String {
             // The sequential basis shares the network's cost model (it
             // only affects local charges, but keeps ratios comparable).
             let opts = RunOptions {
-                cost: Some(cost.clone()),
+                cost: cost.clone(),
                 ..RunOptions::default()
             };
             let seq = run_app_tuned(app, ProtocolKind::Raw, 1, scale, &opts)
@@ -321,6 +321,7 @@ pub fn ablation_network(nprocs: usize, scale: Scale, apps: &[App]) -> String {
 /// each app.
 pub fn sensitivity(nprocs: usize) -> String {
     use adsm_apps::{shallow, sor};
+    let opts = RunOptions::default();
 
     let mut out = String::new();
     let _ = writeln!(
@@ -356,15 +357,15 @@ pub fn sensitivity(nprocs: usize) -> String {
             iters: 8,
             ns_per_elem: 2_000,
         };
-        let seq = sor::run_with(ProtocolKind::Raw, 1, params)
+        let seq = sor::run(ProtocolKind::Raw, 1, params, &opts)
             .outcome
             .report
             .time;
         rows.push(Row {
             label: label.into(),
-            mw: sor::run_with(ProtocolKind::Mw, nprocs, params),
-            wfs: sor::run_with(ProtocolKind::Wfs, nprocs, params),
-            sw: sor::run_with(ProtocolKind::Sw, nprocs, params),
+            mw: sor::run(ProtocolKind::Mw, nprocs, params, &opts),
+            wfs: sor::run(ProtocolKind::Wfs, nprocs, params, &opts),
+            sw: sor::run(ProtocolKind::Sw, nprocs, params, &opts),
             seq,
         });
     }
@@ -383,15 +384,15 @@ pub fn sensitivity(nprocs: usize) -> String {
             steps: 8,
             ns_per_elem: 10_000,
         };
-        let seq = shallow::run_with(ProtocolKind::Raw, 1, params)
+        let seq = shallow::run(ProtocolKind::Raw, 1, params, &opts)
             .outcome
             .report
             .time;
         rows.push(Row {
             label: label.into(),
-            mw: shallow::run_with(ProtocolKind::Mw, nprocs, params),
-            wfs: shallow::run_with(ProtocolKind::Wfs, nprocs, params),
-            sw: shallow::run_with(ProtocolKind::Sw, nprocs, params),
+            mw: shallow::run(ProtocolKind::Mw, nprocs, params, &opts),
+            wfs: shallow::run(ProtocolKind::Wfs, nprocs, params, &opts),
+            sw: shallow::run(ProtocolKind::Sw, nprocs, params, &opts),
             seq,
         });
     }

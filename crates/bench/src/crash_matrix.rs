@@ -204,7 +204,7 @@ fn run_cell(nprocs: usize, scale: Scale, app: App, shape: FaultShape) -> CrashCe
         baseline_ok,
         time: r.time,
         recovery_ns: r.proto.recovery_ns,
-        epoch_drops: r.proto.epoch_drops,
+        epoch_drops: r.net.epoch_drops(),
         proc_crashes: r.proto.proc_crashes,
         recovery_refetches: r.proto.recovery_refetches,
         failover_promotions: r.proto.failover_promotions,

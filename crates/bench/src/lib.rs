@@ -412,10 +412,14 @@ pub fn fig3(m: &Matrix) -> String {
     let our_data = 2 * params.n * params.n * params.n * 16;
     cost.gc_threshold_bytes = ((1usize << 20) * our_data / paper_data).max(32 * 1024);
     let protos = [ProtocolKind::Mw, ProtocolKind::WfsWg, ProtocolKind::Wfs];
+    let opts = adsm_apps::RunOptions {
+        cost,
+        ..adsm_apps::RunOptions::default()
+    };
     let mut runs = std::collections::BTreeMap::new();
     let mut peak = 1u64;
     for proto in protos {
-        let run = adsm_apps::fft3d::run_custom(proto, m.nprocs, params, cost.clone());
+        let run = adsm_apps::fft3d::run(proto, m.nprocs, params, &opts);
         assert!(run.ok, "fig3 {proto}: {}", run.detail);
         peak = peak.max(run.outcome.report.trace.peak_diffs());
         runs.insert(proto, run);

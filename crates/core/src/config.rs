@@ -1,5 +1,4 @@
 use std::fmt;
-use std::sync::Arc;
 
 use adsm_netsim::{CostModel, Fault, Scenario};
 
@@ -158,83 +157,90 @@ impl fmt::Display for ProtocolKind {
     }
 }
 
-/// Configuration of one DSM run.
+/// The settings of one DSM run, beyond its protocol and processor
+/// count — the only place a run setting is declared.
 ///
-/// Build with [`DsmBuilder`](crate::DsmBuilder); the defaults reproduce
-/// the paper's testbed (8 processors, SPARC-20 + 155 Mbps ATM cost
-/// model). Diff creation is not configurable: every multiple-writer
-/// diff is encoded when its interval closes, because the adaptive
-/// protocols' write-granularity test reads each interval's diff size
-/// then (DESIGN.md §Eager diffing).
-#[derive(Clone, Debug)]
-pub struct DsmConfig {
-    /// Number of simulated processors.
-    pub nprocs: usize,
-    /// Coherence protocol.
-    pub protocol: ProtocolKind,
-    /// Virtual-time cost model.
-    pub cost: CostModel,
-    /// Shared address space size in pages (set by allocation).
-    pub npages: usize,
+/// Every field defaults to the paper's testbed (SPARC-20 + 155 Mbps ATM
+/// cost model, the deterministic simulator, no chaos, no checks), so a
+/// run states only what it changes:
+///
+/// ```
+/// use adsm_core::{Dsm, ExecBackend, ProtocolKind, RunOptions};
+///
+/// let dsm = Dsm::builder(ProtocolKind::Wfs)
+///     .nprocs(8)
+///     .options(RunOptions {
+///         backend: ExecBackend::Threads,
+///         ..RunOptions::default()
+///     })
+///     .build();
+/// assert_eq!(dsm.nprocs(), 8);
+/// ```
+///
+/// Diff creation is not configurable: every multiple-writer diff is
+/// encoded when its interval closes, because the adaptive protocols'
+/// write-granularity test reads each interval's diff size then
+/// (DESIGN.md §Eager diffing).
+#[derive(Clone, Debug, Default)]
+pub struct RunOptions {
     /// Home assignment for the home-based LRC comparator
     /// ([`ProtocolKind::Hlrc`]); ignored by every other protocol.
     pub home_policy: HomePolicy,
+    /// Virtual-time cost model (default: the paper's SPARC/ATM model).
+    pub cost: CostModel,
     /// Schedule-fuzzing seed: when set, the engine picks the next
     /// processor pseudo-randomly at every turn point instead of by least
-    /// virtual clock. Results of data-race-free programs must not change;
-    /// timing reports from fuzzed runs are not meaningful. Robustness
-    /// testing only.
+    /// virtual clock. Every fuzzed schedule is a causally valid
+    /// execution, so data-race-free programs must produce identical
+    /// results under any seed; timing reports from fuzzed runs are not
+    /// meaningful. Robustness testing only.
     pub schedule_fuzz: Option<u64>,
-    /// Run the SC comparator's invariant checker after every fault
-    /// (single writable copy, coherent read copies, exact copysets).
-    /// Off by default (the sweep copies every page on every fault); set
-    /// through
-    /// [`DsmBuilder::sc_invariant_checks`](crate::DsmBuilder::sc_invariant_checks).
-    pub sc_check: bool,
     /// Measure host wall-clock costs of the protocol hot paths
     /// (`validate_page`, barrier fan-in) into the run report's
-    /// [`NsHistogram`](crate::metrics::NsHistogram)s. Off by default:
-    /// the timestamps cost ~50 ns per measured call, which `repro
-    /// bench-scale` and `benchmark/` accept and ordinary runs should
-    /// not pay.
+    /// histograms ([`validate_wall`](crate::ProtocolStats::validate_wall)
+    /// and [`barrier_fanin_wall`](crate::ProtocolStats::barrier_fanin_wall)).
+    /// Off by default: the timestamps cost ~50 ns per measured call,
+    /// which `repro bench-scale` and `benchmark/` accept and ordinary
+    /// runs should not pay.
     pub measure_host_costs: bool,
     /// Execution backend: the deterministic simulator (default) or
-    /// free-running OS threads. Mutually exclusive with
-    /// [`schedule_fuzz`](Self::schedule_fuzz) — fuzzing is a property of
-    /// the simulator's scheduler.
+    /// free-running OS threads, where lock waits, page fetches and
+    /// barrier arrivals park the calling thread for real. The simulator
+    /// remains the oracle — threads runs are not reproducible and their
+    /// virtual-time reports are approximate; race-free programs must
+    /// still compute identical final memory. [`Dsm::run`](crate::Dsm::run)
+    /// rejects it together with [`schedule_fuzz`](Self::schedule_fuzz):
+    /// fuzzing is a property of the simulator's scheduler.
     pub backend: ExecBackend,
-    /// Chaos scenario driving the delivery layer (loss, duplication,
-    /// reordering, jitter, scheduled faults). `None` — and any
+    /// Chaos scenario driving the delivery layer: every cross-processor
+    /// protocol message may be dropped (the sender times out and
+    /// retransmits with exponential backoff), duplicated, reordered or
+    /// delayed — all deterministically from the scenario seed, so the
+    /// same scenario reproduces the run bit for bit. `None` — and any
     /// all-zero-rates scenario — delivers every message perfectly and
     /// is bit-identical to the cost model alone. While a scenario is
     /// active every delivery deviation is journaled; the journal comes
     /// back on [`RunOutcome::journal`](crate::RunOutcome::journal).
-    /// Under [`ProtocolKind::Hlrc`] a scheduled
-    /// [`HomeFailover`](adsm_netsim::FaultKind::HomeFailover) also
-    /// replicates every home onto a backup processor for the whole run.
-    pub scenario: Option<Arc<Scenario>>,
+    ///
+    /// Scheduled crashes need an LRC-family protocol, and a scheduled
+    /// [`HomeFailover`](adsm_netsim::FaultKind::HomeFailover) needs
+    /// [`ProtocolKind::Hlrc`]: it replicates every home onto a backup
+    /// node (`(home + 1) % nprocs`) for the whole run, so the failover
+    /// promotes the backup with no state transfer.
+    /// [`Dsm::run`](crate::Dsm::run) rejects other combinations with
+    /// [`RunError::BadConfig`](crate::RunError::BadConfig).
+    pub scenario: Option<Scenario>,
+    /// Run the SC comparator's invariant checker after every fault
+    /// (single writable copy, coherent read copies, exact copysets).
+    /// Off by default (the sweep copies every page on every fault);
+    /// other protocols ignore it.
+    pub sc_invariant_checks: bool,
 }
 
-impl DsmConfig {
-    /// Paper defaults: 8 processors, given protocol, ATM cost model.
-    pub fn new(protocol: ProtocolKind) -> Self {
-        DsmConfig {
-            nprocs: 8,
-            protocol,
-            cost: CostModel::sparc_atm(),
-            npages: 0,
-            home_policy: HomePolicy::default(),
-            schedule_fuzz: None,
-            sc_check: false,
-            measure_host_costs: false,
-            backend: ExecBackend::default(),
-            scenario: None,
-        }
-    }
-
+impl RunOptions {
     /// The scenario's fault schedule (empty without a scenario).
     pub(crate) fn faults(&self) -> &[Fault] {
-        self.scenario.as_deref().map_or(&[], |s| &s.faults)
+        self.scenario.as_ref().map_or(&[], |s| &s.faults)
     }
 }
 
@@ -280,13 +286,14 @@ mod tests {
 
     #[test]
     fn defaults_match_the_paper() {
-        let cfg = DsmConfig::new(ProtocolKind::Mw);
-        assert_eq!(cfg.schedule_fuzz, None);
-        assert_eq!(cfg.home_policy, HomePolicy::RoundRobin);
-        assert_eq!(cfg.backend, ExecBackend::Sim);
-        assert!(!cfg.sc_check);
-        assert!(!cfg.measure_host_costs);
-        assert!(cfg.scenario.is_none());
+        let opts = RunOptions::default();
+        assert_eq!(opts.cost, CostModel::sparc_atm());
+        assert_eq!(opts.schedule_fuzz, None);
+        assert_eq!(opts.home_policy, HomePolicy::RoundRobin);
+        assert_eq!(opts.backend, ExecBackend::Sim);
+        assert!(!opts.sc_invariant_checks);
+        assert!(!opts.measure_host_costs);
+        assert!(opts.scenario.is_none());
     }
 
     #[test]

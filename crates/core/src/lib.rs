@@ -37,6 +37,12 @@
 //! reproducible bit-for-bit, and reports contain the paper's entire
 //! evaluation surface: speedups, traffic, memory, adaptation events.
 //!
+//! A run is a protocol, a processor count and one [`RunOptions`] value
+//! ([`Dsm::builder`]`(protocol).nprocs(n).options(opts)`): the cost
+//! model, HLRC home policy, execution backend, chaos scenario, schedule
+//! fuzzing and the two measurement/checking switches are its fields,
+//! each defaulting to the paper's testbed.
+//!
 //! # Quick start
 //!
 //! ```
@@ -75,7 +81,7 @@ mod protocol;
 mod system;
 mod world;
 
-pub use config::{DsmConfig, ExecBackend, HomePolicy, ProtocolKind};
+pub use config::{ExecBackend, HomePolicy, ProtocolKind, RunOptions};
 pub use memio::{SharedMatrix, SharedVec, SharedView, SharedViewMut};
 pub use metrics::{NsHistogram, ProtocolStats, RunReport};
 pub use proc::{LockGuard, Proc};

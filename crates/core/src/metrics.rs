@@ -82,12 +82,6 @@ pub struct ProtocolStats {
     /// number, so the close allocates no clock at all. Closes that do
     /// see a changed base pay one fresh `Arc<VectorClock>` clone.
     pub close_vc_shares: u64,
-    /// Message copies discarded by the Hermes-style epoch fence: the
-    /// destination's incarnation was dead (crashed, not yet restarted)
-    /// when the copy arrived. Mirrors the delivery layer's
-    /// [`NetStats::epoch_drops`](adsm_netsim::NetStats); **zero** on
-    /// every crash-free run (asserted in `allocation_free.rs`).
-    pub epoch_drops: u64,
     /// Process crashes taken (one per `ProcCrash` fault that fired).
     pub proc_crashes: u64,
     /// Post-restart page fetches re-acquiring a copy the crash wiped:
@@ -104,7 +98,7 @@ pub struct ProtocolStats {
     pub recovery_ns: u64,
     /// Host wall-clock cost of `validate_page` calls (the paper's merge
     /// procedure). Only populated when
-    /// [`measure_host_costs`](crate::DsmBuilder::measure_host_costs) is
+    /// [`measure_host_costs`](crate::RunOptions::measure_host_costs) is
     /// on; `benchmark/` reports its percentiles (`core.validate_*`).
     pub validate_wall: NsHistogram,
     /// Host wall-clock cost of one barrier **arrival**'s share of the

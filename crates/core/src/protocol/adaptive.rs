@@ -117,7 +117,7 @@ fn sw_mode_write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     // WFS+WG's write-granularity gate (§3.3): ownership is only granted
     // while the page's last diff was large; otherwise refuse so the page
     // is handled (and measured) in MW mode.
-    let wg_ok = sw_ok(ctx.w.cfg.protocol, pg.wants_sw);
+    let wg_ok = sw_ok(ctx.w.protocol, pg.wants_sw);
 
     let granted = version_ok && wg_ok && (target_is_owner || can_bootstrap);
 
@@ -134,7 +134,7 @@ fn sw_mode_write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
 /// the requester's copy is invalid — and hands over ownership.
 fn grant_ownership(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: PageId, c_req: SimTime) {
     let pgidx = page.index();
-    let cost_model = ctx.w.cfg.cost.clone();
+    let cost_model = ctx.w.opts.cost.clone();
     let arrival = ctx.now() + c_req;
 
     let close_cost = lrc::close_interval(ctx.w, ctx.mems, q, arrival);
@@ -206,7 +206,7 @@ fn refuse_ownership(
     c_req: SimTime,
     target_still_owner: bool,
 ) {
-    let cost_model = ctx.w.cfg.cost.clone();
+    let cost_model = ctx.w.opts.cost.clone();
     let needs_page = !ctx.mems[p.index()].lock().rights(page).readable();
     let payload = CTRL_BYTES + if needs_page { PAGE_SIZE } else { 0 };
     let arrival = ctx.now() + c_req;

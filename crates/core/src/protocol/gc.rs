@@ -25,7 +25,7 @@ use crate::world::{Hvn, PageMode};
 /// intervals are closed and every processor is up to date on notices.
 pub(crate) fn collect(ctx: &mut Ctx<'_>) {
     let nprocs = ctx.w.nprocs();
-    let adaptive = ctx.w.cfg.protocol.is_adaptive();
+    let adaptive = ctx.w.protocol.is_adaptive();
     ctx.w.proto.gc_runs += 1;
 
     // Coordination traffic: manager tells everyone to collect, everyone

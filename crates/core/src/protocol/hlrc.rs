@@ -114,7 +114,7 @@ pub(crate) fn fetch_from_home(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         let c_rep = ctx
             .w
             .msg(MsgKind::PageReply, PAGE_SIZE, home, p, now + c_req);
-        let cost = c_req + ctx.w.cfg.cost.service_interrupt + c_rep;
+        let cost = c_req + ctx.w.opts.cost.service_interrupt + c_rep;
         ctx.charge(cost);
         ctx.interrupt(home);
         ctx.w.proto.pages_transferred += 1;
@@ -177,9 +177,9 @@ pub(crate) fn flush_diff_to_home(
     // then, so no modification bypasses this path). The writer pays
     // the extra send; the backup-side apply is deferred like the home's.
     let backup_send = if !w.failovers.is_empty() {
-        let backup = ProcId::new((home.index() + 1) % w.cfg.nprocs);
-        if w.backup_store.len() < w.cfg.npages {
-            w.backup_store.resize_with(w.cfg.npages, || None);
+        let backup = ProcId::new((home.index() + 1) % w.nprocs());
+        if w.backup_store.len() < w.npages {
+            w.backup_store.resize_with(w.npages, || None);
         }
         if w.backup_store[page.index()].is_none() {
             // First flush of this page: the replicated copy starts from
@@ -191,7 +191,8 @@ pub(crate) fn flush_diff_to_home(
             adsm_netsim::SimTime::ZERO
         } else {
             let send = w.msg(MsgKind::DiffFlush, wire, p, backup, now);
-            let apply = w.cfg.cost.diff_apply(diff.modified_bytes()) + w.cfg.cost.service_interrupt;
+            let apply =
+                w.opts.cost.diff_apply(diff.modified_bytes()) + w.opts.cost.service_interrupt;
             w.deferred_costs.push((backup.index(), apply));
             send
         }
@@ -210,7 +211,7 @@ pub(crate) fn flush_diff_to_home(
     }
 
     let send = w.msg(MsgKind::DiffFlush, wire, p, home, now);
-    let apply = w.cfg.cost.diff_apply(diff.modified_bytes()) + w.cfg.cost.service_interrupt;
+    let apply = w.opts.cost.diff_apply(diff.modified_bytes()) + w.opts.cost.service_interrupt;
     w.deferred_costs.push((home.index(), apply));
     w.proto.diffs_applied += 1;
 

@@ -13,7 +13,7 @@ use super::adaptive;
 use crate::metrics::ProtocolStats;
 use crate::notice::{CloseVc, IntervalRecord, NoticeKind, PendingNotice, WriteNotice};
 use crate::world::{Directory, KeyedDiff, PageMode, ProcCtl, World};
-use crate::{DsmConfig, ProtocolKind};
+use crate::ProtocolKind;
 
 /// Everything a protocol operation needs: the world, every processor's
 /// memory, and the engine task of the processor whose turn it is.
@@ -31,7 +31,7 @@ impl<'a> Ctx<'a> {
 
     /// Charges a service interrupt to another processor.
     pub fn interrupt(&mut self, q: ProcId) {
-        let dt = self.w.cfg.cost.service_interrupt;
+        let dt = self.w.opts.cost.service_interrupt;
         self.task.bump_clock(q.index(), dt);
     }
 
@@ -133,7 +133,7 @@ pub(crate) fn close_interval(
     // below, not one per dirty page. The HLRC arm (every HLRC page is
     // MW-mode) takes its own: it also takes the home's memory
     // (`flush_diff_to_home`), and no two memories are ever held at once.
-    let hlrc = w.cfg.protocol == ProtocolKind::Hlrc;
+    let hlrc = w.protocol == ProtocolKind::Hlrc;
     let mut held = (!hlrc).then(|| mems[p.index()].lock());
 
     for &page in &dirty {
@@ -184,7 +184,7 @@ pub(crate) fn close_interval(
                     encode_dirty_window(&mems[p.index()].lock(), &twin, page, &mut diff);
                     w.proto.twin_dropped(PAGE_SIZE);
                     let modified = diff.modified_bytes();
-                    cost += w.cfg.cost.diff_create(modified);
+                    cost += w.opts.cost.diff_create(modified);
                     cost += super::hlrc::flush_diff_to_home(w, mems, p, page, &diff, now);
                     w.profiler.note_grain(modified);
                     trace_diff = true;
@@ -212,7 +212,7 @@ pub(crate) fn close_interval(
                 w.procs[p.index()].pages[page.index()].dirty = false;
 
                 let modified = diff.modified_bytes();
-                cost += w.cfg.cost.diff_create(modified);
+                cost += w.opts.cost.diff_create(modified);
                 w.proto.diff_created(diff.wire_size());
                 w.dir.diffs[p.index()].insert(page, id, diff);
                 w.profiler.note_grain(modified);
@@ -223,10 +223,10 @@ pub(crate) fn close_interval(
                 // diffs keep it in MW mode.
                 let pg = &mut w.dir[page.index()];
                 pg.wants_sw = adaptive::wants_sw_after_diff(
-                    w.cfg.protocol,
+                    w.protocol,
                     pg.wants_sw,
                     modified,
-                    w.cfg.cost.wg_threshold_bytes,
+                    w.opts.cost.wg_threshold_bytes,
                 );
 
                 writes.push(WriteNotice {
@@ -297,7 +297,7 @@ pub(crate) fn close_interval(
     if trace_diff {
         w.trace_event(now, TraceKind::DiffCreate);
     }
-    if w.dir.diffs[p.index()].bytes > w.cfg.cost.gc_threshold_bytes as u64 {
+    if w.dir.diffs[p.index()].bytes > w.opts.cost.gc_threshold_bytes as u64 {
         w.gc_requested = true;
     }
     cost
@@ -334,11 +334,12 @@ pub(crate) fn integrate_from(
             log,
             procs,
             dir,
-            cfg,
+            protocol,
             proto,
             ..
         } = w;
-        let adaptive = cfg.protocol.is_adaptive();
+        let protocol = *protocol;
+        let adaptive = protocol.is_adaptive();
 
         // One lock acquisition for the whole ship: every invalidation
         // the records carry targets `p`'s memory.
@@ -354,7 +355,7 @@ pub(crate) fn integrate_from(
                 ship_record_to(
                     procs,
                     dir,
-                    cfg,
+                    protocol,
                     proto,
                     &mut mem,
                     p,
@@ -367,7 +368,7 @@ pub(crate) fn integrate_from(
         drop(mem);
 
         if adaptive {
-            promote_on_owner_notices(procs, dir, cfg.protocol, proto, p, &mut owner_pages);
+            promote_on_owner_notices(procs, dir, protocol, proto, p, &mut owner_pages);
         }
         procs[p.index()].vc.merge(src_vc);
     }
@@ -383,7 +384,7 @@ pub(crate) fn integrate_from(
 fn ship_record_to(
     procs: &mut [ProcCtl],
     dir: &mut Directory,
-    cfg: &DsmConfig,
+    protocol: ProtocolKind,
     proto: &mut ProtocolStats,
     mem: &mut PagedMemory,
     p: ProcId,
@@ -397,7 +398,7 @@ fn ship_record_to(
         // The HLRC home's frame already contains every flushed
         // modification, so notices carry no work for it: no
         // invalidation, no pending entry.
-        if cfg.protocol == ProtocolKind::Hlrc && dir[pg_idx].home == Some(p) {
+        if protocol == ProtocolKind::Hlrc && dir[pg_idx].home == Some(p) {
             continue;
         }
         // Invalidate the local copy.
@@ -538,7 +539,7 @@ pub(crate) fn validate_page(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
 /// foreign page into `p`'s frame itself (`installed`): the merge then
 /// re-applies `p`'s own pending diffs too, as after its own installs.
 pub(crate) fn validate_page_after(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, installed: bool) {
-    let t0 = ctx.w.cfg.measure_host_costs.then(std::time::Instant::now);
+    let t0 = ctx.w.opts.measure_host_costs.then(std::time::Instant::now);
     validate_page_inner(ctx, p, page, installed);
     if let Some(t0) = t0 {
         ctx.w
@@ -549,7 +550,7 @@ pub(crate) fn validate_page_after(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, in
 }
 
 fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled: bool) {
-    let cost_model = ctx.w.cfg.cost.clone();
+    let cost_model = ctx.w.opts.cost.clone();
     let pidx = p.index();
     let pgidx = page.index();
     // All transient state of the merge — the open session's delta and
@@ -681,14 +682,15 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
             // The requests travel in parallel, so chaos delays overlap:
             // only the slowest pair's excess over its clean round trip
             // lands on the requester (charged with the batch below).
-            let clean = ctx.w.cfg.cost.msg_cost(CTRL_BYTES) + ctx.w.cfg.cost.msg_cost(reply_bytes);
+            let clean =
+                ctx.w.opts.cost.msg_cost(CTRL_BYTES) + ctx.w.opts.cost.msg_cost(reply_bytes);
             chaos_extra = chaos_extra.max((c_req + c_rep).saturating_since(clean));
             remote_writers += 1;
             total_reply_bytes += reply_bytes;
             ctx.interrupt(q);
             // Mechanism 1 (§3.1.2): diff requests piggyback the
             // requester's perception of the page.
-            if ctx.w.cfg.protocol.is_adaptive() {
+            if ctx.w.protocol.is_adaptive() {
                 ctx.w.dir[pgidx].reports_sw[pidx] = my_mode_sw;
                 mechanism1_consensus(ctx.w, page);
             }
@@ -757,7 +759,7 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
     }
     ctx.charge(apply_cost);
 
-    let track_applied = ctx.w.cfg.protocol.is_adaptive();
+    let track_applied = ctx.w.protocol.is_adaptive();
     let ProcCtl { pages, applied, .. } = &mut ctx.w.procs[pidx];
     let pc = &mut pages[pgidx];
     if track_applied {
@@ -799,7 +801,7 @@ pub(crate) fn fetch_page_from(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: Pag
     let c_rep = ctx
         .w
         .msg(MsgKind::PageReply, PAGE_SIZE, q, p, send_at + c_req);
-    let cost = c_req + ctx.w.cfg.cost.service_interrupt + c_rep;
+    let cost = c_req + ctx.w.opts.cost.service_interrupt + c_rep;
     ctx.charge(cost);
     ctx.interrupt(q);
     ctx.mems[p.index()].lock().install_page(page, &bytes);
@@ -816,7 +818,7 @@ pub(crate) fn fetch_page_from(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: Pag
     // shared as soon as another processor fetches it from its writing
     // owner — WFS+WG switches it to MW mode (via a deferred ownership
     // drop) so the granularity gets measured.
-    if adaptive::probes_read_sharing(ctx.w.cfg.protocol)
+    if adaptive::probes_read_sharing(ctx.w.protocol)
         && ctx.w.dir[page.index()].owner == Some(q)
         && ctx.w.profiler.other_writers(page, p).any(|iv| iv.proc == q)
     {
@@ -862,7 +864,7 @@ pub(crate) fn mechanism1_consensus(w: &mut World, page: PageId) {
     if !all_sw {
         return;
     }
-    if !adaptive::sw_ok(w.cfg.protocol, w.dir[pgidx].wants_sw) {
+    if !adaptive::sw_ok(w.protocol, w.dir[pgidx].wants_sw) {
         return;
     }
     for q in 0..w.nprocs() {

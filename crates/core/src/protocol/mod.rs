@@ -49,7 +49,7 @@ use crate::ProtocolKind;
 pub(crate) fn read_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     ctx.w.proto.read_faults += 1;
     enter_fault(ctx, page);
-    match ctx.w.cfg.protocol {
+    match ctx.w.protocol {
         ProtocolKind::Raw => raw_fault(ctx, p, page),
         ProtocolKind::Mw | ProtocolKind::Sw | ProtocolKind::Wfs | ProtocolKind::WfsWg => {
             lrc::validate_page(ctx, p, page)
@@ -63,7 +63,7 @@ pub(crate) fn read_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
 pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     ctx.w.proto.write_faults += 1;
     enter_fault(ctx, page);
-    match ctx.w.cfg.protocol {
+    match ctx.w.protocol {
         ProtocolKind::Raw => raw_fault(ctx, p, page),
         ProtocolKind::Mw => mw::write_fault(ctx, p, page),
         ProtocolKind::Sw => sw::write_fault(ctx, p, page),
@@ -77,7 +77,7 @@ pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
 /// (TreadMarks-style manager + last-releaser grants) under every
 /// protocol but Raw, whose locks are always granted.
 pub(crate) fn acquire(ctx: &mut Ctx<'_>, p: ProcId, lock_id: u64) -> AcquireOutcome {
-    match ctx.w.cfg.protocol {
+    match ctx.w.protocol {
         ProtocolKind::Raw => AcquireOutcome::Granted,
         _ => sync::acquire(ctx, p, lock_id),
     }
@@ -86,7 +86,7 @@ pub(crate) fn acquire(ctx: &mut Ctx<'_>, p: ProcId, lock_id: u64) -> AcquireOutc
 /// Lock release: the shared LRC release (local, services queued
 /// waiters); nothing under Raw.
 pub(crate) fn release(ctx: &mut Ctx<'_>, p: ProcId, lock_id: u64) {
-    match ctx.w.cfg.protocol {
+    match ctx.w.protocol {
         ProtocolKind::Raw => {}
         _ => sync::release(ctx, p, lock_id),
     }
@@ -95,7 +95,7 @@ pub(crate) fn release(ctx: &mut Ctx<'_>, p: ProcId, lock_id: u64) {
 /// Barrier arrival: the shared centralised barrier with write-notice
 /// exchange and barrier-time GC; under Raw every arrival completes.
 pub(crate) fn barrier(ctx: &mut Ctx<'_>, p: ProcId) -> BarrierOutcome {
-    match ctx.w.cfg.protocol {
+    match ctx.w.protocol {
         ProtocolKind::Raw => BarrierOutcome::Completed,
         _ => sync::barrier_arrive(ctx, p),
     }
@@ -107,8 +107,8 @@ pub(crate) fn barrier(ctx: &mut Ctx<'_>, p: ProcId) -> BarrierOutcome {
 fn enter_fault(ctx: &mut Ctx<'_>, page: PageId) {
     ctx.drain_deferred();
     ctx.w.touch(page);
-    if ctx.w.cfg.protocol != ProtocolKind::Raw {
-        let trap = ctx.w.cfg.cost.fault_trap;
+    if ctx.w.protocol != ProtocolKind::Raw {
+        let trap = ctx.w.opts.cost.fault_trap;
         ctx.charge(trap);
     }
 }
@@ -126,7 +126,7 @@ fn raw_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
 /// LRC merge path when `measure_host_costs` is on; with `sc_check` set,
 /// the invariant sweep runs after it.
 fn sc_fault(ctx: &mut Ctx<'_>, label: &'static str, fault: impl FnOnce(&mut Ctx<'_>)) {
-    let t0 = ctx.w.cfg.measure_host_costs.then(std::time::Instant::now);
+    let t0 = ctx.w.opts.measure_host_costs.then(std::time::Instant::now);
     fault(ctx);
     if let Some(t0) = t0 {
         ctx.w
@@ -134,7 +134,7 @@ fn sc_fault(ctx: &mut Ctx<'_>, label: &'static str, fault: impl FnOnce(&mut Ctx<
             .validate_wall
             .record(t0.elapsed().as_nanos() as u64);
     }
-    if ctx.w.cfg.sc_check {
+    if ctx.w.opts.sc_invariant_checks {
         sc::check_invariants(ctx, label);
     }
 }

@@ -40,7 +40,7 @@ pub(crate) fn ensure_twin_and_write(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) 
         mem.clear_dirty_span(page);
         let twin = ctx.w.pool.get_copy(mem.page(page));
         ctx.w.procs[pidx].pages[pgidx].twin = Some(twin);
-        let cost = ctx.w.cfg.cost.twin;
+        let cost = ctx.w.opts.cost.twin;
         ctx.charge(cost);
         ctx.w.proto.twin_created(PAGE_SIZE);
     }

@@ -74,7 +74,7 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
     let t_crash = ctx.now();
     let restart = ctx.w.crashes[k].restart;
     let pidx = p.index();
-    let npages = ctx.w.cfg.npages;
+    let npages = ctx.w.npages;
 
     // 1. Durable commit. The arriving interval is already in the log
     // (the caller closed it first).
@@ -88,7 +88,7 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
     // post-crash page fetch can never chase a stale owner notice back
     // into a requester that is itself mid-merge (the mutual-recursion
     // cycle that would otherwise never terminate).
-    let hlrc = ctx.w.cfg.protocol == ProtocolKind::Hlrc;
+    let hlrc = ctx.w.protocol == ProtocolKind::Hlrc;
     for pg in 0..npages {
         let page = PageId::new(pg);
         if !ctx.w.procs[pidx].pages[pg].missing.is_empty() {
@@ -110,7 +110,7 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
     // recovery refetch. Mode beliefs reset to the protocol's initial
     // mode; post-restart consensus traffic re-derives any demotions
     // and promotions, exactly as it would for a late-joining sharer.
-    let initial_mode = PageMode::initial(ctx.w.cfg.protocol);
+    let initial_mode = PageMode::initial(ctx.w.protocol);
     ctx.w.procs[pidx].applied.clear();
     for pg in 0..npages {
         let page = PageId::new(pg);
@@ -169,7 +169,7 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
         let c_rep = ctx
             .w
             .msg(MsgKind::GcControl, CTRL_BYTES + bytes, peer, p, now + c_req);
-        let cost = c_req + ctx.w.cfg.cost.service_interrupt + c_rep;
+        let cost = c_req + ctx.w.opts.cost.service_interrupt + c_rep;
         ctx.charge(cost);
         ctx.interrupt(peer);
     }
@@ -185,7 +185,7 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
 /// [`Dsm::run`](crate::Dsm::run) admits failovers under HLRC only, and
 /// a scheduled failover is what replicates the homes.
 pub(crate) fn failover_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
-    debug_assert_eq!(ctx.w.cfg.protocol, ProtocolKind::Hlrc);
+    debug_assert_eq!(ctx.w.protocol, ProtocolKind::Hlrc);
     ctx.w.failovers[k].fired = true;
     let failed = ctx.w.failovers[k].home;
     let nprocs = ctx.w.nprocs();
@@ -193,7 +193,7 @@ pub(crate) fn failover_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
     let now = ctx.now();
 
     let mut promoted = 0u64;
-    for pg in 0..ctx.w.cfg.npages {
+    for pg in 0..ctx.w.npages {
         if ctx.w.dir[pg].home != Some(failed) {
             continue;
         }
@@ -249,9 +249,9 @@ pub(crate) fn failover_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
         }
         let c = ctx.w.msg(MsgKind::GcControl, CTRL_BYTES, manager, q, now);
         if q == p {
-            ctx.charge(c + ctx.w.cfg.cost.service_interrupt);
+            ctx.charge(c + ctx.w.opts.cost.service_interrupt);
         } else {
-            ctx.charge_other(q, c + ctx.w.cfg.cost.service_interrupt);
+            ctx.charge_other(q, c + ctx.w.opts.cost.service_interrupt);
         }
     }
 }

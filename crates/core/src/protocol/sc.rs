@@ -51,7 +51,7 @@ pub(crate) fn read_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     }
 
     let manager = ProcId::new(pgidx % ctx.w.nprocs());
-    let cost_model = ctx.w.cfg.cost.clone();
+    let cost_model = ctx.w.opts.cost.clone();
     let now = ctx.now();
     let c_req = ctx.w.msg(MsgKind::PageRequest, CTRL_BYTES, p, manager, now);
     let c_fwd = if manager != owner {
@@ -92,7 +92,7 @@ pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     let owner = ctx.w.dir[pgidx]
         .owner
         .expect("SC pages always have an owner");
-    let cost_model = ctx.w.cfg.cost.clone();
+    let cost_model = ctx.w.opts.cost.clone();
 
     if owner != p {
         let manager = ProcId::new(pgidx % ctx.w.nprocs());
@@ -150,7 +150,7 @@ pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
 fn invalidate_copies(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     let pgidx = page.index();
     let nprocs = ctx.w.nprocs();
-    let cost_model = ctx.w.cfg.cost.clone();
+    let cost_model = ctx.w.opts.cost.clone();
     let mut invalidated = 0u64;
     for q in ProcId::all(nprocs) {
         if q == p || !ctx.w.dir[pgidx].copyset[q.index()] {
@@ -203,7 +203,7 @@ fn finish_copy(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
 }
 
 /// SC coherence invariants, checked after every fault under
-/// [`DsmBuilder::sc_invariant_checks`](crate::DsmBuilder::sc_invariant_checks)
+/// [`RunOptions::sc_invariant_checks`](crate::RunOptions::sc_invariant_checks)
 /// (test/debug facility): a single writable copy per page; every
 /// readable copy byte-identical to the owner's frame; every readable
 /// copy tracked in the copyset.
@@ -212,7 +212,7 @@ fn finish_copy(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
 ///
 /// Panics (by design) on the first violated invariant.
 pub(crate) fn check_invariants(ctx: &Ctx<'_>, label: &str) {
-    for pg in 0..ctx.w.cfg.npages {
+    for pg in 0..ctx.w.npages {
         let page = PageId::new(pg);
         let owner = ctx.w.dir[pg].owner.expect("SC owner");
         let owner_bytes = ctx.mems[owner.index()].lock().page(page).to_vec();

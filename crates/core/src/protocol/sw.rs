@@ -30,7 +30,7 @@ pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     let owner = ctx.w.dir[pgidx]
         .owner
         .expect("SW pages always have an owner");
-    let cost_model = ctx.w.cfg.cost.clone();
+    let cost_model = ctx.w.opts.cost.clone();
 
     // Request -> home -> owner (forwarding skipped when home == owner or
     // requester == home; self-messages are free).

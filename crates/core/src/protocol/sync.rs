@@ -72,7 +72,7 @@ pub(crate) fn acquire(ctx: &mut Ctx<'_>, p: ProcId, lock_id: u64) -> AcquireOutc
     if holder.is_none() {
         // Grant from the last releaser: it closes its interval and ships
         // its knowledge.
-        let cost_model = ctx.w.cfg.cost.clone();
+        let cost_model = ctx.w.opts.cost.clone();
         let grantor = last_releaser;
         let now = ctx.now();
         let close_cost = lrc::close_interval(ctx.w, ctx.mems, grantor, now);
@@ -120,7 +120,7 @@ pub(crate) fn release(ctx: &mut Ctx<'_>, p: ProcId, lock_id: u64) {
     let next = state.queue.pop_front();
 
     if let Some(r) = next {
-        let cost_model = ctx.w.cfg.cost.clone();
+        let cost_model = ctx.w.opts.cost.clone();
         let now = ctx.now();
         let close_cost = lrc::close_interval(ctx.w, ctx.mems, p, now);
         ctx.charge(close_cost + cost_model.service_interrupt);
@@ -205,7 +205,7 @@ pub(crate) fn barrier_arrive(ctx: &mut Ctx<'_>, p: ProcId) -> BarrierOutcome {
 
     // The arrival's own share of the fan-in (host cost only — the
     // virtual-time arrival message above is the model's).
-    let fanin0 = ctx.w.cfg.measure_host_costs.then(std::time::Instant::now);
+    let fanin0 = ctx.w.opts.measure_host_costs.then(std::time::Instant::now);
     debug_assert!(
         ctx.w.procs[p.index()]
             .vc
@@ -233,7 +233,7 @@ pub(crate) fn barrier_arrive(ctx: &mut Ctx<'_>, p: ProcId) -> BarrierOutcome {
         .map(|a| a.expect("all arrived"))
         .fold(SimTime::ZERO, SimTime::max);
     ctx.task.advance_to(t0);
-    let cost_model = ctx.w.cfg.cost.clone();
+    let cost_model = ctx.w.opts.cost.clone();
     ctx.charge(cost_model.service_interrupt);
 
     // Scheduled HLRC home failover: fires at a barrier completion (all
@@ -252,7 +252,7 @@ pub(crate) fn barrier_arrive(ctx: &mut Ctx<'_>, p: ProcId) -> BarrierOutcome {
     // mechanism-3 candidate pages. Intervals proxy-closed after their
     // writer arrived (a lock grant closing a blocked grantor's
     // interval) are in the log like any other.
-    let adapts = ctx.w.cfg.protocol.is_adaptive();
+    let adapts = ctx.w.protocol.is_adaptive();
     let mut m3_pages = std::mem::take(&mut ctx.w.bscratch.m3_pages);
     let mut payloads = std::mem::take(&mut ctx.w.bscratch.payloads);
     debug_assert!(m3_pages.is_empty());
@@ -341,7 +341,7 @@ fn mechanism3(ctx: &mut Ctx<'_>, pages: &[adsm_mempage::PageId]) {
         if ctx.w.dir[pgidx].owner.is_some() {
             continue; // still under SW handling somewhere
         }
-        if !super::adaptive::sw_ok(ctx.w.cfg.protocol, ctx.w.dir[pgidx].wants_sw) {
+        if !super::adaptive::sw_ok(ctx.w.protocol, ctx.w.dir[pgidx].wants_sw) {
             // Small diffs keep the page in MW mode under WFS+WG (§3.3
             // priority rule).
             continue;
@@ -421,7 +421,7 @@ mod tests {
     use super::lrc;
     use crate::notice::{IntervalRecord, NoticeKind, WriteNotice};
     use crate::world::World;
-    use crate::{DsmConfig, ProtocolKind};
+    use crate::{ProtocolKind, RunOptions};
 
     const NPAGES: usize = 8;
 
@@ -514,10 +514,7 @@ mod tests {
     /// Builds a `World` whose log, clocks and barrier base reflect the
     /// history.
     fn build_world(h: &History) -> World {
-        let mut cfg = DsmConfig::new(ProtocolKind::Wfs);
-        cfg.nprocs = h.nprocs;
-        cfg.npages = NPAGES;
-        let mut w = World::new(cfg);
+        let mut w = World::new(ProtocolKind::Wfs, h.nprocs, NPAGES, RunOptions::default());
         for q in 0..h.nprocs {
             let qid = ProcId::new(q);
             for s in 1..=h.total[q] {

@@ -7,14 +7,14 @@ use std::sync::Arc;
 
 use adsm_engine::{Engine, RunFailure};
 use adsm_mempage::{page_count, PagedMemory, Pod, PAGE_SIZE};
-use adsm_netsim::{CostModel, Delivery, DeliveryJournal, FaultKind, Scenario, SimTime};
+use adsm_netsim::{Delivery, DeliveryJournal, FaultKind, SimTime};
 use adsm_vclock::ProcId;
 use parking_lot::Mutex;
 
 use crate::metrics::RunReport;
 use crate::protocol::{lrc, Ctx};
 use crate::world::World;
-use crate::{DsmConfig, Proc, ProtocolKind, SharedVec};
+use crate::{ExecBackend, Proc, ProtocolKind, RunOptions, SharedVec};
 
 /// Errors surfaced by [`Dsm::run`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,31 +43,38 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Builder for a [`Dsm`].
+/// Builder for a [`Dsm`]: a protocol, a processor count and the run's
+/// [`RunOptions`].
 ///
 /// # Examples
 ///
 /// ```
-/// use adsm_core::{Dsm, ProtocolKind};
-/// use adsm_netsim::CostModel;
+/// use adsm_core::{Dsm, HomePolicy, ProtocolKind, RunOptions};
 ///
-/// let dsm = Dsm::builder(ProtocolKind::Wfs)
-///     .nprocs(8)
-///     .cost_model(CostModel::sparc_atm())
+/// let dsm = Dsm::builder(ProtocolKind::Hlrc)
+///     .nprocs(4)
+///     .options(RunOptions {
+///         home_policy: HomePolicy::FirstTouch,
+///         ..RunOptions::default()
+///     })
 ///     .build();
-/// assert_eq!(dsm.nprocs(), 8);
+/// assert_eq!(dsm.protocol(), ProtocolKind::Hlrc);
 /// ```
 #[derive(Clone, Debug)]
 pub struct DsmBuilder {
-    cfg: DsmConfig,
+    protocol: ProtocolKind,
+    nprocs: usize,
+    opts: RunOptions,
 }
 
 impl DsmBuilder {
     /// Starts a builder for the given protocol with paper defaults
-    /// (8 processors, SPARC/ATM cost model).
+    /// (8 processors, [`RunOptions::default`]).
     pub fn new(protocol: ProtocolKind) -> Self {
         DsmBuilder {
-            cfg: DsmConfig::new(protocol),
+            protocol,
+            nprocs: 8,
+            opts: RunOptions::default(),
         }
     }
 
@@ -78,132 +85,23 @@ impl DsmBuilder {
     /// Panics if `n` is zero.
     pub fn nprocs(mut self, n: usize) -> Self {
         assert!(n > 0, "a cluster needs at least one processor");
-        self.cfg.nprocs = n;
+        self.nprocs = n;
         self
     }
 
-    /// Sets the virtual-time cost model.
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cfg.cost = cost;
-        self
-    }
-
-    /// Sets the home placement policy of the home-based LRC comparator
-    /// ([`ProtocolKind::Hlrc`]); every other protocol ignores it.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use adsm_core::{Dsm, HomePolicy, ProtocolKind};
-    ///
-    /// let dsm = Dsm::builder(ProtocolKind::Hlrc)
-    ///     .nprocs(4)
-    ///     .home_policy(HomePolicy::FirstTouch)
-    ///     .build();
-    /// assert_eq!(dsm.protocol(), ProtocolKind::Hlrc);
-    /// ```
-    pub fn home_policy(mut self, policy: crate::HomePolicy) -> Self {
-        self.cfg.home_policy = policy;
-        self
-    }
-
-    /// Enables the SC comparator's per-fault invariant checker (single
-    /// writable copy, coherent read copies, exact copysets). Off by
-    /// default; other protocols ignore the flag.
-    pub fn sc_invariant_checks(mut self, on: bool) -> Self {
-        self.cfg.sc_check = on;
-        self
-    }
-
-    /// Enables **schedule fuzzing**: the engine picks the next processor
-    /// pseudo-randomly (seeded) at every turn point instead of by least
-    /// virtual clock. Every fuzzed schedule is a causally valid
-    /// execution, so data-race-free programs must produce identical
-    /// results under any seed — the robustness property the
-    /// `schedule_fuzz` tests exercise. Timing reports from fuzzed runs
-    /// are not meaningful.
-    pub fn schedule_fuzz(mut self, seed: u64) -> Self {
-        self.cfg.schedule_fuzz = Some(seed);
-        self
-    }
-
-    /// Measures host wall-clock costs of the protocol hot paths
-    /// (`validate_page`, barrier fan-in) into the run report's
-    /// histograms ([`validate_wall`](crate::ProtocolStats::validate_wall)
-    /// and [`barrier_fanin_wall`](crate::ProtocolStats::barrier_fanin_wall)).
-    /// Off by default; `repro bench-scale` and `benchmark/` turn it on.
-    pub fn measure_host_costs(mut self, on: bool) -> Self {
-        self.cfg.measure_host_costs = on;
-        self
-    }
-
-    /// Selects the execution backend: the deterministic simulator
-    /// (default) or free-running OS threads
-    /// ([`ExecBackend::Threads`](crate::ExecBackend::Threads)), where
-    /// lock waits, page fetches and barrier arrivals park the calling
-    /// thread for real. The simulator remains the oracle — threads runs
-    /// are not reproducible and their virtual-time reports are
-    /// approximate; race-free programs must still compute identical
-    /// final memory. Rejected (at [`Dsm::run`]) in combination with
-    /// [`schedule_fuzz`](Self::schedule_fuzz).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use adsm_core::{Dsm, ExecBackend, ProtocolKind};
-    ///
-    /// let dsm = Dsm::builder(ProtocolKind::Wfs)
-    ///     .nprocs(8)
-    ///     .backend(ExecBackend::Threads)
-    ///     .build();
-    /// assert_eq!(dsm.nprocs(), 8);
-    /// ```
-    pub fn backend(mut self, backend: crate::ExecBackend) -> Self {
-        self.cfg.backend = backend;
-        self
-    }
-
-    /// Attaches a chaos [`Scenario`]: every cross-processor protocol
-    /// message is routed through the seeded delivery layer, which may
-    /// drop it (the sender times out and retransmits with exponential
-    /// backoff), duplicate it (the receiver suppresses the copy but
-    /// pays a service interrupt), reorder it, or stretch its latency —
-    /// all deterministically from the scenario seed, so running the same
-    /// scenario again reproduces the run bit for bit. Every deviation is
-    /// journaled in the completed run's [`RunOutcome::journal`]. A
-    /// scenario with all-zero rates and no faults is exactly a plain
-    /// run.
-    ///
-    /// Scheduled crashes need an LRC-family protocol, and a scheduled
-    /// [`FaultKind::HomeFailover`] needs [`ProtocolKind::Hlrc`]: it
-    /// replicates every home onto a backup node (`(home + 1) % nprocs`)
-    /// for the whole run — the flush stream feeds the backup too, and
-    /// the home's own writes lose their write-in-place shortcut — so
-    /// the failover promotes the backup with no state transfer.
-    /// [`Dsm::run`] rejects other combinations with
-    /// [`RunError::BadConfig`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use adsm_core::{Dsm, ProtocolKind};
-    /// use adsm_netsim::Scenario;
-    ///
-    /// let dsm = Dsm::builder(ProtocolKind::Wfs)
-    ///     .nprocs(4)
-    ///     .scenario(Scenario::lossy("lossy", 42, 10_000))
-    ///     .build();
-    /// assert_eq!(dsm.nprocs(), 4);
-    /// ```
-    pub fn scenario(mut self, scenario: Scenario) -> Self {
-        self.cfg.scenario = Some(scenario.into_arc());
+    /// Sets every other setting of the run. [`Dsm::run`] rejects the
+    /// combinations the fields' docs name with [`RunError::BadConfig`].
+    pub fn options(mut self, opts: RunOptions) -> Self {
+        self.opts = opts;
         self
     }
 
     /// Finishes the builder.
     pub fn build(self) -> Dsm {
         Dsm {
-            cfg: self.cfg,
+            protocol: self.protocol,
+            nprocs: self.nprocs,
+            opts: self.opts,
             cursor: 0,
         }
     }
@@ -213,7 +111,9 @@ impl DsmBuilder {
 /// application.
 #[derive(Debug)]
 pub struct Dsm {
-    cfg: DsmConfig,
+    protocol: ProtocolKind,
+    nprocs: usize,
+    opts: RunOptions,
     cursor: usize,
 }
 
@@ -225,12 +125,12 @@ impl Dsm {
 
     /// Number of processors configured.
     pub fn nprocs(&self) -> usize {
-        self.cfg.nprocs
+        self.nprocs
     }
 
     /// Protocol configured.
     pub fn protocol(&self) -> ProtocolKind {
-        self.cfg.protocol
+        self.protocol
     }
 
     /// Allocates a shared array of `len` elements (8-byte aligned).
@@ -248,11 +148,6 @@ impl Dsm {
         self.alloc(len)
     }
 
-    /// Allocates a `rows x cols` row-major matrix (8-byte aligned).
-    pub fn alloc_matrix<T: Pod>(&mut self, rows: usize, cols: usize) -> crate::SharedMatrix<T> {
-        crate::SharedMatrix::new(self.alloc(rows * cols), rows, cols)
-    }
-
     /// Allocates a `rows x cols` row-major matrix starting on a fresh
     /// page — with a page-multiple row length this gives the banded
     /// row layout the paper's applications use (no write-write false
@@ -263,17 +158,6 @@ impl Dsm {
         cols: usize,
     ) -> crate::SharedMatrix<T> {
         crate::SharedMatrix::new(self.alloc_page_aligned(rows * cols), rows, cols)
-    }
-
-    /// Pads the shared space to the next page boundary (so the next
-    /// allocation does not share a page with the previous one).
-    pub fn pad_to_page(&mut self) {
-        self.cursor = align_up(self.cursor, PAGE_SIZE);
-    }
-
-    /// Bytes of shared space allocated so far.
-    pub fn allocated_bytes(&self) -> usize {
-        self.cursor
     }
 
     /// Runs `app` on every processor to completion.
@@ -287,13 +171,18 @@ impl Dsm {
     where
         F: Fn(&mut Proc) + Send + Sync + 'static,
     {
-        let mut cfg = self.cfg;
-        if cfg.protocol == ProtocolKind::Raw && cfg.nprocs != 1 {
+        let Dsm {
+            protocol,
+            nprocs,
+            opts,
+            cursor,
+        } = self;
+        if protocol == ProtocolKind::Raw && nprocs != 1 {
             return Err(RunError::BadConfig(
                 "the Raw baseline only supports a single processor".into(),
             ));
         }
-        if cfg.backend == crate::ExecBackend::Threads && cfg.schedule_fuzz.is_some() {
+        if opts.backend == ExecBackend::Threads && opts.schedule_fuzz.is_some() {
             return Err(RunError::BadConfig(
                 "schedule fuzzing is a simulator-scheduler property; \
                  the threads backend has no schedule to fuzz"
@@ -304,65 +193,57 @@ impl Dsm {
         // the replicated interval log (any LRC-family protocol) for a
         // restart, HLRC's replicated homes for a failover. Reject
         // configurations that would silently swallow a scheduled fault.
-        for f in cfg.faults() {
+        for f in opts.faults() {
             match f.kind {
                 FaultKind::ProcCrash { proc } | FaultKind::ProcRestart { proc } => {
-                    if !cfg.protocol.is_lrc() {
+                    if !protocol.is_lrc() {
                         return Err(RunError::BadConfig(
                             "crash recovery replays the replicated interval log, which \
                              only the LRC-family protocols keep"
                                 .into(),
                         ));
                     }
-                    if proc as usize >= cfg.nprocs {
+                    if proc as usize >= nprocs {
                         return Err(RunError::BadConfig(format!(
                             "crash/restart fault names processor {proc}, but the cluster \
-                             has {} processors",
-                            cfg.nprocs
+                             has {nprocs} processors"
                         )));
                     }
                 }
                 FaultKind::HomeFailover { home } => {
-                    if cfg.protocol != ProtocolKind::Hlrc {
+                    if protocol != ProtocolKind::Hlrc {
                         return Err(RunError::BadConfig(
                             "home failover promotes HLRC's replicated backup home; it \
                              needs ProtocolKind::Hlrc"
                                 .into(),
                         ));
                     }
-                    if home as usize >= cfg.nprocs {
+                    if home as usize >= nprocs {
                         return Err(RunError::BadConfig(format!(
                             "home failover names processor {home}, but the cluster has \
-                             {} processors",
-                            cfg.nprocs
+                             {nprocs} processors"
                         )));
                     }
                 }
                 _ => {}
             }
         }
-        cfg.npages = page_count(self.cursor).max(1);
-        let nprocs = cfg.nprocs;
-        let npages = cfg.npages;
-        let protocol = cfg.protocol;
+        let npages = page_count(cursor).max(1);
+        let (backend, fuzz) = (opts.backend, opts.schedule_fuzz);
+        let access_cost = opts.cost.shared_access;
+        let mem_per_byte_ns = opts.cost.mem_per_byte_ns;
 
-        let world = Arc::new(Mutex::new(World::new(cfg)));
+        let world = Arc::new(Mutex::new(World::new(protocol, nprocs, npages, opts)));
         let mems: Arc<Vec<Mutex<PagedMemory>>> = Arc::new(
             (0..nprocs)
                 .map(|_| Mutex::new(PagedMemory::new(npages)))
                 .collect(),
         );
-        let (backend, fuzz) = {
-            let w = world.lock();
-            (w.cfg.backend, w.cfg.schedule_fuzz)
-        };
         let engine = match (backend, fuzz) {
-            (crate::ExecBackend::Threads, _) => Engine::threaded(nprocs),
-            (crate::ExecBackend::Sim, Some(seed)) => Engine::with_fuzz_seed(nprocs, seed),
-            (crate::ExecBackend::Sim, None) => Engine::new(nprocs),
+            (ExecBackend::Threads, _) => Engine::threaded(nprocs),
+            (ExecBackend::Sim, Some(seed)) => Engine::with_fuzz_seed(nprocs, seed),
+            (ExecBackend::Sim, None) => Engine::new(nprocs),
         };
-        let access_cost = world.lock().cfg.cost.shared_access;
-        let mem_per_byte_ns = world.lock().cfg.cost.mem_per_byte_ns;
         let pool = world.lock().pool.clone();
         // On the simulator every processor is a coroutine of one carrier
         // thread, so the run's locks cannot be contended: the carrier
@@ -552,7 +433,7 @@ impl RunOutcome {
 
     /// The chaos delivery journal recorded by this run, present exactly
     /// when the run was configured with a
-    /// [`scenario`](DsmBuilder::scenario). It holds one event per
+    /// [`scenario`](RunOptions::scenario). It holds one event per
     /// delivery *deviation* (drop, duplicate, reorder, jitter) — a
     /// fault-free run under a perfect scenario records an empty
     /// journal. Its sums are the report's chaos counters

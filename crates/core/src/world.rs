@@ -18,7 +18,7 @@ use adsm_vclock::{IntervalId, ProcId, VectorClock};
 use crate::metrics::ProtocolStats;
 use crate::notice::{IntervalRecord, PendingNotice, WriteNotice};
 use crate::profile::Profiler;
-use crate::{DsmConfig, ProtocolKind};
+use crate::{ProtocolKind, RunOptions};
 
 /// Per-page, per-processor protocol mode (the paper's "state variable",
 /// §3.1).
@@ -498,7 +498,10 @@ pub(crate) struct ProcCtl {
 /// The complete protocol state of one run. Crate-internal; accessed only
 /// during scheduler turns, via a mutex owned by the [`Dsm`](crate::Dsm).
 pub(crate) struct World {
-    pub cfg: DsmConfig,
+    pub protocol: ProtocolKind,
+    /// Shared address space size in pages, as the allocator left it.
+    pub npages: usize,
+    pub opts: RunOptions,
     pub procs: Vec<ProcCtl>,
     /// Authoritative per-page state and stored diffs; indexable by page
     /// index.
@@ -557,11 +560,9 @@ pub(crate) struct World {
 }
 
 impl World {
-    pub fn new(cfg: DsmConfig) -> Self {
-        let nprocs = cfg.nprocs;
-        let npages = cfg.npages;
-        let mode = PageMode::initial(cfg.protocol);
-        let faults = cfg.faults();
+    pub fn new(protocol: ProtocolKind, nprocs: usize, npages: usize, opts: RunOptions) -> Self {
+        let mode = PageMode::initial(protocol);
+        let faults = opts.faults();
         World {
             procs: (0..nprocs)
                 .map(|_| ProcCtl {
@@ -594,10 +595,10 @@ impl World {
             profiler: Profiler::new(nprocs, npages),
             pool: PagePool::new(),
             merge_scratch: Vec::new(),
-            delivery: cfg
+            delivery: opts
                 .scenario
                 .as_ref()
-                .map(|scenario| Delivery::record(scenario.clone(), nprocs)),
+                .map(|scenario| Delivery::record(Arc::new(scenario.clone()), nprocs)),
             crashes: adsm_netsim::crash_windows(faults)
                 .iter()
                 .map(|w| CrashEvent {
@@ -621,7 +622,9 @@ impl World {
             epochs: vec![0; nprocs],
             failed_homes: vec![false; nprocs],
             backup_store: Vec::new(),
-            cfg,
+            protocol,
+            npages,
+            opts,
         }
     }
 
@@ -644,7 +647,7 @@ impl World {
     }
 
     pub fn nprocs(&self) -> usize {
-        self.cfg.nprocs
+        self.procs.len()
     }
 
     /// Looks up a closed interval's record.
@@ -682,7 +685,7 @@ impl World {
             return SimTime::ZERO;
         }
         self.net.record(kind, payload);
-        let base = self.cfg.cost.msg_cost(payload);
+        let base = self.opts.cost.msg_cost(payload);
         let Some(delivery) = self.delivery.as_mut() else {
             return base;
         };
@@ -699,9 +702,8 @@ impl World {
             // Idempotent receive: the receiver is interrupted once more
             // to recognise and discard the duplicate copy.
             self.deferred_costs
-                .push((dst.index(), self.cfg.cost.service_interrupt));
+                .push((dst.index(), self.opts.cost.service_interrupt));
         }
-        self.proto.epoch_drops += out.epoch_drops as u64;
         base + out.extra
     }
 
@@ -723,12 +725,12 @@ impl World {
     /// backup `(h + 1) % nprocs` — a failover rewrites already-resolved
     /// entries, and this covers pages first resolved *after* it fired.
     pub fn home_of(&mut self, page: PageId, faulter: ProcId) -> ProcId {
-        let nprocs = self.cfg.nprocs;
+        let nprocs = self.nprocs();
         let pg = &mut self.dir[page.index()];
         if let Some(h) = pg.home {
             return h;
         }
-        let mut h = match self.cfg.home_policy {
+        let mut h = match self.opts.home_policy {
             crate::HomePolicy::RoundRobin => ProcId::new(page.index() % nprocs),
             crate::HomePolicy::FirstTouch => faulter,
             crate::HomePolicy::Fixed(p) => ProcId::new(p % nprocs),
@@ -749,7 +751,7 @@ impl World {
     /// processors ([`RunReport::final_sw_pages`](crate::RunReport::final_sw_pages)).
     pub fn final_sw_pages(&self) -> usize {
         let half = self.nprocs() / 2;
-        (0..self.cfg.npages)
+        (0..self.npages)
             .filter(|&pg| {
                 self.dir[pg].touched
                     && self
@@ -768,10 +770,7 @@ mod tests {
     use super::*;
 
     fn world(npages: usize) -> World {
-        let mut cfg = DsmConfig::new(ProtocolKind::Wfs);
-        cfg.nprocs = 4;
-        cfg.npages = npages;
-        World::new(cfg)
+        World::new(ProtocolKind::Wfs, 4, npages, RunOptions::default())
     }
 
     #[test]
@@ -914,17 +913,17 @@ mod tests {
         let faulter = ProcId::new(2);
 
         let mut w = world(8);
-        w.cfg.home_policy = HomePolicy::RoundRobin;
+        w.opts.home_policy = HomePolicy::RoundRobin;
         assert_eq!(w.home_of(page, faulter), ProcId::new(5 % 4));
 
         let mut w = world(8);
-        w.cfg.home_policy = HomePolicy::FirstTouch;
+        w.opts.home_policy = HomePolicy::FirstTouch;
         assert_eq!(w.home_of(page, faulter), faulter);
         // Memoised: a different faulter does not move the home.
         assert_eq!(w.home_of(page, ProcId::new(0)), faulter);
 
         let mut w = world(8);
-        w.cfg.home_policy = HomePolicy::Fixed(7);
+        w.opts.home_policy = HomePolicy::Fixed(7);
         // Fixed homes wrap into the cluster.
         assert_eq!(w.home_of(page, faulter), ProcId::new(7 % 4));
     }

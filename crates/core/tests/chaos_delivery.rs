@@ -3,7 +3,7 @@
 //! its run bit-identically, journals sum to the chaos counters, and
 //! perfect scenarios are invisible.
 
-use adsm_core::{Dsm, ProtocolKind, RunOutcome, Scenario, SimTime};
+use adsm_core::{Dsm, ExecBackend, ProtocolKind, RunOptions, RunOutcome, Scenario, SimTime};
 
 /// The workload: false sharing plus a migratory lock counter — enough
 /// cross-processor traffic (page fetches, diffs, lock grants, barrier
@@ -31,11 +31,13 @@ fn chatty_app(dsm: &mut Dsm) -> impl Fn(&mut adsm_core::Proc) + Send + Sync + 's
 }
 
 fn run_with(protocol: ProtocolKind, scenario: Option<Scenario>) -> RunOutcome {
-    let mut builder = Dsm::builder(protocol).nprocs(4);
-    if let Some(s) = scenario {
-        builder = builder.scenario(s);
-    }
-    let mut dsm = builder.build();
+    let mut dsm = Dsm::builder(protocol)
+        .nprocs(4)
+        .options(RunOptions {
+            scenario,
+            ..RunOptions::default()
+        })
+        .build();
     let app = chatty_app(&mut dsm);
     dsm.run(app).unwrap()
 }
@@ -115,8 +117,11 @@ fn lossy_scenario_on_threads_backend_stays_correct() {
     let plain = run_with(ProtocolKind::Wfs, None);
     let mut dsm = Dsm::builder(ProtocolKind::Wfs)
         .nprocs(4)
-        .backend(adsm_core::ExecBackend::Threads)
-        .scenario(Scenario::lossy("threads-lossy", 5, 20_000))
+        .options(RunOptions {
+            backend: ExecBackend::Threads,
+            scenario: Some(Scenario::lossy("threads-lossy", 5, 20_000)),
+            ..RunOptions::default()
+        })
         .build();
     let app = chatty_app(&mut dsm);
     let run = dsm.run(app).unwrap();

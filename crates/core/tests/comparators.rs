@@ -3,7 +3,7 @@
 //! home-based LRC (HLRC, Zhou et al.) — on the access patterns of the
 //! paper's Figure 1, plus the §7 claims they exist to measure.
 
-use adsm_core::{Dsm, HomePolicy, ProtocolKind, RunOutcome, SimTime};
+use adsm_core::{Dsm, HomePolicy, ProtocolKind, RunOptions, RunOutcome, SimTime};
 
 const COMPARATORS: [ProtocolKind; 2] = [ProtocolKind::Sc, ProtocolKind::Hlrc];
 
@@ -249,7 +249,10 @@ fn hlrc_home_placement_changes_traffic() {
     let run = |policy: HomePolicy| {
         let mut dsm = Dsm::builder(ProtocolKind::Hlrc)
             .nprocs(2)
-            .home_policy(policy)
+            .options(RunOptions {
+                home_policy: policy,
+                ..RunOptions::default()
+            })
             .build();
         let data = dsm.alloc_page_aligned::<u64>(512);
         dsm.run(move |p| {

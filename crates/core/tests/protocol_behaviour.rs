@@ -2,7 +2,7 @@
 //! of the paper's Figure 1 (producer-consumer, migratory, write-write
 //! false sharing) plus coherence and adaptation checks.
 
-use adsm_core::{Dsm, ExecBackend, ProtocolKind, RunOutcome, SharedVec, SimTime};
+use adsm_core::{Dsm, ExecBackend, ProtocolKind, RunOptions, RunOutcome, SharedVec, SimTime};
 
 const KINDS: [ProtocolKind; 4] = [
     ProtocolKind::Mw,
@@ -393,6 +393,28 @@ fn raw_rejects_multiple_processors() {
     assert!(matches!(err, adsm_core::RunError::BadConfig(_)));
 }
 
+/// Fuzzing picks among the simulator's ready tasks; OS threads have no
+/// such pick, so the pair is refused rather than silently unfuzzed.
+#[test]
+fn threads_backend_rejects_a_schedule_fuzz_seed() {
+    let run = |backend| {
+        Dsm::builder(ProtocolKind::Mw)
+            .nprocs(2)
+            .options(RunOptions {
+                backend,
+                schedule_fuzz: Some(7),
+                ..RunOptions::default()
+            })
+            .build()
+            .run(|_| {})
+    };
+    match run(ExecBackend::Threads) {
+        Err(adsm_core::RunError::BadConfig(m)) => assert!(m.contains("schedule fuzzing"), "{m}"),
+        other => panic!("threads + fuzz: {other:?}"),
+    }
+    assert!(run(ExecBackend::Sim).is_ok());
+}
+
 #[test]
 fn deadlock_is_reported() {
     // One scheduler finds the deadlock under both backends, so both say
@@ -400,7 +422,10 @@ fn deadlock_is_reported() {
     for backend in [ExecBackend::Sim, ExecBackend::Threads] {
         let dsm = Dsm::builder(ProtocolKind::Mw)
             .nprocs(2)
-            .backend(backend)
+            .options(RunOptions {
+                backend,
+                ..RunOptions::default()
+            })
             .build();
         let err = dsm
             .run(|p| {
@@ -473,7 +498,10 @@ fn a_poisoned_task_unwinds_through_its_lock_guard() {
     for backend in [ExecBackend::Sim, ExecBackend::Threads] {
         let dsm = Dsm::builder(ProtocolKind::Mw)
             .nprocs(2)
-            .backend(backend)
+            .options(RunOptions {
+                backend,
+                ..RunOptions::default()
+            })
             .build();
         let err = dsm
             .run(|p| {
@@ -499,7 +527,10 @@ fn gc_triggers_and_empties_diff_stores() {
     cost.gc_threshold_bytes = 64 * 1024;
     let mut dsm = Dsm::builder(ProtocolKind::Mw)
         .nprocs(4)
-        .cost_model(cost)
+        .options(RunOptions {
+            cost,
+            ..RunOptions::default()
+        })
         .build();
     let data = dsm.alloc_page_aligned::<u64>(8 * 512); // 8 pages
     let out = dsm
@@ -536,7 +567,10 @@ fn host_cost_histograms_sample_sc_faults_and_barrier_arrivals() {
     let run = |measure: bool| {
         let mut dsm = Dsm::builder(ProtocolKind::Sc)
             .nprocs(4)
-            .measure_host_costs(measure)
+            .options(RunOptions {
+                measure_host_costs: measure,
+                ..RunOptions::default()
+            })
             .build();
         let data = dsm.alloc_page_aligned::<u64>(512);
         dsm.run(move |p| {

@@ -1,12 +1,11 @@
 //! SC comparator invariants, checked after every fault via
-//! `DsmBuilder::sc_invariant_checks`: at most one writable copy per
-//! page, readable
-//! copies byte-identical to the owner's frame, and complete copyset
-//! tracking. The IS-like workload below (skewed compute, uneven bands,
+//! `RunOptions::sc_invariant_checks`: at most one writable copy per
+//! page, readable copies byte-identical to the owner's frame, and
+//! complete copyset tracking. The IS-like workload below (skewed compute, uneven bands,
 //! three processors) is the exact schedule that exposed an untracked
 //! stale read copy during development — kept as a regression test.
 
-use adsm_core::{Dsm, ProtocolKind, SharedVec, SimTime};
+use adsm_core::{Dsm, ProtocolKind, RunOptions, SharedVec, SimTime};
 
 #[test]
 fn locked_rmw_with_skewed_compute_upholds_invariants() {
@@ -14,7 +13,10 @@ fn locked_rmw_with_skewed_compute_upholds_invariants() {
     let nprocs = 3;
     let mut dsm = Dsm::builder(ProtocolKind::Sc)
         .nprocs(nprocs)
-        .sc_invariant_checks(true)
+        .options(RunOptions {
+            sc_invariant_checks: true,
+            ..RunOptions::default()
+        })
         .build();
     let buckets: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(nb);
     let checksum: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(1);
@@ -57,7 +59,10 @@ fn served_owner_copies_join_the_copyset() {
     // it (this is the precise shape of the regression).
     let mut dsm = Dsm::builder(ProtocolKind::Sc)
         .nprocs(3)
-        .sc_invariant_checks(true)
+        .options(RunOptions {
+            sc_invariant_checks: true,
+            ..RunOptions::default()
+        })
         .build();
     let data = dsm.alloc_page_aligned::<u64>(512);
     let probe = data;

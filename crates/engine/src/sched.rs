@@ -953,13 +953,6 @@ impl Task {
         }
     }
 
-    /// Committed clock of any task (for protocol decisions such as
-    /// ownership quanta). Threads backend: a racy snapshot — another
-    /// task may be holding uncommitted local time.
-    pub fn clock_of(&self, other: TaskId) -> SimTime {
-        SimTime::from_ns(self.clocks.get(other))
-    }
-
     /// Marks this task finished and schedules the next one.
     pub fn finish(&mut self) {
         self.commit();

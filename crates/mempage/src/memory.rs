@@ -164,11 +164,6 @@ impl PagedMemory {
         }
     }
 
-    /// Number of pages in the space.
-    pub fn page_len(&self) -> usize {
-        self.rights.len()
-    }
-
     /// Size of the space in bytes.
     pub fn byte_len(&self) -> usize {
         self.bytes.len()

@@ -14,12 +14,18 @@
 //! * HLRC's traffic depends on where the homes land, a knob the adaptive
 //!   protocols simply do not have.
 
-use adsm::{Dsm, HomePolicy, ProtocolKind, RunReport, SimTime};
+use adsm::{Dsm, HomePolicy, ProtocolKind, RunOptions, RunReport, SimTime};
 
 /// Producer-consumer with read-write false sharing: p0 rewrites the left
 /// half of a page while the others read the right half, between barriers.
 fn workload(protocol: ProtocolKind, policy: HomePolicy) -> RunReport {
-    let mut dsm = Dsm::builder(protocol).nprocs(4).home_policy(policy).build();
+    let mut dsm = Dsm::builder(protocol)
+        .nprocs(4)
+        .options(RunOptions {
+            home_policy: policy,
+            ..RunOptions::default()
+        })
+        .build();
     let data = dsm.alloc_page_aligned::<u64>(512); // exactly one page
     dsm.run(move |p| {
         for it in 0..20u64 {

@@ -46,4 +46,4 @@ pub use adsm_mempage as mempage;
 pub use adsm_netsim as netsim;
 pub use adsm_vclock as vclock;
 
-pub use adsm_apps::{run_app, run_app_tuned, sequential_time, App, AppRun, RunOptions, Scale};
+pub use adsm_apps::{run_app, run_app_tuned, sequential_time, App, AppRun, Scale};

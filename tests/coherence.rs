@@ -14,7 +14,7 @@
 //! where the engine picks the next processor pseudo-randomly at every
 //! turn point instead of by least virtual clock.
 
-use adsm::{Dsm, ProtocolKind, SimTime};
+use adsm::{Dsm, ExecBackend, ProtocolKind, RunOptions, SimTime};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -80,11 +80,13 @@ fn run_program_fuzzed(
     epochs: Arc<Vec<Epoch>>,
     fuzz: Option<u64>,
 ) -> (Vec<u64>, u64) {
-    let mut builder = Dsm::builder(protocol).nprocs(NPROCS);
-    if let Some(seed) = fuzz {
-        builder = builder.schedule_fuzz(seed);
-    }
-    let mut dsm = builder.build();
+    let mut dsm = Dsm::builder(protocol)
+        .nprocs(NPROCS)
+        .options(RunOptions {
+            schedule_fuzz: fuzz,
+            ..RunOptions::default()
+        })
+        .build();
     let data = dsm.alloc_page_aligned::<u64>(WORDS);
     let counter = dsm.alloc_page_aligned::<u64>(1);
     let eps = epochs.clone();
@@ -263,8 +265,11 @@ fn sc_on_threads_loses_no_write_between_copy_and_revoke() {
     const INCREMENTS: u64 = 2_000;
     let mut dsm = Dsm::builder(ProtocolKind::Sc)
         .nprocs(2)
-        .backend(adsm::ExecBackend::Threads)
-        .sc_invariant_checks(true)
+        .options(RunOptions {
+            backend: ExecBackend::Threads,
+            sc_invariant_checks: true,
+            ..RunOptions::default()
+        })
         .build();
     let words = dsm.alloc_page_aligned::<u64>(2);
     let outcome = dsm
@@ -290,7 +295,7 @@ fn sc_on_threads_loses_no_write_between_copy_and_revoke() {
 /// other bands' records under the band owner's lock, and after a
 /// barrier each owner checks and clears the slots of its records.
 /// Returns the number of slots that did not hold what was deposited.
-fn deposit_and_reduce(builder: adsm::DsmBuilder) -> usize {
+fn deposit_and_reduce(protocol: ProtocolKind, opts: RunOptions) -> usize {
     use std::sync::atomic::{AtomicUsize, Ordering};
     const RECORD: usize = 85;
     const SLOT: usize = 9;
@@ -302,7 +307,7 @@ fn deposit_and_reduce(builder: adsm::DsmBuilder) -> usize {
     let value =
         |step: usize, p: usize, i: usize| ((step as u64 + 1) << 32) | ((p as u64) << 16) | i as u64;
 
-    let mut dsm = builder.nprocs(PROCS).build();
+    let mut dsm = Dsm::builder(protocol).nprocs(PROCS).options(opts).build();
     let records = dsm.alloc_page_aligned::<u64>(RECORDS * RECORD);
     let wrong = Arc::new(AtomicUsize::new(0));
     let seen_wrong = wrong.clone();
@@ -355,7 +360,11 @@ fn deposit_and_reduce(builder: adsm::DsmBuilder) -> usize {
 #[test]
 fn wfs_reapplies_merged_diffs_after_a_whole_page_install() {
     for seed in [964u64, 20176] {
-        let lost = deposit_and_reduce(Dsm::builder(ProtocolKind::Wfs).schedule_fuzz(seed));
+        let fuzzed = RunOptions {
+            schedule_fuzz: Some(seed),
+            ..RunOptions::default()
+        };
+        let lost = deposit_and_reduce(ProtocolKind::Wfs, fuzzed);
         assert_eq!(lost, 0, "fuzz seed {seed}: deposits lost");
     }
 }
@@ -365,7 +374,14 @@ fn wfs_reapplies_merged_diffs_after_a_whole_page_install() {
 #[test]
 fn deposits_survive_on_threads() {
     for protocol in ALL_PROTOCOLS {
-        let builder = Dsm::builder(protocol).backend(adsm::ExecBackend::Threads);
-        assert_eq!(deposit_and_reduce(builder), 0, "{protocol}: deposits lost");
+        let threads = RunOptions {
+            backend: ExecBackend::Threads,
+            ..RunOptions::default()
+        };
+        assert_eq!(
+            deposit_and_reduce(protocol, threads),
+            0,
+            "{protocol}: deposits lost"
+        );
     }
 }

@@ -70,7 +70,7 @@ fn digest(r: &adsm::RunReport) -> [u64; 12] {
         r.proto.write_faults,
         r.proto.diffs_created,
         r.proto.pages_transferred,
-        r.proto.epoch_drops,
+        r.net.epoch_drops(),
         r.proto.proc_crashes,
         r.proto.recovery_refetches,
         r.proto.failover_promotions,
@@ -274,7 +274,10 @@ fn fault_schedules_without_recovery_machinery_are_rejected() {
     // SC keeps no interval log to recover from.
     let r = adsm::Dsm::builder(ProtocolKind::Sc)
         .nprocs(2)
-        .scenario(crash.clone())
+        .options(RunOptions {
+            scenario: Some(crash),
+            ..RunOptions::default()
+        })
         .build()
         .run(|_| {});
     assert!(matches!(r, Err(adsm::RunError::BadConfig(_))));
@@ -290,7 +293,10 @@ fn fault_schedules_without_recovery_machinery_are_rejected() {
     );
     let r = adsm::Dsm::builder(ProtocolKind::Wfs)
         .nprocs(2)
-        .scenario(failover)
+        .options(RunOptions {
+            scenario: Some(failover),
+            ..RunOptions::default()
+        })
         .build()
         .run(|_| {});
     assert!(matches!(r, Err(adsm::RunError::BadConfig(_))));
@@ -306,8 +312,35 @@ fn fault_schedules_without_recovery_machinery_are_rejected() {
     );
     let r = adsm::Dsm::builder(ProtocolKind::Wfs)
         .nprocs(2)
-        .scenario(oob)
+        .options(RunOptions {
+            scenario: Some(oob),
+            ..RunOptions::default()
+        })
         .build()
         .run(|_| {});
     assert!(matches!(r, Err(adsm::RunError::BadConfig(_))));
+
+    // Out-of-range failover home, under the one protocol that
+    // replicates homes.
+    let far_home = faults_only(
+        "bad-home",
+        vec![Fault {
+            at: SimTime::ZERO,
+            duration: SimTime::ZERO,
+            kind: FaultKind::HomeFailover { home: 2 },
+        }],
+    );
+    let r = adsm::Dsm::builder(ProtocolKind::Hlrc)
+        .nprocs(2)
+        .options(RunOptions {
+            scenario: Some(far_home),
+            ..RunOptions::default()
+        })
+        .build()
+        .run(|_| {});
+    assert!(
+        matches!(&r, Err(adsm::RunError::BadConfig(m))
+            if m.contains("home failover names processor 2")),
+        "{r:?}"
+    );
 }

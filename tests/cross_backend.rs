@@ -312,7 +312,8 @@ fn threads_backend_agrees_with_simulator_under_crash() {
             "{app}/{proto}: post-recovery images diverged across backends"
         );
         assert_eq!(
-            sim.outcome.report.proto.epoch_drops, thr.outcome.report.proto.epoch_drops,
+            sim.outcome.report.net.epoch_drops(),
+            thr.outcome.report.net.epoch_drops(),
             "{app}/{proto}: epoch_drops diverged across backends"
         );
         assert_eq!(
