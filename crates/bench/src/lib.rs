@@ -421,30 +421,30 @@ pub fn fig3(m: &Matrix) -> String {
     for proto in protos {
         let run = adsm_apps::fft3d::run(proto, m.nprocs, params, &opts);
         assert!(run.ok, "fig3 {proto}: {}", run.detail);
-        peak = peak.max(run.outcome.report.trace.peak_diffs());
+        let series = &run.outcome.report.diffs_alive;
+        peak = peak.max(series.iter().map(|&(_, n)| n).max().unwrap_or(0));
         runs.insert(proto, run);
     }
     for proto in protos {
         let report = &runs[&proto].outcome.report;
-        let trace = &report.trace;
-        let pts = trace.points().to_vec();
+        let pts = &report.diffs_alive;
         let _ = writeln!(
             out,
             "\n{} — peak {} diffs, {} garbage collections",
             proto.name(),
-            trace.peak_diffs(),
-            trace.gc_count()
+            pts.iter().map(|&(_, n)| n).max().unwrap_or(0),
+            report.proto.gc_runs
         );
         // ASCII sparkline, uniform in *time* (like the paper's x axis).
-        let end = pts.last().map(|p| p.time.as_ns()).unwrap_or(1).max(1);
+        let end = pts.last().map(|p| p.0.as_ns()).unwrap_or(1).max(1);
         let mut line = String::new();
         for col in 0..64u64 {
             let t = end * (col + 1) / 64;
             let v = pts
                 .iter()
-                .take_while(|p| p.time.as_ns() <= t)
+                .take_while(|p| p.0.as_ns() <= t)
                 .last()
-                .map(|p| p.diffs_alive)
+                .map(|p| p.1)
                 .unwrap_or(0);
             let level = (v * 8 / peak.max(1)).min(8) as usize;
             line.push(['.', '1', '2', '3', '4', '5', '6', '7', '8'][level]);
@@ -454,7 +454,7 @@ pub fn fig3(m: &Matrix) -> String {
             let _ = writeln!(
                 out,
                 "  t: {} .. {}  (diffs {} .. {})",
-                first.time, last.time, first.diffs_alive, last.diffs_alive
+                first.0, last.0, first.1, last.1
             );
         }
     }

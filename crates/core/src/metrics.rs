@@ -1,6 +1,6 @@
 use std::fmt;
 
-use adsm_netsim::{NetStats, SimTime, Trace};
+use adsm_netsim::{NetStats, SimTime};
 
 use crate::ProtocolKind;
 
@@ -295,8 +295,12 @@ pub struct RunReport {
     pub net: NetStats,
     /// Protocol counters (Table 3 and §6.4).
     pub proto: ProtocolStats,
-    /// Event trace (Figure 3).
-    pub trace: Trace,
+    /// Figure 3: `(virtual time, diffs alive on all processors)` after
+    /// every diff-creating interval close, garbage collection, page mode
+    /// switch and barrier, in the order they happened — not sorted by
+    /// time, since each sample carries the clock of the processor that
+    /// took it.
+    pub diffs_alive: Vec<(SimTime, u64)>,
     /// Sharing profile (Table 2).
     pub profile: crate::profile::ProfileSummary,
     /// Pages in SW mode on a majority of processors when the run ended

@@ -24,7 +24,7 @@
 //! [`lrc::validate_page`], the same as under MW and SW.
 
 use adsm_mempage::{AccessRights, PageId, PAGE_SIZE};
-use adsm_netsim::{MsgKind, SimTime, TraceKind};
+use adsm_netsim::{MsgKind, SimTime};
 use adsm_vclock::ProcId;
 
 use super::lrc::{self, Ctx, CTRL_BYTES};
@@ -252,7 +252,7 @@ fn switch_to_mw_after_refusal(
             pc.mode = PageMode::Mw;
             ctx.w.proto.switches_to_mw += 1;
             let now = ctx.now();
-            ctx.w.trace_event(now, TraceKind::SwitchToMw);
+            ctx.w.sample_diffs(now);
         }
     }
     if let Some(q) = install_from {

@@ -15,8 +15,8 @@
 //!   whole.
 
 use adsm_mempage::{AccessRights, PageId};
-use adsm_netsim::{MsgKind, TraceKind};
-use adsm_vclock::{IntervalId, ProcId};
+use adsm_netsim::MsgKind;
+use adsm_vclock::ProcId;
 
 use super::lrc::{self, Ctx, CTRL_BYTES};
 use crate::world::{Hvn, PageMode};
@@ -138,7 +138,7 @@ pub(crate) fn collect(ctx: &mut Ctx<'_>) {
 
     ctx.w.gc_requested = false;
     let now = ctx.now();
-    ctx.w.trace_event(now, TraceKind::GarbageCollect);
+    ctx.w.sample_diffs(now);
 }
 
 /// Last owner of a page for adaptive GC: the authoritative owner if one
@@ -149,9 +149,10 @@ fn choose_last_owner(ctx: &Ctx<'_>, page: PageId, writers: &[ProcId]) -> ProcId 
     if let Some(owner) = ctx.w.dir[page.index()].owner {
         return owner;
     }
-    let last_writes: Vec<IntervalId> = ctx.w.profiler.last_writes(page);
-    let pick = last_writes
+    let pick = ctx.w.dir[page.index()]
+        .last_write
         .iter()
+        .flatten()
         .copied()
         .max_by_key(|iv| (ctx.w.vc_of(*iv).sum(), iv.proc.index()))
         .map(|iv| iv.proc);

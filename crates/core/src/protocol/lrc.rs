@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use adsm_mempage::{AccessRights, Diff, PageId, PagedMemory, PAGE_SIZE};
-use adsm_netsim::{MsgKind, SimTime, TraceKind};
+use adsm_netsim::{MsgKind, SimTime};
 use adsm_vclock::{IntervalId, ProcId, VectorClock};
 use parking_lot::Mutex;
 
@@ -104,7 +104,7 @@ fn close_rights(pc: &crate::world::PageCtl, p: ProcId) -> AccessRights {
 /// when its interval closes; DESIGN.md §Eager diffing). Returns the
 /// processing cost, which the caller charges to whichever clock is
 /// appropriate (own turn, or a granting processor's clock). `now` is the
-/// virtual time used for trace points.
+/// virtual time of Figure 3's diff-population sample.
 pub(crate) fn close_interval(
     w: &mut World,
     mems: &[Mutex<PagedMemory>],
@@ -127,7 +127,7 @@ pub(crate) fn close_interval(
     // previous interval's list.
     let mut writes = std::mem::take(&mut w.notice_build);
     debug_assert!(writes.is_empty());
-    let mut trace_diff = false;
+    let mut diffed = false;
 
     // One hold of `p`'s memory for every page re-protected and encoded
     // below, not one per dirty page. The HLRC arm (every HLRC page is
@@ -186,8 +186,8 @@ pub(crate) fn close_interval(
                     let modified = diff.modified_bytes();
                     cost += w.opts.cost.diff_create(modified);
                     cost += super::hlrc::flush_diff_to_home(w, mems, p, page, &diff, now);
-                    w.profiler.note_grain(modified);
-                    trace_diff = true;
+                    w.write_grains.push(modified as u32);
+                    diffed = true;
                 }
                 writes.push(WriteNotice {
                     page,
@@ -215,8 +215,8 @@ pub(crate) fn close_interval(
                 cost += w.opts.cost.diff_create(modified);
                 w.proto.diff_created(diff.wire_size());
                 w.dir.diffs[p.index()].insert(page, id, diff);
-                w.profiler.note_grain(modified);
-                trace_diff = true;
+                w.write_grains.push(modified as u32);
+                diffed = true;
 
                 // Write-granularity test (§3.2): under WFS+WG large
                 // diffs make the page a candidate for SW mode while small
@@ -246,11 +246,14 @@ pub(crate) fn close_interval(
             }
         }
 
-        // Profiler: was this write concurrent with another processor's
-        // latest write to the page?
+        // The directory's last-writer record: was this write concurrent
+        // with another processor's latest write to the page?
         let vc = &w.procs[p.index()].vc;
-        let concurrent = w.profiler.other_writers(page, p).any(|iv| !vc.covers(iv));
-        w.profiler.note_write(page, p, id, concurrent);
+        let pg = &mut w.dir[page.index()];
+        if pg.other_writers(p).any(|iv| !vc.covers(iv)) {
+            pg.ww_false_shared = true;
+        }
+        pg.last_write[p.index()] = Some(id);
     }
     drop(held);
 
@@ -294,8 +297,8 @@ pub(crate) fn close_interval(
     );
     debug_assert_eq!(w.log.closed(p), seq);
 
-    if trace_diff {
-        w.trace_event(now, TraceKind::DiffCreate);
+    if diffed {
+        w.sample_diffs(now);
     }
     if w.dir.diffs[p.index()].bytes > w.opts.cost.gc_threshold_bytes as u64 {
         w.gc_requested = true;
@@ -820,7 +823,7 @@ pub(crate) fn fetch_page_from(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: Pag
     // drop) so the granularity gets measured.
     if adaptive::probes_read_sharing(ctx.w.protocol)
         && ctx.w.dir[page.index()].owner == Some(q)
-        && ctx.w.profiler.other_writers(page, p).any(|iv| iv.proc == q)
+        && ctx.w.dir[page.index()].last_write[q.index()].is_some()
     {
         ctx.w.dir[page.index()].drop_pending = true;
     }

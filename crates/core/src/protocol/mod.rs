@@ -123,8 +123,8 @@ fn raw_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
 
 /// Runs one SC fault handler. SC's fault handling doubles as its
 /// validation procedure, so it is timed into `validate_wall` like the
-/// LRC merge path when `measure_host_costs` is on; with `sc_check` set,
-/// the invariant sweep runs after it.
+/// LRC merge path when `measure_host_costs` is on; with
+/// `sc_invariant_checks` set, the invariant sweep runs after it.
 fn sc_fault(ctx: &mut Ctx<'_>, label: &'static str, fault: impl FnOnce(&mut Ctx<'_>)) {
     let t0 = ctx.w.opts.measure_host_costs.then(std::time::Instant::now);
     fault(ctx);

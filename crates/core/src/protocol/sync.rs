@@ -11,7 +11,7 @@
 //! run.
 
 use adsm_mempage::AccessRights;
-use adsm_netsim::{MsgKind, SimTime, TraceKind};
+use adsm_netsim::{MsgKind, SimTime};
 use adsm_vclock::ProcId;
 
 use super::lrc::{self, Ctx, CTRL_BYTES};
@@ -310,7 +310,7 @@ pub(crate) fn barrier_arrive(ctx: &mut Ctx<'_>, p: ProcId) -> BarrierOutcome {
     m3_pages.clear();
     ctx.w.bscratch.m3_pages = m3_pages;
     ctx.w.bscratch.payloads = payloads;
-    ctx.w.trace_event(completion, TraceKind::Barrier);
+    ctx.w.sample_diffs(completion);
     BarrierOutcome::Completed
 }
 
@@ -346,14 +346,8 @@ fn mechanism3(ctx: &mut Ctx<'_>, pages: &[adsm_mempage::PageId]) {
             // priority rule).
             continue;
         }
-        let cands = ctx.w.profiler.last_writes(page);
-        if cands.is_empty() {
-            continue;
-        }
-        let dominator = cands
-            .iter()
-            .copied()
-            .find(|c| cands.iter().all(|o| o == c || ctx.w.vc_of(*c).covers(*o)));
+        let cands = || ctx.w.dir[pgidx].last_write.iter().flatten().copied();
+        let dominator = cands().find(|&c| cands().all(|o| o == c || ctx.w.vc_of(c).covers(o)));
         let Some(dom) = dominator else {
             continue; // concurrent writers remain: still falsely shared
         };
@@ -397,7 +391,7 @@ fn mechanism3(ctx: &mut Ctx<'_>, pages: &[adsm_mempage::PageId]) {
             .lock()
             .set_rights(page, AccessRights::Read);
         let now = ctx.now();
-        ctx.w.trace_event(now, TraceKind::SwitchToSw);
+        ctx.w.sample_diffs(now);
     }
 }
 

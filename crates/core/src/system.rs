@@ -12,6 +12,7 @@ use adsm_vclock::ProcId;
 use parking_lot::Mutex;
 
 use crate::metrics::RunReport;
+use crate::profile::ProfileSummary;
 use crate::protocol::{lrc, Ctx};
 use crate::world::World;
 use crate::{ExecBackend, Proc, ProtocolKind, RunOptions, SharedVec};
@@ -233,6 +234,12 @@ impl Dsm {
         let access_cost = opts.cost.shared_access;
         let mem_per_byte_ns = opts.cost.mem_per_byte_ns;
 
+        // Built in this order — world, memories, engine — on purpose: no
+        // simulated figure depends on it, but host time does. With the
+        // engine built first, `benchmark/` on a 2-core x86-64 host read
+        // `chaos8_sim` `wall_s` +6.5 % and `paper8_sim` `setup_s` +32 %
+        // (slower in 6 of 6 alternating pairs each), level again with
+        // this order; heap layout is the likely cause.
         let world = Arc::new(Mutex::new(World::new(protocol, nprocs, npages, opts)));
         let mems: Arc<Vec<Mutex<PagedMemory>>> = Arc::new(
             (0..nprocs)
@@ -299,8 +306,8 @@ impl Dsm {
             proc_times,
             net: w.net.clone(),
             proto: w.proto.clone(),
-            trace: w.trace.clone(),
-            profile: w.profiler.summary(),
+            diffs_alive: std::mem::take(&mut w.diffs_alive),
+            profile: ProfileSummary::of(&w.dir.pages, &w.write_grains),
             touched_pages: w.touched_pages(),
             final_sw_pages: w.final_sw_pages(),
         };

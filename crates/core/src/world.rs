@@ -12,12 +12,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use adsm_mempage::{Diff, PageBuf, PageId, PagePool};
-use adsm_netsim::{Delivery, MsgKind, NetStats, SimTime, Trace};
+use adsm_netsim::{Delivery, MsgKind, NetStats, SimTime};
 use adsm_vclock::{IntervalId, ProcId, VectorClock};
 
 use crate::metrics::ProtocolStats;
 use crate::notice::{IntervalRecord, PendingNotice, WriteNotice};
-use crate::profile::Profiler;
 use crate::{ProtocolKind, RunOptions};
 
 /// Per-page, per-processor protocol mode (the paper's "state variable",
@@ -104,6 +103,13 @@ pub(crate) struct PageGlobal {
     /// HLRC comparator: the page's home node, resolved on first fault
     /// according to the configured [`HomePolicy`](crate::HomePolicy).
     pub home: Option<ProcId>,
+    /// By processor: the interval of its most recent write to the page,
+    /// set at every interval close that wrote it and never cleared.
+    pub last_write: Vec<Option<IntervalId>>,
+    /// Some closing write was concurrent (happened-before-1) with
+    /// another processor's most recent write: the page is write-write
+    /// falsely shared (§1; Table 2). Never cleared.
+    pub ww_false_shared: bool,
 }
 
 impl PageGlobal {
@@ -118,7 +124,19 @@ impl PageGlobal {
             wants_sw: false,
             touched: false,
             home: None,
+            last_write: vec![None; nprocs],
+            ww_false_shared: false,
         }
+    }
+
+    /// The most recent write interval of every processor but `me`, in
+    /// processor order.
+    pub fn other_writers(&self, me: ProcId) -> impl Iterator<Item = IntervalId> + '_ {
+        self.last_write
+            .iter()
+            .enumerate()
+            .filter(move |&(q, _)| q != me.index())
+            .filter_map(|(_, iv)| *iv)
     }
 }
 
@@ -525,8 +543,13 @@ pub(crate) struct World {
     pub deferred_costs: Vec<(usize, SimTime)>,
     pub net: NetStats,
     pub proto: ProtocolStats,
-    pub trace: Trace,
-    pub profiler: Profiler,
+    /// Figure 3's series: `(time, cluster-wide diffs alive)` after each
+    /// diff-creating close, garbage collection, mode switch and barrier,
+    /// in the order they happened (not sorted by time).
+    pub diffs_alive: Vec<(SimTime, u64)>,
+    /// Modified bytes of every diff, in creation order (Table 2's write
+    /// granularity).
+    pub write_grains: Vec<u32>,
     /// Recycling pool for twins, fetched pages and merge scratch: the
     /// steady state allocates no page buffers from the heap.
     pub pool: PagePool,
@@ -591,8 +614,8 @@ impl World {
             deferred_costs: Vec::new(),
             net: NetStats::new(),
             proto: ProtocolStats::new(),
-            trace: Trace::new(),
-            profiler: Profiler::new(nprocs, npages),
+            diffs_alive: Vec::new(),
+            write_grains: Vec::new(),
             pool: PagePool::new(),
             merge_scratch: Vec::new(),
             delivery: opts
@@ -707,14 +730,14 @@ impl World {
         base + out.extra
     }
 
-    /// Emits a Figure-3 trace point with the current cluster-wide diff
-    /// population.
-    pub fn trace_event(&mut self, time: SimTime, kind: adsm_netsim::TraceKind) {
-        self.trace.push(time, kind, self.proto.diffs_alive);
+    /// Appends the current cluster-wide diff population at `time` to
+    /// Figure 3's series.
+    pub fn sample_diffs(&mut self, time: SimTime) {
+        self.diffs_alive.push((time, self.proto.diffs_alive));
     }
 
-    /// Marks a page as touched by any processor (for Table 2's shared
-    /// page population).
+    /// Marks a page as touched by any processor (for
+    /// [`World::touched_pages`] and [`World::final_sw_pages`]).
     pub fn touch(&mut self, page: PageId) {
         self.dir[page.index()].touched = true;
     }

@@ -681,9 +681,9 @@ fn the_carriers_holds_cost_one_allocation_at_any_cluster_size() {
 }
 
 /// Closing an interval on a write-write falsely-shared page allocates
-/// nothing: the profiler's "was this write concurrent with another
-/// processor's latest write to the page?" walks the page's last-write
-/// row in place. Two processors write the same page in one interval;
+/// nothing: the "was this write concurrent with another processor's
+/// latest write to the page?" test walks the page's directory entry
+/// (`last_write`) in place. Two processors write the same page in one interval;
 /// from then on the page's HLRC home keeps writing it (in place: no
 /// twin, no diff, so the close is the notice, the rights and that
 /// question) against the other's recorded write. Counted exactly, as in

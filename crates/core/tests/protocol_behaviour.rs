@@ -332,7 +332,7 @@ fn reports_are_deterministic() {
 }
 
 #[test]
-fn profiler_sees_false_sharing_only_where_it_exists() {
+fn profile_sees_false_sharing_only_where_it_exists() {
     let fs = false_sharing(ProtocolKind::Mw, 3);
     assert!(
         fs.report.profile.pct_ww_false_shared > 99.0,
@@ -551,8 +551,8 @@ fn gc_triggers_and_empties_diff_stores() {
         .unwrap();
     assert!(out.report.proto.gc_runs > 0, "GC must have run");
     assert!(
-        out.report.trace.gc_count() > 0,
-        "GC must appear in the trace"
+        out.report.diffs_alive.windows(2).any(|w| w[1].1 < w[0].1),
+        "GC must shrink the diff population somewhere in the series"
     );
     // After GCs, alive diffs were reset; cumulative >> alive.
     assert!(out.report.proto.diffs_created > out.report.proto.diffs_alive);

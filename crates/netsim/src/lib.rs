@@ -30,7 +30,6 @@ mod journal;
 pub mod scenario;
 mod stats;
 mod time;
-mod trace;
 
 pub use cost::CostModel;
 pub use delivery::{Delivery, DeliveryOutcome};
@@ -38,4 +37,3 @@ pub use journal::{DeliveryJournal, JournalEvent};
 pub use scenario::{crash_windows, CrashWindow, Fault, FaultKind, LinkProfile, Scenario};
 pub use stats::{MsgKind, NetStats, MSG_HEADER_BYTES};
 pub use time::SimTime;
-pub use trace::{Trace, TraceKind, TracePoint};

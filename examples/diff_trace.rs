@@ -22,22 +22,29 @@ fn main() {
     for proto in protos {
         let run = run_app(App::Fft3d, proto, 8, Scale::Small);
         assert!(run.ok, "{proto}: {}", run.detail);
-        peak = peak.max(run.outcome.report.trace.peak_diffs());
+        peak = peak.max(peak_of(&run.outcome.report.diffs_alive));
         runs.push((proto, run));
     }
     for (proto, run) in &runs {
-        let trace = &run.outcome.report.trace;
+        let report = &run.outcome.report;
+        let series = &report.diffs_alive;
         println!(
             "{:<7} peak {:>5} diffs | {:>2} GCs | cumulative diff bytes {:>9.2} KB",
             proto.name(),
-            trace.peak_diffs(),
-            trace.gc_count(),
-            run.outcome.report.proto.diff_bytes_created as f64 / 1e3,
+            peak_of(series),
+            report.proto.gc_runs,
+            report.proto.diff_bytes_created as f64 / 1e3,
         );
-        let pts = trace.downsample(72);
+        // At most 72 evenly spaced samples, first and last included.
+        let cols = series.len().min(72);
         let mut line = String::from("  |");
-        for p in &pts {
-            let lvl = (p.diffs_alive * 8 / peak).min(8) as usize;
+        for i in 0..cols {
+            let at = if cols == series.len() {
+                i
+            } else {
+                (i as f64 * (series.len() - 1) as f64 / (cols - 1) as f64).round() as usize
+            };
+            let lvl = (series[at].1 * 8 / peak).min(8) as usize;
             line.push(" 12345678#".as_bytes()[lvl] as char);
         }
         line.push('|');
@@ -45,4 +52,9 @@ fn main() {
     }
     println!("(Columns are evenly spaced virtual-time samples; height is diffs alive,");
     println!(" normalised to the MW peak of {peak}.)");
+}
+
+/// The highest diff population of a run's Figure 3 series.
+fn peak_of(series: &[(adsm::SimTime, u64)]) -> u64 {
+    series.iter().map(|&(_, n)| n).max().unwrap_or(0)
 }
