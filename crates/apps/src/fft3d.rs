@@ -66,6 +66,17 @@ impl FftParams {
     }
 }
 
+/// The paper's Figure 3 GC threshold, scaled to this grid: the paper ran
+/// a 64^3 grid (two arrays of 16-byte values) against a 1 MB
+/// per-processor threshold, and the same threshold-to-data ratio here
+/// puts MW's garbage collections (the saw-tooth) at the same point of
+/// the run. Never below 32 KB.
+pub fn fig3_gc_threshold(params: FftParams) -> usize {
+    let paper_data = 2usize * 64 * 64 * 64 * 16;
+    let our_data = 2 * params.n * params.n * params.n * 16;
+    ((1usize << 20) * our_data / paper_data).max(32 * 1024)
+}
+
 /// In-place iterative radix-2 FFT over `line` (interleaved re/im).
 /// `inverse` selects the conjugate transform and applies 1/n scaling.
 fn fft1d(line: &mut [f64], inverse: bool) {

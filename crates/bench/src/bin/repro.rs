@@ -24,10 +24,10 @@
 //! --check  fail (exit 1) when a sweep's gate is violated: for
 //!          bench-scale the sub-linear fan-in growth gate (64-proc p50
 //!          < 4x the 8-proc p50, per backend) and the turn gate (a turn
-//!          at 64 tasks < 3x one at 8); for scenarios the
-//!          verification, re-run-identity and fault-free-baseline
-//!          gates of every cell; for crash-matrix those same three
-//!          gates plus fault-actually-fired per cell
+//!          at 64 tasks < 3x one at 8); for scenarios and
+//!          crash-matrix the same gates on every cell: verification,
+//!          re-run identity, fault-free baseline and, where a crash or
+//!          failover is scheduled, that it fired
 //! ```
 //!
 //! The emitted JSON files are documented field-by-field in
@@ -40,7 +40,7 @@ use std::process::ExitCode;
 use adsm_apps::{App, Scale};
 use adsm_bench::{
     ablation_gc, ablation_network, ablation_quantum, ablation_wg, fig1, fig2, fig2_shape_checks,
-    fig3, related, scaling, sensitivity, table1, table2, table3, table4, Matrix,
+    fig3, related, run_sweep, scaling, sensitivity, table1, table2, table3, table4, Matrix, Sweep,
 };
 use adsm_core::ExecBackend;
 
@@ -172,6 +172,20 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Options>,
     }))
 }
 
+/// Prints a sweep's table, writes its JSON file and, under `--check`,
+/// reports every failed gate. False when `--check` found one.
+fn emit(table: &str, file: &str, json: &str, failures: &[String], check: bool) -> bool {
+    println!("{table}");
+    match std::fs::write(file, json) {
+        Ok(()) => eprintln!("wrote {file}"),
+        Err(e) => eprintln!("could not write {file}: {e}"),
+    }
+    for f in failures.iter().filter(|_| check) {
+        eprintln!("REGRESSION: {f}");
+    }
+    !check || failures.is_empty()
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args(std::env::args().skip(1)) {
         Ok(Some(o)) => o,
@@ -221,20 +235,12 @@ fn main() -> ExitCode {
             opts.backends.len()
         );
         let report = adsm_bench::measure_scale(proc_counts, &apps, &opts.backends);
-        println!("{}", adsm_bench::scale::summary_table(&report));
-        let json = report.to_json();
-        match std::fs::write("BENCH_scale.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_scale.json"),
-            Err(e) => eprintln!("could not write BENCH_scale.json: {e}"),
+        let table = adsm_bench::scale::summary_table(&report);
+        let (json, fails) = (report.to_json(), report.failures());
+        if !emit(&table, "BENCH_scale.json", &json, &fails, opts.check) {
+            return ExitCode::FAILURE;
         }
         if opts.check {
-            let fails = report.failures();
-            if !fails.is_empty() {
-                for f in &fails {
-                    eprintln!("REGRESSION: {f}");
-                }
-                return ExitCode::FAILURE;
-            }
             eprintln!(
                 "scale gate: pass (fan-in p50 growth 8 -> 64 procs sub-linear on every backend, \
                  engine turn 8 -> 64 tasks under {:.1}x)",
@@ -243,93 +249,49 @@ fn main() -> ExitCode {
         }
     }
 
-    // Chaos-scenario sweep: the applications under the scenario corpus
-    // (lossy, reordering, bursty, jittery delivery), gating sequential
-    // correctness, re-run bit-identity (with the journal summing to
-    // the chaos counters) and the fault-free no-op property. `--smoke`
-    // shrinks to 2 apps x 3 scenarios.
-    if opts.targets.iter().any(|t| t == "scenarios") {
-        let (scale, nprocs) = if opts.smoke {
-            (Scale::Tiny, 4)
-        } else {
-            (opts.scale, opts.nprocs)
-        };
-        let corpus = adsm_core::Scenario::corpus();
-        let (apps, corpus): (Vec<App>, Vec<adsm_core::Scenario>) = if opts.smoke {
-            (
-                vec![App::Sor, App::Tsp],
-                corpus
-                    .into_iter()
-                    .filter(|s| matches!(s.name.as_str(), "perfect" | "lossy-1pct" | "bursty-loss"))
-                    .collect(),
-            )
-        } else {
-            (opts.apps.clone(), corpus)
-        };
-        eprintln!(
-            "running chaos scenario sweep ({} apps x {} scenarios, {scale} scale, \
-             {nprocs} procs)...",
-            apps.len(),
-            corpus.len()
-        );
-        let report = adsm_bench::measure_scenarios(
-            nprocs,
-            scale,
-            &apps,
-            adsm_core::ProtocolKind::Wfs,
-            &corpus,
-        );
-        println!("{}", report.summary_table());
-        let json = report.to_json();
-        match std::fs::write("BENCH_scenarios.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_scenarios.json"),
-            Err(e) => eprintln!("could not write BENCH_scenarios.json: {e}"),
+    // The chaos sweeps: the applications under every case of the
+    // scenario corpus (lossy, reordering, bursty, jittery delivery,
+    // under WFS) or of the crash matrix (instant-restart crash, crash
+    // with a down window, HLRC home failover), gating sequential
+    // correctness, re-run bit-identity (with the journal summing to the
+    // chaos counters), the fault-free no-op property and that every
+    // scheduled crash or failover fired. `--smoke` shrinks to 2 apps
+    // (one barrier-structured, one locks-only) at tiny scale on 4
+    // procs, and the corpus to 3 scenarios.
+    for (target, sweep) in [
+        ("scenarios", &Sweep::SCENARIOS),
+        ("crash-matrix", &Sweep::CRASH),
+    ] {
+        if !opts.targets.iter().any(|t| t == target) {
+            continue;
         }
-        if opts.check {
-            let fails = report.failures();
-            if !fails.is_empty() {
-                for f in &fails {
-                    eprintln!("REGRESSION: {f}");
-                }
-                return ExitCode::FAILURE;
-            }
-            eprintln!("scenario gate: pass ({} cells)", report.cells.len());
-        }
-    }
-
-    // Crash-recovery matrix: the applications under the three
-    // scheduled fault shapes (instant-restart crash, crash with a down
-    // window, HLRC home failover), gating sequential correctness,
-    // re-run bit-identity, the fault-free no-op property and
-    // that every scheduled fault actually fired. `--smoke` shrinks to
-    // 2 apps (one barrier-structured, one locks-only).
-    if opts.targets.iter().any(|t| t == "crash-matrix") {
         let (scale, nprocs, apps) = if opts.smoke {
             (Scale::Tiny, 4, vec![App::Sor, App::Tsp])
         } else {
             (opts.scale, opts.nprocs, opts.apps.clone())
         };
+        let mut cases = (sweep.cases)();
+        if opts.smoke && target == "scenarios" {
+            cases.retain(|c| matches!(c.name.as_str(), "perfect" | "lossy-1pct" | "bursty-loss"));
+        }
         eprintln!(
-            "running crash-recovery matrix ({} apps x 3 fault shapes, {scale} scale, \
-             {nprocs} procs)...",
-            apps.len()
+            "running {target} ({} apps x {} cases, {scale} scale, {nprocs} procs)...",
+            apps.len(),
+            cases.len()
         );
-        let report = adsm_bench::measure_crash_matrix(nprocs, scale, &apps);
-        println!("{}", report.summary_table());
-        let json = report.to_json();
-        match std::fs::write("BENCH_crash.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_crash.json"),
-            Err(e) => eprintln!("could not write BENCH_crash.json: {e}"),
+        let report = run_sweep(sweep, nprocs, scale, &apps, &cases);
+        let (json, fails) = (report.to_json(), report.failures());
+        if !emit(
+            &report.summary_table(),
+            sweep.file,
+            &json,
+            &fails,
+            opts.check,
+        ) {
+            return ExitCode::FAILURE;
         }
         if opts.check {
-            let fails = report.failures();
-            if !fails.is_empty() {
-                for f in &fails {
-                    eprintln!("REGRESSION: {f}");
-                }
-                return ExitCode::FAILURE;
-            }
-            eprintln!("crash-matrix gate: pass ({} cells)", report.cells.len());
+            eprintln!("{target} gate: pass ({} cells)", report.cells.len());
         }
     }
 

@@ -21,16 +21,14 @@ use adsm_apps::{kernels, run_app, App, AppRun, Scale};
 use adsm_core::{ProtocolKind, SimTime};
 
 mod ablation;
-pub mod crash_matrix;
+pub mod chaos;
 pub mod scale;
-pub mod scenarios;
 
 pub use ablation::{
     ablation_gc, ablation_network, ablation_quantum, ablation_wg, related, scaling, sensitivity,
 };
-pub use crash_matrix::{measure_crash_matrix, CrashCell, CrashReport, FaultShape};
+pub use chaos::{run_sweep, Case, ChaosCell, ChaosReport, Sweep};
 pub use scale::{measure_scale, ScaleReport};
-pub use scenarios::{measure_scenarios, ScenarioCell, ScenarioReport};
 
 /// The four protocols in the paper's presentation order (Fig. 2).
 pub const PROTOCOLS: [ProtocolKind; 4] = ProtocolKind::EVALUATED;
@@ -407,10 +405,7 @@ pub fn fig3(m: &Matrix) -> String {
     );
     let params = adsm_apps::fft3d::FftParams::new(m.scale);
     let mut cost = adsm_core::CostModel::sparc_atm();
-    // Paper ratio: 1 MB threshold for a 64^3 grid (2 arrays x 16 B).
-    let paper_data = 2usize * 64 * 64 * 64 * 16;
-    let our_data = 2 * params.n * params.n * params.n * 16;
-    cost.gc_threshold_bytes = ((1usize << 20) * our_data / paper_data).max(32 * 1024);
+    cost.gc_threshold_bytes = adsm_apps::fft3d::fig3_gc_threshold(params);
     let protos = [ProtocolKind::Mw, ProtocolKind::WfsWg, ProtocolKind::Wfs];
     let opts = adsm_apps::RunOptions {
         cost,
@@ -435,21 +430,7 @@ pub fn fig3(m: &Matrix) -> String {
             pts.iter().map(|&(_, n)| n).max().unwrap_or(0),
             report.proto.gc_runs
         );
-        // ASCII sparkline, uniform in *time* (like the paper's x axis).
-        let end = pts.last().map(|p| p.0.as_ns()).unwrap_or(1).max(1);
-        let mut line = String::new();
-        for col in 0..64u64 {
-            let t = end * (col + 1) / 64;
-            let v = pts
-                .iter()
-                .take_while(|p| p.0.as_ns() <= t)
-                .last()
-                .map(|p| p.1)
-                .unwrap_or(0);
-            let level = (v * 8 / peak.max(1)).min(8) as usize;
-            line.push(['.', '1', '2', '3', '4', '5', '6', '7', '8'][level]);
-        }
-        let _ = writeln!(out, "  |{line}|");
+        let _ = writeln!(out, "  |{}|", sparkline(pts, peak));
         if let (Some(first), Some(last)) = (pts.first(), pts.last()) {
             let _ = writeln!(
                 out,
@@ -463,6 +444,26 @@ pub fn fig3(m: &Matrix) -> String {
         "\n(Paper: MW saw-tooths against the 1 MB GC threshold; WFS stays near\nzero; WFS+WG rises with MW for the first iterations, then flattens\nonce large diffs push the pages to SW mode.)"
     );
     out
+}
+
+/// A 64-column ASCII sparkline of a `(time, diffs alive)` series,
+/// uniform in *time* like the paper's x axis: each column shows the last
+/// sample taken at or before its instant, as a level out of `peak`. The
+/// series is in push order, and each sample carries the clock of the
+/// processor that took it, so it is read from a stably time-sorted copy.
+fn sparkline(series: &[(SimTime, u64)], peak: u64) -> String {
+    let mut pts = series.to_vec();
+    pts.sort_by_key(|&(t, _)| t);
+    let end = pts.last().map_or(1, |p| p.0.as_ns()).max(1);
+    (0..64u64)
+        .map(|col| {
+            let t = end * (col + 1) / 64;
+            let before = pts.partition_point(|p| p.0.as_ns() <= t);
+            let v = before.checked_sub(1).map_or(0, |i| pts[i].1);
+            let level = (v * 8 / peak.max(1)).min(8) as usize;
+            ['.', '1', '2', '3', '4', '5', '6', '7', '8'][level]
+        })
+        .collect()
 }
 
 /// Per-message-kind traffic breakdown — the evidence behind §6.3's
@@ -645,46 +646,31 @@ mod tests {
             turn_ns: [1.0, 1.0],
         }
         .to_json();
-        let scenarios_json = ScenarioReport {
-            nprocs: 4,
-            scale: Scale::Tiny,
+        let cell = |case: &str| ChaosCell {
+            app: App::Sor,
+            case: case.to_string(),
             protocol: ProtocolKind::Wfs,
-            cells: vec![ScenarioCell {
-                app: App::Sor,
-                scenario: "perfect".into(),
-                ok: true,
-                detail: String::new(),
-                time: SimTime::ZERO,
-                retransmissions: 0,
-                dropped_msgs: 0,
-                duplicate_msgs: 0,
-                timeout_waits: 0,
-                journal_events: 0,
-                replay_ok: true,
-                baseline_ok: true,
-            }],
-        }
-        .to_json();
-        let crash_json = CrashReport {
-            nprocs: 4,
-            scale: Scale::Tiny,
-            cells: vec![CrashCell {
-                app: App::Sor,
-                shape: FaultShape::CrashInstant.name(),
-                protocol: ProtocolKind::Wfs,
-                ok: true,
-                detail: String::new(),
-                replay_ok: true,
-                baseline_ok: true,
-                time: SimTime::ZERO,
-                recovery_ns: 0,
-                epoch_drops: 0,
-                proc_crashes: 0,
-                recovery_refetches: 0,
-                failover_promotions: 0,
-            }],
-        }
-        .to_json();
+            time: SimTime::ZERO,
+            net: Default::default(),
+            proto: Default::default(),
+            journal_events: 0,
+            ok: true,
+            detail: String::new(),
+            replay_ok: true,
+            baseline_ok: true,
+            fired: true,
+        };
+        let chaos_json = |sweep, case| {
+            ChaosReport {
+                sweep,
+                nprocs: 4,
+                scale: Scale::Tiny,
+                cells: vec![cell(case)],
+            }
+            .to_json()
+        };
+        let scenarios_json = chaos_json(&Sweep::SCENARIOS, "perfect");
+        let crash_json = chaos_json(&Sweep::CRASH, "crash-instant");
         for (file, json) in [
             ("BENCH_scale.json", scale_json),
             ("BENCH_scenarios.json", scenarios_json),
@@ -696,6 +682,17 @@ mod tests {
                 "{file}: emitted keys (left) vs docs/BENCH_SCHEMA.md (right)"
             );
         }
+    }
+
+    /// A sample pushed after a later one still counts from its own
+    /// instant on: columns 15..31 (t = 50..96 of 200) show it, and the
+    /// column at t = 100 shows the later sample, not the earlier one.
+    #[test]
+    fn sparkline_reads_an_out_of_order_series_by_time() {
+        let at = SimTime::from_ns;
+        let series = [(at(100), 8), (at(50), 4), (at(200), 0)];
+        let want = format!("{}{}{}.", ".".repeat(15), "4".repeat(16), "8".repeat(32));
+        assert_eq!(sparkline(&series, 8), want);
     }
 
     #[test]

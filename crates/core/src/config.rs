@@ -230,11 +230,6 @@ pub struct RunOptions {
     /// [`Dsm::run`](crate::Dsm::run) rejects other combinations with
     /// [`RunError::BadConfig`](crate::RunError::BadConfig).
     pub scenario: Option<Scenario>,
-    /// Run the SC comparator's invariant checker after every fault
-    /// (single writable copy, coherent read copies, exact copysets).
-    /// Off by default (the sweep copies every page on every fault);
-    /// other protocols ignore it.
-    pub sc_invariant_checks: bool,
 }
 
 impl RunOptions {
@@ -291,7 +286,6 @@ mod tests {
         assert_eq!(opts.schedule_fuzz, None);
         assert_eq!(opts.home_policy, HomePolicy::RoundRobin);
         assert_eq!(opts.backend, ExecBackend::Sim);
-        assert!(!opts.sc_invariant_checks);
         assert!(!opts.measure_host_costs);
         assert!(opts.scenario.is_none());
     }

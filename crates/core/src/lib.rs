@@ -38,10 +38,11 @@
 //! evaluation surface: speedups, traffic, memory, adaptation events.
 //!
 //! A run is a protocol, a processor count and one [`RunOptions`] value
-//! ([`Dsm::builder`]`(protocol).nprocs(n).options(opts)`): the cost
-//! model, HLRC home policy, execution backend, chaos scenario, schedule
-//! fuzzing and the two measurement/checking switches are its fields,
-//! each defaulting to the paper's testbed.
+//! ([`Dsm::builder`]`(protocol).nprocs(n).options(opts)`): its six
+//! fields are the cost model, HLRC home policy, execution backend, chaos
+//! scenario, schedule fuzzing and the host-cost measurement switch, each
+//! defaulting to the paper's testbed. SC's invariant checks are no
+//! setting: they run after every SC fault in a debug build.
 //!
 //! # Quick start
 //!

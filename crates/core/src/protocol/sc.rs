@@ -202,9 +202,8 @@ fn finish_copy(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     ctx.w.dir[page.index()].copyset[p.index()] = true;
 }
 
-/// SC coherence invariants, checked after every fault under
-/// [`RunOptions::sc_invariant_checks`](crate::RunOptions::sc_invariant_checks)
-/// (test/debug facility): a single writable copy per page; every
+/// SC coherence invariants, checked after every fault in a debug build
+/// (the sweep copies every page): a single writable copy per page; every
 /// readable copy byte-identical to the owner's frame; every readable
 /// copy tracked in the copyset.
 ///

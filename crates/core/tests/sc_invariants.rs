@@ -1,23 +1,18 @@
-//! SC comparator invariants, checked after every fault via
-//! `RunOptions::sc_invariant_checks`: at most one writable copy per
+//! SC comparator invariants, checked after every fault in a debug
+//! build (run these tests unoptimised): at most one writable copy per
 //! page, readable copies byte-identical to the owner's frame, and
-//! complete copyset tracking. The IS-like workload below (skewed compute, uneven bands,
-//! three processors) is the exact schedule that exposed an untracked
-//! stale read copy during development — kept as a regression test.
+//! complete copyset tracking. The IS-like workload below (skewed
+//! compute, uneven bands, three processors) is the exact schedule that
+//! exposed an untracked stale read copy during development — kept as a
+//! regression test.
 
-use adsm_core::{Dsm, ProtocolKind, RunOptions, SharedVec, SimTime};
+use adsm_core::{Dsm, ProtocolKind, SharedVec, SimTime};
 
 #[test]
 fn locked_rmw_with_skewed_compute_upholds_invariants() {
     let nb = 1024usize;
     let nprocs = 3;
-    let mut dsm = Dsm::builder(ProtocolKind::Sc)
-        .nprocs(nprocs)
-        .options(RunOptions {
-            sc_invariant_checks: true,
-            ..RunOptions::default()
-        })
-        .build();
+    let mut dsm = Dsm::builder(ProtocolKind::Sc).nprocs(nprocs).build();
     let buckets: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(nb);
     let checksum: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(1);
     let probe = buckets;
@@ -57,13 +52,7 @@ fn served_owner_copies_join_the_copyset() {
     // A reader pulling a page from an owner that never accessed it gives
     // the owner a tracked readable copy; the next writer must invalidate
     // it (this is the precise shape of the regression).
-    let mut dsm = Dsm::builder(ProtocolKind::Sc)
-        .nprocs(3)
-        .options(RunOptions {
-            sc_invariant_checks: true,
-            ..RunOptions::default()
-        })
-        .build();
+    let mut dsm = Dsm::builder(ProtocolKind::Sc).nprocs(3).build();
     let data = dsm.alloc_page_aligned::<u64>(512);
     let probe = data;
     let out = dsm

@@ -5,22 +5,32 @@
 //! cargo run --release --example diff_trace
 //! ```
 //!
-//! MW accumulates diffs until the 1 MB per-processor threshold forces a
-//! garbage collection at the next barrier (the saw-tooth). WFS uses
+//! MW accumulates diffs until the GC threshold forces a garbage
+//! collection at the next barrier (the saw-tooth); the threshold is the
+//! paper's 1 MB per processor scaled to the grid, as `repro fig3` runs it. WFS uses
 //! diffs only for the one falsely-shared page, so its curve hugs zero.
 //! WFS+WG initially diffs everything (measuring write granularity),
 //! then switches the large-diff pages to single-writer mode and
 //! flattens — the behaviour of the paper's Figure 3.
 
-use adsm::{run_app, App, ProtocolKind, Scale};
+use adsm::apps::fft3d::{self, FftParams};
+use adsm::{CostModel, ProtocolKind, RunOptions, Scale};
 
 fn main() {
     println!("3D-FFT diff population over virtual time (small scale, 8 procs)\n");
     let protos = [ProtocolKind::Mw, ProtocolKind::WfsWg, ProtocolKind::Wfs];
     let mut runs = Vec::new();
     let mut peak = 1u64;
+    let params = FftParams::new(Scale::Small);
+    let opts = RunOptions {
+        cost: CostModel {
+            gc_threshold_bytes: fft3d::fig3_gc_threshold(params),
+            ..CostModel::sparc_atm()
+        },
+        ..RunOptions::default()
+    };
     for proto in protos {
-        let run = run_app(App::Fft3d, proto, 8, Scale::Small);
+        let run = fft3d::run(proto, 8, params, &opts);
         assert!(run.ok, "{proto}: {}", run.detail);
         peak = peak.max(peak_of(&run.outcome.report.diffs_alive));
         runs.push((proto, run));
@@ -50,7 +60,7 @@ fn main() {
         line.push('|');
         println!("{line}\n");
     }
-    println!("(Columns are evenly spaced virtual-time samples; height is diffs alive,");
+    println!("(Columns are evenly spaced sample indices; height is diffs alive,");
     println!(" normalised to the MW peak of {peak}.)");
 }
 

@@ -267,7 +267,6 @@ fn sc_on_threads_loses_no_write_between_copy_and_revoke() {
         .nprocs(2)
         .options(RunOptions {
             backend: ExecBackend::Threads,
-            sc_invariant_checks: true,
             ..RunOptions::default()
         })
         .build();

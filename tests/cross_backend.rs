@@ -111,16 +111,11 @@ fn threads_backend_matches_simulator_images_across_the_golden_matrix() {
         for proto in PROTOCOLS {
             let sim = run_app_tuned(app, proto, nprocs, Scale::Tiny, &opts(ExecBackend::Sim));
             assert!(sim.ok, "{app}/{proto} sim: {}", sim.detail);
-            // Two SC cells (one stencil, one irregular) also sweep the SC
+            // In a debug build every SC cell also sweeps the SC
             // invariants after every fault: a copy handed out while its
             // owner could still write fails there, as "stale readable
             // copy", not later as a wrong answer.
-            let thr_opts = RunOptions {
-                sc_invariant_checks: proto == ProtocolKind::Sc
-                    && matches!(app, App::Sor | App::Barnes),
-                ..opts(ExecBackend::Threads)
-            };
-            let thr = run_app_tuned(app, proto, nprocs, Scale::Tiny, &thr_opts);
+            let thr = run_app_tuned(app, proto, nprocs, Scale::Tiny, &opts(ExecBackend::Threads));
             assert!(thr.ok, "{app}/{proto} threads: {}", thr.detail);
             assert_eq!(
                 thr.outcome.report.backend,
