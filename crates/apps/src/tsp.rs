@@ -8,10 +8,9 @@
 //! paper's *small* write granularity, with little write-write false
 //! sharing (the queue pages are lock-ordered).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use adsm_core::{Dsm, ExecBackend, ProtocolKind, SharedVec};
+use adsm_core::{Dsm, ProtocolKind, SharedVec};
 
 use crate::support::{unit_f64, work, Oracle};
 use crate::{AppRun, RunOptions, Scale};
@@ -223,19 +222,6 @@ pub fn run(protocol: ProtocolKind, nprocs: usize, params: TspParams, opts: &RunO
     let queue: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(2 + QUEUE_CAP * REC_WORDS);
     let best: SharedVec<u64> = dsm.alloc_page_aligned::<u64>(1);
 
-    // Threads backend: the global bound is mirrored in a process-wide
-    // atomic so the per-pop probe is a relaxed load instead of a
-    // `LOCK_BEST` acquire — at high processor counts the probe is the
-    // hottest lock in the suite, and a stale (larger) bound only costs
-    // pruning effectiveness, never correctness (the bound decreases
-    // monotonically toward the optimum and every value is a real tour
-    // length). Improvements CAS the mirror down (`fetch_min`) and
-    // still commit to the DSM word under `LOCK_BEST` with the
-    // double-check, so the verified result and the simulator path are
-    // byte-identical.
-    let bound_mirror: Option<Arc<AtomicU64>> =
-        (opts.backend == ExecBackend::Threads).then(|| Arc::new(AtomicU64::new(u64::MAX / 4)));
-
     let outcome = dsm
         .run(move |p| {
             let cities = &cities;
@@ -285,10 +271,7 @@ pub fn run(protocol: ProtocolKind, nprocs: usize, params: TspParams, opts: &RunO
                 };
 
                 let last = *path.last().expect("nonempty path") as usize;
-                let cur_best = match &bound_mirror {
-                    Some(b) => b.load(Ordering::Relaxed),
-                    None => p.critical(LOCK_BEST, |p| best.get(p, 0)),
-                };
+                let cur_best = p.critical(LOCK_BEST, |p| best.get(p, 0));
 
                 let mut pushed = 0u64;
                 let mut local_best = cur_best;
@@ -329,9 +312,6 @@ pub fn run(protocol: ProtocolKind, nprocs: usize, params: TspParams, opts: &RunO
                 p.compute(work(nodes as usize, params.ns_per_node));
 
                 if local_best < cur_best {
-                    if let Some(b) = &bound_mirror {
-                        b.fetch_min(local_best, Ordering::Relaxed);
-                    }
                     p.critical(LOCK_BEST, |p| {
                         let b = best.get(p, 0);
                         if local_best < b {

@@ -4,35 +4,25 @@
 //! GC threshold) or argues from (network bandwidth).
 //!
 //! Each generator returns its report as a string; the `repro` binary
-//! prints them (`repro related ablations sensitivity scaling`).
+//! prints them (`repro related ablations sensitivity scaling`). Every
+//! grid of preset-input cells runs through [`Matrix::collect`]; only
+//! the sensitivity study, whose inputs are not presets, calls the apps
+//! directly.
 
 use std::fmt::Write as _;
 
-use adsm_apps::{run_app_tuned, sequential_time, App, RunOptions, Scale};
+use adsm_apps::{App, RunOptions, Scale};
 use adsm_core::{CostModel, HomePolicy, ProtocolKind, SimTime};
 
-/// One measured cell of a comparison table.
-struct Cell {
-    speedup: f64,
-    msgs: f64,
-    data_mb: f64,
-}
+use crate::{Matrix, PROTOCOLS};
 
-fn run_cell(
-    app: App,
-    protocol: ProtocolKind,
-    nprocs: usize,
-    scale: Scale,
-    seq: SimTime,
-    opts: &RunOptions,
-) -> Cell {
-    let run = run_app_tuned(app, protocol, nprocs, scale, opts);
-    assert!(run.ok, "{app} under {protocol}: {}", run.detail);
-    let r = &run.outcome.report;
-    Cell {
-        speedup: r.speedup(seq),
-        msgs: r.net.total_messages() as f64 / 1e3,
-        data_mb: r.net.total_bytes() as f64 / 1e6,
+/// Default run options with the cost model changed by `tweak`.
+fn tuned(tweak: impl FnOnce(&mut CostModel)) -> RunOptions {
+    let mut cost = CostModel::sparc_atm();
+    tweak(&mut cost);
+    RunOptions {
+        cost,
+        ..RunOptions::default()
     }
 }
 
@@ -75,7 +65,25 @@ pub fn related(nprocs: usize, scale: Scale, apps: &[App]) -> String {
     }
     let _ = writeln!(out, "{header}");
 
-    let base = RunOptions::default();
+    let lrc_sc = [
+        ProtocolKind::Sw,
+        ProtocolKind::Mw,
+        ProtocolKind::Wfs,
+        ProtocolKind::Sc,
+    ];
+    let base = Matrix::collect(nprocs, scale, apps, &lrc_sc, &RunOptions::default());
+    let homes = placements.map(|(_, home_policy)| {
+        let opts = RunOptions {
+            home_policy,
+            ..RunOptions::default()
+        };
+        Matrix::collect(nprocs, scale, apps, &[ProtocolKind::Hlrc], &opts)
+    });
+    let cells = lrc_sc
+        .iter()
+        .map(|&proto| (&base, proto))
+        .chain(homes.iter().map(|m| (m, ProtocolKind::Hlrc)));
+
     let total = apps.len();
     let mut sc_wins = 0usize;
     let mut consistency_benefit = 1.0f64; // product of SW/SC ratios
@@ -83,37 +91,29 @@ pub fn related(nprocs: usize, scale: Scale, apps: &[App]) -> String {
     let mut home_ratios: Vec<(App, f64)> = Vec::new();
 
     for &app in apps {
-        let seq = sequential_time(app, scale);
-        let mut cells: Vec<Cell> = vec![
-            run_cell(app, ProtocolKind::Sw, nprocs, scale, seq, &base),
-            run_cell(app, ProtocolKind::Mw, nprocs, scale, seq, &base),
-            run_cell(app, ProtocolKind::Wfs, nprocs, scale, seq, &base),
-            run_cell(app, ProtocolKind::Sc, nprocs, scale, seq, &base),
-        ];
-        for (_, policy) in placements {
-            let opts = RunOptions {
-                home_policy: policy,
-                ..RunOptions::default()
-            };
-            cells.push(run_cell(app, ProtocolKind::Hlrc, nprocs, scale, seq, &opts));
-        }
         let mut row = format!("{:<8}", app.name());
-        for c in &cells {
+        for (m, proto) in cells.clone() {
+            let net = &m.report(app, proto).net;
             let _ = write!(
                 row,
                 " {:>6.2}/{:>5.1}/{:>5.1}",
-                c.speedup, c.msgs, c.data_mb
+                m.speedup(app, proto),
+                net.total_messages() as f64 / 1e3,
+                net.total_bytes() as f64 / 1e6
             );
         }
         let _ = writeln!(out, "{row}");
 
-        let (sw, mw, sc) = (cells[0].speedup, cells[1].speedup, cells[3].speedup);
+        let [sw, mw, _, sc] = lrc_sc.map(|proto| base.speedup(app, proto));
         if sc > sw.max(mw) * 1.02 {
             sc_wins += 1;
         }
         consistency_benefit *= sw / sc;
         writer_benefit *= sw.max(mw) / sw;
-        let hlrc_data: Vec<f64> = cells[4..].iter().map(|c| c.data_mb).collect();
+        let hlrc_data: Vec<f64> = homes
+            .iter()
+            .map(|m| m.report(app, ProtocolKind::Hlrc).net.total_bytes() as f64 / 1e6)
+            .collect();
         let best = hlrc_data.iter().copied().fold(f64::INFINITY, f64::min);
         let worst = hlrc_data.iter().copied().fold(0.0f64, f64::max);
         home_ratios.push((app, worst / best.max(1e-9)));
@@ -150,6 +150,7 @@ pub fn related(nprocs: usize, scale: Scale, apps: &[App]) -> String {
 /// lives) and WFS (which inherits it for SW-mode pages).
 pub fn ablation_quantum(nprocs: usize, scale: Scale, apps: &[App]) -> String {
     let quanta_us: [u64; 5] = [0, 250, 1_000, 2_000, 4_000];
+    let protocols = [ProtocolKind::Sw, ProtocolKind::Wfs];
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -161,19 +162,15 @@ pub fn ablation_quantum(nprocs: usize, scale: Scale, apps: &[App]) -> String {
         let _ = write!(header, " {:>9}", format!("{}us", q));
     }
     let _ = writeln!(out, "{header}   (paper default 1000us)");
+    let grids = quanta_us.map(|q| {
+        let opts = tuned(|cost| cost.ownership_quantum = SimTime::from_us(q));
+        Matrix::collect(nprocs, scale, apps, &protocols, &opts)
+    });
     for &app in apps {
-        let seq = sequential_time(app, scale);
-        for protocol in [ProtocolKind::Sw, ProtocolKind::Wfs] {
+        for protocol in protocols {
             let mut row = format!("{:<8} {:<6}", app.name(), protocol.name());
-            for q in quanta_us {
-                let mut cost = CostModel::sparc_atm();
-                cost.ownership_quantum = SimTime::from_us(q);
-                let opts = RunOptions {
-                    cost,
-                    ..RunOptions::default()
-                };
-                let cell = run_cell(app, protocol, nprocs, scale, seq, &opts);
-                let _ = write!(row, " {:>9.2}", cell.speedup);
+            for m in &grids {
+                let _ = write!(row, " {:>9.2}", m.speedup(app, protocol));
             }
             let _ = writeln!(out, "{row}");
         }
@@ -198,18 +195,14 @@ pub fn ablation_wg(nprocs: usize, scale: Scale, apps: &[App]) -> String {
         let _ = write!(header, " {:>9}", format!("{}B", t));
     }
     let _ = writeln!(out, "{header}   (paper default 3072B)");
+    let grids = thresholds.map(|t| {
+        let opts = tuned(|cost| cost.wg_threshold_bytes = t);
+        Matrix::collect(nprocs, scale, apps, &[ProtocolKind::WfsWg], &opts)
+    });
     for &app in apps {
-        let seq = sequential_time(app, scale);
         let mut row = format!("{:<8}", app.name());
-        for t in thresholds {
-            let mut cost = CostModel::sparc_atm();
-            cost.wg_threshold_bytes = t;
-            let opts = RunOptions {
-                cost,
-                ..RunOptions::default()
-            };
-            let cell = run_cell(app, ProtocolKind::WfsWg, nprocs, scale, seq, &opts);
-            let _ = write!(row, " {:>9.2}", cell.speedup);
+        for m in &grids {
+            let _ = write!(row, " {:>9.2}", m.speedup(app, ProtocolKind::WfsWg));
         }
         let _ = writeln!(out, "{row}");
     }
@@ -222,32 +215,26 @@ pub fn ablation_wg(nprocs: usize, scale: Scale, apps: &[App]) -> String {
 /// the adaptive protocol stays at zero collections throughout.
 pub fn ablation_gc(nprocs: usize, scale: Scale) -> String {
     let thresholds: [usize; 4] = [64 << 10, 256 << 10, 1 << 20, 4 << 20];
+    let protocols = [ProtocolKind::Mw, ProtocolKind::Wfs];
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Ablation — diff GC threshold, 3D-FFT ({} procs, {} scale): GC runs / peak diff MB / speedup",
         nprocs, scale
     );
-    let seq = sequential_time(App::Fft3d, scale);
     let _ = writeln!(out, "{:<10} {:>18} {:>18}", "Threshold", "MW", "WFS");
     for t in thresholds {
-        let mut cost = CostModel::sparc_atm();
-        cost.gc_threshold_bytes = t;
-        let opts = RunOptions {
-            cost,
-            ..RunOptions::default()
-        };
+        let opts = tuned(|cost| cost.gc_threshold_bytes = t);
+        let m = Matrix::collect(nprocs, scale, &[App::Fft3d], &protocols, &opts);
         let mut row = format!("{:<10}", format!("{}KB", t >> 10));
-        for protocol in [ProtocolKind::Mw, ProtocolKind::Wfs] {
-            let run = run_app_tuned(App::Fft3d, protocol, nprocs, scale, &opts);
-            assert!(run.ok, "3D-FFT under {protocol}: {}", run.detail);
-            let r = &run.outcome.report;
+        for protocol in protocols {
+            let r = m.report(App::Fft3d, protocol);
             let _ = write!(
                 row,
                 " {:>6}/{:>5.2}/{:>5.2}",
                 r.proto.gc_runs,
                 r.proto.peak_storage_bytes as f64 / 1e6,
-                r.speedup(seq),
+                m.speedup(App::Fft3d, protocol),
             );
         }
         let _ = writeln!(out, "{row}");
@@ -260,7 +247,9 @@ pub fn ablation_gc(nprocs: usize, scale: Scale) -> String {
 /// bandwidth"*). Reruns the protocol comparison on a 10x faster
 /// interconnect: cheaper whole-page transfers shrink the region where
 /// diffs win, so MW's advantage on small-granularity applications (TSP)
-/// narrows and the whole-page protocols gain ground.
+/// narrows and the whole-page protocols gain ground. The sequential
+/// basis shares each network's cost model (it only affects local
+/// charges, but keeps ratios comparable).
 pub fn ablation_network(nprocs: usize, scale: Scale, apps: &[App]) -> String {
     let networks: [(&str, CostModel); 2] = [
         ("ATM-155", CostModel::sparc_atm()),
@@ -277,27 +266,18 @@ pub fn ablation_network(nprocs: usize, scale: Scale, apps: &[App]) -> String {
         "{:<8} {:<9} {:>8} {:>8} {:>8} {:>8}",
         "App", "Network", "MW", "WFS+WG", "WFS", "SW"
     );
+    let grids = networks.each_ref().map(|(_, cost)| {
+        let opts = RunOptions {
+            cost: cost.clone(),
+            ..RunOptions::default()
+        };
+        Matrix::collect(nprocs, scale, apps, &PROTOCOLS, &opts)
+    });
     for &app in apps {
-        for (name, cost) in &networks {
-            // The sequential basis shares the network's cost model (it
-            // only affects local charges, but keeps ratios comparable).
-            let opts = RunOptions {
-                cost: cost.clone(),
-                ..RunOptions::default()
-            };
-            let seq = run_app_tuned(app, ProtocolKind::Raw, 1, scale, &opts)
-                .outcome
-                .report
-                .time;
+        for ((name, _), m) in networks.iter().zip(&grids) {
             let mut row = format!("{:<8} {:<9}", app.name(), name);
-            for protocol in [
-                ProtocolKind::Mw,
-                ProtocolKind::WfsWg,
-                ProtocolKind::Wfs,
-                ProtocolKind::Sw,
-            ] {
-                let cell = run_cell(app, protocol, nprocs, scale, seq, &opts);
-                let _ = write!(row, " {:>8.2}", cell.speedup);
+            for protocol in PROTOCOLS {
+                let _ = write!(row, " {:>8.2}", m.speedup(app, protocol));
             }
             let _ = writeln!(out, "{row}");
         }
@@ -438,6 +418,7 @@ pub fn sensitivity(nprocs: usize) -> String {
 /// 8 processors only; this extends Figure 2 along the processor axis).
 pub fn scaling(scale: Scale, apps: &[App]) -> String {
     let sizes: [usize; 3] = [2, 4, 8];
+    let protocols = [ProtocolKind::Mw, ProtocolKind::Wfs, ProtocolKind::Sw];
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -449,14 +430,13 @@ pub fn scaling(scale: Scale, apps: &[App]) -> String {
         let _ = write!(header, " {:>7}", format!("x{s}"));
     }
     let _ = writeln!(out, "{header}");
+    let grids = sizes
+        .map(|nprocs| Matrix::collect(nprocs, scale, apps, &protocols, &RunOptions::default()));
     for &app in apps {
-        let seq = sequential_time(app, scale);
-        for protocol in [ProtocolKind::Mw, ProtocolKind::Wfs, ProtocolKind::Sw] {
+        for protocol in protocols {
             let mut row = format!("{:<8} {:<6}", app.name(), protocol.name());
-            for nprocs in sizes {
-                let run = run_app_tuned(app, protocol, nprocs, scale, &RunOptions::default());
-                assert!(run.ok, "{app}/{protocol} x{nprocs}: {}", run.detail);
-                let _ = write!(row, " {:>7.2}", run.outcome.report.speedup(seq));
+            for m in &grids {
+                let _ = write!(row, " {:>7.2}", m.speedup(app, protocol));
             }
             let _ = writeln!(out, "{row}");
         }

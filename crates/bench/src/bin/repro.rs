@@ -37,10 +37,11 @@
 
 use std::process::ExitCode;
 
-use adsm_apps::{App, Scale};
+use adsm_apps::{App, RunOptions, Scale};
 use adsm_bench::{
     ablation_gc, ablation_network, ablation_quantum, ablation_wg, fig1, fig2, fig2_shape_checks,
     fig3, related, run_sweep, scaling, sensitivity, table1, table2, table3, table4, Matrix, Sweep,
+    PROTOCOLS,
 };
 use adsm_core::ExecBackend;
 
@@ -324,51 +325,58 @@ fn main() -> ExitCode {
         println!("{}", scaling(opts.scale, &opts.apps));
     }
 
-    let needs_matrix = ["table1", "table2", "table3", "table4", "fig2", "fig3"]
+    let traffic = opts.targets.iter().any(|t| t == "traffic");
+    let needs_matrix = ["table1", "table2", "table3", "table4", "fig2"]
         .iter()
         .any(|t| wants(t))
-        || opts.targets.iter().any(|t| t == "traffic");
-    if !needs_matrix {
-        return ExitCode::SUCCESS;
-    }
+        || traffic;
+    let m = needs_matrix.then(|| {
+        eprintln!(
+            "collecting evaluation matrix: {} apps x 5 runs at {} scale, {} procs",
+            opts.apps.len(),
+            opts.scale,
+            opts.nprocs
+        );
+        Matrix::collect(
+            opts.nprocs,
+            opts.scale,
+            &opts.apps,
+            &PROTOCOLS,
+            &RunOptions::default(),
+        )
+    });
 
-    eprintln!(
-        "collecting evaluation matrix: {} apps x 5 runs at {} scale, {} procs",
-        opts.apps.len(),
-        opts.scale,
-        opts.nprocs
-    );
-    let m = Matrix::collect_filtered(opts.nprocs, opts.scale, &opts.apps);
-
-    if wants("table1") {
-        println!("{}", table1(&m));
-    }
-    if wants("table2") {
-        println!("{}", table2(&m));
-    }
-    if wants("fig2") {
-        println!("{}", fig2(&m));
-        let (pass, fail) = fig2_shape_checks(&m);
-        println!("shape checks:");
-        for p in &pass {
-            println!("  PASS  {p}");
+    if let Some(m) = &m {
+        if wants("table1") {
+            println!("{}", table1(m));
         }
-        for f in &fail {
-            println!("  FAIL  {f}");
+        if wants("table2") {
+            println!("{}", table2(m));
         }
-        println!();
+        if wants("fig2") {
+            println!("{}", fig2(m));
+            let (pass, fail) = fig2_shape_checks(m);
+            println!("shape checks:");
+            for p in &pass {
+                println!("  PASS  {p}");
+            }
+            for f in &fail {
+                println!("  FAIL  {f}");
+            }
+            println!();
+        }
+        if wants("table3") {
+            println!("{}", table3(m));
+        }
+        if wants("table4") {
+            println!("{}", table4(m));
+        }
     }
-    if wants("table3") {
-        println!("{}", table3(&m));
+    if wants("fig3") && opts.apps.contains(&App::Fft3d) {
+        println!("{}", fig3(opts.nprocs, opts.scale));
     }
-    if wants("table4") {
-        println!("{}", table4(&m));
-    }
-    if wants("fig3") && m.sequential.contains_key(&App::Fft3d) {
-        println!("{}", fig3(&m));
-    }
-    if opts.targets.iter().any(|t| t == "traffic") {
-        println!("{}", adsm_bench::traffic(&m, &opts.apps));
+    if let Some(m) = m.as_ref().filter(|_| traffic) {
+        println!("{}", adsm_bench::traffic(m, &opts.apps));
     }
     ExitCode::SUCCESS
 }

@@ -17,8 +17,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use adsm_apps::{kernels, run_app, App, AppRun, Scale};
-use adsm_core::{ProtocolKind, SimTime};
+use adsm_apps::{kernels, run_app_tuned, App, RunOptions, Scale};
+use adsm_core::{ProtocolKind, RunReport, SimTime};
 
 mod ablation;
 pub mod chaos;
@@ -33,9 +33,11 @@ pub use scale::{measure_scale, ScaleReport};
 /// The four protocols in the paper's presentation order (Fig. 2).
 pub const PROTOCOLS: [ProtocolKind; 4] = ProtocolKind::EVALUATED;
 
-/// A full evaluation matrix: every application run under every protocol,
-/// plus the sequential baseline — enough to regenerate Tables 1-4 and
-/// Figures 2-3 without re-running anything.
+/// A grid of measured cells: every application run under every protocol
+/// of the grid with the same [`RunOptions`], plus each application's
+/// sequential baseline under those options — enough to regenerate
+/// Tables 1-4 and Figures 2-3, and every beyond-the-paper table, without
+/// re-running anything.
 pub struct Matrix {
     /// Cluster size used for the parallel runs.
     pub nprocs: usize,
@@ -43,40 +45,46 @@ pub struct Matrix {
     pub scale: Scale,
     /// Sequential (Raw, 1-processor) times per app.
     pub sequential: BTreeMap<App, SimTime>,
-    /// Parallel runs: `(app, protocol) -> AppRun`.
-    pub runs: BTreeMap<(App, ProtocolKind), AppRun>,
+    /// Parallel runs: `(app, protocol) -> report`.
+    pub reports: BTreeMap<(App, ProtocolKind), RunReport>,
 }
 
 impl Matrix {
-    /// Runs the whole evaluation. With `Scale::Small` this takes on the
-    /// order of a minute; `Scale::Paper` several.
-    pub fn collect(nprocs: usize, scale: Scale) -> Matrix {
-        Self::collect_filtered(nprocs, scale, &App::ALL)
-    }
-
-    /// Runs the evaluation for a subset of the applications.
-    pub fn collect_filtered(nprocs: usize, scale: Scale, apps: &[App]) -> Matrix {
+    /// Runs every app of `apps` under every protocol of `protocols` on
+    /// `nprocs` processors, and under Raw on one for its sequential
+    /// time, all under `opts`; every run must verify. The paper's grid
+    /// at `Scale::Small` takes on the order of a minute, at
+    /// `Scale::Paper` several.
+    pub fn collect(
+        nprocs: usize,
+        scale: Scale,
+        apps: &[App],
+        protocols: &[ProtocolKind],
+        opts: &RunOptions,
+    ) -> Matrix {
+        let run = |app, proto, nprocs| {
+            eprintln!("  [matrix] {app} {proto}...");
+            let run = run_app_tuned(app, proto, nprocs, scale, opts);
+            assert!(
+                run.ok,
+                "{app} under {proto} failed verification: {}",
+                run.detail
+            );
+            run.outcome.report
+        };
         let mut sequential = BTreeMap::new();
-        let mut runs = BTreeMap::new();
+        let mut reports = BTreeMap::new();
         for &app in apps {
-            eprintln!("  [matrix] {app} sequential...");
-            sequential.insert(app, adsm_apps::sequential_time(app, scale));
-            for proto in PROTOCOLS {
-                eprintln!("  [matrix] {app} {proto}...");
-                let run = run_app(app, proto, nprocs, scale);
-                assert!(
-                    run.ok,
-                    "{app} under {proto} failed verification: {}",
-                    run.detail
-                );
-                runs.insert((app, proto), run);
+            sequential.insert(app, run(app, ProtocolKind::Raw, 1).time);
+            for &proto in protocols {
+                reports.insert((app, proto), run(app, proto, nprocs));
             }
         }
         Matrix {
             nprocs,
             scale,
             sequential,
-            runs,
+            reports,
         }
     }
 
@@ -89,16 +97,13 @@ impl Matrix {
             .collect()
     }
 
-    fn run(&self, app: App, proto: ProtocolKind) -> &AppRun {
-        &self.runs[&(app, proto)]
+    fn report(&self, app: App, proto: ProtocolKind) -> &RunReport {
+        &self.reports[&(app, proto)]
     }
 
     /// Speedup of `app` under `proto` relative to the sequential time.
     pub fn speedup(&self, app: App, proto: ProtocolKind) -> f64 {
-        self.run(app, proto)
-            .outcome
-            .report
-            .speedup(self.sequential[&app])
+        self.report(app, proto).speedup(self.sequential[&app])
     }
 }
 
@@ -211,7 +216,7 @@ pub fn table2(m: &Matrix) -> String {
         "App", "grain", "mean B", "ww-pages", "%ww", "paper", "paper-%ww"
     );
     for app in m.apps() {
-        let prof = &m.run(app, ProtocolKind::Mw).outcome.report.profile;
+        let prof = &m.report(app, ProtocolKind::Mw).profile;
         let _ = writeln!(
             out,
             "{:<8} {:>10} {:>12.0} | {:>10} {:>10.1} | {:>9} {:>10}",
@@ -332,7 +337,7 @@ pub fn table3(m: &Matrix) -> String {
     );
     for app in m.apps() {
         let cell = |proto: ProtocolKind| {
-            let s = &m.run(app, proto).outcome.report.proto;
+            let s = &m.report(app, proto).proto;
             format!(
                 "{:8.2} ({:6.2})",
                 s.storage_bytes_created() as f64 / 1e6,
@@ -367,7 +372,7 @@ pub fn table4(m: &Matrix) -> String {
     );
     for app in m.apps() {
         for proto in PROTOCOLS {
-            let r = &m.run(app, proto).outcome.report;
+            let r = m.report(app, proto);
             let paper = if app == App::Barnes {
                 PaperRef::table4_barnes(proto)
                     .map(|(msg, mb)| format!("({msg:7.1}, {mb:7.1})"))
@@ -396,32 +401,28 @@ pub fn table4(m: &Matrix) -> String {
 /// The paper ran 64^3 against a 1 MB per-processor GC threshold; the
 /// threshold here is scaled with the grid (same threshold-to-data
 /// ratio), so the MW saw-tooth appears at the same point of the run.
-pub fn fig3(m: &Matrix) -> String {
+pub fn fig3(nprocs: usize, scale: Scale) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Figure 3 — diffs alive over time, 3D-FFT ({} scale, {} procs)",
-        m.scale, m.nprocs
+        "Figure 3 — diffs alive over time, 3D-FFT ({scale} scale, {nprocs} procs)"
     );
-    let params = adsm_apps::fft3d::FftParams::new(m.scale);
     let mut cost = adsm_core::CostModel::sparc_atm();
-    cost.gc_threshold_bytes = adsm_apps::fft3d::fig3_gc_threshold(params);
-    let protos = [ProtocolKind::Mw, ProtocolKind::WfsWg, ProtocolKind::Wfs];
-    let opts = adsm_apps::RunOptions {
+    cost.gc_threshold_bytes =
+        adsm_apps::fft3d::fig3_gc_threshold(adsm_apps::fft3d::FftParams::new(scale));
+    let opts = RunOptions {
         cost,
-        ..adsm_apps::RunOptions::default()
+        ..RunOptions::default()
     };
-    let mut runs = std::collections::BTreeMap::new();
-    let mut peak = 1u64;
+    let protos = [ProtocolKind::Mw, ProtocolKind::WfsWg, ProtocolKind::Wfs];
+    let m = Matrix::collect(nprocs, scale, &[App::Fft3d], &protos, &opts);
+    let peak = protos
+        .iter()
+        .flat_map(|&proto| &m.report(App::Fft3d, proto).diffs_alive)
+        .map(|&(_, n)| n)
+        .fold(1, u64::max);
     for proto in protos {
-        let run = adsm_apps::fft3d::run(proto, m.nprocs, params, &opts);
-        assert!(run.ok, "fig3 {proto}: {}", run.detail);
-        let series = &run.outcome.report.diffs_alive;
-        peak = peak.max(series.iter().map(|&(_, n)| n).max().unwrap_or(0));
-        runs.insert(proto, run);
-    }
-    for proto in protos {
-        let report = &runs[&proto].outcome.report;
+        let report = m.report(App::Fft3d, proto);
         let pts = &report.diffs_alive;
         let _ = writeln!(
             out,
@@ -491,7 +492,7 @@ pub fn traffic(m: &Matrix, apps: &[App]) -> String {
         // Union of kinds any protocol used.
         let mut kinds: Vec<adsm_core::MsgKind> = Vec::new();
         for proto in PROTOCOLS {
-            for (k, _, _) in m.run(app, proto).outcome.report.net.iter() {
+            for (k, _, _) in m.report(app, proto).net.iter() {
                 if !kinds.contains(&k) {
                     kinds.push(k);
                 }
@@ -500,7 +501,7 @@ pub fn traffic(m: &Matrix, apps: &[App]) -> String {
         for kind in kinds {
             let _ = write!(out, "{:<12}", kind.label());
             for proto in PROTOCOLS {
-                let net = &m.run(app, proto).outcome.report.net;
+                let net = &m.report(app, proto).net;
                 let _ = write!(
                     out,
                     " {:>8}/{:>7.1}",
@@ -571,7 +572,13 @@ mod tests {
 
     #[test]
     fn tiny_matrix_tables_render() {
-        let m = Matrix::collect_filtered(2, Scale::Tiny, &[App::Sor, App::Is]);
+        let m = Matrix::collect(
+            2,
+            Scale::Tiny,
+            &[App::Sor, App::Is],
+            &PROTOCOLS,
+            &RunOptions::default(),
+        );
         assert!(table1(&m).contains("SOR"));
         assert!(table2(&m).contains("ww-pages"));
         assert!(fig2(&m).contains("WFS"));

@@ -17,6 +17,9 @@
 //! typed, zero-copy view over the page frames: element loads and stores
 //! inside the view touch the frames directly — no per-call temporary
 //! buffer, no per-element rights check, no per-element turn point.
+//! Every store inside a view, scalar or bulk, goes through the one
+//! unchecked store, `PagedMemory::span_unchecked_mut`, over exactly the
+//! bytes it writes, so the page's dirty watermark stays exact.
 //! [`SharedMatrix`] layers 2-D row views on top.
 
 use std::marker::PhantomData;
@@ -26,25 +29,6 @@ use adsm_mempage::{FaultKind, Pod};
 
 use crate::proc::SpanGuard;
 use crate::Proc;
-
-/// Widest scalar element the scalar access paths are specified for.
-/// Wider `Pod` impls must widen this constant *and* every scratch
-/// buffer sized by it — [`ScalarFits`] turns a mismatch into a
-/// compile-time error instead of a silent truncation.
-const MAX_SCALAR_BYTES: usize = 16;
-
-/// Post-monomorphisation guard: the scalar paths ([`SharedVec::get`],
-/// [`SharedVec::set`], [`SharedViewMut::set`]) serialise through a
-/// fixed [`MAX_SCALAR_BYTES`] stack buffer. A future `Pod` wider than
-/// that must fail the build loudly here, not truncate at run time.
-struct ScalarFits<T>(PhantomData<T>);
-
-impl<T: Pod> ScalarFits<T> {
-    const OK: () = assert!(
-        T::SIZE <= MAX_SCALAR_BYTES,
-        "Pod element wider than the scalar scratch buffer"
-    );
-}
 
 /// Resolves a `RangeBounds` over `len` elements into `[start, end)`.
 ///
@@ -222,7 +206,6 @@ impl<T: Pod> SharedVec<T> {
     ///
     /// Panics if `i` is out of bounds.
     pub fn get(&self, p: &mut Proc, i: usize) -> T {
-        let () = ScalarFits::<T>::OK;
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         self.view(p, i..i + 1).at(0)
     }
@@ -233,7 +216,6 @@ impl<T: Pod> SharedVec<T> {
     ///
     /// Panics if `i` is out of bounds.
     pub fn set(&self, p: &mut Proc, i: usize, v: T) {
-        let () = ScalarFits::<T>::OK;
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         self.view_mut(p, i..i + 1).set(0, v);
     }
@@ -441,13 +423,12 @@ impl<T: Pod> SharedViewMut<'_, T> {
     ///
     /// Panics if `i` is out of bounds.
     pub fn set(&mut self, i: usize, v: T) {
-        let () = ScalarFits::<T>::OK;
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        let mut buf = [0u8; MAX_SCALAR_BYTES];
-        v.store_le(&mut buf[..T::SIZE]);
-        self.guard
-            .mem_mut()
-            .write_unchecked(self.base + i * T::SIZE, &buf[..T::SIZE]);
+        v.store_le(
+            self.guard
+                .mem_mut()
+                .span_unchecked_mut(self.base + i * T::SIZE, T::SIZE),
+        );
     }
 
     /// Read-modify-write of element `i` within the span.

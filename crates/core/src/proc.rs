@@ -7,7 +7,6 @@
 //! protection; denied accesses invoke the coherence protocol exactly as
 //! a SIGSEGV handler would in TreadMarks.
 
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use adsm_engine::Task;
@@ -194,10 +193,11 @@ impl Proc {
         }
     }
 
-    /// Runs `body` with lock `lock_id` held: acquires, runs, releases —
-    /// the structured form of the [`lock`](Proc::lock) /
-    /// [`unlock`](Proc::unlock) pair, with the release guaranteed on
-    /// every exit path of `body`.
+    /// Runs `body` with lock `lock_id` held: acquires, runs `body`,
+    /// releases — the scoped form of the [`lock`](Proc::lock) /
+    /// [`unlock`](Proc::unlock) pair. The lock is released when `body`
+    /// returns; a panicking `body` fails the run with the lock still
+    /// held.
     ///
     /// # Examples
     ///
@@ -215,39 +215,10 @@ impl Proc {
     /// assert_eq!(outcome.read_vec(&counter)[0], 2);
     /// ```
     pub fn critical<R>(&mut self, lock_id: u64, body: impl FnOnce(&mut Proc) -> R) -> R {
-        let mut guard = self.lock_guard(lock_id);
-        body(&mut guard)
-    }
-
-    /// Acquires lock `lock_id` and returns an RAII guard that releases
-    /// it on drop. The guard derefs to the [`Proc`], so shared-memory
-    /// accesses inside the critical section go through the guard.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use adsm_core::{Dsm, ProtocolKind};
-    ///
-    /// let mut dsm = Dsm::builder(ProtocolKind::Wfs).nprocs(2).build();
-    /// let counter = dsm.alloc::<u64>(1);
-    /// let outcome = dsm
-    ///     .run(move |p| {
-    ///         {
-    ///             let mut cs = p.lock_guard(7);
-    ///             let v = counter.get(&mut cs, 0);
-    ///             counter.set(&mut cs, 0, v + 1);
-    ///         }
-    ///         p.barrier();
-    ///     })
-    ///     .unwrap();
-    /// assert_eq!(outcome.read_vec(&counter)[0], 2);
-    /// ```
-    pub fn lock_guard(&mut self, lock_id: u64) -> LockGuard<'_> {
         self.lock(lock_id);
-        LockGuard {
-            proc: self,
-            lock_id,
-        }
+        let result = body(self);
+        self.unlock(lock_id);
+        result
     }
 }
 
@@ -302,54 +273,5 @@ impl SpanGuard<'_> {
         if !self.raw {
             self.task.yield_turn();
         }
-    }
-}
-
-/// RAII guard for a DSM lock, returned by [`Proc::lock_guard`]: derefs
-/// to the [`Proc`] and releases the lock when dropped — unless a panic
-/// is unwinding through it, which fails the run with the lock held.
-pub struct LockGuard<'a> {
-    proc: &'a mut Proc,
-    lock_id: u64,
-}
-
-impl LockGuard<'_> {
-    /// The id of the held lock.
-    pub fn lock_id(&self) -> u64 {
-        self.lock_id
-    }
-}
-
-impl Deref for LockGuard<'_> {
-    type Target = Proc;
-    fn deref(&self) -> &Proc {
-        self.proc
-    }
-}
-
-impl DerefMut for LockGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Proc {
-        self.proc
-    }
-}
-
-impl Drop for LockGuard<'_> {
-    fn drop(&mut self) {
-        // A release is a turn point, and a turn point of a poisoned run
-        // panics: while this task is already unwinding that would be a
-        // second panic, which aborts the process. The run is over; the
-        // lock dies with it.
-        if !std::thread::panicking() {
-            self.proc.unlock(self.lock_id);
-        }
-    }
-}
-
-impl std::fmt::Debug for LockGuard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LockGuard")
-            .field("lock_id", &self.lock_id)
-            .field("proc", &self.proc.id)
-            .finish()
     }
 }

@@ -139,7 +139,6 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
     // garbage-collected, so nothing older could be re-shipped anyway);
     // everything after it is exactly what the re-integration below
     // replays.
-    ctx.w.epochs[pidx] += 1;
     ctx.w.proto.proc_crashes += 1;
 
     // 3. Sit out the down window. The engine task itself survives (the

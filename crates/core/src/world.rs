@@ -566,11 +566,6 @@ pub(crate) struct World {
     /// non-empty turns on home replication ([`World::backup_store`]) for
     /// the whole run.
     pub failovers: Vec<FailoverEvent>,
-    /// Per-processor incarnation numbers (Hermes-style epochs). Start at
-    /// 0; each applied crash bumps the victim's entry. Mirrored into the
-    /// delivery layer's time-based fence — kept here for the recovery
-    /// path and for tests.
-    pub epochs: Vec<u32>,
     /// Homes decommissioned by a fired [`FailoverEvent`]: `home_of`
     /// redirects pages that would resolve there to the backup
     /// `(h + 1) % nprocs`.
@@ -642,7 +637,6 @@ impl World {
                     _ => None,
                 })
                 .collect(),
-            epochs: vec![0; nprocs],
             failed_homes: vec![false; nprocs],
             backup_store: Vec::new(),
             protocol,

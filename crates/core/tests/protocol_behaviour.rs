@@ -490,11 +490,11 @@ fn app_panics_are_reported() {
 }
 
 #[test]
-fn a_poisoned_task_unwinds_through_its_lock_guard() {
+fn a_poisoned_task_unwinds_through_a_critical_section() {
     // P0 is inside a critical section, waiting at a barrier, when P1
-    // panics: the poison unwinds P0 through its live guard, whose drop
-    // must not reach for the lock again (a second panic there aborts
-    // the process).
+    // panics: the poison unwinds P0 out of the section without its
+    // release (a turn point of a poisoned run is a second panic, which
+    // aborts the process).
     for backend in [ExecBackend::Sim, ExecBackend::Threads] {
         let dsm = Dsm::builder(ProtocolKind::Mw)
             .nprocs(2)

@@ -345,19 +345,6 @@ impl Diff {
         }
     }
 
-    /// Copies `base` into the caller-provided `out` buffer and applies
-    /// the recorded words on top — the merge step without an
-    /// intermediate allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both slices are exactly one page long.
-    pub fn apply_onto(&self, base: &[u8], out: &mut [u8]) {
-        assert_eq!(base.len(), PAGE_SIZE, "base must be one page");
-        out.copy_from_slice(base);
-        self.apply(out);
-    }
-
     /// Applies several diffs in slice order — the happened-before order
     /// of the merge procedure (§3.1.1): where two diffs modify the same
     /// word, the later diff's value survives.
@@ -657,16 +644,6 @@ mod tests {
             apply_seq(&order, &mut expect);
             assert_eq!(merged, expect);
         }
-    }
-
-    #[test]
-    fn apply_onto_merges_into_caller_buffer() {
-        let twin = page_with(&[(0, 7)]);
-        let cur = page_with(&[(0, 9), (4000, 5)]);
-        let d = Diff::encode(&twin, &cur);
-        let mut out = vec![0xFFu8; PAGE_SIZE];
-        d.apply_onto(&twin, &mut out);
-        assert_eq!(out, cur);
     }
 
     /// Seeded block pairs of every density from no word to all.

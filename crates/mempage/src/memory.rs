@@ -118,10 +118,10 @@ pub struct PagedMemory {
     /// Per-page dirty watermarks `[lo, hi)` (page-relative bytes): the
     /// window every modification since the last
     /// [`clear_dirty_span`](PagedMemory::clear_dirty_span) is known to
-    /// fall into. `lo > hi` encodes "clean". Checked mutation paths
+    /// fall into. `lo > hi` encodes "clean". Ranged mutation paths
     /// ([`try_write`](PagedMemory::try_write),
-    /// [`write_unchecked`](PagedMemory::write_unchecked)) widen the
-    /// window exactly; unchecked ones
+    /// [`span_unchecked_mut`](PagedMemory::span_unchecked_mut)) widen
+    /// the window exactly; whole-page ones
     /// ([`page_mut`](PagedMemory::page_mut),
     /// [`install_page`](PagedMemory::install_page)) widen it to the
     /// whole page, so the window is always a sound bound for diffing.
@@ -162,11 +162,6 @@ impl PagedMemory {
             w.0 = w.0.min(lo as u16);
             w.1 = w.1.max(hi as u16);
         }
-    }
-
-    /// Size of the space in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len()
     }
 
     /// Current rights of `page`.
@@ -223,33 +218,13 @@ impl PagedMemory {
         Ok(())
     }
 
-    /// Store of `data` at `addr` with **no rights check**: the write
-    /// half of a span guard, whose rights were checked once when the
-    /// guard faulted its whole span in. Widens the dirty watermark by
-    /// exactly the stored range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the address space. Debug builds
-    /// additionally assert every touched page is writable (a guard
-    /// holding the memory lock cannot lose rights mid-span).
-    #[inline]
-    pub fn write_unchecked(&mut self, addr: usize, data: &[u8]) {
-        debug_assert!(
-            self.check(addr, data.len(), FaultKind::Write).is_ok(),
-            "write_unchecked outside a writable span"
-        );
-        self.bytes[addr..addr + data.len()].copy_from_slice(data);
-        self.widen_dirty(addr, data.len());
-    }
-
     /// Mutable slice of `[addr, addr+len)` with **no rights check** —
-    /// the bulk-write surface of a span guard whose rights were checked
-    /// at creation. The whole range counts as written: the dirty
-    /// watermarks of every covered page are widened over it immediately
-    /// (callers that write only part of the span should use
-    /// [`write_unchecked`](PagedMemory::write_unchecked) instead, which
-    /// tracks exactly).
+    /// the one unchecked store, used by a span guard whose rights were
+    /// checked once when it faulted its whole span in. The whole range
+    /// counts as written: the dirty watermarks of every covered page
+    /// are widened over it immediately. A caller passes exactly the
+    /// range it writes (one element for a scalar store, the view for a
+    /// bulk one), so the watermark stays exact.
     ///
     /// # Panics
     ///
@@ -375,7 +350,6 @@ mod tests {
         for i in 0..3 {
             assert_eq!(mem.rights(PageId::new(i)), AR::None);
         }
-        assert_eq!(mem.byte_len(), 3 * PAGE_SIZE);
     }
 
     #[test]
@@ -445,7 +419,8 @@ mod tests {
         let mut mem = PagedMemory::new(2);
         mem.set_rights(PageId::new(0), AR::Write);
         mem.set_rights(PageId::new(1), AR::Write);
-        mem.write_unchecked(PAGE_SIZE - 2, &[1, 2, 3, 4]);
+        mem.span_unchecked_mut(PAGE_SIZE - 2, 4)
+            .copy_from_slice(&[1, 2, 3, 4]);
         assert_eq!(
             mem.dirty_span(PageId::new(0)),
             Some((PAGE_SIZE - 2, PAGE_SIZE))

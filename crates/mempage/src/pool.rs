@@ -57,11 +57,11 @@ struct PoolInner {
 /// use adsm_mempage::{PagePool, PAGE_SIZE};
 ///
 /// let pool = PagePool::new();
-/// let a = pool.get_zeroed();
+/// let a = pool.get();
 /// assert_eq!(a.len(), PAGE_SIZE);
 /// assert_eq!(pool.pages_created(), 1);
 /// drop(a);
-/// let b = pool.get_zeroed(); // recycled, not reallocated
+/// let b = pool.get(); // recycled, not reallocated
 /// assert_eq!(pool.pages_created(), 1);
 /// assert_eq!(pool.pages_reused(), 1);
 /// drop(b);
@@ -97,13 +97,6 @@ impl PagePool {
             buf: Some(buf),
             pool: self.clone(),
         }
-    }
-
-    /// Draws a zero-filled buffer.
-    pub fn get_zeroed(&self) -> PageBuf {
-        let mut b = self.get();
-        b.fill(0);
-        b
     }
 
     /// Draws a buffer holding a copy of `src`.
@@ -258,7 +251,7 @@ mod tests {
     #[test]
     fn clone_copies_contents_via_the_same_pool() {
         let pool = PagePool::new();
-        let mut a = pool.get_zeroed();
+        let mut a = pool.get();
         a[10] = 42;
         let b = a.clone();
         assert_eq!(a, b);
@@ -279,7 +272,7 @@ mod tests {
     #[test]
     fn works_with_diff_encode() {
         let pool = PagePool::new();
-        let twin = pool.get_zeroed();
+        let twin = pool.get();
         let mut cur = twin.clone();
         cur[0] = 9;
         let d = crate::Diff::encode(&twin, &cur);
@@ -307,7 +300,7 @@ mod tests {
     #[test]
     fn a_buffer_outlives_every_pool_handle() {
         let pool = PagePool::new();
-        let mut a = pool.get_zeroed();
+        let mut a = pool.get();
         drop(pool);
         a[3] = 5;
         let b = a.clone();

@@ -101,12 +101,6 @@ impl CostModel {
         self.msg_fixed + SimTime::from_ns(self.per_byte_ns * bytes)
     }
 
-    /// Round-trip cost: request with `req` payload bytes, reply with
-    /// `reply` payload bytes, plus the server-side service interrupt.
-    pub fn rtt(&self, req: usize, reply: usize) -> SimTime {
-        self.msg_cost(req) + self.service_interrupt + self.msg_cost(reply)
-    }
-
     /// Cost of creating a diff whose modified payload is `modified` bytes.
     pub fn diff_create(&self, modified: usize) -> SimTime {
         self.diff_create_base + SimTime::from_ns(self.diff_create_per_byte_ns * modified as u64)
