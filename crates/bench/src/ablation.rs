@@ -16,6 +16,21 @@ use adsm_core::{CostModel, HomePolicy, ProtocolKind, SimTime};
 
 use crate::{Matrix, PROTOCOLS};
 
+/// The ownership quanta [`ablation_quantum`] sweeps, in µs.
+const QUANTA_US: [u64; 5] = [0, 250, 1_000, 2_000, 4_000];
+/// The diff-size thresholds [`ablation_wg`] sweeps, in bytes.
+const WG_THRESHOLDS: [usize; 5] = [512, 1024, 3 * 1024, 4 * 1024, 8 * 1024];
+/// The diff-space thresholds [`ablation_gc`] sweeps, in bytes.
+const GC_THRESHOLDS: [usize; 4] = [64 << 10, 256 << 10, 1 << 20, 4 << 20];
+
+/// The interconnects [`ablation_network`] compares.
+fn networks() -> [(&'static str, CostModel); 2] {
+    [
+        ("ATM-155", CostModel::sparc_atm()),
+        ("fast-10x", CostModel::fast_network()),
+    ]
+}
+
 /// Default run options with the cost model changed by `tweak`.
 fn tuned(tweak: impl FnOnce(&mut CostModel)) -> RunOptions {
     let mut cost = CostModel::sparc_atm();
@@ -149,7 +164,6 @@ pub fn related(nprocs: usize, scale: Scale, apps: &[App]) -> String {
 /// sweep runs the quantum from zero to 4 ms under SW (where the quantum
 /// lives) and WFS (which inherits it for SW-mode pages).
 pub fn ablation_quantum(nprocs: usize, scale: Scale, apps: &[App]) -> String {
-    let quanta_us: [u64; 5] = [0, 250, 1_000, 2_000, 4_000];
     let protocols = [ProtocolKind::Sw, ProtocolKind::Wfs];
     let mut out = String::new();
     let _ = writeln!(
@@ -158,11 +172,11 @@ pub fn ablation_quantum(nprocs: usize, scale: Scale, apps: &[App]) -> String {
         nprocs, scale
     );
     let mut header = format!("{:<8} {:<6}", "App", "Proto");
-    for q in quanta_us {
+    for q in QUANTA_US {
         let _ = write!(header, " {:>9}", format!("{}us", q));
     }
     let _ = writeln!(out, "{header}   (paper default 1000us)");
-    let grids = quanta_us.map(|q| {
+    let grids = QUANTA_US.map(|q| {
         let opts = tuned(|cost| cost.ownership_quantum = SimTime::from_us(q));
         Matrix::collect(nprocs, scale, apps, &protocols, &opts)
     });
@@ -183,7 +197,6 @@ pub fn ablation_quantum(nprocs: usize, scale: Scale, apps: &[App]) -> String {
 /// *"the results are not very dependent on the exact value of the
 /// threshold."* The sweep runs WFS+WG from 0.5 KB to 8 KB.
 pub fn ablation_wg(nprocs: usize, scale: Scale, apps: &[App]) -> String {
-    let thresholds: [usize; 5] = [512, 1024, 3 * 1024, 4 * 1024, 8 * 1024];
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -191,11 +204,11 @@ pub fn ablation_wg(nprocs: usize, scale: Scale, apps: &[App]) -> String {
         nprocs, scale
     );
     let mut header = format!("{:<8}", "App");
-    for t in thresholds {
+    for t in WG_THRESHOLDS {
         let _ = write!(header, " {:>9}", format!("{}B", t));
     }
     let _ = writeln!(out, "{header}   (paper default 3072B)");
-    let grids = thresholds.map(|t| {
+    let grids = WG_THRESHOLDS.map(|t| {
         let opts = tuned(|cost| cost.wg_threshold_bytes = t);
         Matrix::collect(nprocs, scale, apps, &[ProtocolKind::WfsWg], &opts)
     });
@@ -214,7 +227,6 @@ pub fn ablation_wg(nprocs: usize, scale: Scale, apps: &[App]) -> String {
 /// The sweep shows collections growing as the threshold shrinks while
 /// the adaptive protocol stays at zero collections throughout.
 pub fn ablation_gc(nprocs: usize, scale: Scale) -> String {
-    let thresholds: [usize; 4] = [64 << 10, 256 << 10, 1 << 20, 4 << 20];
     let protocols = [ProtocolKind::Mw, ProtocolKind::Wfs];
     let mut out = String::new();
     let _ = writeln!(
@@ -223,7 +235,7 @@ pub fn ablation_gc(nprocs: usize, scale: Scale) -> String {
         nprocs, scale
     );
     let _ = writeln!(out, "{:<10} {:>18} {:>18}", "Threshold", "MW", "WFS");
-    for t in thresholds {
+    for t in GC_THRESHOLDS {
         let opts = tuned(|cost| cost.gc_threshold_bytes = t);
         let m = Matrix::collect(nprocs, scale, &[App::Fft3d], &protocols, &opts);
         let mut row = format!("{:<10}", format!("{}KB", t >> 10));
@@ -251,10 +263,7 @@ pub fn ablation_gc(nprocs: usize, scale: Scale) -> String {
 /// basis shares each network's cost model (it only affects local
 /// charges, but keeps ratios comparable).
 pub fn ablation_network(nprocs: usize, scale: Scale, apps: &[App]) -> String {
-    let networks: [(&str, CostModel); 2] = [
-        ("ATM-155", CostModel::sparc_atm()),
-        ("fast-10x", CostModel::fast_network()),
-    ];
+    let networks = networks();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -493,5 +502,73 @@ mod tests {
     fn gc_sweep_renders() {
         let s = ablation_gc(2, Scale::Tiny);
         assert!(s.contains("64KB"));
+    }
+
+    /// What makes `Matrix::collect`'s memoised sequential time sound:
+    /// under every setting a sweep varies, at both ends of the sweep,
+    /// each app's Raw run takes exactly as long as under the default
+    /// settings with the same access charges (the memo's key).
+    #[test]
+    fn raw_time_reads_only_the_access_charges() {
+        fn ends<T: Copy>(sweep: &[T]) -> [T; 2] {
+            [sweep[0], sweep[sweep.len() - 1]]
+        }
+        let mut swept: Vec<(String, RunOptions)> = Vec::new();
+        for q in ends(&QUANTA_US) {
+            let opts = tuned(|cost| cost.ownership_quantum = SimTime::from_us(q));
+            swept.push((format!("quantum {q}us"), opts));
+        }
+        for t in ends(&WG_THRESHOLDS) {
+            swept.push((
+                format!("WG {t}B"),
+                tuned(|cost| cost.wg_threshold_bytes = t),
+            ));
+        }
+        for t in ends(&GC_THRESHOLDS) {
+            swept.push((
+                format!("GC {t}B"),
+                tuned(|cost| cost.gc_threshold_bytes = t),
+            ));
+        }
+        for (name, cost) in networks() {
+            swept.push((
+                name.to_string(),
+                RunOptions {
+                    cost,
+                    ..RunOptions::default()
+                },
+            ));
+        }
+        for home_policy in [HomePolicy::FirstTouch, HomePolicy::Fixed(1)] {
+            swept.push((
+                format!("{home_policy:?}"),
+                RunOptions {
+                    home_policy,
+                    ..RunOptions::default()
+                },
+            ));
+        }
+        let raw_time = |app, opts: &RunOptions| {
+            let run = adsm_apps::run_app_tuned(app, ProtocolKind::Raw, 1, Scale::Tiny, opts);
+            assert!(
+                run.ok,
+                "{app} under Raw failed verification: {}",
+                run.detail
+            );
+            run.outcome.report.time
+        };
+        for app in App::ALL {
+            for (name, opts) in &swept {
+                let same_access = tuned(|cost| {
+                    cost.shared_access = opts.cost.shared_access;
+                    cost.mem_per_byte_ns = opts.cost.mem_per_byte_ns;
+                });
+                assert_eq!(
+                    raw_time(app, opts),
+                    raw_time(app, &same_access),
+                    "{app}: the Raw time under {name} differs from the default's"
+                );
+            }
+        }
     }
 }

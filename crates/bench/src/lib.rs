@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::{Mutex, PoisonError};
 
 use adsm_apps::{kernels, run_app_tuned, App, RunOptions, Scale};
 use adsm_core::{ProtocolKind, RunReport, SimTime};
@@ -52,9 +53,11 @@ pub struct Matrix {
 impl Matrix {
     /// Runs every app of `apps` under every protocol of `protocols` on
     /// `nprocs` processors, and under Raw on one for its sequential
-    /// time, all under `opts`; every run must verify. The paper's grid
-    /// at `Scale::Small` takes on the order of a minute, at
-    /// `Scale::Paper` several.
+    /// time, all under `opts`; every run must verify. The sequential
+    /// time is memoised for the life of the process
+    /// ([`sequential_time`]), so sweeps over settings it does not read
+    /// pay one Raw run per app. The paper's grid at `Scale::Small` takes
+    /// on the order of a minute, at `Scale::Paper` several.
     pub fn collect(
         nprocs: usize,
         scale: Scale,
@@ -75,7 +78,8 @@ impl Matrix {
         let mut sequential = BTreeMap::new();
         let mut reports = BTreeMap::new();
         for &app in apps {
-            sequential.insert(app, run(app, ProtocolKind::Raw, 1).time);
+            let time = sequential_time(app, scale, opts, || run(app, ProtocolKind::Raw, 1).time);
+            sequential.insert(app, time);
             for &proto in protocols {
                 reports.insert((app, proto), run(app, proto, nprocs));
             }
@@ -105,6 +109,40 @@ impl Matrix {
     pub fn speedup(&self, app: App, proto: ProtocolKind) -> f64 {
         self.report(app, proto).speedup(self.sequential[&app])
     }
+}
+
+/// What a one-processor Raw run's time depends on besides the app and
+/// its input: it sends no message and takes no fault, so of the cost
+/// model it reads only the access charges.
+type SequentialKey = (App, Scale, SimTime, u64);
+
+static SEQUENTIAL: Mutex<BTreeMap<SequentialKey, SimTime>> = Mutex::new(BTreeMap::new());
+
+/// `app`'s sequential time at `scale` under `opts`: `raw` (a verified
+/// Raw run) the first time this process asks for the app, scale and
+/// access charges of `opts`, the remembered time after that. The
+/// ablations sweep the ownership quantum, the WG and GC thresholds, the
+/// network and the home policy, none of which a Raw run reads
+/// (`ablation::tests::raw_time_reads_only_the_access_charges`).
+fn sequential_time(
+    app: App,
+    scale: Scale,
+    opts: &RunOptions,
+    raw: impl FnOnce() -> SimTime,
+) -> SimTime {
+    let key = (
+        app,
+        scale,
+        opts.cost.shared_access,
+        opts.cost.mem_per_byte_ns,
+    );
+    let memo = || SEQUENTIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&time) = memo().get(&key) {
+        return time;
+    }
+    let time = raw();
+    memo().insert(key, time);
+    time
 }
 
 /// Paper values used in comparison columns. `None` where the scanned

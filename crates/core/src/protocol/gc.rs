@@ -135,6 +135,8 @@ pub(crate) fn collect(ctx: &mut Ctx<'_>) {
         // The diffs are gone and every surviving copy contains them.
         ctx.w.procs[q].applied.clear();
     }
+    // Every store is empty: no slot into the arena survives.
+    ctx.w.dir.arena.clear();
 
     ctx.w.gc_requested = false;
     let now = ctx.now();

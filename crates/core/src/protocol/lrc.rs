@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use adsm_mempage::{AccessRights, Diff, PageId, PagedMemory, PAGE_SIZE};
+use adsm_mempage::{AccessRights, Diff, DiffArena, DiffSlot, PageId, PagedMemory, PAGE_SIZE};
 use adsm_netsim::{MsgKind, SimTime};
 use adsm_vclock::{IntervalId, ProcId, VectorClock};
 use parking_lot::Mutex;
@@ -72,14 +72,26 @@ pub(crate) const CTRL_BYTES: usize = 16;
 /// 64-byte scan, not a page walk; unchecked protocol-side mutations
 /// widen the window to the whole page, keeping the bound conservative.
 /// Run-for-run identical to a full [`Diff::encode`] (debug builds
-/// assert the outside-window bytes are untouched). The only place the
-/// protocols encode a diff: an interval close's stored or flushed diff
-/// and an open session's delta preserved across a merge or a home
-/// fetch all come from here. `out` is overwritten, so a pooled buffer
-/// keeps its capacity.
+/// assert the outside-window bytes are untouched). With
+/// [`store_dirty_window`], the only place the protocols encode a diff:
+/// an interval close's flushed diff and an open session's delta
+/// preserved across a merge or a home fetch come from here. `out` is
+/// overwritten, so a pooled buffer keeps its capacity.
 pub(crate) fn encode_dirty_window(mem: &PagedMemory, twin: &[u8], page: PageId, out: &mut Diff) {
     let (lo, hi) = mem.dirty_span(page).unwrap_or((0, 0));
     Diff::encode_span_into(twin, mem.page(page), lo, hi, out);
+}
+
+/// [`encode_dirty_window`] for a diff that is kept: an interval close's
+/// stored diff, encoded straight into the run's diff arena.
+fn store_dirty_window(
+    mem: &PagedMemory,
+    twin: &[u8],
+    page: PageId,
+    arena: &mut DiffArena,
+) -> DiffSlot {
+    let (lo, hi) = mem.dirty_span(page).unwrap_or((0, 0));
+    arena.encode_span(twin, mem.page(page), lo, hi)
 }
 
 /// Rights a dirty page is re-protected with at interval close. A page
@@ -180,12 +192,13 @@ pub(crate) fn close_interval(
                 mems[p.index()].lock().set_rights(page, rights);
                 w.procs[p.index()].pages[page.index()].dirty = false;
                 if let Some(twin) = twin {
-                    let mut diff = Diff::default();
+                    let mut diff = std::mem::take(&mut w.flush_diff);
                     encode_dirty_window(&mems[p.index()].lock(), &twin, page, &mut diff);
                     w.proto.twin_dropped(PAGE_SIZE);
                     let modified = diff.modified_bytes();
                     cost += w.opts.cost.diff_create(modified);
                     cost += super::hlrc::flush_diff_to_home(w, mems, p, page, &diff, now);
+                    w.flush_diff = diff;
                     w.write_grains.push(modified as u32);
                     diffed = true;
                 }
@@ -205,8 +218,7 @@ pub(crate) fn close_interval(
                     .expect("MW-dirty page must have a twin");
                 let rights = close_rights(&w.procs[p.index()].pages[page.index()], p);
                 let mem = held.as_mut().expect("held outside HLRC");
-                let mut diff = Diff::default();
-                encode_dirty_window(mem, &twin, page, &mut diff);
+                let diff = store_dirty_window(mem, &twin, page, &mut w.dir.arena);
                 mem.set_rights(page, rights);
                 w.proto.twin_dropped(PAGE_SIZE);
                 w.procs[p.index()].pages[page.index()].dirty = false;
@@ -641,8 +653,8 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
     //    diffs by their unique happened-before key — so the sort is
     //    unstable and allocates nothing. Requests are issued in parallel
     //    (elapsed time = slowest writer, messages counted per writer).
-    //    Every fetched diff is a shared handle into the writer's
-    //    per-page store — a refcount bump, never a deep copy.
+    //    Every fetched diff is its slot in the directory's arena — a
+    //    copy of the slot, never of the diff.
     scratch
         .notices
         .sort_unstable_by_key(|n| n.interval.proc.index());
@@ -661,19 +673,18 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
             // writer. Skipping one would leave the page silently stale,
             // so a violation fails the run (`RunError::AppPanic`), in
             // every build.
-            let Some(diff) = ctx.w.dir.diffs[q.index()].get(page, n.interval) else {
+            let Some(slot) = ctx.w.dir.diffs[q.index()].get(page, n.interval) else {
                 panic!(
                     "protocol invariant violated: {p} validating {page} found no diff \
                      for interval {} at its writer {q}",
                     n.interval
                 );
             };
-            let diff = Arc::clone(diff);
             ctx.w.proto.diffs_fetched += 1;
-            reply_bytes += diff.wire_size();
+            reply_bytes += slot.wire_size();
             scratch.to_apply.push(KeyedDiff {
                 key: apply_key(ctx.w, n.interval),
-                diff,
+                slot,
             });
         }
         if q != p {
@@ -714,19 +725,21 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
     // 4. Apply in a linear extension of happened-before-1, one diff
     //    after another: where two modify a word, the later one's value
     //    stays. The keys were computed at fetch time, so the sort
-    //    compares plain tuples, and the fetched handles are read in
-    //    place (no reference list is materialised).
+    //    compares plain tuples, and the diffs are applied in place from
+    //    the directory's arena.
     scratch.to_apply.sort_unstable_by_key(|kd| kd.key);
     let mut apply_cost = SimTime::ZERO;
     {
+        let arena = &ctx.w.dir.arena;
         let mut mem = ctx.mems[pidx].lock();
         if !scratch.to_apply.is_empty() {
-            Diff::apply_many(&scratch.to_apply, mem.page_mut(page));
+            let frame = mem.page_mut(page);
+            for kd in &scratch.to_apply {
+                arena.apply(kd.slot, frame);
+                apply_cost += cost_model.diff_apply(kd.slot.modified_bytes());
+            }
         }
-        for kd in &scratch.to_apply {
-            apply_cost += cost_model.diff_apply(kd.diff.modified_bytes());
-            ctx.w.proto.diffs_applied += 1;
-        }
+        ctx.w.proto.diffs_applied += scratch.to_apply.len() as u64;
         // Bring an open write session through the merge. Two cases:
         //
         // * A whole page was installed: the local uncommitted writes were
@@ -747,8 +760,8 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
                     .twin
                     .take()
                     .expect("delta implies twin");
-                if !scratch.to_apply.is_empty() {
-                    Diff::apply_many(&scratch.to_apply, &mut twin);
+                for kd in &scratch.to_apply {
+                    ctx.w.dir.arena.apply(kd.slot, &mut twin);
                 }
                 ctx.w.procs[pidx].pages[pgidx].twin = Some(twin);
             }

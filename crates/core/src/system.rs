@@ -243,7 +243,7 @@ impl Dsm {
         let world = Arc::new(Mutex::new(World::new(protocol, nprocs, npages, opts)));
         let mems: Arc<Vec<Mutex<PagedMemory>>> = Arc::new(
             (0..nprocs)
-                .map(|_| Mutex::new(PagedMemory::new(npages)))
+                .map(|k| Mutex::new(PagedMemory::pooled(npages, k)))
                 .collect(),
         );
         let engine = match (backend, fuzz) {
@@ -315,7 +315,14 @@ impl Dsm {
         let mems = Arc::try_unwrap(mems)
             .map_err(|_| ())
             .expect("every processor has dropped its handle");
-        let image = finalize_image(&mut w, &mems, protocol, npages);
+        finalize_image(&mut w, &mems, protocol, npages);
+        // The other memories go back to the frame pool here; processor
+        // 0's goes back when the outcome is dropped.
+        let image = mems
+            .into_iter()
+            .next()
+            .expect("a cluster has processor 0")
+            .into_inner();
 
         Ok(RunOutcome {
             report,
@@ -330,16 +337,17 @@ fn align_up(x: usize, align: usize) -> usize {
 }
 
 /// After the run, merge everything into a single coherent image (the
-/// view an external observer fetching every page would see). Uses the
-/// protocol's own validation path on processor 0, off the clock.
+/// view an external observer fetching every page would see) in
+/// processor 0's memory. Uses the protocol's own validation path on
+/// processor 0, off the clock.
 fn finalize_image(
     w: &mut World,
     mems: &[Mutex<PagedMemory>],
     protocol: ProtocolKind,
     npages: usize,
-) -> Vec<u8> {
+) {
     if protocol == ProtocolKind::Raw {
-        return mems[0].lock().raw(0, npages * PAGE_SIZE).to_vec();
+        return;
     }
     // Close any open intervals so uncommitted writes become diffs or
     // owner notices (under HLRC, so they are flushed to their homes).
@@ -359,11 +367,11 @@ fn finalize_image(
                 _ => w.dir[pg].home.unwrap_or(ProcId::new(0)),
             };
             if src.index() != 0 {
-                let bytes = mems[src.index()].lock().page(page).to_vec();
+                let bytes = w.pool.get_copy(mems[src.index()].lock().page(page));
                 mems[0].lock().install_page(page, &bytes);
             }
         }
-        return mems[0].lock().raw(0, npages * PAGE_SIZE).to_vec();
+        return;
     }
     // Walk proc 0 over every page with a scratch engine (costs are
     // irrelevant; the report was already taken).
@@ -387,7 +395,6 @@ fn finalize_image(
         }
     }
     task.finish();
-    mems[0].lock().raw(0, npages * PAGE_SIZE).to_vec()
 }
 
 /// Result of a completed run: the measurements and the final coherent
@@ -395,7 +402,10 @@ fn finalize_image(
 pub struct RunOutcome {
     /// Everything measured during the run.
     pub report: RunReport,
-    image: Vec<u8>,
+    /// Processor 0's memory, into which the run's end merged every page:
+    /// the image is read in place, and the frame goes back to the pool
+    /// when the outcome is dropped.
+    image: PagedMemory,
     journal: Option<DeliveryJournal>,
 }
 
@@ -403,7 +413,7 @@ impl fmt::Debug for RunOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RunOutcome")
             .field("report", &self.report)
-            .field("image_bytes", &self.image.len())
+            .field("image_bytes", &self.image().len())
             .field(
                 "journal_events",
                 &self.journal.as_ref().map(DeliveryJournal::len),
@@ -418,15 +428,14 @@ impl RunOutcome {
         (0..v.len())
             .map(|i| {
                 let addr = v.addr(i);
-                T::load_le(&self.image[addr..addr + T::SIZE])
+                T::load_le(self.image.raw(addr, T::SIZE))
             })
             .collect()
     }
 
     /// Reads a single element out of the final coherent image.
     pub fn read_elem<T: Pod>(&self, v: &SharedVec<T>, i: usize) -> T {
-        let addr = v.addr(i);
-        T::load_le(&self.image[addr..addr + T::SIZE])
+        T::load_le(self.image.raw(v.addr(i), T::SIZE))
     }
 
     /// The whole final coherent memory image (every page, merged
@@ -435,7 +444,7 @@ impl RunOutcome {
     /// cross-backend oracle tests digest it to pin the threads backend
     /// against the simulator.
     pub fn image(&self) -> &[u8] {
-        &self.image
+        self.image.raw(0, self.image.npages() * PAGE_SIZE)
     }
 
     /// The chaos delivery journal recorded by this run, present exactly

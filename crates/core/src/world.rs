@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use adsm_mempage::{Diff, PageBuf, PageId, PagePool};
+use adsm_mempage::{Diff, DiffArena, DiffSlot, PageBuf, PageId, PagePool};
 use adsm_netsim::{Delivery, MsgKind, NetStats, SimTime};
 use adsm_vclock::{IntervalId, ProcId, VectorClock};
 
@@ -140,22 +140,23 @@ impl PageGlobal {
     }
 }
 
-/// One page's stored diffs: interval-sorted `(IntervalId, Arc<Diff>)`
+/// One page's stored diffs: interval-sorted `(IntervalId, DiffSlot)`
 /// entries. Interval counts per page are small (bounded by the GC
 /// threshold), so a sorted `Vec` beats any tree: `get` is one binary
 /// search over a contiguous array, `insert` one bounded `memmove`.
 #[derive(Clone, Debug, Default)]
 struct PageDiffs {
-    entries: Vec<(IntervalId, Arc<Diff>)>,
+    entries: Vec<(IntervalId, DiffSlot)>,
 }
 
 /// Store of the diffs a processor has created, held **per page**: the
 /// merge procedure of §3.1.1 always asks "the diffs of page P from
 /// intervals i₁..iₖ", so the store is a `Vec<PageDiffs>` indexed by
 /// `PageId` rather than one global map keyed by `(page, interval)`.
-/// Diffs are stored behind `Arc`, which is what makes the validation
-/// fetch path clone-free: handing a diff to the merge is a refcount
-/// bump, never a copy of the diff.
+/// An entry is the diff's [`DiffSlot`] in the directory's run-wide
+/// [`DiffArena`], which holds the bytes: storing a diff allocates
+/// nothing of its own, and handing one to the merge is a copy of the
+/// slot, never of the diff.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DiffStore {
     /// Per-page entries, grown on demand to the highest inserted page.
@@ -179,7 +180,7 @@ impl DiffStore {
     /// `(page, interval)`: a writer diffs a page once per interval, and
     /// a second diff would replace the one a merge may already have
     /// applied.
-    pub fn insert(&mut self, page: PageId, interval: IntervalId, diff: Diff) {
+    pub fn insert(&mut self, page: PageId, interval: IntervalId, diff: DiffSlot) {
         if self.by_page.len() <= page.index() {
             self.by_page
                 .resize_with(page.index() + 1, PageDiffs::default);
@@ -197,18 +198,17 @@ impl DiffStore {
         }
         self.bytes += diff.wire_size() as u64;
         self.count += 1;
-        pd.entries.insert(pos, (interval, Arc::new(diff)));
+        pd.entries.insert(pos, (interval, diff));
     }
 
-    /// The stored diff for `(page, interval)`, as a shared handle the
-    /// caller can retain across the merge without copying the diff.
-    pub fn get(&self, page: PageId, interval: IntervalId) -> Option<&Arc<Diff>> {
+    /// The slot of the stored diff for `(page, interval)`.
+    pub fn get(&self, page: PageId, interval: IntervalId) -> Option<DiffSlot> {
         let pd = self.by_page.get(page.index())?;
         let pos = pd
             .entries
             .binary_search_by_key(&interval, |(iv, _)| *iv)
             .ok()?;
-        Some(&pd.entries[pos].1)
+        Some(pd.entries[pos].1)
     }
 
     /// Does the store hold at least one diff for `page`?
@@ -248,6 +248,9 @@ pub(crate) struct Directory {
     pub pages: Vec<PageGlobal>,
     /// Stored diffs, indexed by the creating processor.
     pub diffs: Vec<DiffStore>,
+    /// The bytes of every stored diff of the run, whoever created it;
+    /// emptied by garbage collection, which empties every store.
+    pub arena: DiffArena,
 }
 
 impl Directory {
@@ -259,6 +262,7 @@ impl Directory {
                 .map(|_| PageGlobal::new(nprocs, initial_owner))
                 .collect(),
             diffs: (0..nprocs).map(|_| DiffStore::default()).collect(),
+            arena: DiffArena::default(),
         }
     }
 }
@@ -377,21 +381,15 @@ impl IntervalLog {
 }
 
 /// A diff queued for application by the merge procedure: precomputed
-/// happened-before sort key and a shared handle into the writer's
-/// store.
-#[derive(Clone, Debug)]
+/// happened-before sort key and the diff's slot in the directory's
+/// arena.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct KeyedDiff {
     /// Linear-extension sort key (clock-component sum, proc, seq),
     /// computed once at fetch time.
     pub key: (u64, usize, u32),
-    /// Shared handle into the writer's per-page store.
-    pub diff: Arc<Diff>,
-}
-
-impl std::borrow::Borrow<Diff> for KeyedDiff {
-    fn borrow(&self) -> &Diff {
-        &self.diff
-    }
+    /// Where the writer's diff lives in [`Directory::arena`].
+    pub slot: DiffSlot,
 }
 
 /// Reusable scratch for one `validate_page` invocation: the open
@@ -537,6 +535,9 @@ pub(crate) struct World {
     /// closing path fills it, then shares the previous record's `Arc`
     /// when the list is unchanged.
     pub notice_build: Vec<WriteNotice>,
+    /// HLRC's close-time flush: each dirty page's diff is encoded here,
+    /// shipped to the home and forgotten, so one buffer serves them all.
+    pub flush_diff: Diff,
     /// Virtual-time charges to *other* processors' clocks accumulated
     /// where no engine handle is available (HLRC home-side diff applies
     /// during interval close); drained at the next protocol entry point.
@@ -606,6 +607,7 @@ impl World {
             gc_requested: false,
             bscratch: BarrierScratch::default(),
             notice_build: Vec::new(),
+            flush_diff: Diff::default(),
             deferred_costs: Vec::new(),
             net: NetStats::new(),
             proto: ProtocolStats::new(),
@@ -790,6 +792,11 @@ mod tests {
         World::new(ProtocolKind::Wfs, 4, npages, RunOptions::default())
     }
 
+    /// The diff of `cur` against `twin`, encoded into `arena`.
+    fn slot(arena: &mut DiffArena, twin: &[u8], cur: &[u8]) -> DiffSlot {
+        arena.encode_span(twin, cur, 0, adsm_mempage::PAGE_SIZE)
+    }
+
     #[test]
     fn fresh_world_has_proc0_owner_everywhere() {
         let w = world(3);
@@ -811,7 +818,8 @@ mod tests {
         for pg in [2usize, 6, 5] {
             let mut c = twin.clone();
             c[pg] = 1;
-            w.dir.diffs[q.index()].insert(PageId::new(pg), id, Diff::encode(&twin, &c));
+            let diff = slot(&mut w.dir.arena, &twin, &c);
+            w.dir.diffs[q.index()].insert(PageId::new(pg), id, diff);
         }
         let store = &w.dir.diffs[q.index()];
         for pg in [2, 6, 5] {
@@ -870,11 +878,11 @@ mod tests {
 
     #[test]
     fn diff_store_round_trip() {
-        let mut store = DiffStore::default();
+        let (mut store, mut arena) = (DiffStore::default(), DiffArena::default());
         let twin = vec![0u8; adsm_mempage::PAGE_SIZE];
         let mut cur = twin.clone();
         cur[0] = 1;
-        let diff = Diff::encode(&twin, &cur);
+        let diff = slot(&mut arena, &twin, &cur);
         let id = IntervalId::new(ProcId::new(0), 1);
         let wire = diff.wire_size() as u64;
         store.insert(PageId::new(0), id, diff);
@@ -893,32 +901,33 @@ mod tests {
     #[test]
     #[should_panic(expected = "writer P1 made a second diff of pg3 for interval P1:2")]
     fn diff_store_refuses_a_second_diff_for_one_interval() {
-        let mut store = DiffStore::default();
+        let (mut store, mut arena) = (DiffStore::default(), DiffArena::default());
         let twin = vec![0u8; adsm_mempage::PAGE_SIZE];
         let mut cur = twin.clone();
         cur[0] = 1;
         let page = PageId::new(3);
         let id = IntervalId::new(ProcId::new(1), 2);
-        store.insert(page, id, Diff::encode(&twin, &cur));
-        store.insert(page, id, Diff::encode(&twin, &cur));
+        store.insert(page, id, slot(&mut arena, &twin, &cur));
+        store.insert(page, id, slot(&mut arena, &twin, &cur));
     }
 
     #[test]
-    fn diff_store_fetch_is_a_shared_handle() {
-        use std::sync::Arc;
-        let mut store = DiffStore::default();
+    fn diff_store_fetch_is_a_slot_into_the_arena() {
+        let (mut store, mut arena) = (DiffStore::default(), DiffArena::default());
         let twin = vec![0u8; adsm_mempage::PAGE_SIZE];
         let mut cur = twin.clone();
         cur[8] = 3;
         let page = PageId::new(2);
         let i1 = IntervalId::new(ProcId::new(1), 1);
         let i2 = IntervalId::new(ProcId::new(1), 2);
-        store.insert(page, i2, Diff::encode(&twin, &cur));
-        store.insert(page, i1, Diff::encode(&twin, &twin.clone()));
-        // Fetch clones the Arc, not the Diff.
-        let h = store.get(page, i2).expect("stored").clone();
-        assert_eq!(Arc::strong_count(&h), 2);
-        assert_eq!(h.modified_bytes(), 4);
+        store.insert(page, i2, slot(&mut arena, &twin, &cur));
+        store.insert(page, i1, slot(&mut arena, &twin, &twin.clone()));
+        // The slot sizes the diff without the arena, and applies from it.
+        let s2 = store.get(page, i2).expect("stored");
+        assert_eq!(s2.modified_bytes(), 4);
+        let mut merged = twin.clone();
+        arena.apply(s2, &mut merged);
+        assert_eq!(merged, cur);
         // Interval-sorted within the page: both retrievable.
         assert!(store.get(page, i1).expect("stored").is_empty());
     }

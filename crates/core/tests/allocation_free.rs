@@ -137,34 +137,17 @@ fn sor_steady_state_intervals_allocate_no_page_buffers() {
 /// A write-write false-sharing microkernel: every processor writes its
 /// own interleaved words of the SAME pages in every interval, so each
 /// barrier leaves `NPROCS` concurrent diffs per page and every
-/// subsequent fault runs the full merge procedure (`apply_many` over
-/// fetched diffs).
+/// subsequent fault runs the full merge procedure (fetched diffs
+/// applied in happened-before order).
 fn run_false_sharing(iters: usize) -> RunReport {
-    const WORDS: usize = 1024; // two shared pages of u64
-    let mut dsm = Dsm::builder(ProtocolKind::Mw).nprocs(NPROCS).build();
-    let data = dsm.alloc_page_aligned::<u64>(WORDS);
-    let outcome = dsm
-        .run(move |p| {
-            let me = p.index();
-            let stride = p.nprocs();
-            for it in 0..iters {
-                for i in (me..WORDS).step_by(stride) {
-                    data.set(p, i, (it * stride + me) as u64);
-                }
-                p.compute(SimTime::from_us(20));
-                p.barrier();
-                // Read a neighbour's word: validates the merged page.
-                let _ = data.get(p, (me + 1) % stride);
-            }
-        })
-        .expect("false-sharing run completes");
-    outcome.report
+    false_sharing_allocs(iters, 0, 2).0
 }
 
 /// The merge path itself is allocation-free in steady state: with
 /// every page under concurrent multi-writer traffic, extra iterations
 /// fetch and apply strictly more diffs without a single new page
-/// buffer (a fetched diff is an `Arc` handle by type).
+/// buffer (a fetched diff is a slot into the run's diff arena, applied
+/// from there in place).
 #[test]
 fn merge_path_steady_state_is_allocation_free() {
     let short = run_false_sharing(3);
@@ -185,6 +168,77 @@ fn merge_path_steady_state_is_allocation_free() {
     assert!(
         long.proto.pool_pages_reused > short.proto.pool_pages_reused,
         "merge-path iterations should recycle buffers"
+    );
+}
+
+/// The false-sharing microkernel over `pages` pages, with the heap
+/// allocations of its iterations from `warm` on counted — every
+/// processor's, as they all run on the simulator's one carrier thread.
+fn false_sharing_allocs(iters: usize, warm: usize, pages: usize) -> (RunReport, u64) {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    let words = pages * 512;
+    let counted = Arc::new(AtomicU64::new(0));
+    let mut dsm = Dsm::builder(ProtocolKind::Mw).nprocs(NPROCS).build();
+    let data = dsm.alloc_page_aligned::<u64>(words);
+    let total = counted.clone();
+    let outcome = dsm
+        .run(move |p| {
+            let me = p.index();
+            let stride = p.nprocs();
+            let mut from = 0;
+            for it in 0..iters {
+                if it == warm {
+                    from = thread_allocs();
+                }
+                for i in (me..words).step_by(stride) {
+                    data.set(p, i, (it * stride + me) as u64);
+                }
+                p.compute(SimTime::from_us(20));
+                p.barrier();
+                let _ = data.get(p, (me + 1) % stride);
+            }
+            p.barrier();
+            if me == 0 {
+                total.store(thread_allocs() - from, Ordering::Relaxed);
+            }
+        })
+        .expect("false-sharing run completes");
+    (outcome.report, counted.load(Ordering::Relaxed))
+}
+
+/// Storing a diff allocates nothing of its own: interval closes encode
+/// their diffs into the run's diff arena, so the heap allocations of
+/// extra steady-state MW intervals do not grow with the diffs those
+/// intervals create. Eight times the falsely-shared pages make eight
+/// times the diffs per interval at well under one allocation per extra
+/// diff (what is left is the stores' per-page lists growing, and a new
+/// arena chunk per 64 KiB); a diff used to cost two, an `Arc` and its
+/// byte buffer.
+#[test]
+fn steady_state_diffs_allocate_nothing_of_their_own() {
+    // Diffs made, and heap allocations, by iterations 6..12.
+    let extra = |pages| {
+        let (short, short_allocs) = false_sharing_allocs(6, 3, pages);
+        let (long, long_allocs) = false_sharing_allocs(12, 3, pages);
+        (
+            long.proto.diffs_created - short.proto.diffs_created,
+            long_allocs - short_allocs,
+        )
+    };
+    let (few_diffs, few_allocs) = extra(2);
+    let (many_diffs, many_allocs) = extra(16);
+    assert!(
+        many_diffs >= 8 * few_diffs && few_diffs > 0,
+        "diffs per interval should scale with the pages ({few_diffs} -> {many_diffs})"
+    );
+    let (more_diffs, more_allocs) = (
+        many_diffs - few_diffs,
+        many_allocs.saturating_sub(few_allocs),
+    );
+    assert!(
+        more_allocs * 4 < more_diffs,
+        "{more_diffs} more diffs took {more_allocs} more heap allocations"
     );
 }
 

@@ -248,80 +248,15 @@ impl Diff {
     /// Panics unless both slices are exactly one page long and
     /// `hi <= PAGE_SIZE`.
     pub fn encode_span_into(twin: &[u8], current: &[u8], lo: usize, hi: usize, out: &mut Diff) {
-        assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
-        assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
-        assert!(hi <= PAGE_SIZE, "window [{lo}, {hi}) beyond the page");
-        if lo >= hi {
-            debug_assert_eq!(twin, current, "clean window over a modified page");
-            return Self::encode_blocks_into(twin, current, 0, 0, out);
-        }
-        debug_assert!(
-            twin[..lo] == current[..lo] && twin[hi..] == current[hi..],
-            "bytes outside the dirty window [{lo}, {hi}) differ"
-        );
-        Self::encode_blocks_into(
-            twin,
-            current,
-            lo / BLOCK_BYTES,
-            hi.div_ceil(BLOCK_BYTES),
-            out,
-        );
+        let (blo, bhi) = span_blocks(twin, current, lo, hi);
+        Self::encode_blocks_into(twin, current, blo, bhi, out);
     }
 
     /// Shared body of [`Diff::encode_into`] and
     /// [`Diff::encode_span_into`]: scans blocks `blo..bhi`.
     fn encode_blocks_into(twin: &[u8], current: &[u8], blo: usize, bhi: usize, out: &mut Diff) {
-        // One streaming sweep over both pages building the dirty-block
-        // bitmap and every dirty block's per-word mask. On the wide arm
-        // the mask falls out of the block compare itself; portably, the
-        // fixed-size array equality compiles to inline vector compares
-        // (no `memcmp` call) and only blocks that differ pay for a mask.
-        let mut masks = [0u16; BLOCKS_PER_PAGE];
-        let mut dirty = 0u64;
-        let window = blo * BLOCK_BYTES..bhi * BLOCK_BYTES;
-        let (twin_blocks, _) = twin[window.clone()].as_chunks::<BLOCK_BYTES>();
-        let (cur_blocks, _) = current[window].as_chunks::<BLOCK_BYTES>();
-        for (bi, (tb, cb)) in (blo..bhi).zip(twin_blocks.iter().zip(cur_blocks)) {
-            let m = if arm::HAS_WIDE_MASK || tb != cb {
-                arm::dirty_mask(tb, cb)
-            } else {
-                0
-            };
-            masks[bi] = m;
-            dirty |= ((m != 0) as u64) << bi;
-        }
-        // The masks say how many words and runs the diff has — a run
-        // starts at every set bit whose predecessor is clear. Four
-        // 16-bit masks side by side are 64 consecutive words of the
-        // page, so the count is two popcounts per 256 bytes scanned,
-        // whatever they look like.
-        let (mut words, mut runs, mut prev_top) = (0u32, 0u32, 0u64);
-        for four in masks[blo / 4 * 4..bhi.next_multiple_of(4)].chunks_exact(4) {
-            let x = four.iter().rev().fold(0u64, |x, &m| x << 16 | m as u64);
-            words += x.count_ones();
-            runs += (x & !(x << 1 | prev_top)).count_ones();
-            prev_top = x >> 63;
-        }
-        out.dirty = dirty;
-        out.runs = runs;
         out.buf.clear();
-        let head = dirty.count_ones() as usize * MASK_BYTES;
-        out.buf.reserve(head + words as usize * WORD_SIZE);
-        for bi in set_bits(dirty) {
-            out.buf.extend_from_slice(&masks[bi].to_le_bytes());
-        }
-        // Ascending blocks, ascending words within each: the packed
-        // words are in page order.
-        for bi in set_bits(dirty) {
-            arm::compress(&cur_blocks[bi - blo], masks[bi], &mut out.buf);
-        }
-        debug_assert_eq!(out.modified_bytes(), words as usize * WORD_SIZE);
-    }
-
-    /// The word masks of the dirty blocks, ascending.
-    fn masks(&self) -> impl Iterator<Item = u16> + '_ {
-        let (masks, _) = self.buf[..self.head_len()].as_chunks::<MASK_BYTES>();
-        masks.iter().map(|&m| u16::from_le_bytes(m))
+        (out.dirty, out.runs) = encode_blocks_append(twin, current, blo, bhi, &mut out.buf);
     }
 
     /// Bytes of `buf` taken by the masks.
@@ -335,14 +270,7 @@ impl Diff {
     ///
     /// Panics unless `page` is exactly one page long.
     pub fn apply(&self, page: &mut [u8]) {
-        assert_eq!(page.len(), PAGE_SIZE, "target must be one page");
-        let (blocks, _) = page.as_chunks_mut::<BLOCK_BYTES>();
-        let mut words = &self.buf[self.head_len()..];
-        for (bi, mask) in set_bits(self.dirty).zip(self.masks()) {
-            let (src, rest) = words.split_at(mask.count_ones() as usize * WORD_SIZE);
-            arm::expand(src, mask, &mut blocks[bi]);
-            words = rest;
-        }
+        apply_encoded(self.dirty, &self.buf, page);
     }
 
     /// Applies several diffs in slice order — the happened-before order
@@ -351,8 +279,8 @@ impl Diff {
     ///
     /// The slice is generic over [`Borrow`](std::borrow::Borrow) so
     /// callers can merge straight from whatever owns their diffs —
-    /// `&[&Diff]`, `&[Arc<Diff>]`, or a keyed wrapper — without
-    /// materialising a reference list first.
+    /// `&[Diff]`, `&[&Diff]` or `&[Box<Diff>]` — without materialising
+    /// a reference list first.
     ///
     /// # Panics
     ///
@@ -385,7 +313,7 @@ impl Diff {
     /// the run-length encoding TreadMarks ships: header + per-run
     /// headers + data.
     pub fn wire_size(&self) -> usize {
-        DIFF_HEADER_BYTES + self.run_count() * RUN_HEADER_BYTES + self.modified_bytes()
+        wire_size(self.run_count(), self.modified_bytes())
     }
 
     /// Do `self` and `other` modify at least one common word?
@@ -402,6 +330,104 @@ impl Diff {
     }
 }
 
+/// The page-relative window `[lo, hi)` as the 64-byte blocks that
+/// overlap it (none for an empty window), after the checks of
+/// [`Diff::encode_span_into`].
+fn span_blocks(twin: &[u8], current: &[u8], lo: usize, hi: usize) -> (usize, usize) {
+    assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
+    assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
+    assert!(hi <= PAGE_SIZE, "window [{lo}, {hi}) beyond the page");
+    if lo >= hi {
+        debug_assert_eq!(twin, current, "clean window over a modified page");
+        return (0, 0);
+    }
+    debug_assert!(
+        twin[..lo] == current[..lo] && twin[hi..] == current[hi..],
+        "bytes outside the dirty window [{lo}, {hi}) differ"
+    );
+    (lo / BLOCK_BYTES, hi.div_ceil(BLOCK_BYTES))
+}
+
+/// Appends the encoding of the diff of blocks `blo..bhi` — the masks of
+/// the dirty blocks, then their modified words — to `buf`, and returns
+/// the dirty-block bitmap and the run count. Reserves exactly what it
+/// appends, so a buffer with that much spare capacity is never
+/// reallocated.
+fn encode_blocks_append(
+    twin: &[u8],
+    current: &[u8],
+    blo: usize,
+    bhi: usize,
+    buf: &mut Vec<u8>,
+) -> (u64, u32) {
+    // One streaming sweep over both pages building the dirty-block
+    // bitmap and every dirty block's per-word mask. On the wide arm
+    // the mask falls out of the block compare itself; portably, the
+    // fixed-size array equality compiles to inline vector compares
+    // (no `memcmp` call) and only blocks that differ pay for a mask.
+    let mut masks = [0u16; BLOCKS_PER_PAGE];
+    let mut dirty = 0u64;
+    let window = blo * BLOCK_BYTES..bhi * BLOCK_BYTES;
+    let (twin_blocks, _) = twin[window.clone()].as_chunks::<BLOCK_BYTES>();
+    let (cur_blocks, _) = current[window].as_chunks::<BLOCK_BYTES>();
+    for (bi, (tb, cb)) in (blo..bhi).zip(twin_blocks.iter().zip(cur_blocks)) {
+        let m = if arm::HAS_WIDE_MASK || tb != cb {
+            arm::dirty_mask(tb, cb)
+        } else {
+            0
+        };
+        masks[bi] = m;
+        dirty |= ((m != 0) as u64) << bi;
+    }
+    // The masks say how many words and runs the diff has — a run
+    // starts at every set bit whose predecessor is clear. Four
+    // 16-bit masks side by side are 64 consecutive words of the
+    // page, so the count is two popcounts per 256 bytes scanned,
+    // whatever they look like.
+    let (mut words, mut runs, mut prev_top) = (0u32, 0u32, 0u64);
+    for four in masks[blo / 4 * 4..bhi.next_multiple_of(4)].chunks_exact(4) {
+        let x = four.iter().rev().fold(0u64, |x, &m| x << 16 | m as u64);
+        words += x.count_ones();
+        runs += (x & !(x << 1 | prev_top)).count_ones();
+        prev_top = x >> 63;
+    }
+    let (start, len) = (
+        buf.len(),
+        dirty.count_ones() as usize * MASK_BYTES + words as usize * WORD_SIZE,
+    );
+    buf.reserve(len);
+    for bi in set_bits(dirty) {
+        buf.extend_from_slice(&masks[bi].to_le_bytes());
+    }
+    // Ascending blocks, ascending words within each: the packed
+    // words are in page order.
+    for bi in set_bits(dirty) {
+        arm::compress(&cur_blocks[bi - blo], masks[bi], buf);
+    }
+    debug_assert_eq!(buf.len(), start + len);
+    (dirty, runs)
+}
+
+/// Overwrites in `page` the words an encoding with dirty-block bitmap
+/// `dirty` records (`buf`: its masks, then its words).
+fn apply_encoded(dirty: u64, buf: &[u8], page: &mut [u8]) {
+    assert_eq!(page.len(), PAGE_SIZE, "target must be one page");
+    let (blocks, _) = page.as_chunks_mut::<BLOCK_BYTES>();
+    let (masks, mut words) = buf.split_at(dirty.count_ones() as usize * MASK_BYTES);
+    let (masks, _) = masks.as_chunks::<MASK_BYTES>();
+    for (bi, &mask) in set_bits(dirty).zip(masks) {
+        let mask = u16::from_le_bytes(mask);
+        let (src, rest) = words.split_at(mask.count_ones() as usize * WORD_SIZE);
+        arm::expand(src, mask, &mut blocks[bi]);
+        words = rest;
+    }
+}
+
+/// What a diff of `runs` runs and `modified` bytes costs on the wire.
+fn wire_size(runs: usize, modified: usize) -> usize {
+    DIFF_HEADER_BYTES + runs * RUN_HEADER_BYTES + modified
+}
+
 impl fmt::Display for Diff {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -411,6 +437,137 @@ impl fmt::Display for Diff {
             self.modified_bytes(),
             self.wire_size()
         )
+    }
+}
+
+/// Capacity of one [`DiffArena`] chunk.
+const CHUNK_BYTES: usize = 64 << 10;
+/// The largest encoding: every block's mask and every word of the page.
+const MAX_ENCODED_BYTES: usize = BLOCKS_PER_PAGE * MASK_BYTES + PAGE_SIZE;
+
+/// Where a diff encoded into a [`DiffArena`] lives, and what it holds:
+/// everything but its bytes, so sizing a stored diff never reads the
+/// arena. Only meaningful for the arena that made it, until that arena
+/// is [cleared](DiffArena::clear).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DiffSlot {
+    /// As [`Diff`]'s: bit `b` is set iff block `b` has a modified word.
+    dirty: u64,
+    runs: u32,
+    chunk: u32,
+    start: u32,
+    len: u32,
+}
+
+impl DiffSlot {
+    /// `true` when the twin and the page were identical.
+    pub fn is_empty(&self) -> bool {
+        self.dirty == 0
+    }
+
+    /// Number of maximal runs of modified words.
+    pub fn run_count(&self) -> usize {
+        self.runs as usize
+    }
+
+    /// Total bytes of modified data, as [`Diff::modified_bytes`].
+    pub fn modified_bytes(&self) -> usize {
+        self.len as usize - self.dirty.count_ones() as usize * MASK_BYTES
+    }
+
+    /// Wire and store size, as [`Diff::wire_size`].
+    pub fn wire_size(&self) -> usize {
+        wire_size(self.run_count(), self.modified_bytes())
+    }
+}
+
+/// One store for the bytes of many diffs: each is encoded straight into
+/// the arena, in [`Diff`]'s layout, and named by the [`DiffSlot`] the
+/// encoder returns — no heap block per diff. The arena is a list of
+/// fixed-capacity chunks, each allocated once and never reallocated or
+/// zero-filled; [`DiffArena::clear`] forgets every diff and keeps the
+/// chunks for the next ones.
+///
+/// # Examples
+///
+/// ```
+/// use adsm_mempage::{Diff, DiffArena, PAGE_SIZE};
+///
+/// let twin = vec![0u8; PAGE_SIZE];
+/// let mut page = twin.clone();
+/// page[8..12].copy_from_slice(&7u32.to_le_bytes());
+///
+/// let mut arena = DiffArena::default();
+/// let slot = arena.encode_span(&twin, &page, 8, 12);
+/// assert_eq!(slot.wire_size(), Diff::encode(&twin, &page).wire_size());
+///
+/// let mut other = twin.clone();
+/// arena.apply(slot, &mut other);
+/// assert_eq!(other, page);
+/// ```
+#[derive(Debug, Default)]
+pub struct DiffArena {
+    chunks: Vec<Vec<u8>>,
+    /// The chunk being filled; the ones after it are empty.
+    cur: usize,
+}
+
+impl DiffArena {
+    /// Encodes the diff of `current` against `twin` into the arena,
+    /// scanning the window `[lo, hi)` as [`Diff::encode_span_into`] does
+    /// (same contract, same checks, same bytes), and returns its slot.
+    ///
+    /// # Panics
+    ///
+    /// As [`Diff::encode_span_into`].
+    pub fn encode_span(&mut self, twin: &[u8], current: &[u8], lo: usize, hi: usize) -> DiffSlot {
+        let (blo, bhi) = span_blocks(twin, current, lo, hi);
+        let chunk = self.chunk_with_room();
+        let buf = &mut self.chunks[chunk];
+        let (start, capacity) = (buf.len(), buf.capacity());
+        let (dirty, runs) = encode_blocks_append(twin, current, blo, bhi, buf);
+        debug_assert_eq!(buf.capacity(), capacity, "an arena chunk was reallocated");
+        DiffSlot {
+            dirty,
+            runs,
+            chunk: chunk as u32,
+            start: start as u32,
+            len: (buf.len() - start) as u32,
+        }
+    }
+
+    /// Overwrites in `page` the words the diff at `slot` records.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `page` is exactly one page long, or if `slot` lies
+    /// beyond what the arena holds.
+    pub fn apply(&self, slot: DiffSlot, page: &mut [u8]) {
+        let start = slot.start as usize;
+        let bytes = &self.chunks[slot.chunk as usize][start..start + slot.len as usize];
+        apply_encoded(slot.dirty, bytes, page);
+    }
+
+    /// Forgets every diff; the chunks stay allocated for the next ones.
+    pub fn clear(&mut self) {
+        self.chunks.iter_mut().for_each(Vec::clear);
+        self.cur = 0;
+    }
+
+    /// The index of a chunk with room for any diff, moving on to the
+    /// next chunk (allocated on first use) when the current one has not.
+    fn chunk_with_room(&mut self) -> usize {
+        if self
+            .chunks
+            .get(self.cur)
+            .is_some_and(|c| c.capacity() - c.len() < MAX_ENCODED_BYTES)
+        {
+            self.cur += 1;
+        }
+        if self.cur == self.chunks.len() {
+            self.chunks.push(Vec::with_capacity(CHUNK_BYTES));
+        }
+        self.cur
     }
 }
 
@@ -698,6 +855,51 @@ mod tests {
             arm::expand(&packed_arm[3..], mask, &mut spread_arm);
             assert_eq!(spread, b);
             assert_eq!(spread_arm, b);
+        }
+    }
+
+    /// A diff encoded into the arena is the diff [`Diff::encode`] makes
+    /// — same sizes, same effect — including after enough others that
+    /// the arena has moved on through several chunks; and after a clear
+    /// the next diffs go into the same chunks.
+    #[test]
+    fn arena_diffs_match_owned_ones_across_chunks_and_clears() {
+        let mut arena = DiffArena::default();
+        let twin: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 7) as u8).collect();
+        let pages: Vec<Vec<u8>> = (0..64usize)
+            .map(|k| {
+                let mut cur = twin.clone();
+                // Every other page dense (a whole-page diff), the rest
+                // one word at a k-dependent offset.
+                if k % 2 == 0 {
+                    cur.iter_mut().for_each(|b| *b = !*b);
+                } else {
+                    cur[(k * 131) % PAGE_SIZE] ^= 0xFF;
+                }
+                cur
+            })
+            .collect();
+        let mut first_bases = None;
+        for round in 0..2 {
+            let slots: Vec<DiffSlot> = pages
+                .iter()
+                .map(|cur| arena.encode_span(&twin, cur, 0, PAGE_SIZE))
+                .collect();
+            assert!(arena.chunks.len() > 1, "the test should span chunks");
+            let bases: Vec<*const u8> = arena.chunks.iter().map(|c| c.as_ptr()).collect();
+            // The second round refills the first round's chunks.
+            assert_eq!(first_bases.get_or_insert_with(|| bases.clone()), &bases);
+            for (cur, slot) in pages.iter().zip(&slots) {
+                let owned = Diff::encode(&twin, cur);
+                assert_eq!(slot.is_empty(), owned.is_empty());
+                assert_eq!(slot.run_count(), owned.run_count());
+                assert_eq!(slot.modified_bytes(), owned.modified_bytes());
+                assert_eq!(slot.wire_size(), owned.wire_size());
+                let mut merged = twin.clone();
+                arena.apply(*slot, &mut merged);
+                assert_eq!(&merged, cur, "round {round}");
+            }
+            arena.clear();
         }
     }
 

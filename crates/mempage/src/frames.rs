@@ -1,10 +1,11 @@
 //! The byte store behind a [`PagedMemory`](crate::PagedMemory): a
 //! zero-filled range which, from [`MAP_MIN`] bytes up, comes from the
-//! operating system directly and not from the process heap.
+//! operating system directly and not from the process heap, and which a
+//! run's memories take from and give back to a process-wide pool.
 //!
-//! A processor's memory is the one large, short-lived block of a run
-//! (4 MB a processor for SOR at `Paper`, one per processor per run), and
-//! a typical processor touches a band of it. From the heap, what that
+//! A processor's memory is the one large block of a run (4 MB a
+//! processor for SOR at `Paper`, one per processor per run), and a
+//! typical processor touches a band of it. From the heap, what that
 //! costs depends on the heap's history: `calloc` hands out untouched
 //! zero pages only while it can extend the heap or map afresh, and once
 //! a few small blocks freed into the allocator's per-thread caches sit
@@ -13,11 +14,27 @@
 //! so resident in full (+32 MB on an 8-processor SOR run), from
 //! whichever run first left its blocks that way. A private anonymous
 //! mapping is the same every time: pages become resident as they are
-//! touched and all of them go back when the memory is dropped.
+//! touched.
+//!
+//! Mapping afresh for every run has its own price, though: each page
+//! the run touches is a page fault (2.56 µs on a 2-core x86-64 host,
+//! against 0.22 µs to re-zero a page that is already resident), and an
+//! 8-processor `Small` matrix takes ≈ 7 000 of them a pass in these
+//! frames alone. So a run's frames outlive it: [`Frames::recycled`]
+//! hands processor *k* of a run the frame processor *k* of the last run
+//! of the same size gave back, with only the pages that run wrote
+//! zeroed again ([`Frames::recycle`]). Keying by processor keeps each
+//! frame's resident pages the ones its own processor touches anyway; a
+//! pool that handed any frame to any processor let every frame grow to
+//! the union of all bands (+20 % peak resident set on an 8-processor
+//! threads matrix). A request of another size unmaps the whole pool
+//! first, so the pool never holds more than one cluster's frames, all
+//! of one size.
 
 use std::ops::{Deref, DerefMut};
 use std::ptr::{self, NonNull};
 use std::slice;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Spaces at least this large are mapped; smaller ones come from the
 /// heap. It is the size from which the C allocator maps a block itself
@@ -39,7 +56,82 @@ unsafe impl Send for Frames {}
 // SAFETY: shared access only reads; writing takes `&mut`.
 unsafe impl Sync for Frames {}
 
+/// The frames the last run of one size gave back, by processor slot.
+struct FramePool {
+    /// Length of every frame held (0 while empty).
+    len: usize,
+    /// `slots[k]`: processor *k*'s frame, all zero.
+    slots: Vec<Option<Frames>>,
+}
+
+static POOL: Mutex<FramePool> = Mutex::new(FramePool {
+    len: 0,
+    slots: Vec::new(),
+});
+
+/// Every byte of `bytes` is zero (page-wise `memcmp`s: quick in debug
+/// builds too, where the check runs).
+fn is_zero(bytes: &[u8]) -> bool {
+    const ZERO: [u8; crate::PAGE_SIZE] = [0; crate::PAGE_SIZE];
+    bytes
+        .chunks(crate::PAGE_SIZE)
+        .all(|c| c == &ZERO[..c.len()])
+}
+
+/// The pool; a panic elsewhere while it was held leaves it consistent
+/// (every operation on it is a `take` or a `replace`).
+fn pool() -> MutexGuard<'static, FramePool> {
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Frames {
+    /// `len` zero bytes for processor `slot` of a run: the frame
+    /// processor `slot` gave back at the end of the last run of this
+    /// size, if the pool still holds it, else a new one. A request of
+    /// another size first empties the pool (the frames are unmapped, not
+    /// kept), so every frame the pool holds has one length.
+    pub(crate) fn recycled(len: usize, slot: usize) -> Frames {
+        let (reused, stale) = {
+            let mut pool = pool();
+            let stale = if pool.len == len {
+                Vec::new()
+            } else {
+                pool.len = len;
+                std::mem::take(&mut pool.slots)
+            };
+            (pool.slots.get_mut(slot).and_then(Option::take), stale)
+        };
+        // Unmapped outside the lock.
+        drop(stale);
+        match reused {
+            Some(frames) => {
+                debug_assert!(
+                    is_zero(&frames),
+                    "a pooled frame was handed out with stale bytes"
+                );
+                frames
+            }
+            None => Frames::zeroed(len),
+        }
+    }
+
+    /// Gives back processor `slot`'s frame, which the caller has made
+    /// all zero again. Kept if the pool holds frames of this length and
+    /// none for `slot` yet (a concurrent run of the same size may have
+    /// returned one first); otherwise unmapped, after the lock is
+    /// released.
+    pub(crate) fn recycle(self, slot: usize) {
+        let mut pool = pool();
+        if pool.len == self.len {
+            if pool.slots.len() <= slot {
+                pool.slots.resize_with(slot + 1, || None);
+            }
+            if pool.slots[slot].is_none() {
+                pool.slots[slot] = Some(self);
+            }
+        }
+    }
+
     pub(crate) fn zeroed(len: usize) -> Frames {
         if len >= MAP_MIN {
             if let Some(base) = map_zeroed(len) {
@@ -169,9 +261,34 @@ impl std::fmt::Debug for Frames {
     }
 }
 
+/// Serialises the unit tests that use the process-wide pool.
+#[cfg(test)]
+pub(crate) static TEST_SERIAL: Mutex<()> = Mutex::new(());
+
+/// The pool's frame length and how many frames it holds.
+#[cfg(test)]
+pub(crate) fn pool_contents() -> (usize, usize) {
+    let pool = pool();
+    (pool.len, pool.slots.iter().flatten().count())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Debug builds refuse to hand out a pooled frame that is not all
+    /// zero: a frame given back dirty is caught at its next use.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "handed out with stale bytes")]
+    fn a_stale_frame_is_caught_when_handed_out() {
+        let _serial = TEST_SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let len = 3 * crate::PAGE_SIZE;
+        let mut f = Frames::recycled(len, 0);
+        f[len - 1] = 1;
+        f.recycle(0);
+        let _ = Frames::recycled(len, 0);
+    }
 
     #[test]
     fn frames_start_zeroed_and_hold_what_is_written_on_either_side_of_the_threshold() {

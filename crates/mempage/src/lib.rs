@@ -42,7 +42,7 @@ mod page;
 mod pod;
 mod pool;
 
-pub use diff::Diff;
+pub use diff::{Diff, DiffArena, DiffSlot};
 pub use memory::{AccessRights, FaultKind, PageFault, PagedMemory};
 pub use page::{page_count, page_of, page_span, PageId, PAGE_SIZE, WORD_SIZE};
 pub use pod::Pod;

@@ -125,11 +125,23 @@ pub struct PagedMemory {
     /// ([`page_mut`](PagedMemory::page_mut),
     /// [`install_page`](PagedMemory::install_page)) widen it to the
     /// whole page, so the window is always a sound bound for diffing.
+    /// A page no mutating path has touched since the memory was made
+    /// reads [`PRISTINE`]: the only pages a pooled frame has to zero
+    /// again when it is given back.
     dirty: Vec<(u16, u16)>,
+    /// The processor slot of the frame pool this memory's frame goes
+    /// back to when it is dropped ([`PagedMemory::pooled`]).
+    slot: Option<usize>,
 }
 
 /// "Clean" watermark sentinel: `lo` past the page end, `hi` at zero.
 const CLEAN: (u16, u16) = (PAGE_SIZE as u16, 0);
+
+/// "Clean, and never written" sentinel: as clean as [`CLEAN`] to
+/// [`PagedMemory::dirty_span`], and turned into an ordinary window by
+/// the first widening (its `hi` of 1 is below every widened `hi`), so
+/// telling untouched pages apart costs the write paths nothing.
+const PRISTINE: (u16, u16) = (PAGE_SIZE as u16, 1);
 
 // The watermarks store page-relative offsets in u16.
 const _: () = assert!(PAGE_SIZE <= u16::MAX as usize);
@@ -137,11 +149,37 @@ const _: () = assert!(PAGE_SIZE <= u16::MAX as usize);
 impl PagedMemory {
     /// Creates a zero-filled space of `npages` pages, all invalid.
     pub fn new(npages: usize) -> Self {
+        PagedMemory::with_frames(Frames::zeroed(npages * PAGE_SIZE), npages, None)
+    }
+
+    /// Like [`PagedMemory::new`], for processor `slot` of a cluster
+    /// whose every processor has a space of `npages` pages: the bytes
+    /// come from a process-wide pool of page frames. Dropping the
+    /// memory zeroes the pages written through it and gives the frame
+    /// back for `slot`, so the next run of the same size reuses its
+    /// resident pages instead of faulting fresh ones in; a space of
+    /// another size empties the pool first. The pool keeps at most one
+    /// frame per slot.
+    pub fn pooled(npages: usize, slot: usize) -> Self {
+        PagedMemory::with_frames(
+            Frames::recycled(npages * PAGE_SIZE, slot),
+            npages,
+            Some(slot),
+        )
+    }
+
+    fn with_frames(bytes: Frames, npages: usize, slot: Option<usize>) -> Self {
         PagedMemory {
-            bytes: Frames::zeroed(npages * PAGE_SIZE),
+            bytes,
             rights: vec![AccessRights::None; npages],
-            dirty: vec![CLEAN; npages],
+            dirty: vec![PRISTINE; npages],
+            slot,
         }
+    }
+
+    /// Size of the space in pages.
+    pub fn npages(&self) -> usize {
+        self.rights.len()
     }
 
     /// Widens the dirty watermark of every page touched by
@@ -339,6 +377,20 @@ impl PagedMemory {
     }
 }
 
+impl Drop for PagedMemory {
+    fn drop(&mut self) {
+        let Some(slot) = self.slot else {
+            return;
+        };
+        for (idx, &window) in self.dirty.iter().enumerate() {
+            if window != PRISTINE {
+                self.bytes[idx * PAGE_SIZE..(idx + 1) * PAGE_SIZE].fill(0);
+            }
+        }
+        std::mem::replace(&mut self.bytes, Frames::zeroed(0)).recycle(slot);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,6 +478,80 @@ mod tests {
             Some((PAGE_SIZE - 2, PAGE_SIZE))
         );
         assert_eq!(mem.dirty_span(PageId::new(1)), Some((0, 2)));
+    }
+
+    /// Holds the pool to this test; the pool's state survives a test
+    /// that panicked while holding it.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        crate::frames::TEST_SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Makes every page writable and writes through every mutating
+    /// path, into pages 1, 5-6, 9 and 12.
+    fn scribble(mem: &mut PagedMemory) {
+        for pg in 0..mem.npages() {
+            mem.set_rights(PageId::new(pg), AR::Write);
+        }
+        mem.try_write(PAGE_SIZE + 3, &[1, 2, 3]).unwrap();
+        mem.span_unchecked_mut(6 * PAGE_SIZE - 2, 4).fill(0xEE);
+        mem.install_page(PageId::new(9), &vec![0xAB; PAGE_SIZE]);
+        mem.page_mut(PageId::new(12))[100] = 7;
+    }
+
+    #[test]
+    fn a_recycled_frame_reads_all_zero_after_every_write_path() {
+        let _serial = serial();
+        let mut mem = PagedMemory::pooled(16, 2);
+        scribble(&mut mem);
+        let base = mem.bytes.as_ptr();
+        drop(mem);
+        let again = PagedMemory::pooled(16, 2);
+        assert_eq!(again.bytes.as_ptr(), base, "slot 2's frame was not reused");
+        assert!(again.raw(0, 16 * PAGE_SIZE).iter().all(|&b| b == 0));
+        for pg in 0..16 {
+            assert_eq!(again.rights(PageId::new(pg)), AR::None);
+            assert_eq!(again.dirty_span(PageId::new(pg)), None);
+        }
+    }
+
+    #[test]
+    fn a_request_of_another_shape_never_sees_stale_bytes() {
+        let _serial = serial();
+        let mut mem = PagedMemory::pooled(16, 0);
+        scribble(&mut mem);
+        drop(mem);
+        for npages in [17, 16, 24] {
+            let mut other = PagedMemory::pooled(npages, 0);
+            assert!(other.raw(0, npages * PAGE_SIZE).iter().all(|&b| b == 0));
+            assert_eq!(crate::frames::pool_contents(), (npages * PAGE_SIZE, 0));
+            scribble(&mut other);
+        }
+    }
+
+    #[test]
+    fn the_pool_holds_at_most_one_clusters_frames() {
+        let _serial = serial();
+        // Two concurrent runs of four processors: the second run's
+        // frames find their slots taken and are unmapped.
+        let runs: Vec<Vec<PagedMemory>> = (0..2)
+            .map(|_| (0..4).map(|k| PagedMemory::pooled(16, k)).collect())
+            .collect();
+        drop(runs);
+        assert_eq!(crate::frames::pool_contents(), (16 * PAGE_SIZE, 4));
+        // Unpooled memories and clones never enter it.
+        let mut mem = PagedMemory::new(16);
+        scribble(&mut mem);
+        drop(mem);
+        assert_eq!(crate::frames::pool_contents(), (16 * PAGE_SIZE, 4));
+        // A smaller cluster of another size leaves only its own frames.
+        drop(
+            (0..2)
+                .map(|k| PagedMemory::pooled(4, k))
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(crate::frames::pool_contents(), (4 * PAGE_SIZE, 2));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! reference under every protocol, on an odd processor count (uneven
 //! bands — different code paths from the in-crate 4-processor tests).
 
-use adsm::{run_app, App, ProtocolKind, Scale};
+use adsm::{run_app, run_app_tuned, App, ExecBackend, ProtocolKind, RunOptions, Scale};
 
 fn check(app: App, nprocs: usize) {
     for protocol in ProtocolKind::EVALUATED {
@@ -67,5 +67,49 @@ fn every_app_single_proc_degenerates_cleanly() {
                 "{app}: single-processor runs must not send messages"
             );
         }
+    }
+}
+
+/// Every run's memories come from, and go back to, one process-wide
+/// pool of page frames, which a request of another size empties. Four
+/// OS threads run SOR and IS (two sizes of shared space) in turn, on
+/// both backends and under every evaluated protocol, so frames are
+/// taken, given back and unmapped under each other's live runs; every
+/// run still verifies.
+#[test]
+fn concurrent_runs_of_two_sizes_share_the_frame_pool() {
+    let size = |app| {
+        run_app(app, ProtocolKind::Mw, 3, Scale::Tiny)
+            .outcome
+            .image()
+            .len()
+    };
+    assert_ne!(
+        size(App::Sor),
+        size(App::Is),
+        "the two apps must differ in size"
+    );
+    let threads: Vec<_> = (0..4usize)
+        .map(|t| {
+            std::thread::spawn(move || {
+                let backend = [ExecBackend::Sim, ExecBackend::Threads][t % 2];
+                let opts = RunOptions {
+                    backend,
+                    ..RunOptions::default()
+                };
+                for (i, protocol) in ProtocolKind::EVALUATED.into_iter().enumerate() {
+                    let app = [App::Sor, App::Is][(t + i) % 2];
+                    let run = run_app_tuned(app, protocol, 3, Scale::Tiny, &opts);
+                    assert!(
+                        run.ok,
+                        "{app} under {protocol} on {backend:?}: {}",
+                        run.detail
+                    );
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("every run verifies");
     }
 }

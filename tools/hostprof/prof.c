@@ -4,7 +4,9 @@
  * SIGPROF every millisecond of CPU the process uses (the kernel rounds
  * that up to its tick) records the interrupted RIP and the chain of
  * return addresses behind it; at exit the samples and the executable
- * mappings go to $PROF_OUT.<pid>, which report.py turns into a profile.
+ * mappings go to $PROF_OUT.<pid>, which report.py turns into a profile,
+ * with the process's CPU times and page faults (a fault lands on whichever
+ * instruction touched the page, so samples alone cannot show it).
  * Without PROF_OUT the library does nothing. See README.md.
  *
  * Build: gcc -O2 -shared -fPIC -o libhostprof.so prof.c
@@ -16,6 +18,7 @@
 #include <stdlib.h>
 #include <string.h>
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 #include <sys/uio.h>
 #include <ucontext.h>
@@ -132,5 +135,12 @@ __attribute__((destructor)) static void hostprof_stop(void) {
         fputc('\n', out);
     }
     fprintf(out, "D %u\n", dropped);
+    /* Resource use of the whole process so far: user and system CPU
+     * seconds, minor and major page faults. */
+    struct rusage ru;
+    if (getrusage(RUSAGE_SELF, &ru) == 0)
+        fprintf(out, "R %ld.%06ld %ld.%06ld %ld %ld\n", (long)ru.ru_utime.tv_sec,
+                (long)ru.ru_utime.tv_usec, (long)ru.ru_stime.tv_sec, (long)ru.ru_stime.tv_usec,
+                ru.ru_minflt, ru.ru_majflt);
     fclose(out);
 }

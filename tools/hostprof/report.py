@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Turns a hostprof sample file ($PROF_OUT.<pid>, written by prof.c) into a
-profile: flat by innermost inline frame, flat by physical function,
-inclusive, libc's leaves by their first non-libc caller, and optionally the
-callees of one function.
+profile: the process's CPU times and page faults, then flat by innermost
+inline frame, flat by physical function, inclusive, libc's leaves by their
+first non-libc caller, and optionally the callees of one function. Rows that
+are libc's malloc internals say so.
 
     report.py /tmp/prof.1234 [--top 20] [--callees FN]
 
@@ -17,6 +18,12 @@ import subprocess
 import sys
 
 HASH = re.compile(r"::h[0-9a-f]{16}$")
+
+# Rows that are the C allocator's own code (README.md, Limits): the exported
+# symbol a stripped libc attributes malloc/free internals to, and samples
+# whose frame walk never left libc (malloc is built without frame pointers).
+WALK_ENDED_IN_LIBC = "(the walk ended in libc)"
+MALLOC_ROWS = {"__default_morecore [libc.so.6]", WALK_ENDED_IN_LIBC}
 
 
 def load_segments(path):
@@ -89,7 +96,7 @@ def main():
     ap.add_argument("--callees", metavar="FN", help="also: where samples under FN (substring) go next")
     args = ap.parse_args()
 
-    maps, stacks, dropped = [], [], 0
+    maps, stacks, dropped, rusage = [], [], 0, None
     with open(args.samples) as f:
         for line in f:
             if line.startswith("M "):
@@ -98,6 +105,8 @@ def main():
                 stacks.append([int(a, 16) for a in line.split()[1:]])
             elif line.startswith("D "):
                 dropped = int(line.split()[1])
+            elif line.startswith("R "):
+                rusage = line.split()[1:]
     if not stacks:
         sys.exit(f"{args.samples}: no samples (did the run use any CPU time?)")
 
@@ -173,15 +182,21 @@ def main():
             in_libc_leaf += 1
             keys = [(addr, depth > 0) for depth, addr in enumerate(stack)]
             owner = next((k for k in keys if not in_libc(k)), None)
-            libc_callers[frames_of(owner)[-1] if owner else "(the walk ended in libc)"] += 1
+            libc_callers[frames_of(owner)[-1] if owner else WALK_ENDED_IN_LIBC] += 1
 
     total = len(stacks)
     print(f"{total} samples from {args.samples}" + (f" ({dropped} dropped: buffer full)" if dropped else ""))
+    if rusage:
+        utime, stime, minflt, majflt = rusage
+        print(f"rusage: user {utime} s, system {stime} s, {minflt} minor faults, {majflt} major faults")
+    else:
+        print("rusage: not recorded (a sampler built before it wrote the R line)")
 
     def table(title, counter):
         print(f"\n{title}")
         for fn, n in counter.most_common(args.top):
-            print(f"  {100.0 * n / total:5.1f}%  {n:6d}  {fn}")
+            label = "  (malloc internals)" if fn in MALLOC_ROWS else ""
+            print(f"  {100.0 * n / total:5.1f}%  {n:6d}  {fn}{label}")
 
     table("flat, by innermost inline frame", flat_inline)
     table("flat, by physical function", flat_phys)
