@@ -84,7 +84,7 @@ mod world;
 
 pub use config::{ExecBackend, HomePolicy, ProtocolKind, RunOptions};
 pub use memio::{SharedMatrix, SharedVec, SharedView, SharedViewMut};
-pub use metrics::{NsHistogram, ProtocolStats, RunReport};
+pub use metrics::{NsHistogram, ProtocolStats, RunReport, SwitchCause};
 pub use proc::Proc;
 pub use profile::{GrainClass, ProfileSummary};
 pub use system::{Dsm, DsmBuilder, RunError, RunOutcome};

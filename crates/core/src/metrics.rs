@@ -4,6 +4,49 @@ use adsm_netsim::{NetStats, SimTime};
 
 use crate::ProtocolKind;
 
+/// Why a page changed mode at one processor: the paper mechanism that
+/// fired. The four → MW causes come first; DESIGN.md §Mode switches
+/// names each one's call site.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SwitchCause {
+    /// → MW: the perceived owner or its version was stale (§3.1.1).
+    Refusal,
+    /// → MW: WFS+WG refused ownership only for small diffs (§3.3).
+    SmallGrain,
+    /// → MW: WFS+WG's probe saw a read fetch from the owner (§3.3).
+    ReadShared,
+    /// → MW: a concurrent non-owner write notice arrived (§3.1.1).
+    ConcurrentNotice,
+    /// → SW: every copyset member reports SW (§3.1.2, mechanism 1).
+    Mechanism1,
+    /// → SW: no concurrent notice outlived an owner notice (mechanism 2).
+    Mechanism2,
+    /// → SW: one write notice dominates at a barrier (mechanism 3).
+    Mechanism3,
+    /// → SW: GC leaves the page with its last owner (§3.1.1).
+    Gc,
+}
+
+impl SwitchCause {
+    /// Every cause, in declaration order: the index of
+    /// [`ProtocolStats::switch_causes`].
+    pub const ALL: [SwitchCause; 8] = [
+        SwitchCause::Refusal,
+        SwitchCause::SmallGrain,
+        SwitchCause::ReadShared,
+        SwitchCause::ConcurrentNotice,
+        SwitchCause::Mechanism1,
+        SwitchCause::Mechanism2,
+        SwitchCause::Mechanism3,
+        SwitchCause::Gc,
+    ];
+
+    /// Does this cause switch a page to MW mode (else to SW)?
+    pub fn to_mw(self) -> bool {
+        self as usize <= SwitchCause::ConcurrentNotice as usize
+    }
+}
+
 /// Protocol-level counters for one run (beyond raw network traffic).
 ///
 /// These drive the paper's Table 3 (twin + diff memory) and the detailed
@@ -45,6 +88,9 @@ pub struct ProtocolStats {
     pub switches_to_mw: u64,
     /// Page-mode transitions MW -> SW (counted per processor per page).
     pub switches_to_sw: u64,
+    /// Page-mode transitions by [`SwitchCause`] (`as usize`); summed by
+    /// direction they are `switches_to_mw` and `switches_to_sw`.
+    pub switch_causes: [u64; SwitchCause::ALL.len()],
     /// Full pages transferred (page replies + ownership grants carrying
     /// pages).
     pub pages_transferred: u64,
@@ -58,11 +104,11 @@ pub struct ProtocolStats {
     /// Page buffers the page pool served by recycling (pool hits).
     pub pool_pages_reused: u64,
     /// Diffs handed to the merge procedure by the per-page diff store
-    /// (every one a shared `Arc` handle).
+    /// (every one a copy of its arena slot).
     pub diffs_fetched: u64,
-    /// Merge scratch sets allocated from the heap (`validate_page` pool
-    /// misses). Flat after warm-up: steady-state merges draw their
-    /// delta diff and working lists from the world's scratch pool.
+    /// Merge scratch sets allocated from the heap (pool misses). Flat
+    /// after warm-up: merges and HLRC's fetches and flushes draw their
+    /// transient diff and working lists from the world's scratch pool.
     pub merge_scratch_created: u64,
     /// Write-notice lists heap-allocated at interval close. Closing an
     /// interval compares the fresh notice list against the processor's

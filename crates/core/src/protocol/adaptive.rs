@@ -30,7 +30,7 @@ use adsm_vclock::ProcId;
 use super::lrc::{self, Ctx, CTRL_BYTES};
 use super::{mw, sw};
 use crate::world::{Hvn, PageMode};
-use crate::ProtocolKind;
+use crate::{ProtocolKind, SwitchCause};
 
 /// May a page return to single-writer handling, or be granted
 /// ownership on the adaptive SW path? Under WFS whenever asked; under
@@ -69,7 +69,7 @@ pub(crate) fn probes_read_sharing(protocol: ProtocolKind) -> bool {
 
 /// Adaptive write fault: dispatch on the page's local mode.
 pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
-    match ctx.w.procs[p.index()].pages[page.index()].mode {
+    match ctx.w.procs[p.index()].pages[page.index()].mode() {
         PageMode::Mw => mw::write_fault(ctx, p, page),
         PageMode::Sw => sw_mode_write_fault(ctx, p, page),
     }
@@ -94,7 +94,7 @@ fn sw_mode_write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         // have heard nothing newer — the local version check fails, which
         // is the ownership-refusal signal without any messages.
         ctx.w.proto.ownership_refusals += 1;
-        switch_to_mw_after_refusal(ctx, p, page, None);
+        switch_to_mw_after_refusal(ctx, p, page, SwitchCause::Refusal, None);
         return;
     }
 
@@ -104,13 +104,13 @@ fn sw_mode_write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     // Authoritative check at the target (§3.1.1): still owner, version
     // unchanged, not already committed to dropping.
     let pg = &ctx.w.dir[pgidx];
-    let version_ok = pg.version == v && !pg.drop_pending;
+    let version_ok = pg.version == v && pg.drop_pending.is_none();
     let target_is_owner = pg.owner == Some(q);
     // Bootstrap after false sharing ceased (§3.1.2): ownership lapsed but
     // the target — believed SW again by everyone — can re-establish it if
     // its copy is fully merged.
     let can_bootstrap = pg.owner.is_none()
-        && ctx.w.procs[q.index()].pages[pgidx].mode == PageMode::Sw
+        && ctx.w.procs[q.index()].pages[pgidx].mode() == PageMode::Sw
         && ctx.w.procs[q.index()].pages[pgidx].has_copy
         && ctx.w.procs[q.index()].pages[pgidx].missing.is_empty()
         && ctx.w.procs[q.index()].pages[pgidx].twin.is_none();
@@ -119,12 +119,17 @@ fn sw_mode_write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     // is handled (and measured) in MW mode.
     let wg_ok = sw_ok(ctx.w.protocol, pg.wants_sw);
 
-    let granted = version_ok && wg_ok && (target_is_owner || can_bootstrap);
+    let grantable = version_ok && (target_is_owner || can_bootstrap);
 
-    if granted {
+    if grantable && wg_ok {
         grant_ownership(ctx, p, q, page, c_req);
     } else {
-        refuse_ownership(ctx, p, q, page, c_req, target_is_owner && version_ok);
+        let cause = if grantable {
+            SwitchCause::SmallGrain
+        } else {
+            SwitchCause::Refusal
+        };
+        refuse_ownership(ctx, p, q, page, c_req, cause);
     }
 }
 
@@ -192,19 +197,20 @@ fn grant_ownership(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: PageId, c_req:
     sw::mark_dirty(ctx, p, page);
 }
 
-/// Ownership refusal (§3.1.1): write-write false sharing detected (or,
-/// under WFS+WG, the page should stay in MW mode). The requester switches
+/// Ownership refusal (§3.1.1): write-write false sharing detected
+/// (`cause` [`SwitchCause::Refusal`]) or, under WFS+WG, the page should
+/// stay in MW mode ([`SwitchCause::SmallGrain`]). The requester switches
 /// the page to MW mode; if it needed the page contents, the refusal reply
 /// carries them (piggybacked page request). A target that is still the
-/// owner keeps ownership until its next release, then emits a final owner
-/// notice and drops (it cannot drop immediately — it has no twin).
+/// owner drops ownership too — at its next release if it has uncommitted
+/// writes, with a final owner notice (it has no twin to diff).
 fn refuse_ownership(
     ctx: &mut Ctx<'_>,
     p: ProcId,
     q: ProcId,
     page: PageId,
     c_req: SimTime,
-    target_still_owner: bool,
+    cause: SwitchCause,
 ) {
     let cost_model = ctx.w.opts.cost.clone();
     let needs_page = !ctx.mems[p.index()].lock().rights(page).readable();
@@ -215,26 +221,16 @@ fn refuse_ownership(
     ctx.interrupt(q);
     ctx.w.proto.ownership_refusals += 1;
 
-    if target_still_owner {
-        // The owner has seen sharing: it must fall to MW mode. If it has
-        // uncommitted writes it keeps ownership until its next release
-        // (it has no twin, so it cannot diff yet — §3.1.1) and drops
-        // with a final owner write notice; otherwise its last owner
-        // notice already covers its writes and it can drop immediately.
-        let q_dirty = ctx.w.procs[q.index()].pages[page.index()].dirty;
-        if q_dirty {
-            ctx.w.dir[page.index()].drop_pending = true;
-        } else {
-            ctx.w.dir[page.index()].owner = None;
-            let qc = &mut ctx.w.procs[q.index()].pages[page.index()];
-            if qc.mode != PageMode::Mw {
-                qc.mode = PageMode::Mw;
-                ctx.w.proto.switches_to_mw += 1;
-            }
-        }
+    if cause == SwitchCause::SmallGrain && ctx.w.dir[page.index()].owner == Some(q) {
+        // An owner at the quoted version refused only on WFS+WG's
+        // granularity gate: the page is to be handled, and measured, in
+        // MW mode, so the owner drops ownership as well.
+        debug_assert_eq!(ctx.w.protocol, ProtocolKind::WfsWg);
+        let qc = &mut ctx.w.procs[q.index()].pages[page.index()];
+        ctx.w.dir[page.index()].drop_owner(qc, cause, &mut ctx.w.proto);
     }
 
-    switch_to_mw_after_refusal(ctx, p, page, needs_page.then_some(q));
+    switch_to_mw_after_refusal(ctx, p, page, cause, needs_page.then_some(q));
 }
 
 /// Requester-side refusal handling: switch the page to MW mode, install
@@ -243,17 +239,13 @@ fn switch_to_mw_after_refusal(
     ctx: &mut Ctx<'_>,
     p: ProcId,
     page: PageId,
+    cause: SwitchCause,
     install_from: Option<ProcId>,
 ) {
     let pgidx = page.index();
-    {
-        let pc = &mut ctx.w.procs[p.index()].pages[pgidx];
-        if pc.mode != PageMode::Mw {
-            pc.mode = PageMode::Mw;
-            ctx.w.proto.switches_to_mw += 1;
-            let now = ctx.now();
-            ctx.w.sample_diffs(now);
-        }
+    if ctx.w.procs[p.index()].pages[pgidx].switch_mode(cause, &mut ctx.w.proto) {
+        let now = ctx.now();
+        ctx.w.sample_diffs(now);
     }
     if let Some(q) = install_from {
         install_merged_copy(ctx, p, q, page);

@@ -19,7 +19,7 @@ use adsm_netsim::MsgKind;
 use adsm_vclock::ProcId;
 
 use super::lrc::{self, Ctx, CTRL_BYTES};
-use crate::world::{Hvn, PageMode};
+use crate::SwitchCause;
 
 /// Runs a garbage collection. Called during barrier completion, so all
 /// intervals are closed and every processor is up to date on notices.
@@ -95,23 +95,9 @@ pub(crate) fn collect(ctx: &mut Ctx<'_>) {
             // The page leaves GC under SW handling: the validator is the
             // last owner; future misses fetch its copy (§3.1.1).
             let owner = validators[0];
-            let version = ctx.w.dir[pgidx].version + 1;
-            ctx.w.dir[pgidx].version = version;
-            ctx.w.dir[pgidx].owner = Some(owner);
-            ctx.w.dir[pgidx].owner_since = ctx.now();
-            ctx.w.dir[pgidx].drop_pending = false;
             ctx.w.dir[pgidx].wants_sw = false;
-            for q in 0..nprocs {
-                let pc = &mut ctx.w.procs[q].pages[pgidx];
-                if pc.mode == PageMode::Mw {
-                    pc.mode = PageMode::Sw;
-                    ctx.w.proto.switches_to_sw += 1;
-                }
-                pc.hvn = Some(Hvn {
-                    version,
-                    proc: owner,
-                });
-            }
+            let now = ctx.now();
+            ctx.w.hand_over(page, owner, now, SwitchCause::Gc);
             // Re-protect the owner's copy for write detection.
             ctx.mems[owner.index()]
                 .lock()

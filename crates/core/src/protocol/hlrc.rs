@@ -32,7 +32,7 @@
 //! sharing turns into whole-page traffic through the home, and a poorly
 //! placed home doubles the data path (writer → home → reader).
 
-use adsm_mempage::{AccessRights, Diff, PageId, PAGE_SIZE};
+use adsm_mempage::{AccessRights, DiffArena, DiffSlot, PageId, PAGE_SIZE};
 use adsm_netsim::MsgKind;
 use adsm_vclock::ProcId;
 
@@ -96,18 +96,14 @@ pub(crate) fn fetch_from_home(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         ctx.mems[pidx].lock().set_rights(page, rights);
     } else {
         // Preserve the uncommitted writes of an open session across the
-        // install (same delta technique as the LRC merge procedure).
-        let delta = {
-            let pc = &ctx.w.procs[pidx].pages[pgidx];
-            pc.twin.as_ref().map(|twin| {
-                // Dirty-window bound: the open session's delta lives in
-                // the bytes written since the twin was taken (a
-                // fetch-installed twin starts with a full-page window).
-                let mut delta = Diff::default();
-                lrc::encode_dirty_window(&ctx.mems[pidx].lock(), twin, page, &mut delta);
-                delta
-            })
-        };
+        // install (same delta technique as the LRC merge procedure),
+        // encoded into a pooled scratch arena. Dirty-window bound: the
+        // delta lives in the bytes written since the twin was taken (a
+        // fetch-installed twin starts with a full-page window).
+        let mut scratch = ctx.w.take_scratch();
+        let delta = ctx.w.procs[pidx].pages[pgidx].twin.as_ref().map(|twin| {
+            lrc::store_dirty_window(&ctx.mems[pidx].lock(), twin, page, &mut scratch.arena)
+        });
 
         let now = ctx.now();
         let c_req = ctx.w.msg(MsgKind::PageRequest, CTRL_BYTES, p, home, now);
@@ -126,7 +122,7 @@ pub(crate) fn fetch_from_home(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         let mut mem = ctx.mems[pidx].lock();
         mem.install_page(page, &bytes);
         if let Some(delta) = delta {
-            delta.apply(mem.page_mut(page));
+            scratch.arena.apply(delta, mem.page_mut(page));
             ctx.w.procs[pidx].pages[pgidx].twin = Some(bytes);
         }
         let rights = if ctx.w.procs[pidx].pages[pgidx].twin.is_some() {
@@ -135,6 +131,8 @@ pub(crate) fn fetch_from_home(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
             AccessRights::Read
         };
         mem.set_rights(page, rights);
+        drop(mem);
+        ctx.w.put_scratch(scratch);
     }
 
     let pc = &mut ctx.w.procs[pidx].pages[pgidx];
@@ -151,17 +149,18 @@ pub(crate) fn fetch_from_home(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     ctx.w.dir[pgidx].copyset[pidx] = true;
 }
 
-/// Flushes one interval-close diff to the page's home: the flush message
-/// is charged to the closing processor (returned); the home-side apply
-/// is queued on the world's deferred-cost list (no engine handle exists
-/// at interval close). The diff is applied to the home frame at once and
-/// never stored.
+/// Flushes one interval-close diff, `diff` in `arena`, to the page's
+/// home: the flush message is charged to the closing processor
+/// (returned); the home-side apply is queued on the world's deferred-cost
+/// list (no engine handle exists at interval close). The diff is applied
+/// to the home frame at once and never stored.
 pub(crate) fn flush_diff_to_home(
     w: &mut crate::world::World,
     mems: &[parking_lot::Mutex<adsm_mempage::PagedMemory>],
     p: ProcId,
     page: PageId,
-    diff: &Diff,
+    arena: &DiffArena,
+    diff: DiffSlot,
     now: adsm_netsim::SimTime,
 ) -> adsm_netsim::SimTime {
     let home = w.home_of(page, p);
@@ -181,12 +180,12 @@ pub(crate) fn flush_diff_to_home(
         if w.backup_store.len() < w.npages {
             w.backup_store.resize_with(w.npages, || None);
         }
-        if w.backup_store[page.index()].is_none() {
-            // First flush of this page: the replicated copy starts from
-            // the same all-zeros image every frame starts from.
-            w.backup_store[page.index()] = Some(w.pool.get_copy(&[0u8; PAGE_SIZE]));
-        }
-        diff.apply(w.backup_store[page.index()].as_mut().expect("just grown"));
+        // First flush of this page: the replicated copy starts from the
+        // same all-zeros image every frame starts from.
+        let pool = &w.pool;
+        let copy =
+            w.backup_store[page.index()].get_or_insert_with(|| pool.get_copy(&[0; PAGE_SIZE]));
+        arena.apply(diff, copy);
         if backup == p {
             adsm_netsim::SimTime::ZERO
         } else {
@@ -206,7 +205,7 @@ pub(crate) fn flush_diff_to_home(
         // processor already twinned it — or with homes replicated, where
         // the home twins like everyone else. Applying locally is free;
         // only the backup send (if any) hits the wire.
-        diff.apply(mems[p.index()].lock().page_mut(page));
+        arena.apply(diff, mems[p.index()].lock().page_mut(page));
         return backup_send;
     }
 
@@ -217,14 +216,14 @@ pub(crate) fn flush_diff_to_home(
 
     {
         let mut mem = mems[home.index()].lock();
-        diff.apply(mem.page_mut(page));
+        arena.apply(diff, mem.page_mut(page));
     }
     // The home's open twin (if any) must also see the flushed words:
     // otherwise the home's *own* next diff would claim them with stale
     // base values. (Harmless for the frame — the home flushes to itself
     // for free — but it keeps twin/frame deltas exact.)
     if let Some(twin) = w.procs[home.index()].pages[page.index()].twin.as_mut() {
-        diff.apply(twin);
+        arena.apply(diff, twin);
     }
     send + backup_send
 }

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use adsm_mempage::{AccessRights, Diff, DiffArena, DiffSlot, PageId, PagedMemory, PAGE_SIZE};
+use adsm_mempage::{AccessRights, DiffArena, DiffSlot, PageId, PagedMemory, PAGE_SIZE};
 use adsm_netsim::{MsgKind, SimTime};
 use adsm_vclock::{IntervalId, ProcId, VectorClock};
 use parking_lot::Mutex;
@@ -13,7 +13,7 @@ use super::adaptive;
 use crate::metrics::ProtocolStats;
 use crate::notice::{CloseVc, IntervalRecord, NoticeKind, PendingNotice, WriteNotice};
 use crate::world::{Directory, KeyedDiff, PageMode, ProcCtl, World};
-use crate::ProtocolKind;
+use crate::{ProtocolKind, SwitchCause};
 
 /// Everything a protocol operation needs: the world, every processor's
 /// memory, and the engine task of the processor whose turn it is.
@@ -64,27 +64,19 @@ impl<'a> Ctx<'a> {
 /// Payload bytes of small protocol control messages (requests etc.).
 pub(crate) const CTRL_BYTES: usize = 16;
 
-/// Encodes the diff of `page` against `twin`, scanning only the page's
-/// dirty watermark — the byte window every store since the twin was
-/// taken is recorded in
-/// ([`PagedMemory::dirty_span`]). Span-guard writes record exactly the
-/// stored range, so a span that dirtied 64 bytes of a page costs a
-/// 64-byte scan, not a page walk; unchecked protocol-side mutations
-/// widen the window to the whole page, keeping the bound conservative.
-/// Run-for-run identical to a full [`Diff::encode`] (debug builds
-/// assert the outside-window bytes are untouched). With
-/// [`store_dirty_window`], the only place the protocols encode a diff:
-/// an interval close's flushed diff and an open session's delta
-/// preserved across a merge or a home fetch come from here. `out` is
-/// overwritten, so a pooled buffer keeps its capacity.
-pub(crate) fn encode_dirty_window(mem: &PagedMemory, twin: &[u8], page: PageId, out: &mut Diff) {
-    let (lo, hi) = mem.dirty_span(page).unwrap_or((0, 0));
-    Diff::encode_span_into(twin, mem.page(page), lo, hi, out);
-}
-
-/// [`encode_dirty_window`] for a diff that is kept: an interval close's
-/// stored diff, encoded straight into the run's diff arena.
-fn store_dirty_window(
+/// Encodes the diff of `page` against `twin` into `arena`, scanning
+/// only the page's dirty watermark — the byte window every store since
+/// the twin was taken is recorded in ([`PagedMemory::dirty_span`]).
+/// Span-guard writes record exactly the stored range, so a span that
+/// dirtied 64 bytes of a page costs a 64-byte scan, not a page walk;
+/// unchecked protocol-side mutations widen the window to the whole
+/// page, keeping the bound conservative. Run-for-run identical to a
+/// full-page encode (debug builds assert the outside-window bytes are
+/// untouched). The only place the protocols encode a diff: an interval
+/// close's stored diff goes into the directory's arena; a flushed HLRC
+/// diff and an open session's delta preserved across a merge or a home
+/// fetch go into a pooled scratch arena.
+pub(crate) fn store_dirty_window(
     mem: &PagedMemory,
     twin: &[u8],
     page: PageId,
@@ -149,112 +141,81 @@ pub(crate) fn close_interval(
     let mut held = (!hlrc).then(|| mems[p.index()].lock());
 
     for &page in &dirty {
-        let mode = w.procs[p.index()].pages[page.index()].mode;
-        match mode {
-            PageMode::Sw => {
-                // Owner write notice with the page's current version.
-                let version = w.dir[page.index()].version;
-                debug_assert_eq!(
-                    w.dir[page.index()].owner,
-                    Some(p),
-                    "SW-dirty page {page} not owned by {p}"
-                );
-                writes.push(WriteNotice {
-                    page,
-                    kind: NoticeKind::Owner(version),
-                });
-                // Re-protect for write detection in the next interval.
-                let rights = close_rights(&w.procs[p.index()].pages[page.index()], p);
-                let mem = held.as_mut().expect("held outside HLRC");
-                mem.set_rights(page, rights);
-                w.procs[p.index()].pages[page.index()].dirty = false;
-
-                // A refused requester or a concurrent writer was seen:
-                // emit the final owner notice, then drop ownership and
-                // fall to MW mode (§3.1.1: the owner cannot drop at
-                // request time because it has no twin).
-                if w.dir[page.index()].drop_pending {
-                    w.dir[page.index()].drop_pending = false;
-                    w.dir[page.index()].owner = None;
-                    let pc = &mut w.procs[p.index()].pages[page.index()];
-                    if pc.mode != PageMode::Mw {
-                        pc.mode = PageMode::Mw;
-                        w.proto.switches_to_mw += 1;
-                    }
-                }
+        let pc = &mut w.procs[p.index()].pages[page.index()];
+        let (mode, twin, rights) = (pc.mode(), pc.twin.take(), close_rights(pc, p));
+        pc.dirty = false;
+        // Re-protect for write detection in the next interval.
+        match held.as_mut() {
+            Some(mem) => mem.set_rights(page, rights),
+            None => mems[p.index()].lock().set_rights(page, rights),
+        }
+        if mode == PageMode::Sw {
+            // Owner write notice with the page's current version.
+            debug_assert!(twin.is_none(), "SW-dirty {page} of {p} has a twin");
+            debug_assert_eq!(
+                w.dir[page.index()].owner,
+                Some(p),
+                "SW-dirty page {page} not owned by {p}"
+            );
+            let kind = NoticeKind::Owner(w.dir[page.index()].version);
+            writes.push(WriteNotice { page, kind });
+            // A drop deferred while this owner had uncommitted writes:
+            // emit the final owner notice, then drop ownership and fall
+            // to MW mode (§3.1.1: the owner cannot drop at request time
+            // because it has no twin).
+            if let Some(cause) = w.dir[page.index()].drop_pending.take() {
+                w.dir[page.index()].owner = None;
+                w.procs[p.index()].pages[page.index()].switch_mode(cause, &mut w.proto);
             }
-            PageMode::Mw if hlrc => {
-                // HLRC: diffs are flushed to the home and never stored;
-                // the home itself wrote in place (no twin, nothing to
-                // flush). Both cases re-protect for the next interval.
-                let twin = w.procs[p.index()].pages[page.index()].twin.take();
-                let rights = close_rights(&w.procs[p.index()].pages[page.index()], p);
-                mems[p.index()].lock().set_rights(page, rights);
-                w.procs[p.index()].pages[page.index()].dirty = false;
-                if let Some(twin) = twin {
-                    let mut diff = std::mem::take(&mut w.flush_diff);
-                    encode_dirty_window(&mems[p.index()].lock(), &twin, page, &mut diff);
-                    w.proto.twin_dropped(PAGE_SIZE);
-                    let modified = diff.modified_bytes();
-                    cost += w.opts.cost.diff_create(modified);
-                    cost += super::hlrc::flush_diff_to_home(w, mems, p, page, &diff, now);
-                    w.flush_diff = diff;
-                    w.write_grains.push(modified as u32);
-                    diffed = true;
-                }
-                writes.push(WriteNotice {
-                    page,
-                    kind: NoticeKind::NonOwner,
-                });
-                // No local pending notice: a home fetch re-installs the
-                // whole page, local writes included.
-            }
-            PageMode::Mw => {
-                // Eager per-interval diffing: encode against the twin,
-                // store, refresh protection.
-                let twin = w.procs[p.index()].pages[page.index()]
-                    .twin
-                    .take()
-                    .expect("MW-dirty page must have a twin");
-                let rights = close_rights(&w.procs[p.index()].pages[page.index()], p);
-                let mem = held.as_mut().expect("held outside HLRC");
-                let diff = store_dirty_window(mem, &twin, page, &mut w.dir.arena);
-                mem.set_rights(page, rights);
+        } else {
+            writes.push(WriteNotice {
+                page,
+                kind: NoticeKind::NonOwner,
+            });
+            // Eager per-interval diffing: encode against the twin. Only
+            // an HLRC home writes without one (in place: nothing to diff).
+            assert!(hlrc || twin.is_some(), "MW-dirty {page} of {p} has no twin");
+            if let Some(twin) = twin {
                 w.proto.twin_dropped(PAGE_SIZE);
-                w.procs[p.index()].pages[page.index()].dirty = false;
-
-                let modified = diff.modified_bytes();
-                cost += w.opts.cost.diff_create(modified);
-                w.proto.diff_created(diff.wire_size());
-                w.dir.diffs[p.index()].insert(page, id, diff);
-                w.write_grains.push(modified as u32);
-                diffed = true;
-
-                // Write-granularity test (§3.2): under WFS+WG large
-                // diffs make the page a candidate for SW mode while small
-                // diffs keep it in MW mode.
-                let pg = &mut w.dir[page.index()];
-                pg.wants_sw = adaptive::wants_sw_after_diff(
-                    w.protocol,
-                    pg.wants_sw,
-                    modified,
-                    w.opts.cost.wg_threshold_bytes,
-                );
-
-                writes.push(WriteNotice {
-                    page,
-                    kind: NoticeKind::NonOwner,
-                });
-                // The writer's own diff notice joins its own pending
-                // list so that a later whole-page install re-applies
-                // local modifications (the paper's merge procedure keeps
-                // local write notices in the list).
-                w.procs[p.index()].pages[page.index()]
-                    .missing
-                    .push(PendingNotice {
+                let modified = if hlrc {
+                    // HLRC: the diff is flushed to the home, applied there
+                    // and never stored; a home fetch re-installs the whole
+                    // page, local writes included, so no pending notice.
+                    let mut scratch = w.take_scratch();
+                    let arena = &mut scratch.arena;
+                    let diff = store_dirty_window(&mems[p.index()].lock(), &twin, page, arena);
+                    cost += super::hlrc::flush_diff_to_home(w, mems, p, page, arena, diff, now);
+                    w.put_scratch(scratch);
+                    diff.modified_bytes()
+                } else {
+                    let mem = held.as_mut().expect("held outside HLRC");
+                    let diff = store_dirty_window(mem, &twin, page, &mut w.dir.arena);
+                    w.proto.diff_created(diff.wire_size());
+                    w.dir.diffs[p.index()].insert(page, id, diff);
+                    // Write-granularity test (§3.2): under WFS+WG large
+                    // diffs make the page a candidate for SW mode while
+                    // small diffs keep it in MW mode.
+                    let pg = &mut w.dir[page.index()];
+                    pg.wants_sw = adaptive::wants_sw_after_diff(
+                        w.protocol,
+                        pg.wants_sw,
+                        diff.modified_bytes(),
+                        w.opts.cost.wg_threshold_bytes,
+                    );
+                    // The writer's own diff notice joins its own pending
+                    // list so that a later whole-page install re-applies
+                    // local modifications (the paper's merge procedure
+                    // keeps local write notices in the list).
+                    let own = PendingNotice {
                         interval: id,
                         kind: NoticeKind::NonOwner,
-                    });
+                    };
+                    w.procs[p.index()].pages[page.index()].missing.push(own);
+                    diff.modified_bytes()
+                };
+                cost += w.opts.cost.diff_create(modified);
+                w.write_grains.push(modified as u32);
+                diffed = true;
             }
         }
 
@@ -454,25 +415,15 @@ fn ship_record_to(
                 if adaptive {
                     // A non-owner notice is evidence of concurrent
                     // (MW) writing: this processor perceives write
-                    // sharing on the page. An owner with an open
-                    // (un-twinned) write session cannot flip yet —
-                    // it first emits its final owner notice at the
-                    // next interval close (§3.1.1), which performs
-                    // the flip.
-                    let sw_dirty = pc.dirty && pc.twin.is_none();
-                    if pc.mode != PageMode::Mw && !sw_dirty {
-                        pc.mode = PageMode::Mw;
-                        proto.switches_to_mw += 1;
-                    }
-                    // FS onset seen by the page's current owner:
-                    // drop ownership — immediately if it has no
-                    // uncommitted writes, else at its next close.
+                    // sharing on the page. An open un-twinned (SW)
+                    // write session defers the flip to its close,
+                    // after a final owner notice (§3.1.1); the page's
+                    // owner drops ownership with it.
+                    let cause = SwitchCause::ConcurrentNotice;
                     if dir[pg_idx].owner == Some(p) {
-                        if sw_dirty {
-                            dir[pg_idx].drop_pending = true;
-                        } else {
-                            dir[pg_idx].owner = None;
-                        }
+                        dir[pg_idx].drop_owner(pc, cause, proto);
+                    } else if !(pc.dirty && pc.twin.is_none()) {
+                        pc.switch_mode(cause, proto);
                     }
                 }
             }
@@ -501,13 +452,8 @@ fn promote_on_owner_notices(
         let wants = dir[page.index()].wants_sw;
         let pc = &mut procs[p.index()].pages[page.index()];
         let has_concurrent = pc.missing.iter().any(|n| !n.kind.is_owner());
-        if !has_concurrent
-            && pc.mode == PageMode::Mw
-            && adaptive::sw_ok(protocol, wants)
-            && pc.twin.is_none()
-        {
-            pc.mode = PageMode::Sw;
-            proto.switches_to_sw += 1;
+        if !has_concurrent && adaptive::sw_ok(protocol, wants) && pc.twin.is_none() {
+            pc.switch_mode(SwitchCause::Mechanism2, proto);
         }
     }
 }
@@ -576,20 +522,13 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
     let mut scratch = ctx.w.take_scratch();
 
     // Preserve uncommitted local writes: delta of the open session,
-    // encoded into the scratch diff's reused buffers.
-    let has_delta = {
-        let pc = &ctx.w.procs[pidx].pages[pgidx];
-        match pc.twin.as_ref() {
-            Some(twin) => {
-                // Same dirty-window bound as the close-time encode: the
-                // open session's delta can only live inside the bytes
-                // written since the twin was taken.
-                encode_dirty_window(&ctx.mems[pidx].lock(), twin, page, &mut scratch.delta);
-                true
-            }
-            None => false,
-        }
-    };
+    // encoded into the scratch arena. Same dirty-window bound as the
+    // close-time encode: the open session's delta can only live inside
+    // the bytes written since the twin was taken.
+    let delta = ctx.w.procs[pidx].pages[pgidx]
+        .twin
+        .as_ref()
+        .map(|twin| store_dirty_window(&ctx.mems[pidx].lock(), twin, page, &mut scratch.arena));
 
     scratch
         .notices
@@ -658,7 +597,7 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
     scratch
         .notices
         .sort_unstable_by_key(|n| n.interval.proc.index());
-    let my_mode_sw = ctx.w.procs[pidx].pages[pgidx].mode == PageMode::Sw;
+    let my_mode_sw = ctx.w.procs[pidx].pages[pgidx].mode() == PageMode::Sw;
     let mut remote_writers = 0u64;
     let mut total_reply_bytes = 0usize;
     let mut chaos_extra = SimTime::ZERO;
@@ -750,10 +689,10 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId, preinstalled:
         //   session's writes would be baked into it and silently vanish
         //   from the next diff). Instead the *old* twin is brought
         //   forward by applying the same diffs to it.
-        if has_delta {
+        if let Some(delta) = delta {
             if installed {
                 let base = ctx.w.pool.get_copy(mem.page(page));
-                scratch.delta.apply(mem.page_mut(page));
+                scratch.arena.apply(delta, mem.page_mut(page));
                 ctx.w.procs[pidx].pages[pgidx].twin = Some(base);
             } else {
                 let mut twin = ctx.w.procs[pidx].pages[pgidx]
@@ -838,7 +777,9 @@ pub(crate) fn fetch_page_from(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: Pag
         && ctx.w.dir[page.index()].owner == Some(q)
         && ctx.w.dir[page.index()].last_write[q.index()].is_some()
     {
-        ctx.w.dir[page.index()].drop_pending = true;
+        ctx.w.dir[page.index()]
+            .drop_pending
+            .get_or_insert(SwitchCause::ReadShared);
     }
 }
 
@@ -888,9 +829,8 @@ pub(crate) fn mechanism1_consensus(w: &mut World, page: PageId) {
             continue;
         }
         let pc = &mut w.procs[q].pages[pgidx];
-        if pc.mode == PageMode::Mw && pc.twin.is_none() {
-            pc.mode = PageMode::Sw;
-            w.proto.switches_to_sw += 1;
+        if pc.twin.is_none() {
+            pc.switch_mode(SwitchCause::Mechanism1, &mut w.proto);
         }
     }
 }

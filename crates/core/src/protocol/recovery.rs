@@ -48,7 +48,7 @@ use adsm_netsim::{MsgKind, SimTime};
 use adsm_vclock::{ProcId, VectorClock};
 
 use super::lrc::{self, Ctx, CTRL_BYTES};
-use crate::world::PageMode;
+use crate::world::PageCtl;
 use crate::ProtocolKind;
 
 /// Index of the unfired crash event that `p`'s commit point (barrier
@@ -110,25 +110,20 @@ pub(crate) fn crash_at_commit(ctx: &mut Ctx<'_>, p: ProcId, k: usize) {
     // recovery refetch. Mode beliefs reset to the protocol's initial
     // mode; post-restart consensus traffic re-derives any demotions
     // and promotions, exactly as it would for a late-joining sharer.
-    let initial_mode = PageMode::initial(ctx.w.protocol);
     ctx.w.procs[pidx].applied.clear();
     for pg in 0..npages {
         let page = PageId::new(pg);
         ctx.mems[pidx].lock().set_rights(page, AccessRights::None);
         let pc = &mut ctx.w.procs[pidx].pages[pg];
         debug_assert!(pc.twin.is_none(), "no open write session at a commit point");
-        if pc.has_copy {
-            pc.refetch_pending = true;
-        }
-        pc.has_copy = false;
-        pc.missing.clear();
-        pc.hvn = None;
-        pc.mode = initial_mode;
         // Defensive in release builds: a leaked twin would double-count
         // in the memory accounting once dropped.
         if pc.twin.take().is_some() {
             ctx.w.proto.twin_dropped(PAGE_SIZE);
         }
+        let refetch_pending = pc.refetch_pending || pc.has_copy;
+        *pc = PageCtl::new(ctx.w.protocol);
+        pc.refetch_pending = refetch_pending;
     }
     // The clock itself survives the crash: the arriving interval was
     // closed into the replicated log *before* this hook fired, and

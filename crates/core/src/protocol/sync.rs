@@ -16,7 +16,8 @@ use adsm_vclock::ProcId;
 
 use super::lrc::{self, Ctx, CTRL_BYTES};
 use crate::notice::{NoticeKind, PendingNotice};
-use crate::world::{Hvn, LockState, PageMode};
+use crate::world::LockState;
+use crate::SwitchCause;
 
 /// Outcome of the first half of a lock acquire.
 #[derive(Debug, PartialEq, Eq)]
@@ -360,27 +361,12 @@ fn mechanism3(ctx: &mut Ctx<'_>, pages: &[adsm_mempage::PageId]) {
             lrc::validate_page(ctx, wlast, page);
         }
 
-        let version = ctx.w.dir[pgidx].version + 1;
-        ctx.w.dir[pgidx].version = version;
-        ctx.w.dir[pgidx].owner = Some(wlast);
-        ctx.w.dir[pgidx].owner_since = ctx.now();
-        ctx.w.dir[pgidx].drop_pending = false;
-
-        for q in 0..ctx.w.nprocs() {
-            let readable = ctx.mems[q].lock().rights(page).readable();
-            let pc = &mut ctx.w.procs[q].pages[pgidx];
-            debug_assert!(pc.twin.is_none(), "no open sessions at a barrier");
-            if pc.mode == PageMode::Mw {
-                pc.mode = PageMode::Sw;
-                ctx.w.proto.switches_to_sw += 1;
-            }
-            pc.hvn = Some(Hvn {
-                version,
-                proc: wlast,
-            });
-            if !readable && q != wlast.index() {
+        let now = ctx.now();
+        let version = ctx.w.hand_over(page, wlast, now, SwitchCause::Mechanism3);
+        for q in ProcId::all(ctx.w.nprocs()).filter(|&q| q != wlast) {
+            if !ctx.mems[q.index()].lock().rights(page).readable() {
                 // Invalid copies re-fetch from the new owner.
-                pc.missing = vec![PendingNotice {
+                ctx.w.procs[q.index()].pages[pgidx].missing = vec![PendingNotice {
                     interval: dom,
                     kind: NoticeKind::Owner(version),
                 }];
@@ -390,7 +376,6 @@ fn mechanism3(ctx: &mut Ctx<'_>, pages: &[adsm_mempage::PageId]) {
         ctx.mems[wlast.index()]
             .lock()
             .set_rights(page, AccessRights::Read);
-        let now = ctx.now();
         ctx.w.sample_diffs(now);
     }
 }

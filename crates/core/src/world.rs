@@ -11,11 +11,11 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use adsm_mempage::{Diff, DiffArena, DiffSlot, PageBuf, PageId, PagePool};
+use adsm_mempage::{DiffArena, DiffSlot, PageBuf, PageId, PagePool};
 use adsm_netsim::{Delivery, MsgKind, NetStats, SimTime};
 use adsm_vclock::{IntervalId, ProcId, VectorClock};
 
-use crate::metrics::ProtocolStats;
+use crate::metrics::{ProtocolStats, SwitchCause};
 use crate::notice::{IntervalRecord, PendingNotice, WriteNotice};
 use crate::{ProtocolKind, RunOptions};
 
@@ -28,20 +28,6 @@ pub(crate) enum PageMode {
     Sw,
     /// Multiple-writer handling: twins and diffs.
     Mw,
-}
-
-impl PageMode {
-    /// Every page's mode at the start of a run, and a restarted
-    /// processor's after a crash: MW under the pure MW protocol and under
-    /// HLRC (which never holds page ownership: every page is twinned and
-    /// diffed), SW under every other (§3.3: "all pages start in SW
-    /// mode").
-    pub fn initial(protocol: ProtocolKind) -> PageMode {
-        match protocol {
-            ProtocolKind::Mw | ProtocolKind::Hlrc => PageMode::Mw,
-            _ => PageMode::Sw,
-        }
-    }
 }
 
 /// Highest-version owner write notice a processor has received for a
@@ -57,8 +43,9 @@ pub(crate) struct Hvn {
 pub(crate) struct PageCtl {
     /// Has this processor ever held a copy of the page?
     pub has_copy: bool,
-    /// SW/MW belief of this processor for this page.
-    pub mode: PageMode,
+    /// SW/MW belief of this processor for this page; only
+    /// [`PageCtl::switch_mode`] changes it.
+    mode: PageMode,
     /// Twin (copy made at the first write of an interval), MW mode only.
     /// Pool-backed: dropping it recycles the buffer.
     pub twin: Option<PageBuf>,
@@ -75,6 +62,47 @@ pub(crate) struct PageCtl {
     pub refetch_pending: bool,
 }
 
+impl PageCtl {
+    /// A page no processor has touched: MW under the pure MW protocol
+    /// and under HLRC (which never holds page ownership: every page is
+    /// twinned and diffed), SW under every other (§3.3: "all pages start
+    /// in SW mode"). A restarted processor's pages start here again;
+    /// that is not a switch.
+    pub fn new(protocol: ProtocolKind) -> Self {
+        let mode = match protocol {
+            ProtocolKind::Mw | ProtocolKind::Hlrc => PageMode::Mw,
+            _ => PageMode::Sw,
+        };
+        PageCtl {
+            mode,
+            ..PageCtl::default()
+        }
+    }
+
+    /// This processor's SW/MW belief for the page.
+    pub fn mode(&self) -> PageMode {
+        self.mode
+    }
+
+    /// The one place a page changes mode: to the mode `cause` implies,
+    /// counted by direction and by cause. Returns `false`, changing
+    /// nothing, if the page is in that mode already. Conditions of one
+    /// trigger (an open session, uncommitted writes) stay its caller's.
+    pub fn switch_mode(&mut self, cause: SwitchCause, stats: &mut ProtocolStats) -> bool {
+        let (to, count) = match cause.to_mw() {
+            true => (PageMode::Mw, &mut stats.switches_to_mw),
+            false => (PageMode::Sw, &mut stats.switches_to_sw),
+        };
+        if self.mode == to {
+            return false;
+        }
+        self.mode = to;
+        *count += 1;
+        stats.switch_causes[cause as usize] += 1;
+        true
+    }
+}
+
 /// Authoritative (directory) per-page state.
 #[derive(Clone, Debug)]
 pub(crate) struct PageGlobal {
@@ -86,10 +114,11 @@ pub(crate) struct PageGlobal {
     pub version: u32,
     /// When the current owner acquired ownership (for the SW quantum).
     pub owner_since: SimTime,
-    /// The owner was refused-against or saw a concurrent writer: it will
-    /// emit a final owner notice and drop ownership at its next interval
-    /// close (§3.1.1: the owner cannot drop immediately — it has no twin).
-    pub drop_pending: bool,
+    /// The owner drops ownership, for this cause, at its next interval
+    /// close, after a final owner notice (§3.1.1: it has no twin). Set
+    /// by a `SmallGrain` refusal, a `ConcurrentNotice` and WFS+WG's
+    /// `ReadShared` probe; the first cause set stays.
+    pub drop_pending: Option<SwitchCause>,
     /// Approximate copyset: processors that have fetched this page.
     pub copyset: Vec<bool>,
     /// Mechanism-1 state (§3.1.2): per-processor "I perceive this page as
@@ -118,7 +147,7 @@ impl PageGlobal {
             owner: Some(initial_owner),
             version: 0,
             owner_since: SimTime::ZERO,
-            drop_pending: false,
+            drop_pending: None,
             copyset: vec![false; nprocs],
             reports_sw: vec![true; nprocs],
             wants_sw: false,
@@ -126,6 +155,17 @@ impl PageGlobal {
             home: None,
             last_write: vec![None; nprocs],
             ww_false_shared: false,
+        }
+    }
+
+    /// The owner-drop decision (§3.1.1) for the owner's `pc`: deferred
+    /// while it has uncommitted SW writes, else it drops and switches now.
+    pub fn drop_owner(&mut self, pc: &mut PageCtl, cause: SwitchCause, stats: &mut ProtocolStats) {
+        if pc.dirty && pc.twin.is_none() {
+            self.drop_pending.get_or_insert(cause);
+        } else {
+            self.owner = None;
+            pc.switch_mode(cause, stats);
         }
     }
 
@@ -392,16 +432,16 @@ pub(crate) struct KeyedDiff {
     pub slot: DiffSlot,
 }
 
-/// Reusable scratch for one `validate_page` invocation: the open
-/// session's delta diff (encoded in place by `encode_dirty_window`)
-/// and the working lists of the merge procedure. Held in a pool
-/// on the [`World`] so steady-state merges allocate nothing; the pool
-/// depth follows the validation recursion depth (a server validating
-/// its copy before serving draws a second scratch).
+/// Reusable scratch for a merge (`validate_page`) or an HLRC home fetch
+/// or flush: an arena for its transient diff, and the merge's working
+/// lists. Pooled on the [`World`] so steady-state uses allocate nothing;
+/// the pool depth follows the nesting depth (a server validating before
+/// serving draws a second scratch), one arena per level.
 #[derive(Debug, Default)]
 pub(crate) struct MergeScratch {
-    /// Uncommitted local delta of an open write session.
-    pub delta: Diff,
+    /// Transient diffs, forgotten when the scratch goes back to the
+    /// pool; its chunk is allocated at the first encode.
+    pub arena: DiffArena,
     /// Snapshot of the page's pending notices, filtered in place down
     /// to the surviving (non-dominated) set, then sorted by writer so
     /// the diff fetch walks one contiguous run per writer. The order
@@ -535,9 +575,6 @@ pub(crate) struct World {
     /// closing path fills it, then shares the previous record's `Arc`
     /// when the list is unchanged.
     pub notice_build: Vec<WriteNotice>,
-    /// HLRC's close-time flush: each dirty page's diff is encoded here,
-    /// shipped to the home and forgotten, so one buffer serves them all.
-    pub flush_diff: Diff,
     /// Virtual-time charges to *other* processors' clocks accumulated
     /// where no engine handle is available (HLRC home-side diff applies
     /// during interval close); drained at the next protocol entry point.
@@ -554,8 +591,8 @@ pub(crate) struct World {
     /// Recycling pool for twins, fetched pages and merge scratch: the
     /// steady state allocates no page buffers from the heap.
     pub pool: PagePool,
-    /// Recycled [`MergeScratch`] sets for `validate_page`; depth equals
-    /// the validation recursion depth, flat after warm-up.
+    /// Recycled [`MergeScratch`] sets; depth equals the nesting depth
+    /// of their users, flat after warm-up.
     pub merge_scratch: Vec<MergeScratch>,
     /// Chaos delivery engine, present when the run has a scenario
     /// configured. `None` means perfect delivery at zero overhead.
@@ -580,19 +617,13 @@ pub(crate) struct World {
 
 impl World {
     pub fn new(protocol: ProtocolKind, nprocs: usize, npages: usize, opts: RunOptions) -> Self {
-        let mode = PageMode::initial(protocol);
         let faults = opts.faults();
         World {
             procs: (0..nprocs)
                 .map(|_| ProcCtl {
                     vc: VectorClock::new(nprocs),
                     dirty: Vec::new(),
-                    pages: (0..npages)
-                        .map(|_| PageCtl {
-                            mode,
-                            ..PageCtl::default()
-                        })
-                        .collect(),
+                    pages: (0..npages).map(|_| PageCtl::new(protocol)).collect(),
                     applied: BTreeMap::new(),
                 })
                 .collect(),
@@ -607,7 +638,6 @@ impl World {
             gc_requested: false,
             bscratch: BarrierScratch::default(),
             notice_build: Vec::new(),
-            flush_diff: Diff::default(),
             deferred_costs: Vec::new(),
             net: NetStats::new(),
             proto: ProtocolStats::new(),
@@ -660,6 +690,7 @@ impl World {
     /// Returns a scratch set to the pool, emptied but with its buffer
     /// capacity intact.
     pub fn put_scratch(&mut self, mut scratch: MergeScratch) {
+        scratch.arena.clear();
         scratch.notices.clear();
         scratch.to_apply.clear();
         self.merge_scratch.push(scratch);
@@ -726,6 +757,29 @@ impl World {
         base + out.extra
     }
 
+    /// Hands `page` to the owner `to` under SW handling everywhere
+    /// (mechanism 3, GC's exit): a new version, and every processor
+    /// switches to SW for `cause`, perceiving `to` as the owner. Returns
+    /// the version.
+    pub fn hand_over(&mut self, page: PageId, to: ProcId, now: SimTime, cause: SwitchCause) -> u32 {
+        let pg = &mut self.dir[page.index()];
+        pg.version += 1;
+        pg.owner = Some(to);
+        pg.owner_since = now;
+        pg.drop_pending = None;
+        let hvn = Hvn {
+            version: pg.version,
+            proc: to,
+        };
+        for proc in &mut self.procs {
+            let pc = &mut proc.pages[page.index()];
+            debug_assert!(pc.twin.is_none(), "no open sessions at a hand-over");
+            pc.switch_mode(cause, &mut self.proto);
+            pc.hvn = Some(hvn);
+        }
+        hvn.version
+    }
+
     /// Appends the current cluster-wide diff population at `time` to
     /// Figure 3's series.
     pub fn sample_diffs(&mut self, time: SimTime) {
@@ -776,7 +830,7 @@ impl World {
                     && self
                         .procs
                         .iter()
-                        .filter(|pc| pc.pages[pg].mode == PageMode::Sw)
+                        .filter(|pc| pc.pages[pg].mode() == PageMode::Sw)
                         .count()
                         > half
             })

@@ -825,3 +825,79 @@ fn eager_mw_closes_allocate_a_counted_number_of_blocks() {
     assert_eq!(outcome.report.profile.ww_false_shared_pages, 1);
     assert!(outcome.report.proto.diffs_created >= 2 * 64);
 }
+
+/// The heap allocations P1 makes in rounds 70..120 of an HLRC kernel on
+/// two processors, the home P0 and P1. Each round P1 opens a write
+/// session on the page, then acquires the lock the home last released
+/// after writing the page, whose notice invalidates P1's copy
+/// mid-session; with `refetch`, P1 writes again under the lock, so the
+/// write fault fetches the page from the home with the session open.
+fn hlrc_session_allocs(refetch: bool) -> (RunReport, u64) {
+    use adsm_core::HomePolicy;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    let counted = Arc::new(AtomicU64::new(0));
+    let total = counted.clone();
+    let mut dsm = Dsm::builder(ProtocolKind::Hlrc)
+        .nprocs(2)
+        .options(RunOptions {
+            home_policy: HomePolicy::Fixed(0),
+            ..RunOptions::default()
+        })
+        .build();
+    let data = dsm.alloc_page_aligned::<u64>(512);
+    let outcome = dsm
+        .run(move |p| {
+            let me = p.index();
+            let round = |p: &mut adsm_core::Proc, r: u64| {
+                if me == 0 {
+                    p.lock(0);
+                    data.set(p, 0, r);
+                    p.unlock(0);
+                } else {
+                    data.set(p, 1, r);
+                    p.compute(SimTime::from_us(50));
+                    p.lock(0);
+                    if refetch {
+                        data.set(p, 2, r);
+                    }
+                    p.unlock(0);
+                }
+                p.barrier();
+            };
+            for r in 0..70 {
+                round(p, r);
+            }
+            let before = thread_allocs();
+            for r in 70..120 {
+                round(p, r);
+            }
+            if me == 1 {
+                total.store(thread_allocs() - before, Ordering::Relaxed);
+            }
+        })
+        .expect("HLRC session run completes");
+    let image = outcome.read_vec(&data);
+    assert_eq!(&image[..3], &[119, 119, if refetch { 119 } else { 0 }]);
+    (outcome.report, counted.load(Ordering::Relaxed))
+}
+
+/// An HLRC home fetch inside an open write session allocates nothing of
+/// its own: the session's delta is encoded into a pooled scratch arena
+/// and re-applied over the fetched copy, so 50 rounds with a refetch
+/// each allocate exactly what the same rounds without one do (the
+/// closing clocks of the lock hand-offs). The fetch used to build a
+/// fresh diff buffer every time.
+#[test]
+fn hlrc_refetches_inside_an_open_session_allocate_nothing() {
+    let (_, plain_allocs) = hlrc_session_allocs(false);
+    let (refetched, refetch_allocs) = hlrc_session_allocs(true);
+    assert!(
+        refetched.proto.pages_transferred >= 120,
+        "every round must re-fetch from the home"
+    );
+    assert_eq!(
+        refetch_allocs, plain_allocs,
+        "50 refetches inside open sessions allocated"
+    );
+}

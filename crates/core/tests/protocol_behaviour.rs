@@ -2,7 +2,9 @@
 //! of the paper's Figure 1 (producer-consumer, migratory, write-write
 //! false sharing) plus coherence and adaptation checks.
 
-use adsm_core::{Dsm, ExecBackend, ProtocolKind, RunOptions, RunOutcome, SharedVec, SimTime};
+use adsm_core::{
+    Dsm, ExecBackend, ProtocolKind, RunOptions, RunOutcome, SharedVec, SimTime, SwitchCause,
+};
 
 const KINDS: [ProtocolKind; 4] = [
     ProtocolKind::Mw,
@@ -55,7 +57,12 @@ fn migratory(protocol: ProtocolKind, rounds: usize) -> RunOutcome {
 /// Write-write false sharing: 4 processors write disjoint quarters of
 /// the same page between barriers.
 fn false_sharing(protocol: ProtocolKind, iters: usize) -> RunOutcome {
-    let mut dsm = Dsm::builder(protocol).nprocs(4).build();
+    false_sharing_with(protocol, iters, RunOptions::default())
+}
+
+/// [`false_sharing`] under `opts`.
+fn false_sharing_with(protocol: ProtocolKind, iters: usize, opts: RunOptions) -> RunOutcome {
+    let mut dsm = Dsm::builder(protocol).nprocs(4).options(opts).build();
     let data = dsm.alloc_page_aligned::<u64>(512);
     dsm.run(move |p| {
         let chunk = data.len() / p.nprocs();
@@ -177,7 +184,7 @@ fn wfs_refuses_ownership_under_false_sharing() {
         "false sharing must trigger refusals"
     );
     assert!(
-        out.report.proto.switches_to_mw > 0,
+        out.report.proto.switch_causes[SwitchCause::Refusal as usize] > 0,
         "refusals must switch pages to MW mode"
     );
 }
@@ -270,8 +277,8 @@ fn wfs_wg_switches_large_diff_pages_to_sw() {
         })
         .unwrap();
     assert!(
-        out.report.proto.switches_to_sw > 0,
-        "large diffs must push the page back to SW"
+        out.report.proto.switch_causes[SwitchCause::Mechanism3 as usize] > 0,
+        "large diffs must let the barrier push the page back to SW"
     );
     assert!(
         out.report.final_sw_pages > 0,
@@ -313,11 +320,83 @@ fn adaptive_switches_back_to_sw_after_false_sharing_stops() {
             }
         })
         .unwrap();
-    assert!(out.report.proto.switches_to_mw > 0, "phase 1 goes MW");
     assert!(
-        out.report.proto.switches_to_sw > 0,
+        out.report.proto.switch_causes[SwitchCause::Refusal as usize] > 0,
+        "phase 1 goes MW"
+    );
+    assert!(
+        out.report.proto.switch_causes[SwitchCause::Mechanism3 as usize] > 0,
         "phase 2 must recover SW mode"
     );
+}
+
+/// A lock hand-off after a refusal, on two processors under WFS. P1
+/// takes ownership of the page; P0 then writes it, is refused (its
+/// belief that it still owns the page is stale) and releases lock 0 in
+/// MW mode. P1, still writing as owner, acquires the lock: P0's notice
+/// makes it drop ownership at its release, with a final owner notice
+/// that covers P0's write. With `refault`, P1 touches the invalidated
+/// page after the acquire, so its diff request to P0 reports SW.
+fn handoff_after_refusal(refault: bool) -> RunOutcome {
+    let mut dsm = Dsm::builder(ProtocolKind::Wfs).nprocs(2).build();
+    let data = dsm.alloc_page_aligned::<u64>(512);
+    let out = dsm
+        .run(move |p| {
+            if p.index() == 0 {
+                p.compute(SimTime::from_us(20));
+                data.set(p, 0, 1);
+                p.lock(0);
+                p.unlock(0);
+                p.compute(SimTime::from_us(300));
+                p.lock(0);
+                p.unlock(0);
+            } else {
+                data.set(p, 300, 1);
+                p.compute(SimTime::from_us(100));
+                data.set(p, 301, 1);
+                p.lock(0);
+                if refault {
+                    data.set(p, 302, 1);
+                }
+                p.unlock(0);
+            }
+            p.barrier();
+        })
+        .unwrap();
+    let image = out.read_vec(&data);
+    assert_eq!(
+        (image[0], image[300], image[301], image[302]),
+        (1, 1, 1, refault as u64)
+    );
+    out
+}
+
+#[test]
+fn cessation_mechanisms_1_and_2_fire_on_a_lock_handoff() {
+    // Mechanism 1: every copyset member — P1 now, P0 never having asked
+    // for a diff — reports SW, so P0's MW belief returns to SW.
+    let out = handoff_after_refusal(true);
+    assert!(out.report.proto.switch_causes[SwitchCause::Mechanism1 as usize] > 0);
+    // Mechanism 2: P0's next acquire brings P1's final owner notice,
+    // which dominates P0's own diff notice: no concurrent writer is
+    // left, so P0's belief returns to SW.
+    let out = handoff_after_refusal(false);
+    assert!(out.report.proto.switch_causes[SwitchCause::Mechanism2 as usize] > 0);
+}
+
+#[test]
+fn adaptive_gc_leaves_falsely_shared_pages_in_sw_mode() {
+    // A small GC threshold under WFS: each collection leaves the page
+    // with its last owner and every processor's belief SW (§3.1.1).
+    let mut cost = adsm_core::CostModel::sparc_atm();
+    cost.gc_threshold_bytes = 2048;
+    let opts = RunOptions {
+        cost,
+        ..RunOptions::default()
+    };
+    let out = false_sharing_with(ProtocolKind::Wfs, 12, opts);
+    assert!(out.report.proto.gc_runs > 0, "GC must have run");
+    assert!(out.report.proto.switch_causes[SwitchCause::Gc as usize] > 0);
     assert_eq!(out.report.final_sw_pages, 1, "page ends in SW mode");
 }
 
