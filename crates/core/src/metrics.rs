@@ -29,7 +29,7 @@ pub enum SwitchCause {
 
 impl SwitchCause {
     /// Every cause, in declaration order: the index of
-    /// [`ProtocolStats::switch_causes`].
+    /// [`ProtocolStats::switch_causes`] (checked below).
     pub const ALL: [SwitchCause; 8] = [
         SwitchCause::Refusal,
         SwitchCause::SmallGrain,
@@ -43,9 +43,20 @@ impl SwitchCause {
 
     /// Does this cause switch a page to MW mode (else to SW)?
     pub fn to_mw(self) -> bool {
-        self as usize <= SwitchCause::ConcurrentNotice as usize
+        match self {
+            Self::Refusal | Self::SmallGrain | Self::ReadShared | Self::ConcurrentNotice => true,
+            Self::Mechanism1 | Self::Mechanism2 | Self::Mechanism3 | Self::Gc => false,
+        }
     }
 }
+
+const _: () = {
+    let mut i = 0;
+    while i < SwitchCause::ALL.len() {
+        assert!(SwitchCause::ALL[i] as usize == i, "ALL out of order");
+        i += 1;
+    }
+};
 
 /// Protocol-level counters for one run (beyond raw network traffic).
 ///

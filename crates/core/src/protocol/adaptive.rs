@@ -30,7 +30,8 @@ use adsm_vclock::ProcId;
 use super::lrc::{self, Ctx, CTRL_BYTES};
 use super::{mw, sw};
 use crate::world::{Hvn, PageMode};
-use crate::{ProtocolKind, SwitchCause};
+use crate::ProtocolKind;
+use crate::SwitchCause::{self, Refusal, SmallGrain};
 
 /// May a page return to single-writer handling, or be granted
 /// ownership on the adaptive SW path? Under WFS whenever asked; under
@@ -94,7 +95,7 @@ fn sw_mode_write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         // have heard nothing newer — the local version check fails, which
         // is the ownership-refusal signal without any messages.
         ctx.w.proto.ownership_refusals += 1;
-        switch_to_mw_after_refusal(ctx, p, page, SwitchCause::Refusal, None);
+        switch_to_mw_after_refusal(ctx, p, page, Refusal, None);
         return;
     }
 
@@ -124,11 +125,7 @@ fn sw_mode_write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     if grantable && wg_ok {
         grant_ownership(ctx, p, q, page, c_req);
     } else {
-        let cause = if grantable {
-            SwitchCause::SmallGrain
-        } else {
-            SwitchCause::Refusal
-        };
+        let cause = if grantable { SmallGrain } else { Refusal };
         refuse_ownership(ctx, p, q, page, c_req, cause);
     }
 }
@@ -221,7 +218,7 @@ fn refuse_ownership(
     ctx.interrupt(q);
     ctx.w.proto.ownership_refusals += 1;
 
-    if cause == SwitchCause::SmallGrain && ctx.w.dir[page.index()].owner == Some(q) {
+    if cause == SmallGrain && ctx.w.dir[page.index()].owner == Some(q) {
         // An owner at the quoted version refused only on WFS+WG's
         // granularity gate: the page is to be handled, and measured, in
         // MW mode, so the owner drops ownership as well.

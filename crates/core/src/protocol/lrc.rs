@@ -142,7 +142,9 @@ pub(crate) fn close_interval(
 
     for &page in &dirty {
         let pc = &mut w.procs[p.index()].pages[page.index()];
-        let (mode, twin, rights) = (pc.mode(), pc.twin.take(), close_rights(pc, p));
+        let (mode, rights) = (pc.mode(), close_rights(pc, p));
+        let twin = pc.twin.take_if(|_| mode == PageMode::Mw);
+        debug_assert!(pc.twin.is_none(), "SW-dirty {page} of {p} has a twin");
         pc.dirty = false;
         // Re-protect for write detection in the next interval.
         match held.as_mut() {
@@ -151,7 +153,6 @@ pub(crate) fn close_interval(
         }
         if mode == PageMode::Sw {
             // Owner write notice with the page's current version.
-            debug_assert!(twin.is_none(), "SW-dirty {page} of {p} has a twin");
             debug_assert_eq!(
                 w.dir[page.index()].owner,
                 Some(p),
@@ -168,10 +169,8 @@ pub(crate) fn close_interval(
                 w.procs[p.index()].pages[page.index()].switch_mode(cause, &mut w.proto);
             }
         } else {
-            writes.push(WriteNotice {
-                page,
-                kind: NoticeKind::NonOwner,
-            });
+            let kind = NoticeKind::NonOwner;
+            writes.push(WriteNotice { page, kind });
             // Eager per-interval diffing: encode against the twin. Only
             // an HLRC home writes without one (in place: nothing to diff).
             assert!(hlrc || twin.is_some(), "MW-dirty {page} of {p} has no twin");
@@ -206,10 +205,7 @@ pub(crate) fn close_interval(
                     // list so that a later whole-page install re-applies
                     // local modifications (the paper's merge procedure
                     // keeps local write notices in the list).
-                    let own = PendingNotice {
-                        interval: id,
-                        kind: NoticeKind::NonOwner,
-                    };
+                    let own = PendingNotice { interval: id, kind };
                     w.procs[p.index()].pages[page.index()].missing.push(own);
                     diff.modified_bytes()
                 };
@@ -773,13 +769,12 @@ pub(crate) fn fetch_page_from(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: Pag
     // shared as soon as another processor fetches it from its writing
     // owner — WFS+WG switches it to MW mode (via a deferred ownership
     // drop) so the granularity gets measured.
+    let pg = &mut ctx.w.dir[page.index()];
     if adaptive::probes_read_sharing(ctx.w.protocol)
-        && ctx.w.dir[page.index()].owner == Some(q)
-        && ctx.w.dir[page.index()].last_write[q.index()].is_some()
+        && pg.owner == Some(q)
+        && pg.last_write[q.index()].is_some()
     {
-        ctx.w.dir[page.index()]
-            .drop_pending
-            .get_or_insert(SwitchCause::ReadShared);
+        pg.drop_pending.get_or_insert(SwitchCause::ReadShared);
     }
 }
 

@@ -767,10 +767,8 @@ impl World {
         pg.owner = Some(to);
         pg.owner_since = now;
         pg.drop_pending = None;
-        let hvn = Hvn {
-            version: pg.version,
-            proc: to,
-        };
+        let (version, proc) = (pg.version, to);
+        let hvn = Hvn { version, proc };
         for proc in &mut self.procs {
             let pc = &mut proc.pages[page.index()];
             debug_assert!(pc.twin.is_none(), "no open sessions at a hand-over");

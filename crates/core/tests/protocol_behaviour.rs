@@ -328,6 +328,7 @@ fn adaptive_switches_back_to_sw_after_false_sharing_stops() {
         out.report.proto.switch_causes[SwitchCause::Mechanism3 as usize] > 0,
         "phase 2 must recover SW mode"
     );
+    assert_eq!(out.report.final_sw_pages, 1, "page ends in SW mode");
 }
 
 /// A lock hand-off after a refusal, on two processors under WFS. P1

@@ -13,7 +13,9 @@
 //! and paste the printed tables over `GOLDEN`, `GOLDEN64` and
 //! `GOLDEN_TSP_SMALL`.
 
-use adsm::{run_app, run_app_tuned, App, ProtocolKind, RunOptions, RunReport, Scale, Scenario};
+use adsm::{
+    run_app, run_app_tuned, App, ProtocolKind, RunOptions, RunReport, Scale, Scenario, SwitchCause,
+};
 
 /// Protocols covered by the digest: the four evaluated protocols plus
 /// the two related-work comparators.
@@ -57,10 +59,43 @@ fn digest(r: &RunReport) -> [u64; 15] {
     ]
 }
 
-fn run_digest(app: App, proto: ProtocolKind) -> [u64; 15] {
+/// Every page-mode switch names the paper mechanism that made it
+/// ([`SwitchCause`]): the per-cause counts must agree with the protocol
+/// that produced them and add up to the two direction counters.
+fn check_switch_causes(app: App, proto: ProtocolKind, r: &RunReport) {
+    for to_mw in [true, false] {
+        let sum: u64 = SwitchCause::ALL
+            .iter()
+            .filter(|c| c.to_mw() == to_mw)
+            .map(|&c| r.proto.switch_causes[c as usize])
+            .sum();
+        let counted = if to_mw {
+            r.proto.switches_to_mw
+        } else {
+            r.proto.switches_to_sw
+        };
+        assert_eq!(sum, counted, "{app} under {proto}: causes to_mw={to_mw}");
+    }
+    for cause in SwitchCause::ALL {
+        let n = r.proto.switch_causes[cause as usize];
+        // Only the adaptive protocols switch; only WFS+WG gates on write
+        // granularity and probes read sharing.
+        let possible = match proto {
+            ProtocolKind::Wfs => {
+                !matches!(cause, SwitchCause::SmallGrain | SwitchCause::ReadShared)
+            }
+            ProtocolKind::WfsWg => true,
+            _ => false,
+        };
+        assert!(possible || n == 0, "{app} under {proto}: {n} x {cause:?}");
+    }
+}
+
+fn run_report(app: App, proto: ProtocolKind) -> RunReport {
     let run = run_app(app, proto, procs_for(app), Scale::Tiny);
     assert!(run.ok, "{app} under {proto}: {}", run.detail);
-    digest(&run.outcome.report)
+    check_switch_causes(app, proto, &run.outcome.report);
+    run.outcome.report
 }
 
 /// Captured on the pre-refactor tree (PR 2 head): `(app, protocol) ->
@@ -401,13 +436,31 @@ fn refactor_reproduces_presplit_outcomes_exactly() {
         App::ALL.len() * PROTOCOLS.len(),
         "golden table incomplete — regenerate with print_golden"
     );
+    let mut reached = [0u64; SwitchCause::ALL.len()];
     for &(app, proto, expect) in GOLDEN {
-        let got = run_digest(app, proto);
+        let r = run_report(app, proto);
+        for (n, got) in reached.iter_mut().zip(r.proto.switch_causes) {
+            *n += got;
+        }
         assert_eq!(
-            got, expect,
+            digest(&r),
+            expect,
             "{app} under {proto}: outcome digest diverged from the \
              pre-refactor golden capture"
         );
+    }
+    // Every cause is reached: these five by this grid, mechanisms 1 and 2
+    // by `cessation_mechanisms_1_and_2_fire_on_a_lock_handoff` and GC by
+    // `adaptive_gc_leaves_falsely_shared_pages_in_sw_mode`, both in
+    // `crates/core/tests/protocol_behaviour.rs`.
+    for cause in [
+        SwitchCause::Refusal,
+        SwitchCause::SmallGrain,
+        SwitchCause::ReadShared,
+        SwitchCause::ConcurrentNotice,
+        SwitchCause::Mechanism3,
+    ] {
+        assert!(reached[cause as usize] > 0, "no run switched for {cause:?}");
     }
 }
 
@@ -450,6 +503,7 @@ const PROTOCOLS64: [ProtocolKind; 2] = [ProtocolKind::Mw, ProtocolKind::WfsWg];
 fn run_digest64(app: App, proto: ProtocolKind) -> [u64; 15] {
     let run = run_app(app, proto, 64, Scale::Large);
     assert!(run.ok, "{app} under {proto} at 64 procs: {}", run.detail);
+    check_switch_causes(app, proto, &run.outcome.report);
     digest(&run.outcome.report)
 }
 
@@ -531,6 +585,7 @@ const PROTOCOLS_TSP: [ProtocolKind; 4] = [
 fn run_digest_tsp_small(proto: ProtocolKind) -> [u64; 15] {
     let run = run_app(App::Tsp, proto, 8, Scale::Small);
     assert!(run.ok, "TSP under {proto} at Small: {}", run.detail);
+    check_switch_causes(App::Tsp, proto, &run.outcome.report);
     digest(&run.outcome.report)
 }
 
@@ -590,7 +645,7 @@ fn print_golden() {
     println!("GOLDEN:");
     for app in App::ALL {
         for proto in PROTOCOLS {
-            let d = run_digest(app, proto);
+            let d = digest(&run_report(app, proto));
             println!("    (App::{app:?}, ProtocolKind::{proto:?}, {d:?}),");
         }
     }
