@@ -81,8 +81,33 @@ const THETA: f64 = 0.6;
 const DT: f64 = 0.01;
 const SOFTENING: f64 = 1e-3;
 
-/// A private octree over the unit cube.
+/// A private octree over the unit cube, as the force walk reads it: the
+/// non-empty nodes in the order a depth-first walk that opens every node
+/// meets them — a node, then its children's subtrees from octant 7 down
+/// to 0 — each with the index just past its subtree.
 struct Octree {
+    walk: Vec<WalkNode>,
+}
+
+/// One node of [`Octree::walk`].
+#[derive(Clone, Debug)]
+struct WalkNode {
+    com: [f64; 3],
+    mass: f64,
+    /// The cell's side, twice its half-size: the numerator of the
+    /// opening criterion.
+    size: f64,
+    /// A leaf's body; [`NO_BODY`] for an internal node.
+    body: usize,
+    /// The index of the first node past this one's subtree: where the
+    /// walk goes on when it does not open this node.
+    skip: usize,
+}
+
+const NO_BODY: usize = usize::MAX;
+
+/// The octree while it is built.
+struct Cells {
     /// (center, half-size, total mass, centre of mass, children start or
     /// body id).
     nodes: Vec<Node>,
@@ -97,14 +122,14 @@ struct Node {
     /// Leaf: Some(body); internal: children at `kids[k]` (usize::MAX =
     /// absent).
     body: Option<usize>,
-    kids: Option<Box<[usize; 8]>>,
+    kids: Option<[usize; 8]>,
 }
 
-impl Octree {
+impl Cells {
     /// Builds the tree over `positions` (masses in `masses`), inserting
     /// bodies in index order — deterministic for every processor.
-    fn build(positions: &[[f64; 3]], masses: &[f64]) -> Octree {
-        let mut tree = Octree {
+    fn build(positions: &[[f64; 3]], masses: &[f64]) -> Cells {
+        let mut tree = Cells {
             nodes: vec![Node {
                 center: [0.5, 0.5, 0.5],
                 half: 0.5,
@@ -160,7 +185,7 @@ impl Octree {
                         return;
                     }
                     self.nodes[cur].body = None;
-                    self.nodes[cur].kids = Some(Box::new([usize::MAX; 8]));
+                    self.nodes[cur].kids = Some([usize::MAX; 8]);
                     let oct_e = Self::octant(&self.nodes[cur].center, &positions[existing]);
                     let kid_e = self.ensure_child(cur, oct_e);
                     self.nodes[kid_e].body = Some(existing);
@@ -203,8 +228,8 @@ impl Octree {
             self.nodes[node].com = positions[b];
             return (m, positions[b]);
         }
-        let kids = match &self.nodes[node].kids {
-            Some(k) => **k,
+        let kids = match self.nodes[node].kids {
+            Some(k) => k,
             None => {
                 return (0.0, self.nodes[node].center);
             }
@@ -228,42 +253,64 @@ impl Octree {
         (m, com)
     }
 
-    /// Barnes-Hut force on `body`; returns (acc, interactions). `stack`
-    /// is the traversal's scratch, the caller's so that one allocation
-    /// serves every body of a phase; its contents on entry are ignored.
-    fn accel(
-        &self,
-        body: usize,
-        positions: &[[f64; 3]],
-        stack: &mut Vec<usize>,
-    ) -> ([f64; 3], usize) {
+    /// Appends `node`'s subtree to `walk` in walk order, leaving out
+    /// the massless nodes a walk never opens or counts.
+    fn flatten(&self, node: usize, walk: &mut Vec<WalkNode>) {
+        let nd = &self.nodes[node];
+        if nd.mass == 0.0 {
+            return;
+        }
+        let at = walk.len();
+        walk.push(WalkNode {
+            com: nd.com,
+            mass: nd.mass,
+            size: 2.0 * nd.half,
+            body: nd.body.unwrap_or(NO_BODY),
+            skip: 0,
+        });
+        for kid in nd.kids.iter().flatten().rev().filter(|&&k| k != usize::MAX) {
+            self.flatten(*kid, walk);
+        }
+        walk[at].skip = walk.len();
+    }
+}
+
+impl Octree {
+    /// Builds the tree over `positions` (masses in `masses`) and lays it
+    /// out for the walk.
+    fn build(positions: &[[f64; 3]], masses: &[f64]) -> Octree {
+        let cells = Cells::build(positions, masses);
+        let mut walk = Vec::with_capacity(cells.nodes.len());
+        cells.flatten(0, &mut walk);
+        Octree { walk }
+    }
+
+    /// Barnes-Hut force on `body`; returns (acc, interactions). One pass
+    /// along [`Octree::walk`]: a node far enough away (or a leaf) is
+    /// one interaction and the walk jumps past its subtree; a near one
+    /// is opened, and the walk steps into its children.
+    fn accel(&self, body: usize, positions: &[[f64; 3]]) -> ([f64; 3], usize) {
         let mut acc = [0.0f64; 3];
         let mut count = 0usize;
-        stack.clear();
-        stack.push(0);
         let bp = positions[body];
-        while let Some(node) = stack.pop() {
-            let nd = &self.nodes[node];
-            if nd.mass == 0.0 {
-                continue;
-            }
-            if nd.body == Some(body) {
+        let mut i = 0;
+        while let Some(nd) = self.walk.get(i) {
+            if nd.body == body {
+                i = nd.skip;
                 continue;
             }
             let d = [nd.com[0] - bp[0], nd.com[1] - bp[1], nd.com[2] - bp[2]];
             let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + SOFTENING;
             let r = r2.sqrt();
-            let leaf = nd.body.is_some();
-            if leaf || (2.0 * nd.half / r) < THETA {
+            if nd.body != NO_BODY || (nd.size / r) < THETA {
                 let f = nd.mass / (r2 * r);
                 for x in 0..3 {
                     acc[x] += f * d[x];
                 }
                 count += 1;
-            } else if let Some(kids) = &nd.kids {
-                for kid in kids.iter().copied().filter(|&k| k != usize::MAX) {
-                    stack.push(kid);
-                }
+                i = nd.skip;
+            } else {
+                i += 1;
             }
         }
         (acc, count)
@@ -394,10 +441,9 @@ fn sequential(params: &BarnesParams) -> Vec<f64> {
     let n = params.nbodies;
     let (masses, mut pos) = initial_state(params);
     let mut vel = vec![[0.0f64; 3]; n];
-    let mut stack = Vec::new();
     for _ in 0..params.steps {
         let tree = Octree::build(&pos, &masses);
-        let acc: Vec<[f64; 3]> = (0..n).map(|i| tree.accel(i, &pos, &mut stack).0).collect();
+        let acc: Vec<[f64; 3]> = (0..n).map(|i| tree.accel(i, &pos).0).collect();
         for i in 0..n {
             for k in 0..3 {
                 vel[i][k] += acc[i][k] * DT;
@@ -456,9 +502,8 @@ pub fn run(
                 let (s, e) = band(n, np, p.index());
                 let mine = &shared.order[s..e];
                 let mut interactions = 0usize;
-                let mut stack = Vec::new();
                 for &i in mine {
-                    let (acc, cnt) = shared.tree.accel(i, &shared.positions, &mut stack);
+                    let (acc, cnt) = shared.tree.accel(i, &shared.positions);
                     interactions += cnt;
                     bodies.write_from(p, i * BODY_WORDS + ACC, &acc);
                 }
@@ -488,14 +533,9 @@ pub fn run(
         })
         .expect("Barnes run failed");
 
-    let all = outcome.read_vec(&bodies);
-    let got: Vec<f64> = (0..n)
-        .flat_map(|i| {
-            let b = i * BODY_WORDS + POS;
-            all[b..b + 3].to_vec()
-        })
-        .collect();
-    AppRun::verified(outcome, compare_f64(&got, &want, 1e-12))
+    let got = (0..n).flat_map(|i| (0..3).map(move |k| i * BODY_WORDS + POS + k));
+    let check = compare_f64(got.map(|j| outcome.read_elem(&bodies, j)), &want, 1e-12);
+    AppRun::verified(outcome, check)
 }
 
 #[cfg(test)]
@@ -525,7 +565,7 @@ mod tests {
         let (masses, pos) = initial_state(&params);
         let tree = Octree::build(&pos, &masses);
         let total: f64 = masses.iter().sum();
-        assert!((tree.nodes[0].mass - total).abs() < 1e-9);
+        assert!((tree.walk[0].mass - total).abs() < 1e-9);
     }
 
     #[test]
@@ -533,12 +573,65 @@ mod tests {
         let masses = vec![1.0, 1.0];
         let pos = vec![[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]];
         let tree = Octree::build(&pos, &masses);
-        // The stack's contents on entry do not matter.
-        let mut stack = vec![7, 7, 7];
-        let (a0, _) = tree.accel(0, &pos, &mut stack);
+        let (a0, _) = tree.accel(0, &pos);
         assert!(a0[0] > 0.0, "attraction along +x");
         assert!(a0[1].abs() < 1e-12 && a0[2].abs() < 1e-12);
-        assert_eq!(tree.accel(0, &pos, &mut stack).0, a0);
+    }
+
+    /// The force walk as it was: a stack of node indices, children
+    /// pushed from octant 0 up, so popped from 7 down.
+    fn stack_accel(cells: &Cells, body: usize, positions: &[[f64; 3]]) -> ([f64; 3], usize) {
+        let mut acc = [0.0f64; 3];
+        let mut count = 0usize;
+        let mut stack = vec![0];
+        let bp = positions[body];
+        while let Some(node) = stack.pop() {
+            let nd = &cells.nodes[node];
+            if nd.mass == 0.0 || nd.body == Some(body) {
+                continue;
+            }
+            let d = [nd.com[0] - bp[0], nd.com[1] - bp[1], nd.com[2] - bp[2]];
+            let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + SOFTENING;
+            let r = r2.sqrt();
+            if nd.body.is_some() || (2.0 * nd.half / r) < THETA {
+                let f = nd.mass / (r2 * r);
+                for x in 0..3 {
+                    acc[x] += f * d[x];
+                }
+                count += 1;
+            } else if let Some(kids) = &nd.kids {
+                stack.extend(kids.iter().copied().filter(|&k| k != usize::MAX));
+            }
+        }
+        (acc, count)
+    }
+
+    /// The flat walk visits the nodes the stack walk did, in the same
+    /// order, so every force is bit-for-bit the same and so is every
+    /// interaction count — on each scale's bodies and on a clustered
+    /// input whose tree is deep and lopsided.
+    #[test]
+    fn flat_walk_is_the_stack_walk_bit_for_bit() {
+        let mut inputs: Vec<(Vec<f64>, Vec<[f64; 3]>)> = [Scale::Tiny, Scale::Small, Scale::Large]
+            .into_iter()
+            .map(|scale| initial_state(&BarnesParams::new(scale)))
+            .collect();
+        let (masses, mut clustered) = initial_state(&BarnesParams::new(Scale::Small));
+        for (i, p) in clustered.iter_mut().enumerate().skip(1) {
+            let k = if i % 3 == 0 { 1e-4 } else { 1.0 };
+            p.iter_mut().for_each(|x| *x = 0.5 + (*x - 0.5) * k);
+        }
+        inputs.push((masses, clustered));
+        for (masses, pos) in &inputs {
+            let cells = Cells::build(pos, masses);
+            let tree = Octree::build(pos, masses);
+            for body in 0..pos.len() {
+                let (flat, n_flat) = tree.accel(body, pos);
+                let (old, n_old) = stack_accel(&cells, body, pos);
+                assert_eq!(n_flat, n_old, "body {body}");
+                assert_eq!(flat.map(f64::to_bits), old.map(f64::to_bits), "body {body}");
+            }
+        }
     }
 
     /// The order every processor used to derive for itself: `0..n`

@@ -379,8 +379,8 @@ pub fn run(protocol: ProtocolKind, nprocs: usize, params: FftParams, opts: &RunO
         })
         .expect("3D-FFT run failed");
 
-    let got = outcome.read_vec(&data);
-    AppRun::verified(outcome, compare_f64(&got, &want, 1e-9))
+    let check = compare_f64(outcome.elems(&data), &want, 1e-9);
+    AppRun::verified(outcome, check)
 }
 
 #[cfg(test)]

@@ -192,10 +192,9 @@ pub fn run(
         })
         .expect("ILINK run failed");
 
-    let got_pool = outcome.read_vec(&pool);
     let got_theta = outcome.read_elem(&theta, 0);
     let (want_pool, want_theta) = &*want;
-    let mut check = compare_f64(&got_pool, want_pool, 1e-12);
+    let mut check = compare_f64(outcome.elems(&pool), want_pool, 1e-12);
     if check.is_ok() && (got_theta - want_theta).abs() > 1e-9 {
         check = Err(format!("theta {got_theta}, want {want_theta}"));
     }

@@ -155,8 +155,7 @@ pub fn run(protocol: ProtocolKind, nprocs: usize, params: IsParams, opts: &RunOp
         })
         .expect("IS run failed");
 
-    let got = outcome.read_vec(&buckets);
-    let mut check = compare_u64(&got, &want);
+    let mut check = compare_u64(outcome.elems(&buckets), &want);
     if check.is_ok() {
         let total = outcome.read_elem(&checksum, 0);
         let expect = (params.nkeys() * params.iters) as u64;

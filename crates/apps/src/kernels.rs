@@ -77,11 +77,10 @@ pub fn migratory(protocol: ProtocolKind, params: KernelParams) -> RunOutcome {
         p.barrier();
     });
     let out = out.expect("migratory kernel failed");
-    let vals = out.read_vec(&page);
     let rounds = (params.iters * nprocs) as u64;
     assert!(
-        vals.iter()
-            .all(|&v| v == 0x0101_0101_0101_0101u64.wrapping_mul(rounds)),
+        out.elems(&page)
+            .all(|v| v == 0x0101_0101_0101_0101u64.wrapping_mul(rounds)),
         "migratory kernel produced wrong counts"
     );
     out

@@ -432,8 +432,8 @@ pub fn run(
         })
         .expect("Shallow run failed");
 
-    let got = outcome.read_vec(&fields.p.shared_vec());
-    AppRun::verified(outcome, compare_f64(&got, &want, 1e-9))
+    let check = compare_f64(outcome.elems(&fields.p.shared_vec()), &want, 1e-9);
+    AppRun::verified(outcome, check)
 }
 
 #[cfg(test)]

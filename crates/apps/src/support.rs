@@ -67,31 +67,53 @@ pub(crate) fn work(count: usize, ns_per_op: u64) -> SimTime {
     SimTime::from_ns(count as u64 * ns_per_op)
 }
 
-/// Relative comparison of two f64 slices; returns the first mismatch.
-pub(crate) fn compare_f64(got: &[f64], want: &[f64], tol: f64) -> Result<(), String> {
-    if got.len() != want.len() {
-        return Err(format!("length mismatch: {} vs {}", got.len(), want.len()));
-    }
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        let scale = w.abs().max(g.abs()).max(1.0);
-        if (g - w).abs() > tol * scale {
-            return Err(format!("element {i}: got {g}, want {w} (tol {tol})"));
+/// Walks `got` against `want` in step: the first element `differs`
+/// reports on, or a difference in length, is the error. `got` is
+/// consumed as it is compared, so a result read in place
+/// ([`RunOutcome::elems`](adsm_core::RunOutcome::elems)) is never
+/// copied.
+fn compare<T: Copy>(
+    got: impl IntoIterator<Item = T>,
+    want: &[T],
+    differs: impl Fn(usize, T, T) -> Option<String>,
+) -> Result<(), String> {
+    let mut got = got.into_iter();
+    for (i, &w) in want.iter().enumerate() {
+        let g = got
+            .next()
+            .ok_or_else(|| format!("length mismatch: {i} vs {}", want.len()))?;
+        if let Some(why) = differs(i, g, w) {
+            return Err(why);
         }
     }
-    Ok(())
+    match got.count() {
+        0 => Ok(()),
+        extra => Err(format!(
+            "length mismatch: {} vs {}",
+            want.len() + extra,
+            want.len()
+        )),
+    }
 }
 
-/// Exact comparison of integer slices.
-pub(crate) fn compare_u64(got: &[u64], want: &[u64]) -> Result<(), String> {
-    if got.len() != want.len() {
-        return Err(format!("length mismatch: {} vs {}", got.len(), want.len()));
-    }
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        if g != w {
-            return Err(format!("element {i}: got {g}, want {w}"));
-        }
-    }
-    Ok(())
+/// Relative comparison against an f64 reference; returns the first
+/// mismatch.
+pub(crate) fn compare_f64(
+    got: impl IntoIterator<Item = f64>,
+    want: &[f64],
+    tol: f64,
+) -> Result<(), String> {
+    compare(got, want, |i, g, w| {
+        let scale = w.abs().max(g.abs()).max(1.0);
+        ((g - w).abs() > tol * scale).then(|| format!("element {i}: got {g}, want {w} (tol {tol})"))
+    })
+}
+
+/// Exact comparison against an integer reference.
+pub(crate) fn compare_u64(got: impl IntoIterator<Item = u64>, want: &[u64]) -> Result<(), String> {
+    compare(got, want, |i, g, w| {
+        (g != w).then(|| format!("element {i}: got {g}, want {w}"))
+    })
 }
 
 #[cfg(test)]
@@ -134,9 +156,12 @@ mod tests {
 
     #[test]
     fn compare_f64_tolerances() {
-        assert!(compare_f64(&[1.0], &[1.0 + 1e-12], 1e-9).is_ok());
-        assert!(compare_f64(&[1.0], &[1.1], 1e-9).is_err());
-        assert!(compare_f64(&[1.0], &[1.0, 2.0], 1e-9).is_err());
+        assert!(compare_f64([1.0], &[1.0 + 1e-12], 1e-9).is_ok());
+        assert!(compare_f64([1.0], &[1.1], 1e-9).is_err());
+        assert!(compare_f64([1.0], &[1.0, 2.0], 1e-9).is_err());
+        assert!(compare_f64([1.0, 2.0], &[1.0], 1e-9).is_err());
+        assert!(compare_u64([3, 4], &[3, 4]).is_ok());
+        assert!(compare_u64([3, 5], &[3, 4]).is_err());
     }
 
     #[test]

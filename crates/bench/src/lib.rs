@@ -55,7 +55,7 @@ impl Matrix {
     /// `nprocs` processors, and under Raw on one for its sequential
     /// time, all under `opts`; every run must verify. The sequential
     /// time is memoised for the life of the process
-    /// ([`sequential_time`]), so sweeps over settings it does not read
+    /// (`sequential_time`), so sweeps over settings it does not read
     /// pay one Raw run per app. The paper's grid at `Scale::Small` takes
     /// on the order of a minute, at `Scale::Paper` several.
     pub fn collect(

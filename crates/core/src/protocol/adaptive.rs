@@ -143,8 +143,7 @@ fn grant_ownership(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: PageId, c_req:
     ctx.charge_other(q, close_cost);
     ctx.interrupt(q);
 
-    let q_vc = ctx.w.procs[q.index()].vc.clone();
-    let notice_bytes = lrc::integrate_from(ctx.w, ctx.mems, p, &q_vc);
+    let notice_bytes = lrc::integrate_from_proc(ctx.w, ctx.mems, p, q);
 
     // Does the requester need the page contents? (Its copy may have just
     // been invalidated by the owner's closing notice.)
@@ -280,11 +279,15 @@ fn install_merged_copy(ctx: &mut Ctx<'_>, p: ProcId, q: ProcId, page: PageId) {
     // server-side validation the copy reflects q's entire knowledge.
     // What p had merged into the copy this one replaces is pending
     // again unless q knows of it.
-    let bound = ctx.w.procs[q.index()].vc.clone();
-    let merged = ctx.w.procs[pidx].applied.remove(&page.index());
-    let pc = &mut ctx.w.procs[pidx].pages[page.index()];
+    let [mine, server] = ctx
+        .w
+        .procs
+        .get_disjoint_mut([pidx, q.index()])
+        .expect("a processor is never its own server");
+    let merged = mine.applied.remove(&page.index());
+    let pc = &mut mine.pages[page.index()];
     pc.missing.extend(merged.into_iter().flatten());
-    pc.missing.retain(|n| !bound.covers(n.interval));
+    pc.missing.retain(|n| !server.vc.covers(n.interval));
     pc.has_copy = true;
     ctx.w.dir[page.index()].copyset[pidx] = true;
 

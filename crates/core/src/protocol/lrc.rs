@@ -349,6 +349,23 @@ pub(crate) fn integrate_from(
     bytes
 }
 
+/// [`integrate_from`] bounded by processor `src`'s own knowledge — a
+/// lock or ownership grant from `src`. The bound is copied into the
+/// world's pooled scratch clock rather than cloned: a grant allocates
+/// no clock.
+pub(crate) fn integrate_from_proc(
+    w: &mut World,
+    mems: &[Mutex<PagedMemory>],
+    p: ProcId,
+    src: ProcId,
+) -> usize {
+    let mut bound = std::mem::take(&mut w.bscratch.bound);
+    bound.clone_from(&w.procs[src.index()].vc);
+    let bytes = integrate_from(w, mems, p, &bound);
+    w.bscratch.bound = bound;
+    bytes
+}
+
 /// Applies one shipped interval record to `p`: invalidation, pending
 /// notices, HVN bookkeeping, on-the-fly notice GC and the SW→MW
 /// demotion observations of §3.1.1.

@@ -63,8 +63,7 @@ pub(crate) fn write_fault(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
     ctx.charge_other(owner, close_cost);
     ctx.interrupt(owner);
 
-    let owner_vc = ctx.w.procs[owner.index()].vc.clone();
-    let notice_bytes = lrc::integrate_from(ctx.w, ctx.mems, p, &owner_vc);
+    let notice_bytes = lrc::integrate_from_proc(ctx.w, ctx.mems, p, owner);
     let c_grant = ctx.w.msg(
         MsgKind::OwnershipGrant,
         notice_bytes + PAGE_SIZE,

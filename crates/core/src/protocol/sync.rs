@@ -80,8 +80,7 @@ pub(crate) fn acquire(ctx: &mut Ctx<'_>, p: ProcId, lock_id: u64) -> AcquireOutc
         ctx.charge_other(grantor, close_cost);
         ctx.interrupt(grantor);
 
-        let grantor_vc = ctx.w.procs[grantor.index()].vc.clone();
-        let bytes = lrc::integrate_from(ctx.w, ctx.mems, p, &grantor_vc);
+        let bytes = lrc::integrate_from_proc(ctx.w, ctx.mems, p, grantor);
         let c_grant = ctx
             .w
             .msg(MsgKind::LockGrant, CTRL_BYTES + bytes, grantor, p, now);
@@ -126,8 +125,7 @@ pub(crate) fn release(ctx: &mut Ctx<'_>, p: ProcId, lock_id: u64) {
         let close_cost = lrc::close_interval(ctx.w, ctx.mems, p, now);
         ctx.charge(close_cost + cost_model.service_interrupt);
 
-        let my_vc = ctx.w.procs[p.index()].vc.clone();
-        let bytes = lrc::integrate_from(ctx.w, ctx.mems, r, &my_vc);
+        let bytes = lrc::integrate_from_proc(ctx.w, ctx.mems, r, p);
         let c_grant = ctx.w.msg(MsgKind::LockGrant, CTRL_BYTES + bytes, p, r, now);
 
         let st = ctx.w.locks.get_mut(&lock_id).expect("lock exists");
@@ -365,11 +363,15 @@ fn mechanism3(ctx: &mut Ctx<'_>, pages: &[adsm_mempage::PageId]) {
         let version = ctx.w.hand_over(page, wlast, now, SwitchCause::Mechanism3);
         for q in ProcId::all(ctx.w.nprocs()).filter(|&q| q != wlast) {
             if !ctx.mems[q.index()].lock().rights(page).readable() {
-                // Invalid copies re-fetch from the new owner.
-                ctx.w.procs[q.index()].pages[pgidx].missing = vec![PendingNotice {
+                // Invalid copies re-fetch from the new owner. The list is
+                // refilled in place: its capacity serves the notices the
+                // next intervals ship.
+                let missing = &mut ctx.w.procs[q.index()].pages[pgidx].missing;
+                missing.clear();
+                missing.push(PendingNotice {
                     interval: dom,
                     kind: NoticeKind::Owner(version),
-                }];
+                });
             }
         }
         // The owner's page is re-protected so its next write is detected.

@@ -423,14 +423,20 @@ impl fmt::Debug for RunOutcome {
 }
 
 impl RunOutcome {
-    /// Reads a shared array out of the final coherent image.
+    /// Reads a shared array out of the final coherent image into a new
+    /// `Vec`; [`elems`](RunOutcome::elems) reads it without the copy.
     pub fn read_vec<T: Pod>(&self, v: &SharedVec<T>) -> Vec<T> {
-        (0..v.len())
-            .map(|i| {
-                let addr = v.addr(i);
-                T::load_le(self.image.raw(addr, T::SIZE))
-            })
-            .collect()
+        self.elems(v).collect()
+    }
+
+    /// The elements of a shared array, in order, read one at a time
+    /// from the final coherent image in place: checking a result
+    /// against a reference this way copies nothing.
+    pub fn elems<T: Pod>(&self, v: &SharedVec<T>) -> impl ExactSizeIterator<Item = T> + '_ {
+        self.image
+            .raw(v.addr(0), v.len() * T::SIZE)
+            .chunks_exact(T::SIZE)
+            .map(T::load_le)
     }
 
     /// Reads a single element out of the final coherent image.

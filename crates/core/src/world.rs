@@ -289,7 +289,8 @@ pub(crate) struct Directory {
     /// Stored diffs, indexed by the creating processor.
     pub diffs: Vec<DiffStore>,
     /// The bytes of every stored diff of the run, whoever created it;
-    /// emptied by garbage collection, which empties every store.
+    /// emptied by garbage collection, which empties every store. Its
+    /// chunks go back to the process's chunk pool when the run ends.
     pub arena: DiffArena,
 }
 
@@ -440,7 +441,8 @@ pub(crate) struct KeyedDiff {
 #[derive(Debug, Default)]
 pub(crate) struct MergeScratch {
     /// Transient diffs, forgotten when the scratch goes back to the
-    /// pool; its chunk is allocated at the first encode.
+    /// pool; its chunk is taken at the first encode, from the chunks
+    /// earlier runs' arenas gave back when there are any.
     pub arena: DiffArena,
     /// Snapshot of the page's pending notices, filtered in place down
     /// to the surviving (non-dominated) set, then sorted by writer so
@@ -471,6 +473,9 @@ pub(crate) struct BarrierScratch {
     /// Pages that received an owner notice during one processor's
     /// integration (detection mechanism 2); reused across processors.
     pub owner_pages: Vec<PageId>,
+    /// A copy of the granting processor's clock, the bound of a grant's
+    /// notice ship (`lrc::integrate_from_proc`).
+    pub bound: VectorClock,
 }
 
 /// One scheduled processor crash, resolved from the scenario's fault

@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use adsm_core::{Dsm, ProtocolKind, RunOptions, RunReport, SimTime};
+use adsm_core::{Dsm, MsgKind, ProtocolKind, RunOptions, RunReport, SharedVec, SimTime};
 
 thread_local! {
     /// Heap allocations performed by *this* thread (`Cell<u64>` has no
@@ -900,4 +900,111 @@ fn hlrc_refetches_inside_an_open_session_allocate_nothing() {
         refetch_allocs, plain_allocs,
         "50 refetches inside open sessions allocated"
     );
+}
+
+/// Heap allocations of rounds 40..90 of a two-processor program over
+/// one page, counted on the simulator's one carrier thread, so both
+/// processors' allocations are in it.
+fn round_allocs(
+    protocol: ProtocolKind,
+    round: fn(&mut adsm_core::Proc, SharedVec<u64>, u64),
+) -> (RunReport, u64) {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    const WARM: u64 = 40;
+    let counted = Arc::new(AtomicU64::new(0));
+    let total = counted.clone();
+    let mut dsm = Dsm::builder(protocol).nprocs(2).build();
+    let data = dsm.alloc_page_aligned::<u64>(512);
+    let outcome = dsm
+        .run(move |p| {
+            p.barrier();
+            let mut before = 0;
+            for r in 0..WARM + 50 {
+                if r == WARM {
+                    before = thread_allocs();
+                }
+                round(p, data, r);
+            }
+            p.barrier();
+            if p.index() == 0 {
+                total.store(thread_allocs() - before, Ordering::Relaxed);
+            }
+        })
+        .expect("two-processor run completes");
+    (outcome.report, counted.load(Ordering::Relaxed))
+}
+
+/// A lock hand-off ships the grantor's knowledge bounded by its clock,
+/// which is copied into a pooled scratch clock, not cloned: two
+/// processors taking one lock in turn, with nothing written, allocate
+/// nothing at all in steady state — neither the grant from the last
+/// releaser nor the release to a queued waiter.
+#[test]
+fn lock_hand_offs_allocate_no_clock() {
+    let (report, spent) = round_allocs(ProtocolKind::Mw, |p, _, _| {
+        p.lock(0);
+        p.compute(SimTime::from_us(20));
+        p.unlock(0);
+    });
+    assert!(
+        report.net.messages(MsgKind::LockGrant) >= 120,
+        "the lock changed hands"
+    );
+    assert_eq!(
+        spent, 0,
+        "50 rounds of lock hand-offs allocated {spent} times"
+    );
+}
+
+/// An SW ownership grant ships the owner's knowledge bounded by the
+/// owner's clock, copied into the pooled scratch clock: two processors
+/// writing one page in turn move its ownership every round, and what a
+/// round allocates is its interval close's — the notice list, and the
+/// closing clock's copy and its `Arc`: three a round — and the interval
+/// log's occasional growth, never a clone of the granting clock besides
+/// (which made it four a round).
+#[test]
+fn sw_ownership_ping_pong_allocates_no_clock() {
+    let (report, spent) = round_allocs(ProtocolKind::Sw, |p, data, r| {
+        if p.index() as u64 == r % 2 {
+            data.set(p, 0, r);
+        }
+        p.barrier();
+    });
+    assert!(
+        report.proto.ownership_grants >= 80,
+        "ownership moved every round"
+    );
+    assert!(
+        spent <= 3 * 50 + 10,
+        "50 rounds of ownership moves allocated {spent} times"
+    );
+}
+
+/// Checking a run's result reads the final image in place: comparing
+/// every element of a shared array through
+/// [`RunOutcome::elems`](adsm_core::RunOutcome::elems) allocates
+/// nothing, where a whole-array `read_vec` copy came first.
+#[test]
+fn an_outcome_verified_in_place_allocates_nothing() {
+    let mut dsm = Dsm::builder(ProtocolKind::Mw).nprocs(2).build();
+    let data = dsm.alloc_page_aligned::<u64>(4 * 512);
+    let outcome = dsm
+        .run(move |p| {
+            for i in (p.index()..data.len()).step_by(2) {
+                data.set(p, i, 3 * i as u64);
+            }
+            p.barrier();
+        })
+        .expect("two-writer run completes");
+    let before = thread_allocs();
+    let verified = outcome
+        .elems(&data)
+        .enumerate()
+        .all(|(i, v)| v == 3 * i as u64);
+    let spent = thread_allocs() - before;
+    assert!(verified, "the image holds every processor's writes");
+    assert_eq!(spent, 0, "verifying in place allocated {spent} times");
+    assert_eq!(outcome.elems(&data).len(), data.len());
 }

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::{PAGE_SIZE, WORD_SIZE};
 
@@ -442,6 +443,19 @@ impl fmt::Display for Diff {
 
 /// Capacity of one [`DiffArena`] chunk.
 const CHUNK_BYTES: usize = 64 << 10;
+
+/// Empty [`DiffArena`] chunks, each of capacity [`CHUNK_BYTES`], that
+/// arenas since dropped gave back: an arena takes its chunks from here
+/// before it allocates, so a process stops allocating chunks once it has
+/// as many as its busiest moment held.
+static CHUNK_POOL: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+/// The chunk pool; a panic elsewhere while it was held leaves a list of
+/// empty chunks, which is all it ever is.
+fn chunk_pool() -> MutexGuard<'static, Vec<Vec<u8>>> {
+    CHUNK_POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The largest encoding: every block's mask and every word of the page.
 const MAX_ENCODED_BYTES: usize = BLOCKS_PER_PAGE * MASK_BYTES + PAGE_SIZE;
 
@@ -484,9 +498,11 @@ impl DiffSlot {
 /// One store for the bytes of many diffs: each is encoded straight into
 /// the arena, in [`Diff`]'s layout, and named by the [`DiffSlot`] the
 /// encoder returns — no heap block per diff. The arena is a list of
-/// fixed-capacity chunks, each allocated once and never reallocated or
-/// zero-filled; [`DiffArena::clear`] forgets every diff and keeps the
-/// chunks for the next ones.
+/// fixed-capacity chunks, never reallocated or zero-filled;
+/// [`DiffArena::clear`] forgets every diff and keeps the chunks for the
+/// next ones. The chunks outlive the arena: dropping it gives them to a
+/// process-wide pool, from which the next arena takes its chunks before
+/// it allocates any.
 ///
 /// # Examples
 ///
@@ -565,9 +581,21 @@ impl DiffArena {
             self.cur += 1;
         }
         if self.cur == self.chunks.len() {
-            self.chunks.push(Vec::with_capacity(CHUNK_BYTES));
+            let pooled = chunk_pool().pop();
+            self.chunks
+                .push(pooled.unwrap_or_else(|| Vec::with_capacity(CHUNK_BYTES)));
         }
         self.cur
+    }
+}
+
+impl Drop for DiffArena {
+    fn drop(&mut self) {
+        if self.chunks.is_empty() {
+            return;
+        }
+        self.clear();
+        chunk_pool().append(&mut self.chunks);
     }
 }
 
@@ -858,19 +886,20 @@ mod tests {
         }
     }
 
-    /// A diff encoded into the arena is the diff [`Diff::encode`] makes
-    /// — same sizes, same effect — including after enough others that
-    /// the arena has moved on through several chunks; and after a clear
-    /// the next diffs go into the same chunks.
-    #[test]
-    fn arena_diffs_match_owned_ones_across_chunks_and_clears() {
-        let mut arena = DiffArena::default();
+    /// Holds the process-wide chunk pool to this test.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A twin and 64 pages against it, every other one dense (a
+    /// whole-page diff), the rest one word at a page-dependent offset:
+    /// enough for several chunks.
+    fn arena_pages() -> (Vec<u8>, Vec<Vec<u8>>) {
         let twin: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 7) as u8).collect();
-        let pages: Vec<Vec<u8>> = (0..64usize)
+        let pages = (0..64usize)
             .map(|k| {
                 let mut cur = twin.clone();
-                // Every other page dense (a whole-page diff), the rest
-                // one word at a k-dependent offset.
                 if k % 2 == 0 {
                     cur.iter_mut().for_each(|b| *b = !*b);
                 } else {
@@ -879,28 +908,63 @@ mod tests {
                 cur
             })
             .collect();
-        let mut first_bases = None;
-        for round in 0..2 {
-            let slots: Vec<DiffSlot> = pages
-                .iter()
-                .map(|cur| arena.encode_span(&twin, cur, 0, PAGE_SIZE))
-                .collect();
-            assert!(arena.chunks.len() > 1, "the test should span chunks");
-            let bases: Vec<*const u8> = arena.chunks.iter().map(|c| c.as_ptr()).collect();
-            // The second round refills the first round's chunks.
-            assert_eq!(first_bases.get_or_insert_with(|| bases.clone()), &bases);
-            for (cur, slot) in pages.iter().zip(&slots) {
-                let owned = Diff::encode(&twin, cur);
-                assert_eq!(slot.is_empty(), owned.is_empty());
-                assert_eq!(slot.run_count(), owned.run_count());
-                assert_eq!(slot.modified_bytes(), owned.modified_bytes());
-                assert_eq!(slot.wire_size(), owned.wire_size());
-                let mut merged = twin.clone();
-                arena.apply(*slot, &mut merged);
-                assert_eq!(&merged, cur, "round {round}");
-            }
-            arena.clear();
+        (twin, pages)
+    }
+
+    /// Encodes every page into `arena`, checks each slot against the
+    /// owned diff — same sizes, same effect — and returns the arena's
+    /// chunk addresses.
+    fn encode_and_check(arena: &mut DiffArena, twin: &[u8], pages: &[Vec<u8>]) -> Vec<*const u8> {
+        let slots: Vec<DiffSlot> = pages
+            .iter()
+            .map(|cur| arena.encode_span(twin, cur, 0, PAGE_SIZE))
+            .collect();
+        assert!(arena.chunks.len() > 1, "the test should span chunks");
+        for (cur, slot) in pages.iter().zip(&slots) {
+            let owned = Diff::encode(twin, cur);
+            assert_eq!(slot.is_empty(), owned.is_empty());
+            assert_eq!(slot.run_count(), owned.run_count());
+            assert_eq!(slot.modified_bytes(), owned.modified_bytes());
+            assert_eq!(slot.wire_size(), owned.wire_size());
+            let mut merged = twin.to_vec();
+            arena.apply(*slot, &mut merged);
+            assert_eq!(&merged, cur);
         }
+        arena.chunks.iter().map(|c| c.as_ptr()).collect()
+    }
+
+    /// A diff encoded into the arena is the diff [`Diff::encode`] makes,
+    /// including after enough others that the arena has moved on
+    /// through several chunks; and after a clear the next diffs go into
+    /// the same chunks.
+    #[test]
+    fn arena_diffs_match_owned_ones_across_chunks_and_clears() {
+        let _serial = serial();
+        let (twin, pages) = arena_pages();
+        let mut arena = DiffArena::default();
+        let first = encode_and_check(&mut arena, &twin, &pages);
+        arena.clear();
+        assert_eq!(encode_and_check(&mut arena, &twin, &pages), first);
+    }
+
+    /// The chunks outlive their arena: a dropped arena's chunks, given
+    /// back empty, are the next arena's, and the diffs encoded into them
+    /// match owned ones as in a fresh arena.
+    #[test]
+    fn arena_chunks_serve_the_next_arena_after_a_drop() {
+        let _serial = serial();
+        let (twin, pages) = arena_pages();
+        let mut arena = DiffArena::default();
+        let mut first = encode_and_check(&mut arena, &twin, &pages);
+        drop(arena);
+        assert!(chunk_pool()
+            .iter()
+            .all(|c| c.is_empty() && c.capacity() == CHUNK_BYTES));
+        let mut next = DiffArena::default();
+        let mut reused = encode_and_check(&mut next, &twin, &pages);
+        first.sort();
+        reused.sort();
+        assert_eq!(reused, first, "the next arena allocated chunks of its own");
     }
 
     /// What a diff costs to keep: the bitmap and the run count inline,

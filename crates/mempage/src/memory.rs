@@ -147,19 +147,20 @@ const PRISTINE: (u16, u16) = (PAGE_SIZE as u16, 1);
 const _: () = assert!(PAGE_SIZE <= u16::MAX as usize);
 
 impl PagedMemory {
-    /// Creates a zero-filled space of `npages` pages, all invalid.
+    /// Creates a zero-filled space of `npages` pages, all invalid, in a
+    /// frame of its own: unlike [`PagedMemory::pooled`]'s, it neither
+    /// comes from nor goes back to the frame pool.
     pub fn new(npages: usize) -> Self {
         PagedMemory::with_frames(Frames::zeroed(npages * PAGE_SIZE), npages, None)
     }
 
-    /// Like [`PagedMemory::new`], for processor `slot` of a cluster
-    /// whose every processor has a space of `npages` pages: the bytes
-    /// come from a process-wide pool of page frames. Dropping the
-    /// memory zeroes the pages written through it and gives the frame
-    /// back for `slot`, so the next run of the same size reuses its
-    /// resident pages instead of faulting fresh ones in; a space of
-    /// another size empties the pool first. The pool keeps at most one
-    /// frame per slot.
+    /// Like [`PagedMemory::new`], for processor `slot` of a cluster:
+    /// the bytes come from a process-wide pool of page frames. Dropping
+    /// the memory zeroes the pages written through it and gives the
+    /// frame back for `slot`, so the next run — of any size — reuses
+    /// its resident pages instead of faulting fresh ones in (a frame
+    /// keeps its mapping for a smaller space and grows it in place for
+    /// a larger one). The pool keeps at most one frame per slot.
     pub fn pooled(npages: usize, slot: usize) -> Self {
         PagedMemory::with_frames(
             Frames::recycled(npages * PAGE_SIZE, slot),
@@ -516,42 +517,60 @@ mod tests {
         }
     }
 
+    /// A frame reused for a smaller or a larger space reads all zero
+    /// across its whole mapping — the tail a smaller space does not
+    /// show included — after every write path of the space before.
     #[test]
     fn a_request_of_another_shape_never_sees_stale_bytes() {
         let _serial = serial();
         let mut mem = PagedMemory::pooled(16, 0);
         scribble(&mut mem);
         drop(mem);
-        for npages in [17, 16, 24] {
+        for npages in [17, 16, 13, 24, 14] {
+            let (_, held) = crate::frames::pool_contents(0);
+            let mapping = held.expect("slot 0's frame is back in the pool");
+            assert!(mapping.len() >= npages.min(16) * PAGE_SIZE);
+            assert!(mapping.iter().all(|&b| b == 0), "before {npages} pages");
             let mut other = PagedMemory::pooled(npages, 0);
+            assert_eq!(other.npages(), npages);
             assert!(other.raw(0, npages * PAGE_SIZE).iter().all(|&b| b == 0));
-            assert_eq!(crate::frames::pool_contents(), (npages * PAGE_SIZE, 0));
             scribble(&mut other);
         }
     }
 
     #[test]
-    fn the_pool_holds_at_most_one_clusters_frames() {
+    fn the_pool_holds_at_most_one_frame_per_slot() {
         let _serial = serial();
-        // Two concurrent runs of four processors: the second run's
-        // frames find their slots taken and are unmapped.
-        let runs: Vec<Vec<PagedMemory>> = (0..2)
-            .map(|_| (0..4).map(|k| PagedMemory::pooled(16, k)).collect())
+        let total = || crate::frames::pool_contents(0).0;
+        let held = |k| crate::frames::pool_contents(k).1.is_some();
+        let before = total();
+        // Two concurrent runs of four processors, of two sizes: the
+        // frames that find their slot taken are unmapped.
+        let runs: Vec<Vec<PagedMemory>> = [16, 40]
+            .into_iter()
+            .map(|npages| (0..4).map(|k| PagedMemory::pooled(npages, k)).collect())
             .collect();
         drop(runs);
-        assert_eq!(crate::frames::pool_contents(), (16 * PAGE_SIZE, 4));
+        assert!((0..4).all(held));
+        let after = total();
+        assert!(
+            after <= before + 4,
+            "eight frames of four slots: {before} -> {after}"
+        );
         // Unpooled memories and clones never enter it.
         let mut mem = PagedMemory::new(16);
         scribble(&mut mem);
+        drop(mem.clone());
         drop(mem);
-        assert_eq!(crate::frames::pool_contents(), (16 * PAGE_SIZE, 4));
-        // A smaller cluster of another size leaves only its own frames.
+        assert_eq!(total(), after);
+        // A smaller cluster of another size takes slots 0 and 1's
+        // frames and gives them back: still one frame a slot.
         drop(
             (0..2)
                 .map(|k| PagedMemory::pooled(4, k))
                 .collect::<Vec<_>>(),
         );
-        assert_eq!(crate::frames::pool_contents(), (4 * PAGE_SIZE, 2));
+        assert_eq!(total(), after);
     }
 
     #[test]

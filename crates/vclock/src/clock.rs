@@ -45,9 +45,23 @@ impl fmt::Display for CausalOrder {
 /// assert_eq!(vc.get(ProcId::new(2)), 1);
 /// assert_eq!(vc.get(ProcId::new(0)), 0);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct VectorClock {
     slots: Vec<u32>,
+}
+
+impl Clone for VectorClock {
+    fn clone(&self) -> Self {
+        VectorClock {
+            slots: self.slots.clone(),
+        }
+    }
+
+    /// Copies `source` into this clock's own storage: no allocation
+    /// once it has held a clock as wide.
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+    }
 }
 
 impl VectorClock {

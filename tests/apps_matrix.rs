@@ -71,11 +71,13 @@ fn every_app_single_proc_degenerates_cleanly() {
 }
 
 /// Every run's memories come from, and go back to, one process-wide
-/// pool of page frames, which a request of another size empties. Four
-/// OS threads run SOR and IS (two sizes of shared space) in turn, on
-/// both backends and under every evaluated protocol, so frames are
-/// taken, given back and unmapped under each other's live runs; every
-/// run still verifies.
+/// pool of page frames, one frame per processor slot, which a run of
+/// any size takes: a frame keeps its mapping for the smaller space and
+/// grows in place for the larger. Four OS threads run SOR and IS (two
+/// sizes of shared space) in turn, on both backends and under every
+/// evaluated protocol, so frames are taken, grown, given back with a
+/// tail the last run never showed, and unmapped when their slot is
+/// taken, under each other's live runs; every run still verifies.
 #[test]
 fn concurrent_runs_of_two_sizes_share_the_frame_pool() {
     let size = |app| {

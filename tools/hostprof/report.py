@@ -2,10 +2,11 @@
 """Turns a hostprof sample file ($PROF_OUT.<pid>, written by prof.c) into a
 profile: the process's CPU times and page faults, then flat by innermost
 inline frame, flat by physical function, inclusive, libc's leaves by their
-first non-libc caller, and optionally the callees of one function. Rows that
-are libc's malloc internals say so.
+first non-libc caller, and optionally the callees of one function and the
+samples credited to the layers of the DSM stack. Rows that are libc's malloc
+internals say so.
 
-    report.py /tmp/prof.1234 [--top 20] [--callees FN]
+    report.py /tmp/prof.1234 [--top 20] [--callees FN] [--layers]
 
 Needs binutils' readelf and addr2line, and the profiled binaries still at
 the paths they ran from. See README.md.
@@ -24,6 +25,57 @@ HASH = re.compile(r"::h[0-9a-f]{16}$")
 # whose frame walk never left libc (malloc is built without frame pointers).
 WALK_ENDED_IN_LIBC = "(the walk ended in libc)"
 MALLOC_ROWS = {"__default_morecore [libc.so.6]", WALK_ENDED_IN_LIBC}
+
+# The layers of the stack (docs/PAPER_MAP.md read as a cost breakdown), each
+# with the module paths whose code is its own, first match wins.
+LAYERS = [
+    ("mempage", ("adsm_mempage",)),
+    ("vclock", ("adsm_vclock",)),
+    ("netsim", ("adsm_netsim",)),
+    ("engine", ("adsm_engine",)),
+    ("parking_lot shim", ("parking_lot",)),
+    ("core protocol (protocol, world, notice)",
+     ("adsm_core::protocol", "adsm_core::world", "adsm_core::notice")),
+    ("access (memio, proc)", ("adsm_core::memio", "adsm_core::proc")),
+    ("core system", ("adsm_core::system",)),
+    ("core, other modules", ("adsm_core",)),
+    ("apps", ("adsm_apps",)),
+]
+MALLOC_LAYER = "malloc internals"
+# libc leaves that are the allocator itself, whoever called it.
+MALLOC_FN = re.compile(
+    r"^(malloc|free|cfree|calloc|realloc|_int_\w+|__libc_\w+|sysmalloc|systrim|"
+    r"malloc_consolidate|unlink_chunk|tcache_\w+|__default_morecore)\b"
+)
+OTHER_LAYER = "other (std, the benchmark, unresolved)"
+
+
+def owning_paths(fn):
+    """The module paths a frame's code may belong to: a plain path as is;
+    for `<Type as Trait>::f` the type's path, then the trait's (an impl
+    lives with one or the other); for `<Type>::f` the type's."""
+    if not fn.startswith("<"):
+        return [fn]
+    depth = 0
+    for i, c in enumerate(fn):
+        depth += c == "<"
+        depth -= c == ">"
+        if depth == 0:
+            inner = fn[1:i]
+            break
+    else:
+        return [fn]
+    return [part.strip() for part in inner.split(" as ", 1)]
+
+
+def layer_of(fn):
+    """The layer whose code `fn` is, or None for std, core, alloc, libc and
+    anything else outside the stack."""
+    for path in owning_paths(fn):
+        for layer, prefixes in LAYERS:
+            if any(path.startswith(p) for p in prefixes):
+                return layer
+    return None
 
 
 def load_segments(path):
@@ -94,6 +146,11 @@ def main():
     ap.add_argument("samples", help="a $PROF_OUT.<pid> file")
     ap.add_argument("--top", type=int, default=20, help="rows per table (default 20)")
     ap.add_argument("--callees", metavar="FN", help="also: where samples under FN (substring) go next")
+    ap.add_argument(
+        "--layers",
+        action="store_true",
+        help="also: every sample credited to one layer of the stack, by its innermost frame",
+    )
     args = ap.parse_args()
 
     maps, stacks, dropped, rusage = [], [], 0, None
@@ -160,6 +217,7 @@ def main():
     inclusive = collections.Counter()
     callees = collections.Counter()
     libc_callers = collections.Counter()
+    layers = collections.Counter()
     under = 0
     in_libc_leaf = 0
     for stack in stacks:
@@ -178,11 +236,22 @@ def main():
             if hits:
                 under += 1
                 callees[expanded[hits[0] - 1] if hits[0] > 0 else "(self)"] += 1
-        if in_libc((stack[0], False)):
+        libc_leaf = in_libc((stack[0], False))
+        malloc = False
+        if libc_leaf:
             in_libc_leaf += 1
             keys = [(addr, depth > 0) for depth, addr in enumerate(stack)]
             owner = next((k for k in keys if not in_libc(k)), None)
             libc_callers[frames_of(owner)[-1] if owner else WALK_ENDED_IN_LIBC] += 1
+            malloc = owner is None or expanded[0] in MALLOC_ROWS or MALLOC_FN.match(expanded[0])
+        # A layer's own frames are the innermost ones that name it: frames
+        # of std, core, alloc and libc (a copy, a fill, a lock) go to the
+        # first frame outward that does, and malloc's internals are a row
+        # of their own.
+        if malloc:
+            layers[MALLOC_LAYER] += 1
+        else:
+            layers[next(filter(None, map(layer_of, expanded)), OTHER_LAYER)] += 1
 
     total = len(stacks)
     print(f"{total} samples from {args.samples}" + (f" ({dropped} dropped: buffer full)" if dropped else ""))
@@ -206,6 +275,12 @@ def main():
         f"{100.0 * in_libc_leaf / total:.1f}% of all)",
         libc_callers,
     )
+    if args.layers:
+        print("\nlayers, each sample credited by its innermost frame that names one")
+        for layer in [name for name, _ in LAYERS] + [MALLOC_LAYER, OTHER_LAYER]:
+            print(f"  {100.0 * layers[layer] / total:5.1f}%  {layers[layer]:6d}  {layer}")
+        credited = sum(layers.values())
+        print(f"  shares sum to {100.0 * credited / total:.1f}% ({credited} of {total} samples)")
     if args.callees:
         print(f"\ncallees of *{args.callees}* ({under} samples, {100.0 * under / total:.1f}% of all)")
         for fn, n in callees.most_common(args.top):
