@@ -359,10 +359,10 @@ pub(crate) fn integrate_from_proc(
     p: ProcId,
     src: ProcId,
 ) -> usize {
-    let mut bound = std::mem::take(&mut w.bscratch.bound);
+    let mut bound = std::mem::take(&mut w.grant_bound);
     bound.clone_from(&w.procs[src.index()].vc);
     let bytes = integrate_from(w, mems, p, &bound);
-    w.bscratch.bound = bound;
+    w.grant_bound = bound;
     bytes
 }
 

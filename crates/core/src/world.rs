@@ -473,9 +473,6 @@ pub(crate) struct BarrierScratch {
     /// Pages that received an owner notice during one processor's
     /// integration (detection mechanism 2); reused across processors.
     pub owner_pages: Vec<PageId>,
-    /// A copy of the granting processor's clock, the bound of a grant's
-    /// notice ship (`lrc::integrate_from_proc`).
-    pub bound: VectorClock,
 }
 
 /// One scheduled processor crash, resolved from the scenario's fault
@@ -576,6 +573,10 @@ pub(crate) struct World {
     pub gc_requested: bool,
     /// Pooled scratch of barrier completion and notice shipping.
     pub bscratch: BarrierScratch,
+    /// A copy of the granting processor's clock, the bound of a lock or
+    /// ownership grant's notice ship (`lrc::integrate_from_proc`);
+    /// pooled so a grant allocates no clock.
+    pub grant_bound: VectorClock,
     /// Pooled build list for interval closing's write notices; the
     /// closing path fills it, then shares the previous record's `Arc`
     /// when the list is unchanged.
@@ -642,6 +643,7 @@ impl World {
             },
             gc_requested: false,
             bscratch: BarrierScratch::default(),
+            grant_bound: VectorClock::new(nprocs),
             notice_build: Vec::new(),
             deferred_costs: Vec::new(),
             net: NetStats::new(),

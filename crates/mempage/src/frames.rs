@@ -148,9 +148,14 @@ impl Drop for Frames {
     }
 }
 
+#[cfg(not(target_os = "linux"))]
+use heap as sys;
+#[cfg(target_os = "linux")]
+use mapped as sys;
+
 /// Private anonymous mappings.
 #[cfg(target_os = "linux")]
-mod sys {
+mod mapped {
     use std::ffi::{c_int, c_void};
     use std::ptr::{self, NonNull};
 
@@ -181,7 +186,7 @@ mod sys {
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
 
-    fn mapped(base: *mut c_void, what: &str, len: usize) -> NonNull<u8> {
+    fn checked(base: *mut c_void, what: &str, len: usize) -> NonNull<u8> {
         assert!(
             base != MAP_FAILED,
             "{what} of {len} bytes of page frames failed"
@@ -203,7 +208,7 @@ mod sys {
                 0,
             )
         };
-        mapped(base, "mmap", len)
+        checked(base, "mmap", len)
     }
 
     /// The mapping of `old` bytes at `base` grown to `new`, moved if it
@@ -212,7 +217,7 @@ mod sys {
         // SAFETY: `base` and `old` are a mapping `map` or `remap` made,
         // owned by the caller, with no borrow of it left.
         let moved = unsafe { mremap(base.as_ptr().cast(), old, new, MREMAP_MAYMOVE) };
-        mapped(moved, "mremap", new)
+        checked(moved, "mremap", new)
     }
 
     pub(super) fn unmap(base: NonNull<u8>, len: usize) {
@@ -221,9 +226,11 @@ mod sys {
     }
 }
 
-/// Elsewhere, page-aligned zeroed blocks of the global allocator.
-#[cfg(not(target_os = "linux"))]
-mod sys {
+/// Elsewhere, page-aligned zeroed blocks of the global allocator. Unit
+/// tests build it on Linux too (`heap_blocks_grow_with_a_zero_tail`),
+/// so CI compiles and runs it although no job runs elsewhere.
+#[cfg(any(not(target_os = "linux"), test))]
+mod heap {
     use std::alloc::{self, Layout};
     use std::ptr::NonNull;
 
@@ -359,6 +366,28 @@ mod tests {
             f[0] = 1;
             assert_eq!(g[last], 9);
             assert_eq!(g[0], 0, "a clone is a copy, not a view");
+        }
+    }
+
+    /// The heap arm (frames elsewhere than Linux): a block starts zero,
+    /// and growing it keeps what was written and zeroes the added bytes.
+    #[test]
+    fn heap_blocks_grow_with_a_zero_tail() {
+        let page = crate::PAGE_SIZE;
+        let base = heap::map(2 * page);
+        assert_eq!(base.as_ptr() as usize % page, 0, "page-aligned");
+        // SAFETY: `base` is a block of `2 * page` bytes, then of
+        // `8 * page` after `remap`; no borrow outlives either.
+        unsafe {
+            let block = slice::from_raw_parts_mut(base.as_ptr(), 2 * page);
+            assert!(is_zero(block));
+            block.fill(7);
+            let grown = heap::remap(base, 2 * page, 8 * page);
+            assert_eq!(grown.as_ptr() as usize % page, 0, "page-aligned");
+            let block = slice::from_raw_parts(grown.as_ptr(), 8 * page);
+            assert!(block[..2 * page].iter().all(|&b| b == 7));
+            assert!(is_zero(&block[2 * page..]));
+            heap::unmap(grown, 8 * page);
         }
     }
 }

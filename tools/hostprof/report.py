@@ -2,11 +2,11 @@
 """Turns a hostprof sample file ($PROF_OUT.<pid>, written by prof.c) into a
 profile: the process's CPU times and page faults, then flat by innermost
 inline frame, flat by physical function, inclusive, libc's leaves by their
-first non-libc caller, and optionally the callees of one function and the
-samples credited to the layers of the DSM stack. Rows that are libc's malloc
+first non-libc caller, the samples credited to the layers of the DSM stack,
+and optionally the callees of one function. Rows that are libc's malloc
 internals say so.
 
-    report.py /tmp/prof.1234 [--top 20] [--callees FN] [--layers]
+    report.py /tmp/prof.1234 [--top 20] [--callees FN]
 
 Needs binutils' readelf and addr2line, and the profiled binaries still at
 the paths they ran from. See README.md.
@@ -146,11 +146,6 @@ def main():
     ap.add_argument("samples", help="a $PROF_OUT.<pid> file")
     ap.add_argument("--top", type=int, default=20, help="rows per table (default 20)")
     ap.add_argument("--callees", metavar="FN", help="also: where samples under FN (substring) go next")
-    ap.add_argument(
-        "--layers",
-        action="store_true",
-        help="also: every sample credited to one layer of the stack, by its innermost frame",
-    )
     args = ap.parse_args()
 
     maps, stacks, dropped, rusage = [], [], 0, None
@@ -275,12 +270,9 @@ def main():
         f"{100.0 * in_libc_leaf / total:.1f}% of all)",
         libc_callers,
     )
-    if args.layers:
-        print("\nlayers, each sample credited by its innermost frame that names one")
-        for layer in [name for name, _ in LAYERS] + [MALLOC_LAYER, OTHER_LAYER]:
-            print(f"  {100.0 * layers[layer] / total:5.1f}%  {layers[layer]:6d}  {layer}")
-        credited = sum(layers.values())
-        print(f"  shares sum to {100.0 * credited / total:.1f}% ({credited} of {total} samples)")
+    print("\nlayers, each sample credited by its innermost frame that names one")
+    for layer in [name for name, _ in LAYERS] + [MALLOC_LAYER, OTHER_LAYER]:
+        print(f"  {100.0 * layers[layer] / total:5.1f}%  {layers[layer]:6d}  {layer}")
     if args.callees:
         print(f"\ncallees of *{args.callees}* ({under} samples, {100.0 * under / total:.1f}% of all)")
         for fn, n in callees.most_common(args.top):
